@@ -13,25 +13,30 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .auditor import audit_revelation_principle, zero_cost_regression
-from .core import GameModelError, rational_str
+from .auditor import BreakPoint, audit_revelation_principle, zero_cost_regression
+from .core import GameModelError, as_rational, rational_str
 from .equilibrium import (
     DEFAULT_PROFILE_CAP,
     EquilibriumMode,
-    enumerate_profiles,
+    StrategyProfile,
     find_all_pure_bne,
     implements_scf,
 )
 from .labor import (
     LaborParams,
+    LaborScenario,
     audit_scenario,
+    build_scenario,
     check_separating_equilibrium,
     check_truthful_reporting,
+    in_wage_window,
 )
 from .serialize import (
+    SWEEP_COLUMNS,
     ConfigError,
     GenericScenario,
     audit_report_to_jsonable,
+    chain_to_jsonable,
     json_dumps,
     load_config,
     params_to_jsonable,
@@ -60,9 +65,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+        return as_rational(text, "not a rational")
+    except GameModelError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,8 +117,13 @@ def _select_profile(scenario: GenericScenario, cap: int):
             return p, "first equilibrium implementing the rule"
     if equilibria:
         return equilibria[0], "first equilibrium"
-    profiles = enumerate_profiles(scenario.game.mechanism, scenario.game.type_space, cap)
-    return profiles[0], "first enumerated profile"
+    # find_all_pure_bne has already enforced the cap on this game.
+    game = scenario.game
+    first = StrategyProfile.from_maps(
+        {t: actions[0] for t in types}
+        for types, actions in zip(game.type_space.types_of, game.mechanism.actions_of)
+    )
+    return first, "first enumerated profile"
 
 
 def cmd_analyze(args) -> int:
@@ -123,9 +133,10 @@ def cmd_analyze(args) -> int:
         params = parse_labor_params(cfg)
         if args.prior_high is not None:
             params = replace(params, prior_high=args.prior_high)
-        separating = check_separating_equilibrium(params)
-        truthful = check_truthful_reporting(params)
-        audit = audit_scenario(params)
+        scenario = build_scenario(params)
+        separating = check_separating_equilibrium(scenario)
+        truthful = check_truthful_reporting(scenario)
+        audit = audit_scenario(scenario)
         payload = {
             "kind": "labor",
             "params": params_to_jsonable(params),
@@ -157,35 +168,23 @@ def _bool_cell(value: bool) -> str:
 
 def cmd_sweep(args) -> int:
     grid = parse_sweep_grid(load_config(args.config))
-    fixed = dict(grid.fixed)
     if args.prior_high is not None:
-        fixed["prior_high"] = args.prior_high
+        grid = replace(grid, fixed={**grid.fixed, "prior_high": args.prior_high})
     rows = []
     for w in grid.w_values:
         for c_mis in grid.c_mis_values:
-            row = {
-                "w": rational_str(w),
-                "c_mis": rational_str(c_mis),
-                "in_window": "",
-                "separating_is_bne": "",
-                "truthful_is_bne": "",
-                "violation": "",
-                "error": "",
-            }
+            row = dict.fromkeys(SWEEP_COLUMNS, "")
+            row.update(w=rational_str(w), c_mis=rational_str(c_mis))
             # A bad cell (say w <= 0) records its error and the scan moves on.
             try:
-                params = LaborParams(w=w, c_mis=c_mis, **fixed)
-                separating = check_separating_equilibrium(params)
-                truthful = check_truthful_reporting(params)
-                violation = (
-                    separating.separating_is_bne
-                    and separating.implements_rule
-                    and not truthful.truthful_is_bne
+                params = grid.cell_params(w, c_mis)
+                audit = audit_scenario(build_scenario(params))
+                row.update(
+                    in_window=_bool_cell(in_wage_window(params)),
+                    separating_is_bne=_bool_cell(audit.chain.equilibrium_inequalities_hold),
+                    truthful_is_bne=_bool_cell(audit.truthful_is_bne),
+                    violation=_bool_cell(audit.violation),
                 )
-                row["in_window"] = _bool_cell(separating.in_window)
-                row["separating_is_bne"] = _bool_cell(separating.separating_is_bne)
-                row["truthful_is_bne"] = _bool_cell(truthful.truthful_is_bne)
-                row["violation"] = _bool_cell(violation)
             except GameModelError as exc:
                 row["error"] = str(exc)
             rows.append(row)
@@ -203,7 +202,7 @@ def cmd_matrices(args) -> int:
     params = parse_labor_params(cfg)
     if args.prior_high is not None:
         params = replace(params, prior_high=args.prior_high)
-    truthful = check_truthful_reporting(params)
+    truthful = check_truthful_reporting(build_scenario(params))
     if args.format == "md":
         sys.stdout.write(render_matrices_markdown(truthful))
     else:
@@ -251,42 +250,40 @@ EXPECTED_MATRICES = {
 }
 
 
-def _params(w: Fraction, c_mis: Fraction, prior_high: Fraction) -> LaborParams:
-    return LaborParams(w=w, c_mis=c_mis, prior_high=prior_high, **CANONICAL_FIXED)
+def _scenario(w: Fraction, c_mis: Fraction, prior_high: Fraction) -> LaborScenario:
+    return build_scenario(LaborParams(w=w, c_mis=c_mis, prior_high=prior_high, **CANONICAL_FIXED))
 
 
 def _crit_separating(prior_high: Fraction):
     details = []
-    ok = True
     for w in WINDOW_WAGES:
-        report = check_separating_equilibrium(_params(w, Fraction(0), prior_high))
-        entry = {
+        report = check_separating_equilibrium(_scenario(w, Fraction(0), prior_high))
+        details.append({
             "w": rational_str(w),
             "in_window": report.in_window,
             "separating_is_bne": report.separating_is_bne,
             "implements_rule": report.implements_rule,
             "ir_satisfied": report.ir_satisfied,
-        }
-        ok = ok and all(v for k, v in entry.items() if k != "w")
-        details.append(entry)
+        })
+    ok = all(v for entry in details for k, v in entry.items() if k != "w")
     return ok, {"wages": details}
 
 
 def _crit_unique_high(prior_high: Fraction, costs=FAILING_COSTS):
     details = []
-    ok = True
     for c_mis in costs:
-        report = check_truthful_reporting(_params(CANONICAL_WAGE, c_mis, prior_high))
-        entry = {
+        report = check_truthful_reporting(_scenario(CANONICAL_WAGE, c_mis, prior_high))
+        details.append({
             "c_mis": rational_str(c_mis),
             "cmis_below_half_w": report.cmis_below_half_w,
             "truthful_is_bne": report.truthful_is_bne,
             "unique_bne_all_report_high": report.unique_bne_all_report_high,
             "equilibria_found": len(report.equilibria),
-        }
-        ok = ok and entry["cmis_below_half_w"] and not entry["truthful_is_bne"]
-        ok = ok and entry["unique_bne_all_report_high"]
-        details.append(entry)
+        })
+    ok = all(
+        e["cmis_below_half_w"] and not e["truthful_is_bne"] and e["unique_bne_all_report_high"]
+        for e in details
+    )
     return ok, {"cells": details}
 
 
@@ -296,65 +293,44 @@ def _crit_zero_cost_failure(prior_high: Fraction):
 
 def _crit_threshold(prior_high: Fraction):
     details = []
-    ok = True
     for c_mis in RESTORING_COSTS:
-        report = check_truthful_reporting(_params(CANONICAL_WAGE, c_mis, prior_high))
-        entry = {
+        report = check_truthful_reporting(_scenario(CANONICAL_WAGE, c_mis, prior_high))
+        details.append({
             "c_mis": rational_str(c_mis),
             "truthful_is_bne": report.truthful_is_bne,
             "all_report_high_is_bne": report.all_report_high_is_bne,
-        }
-        ok = ok and entry["truthful_is_bne"]
-        details.append(entry)
-    return ok, {"cells": details}
+        })
+    return all(e["truthful_is_bne"] for e in details), {"cells": details}
 
 
 def _crit_matrices():
-    report = check_truthful_reporting(_params(CANONICAL_WAGE, Fraction(1, 2), Fraction(1, 2)))
+    report = check_truthful_reporting(_scenario(CANONICAL_WAGE, Fraction(1, 2), Fraction(1, 2)))
     mismatches = []
     for matrix in report.case_matrices:
         expected = EXPECTED_MATRICES[matrix.case]
         for profile, values in expected.items():
             got = matrix.game.payoff(profile)
             if got != values:
-                mismatches.append(
-                    {
-                        "case": matrix.case,
-                        "reports": list(profile),
-                        "expected": [rational_str(v) for v in values],
-                        "got": [rational_str(v) for v in got],
-                    }
-                )
+                mismatches.append({
+                    "case": matrix.case,
+                    "reports": list(profile),
+                    "expected": [rational_str(v) for v in values],
+                    "got": [rational_str(v) for v in got],
+                })
     return not mismatches, {"entries_checked": 16, "mismatches": mismatches}
 
 
 def _crit_chain(prior_high: Fraction = Fraction(1, 2)):
-    report = audit_scenario(_params(CANONICAL_WAGE, Fraction(0), prior_high))
+    report = audit_scenario(_scenario(CANONICAL_WAGE, Fraction(0), prior_high))
     chain = report.chain
-    bp = chain.break_point
     ok = (
         chain.equilibrium_inequalities_hold
         and chain.mimicry_inequalities_hold
         and not chain.costfree_truthful_inequalities_hold
-        and bp is not None
-        and bp.agent == 0
-        and bp.type_label == "theta_L"
-        and bp.mimicked_type == "theta_H"
-        and bp.costfree_gain == Fraction(3, 4)
+        and chain.break_point == BreakPoint(0, "theta_L", "theta_H", Fraction(3, 4))
     )
-    details = {
-        "equilibrium_inequalities_hold": chain.equilibrium_inequalities_hold,
-        "mimicry_inequalities_hold": chain.mimicry_inequalities_hold,
-        "costfree_truthful_inequalities_hold": chain.costfree_truthful_inequalities_hold,
-        "break_point": None
-        if bp is None
-        else {
-            "agent": bp.agent,
-            "type": bp.type_label,
-            "mimicked_type": bp.mimicked_type,
-            "costfree_gain": rational_str(bp.costfree_gain),
-        },
-    }
+    details = chain_to_jsonable(chain)
+    del details["vacuous"]
     return ok, details
 
 
@@ -369,21 +345,17 @@ def _crit_regression():
 
 
 def _crit_prior_independence():
-    details = {}
-    ok = True
-    for prior_high in (Fraction(1, 10), Fraction(9, 10)):
-        block = {}
-        for name, fn in (
-            ("separating", _crit_separating),
-            ("unique_high", _crit_unique_high),
-            ("zero_cost_failure", _crit_zero_cost_failure),
-            ("threshold", _crit_threshold),
-        ):
-            passed, _ = fn(prior_high)
-            block[name] = passed
-            ok = ok and passed
-        details[rational_str(prior_high)] = block
-    return ok, details
+    checks = (
+        ("separating", _crit_separating),
+        ("unique_high", _crit_unique_high),
+        ("zero_cost_failure", _crit_zero_cost_failure),
+        ("threshold", _crit_threshold),
+    )
+    details = {
+        rational_str(prior_high): {name: fn(prior_high)[0] for name, fn in checks}
+        for prior_high in (Fraction(1, 10), Fraction(9, 10))
+    }
+    return all(all(block.values()) for block in details.values()), details
 
 
 def reference_criteria() -> list[dict]:

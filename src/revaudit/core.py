@@ -9,6 +9,7 @@ rejected at the door so no binary rounding can leak into a verdict.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,10 +30,28 @@ class SearchSpaceError(GameModelError):
     """An enumeration would exceed the configured size cap."""
 
 
+# Game data are small numbers. Capping a literal's length and exponent before
+# Fraction() sees it stops "1e999999" from expanding into a million digits.
+MAX_LITERAL = 100
+
+
+def check_literal_size(text: str, where: str = "value") -> str:
+    """Return a number literal unchanged, or reject it when it is too large."""
+    exponent = re.search(r"[eE]([-+]?\d+)", text)
+    if len(text) > MAX_LITERAL:
+        problem = f"literal of {len(text)} characters"
+    elif exponent and abs(int(exponent.group(1))) > MAX_LITERAL:
+        problem = f"exponent of {text!r}"
+    else:
+        return text
+    raise ConstructionError(f"{where}: {problem} exceeds the limit of {MAX_LITERAL}")
+
+
 def as_rational(value, where: str = "value") -> Fraction:
     """Coerce int, Fraction, or a "p/q" string to an exact Fraction.
 
-    Floats (and bools) are rejected: callers must pass exact values.
+    Floats (and bools) are rejected: callers must pass exact values. Strings
+    must pass check_literal_size.
     """
     if isinstance(value, bool):
         raise ConstructionError(f"{where}: expected a rational, got a bool")
@@ -45,8 +64,9 @@ def as_rational(value, where: str = "value") -> Fraction:
             f"{where}: floats are not accepted; pass an int, Fraction, or 'p/q' string"
         )
     if isinstance(value, str):
+        text = check_literal_size(value.strip(), where)
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConstructionError(f"{where}: cannot parse {value!r} as a rational") from exc
     raise ConstructionError(f"{where}: cannot interpret {type(value).__name__} as a rational")

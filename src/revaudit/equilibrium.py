@@ -24,6 +24,7 @@ from .core import (
     SocialChoiceFunction,
     TypeSpace,
     UtilityTable,
+    _check_label,
 )
 
 DEFAULT_PROFILE_CAP = 10**6
@@ -50,7 +51,10 @@ class PureStrategy:
     def __post_init__(self) -> None:
         if not isinstance(self.agent, int) or isinstance(self.agent, bool) or self.agent < 0:
             raise ConstructionError(f"agent index must be a non-negative int, got {self.agent!r}")
-        choice = tuple(sorted((str(t), str(a)) for t, a in self.choice))
+        where = f"agent {self.agent} strategy"
+        choice = tuple(
+            sorted((_check_label(t, where), _check_label(a, where)) for t, a in self.choice)
+        )
         if not choice:
             raise ConstructionError("a pure strategy must cover at least one type")
         types = [t for t, _ in choice]
@@ -368,33 +372,20 @@ class DominantAction:
 def expost_normal_form(
     game: BayesianGame,
     true_types,
-    apply_misreport: bool = False,
     mode: EquilibriumMode = EquilibriumMode.PROFIT_BASED,
 ) -> NormalFormGame:
     """The complete-information game at a fixed realized type profile.
 
-    With `apply_misreport` the action labels are read as type reports and each
-    agent additionally pays the misreporting cost of the report against the
-    realized type (the direct mechanism view).
+    In a direct game the strategic cost of a report is its misreporting cost,
+    so profit mode there gives the direct mechanism's report payoffs.
     """
     true_types = game.type_space.validate_profile(true_types)
-    if apply_misreport:
-        for i in range(game.agent_count):
-            stray = set(game.mechanism.actions_of[i]) - set(game.type_space.types_of[i])
-            if stray:
-                raise DomainError(
-                    f"agent {i}: misreport costs need report actions, got stray {sorted(stray)}"
-                )
     payoffs = {}
     for acts in game.mechanism.action_profiles():
         x = game.mechanism.outcome(acts)
-        row = []
-        for i, t in enumerate(true_types):
-            v = _payoff(game, i, x, acts[i], t, mode)
-            if apply_misreport:
-                v -= game.costs.misreport_cost(i, t, acts[i])
-            row.append(v)
-        payoffs[acts] = tuple(row)
+        payoffs[acts] = tuple(
+            _payoff(game, i, x, acts[i], t, mode) for i, t in enumerate(true_types)
+        )
     return NormalFormGame(game.mechanism.actions_of, payoffs)
 
 

@@ -217,7 +217,7 @@ class SeparatingReport:
     notes: tuple[str, ...]
 
 
-def check_separating_equilibrium(params: LaborParams) -> SeparatingReport:
+def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     """Verify the separating side of the reference scenario.
 
     Checks, by exhaustive deviation scan in profit mode, that the separating
@@ -225,7 +225,7 @@ def check_separating_equilibrium(params: LaborParams) -> SeparatingReport:
     every type profile, and that the high type clears participation strictly
     (worst case: both high, split job).
     """
-    scenario = build_scenario(params)
+    params = scenario.params
     profile = separating_profile()
     verdict = is_bayesian_nash(scenario.game, profile, EquilibriumMode.PROFIT_BASED)
     lo, hi = wage_window(params)
@@ -242,9 +242,7 @@ def check_separating_equilibrium(params: LaborParams) -> SeparatingReport:
         "equilibrium statements cover pure strategy profiles only",
     ]
     for case, own, opp in pairs:
-        nf = expost_normal_form(
-            scenario.game, (own, opp), apply_misreport=False, mode=EquilibriumMode.PROFIT_BASED
-        )
+        nf = expost_normal_form(scenario.game, (own, opp), mode=EquilibriumMode.PROFIT_BASED)
         opp_bid = profile.strategies[1].action(opp)
         high = nf.payoff((BID_HIGH, opp_bid))[0]
         zero = nf.payoff((BID_ZERO, opp_bid))[0]
@@ -303,7 +301,7 @@ def all_report_high_profile() -> StrategyProfile:
     return StrategyProfile.from_maps([choice, choice])
 
 
-def check_truthful_reporting(params: LaborParams) -> TruthfulnessReport:
+def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
     """Verify the direct-mechanism side of the reference scenario.
 
     Scans all 16 pure report profiles of the direct game for equilibria in
@@ -312,9 +310,8 @@ def check_truthful_reporting(params: LaborParams) -> TruthfulnessReport:
     and pure Nash analysis. For c_mis below half the wage the only
     equilibrium is that everyone always reports high.
     """
-    scenario = build_scenario(params)
-    direct = scenario.direct()
-    game = direct.game(scenario.game.utilities)
+    params = scenario.params
+    game = scenario.direct().game(scenario.game.utilities)
     ts = scenario.game.type_space
 
     truth = is_bayesian_nash(game, truthful_profile(ts), EquilibriumMode.PROFIT_BASED)
@@ -330,11 +327,8 @@ def check_truthful_reporting(params: LaborParams) -> TruthfulnessReport:
         (4, (TYPE_LOW, TYPE_LOW)),
     ]
     for case, true_types in pairs:
-        # Utility mode plus the misreport charge: the direct game has no
-        # strategic costs of its own to subtract.
-        nf = expost_normal_form(
-            game, true_types, apply_misreport=True, mode=EquilibriumMode.UTILITY_BASED
-        )
+        # The direct game prices each report at its misreporting cost.
+        nf = expost_normal_form(game, true_types, mode=EquilibriumMode.PROFIT_BASED)
         matrices.append(
             CaseMatrix(
                 case=case,
@@ -358,7 +352,6 @@ def check_truthful_reporting(params: LaborParams) -> TruthfulnessReport:
     )
 
 
-def audit_scenario(params: LaborParams) -> AuditReport:
+def audit_scenario(scenario: LaborScenario) -> AuditReport:
     """Full revelation audit of the labor scenario at its separating profile."""
-    scenario = build_scenario(params)
     return audit_revelation_principle(scenario.game, separating_profile(), scenario.scf)

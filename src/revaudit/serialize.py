@@ -24,6 +24,7 @@ from .core import (
     TypeSpace,
     UtilityTable,
     as_rational,
+    check_literal_size,
     rational_str,
 )
 from .equilibrium import (
@@ -40,15 +41,21 @@ class ConfigError(GameModelError):
     """A config file is malformed; the message names the offending field."""
 
 
+def _parse_number(make):
+    # The decoder hands over the raw literal, so "0.1" becomes exactly 1/10.
+    return lambda text: make(check_literal_size(text, "JSON number"))
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # parse_float sees the raw literal, so "0.1" becomes exactly 1/10.
-            data = json.load(fh, parse_float=Fraction)
+            data = json.load(fh, parse_float=_parse_number(Fraction), parse_int=_parse_number(int))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return data
@@ -78,17 +85,12 @@ LABOR_KEYS = ("kind", "theta_L", "theta_H", "e_H", "w", "c_mis", "prior_high")
 
 def parse_labor_params(cfg: dict, where: str = "config") -> LaborParams:
     _check_known_keys(cfg, LABOR_KEYS, where)
-    kwargs = {
-        "theta_L": _rational(_require(cfg, "theta_L", where), f"{where}.theta_L"),
-        "theta_H": _rational(_require(cfg, "theta_H", where), f"{where}.theta_H"),
-        "e_H": _rational(_require(cfg, "e_H", where), f"{where}.e_H"),
-        "w": _rational(_require(cfg, "w", where), f"{where}.w"),
-    }
-    if "c_mis" in cfg:
-        kwargs["c_mis"] = _rational(cfg["c_mis"], f"{where}.c_mis")
-    if "prior_high" in cfg:
-        kwargs["prior_high"] = _rational(cfg["prior_high"], f"{where}.prior_high")
-    return LaborParams(**kwargs)
+    required = ("theta_L", "theta_H", "e_H", "w")
+    return LaborParams(**{
+        key: _rational(_require(cfg, key, where), f"{where}.{key}")
+        for key in required + ("c_mis", "prior_high")
+        if key in required or key in cfg
+    })
 
 
 @dataclass(frozen=True)
@@ -115,24 +117,43 @@ GENERIC_KEYS = (
 )
 
 
+def _labels(value, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{where}: expected a list of label strings")
+    return tuple(value)
+
+
 def _label_lists(value, where: str) -> tuple[tuple[str, ...], ...]:
-    if not isinstance(value, list) or not all(isinstance(g, list) for g in value):
+    if not isinstance(value, list):
         raise ConfigError(f"{where}: expected a list of lists of labels")
-    out = []
-    for i, group in enumerate(value):
-        for k, label in enumerate(group):
-            if not isinstance(label, str):
-                raise ConfigError(f"{where}[{i}][{k}]: labels must be strings")
-        out.append(tuple(group))
-    return tuple(out)
+    return tuple(_labels(group, f"{where}[{i}]") for i, group in enumerate(value))
 
 
-def _row(entry, fields, where: str) -> dict:
+def _list(cfg: dict, key: str, where: str, default=None) -> list:
+    value = _require(cfg, key, where) if default is None else cfg.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}.{key}: expected a list")
+    return value
+
+
+LABEL_FIELDS = ("label", "outcome", "type", "action", "true_type", "reported_type")
+LABEL_LIST_FIELDS = ("actions", "types")
+
+
+def _row(entry, fields, where: str, optional=()) -> dict:
+    """A config row: an object with exactly `fields` (plus any `optional`
+    ones), each agent an int index and each label a string."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object")
-    _check_known_keys(entry, fields, where)
+    _check_known_keys(entry, fields + optional, where)
     for f in fields:
-        _require(entry, f, where)
+        value = _require(entry, f, where)
+        if f == "agent" and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ConfigError(f"{where}.agent: expected an agent index")
+        if f in LABEL_FIELDS and not isinstance(value, str):
+            raise ConfigError(f"{where}.{f}: expected a label string")
+        if f in LABEL_LIST_FIELDS:
+            _labels(value, f"{where}.{f}")
     return entry
 
 
@@ -143,6 +164,9 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
         raw = cfg["priors"]
         if not isinstance(raw, list) or len(raw) != len(types_of):
             raise ConfigError(f"{where}.priors: expected one prior object per agent")
+        for i, prior in enumerate(raw):
+            if not isinstance(prior, dict):
+                raise ConfigError(f"{where}.priors[{i}]: expected a {{type: probability}} object")
         priors = tuple(
             {t: _rational(p, f"{where}.priors[{i}][{t}]") for t, p in prior.items()}
             for i, prior in enumerate(raw)
@@ -154,15 +178,11 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
     actions_of = _label_lists(_require(cfg, "actions", where), f"{where}.actions")
 
     outcomes: dict[str, Outcome] = {}
-    for k, entry in enumerate(_require(cfg, "outcomes", where)):
+    for k, entry in enumerate(_list(cfg, "outcomes", where)):
         w = f"{where}.outcomes[{k}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{w}: expected an object")
-        _check_known_keys(entry, ("label", "payload"), w)
-        _require(entry, "label", w)
-        label = entry["label"]
+        label = _row(entry, ("label",), w, optional=("payload",))["label"]
         payload = tuple(
-            _rational(v, f"{w}.payload[{j}]") for j, v in enumerate(entry.get("payload", []))
+            _rational(v, f"{w}.payload[{j}]") for j, v in enumerate(_list(entry, "payload", w, []))
         )
         if label in outcomes:
             raise ConfigError(f"{w}: duplicate outcome label {label!r}")
@@ -174,35 +194,35 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
         return outcomes[label]
 
     outcome_of = {}
-    for k, entry in enumerate(_require(cfg, "outcome_function", where)):
+    for k, entry in enumerate(_list(cfg, "outcome_function", where)):
         w = f"{where}.outcome_function[{k}]"
         entry = _row(entry, ("actions", "outcome"), w)
         outcome_of[tuple(entry["actions"])] = outcome_ref(entry["outcome"], w)
     mechanism = Mechanism(actions_of, outcome_of)
 
     rule_table = {}
-    for k, entry in enumerate(_require(cfg, "rule", where)):
+    for k, entry in enumerate(_list(cfg, "rule", where)):
         w = f"{where}.rule[{k}]"
         entry = _row(entry, ("types", "outcome"), w)
         rule_table[tuple(entry["types"])] = outcome_ref(entry["outcome"], w)
     scf = SocialChoiceFunction(type_space, rule_table)
 
     utility = {}
-    for k, entry in enumerate(_require(cfg, "utilities", where)):
+    for k, entry in enumerate(_list(cfg, "utilities", where)):
         w = f"{where}.utilities[{k}]"
         entry = _row(entry, ("agent", "outcome", "type", "value"), w)
         key = (entry["agent"], entry["outcome"], entry["type"])
         utility[key] = _rational(entry["value"], f"{w}.value")
 
     strategic = {}
-    for k, entry in enumerate(cfg.get("strategic_costs", [])):
+    for k, entry in enumerate(_list(cfg, "strategic_costs", where, [])):
         w = f"{where}.strategic_costs[{k}]"
         entry = _row(entry, ("agent", "action", "type", "cost"), w)
         strategic[(entry["agent"], entry["action"], entry["type"])] = _rational(
             entry["cost"], f"{w}.cost"
         )
     misreport = {}
-    for k, entry in enumerate(cfg.get("misreport_costs", [])):
+    for k, entry in enumerate(_list(cfg, "misreport_costs", where, [])):
         w = f"{where}.misreport_costs[{k}]"
         entry = _row(entry, ("agent", "true_type", "reported_type", "cost"), w)
         misreport[(entry["agent"], entry["true_type"], entry["reported_type"])] = _rational(
@@ -218,7 +238,10 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
         maps = cfg["profile"]
         if not isinstance(maps, list) or not all(isinstance(m, dict) for m in maps):
             raise ConfigError(f"{where}.profile: expected one {{type: action}} object per agent")
-        candidate = StrategyProfile.from_maps(maps)
+        try:
+            candidate = StrategyProfile.from_maps(maps)
+        except GameModelError as exc:
+            raise ConfigError(f"{where}.profile: {exc}") from exc
     return GenericScenario(game, scf, candidate)
 
 
@@ -251,12 +274,10 @@ def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
         raise ConfigError(f"{where}.fixed: expected an object")
     _check_known_keys(fixed_cfg, SWEEP_FIXED_KEYS, f"{where}.fixed")
     fixed = {
-        "theta_L": _rational(_require(fixed_cfg, "theta_L", f"{where}.fixed"), f"{where}.fixed.theta_L"),
-        "theta_H": _rational(_require(fixed_cfg, "theta_H", f"{where}.fixed"), f"{where}.fixed.theta_H"),
-        "e_H": _rational(_require(fixed_cfg, "e_H", f"{where}.fixed"), f"{where}.fixed.e_H"),
+        key: _rational(_require(fixed_cfg, key, f"{where}.fixed"), f"{where}.fixed.{key}")
+        for key in SWEEP_FIXED_KEYS
+        if key != "prior_high" or key in fixed_cfg
     }
-    if "prior_high" in fixed_cfg:
-        fixed["prior_high"] = _rational(fixed_cfg["prior_high"], f"{where}.fixed.prior_high")
     return SweepGrid(
         w_values=tuple(_rational(v, f"{where}.w_values[{k}]") for k, v in enumerate(w_raw)),
         c_mis_values=tuple(_rational(v, f"{where}.c_mis_values[{k}]") for k, v in enumerate(c_raw)),

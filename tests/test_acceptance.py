@@ -18,6 +18,7 @@ from revaudit.labor import (
     TYPE_LOW,
     LaborParams,
     audit_scenario,
+    build_scenario,
     check_separating_equilibrium,
     check_truthful_reporting,
 )
@@ -108,7 +109,7 @@ ALL_HIGH = (
 def test_criterion_1_separating_equilibrium_across_the_window():
     problems = []
     for w in WINDOW_WAGES:
-        report = check_separating_equilibrium(params(w))
+        report = check_separating_equilibrium(build_scenario(params(w)))
         if not report.in_window:
             problems.append(f"w={w}: not recognized as inside the window")
         if not report.separating_is_bne or report.bne_witness is not None:
@@ -123,7 +124,7 @@ def test_criterion_1_separating_equilibrium_across_the_window():
     # Closed-form interim cross-check (the engine path goes through the
     # mechanism; this one never does).
     from revaudit.equilibrium import interim_expected_payoff
-    from revaudit.labor import build_scenario, separating_profile
+    from revaudit.labor import separating_profile
 
     for w in WINDOW_WAGES:
         game = build_scenario(params(w)).game
@@ -143,13 +144,13 @@ def test_criterion_1_separating_equilibrium_across_the_window():
 def test_criterion_2_direct_game_equilibria_match_oracle():
     problems = []
     for c_mis in FAILING_COSTS + RESTORING_COSTS:
-        report = check_truthful_reporting(params(CANONICAL_WAGE, c_mis))
+        report = check_truthful_reporting(build_scenario(params(CANONICAL_WAGE, c_mis)))
         got = engine_direct_equilibria(report)
         want = oracle_direct_equilibria(CANONICAL_WAGE, c_mis, HALF)
         if got != want:
             problems.append(f"c_mis={c_mis}: engine {got} != oracle {want}")
     for c_mis in FAILING_COSTS:
-        report = check_truthful_reporting(params(CANONICAL_WAGE, c_mis))
+        report = check_truthful_reporting(build_scenario(params(CANONICAL_WAGE, c_mis)))
         if not report.unique_bne_all_report_high:
             problems.append(f"c_mis={c_mis}: all-report-high not the unique equilibrium")
         if engine_direct_equilibria(report) != {ALL_HIGH}:
@@ -161,7 +162,7 @@ def test_criterion_2_direct_game_equilibria_match_oracle():
 
 def test_criterion_3_truth_fails_even_with_free_misreporting():
     problems = []
-    report = check_truthful_reporting(params(CANONICAL_WAGE, Fraction(0)))
+    report = check_truthful_reporting(build_scenario(params(CANONICAL_WAGE, Fraction(0))))
     if report.truthful_is_bne:
         problems.append("truth-telling survived with free misreporting")
     wit = report.truthful_witness
@@ -175,7 +176,7 @@ def test_criterion_3_truth_fails_even_with_free_misreporting():
 def test_criterion_4_truthfulness_restored_at_high_cost():
     problems = []
     for c_mis in RESTORING_COSTS:
-        report = check_truthful_reporting(params(CANONICAL_WAGE, c_mis))
+        report = check_truthful_reporting(build_scenario(params(CANONICAL_WAGE, c_mis)))
         if report.cmis_below_half_w:
             problems.append(f"c_mis={c_mis}: misclassified as below half the wage")
         if not report.truthful_is_bne or report.truthful_witness is not None:
@@ -214,7 +215,7 @@ def test_criterion_5_expost_report_matrices_are_exact():
         },
     }
     problems = []
-    report = check_truthful_reporting(params(CANONICAL_WAGE, HALF))
+    report = check_truthful_reporting(build_scenario(params(CANONICAL_WAGE, HALF)))
     if [m.true_types for m in report.case_matrices] != [
         (TYPE_HIGH, TYPE_HIGH),
         (TYPE_LOW, TYPE_HIGH),
@@ -245,7 +246,7 @@ def test_criterion_5_expost_report_matrices_are_exact():
 def test_criterion_6_proof_chain_breaks_at_the_costfree_step():
     problems = []
     for c_mis in (Fraction(0), HALF):
-        chain = audit_scenario(params(CANONICAL_WAGE, c_mis)).chain
+        chain = audit_scenario(build_scenario(params(CANONICAL_WAGE, c_mis))).chain
         if chain.vacuous or not chain.equilibrium_inequalities_hold:
             problems.append(f"c_mis={c_mis}: equilibrium step should hold")
         if not chain.mimicry_inequalities_hold:
@@ -281,22 +282,24 @@ def test_criterion_8_conclusions_are_prior_independent():
     problems = []
     for prior_high in SKEWED_PRIORS:
         for w in WINDOW_WAGES:
-            sep = check_separating_equilibrium(params(w, prior_high=prior_high))
+            sep = check_separating_equilibrium(build_scenario(params(w, prior_high=prior_high)))
             if not (sep.separating_is_bne and sep.implements_rule and sep.ir_satisfied):
                 problems.append(f"prior {prior_high}, w={w}: separating side broke")
         for c_mis in FAILING_COSTS:
             p = params(CANONICAL_WAGE, c_mis, prior_high)
-            truth = check_truthful_reporting(p)
+            truth = check_truthful_reporting(build_scenario(p))
             if truth.truthful_is_bne or not truth.unique_bne_all_report_high:
                 problems.append(f"prior {prior_high}, c_mis={c_mis}: direct side broke")
             oracle = oracle_direct_equilibria(CANONICAL_WAGE, c_mis, prior_high)
             if engine_direct_equilibria(truth) != oracle:
                 problems.append(f"prior {prior_high}, c_mis={c_mis}: oracle disagrees")
-        zero = check_truthful_reporting(params(CANONICAL_WAGE, Fraction(0), prior_high))
+        zero_cost = build_scenario(params(CANONICAL_WAGE, Fraction(0), prior_high))
+        zero = check_truthful_reporting(zero_cost)
         if zero.truthful_witness is None or zero.truthful_witness.gain != Fraction(3, 4):
             problems.append(f"prior {prior_high}: zero-cost witness gain moved")
         for c_mis in RESTORING_COSTS:
-            if not check_truthful_reporting(params(CANONICAL_WAGE, c_mis, prior_high)).truthful_is_bne:
+            restored = build_scenario(params(CANONICAL_WAGE, c_mis, prior_high))
+            if not check_truthful_reporting(restored).truthful_is_bne:
                 problems.append(f"prior {prior_high}, c_mis={c_mis}: threshold moved")
     finish(8, "every verdict is unchanged at skewed type priors", problems)
 

@@ -8,6 +8,8 @@ import json
 import pytest
 
 from revaudit.cli import main
+from revaudit.equilibrium import enumerate_profiles
+from revaudit.serialize import parse_generic_scenario, profile_to_jsonable
 
 
 def write_json(tmp_path, name, payload):
@@ -117,6 +119,39 @@ def test_analyze_generic_searches_for_a_profile(tmp_path, capsys):
     assert payload["profile_source"] == "first equilibrium implementing the rule"
 
 
+def test_analyze_generic_falls_back_to_first_profile(tmp_path, capsys):
+    """Matching pennies against a two-type opponent has no pure equilibrium,
+    so the audit runs on the first enumerated profile."""
+    cfg = {
+        "kind": "generic",
+        "types": [["a", "a2"], ["b"]],
+        "actions": [["h", "t"], ["h", "t"]],
+        "outcomes": [{"label": "match"}, {"label": "miss"}],
+        "outcome_function": [
+            {"actions": [x, y], "outcome": "match" if x == y else "miss"}
+            for x in "ht" for y in "ht"
+        ],
+        "rule": [
+            {"types": ["a", "b"], "outcome": "match"},
+            {"types": ["a2", "b"], "outcome": "miss"},
+        ],
+        "utilities": [
+            {"agent": agent, "outcome": x, "type": t, "value": int((x == "match") == (agent == 0))}
+            for agent, types in ((0, ("a", "a2")), (1, ("b",)))
+            for x in ("match", "miss")
+            for t in types
+        ],
+    }
+    code = main(["analyze", write_json(tmp_path, "pennies.json", cfg)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["profile_source"] == "first enumerated profile"
+    game = parse_generic_scenario(cfg).game
+    first = enumerate_profiles(game.mechanism, game.type_space)[0]
+    assert payload["audit"]["indirect_equilibrium"] == profile_to_jsonable(first)
+    assert payload["audit"]["chain"]["vacuous"] is True
+
+
 def test_analyze_generic_clean_exit(tmp_path, capsys):
     cfg = {
         "kind": "generic",
@@ -164,6 +199,99 @@ def test_analyze_missing_file(capsys):
     code = main(["analyze", "/nonexistent/cfg.json"])
     assert code == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+def two_agent_cfg():
+    """Agent 0 (types a, b) picks the outcome with action 0 or 1; agent 1 has
+    one type and one action. The declared profile implements the rule."""
+    return {
+        "kind": "generic",
+        "types": [["a", "b"], ["c"]],
+        "actions": [["0", "1"], ["z"]],
+        "outcomes": [{"label": "o1"}, {"label": "o2"}],
+        "outcome_function": [
+            {"actions": ["0", "z"], "outcome": "o1"},
+            {"actions": ["1", "z"], "outcome": "o2"},
+        ],
+        "rule": [
+            {"types": ["a", "c"], "outcome": "o1"},
+            {"types": ["b", "c"], "outcome": "o2"},
+        ],
+        "utilities": [
+            {"agent": 0, "outcome": "o1", "type": "a", "value": 1},
+            {"agent": 0, "outcome": "o2", "type": "a", "value": 0},
+            {"agent": 0, "outcome": "o1", "type": "b", "value": 0},
+            {"agent": 0, "outcome": "o2", "type": "b", "value": 1},
+            {"agent": 1, "outcome": "o1", "type": "c", "value": 0},
+            {"agent": 1, "outcome": "o2", "type": "c", "value": 0},
+        ],
+        "strategic_costs": [],
+        "misreport_costs": [],
+        "profile": [{"a": "0", "b": "1"}, {"c": "z"}],
+    }
+
+
+def test_analyze_two_agent_generic_config_is_clean(tmp_path, capsys):
+    code = main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["audit"]["implemented"] is True
+
+
+MALFORMED_GENERIC = [
+    (["priors"], [["a"], ["c"]], "config.priors[0]"),
+    *(
+        ([key], 1, f"config.{key}")
+        for key in (
+            "outcomes", "outcome_function", "rule", "utilities",
+            "strategic_costs", "misreport_costs",
+        )
+    ),
+    (["outcomes", 0, "payload"], 1, "config.outcomes[0].payload"),
+    (["outcome_function", 0, "actions"], "0z", "config.outcome_function[0].actions"),
+    (["rule", 0, "types"], "ac", "config.rule[0].types"),
+    (["profile", 0, "a"], 1, "config.profile"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, field", MALFORMED_GENERIC, ids=[f for _, _, f in MALFORMED_GENERIC]
+)
+def test_analyze_rejects_malformed_generic_config(tmp_path, capsys, path, value, field):
+    cfg = two_agent_cfg()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code = main(["analyze", write_json(tmp_path, "generic.json", cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, cfg_text, message",
+    [
+        ([], '{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": 1e999999}',
+         "JSON number: exponent of '1e999999' exceeds"),
+        ([], '{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": 1%s}' % ("0" * 4999),
+         "JSON number: literal of 5000 characters exceeds"),
+        ([], '{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "1e999999"}',
+         "config.w: exponent of '1e999999' exceeds"),
+        (["--prior-high", "1e999999"],
+         '{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "3/2"}',
+         "argument --prior-high: not a rational: exponent of '1e999999' exceeds"),
+    ],
+    ids=["json-exponent", "json-integer-digits", "string-exponent", "prior-high-flag"],
+)
+def test_analyze_rejects_oversized_rationals(tmp_path, capsys, argv, cfg_text, message):
+    path = tmp_path / "big.json"
+    path.write_text(cfg_text)
+    code = main(["analyze", str(path), *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err
 
 
 # -- sweep -----------------------------------------------------------------------

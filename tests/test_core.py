@@ -32,6 +32,15 @@ def test_as_rational_rejects_inexact_and_malformed(bad):
         as_rational(bad)
 
 
+def test_as_rational_bounds_the_literal_before_parsing():
+    assert as_rational("1e100") == 10**100
+    assert as_rational("1E-100") == Fraction(1, 10**100)
+    assert as_rational("7" * 100) == int("7" * 100)
+    for bad in ("1e101", "1e-999999", "7" * 101, "1/" + "3" * 99):
+        with pytest.raises(ConstructionError, match="exceeds the limit"):
+            as_rational(bad)
+
+
 def test_rational_str_round_trips():
     for v in (Fraction(3, 2), Fraction(-7, 3), Fraction(4), Fraction(0)):
         assert Fraction(rational_str(v)) == v

@@ -310,12 +310,6 @@ def test_expost_matches_case_values():
     assert nf.payoff((BID_ZERO, BID_ZERO))[0] == Fraction(3, 4)
 
 
-def test_expost_misreport_needs_report_actions():
-    game = canonical_game()
-    with pytest.raises(DomainError):
-        expost_normal_form(game, (TYPE_HIGH, TYPE_LOW), apply_misreport=True)
-
-
 def prisoners_dilemma():
     labels = {
         ("c", "c"): (Fraction(2), Fraction(2)),

@@ -145,7 +145,7 @@ CASE_PAIRS = {1: (TYPE_LOW, TYPE_LOW), 2: (TYPE_LOW, TYPE_HIGH), 3: (TYPE_HIGH, 
     ],
 )
 def test_best_response_cases_match_closed_form(p):
-    report = check_separating_equilibrium(p)
+    report = check_separating_equilibrium(build_scenario(p))
     assert [c.case for c in report.best_response_cases] == [1, 2, 3, 4]
     for case in report.best_response_cases:
         assert (case.own_type, case.opponent_type) == CASE_PAIRS[case.case]
@@ -159,7 +159,7 @@ def test_best_response_cases_match_closed_form(p):
 
 
 def test_canonical_case_values_are_frozen():
-    report = check_separating_equilibrium(params(w="3/2"))
+    report = check_separating_equilibrium(build_scenario(params(w="3/2")))
     got = [
         (c.payoff_bid_high, c.payoff_bid_zero, c.optimal_bid)
         for c in report.best_response_cases
@@ -173,7 +173,7 @@ def test_canonical_case_values_are_frozen():
 
 
 def test_separating_report_inside_window():
-    report = check_separating_equilibrium(params(w="3/2"))
+    report = check_separating_equilibrium(build_scenario(params(w="3/2")))
     assert report.window_low == 1 and report.window_high == 2
     assert report.in_window
     assert report.separating_is_bne and report.bne_witness is None
@@ -183,7 +183,7 @@ def test_separating_report_inside_window():
 
 
 def test_high_wage_tempts_the_low_type():
-    report = check_separating_equilibrium(params(w="5/2"))
+    report = check_separating_equilibrium(build_scenario(params(w="5/2")))
     assert not report.in_window
     assert not report.separating_is_bne
     assert report.bne_witness == Deviation(0, TYPE_LOW, BID_HIGH, Fraction(1, 4))
@@ -191,13 +191,13 @@ def test_high_wage_tempts_the_low_type():
 
 
 def test_low_wage_deters_the_high_type():
-    report = check_separating_equilibrium(params(w="1/2"))
+    report = check_separating_equilibrium(build_scenario(params(w="1/2")))
     assert not report.separating_is_bne
     assert report.bne_witness == Deviation(0, TYPE_HIGH, BID_ZERO, Fraction(1, 4))
 
 
 def test_boundary_wages_tie():
-    low = check_separating_equilibrium(params(w=1))
+    low = check_separating_equilibrium(build_scenario(params(w=1)))
     assert not low.in_window
     assert low.separating_is_bne  # weak inequalities keep the tie
     # Both high-type cases tie: w = 2 e_H / theta_H makes the high bid free in
@@ -207,7 +207,7 @@ def test_boundary_wages_tie():
     assert "case 3: both bids tie at w=1" in low.notes
     assert low.ir_margin == 0 and not low.ir_satisfied
 
-    high = check_separating_equilibrium(params(w=2))
+    high = check_separating_equilibrium(build_scenario(params(w=2)))
     assert not high.in_window
     assert high.separating_is_bne
     # And at the top of the window the low type is the indifferent one.
@@ -218,7 +218,7 @@ def test_boundary_wages_tie():
 
 
 def test_truthfulness_report_at_cheap_misreporting():
-    report = check_truthful_reporting(params(w="3/2", c_mis="1/2"))
+    report = check_truthful_reporting(build_scenario(params(w="3/2", c_mis="1/2")))
     assert report.cmis_below_half_w
     assert not report.truthful_is_bne
     assert report.truthful_witness == Deviation(0, TYPE_LOW, TYPE_HIGH, Fraction(1, 4))
@@ -228,7 +228,7 @@ def test_truthfulness_report_at_cheap_misreporting():
 
 
 def test_truthfulness_restored_by_dear_misreporting():
-    report = check_truthful_reporting(params(w="3/2", c_mis=1))
+    report = check_truthful_reporting(build_scenario(params(w="3/2", c_mis=1)))
     assert not report.cmis_below_half_w
     assert report.truthful_is_bne and report.truthful_witness is None
     assert not report.all_report_high_is_bne
@@ -236,14 +236,14 @@ def test_truthfulness_restored_by_dear_misreporting():
 
 
 def test_free_misreporting_still_unique_all_high():
-    report = check_truthful_reporting(params(w="3/2", c_mis=0))
+    report = check_truthful_reporting(build_scenario(params(w="3/2", c_mis=0)))
     assert not report.truthful_is_bne
     assert report.truthful_witness == Deviation(0, TYPE_LOW, TYPE_HIGH, Fraction(3, 4))
     assert report.unique_bne_all_report_high
 
 
 def test_case_matrix_entries_and_dominance():
-    report = check_truthful_reporting(params(w="3/2", c_mis="1/2"))
+    report = check_truthful_reporting(build_scenario(params(w="3/2", c_mis="1/2")))
     assert [m.true_types for m in report.case_matrices] == [
         (TYPE_HIGH, TYPE_HIGH),
         (TYPE_LOW, TYPE_HIGH),
@@ -268,7 +268,7 @@ def test_case_matrix_entries_and_dominance():
 
 
 def test_mixed_case_matrices_are_transposes():
-    report = check_truthful_reporting(params(w="3/2", c_mis="1/2"))
+    report = check_truthful_reporting(build_scenario(params(w="3/2", c_mis="1/2")))
     by_case = {m.case: m for m in report.case_matrices}
     low_high, high_low = by_case[2].game, by_case[3].game
     for a in (TYPE_LOW, TYPE_HIGH):
@@ -279,7 +279,7 @@ def test_mixed_case_matrices_are_transposes():
 
 def test_interim_is_the_prior_mixture_of_expost_rows():
     p = params(w="3/2", c_mis="1/2", prior_high="1/3")
-    report = check_truthful_reporting(p)
+    report = check_truthful_reporting(build_scenario(p))
     sc = build_scenario(p)
     game = sc.direct().game(sc.game.utilities)
     case_of = {(TYPE_HIGH, TYPE_HIGH): 1, (TYPE_LOW, TYPE_HIGH): 2,
@@ -312,21 +312,21 @@ def test_firm_expected_utility():
 @pytest.mark.parametrize("prior_high", ["1/10", "1/2", "9/10"])
 def test_conclusions_do_not_depend_on_the_prior(prior_high):
     p = params(w="3/2", c_mis="1/2", prior_high=prior_high)
-    sep = check_separating_equilibrium(p)
+    sep = check_separating_equilibrium(build_scenario(p))
     assert sep.separating_is_bne and sep.implements_rule
-    truth = check_truthful_reporting(p)
+    truth = check_truthful_reporting(build_scenario(p))
     assert not truth.truthful_is_bne
     assert truth.truthful_witness == Deviation(0, TYPE_LOW, TYPE_HIGH, Fraction(1, 4))
-    report = audit_scenario(p)
+    report = audit_scenario(build_scenario(p))
     assert report.violation
     assert report.chain.break_point.costfree_gain == Fraction(3, 4)
 
 
 def test_audit_scenario_outcomes():
-    assert audit_scenario(params(w="3/2", c_mis="1/2")).violation
-    cleared = audit_scenario(params(w="3/2", c_mis=1))
+    assert audit_scenario(build_scenario(params(w="3/2", c_mis="1/2"))).violation
+    cleared = audit_scenario(build_scenario(params(w="3/2", c_mis=1)))
     assert cleared.implemented and cleared.truthful_is_bne and not cleared.violation
-    outside = audit_scenario(params(w="5/2", c_mis="1/2"))
+    outside = audit_scenario(build_scenario(params(w="5/2", c_mis="1/2")))
     assert not outside.implemented and not outside.violation
 
 
