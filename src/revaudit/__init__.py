@@ -45,13 +45,11 @@ from .equilibrium import (
 from .auditor import (
     AuditReport,
     BreakPoint,
-    DirectMechanism,
     ProofChainRecord,
     RegressionSummary,
-    TruthVerdict,
     audit_proof_chain,
     audit_revelation_principle,
-    direct_mechanism_from_scf,
+    direct_game,
     induced_scf,
     is_truthfully_implementable,
     random_zero_cost_game,

@@ -1,11 +1,11 @@
 """Revelation-principle auditing.
 
-The auditor builds the direct mechanism of a social choice function, checks
+The auditor builds the direct game of a social choice function, checks
 whether truthful reporting survives as an equilibrium when misreporting is
 costly, and decomposes the classical revelation argument into its individual
 inequality families so the exact step that breaks can be reported.
 
-Direct mechanisms are built so that strategic action costs cannot reach them:
+Direct games are built so that strategic action costs cannot reach them:
 only the misreporting schedule is carried over, re-expressed as the cost of
 playing a report. Playing a report is the only thing a direct game charges
 for.
@@ -31,53 +31,31 @@ from .equilibrium import (
     BayesianGame,
     Deviation,
     EquilibriumMode,
+    EquilibriumVerdict,
     StrategyProfile,
+    _interim,
     find_all_pure_bne,
     implements_scf,
-    interim_expected_payoff,
     is_bayesian_nash,
 )
 
 
-@dataclass(frozen=True)
-class DirectMechanism:
-    """The direct mechanism of a social choice function.
+def direct_game(
+    scf: SocialChoiceFunction, costs: CostModel, utilities: UtilityTable
+) -> BayesianGame:
+    """The direct game of a rule: reports are type labels in the declared type
+    order, and the outcome of a report profile is the rule's value there.
 
-    Reports are type labels in the declared type order and the outcome of a
-    report profile is the rule's value there. `misreport` is the only cost
-    data a direct mechanism holds; there is no strategic cost table to hold.
+    Only the misreporting schedule carries over, stored once as the price of
+    playing a report: strategic[(agent, report, true type)] =
+    misreport[(agent, true type, report)]. Profit mode then values a report
+    at its utility minus its misreporting cost, with honest reports free.
     """
-
-    mechanism: Mechanism
-    type_space: TypeSpace
-    scf: SocialChoiceFunction
-    misreport: dict[tuple[int, str, str], Fraction]
-
-    def cost_model(self) -> CostModel:
-        """Costs of the direct game.
-
-        The misreport schedule doubles as the strategic cost of playing a
-        report: cost(agent, report, true type) = misreport(agent, true type,
-        report). The profit-mode engine then prices reports exactly as
-        utility minus misreporting cost, with honest reports free.
-        """
-        transposed = {
-            (agent, reported, true): v
-            for (agent, true, reported), v in self.misreport.items()
-        }
-        return CostModel(strategic=transposed, misreport=dict(self.misreport))
-
-    def game(self, utilities: UtilityTable) -> BayesianGame:
-        return BayesianGame(self.mechanism, self.type_space, utilities, self.cost_model())
-
-
-def direct_mechanism_from_scf(scf: SocialChoiceFunction, costs: CostModel) -> DirectMechanism:
-    """Collapse a rule to its direct mechanism, keeping only misreport costs."""
     ts = scf.type_space
-    actions_of = tuple(ts.types_of)
-    outcome_of = {profile: scf.table[profile] for profile in ts.profiles()}
-    mech = Mechanism(actions_of, outcome_of)
-    return DirectMechanism(mech, ts, scf, dict(costs.misreport))
+    prices = {
+        (agent, reported, true): v for (agent, true, reported), v in costs.misreport.items()
+    }
+    return BayesianGame(Mechanism(ts.types_of, scf.table), ts, utilities, CostModel(prices))
 
 
 def truthful_profile(type_space: TypeSpace) -> StrategyProfile:
@@ -85,29 +63,14 @@ def truthful_profile(type_space: TypeSpace) -> StrategyProfile:
     return StrategyProfile.from_maps([{t: t for t in ts} for ts in type_space.types_of])
 
 
-@dataclass(frozen=True)
-class TruthVerdict:
-    """Whether truth-telling is an equilibrium of the direct game."""
-
-    truthful: bool
-    witness: Deviation | None
-
-    def __post_init__(self) -> None:
-        if self.truthful == (self.witness is not None):
-            raise ConstructionError("witness must be present exactly when truth-telling fails")
-
-
-def is_truthfully_implementable(
-    scf: SocialChoiceFunction, costs: CostModel, utilities: UtilityTable
-) -> TruthVerdict:
-    """Is truth-telling a profit-based equilibrium of the rule's direct game?
+def is_truthfully_implementable(direct: BayesianGame) -> EquilibriumVerdict:
+    """Is truth-telling a profit-based equilibrium of a rule's direct game?
 
     The witness on failure is the most profitable misreport, as (agent, true
     type, reported type, gain).
     """
-    game = direct_mechanism_from_scf(scf, costs).game(utilities)
-    verdict = is_bayesian_nash(game, truthful_profile(scf.type_space), EquilibriumMode.PROFIT_BASED)
-    return TruthVerdict(verdict.is_equilibrium, verdict.witness)
+    truthful = truthful_profile(direct.type_space)
+    return is_bayesian_nash(direct, truthful, EquilibriumMode.PROFIT_BASED)
 
 
 @dataclass(frozen=True)
@@ -143,58 +106,45 @@ class ProofChainRecord:
     break_point: BreakPoint | None
 
 
-def _costfree_report_value(
-    scf: SocialChoiceFunction, utilities: UtilityTable, agent: int, type_label: str, report: str
-) -> Fraction:
-    """Expected rule utility for an agent of `type_label` reporting `report`,
-    everyone else truthful, no costs of any kind."""
-    ts = scf.type_space
-    total = Fraction(0)
-    for opp in ts.opponent_profiles(agent):
-        w = ts.conditional_weight(agent, opp)
-        theta = ts.full_profile(agent, report, opp)
-        total += w * utilities.utility(agent, scf.evaluate(theta), type_label)
-    return total
-
-
 def audit_proof_chain(
-    game: BayesianGame, profile: StrategyProfile, scf: SocialChoiceFunction
+    game: BayesianGame, profile: StrategyProfile, direct: BayesianGame
 ) -> ProofChainRecord:
     """Evaluate each step of the revelation argument separately.
 
-    The record is marked vacuous when the profile is not a profit-based
-    equilibrium to begin with; the other inequality families are still
-    reported as computed.
+    `direct` is the rule's direct game; its utility-mode interim payoffs
+    under truth-telling are the cost-free report values. The record is
+    marked vacuous when the profile is not a profit-based equilibrium to
+    begin with; the other inequality families are still reported as
+    computed.
     """
     ts = game.type_space
+    # The equilibrium check validates the profile for the sums below.
     holds_equilibrium = is_bayesian_nash(game, profile, EquilibriumMode.PROFIT_BASED).is_equilibrium
+    truthful = truthful_profile(direct.type_space)
+
+    def mimic(agent: int, t: str, as_type: str) -> Fraction:
+        """Profit at type t of playing the action the profile plays at `as_type`."""
+        action = profile.strategies[agent].action(as_type)
+        return _interim(game, profile, agent, t, action, EquilibriumMode.PROFIT_BASED)
+
+    def costfree(agent: int, t: str, report: str) -> Fraction:
+        """Rule utility at type t of reporting `report`, the others truthful."""
+        return _interim(direct, truthful, agent, t, report, EquilibriumMode.UTILITY_BASED)
 
     mimicry_ok = True
     costfree_ok = True
     best: BreakPoint | None = None
     for agent in range(ts.agent_count):
         for t in ts.types_of[agent]:
-            own = interim_expected_payoff(
-                game, profile, agent, t, mode=EquilibriumMode.PROFIT_BASED
-            )
-            truthful_value = _costfree_report_value(scf, game.utilities, agent, t, t)
+            own = mimic(agent, t, t)
+            truthful_value = costfree(agent, t, t)
             for mimicked in ts.types_of[agent]:
                 if mimicked == t:
                     continue
-                mimicked_action = profile.strategies[agent].action(mimicked)
-                mimicry_holds_here = (
-                    interim_expected_payoff(
-                        game, profile, agent, t, deviation=mimicked_action,
-                        mode=EquilibriumMode.PROFIT_BASED,
-                    )
-                    <= own
-                )
+                mimicry_holds_here = mimic(agent, t, mimicked) <= own
                 if not mimicry_holds_here:
                     mimicry_ok = False
-                costfree_gain = (
-                    _costfree_report_value(scf, game.utilities, agent, t, mimicked)
-                    - truthful_value
-                )
+                costfree_gain = costfree(agent, t, mimicked) - truthful_value
                 if costfree_gain > 0:
                     costfree_ok = False
                     if mimicry_holds_here and (best is None or costfree_gain > best.costfree_gain):
@@ -240,14 +190,15 @@ def audit_revelation_principle(
     and implements the rule, then asks whether the rule's direct game keeps
     truth-telling as an equilibrium under the same misreporting schedule.
     """
-    chain = audit_proof_chain(game, profile, scf)
+    direct = direct_game(scf, game.costs, game.utilities)
+    chain = audit_proof_chain(game, profile, direct)
     implemented = chain.equilibrium_inequalities_hold and implements_scf(game, profile, scf)
-    truth = is_truthfully_implementable(scf, game.costs, game.utilities)
+    truth = is_truthfully_implementable(direct)
     return AuditReport(
         indirect_equilibrium=profile,
         implemented=implemented,
-        truthful_is_bne=truth.truthful,
-        violation=implemented and not truth.truthful,
+        truthful_is_bne=truth.is_equilibrium,
+        violation=implemented and not truth.is_equilibrium,
         truthful_witness=truth.witness,
         chain=chain,
     )
@@ -332,8 +283,8 @@ def zero_cost_regression(
         game = random_zero_cost_game(rng)
         for profile in find_all_pure_bne(game, EquilibriumMode.PROFIT_BASED):
             checked += 1
-            rule = induced_scf(game, profile)
-            if not is_truthfully_implementable(rule, game.costs, game.utilities).truthful:
+            direct = direct_game(induced_scf(game, profile), game.costs, game.utilities)
+            if not is_truthfully_implementable(direct).is_equilibrium:
                 failures.append(
                     f"instance {k}: induced rule not truthfully implementable at {profile}"
                 )

@@ -199,20 +199,6 @@ class TypeSpace:
             w *= self.prior_of[j][t]
         return w
 
-    def full_profile(self, agent: int, own_type: str, opponent_profile) -> tuple[str, ...]:
-        """Splice agent's own type back into an opponent profile."""
-        self._check_agent(agent)
-        opponent_profile = tuple(opponent_profile)
-        out: list[str] = []
-        k = 0
-        for j in range(self.agent_count):
-            if j == agent:
-                out.append(own_type)
-            else:
-                out.append(opponent_profile[k])
-                k += 1
-        return self.validate_profile(out)
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -436,8 +422,8 @@ def profit(
 ) -> Fraction:
     """Utility of the outcome minus the strategic cost of the action played.
 
-    Misreporting costs never enter here; they belong to direct mechanisms and
-    are applied by the auditing layer.
+    Misreporting costs enter only in a direct game, whose cost model stores
+    them as the strategic cost of each report.
     """
     return utilities.utility(agent, outcome, type_label) - costs.strategic_cost(
         agent, action, type_label

@@ -25,6 +25,7 @@ from .core import (
     TypeSpace,
     UtilityTable,
     _check_label,
+    profit,
 )
 
 DEFAULT_PROFILE_CAP = 10**6
@@ -155,13 +156,6 @@ class BayesianGame:
     @property
     def agent_count(self) -> int:
         return self.type_space.agent_count
-
-
-def _payoff(game: BayesianGame, agent, outcome, action, type_label, mode) -> Fraction:
-    u = game.utilities.utility(agent, outcome, type_label)
-    if mode is EquilibriumMode.PROFIT_BASED:
-        u -= game.costs.strategic_cost(agent, action, type_label)
-    return u
 
 
 def _validate_profile(game: BayesianGame, profile: StrategyProfile) -> None:
@@ -377,14 +371,18 @@ def expost_normal_form(
     """The complete-information game at a fixed realized type profile.
 
     In a direct game the strategic cost of a report is its misreporting cost,
-    so profit mode there gives the direct mechanism's report payoffs.
+    so profit mode there gives the direct game's report payoffs.
     """
     true_types = game.type_space.validate_profile(true_types)
+    profit_mode = mode is EquilibriumMode.PROFIT_BASED
     payoffs = {}
     for acts in game.mechanism.action_profiles():
         x = game.mechanism.outcome(acts)
         payoffs[acts] = tuple(
-            _payoff(game, i, x, acts[i], t, mode) for i, t in enumerate(true_types)
+            profit(i, x, acts[i], t, game.utilities, game.costs)
+            if profit_mode
+            else game.utilities.utility(i, x, t)
+            for i, t in enumerate(true_types)
         )
     return NormalFormGame(game.mechanism.actions_of, payoffs)
 

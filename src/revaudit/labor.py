@@ -16,10 +16,9 @@ from fractions import Fraction
 
 from .auditor import (
     AuditReport,
-    DirectMechanism,
     audit_revelation_principle,
-    direct_mechanism_from_scf,
-    truthful_profile,
+    direct_game,
+    is_truthfully_implementable,
 )
 from .core import (
     ConstructionError,
@@ -101,9 +100,6 @@ class LaborScenario:
     scf: SocialChoiceFunction
     theta_value: dict[str, Fraction]
     bid_value: dict[str, Fraction]
-
-    def direct(self) -> DirectMechanism:
-        return direct_mechanism_from_scf(self.scf, self.game.costs)
 
     def firm_expected_utility(self, bids, true_types) -> Fraction:
         """The firm's payoff: hired production minus the wage. Report-only;
@@ -311,10 +307,8 @@ def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
     equilibrium is that everyone always reports high.
     """
     params = scenario.params
-    game = scenario.direct().game(scenario.game.utilities)
-    ts = scenario.game.type_space
-
-    truth = is_bayesian_nash(game, truthful_profile(ts), EquilibriumMode.PROFIT_BASED)
+    game = direct_game(scenario.scf, scenario.game.costs, scenario.game.utilities)
+    truth = is_truthfully_implementable(game)
     equilibria = tuple(find_all_pure_bne(game, EquilibriumMode.PROFIT_BASED))
     high = all_report_high_profile()
     all_high_is_bne = high in equilibria

@@ -157,6 +157,23 @@ def _row(entry, fields, where: str, optional=()) -> dict:
     return entry
 
 
+def _rows(cfg: dict, key: str, fields, where: str, default=None):
+    """Yield each row of a config table with its field path."""
+    for k, entry in enumerate(_list(cfg, key, where, default)):
+        w = f"{where}.{key}[{k}]"
+        yield _row(entry, fields, w), w
+
+
+def _add_row(table: dict, key, value, domain, name: str, where: str) -> None:
+    """Store one config row; a key outside `domain`, or one that an earlier
+    row already set, would otherwise be ignored or silently overwritten."""
+    if key not in domain:
+        raise ConfigError(f"{where}: {key} is not a declared {name}")
+    if key in table:
+        raise ConfigError(f"{where}: duplicate row for {key}")
+    table[key] = value
+
+
 def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
     _check_known_keys(cfg, GENERIC_KEYS, where)
     types_of = _label_lists(_require(cfg, "types", where), f"{where}.types")
@@ -194,40 +211,45 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
         return outcomes[label]
 
     outcome_of = {}
-    for k, entry in enumerate(_list(cfg, "outcome_function", where)):
-        w = f"{where}.outcome_function[{k}]"
-        entry = _row(entry, ("actions", "outcome"), w)
-        outcome_of[tuple(entry["actions"])] = outcome_ref(entry["outcome"], w)
+    action_profiles = set(itertools.product(*actions_of))
+    for entry, w in _rows(cfg, "outcome_function", ("actions", "outcome"), where):
+        x = outcome_ref(entry["outcome"], w)
+        _add_row(outcome_of, tuple(entry["actions"]), x, action_profiles, "action profile", w)
     mechanism = Mechanism(actions_of, outcome_of)
 
     rule_table = {}
-    for k, entry in enumerate(_list(cfg, "rule", where)):
-        w = f"{where}.rule[{k}]"
-        entry = _row(entry, ("types", "outcome"), w)
-        rule_table[tuple(entry["types"])] = outcome_ref(entry["outcome"], w)
+    type_profiles = set(type_space.profiles())
+    for entry, w in _rows(cfg, "rule", ("types", "outcome"), where):
+        x = outcome_ref(entry["outcome"], w)
+        _add_row(rule_table, tuple(entry["types"]), x, type_profiles, "type profile", w)
     scf = SocialChoiceFunction(type_space, rule_table)
 
     utility = {}
-    for k, entry in enumerate(_list(cfg, "utilities", where)):
-        w = f"{where}.utilities[{k}]"
-        entry = _row(entry, ("agent", "outcome", "type", "value"), w)
+    known = {(i, x, t) for i, ts in enumerate(types_of) for x in outcomes for t in ts}
+    for entry, w in _rows(cfg, "utilities", ("agent", "outcome", "type", "value"), where):
         key = (entry["agent"], entry["outcome"], entry["type"])
-        utility[key] = _rational(entry["value"], f"{w}.value")
+        value = _rational(entry["value"], f"{w}.value")
+        _add_row(utility, key, value, known, "(agent, outcome, type)", w)
 
     strategic = {}
-    for k, entry in enumerate(_list(cfg, "strategic_costs", where, [])):
-        w = f"{where}.strategic_costs[{k}]"
-        entry = _row(entry, ("agent", "action", "type", "cost"), w)
-        strategic[(entry["agent"], entry["action"], entry["type"])] = _rational(
-            entry["cost"], f"{w}.cost"
-        )
+    known = {
+        (i, a, t)
+        for i, (ts, acts) in enumerate(zip(types_of, actions_of))
+        for a in acts
+        for t in ts
+    }
+    for entry, w in _rows(cfg, "strategic_costs", ("agent", "action", "type", "cost"), where, []):
+        key = (entry["agent"], entry["action"], entry["type"])
+        value = _rational(entry["cost"], f"{w}.cost")
+        _add_row(strategic, key, value, known, "(agent, action, type)", w)
+
     misreport = {}
-    for k, entry in enumerate(_list(cfg, "misreport_costs", where, [])):
-        w = f"{where}.misreport_costs[{k}]"
-        entry = _row(entry, ("agent", "true_type", "reported_type", "cost"), w)
-        misreport[(entry["agent"], entry["true_type"], entry["reported_type"])] = _rational(
-            entry["cost"], f"{w}.cost"
-        )
+    known = {(i, t, r) for i, ts in enumerate(types_of) for t in ts for r in ts}
+    fields = ("agent", "true_type", "reported_type", "cost")
+    for entry, w in _rows(cfg, "misreport_costs", fields, where, []):
+        key = (entry["agent"], entry["true_type"], entry["reported_type"])
+        value = _rational(entry["cost"], f"{w}.cost")
+        _add_row(misreport, key, value, known, "(agent, true type, reported type)", w)
 
     game = BayesianGame(
         mechanism, type_space, UtilityTable(utility), CostModel(strategic, misreport)

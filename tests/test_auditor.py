@@ -11,22 +11,25 @@ from revaudit.auditor import (
     AuditReport,
     BreakPoint,
     ProofChainRecord,
-    TruthVerdict,
     audit_proof_chain,
     audit_revelation_principle,
-    direct_mechanism_from_scf,
+    direct_game,
     induced_scf,
     is_truthfully_implementable,
     random_zero_cost_game,
     truthful_profile,
     zero_cost_regression,
 )
-from revaudit.core import ConstructionError
+from revaudit.core import ConstructionError, CostModel
 from revaudit.equilibrium import (
+    BayesianGame,
     Deviation,
     EquilibriumMode,
     StrategyProfile,
+    enumerate_profiles,
     find_all_pure_bne,
+    interim_expected_payoff,
+    is_bayesian_nash,
 )
 from revaudit.labor import (
     BID_ZERO,
@@ -46,12 +49,17 @@ def scenario(w="3/2", c_mis="1/2", prior_high="1/2"):
     )
 
 
+def direct_of(sc):
+    return direct_game(sc.scf, sc.game.costs, sc.game.utilities)
+
+
 # -- direct mechanism construction ------------------------------------------------
 
 
 def test_direct_mechanism_reports_are_type_labels():
     sc = scenario()
-    direct = direct_mechanism_from_scf(sc.scf, sc.game.costs)
+    direct = direct_of(sc)
+    assert direct.type_space == sc.game.type_space
     assert direct.mechanism.actions_of == sc.game.type_space.types_of
     for profile in sc.game.type_space.profiles():
         assert direct.mechanism.outcome(profile) == sc.scf.evaluate(profile)
@@ -60,23 +68,17 @@ def test_direct_mechanism_reports_are_type_labels():
 def test_direct_mechanism_drops_strategic_costs():
     sc = scenario(c_mis="1/2")
     assert sc.game.costs.strategic  # the bid game does charge for effort
-    direct = direct_mechanism_from_scf(sc.scf, sc.game.costs)
     expected = {}
     for i in (0, 1):
         expected[(i, TYPE_LOW, TYPE_HIGH)] = Fraction(1, 2)
         expected[(i, TYPE_HIGH, TYPE_LOW)] = Fraction(0)  # underreporting is free
-    assert direct.misreport == expected
-    cm = direct.cost_model()
-    # Reports are priced by transposing the misreport schedule, nothing else.
-    assert cm.strategic == {
+    assert sc.game.costs.misreport == expected
+    costs = direct_of(sc).costs
+    # Reports are priced by transposing the misreport schedule, stored once.
+    assert costs.strategic == {
         (agent, reported, true): v for (agent, true, reported), v in expected.items()
     }
-    assert cm.misreport == expected
-
-
-def test_scenario_direct_accessor_matches_free_function():
-    sc = scenario()
-    assert sc.direct().misreport == direct_mechanism_from_scf(sc.scf, sc.game.costs).misreport
+    assert costs.misreport == {}
 
 
 def test_truthful_profile_reports_own_type():
@@ -92,28 +94,28 @@ def test_truthful_profile_reports_own_type():
 
 def test_truth_fails_under_cheap_misreporting():
     sc = scenario(c_mis="1/2")
-    verdict = is_truthfully_implementable(sc.scf, sc.game.costs, sc.game.utilities)
-    assert not verdict.truthful
+    verdict = is_truthfully_implementable(direct_of(sc))
+    assert not verdict.is_equilibrium
     assert verdict.witness == Deviation(0, TYPE_LOW, TYPE_HIGH, Fraction(1, 4))
 
 
 def test_truth_fails_hardest_with_free_misreporting():
     sc = scenario(c_mis=0)
-    verdict = is_truthfully_implementable(sc.scf, sc.game.costs, sc.game.utilities)
+    verdict = is_truthfully_implementable(direct_of(sc))
     assert verdict.witness == Deviation(0, TYPE_LOW, TYPE_HIGH, Fraction(3, 4))
 
 
 def test_truth_holds_once_misreporting_is_dear():
     sc = scenario(c_mis=1)
-    verdict = is_truthfully_implementable(sc.scf, sc.game.costs, sc.game.utilities)
-    assert verdict.truthful and verdict.witness is None
+    verdict = is_truthfully_implementable(direct_of(sc))
+    assert verdict.is_equilibrium and verdict.witness is None
 
 
 def test_truth_holds_weakly_at_the_threshold():
     # Gain from overreporting is w/2 - c_mis; at c_mis = w/2 the deviation ties
     # and the weak inequality keeps truth-telling alive.
     sc = scenario(c_mis="3/4")
-    assert is_truthfully_implementable(sc.scf, sc.game.costs, sc.game.utilities).truthful
+    assert is_truthfully_implementable(direct_of(sc)).is_equilibrium
 
 
 def test_misreport_cost_threshold_is_monotone():
@@ -121,17 +123,8 @@ def test_misreport_cost_threshold_is_monotone():
     verdicts = []
     for c in grid:
         sc = scenario(c_mis=c)
-        verdicts.append(
-            is_truthfully_implementable(sc.scf, sc.game.costs, sc.game.utilities).truthful
-        )
+        verdicts.append(is_truthfully_implementable(direct_of(sc)).is_equilibrium)
     assert verdicts == [c >= Fraction(3, 4) for c in grid]
-
-
-def test_truth_verdict_shape():
-    with pytest.raises(ConstructionError):
-        TruthVerdict(True, Deviation(0, "t", "u", Fraction(1)))
-    with pytest.raises(ConstructionError):
-        TruthVerdict(False, None)
 
 
 # -- proof chain ----------------------------------------------------------------
@@ -139,7 +132,7 @@ def test_truth_verdict_shape():
 
 def test_chain_breaks_at_costfree_step():
     sc = scenario(c_mis="1/2")
-    chain = audit_proof_chain(sc.game, separating_profile(), sc.scf)
+    chain = audit_proof_chain(sc.game, separating_profile(), direct_of(sc))
     assert not chain.vacuous
     assert chain.equilibrium_inequalities_hold
     assert chain.mimicry_inequalities_hold
@@ -151,7 +144,7 @@ def test_costfree_step_ignores_misreport_fees():
     # The cost-free family erases all costs, so it fails even when the fee is
     # high enough to restore truth-telling.
     sc = scenario(c_mis=1)
-    chain = audit_proof_chain(sc.game, separating_profile(), sc.scf)
+    chain = audit_proof_chain(sc.game, separating_profile(), direct_of(sc))
     assert not chain.costfree_truthful_inequalities_hold
     assert chain.break_point == BreakPoint(0, TYPE_LOW, TYPE_HIGH, Fraction(3, 4))
 
@@ -161,7 +154,7 @@ def test_chain_vacuous_off_equilibrium():
     both_zero = StrategyProfile.from_maps(
         [{TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_ZERO}] * 2
     )
-    chain = audit_proof_chain(sc.game, both_zero, sc.scf)
+    chain = audit_proof_chain(sc.game, both_zero, direct_of(sc))
     assert chain.vacuous
     assert not chain.equilibrium_inequalities_hold
 
@@ -173,13 +166,83 @@ def test_chain_intact_on_zero_cost_instances():
         game = random_zero_cost_game(rng)
         for profile in find_all_pure_bne(game, PROFIT):
             seen += 1
-            chain = audit_proof_chain(game, profile, induced_scf(game, profile))
+            direct = direct_game(induced_scf(game, profile), game.costs, game.utilities)
+            chain = audit_proof_chain(game, profile, direct)
             assert not chain.vacuous
             assert chain.equilibrium_inequalities_hold
             assert chain.mimicry_inequalities_hold
             assert chain.costfree_truthful_inequalities_hold
             assert chain.break_point is None
     assert seen > 0
+
+
+def costfree_report_value(scf, utilities, agent, type_label, report):
+    """Reference: expected rule utility for an agent of `type_label` reporting
+    `report`, everyone else truthful, no costs of any kind."""
+    ts = scf.type_space
+    total = Fraction(0)
+    for opp in ts.opponent_profiles(agent):
+        theta = opp[:agent] + (report,) + opp[agent:]
+        w = ts.conditional_weight(agent, opp)
+        total += w * utilities.utility(agent, scf.evaluate(theta), type_label)
+    return total
+
+
+def reference_chain(game, profile, scf):
+    """The proof chain recomputed from `interim_expected_payoff` and the
+    cost-free reference, one inequality at a time."""
+    ts = game.type_space
+    holds = is_bayesian_nash(game, profile, PROFIT).is_equilibrium
+    mimicry_ok = costfree_ok = True
+    best = None
+    for agent in range(ts.agent_count):
+        for t in ts.types_of[agent]:
+            own = interim_expected_payoff(game, profile, agent, t, mode=PROFIT)
+            truthful_value = costfree_report_value(scf, game.utilities, agent, t, t)
+            for mimicked in ts.types_of[agent]:
+                if mimicked == t:
+                    continue
+                action = profile.strategies[agent].action(mimicked)
+                holds_here = interim_expected_payoff(game, profile, agent, t, action, PROFIT) <= own
+                mimicry_ok = mimicry_ok and holds_here
+                value = costfree_report_value(scf, game.utilities, agent, t, mimicked)
+                gain = value - truthful_value
+                if gain > 0:
+                    costfree_ok = False
+                    if holds_here and (best is None or gain > best.costfree_gain):
+                        best = BreakPoint(agent, t, mimicked, gain)
+    return ProofChainRecord(not holds, holds, mimicry_ok, costfree_ok, best)
+
+
+def with_random_costs(game, rng):
+    """The same game with random non-negative strategic and misreport costs."""
+    ts, mech = game.type_space, game.mechanism
+    strategic = {
+        (i, a, t): Fraction(rng.randint(0, 6), 12)
+        for i in range(ts.agent_count) for a in mech.actions_of[i] for t in ts.types_of[i]
+    }
+    misreport = {
+        (i, t, r): Fraction(rng.randint(0, 6), 12)
+        for i in range(ts.agent_count) for t in ts.types_of[i] for r in ts.types_of[i] if r != t
+    }
+    return BayesianGame(mech, ts, game.utilities, CostModel(strategic, misreport))
+
+
+def test_chain_matches_reference_on_every_profile_of_costly_games():
+    rng = random.Random(11)
+    records = []
+    for _ in range(30):
+        game = with_random_costs(random_zero_cost_game(rng), rng)
+        for profile in enumerate_profiles(game.mechanism, game.type_space):
+            scf = induced_scf(game, profile)
+            chain = audit_proof_chain(game, profile, direct_game(scf, game.costs, game.utilities))
+            assert chain == reference_chain(game, profile, scf)
+            records.append(chain)
+    # Every branch of the chain was exercised.
+    assert {r.vacuous for r in records} == {True, False}
+    assert {r.mimicry_inequalities_hold for r in records} == {True, False}
+    assert {r.costfree_truthful_inequalities_hold for r in records} == {True, False}
+    assert any(r.break_point is not None for r in records)
 
 
 # -- full audit -------------------------------------------------------------------

@@ -237,6 +237,16 @@ def test_analyze_two_agent_generic_config_is_clean(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["audit"]["implemented"] is True
 
 
+def inserted_row(table, k, row):
+    """A malformed-config case: `row` inserted into `table` at index k, the
+    row the error must name."""
+    rows = two_agent_cfg()[table]
+    return ([table], rows[:k] + [row] + rows[k:], f"config.{table}[{k}]")
+
+
+COST_ROW = {"agent": 0, "action": "1", "type": "a", "cost": 1}
+MISREPORT_ROW = {"agent": 0, "true_type": "a", "reported_type": "b", "cost": 1}
+
 MALFORMED_GENERIC = [
     (["priors"], [["a"], ["c"]], "config.priors[0]"),
     *(
@@ -250,6 +260,16 @@ MALFORMED_GENERIC = [
     (["outcome_function", 0, "actions"], "0z", "config.outcome_function[0].actions"),
     (["rule", 0, "types"], "ac", "config.rule[0].types"),
     (["profile", 0, "a"], 1, "config.profile"),
+    # Each row key may appear once per table.
+    inserted_row("outcome_function", 1, {"actions": ["0", "z"], "outcome": "o2"}),
+    inserted_row("rule", 2, {"types": ["a", "c"], "outcome": "o2"}),
+    inserted_row("utilities", 1, {"agent": 0, "outcome": "o1", "type": "a", "value": 5}),
+    (["strategic_costs"], [COST_ROW, dict(COST_ROW, cost=2)], "config.strategic_costs[1]"),
+    (["misreport_costs"], [MISREPORT_ROW, MISREPORT_ROW], "config.misreport_costs[1]"),
+    # Utility rows may name only declared agents, types and outcomes.
+    inserted_row("utilities", 6, {"agent": 7, "outcome": "o1", "type": "a", "value": 1}),
+    inserted_row("utilities", 0, {"agent": 0, "outcome": "o1", "type": "typo", "value": 1}),
+    inserted_row("utilities", 3, {"agent": 1, "outcome": "o3", "type": "c", "value": 1}),
 ]
 
 

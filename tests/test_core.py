@@ -107,7 +107,7 @@ def test_conditional_weight_divides_out_own_marginal():
     )
     for own in ("a", "b"):
         for opp in ts.opponent_profiles(0):
-            joint = ts.joint_prior(ts.full_profile(0, own, opp))
+            joint = ts.joint_prior((own,) + opp)
             assert ts.conditional_weight(0, opp) == joint / ts.prior(0, own)
     assert sum(ts.conditional_weight(0, opp) for opp in ts.opponent_profiles(0)) == 1
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from revaudit.auditor import truthful_profile
+from revaudit.auditor import direct_game, truthful_profile
 from revaudit.core import ConstructionError
 from revaudit.equilibrium import Deviation, EquilibriumMode, interim_expected_payoff
 from revaudit.labor import (
@@ -281,7 +281,7 @@ def test_interim_is_the_prior_mixture_of_expost_rows():
     p = params(w="3/2", c_mis="1/2", prior_high="1/3")
     report = check_truthful_reporting(build_scenario(p))
     sc = build_scenario(p)
-    game = sc.direct().game(sc.game.utilities)
+    game = direct_game(sc.scf, sc.game.costs, sc.game.utilities)
     case_of = {(TYPE_HIGH, TYPE_HIGH): 1, (TYPE_LOW, TYPE_HIGH): 2,
                (TYPE_HIGH, TYPE_LOW): 3, (TYPE_LOW, TYPE_LOW): 4}
     by_case = {m.case: m for m in report.case_matrices}
