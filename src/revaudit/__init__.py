@@ -1,6 +1,6 @@
-"""Exact brute-force analysis of finite Bayesian mechanisms with costly strategies.
+"""Exact analysis of finite Bayesian mechanisms with costly strategies.
 
-The package checks, over exact rationals and by exhaustive enumeration,
+The package checks, over exact rationals and every pure strategy profile,
 whether implemented social choice rules stay truthfully implementable once
 playing a strategy or misreporting a type carries a cost. It ships a small
 two-agent labor market where that fails, plus the machinery to audit any

@@ -33,7 +33,10 @@ from .equilibrium import (
     EquilibriumMode,
     EquilibriumVerdict,
     StrategyProfile,
-    _interim,
+    _at_best_response,
+    _exact,
+    _interim_rows,
+    _plan,
     find_all_pure_bne,
     implements_scf,
     is_bayesian_nash,
@@ -118,37 +121,39 @@ def audit_proof_chain(
     computed.
     """
     ts = game.type_space
-    # The equilibrium check validates the profile for the sums below.
-    holds_equilibrium = is_bayesian_nash(game, profile, EquilibriumMode.PROFIT_BASED).is_equilibrium
-    truthful = truthful_profile(direct.type_space)
-
-    def mimic(agent: int, t: str, as_type: str) -> Fraction:
-        """Profit at type t of playing the action the profile plays at `as_type`."""
-        action = profile.strategies[agent].action(as_type)
-        return _interim(game, profile, agent, t, action, EquilibriumMode.PROFIT_BASED)
-
-    def costfree(agent: int, t: str, report: str) -> Fraction:
-        """Rule utility at type t of reporting `report`, the others truthful."""
-        return _interim(direct, truthful, agent, t, report, EquilibriumMode.UTILITY_BASED)
-
-    mimicry_ok = True
-    costfree_ok = True
+    plan = _plan(game, profile)
+    truthful = _plan(direct, truthful_profile(direct.type_space))
+    holds_equilibrium = mimicry_ok = costfree_ok = True
     best: BreakPoint | None = None
     for agent in range(ts.agent_count):
-        for t in ts.types_of[agent]:
-            own = mimic(agent, t, t)
-            truthful_value = costfree(agent, t, t)
-            for mimicked in ts.types_of[agent]:
-                if mimicked == t:
+        # Profits at each type of every action, and the cost-free rule
+        # utility of every report with the others truthful.
+        rows = _interim_rows(game, plan, agent, EquilibriumMode.PROFIT_BASED)
+        holds_equilibrium = holds_equilibrium and _at_best_response(rows, plan[agent])
+        free_rows = _interim_rows(direct, truthful, agent, EquilibriumMode.UTILITY_BASED)
+        free_type = direct.type_space.types_of[agent].index
+        report = direct.mechanism.actions_of[agent].index
+        types = ts.types_of[agent]
+        top, where = 0, None
+        for k, t in enumerate(types):
+            row, free = rows[k], free_rows[free_type(t)]
+            own = row[plan[agent][k]]
+            truthful_value = free[report(t)]
+            for m, mimicked in enumerate(types):
+                if m == k:
                     continue
-                mimicry_holds_here = mimic(agent, t, mimicked) <= own
+                mimicry_holds_here = row[plan[agent][m]] <= own
                 if not mimicry_holds_here:
                     mimicry_ok = False
-                costfree_gain = costfree(agent, t, mimicked) - truthful_value
+                costfree_gain = free[report(mimicked)] - truthful_value
                 if costfree_gain > 0:
                     costfree_ok = False
-                    if mimicry_holds_here and (best is None or costfree_gain > best.costfree_gain):
-                        best = BreakPoint(agent, t, mimicked, costfree_gain)
+                    if mimicry_holds_here and costfree_gain > top:
+                        top, where = costfree_gain, (t, mimicked)
+        if where is not None:
+            gain = _exact(direct, agent, top)
+            if best is None or gain > best.costfree_gain:
+                best = BreakPoint(agent, *where, gain)
     return ProofChainRecord(
         vacuous=not holds_equilibrium,
         equilibrium_inequalities_hold=holds_equilibrium,

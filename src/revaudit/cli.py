@@ -70,6 +70,16 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _profile_cap_arg(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="revaudit",
@@ -82,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--prior-high", type=_rational_arg, default=None,
                          help="override the high-type prior (labor configs)")
     analyze.add_argument("--format", choices=["json"], default="json")
-    analyze.add_argument("--max-profiles", type=int, default=DEFAULT_PROFILE_CAP,
+    analyze.add_argument("--max-profiles", type=_profile_cap_arg, default=DEFAULT_PROFILE_CAP,
                          help="cap on enumerated strategy profiles")
     analyze.set_defaults(func=cmd_analyze)
 

@@ -1,19 +1,28 @@
-"""Exact brute-force equilibrium engine for finite Bayesian games.
+"""Exact equilibrium engine for finite Bayesian games.
 
-The engine enumerates pure strategies outright and checks equilibrium
-conditions with weak inequalities over exact rationals. Payoffs come in two
-modes: utility-based (outcome utility only) and profit-based (outcome utility
-minus the strategic cost of the action actually played). With independent
-priors, per-type single-action deviations are sufficient, so every check is a
-finite scan with no tolerance anywhere.
+Each game is compiled once, on first use, into integer tables over type and
+action positions: prior weights scaled by the LCM of each agent's prior
+denominators, utilities and strategic costs scaled by one LCM, and the
+outcome of every action profile. Equilibrium conditions are then weak
+inequalities between Python ints, and a reported payoff or gain is the exact
+Fraction of an int over the agent's scale; no tolerance enters anywhere.
+Payoffs come in two modes: utility-based (outcome utility only) and
+profit-based (outcome utility minus the strategic cost of the action
+actually played). With independent priors, per-type single-action
+deviations are sufficient. The equilibrium search enumerates the strategies
+of every agent but the last, takes the last agent's per-type best replies to
+them, and checks only those profiles against the other agents' deviations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     ConstructionError,
@@ -157,45 +166,146 @@ class BayesianGame:
     def agent_count(self) -> int:
         return self.type_space.agent_count
 
+    @cached_property
+    def _tables(self) -> "_Tables":
+        # Compiled on first use and dropped with the game.
+        return _compile(self)
 
-def _validate_profile(game: BayesianGame, profile: StrategyProfile) -> None:
+
+@dataclass(frozen=True)
+class _Tables:
+    """A game as exact integer tables over type and action positions.
+
+    Prior weights of agent j are scaled by the LCM of j's prior denominators,
+    and utilities and strategic costs by one LCM of their denominators. An
+    interim payoff of agent i is then an int over `scale[i]`, and payoffs of
+    one agent compare as ints with the same weak inequalities.
+    """
+
+    # A flat action profile is sum(strides[j] * action position of j),
+    # agent 0 outermost, as in itertools.product.
+    strides: list[int]
+    # Outcome position (in Mechanism.outcomes() order) per flat action profile.
+    outcome: list[int]
+    # utility[i][t][x]: scaled utility of agent i at type t for outcome x.
+    utility: list[list[list[int]]]
+    # cost[i][t][a]: scaled strategic cost, already on agent i's scale.
+    cost: list[list[list[int]]]
+    # weights[i]: the scaled prior weight of each type profile of the other
+    # agents, in itertools.product order over their type positions; they
+    # sum to scale[i] over the unit of utilities and costs.
+    weights: list[list[int]]
+    scale: list[int]
+
+
+def _scaled(value: Fraction, unit: int) -> int:
+    return value.numerator * (unit // value.denominator)
+
+
+def _compile(game: BayesianGame) -> _Tables:
+    mech, ts = game.mechanism, game.type_space
+    agents = range(ts.agent_count)
+    outcomes = mech.outcomes()
+    position = {x.label: k for k, x in enumerate(outcomes)}
+    unit = math.lcm(
+        *[v.denominator for v in game.utilities.table.values()],
+        *[v.denominator for v in game.costs.strategic.values()],
+    )
+    prior_units = [math.lcm(*[p.denominator for p in prior.values()]) for prior in ts.prior_of]
+    priors = [[_scaled(ts.prior_of[i][t], prior_units[i]) for t in ts.types_of[i]] for i in agents]
+    # Each agent's scaled priors sum to its prior unit, so the weights of
+    # the others' type profiles sum to the product of their units.
+    weights = [
+        [math.prod(w) for w in itertools.product(*[priors[j] for j in agents if j != i])]
+        for i in agents
+    ]
+    totals = [sum(w) for w in weights]
+    utility, cost = game.utilities.utility, game.costs.strategic_cost
+    return _Tables(
+        strides=[math.prod([len(acts) for acts in mech.actions_of[i + 1 :]]) for i in agents],
+        outcome=[position[mech.outcome_of[p].label] for p in itertools.product(*mech.actions_of)],
+        utility=[
+            [[_scaled(utility(i, x, t), unit) for x in outcomes] for t in ts.types_of[i]]
+            for i in agents
+        ],
+        cost=[
+            [
+                [_scaled(cost(i, a, t), unit) * totals[i] for a in mech.actions_of[i]]
+                for t in ts.types_of[i]
+            ]
+            for i in agents
+        ],
+        weights=weights,
+        scale=[unit * total for total in totals],
+    )
+
+
+def _plan(game: BayesianGame, profile: StrategyProfile) -> list[list[int]]:
+    """Check that a profile fits the game; return it as action positions,
+    one list per agent in the agent's type order."""
     if profile.agent_count != game.agent_count:
         raise DomainError(
             f"profile has {profile.agent_count} strategies, game has {game.agent_count} agents"
         )
+    plan = []
     for i, strategy in enumerate(profile.strategies):
-        covered = {t for t, _ in strategy.choice}
-        declared = set(game.type_space.types_of[i])
-        if covered != declared:
+        choice = dict(strategy.choice)
+        declared = game.type_space.types_of[i]
+        if choice.keys() != set(declared):
             raise DomainError(
-                f"agent {i}: strategy covers types {sorted(covered)}, expected {sorted(declared)}"
+                f"agent {i}: strategy covers types {sorted(choice)}, expected {sorted(declared)}"
             )
-        for _, a in strategy.choice:
-            if a not in game.mechanism.actions_of[i]:
+        actions = game.mechanism.actions_of[i]
+        for a in choice.values():
+            if a not in actions:
                 raise DomainError(f"agent {i}: strategy plays unknown action {a!r}")
+        plan.append([actions.index(choice[t]) for t in declared])
+    return plan
 
 
-def _interim(game: BayesianGame, profile, agent, type_label, action, mode) -> Fraction:
-    """Expected payoff for agent of playing `action` at `type_label`, opponents
-    following `profile`, weighted by the conditional prior over their types."""
-    ts = game.type_space
-    total = Fraction(0)
-    for opp in ts.opponent_profiles(agent):
-        w = ts.conditional_weight(agent, opp)
-        acts = []
-        k = 0
-        for j in range(game.agent_count):
-            if j == agent:
-                acts.append(action)
-            else:
-                acts.append(profile.strategies[j].action(opp[k]))
-                k += 1
-        x = game.mechanism.outcome(tuple(acts))
-        total += w * game.utilities.utility(agent, x, type_label)
-    if mode is EquilibriumMode.PROFIT_BASED:
-        # Conditional weights sum to one, so the constant cost comes off once.
-        total -= game.costs.strategic_cost(agent, action, type_label)
-    return total
+def _interim_rows(
+    game: BayesianGame, plan, agent: int, mode: EquilibriumMode
+) -> list[list[int]]:
+    """Interim payoff of every action of `agent` at each of its types, as ints
+    on the agent's scale, with the others following `plan` (the agent's own
+    entry is not read). Independence of the prior makes the opponents' type
+    weights the same at every own type."""
+    tables = game._tables
+    strides, outcome, weights = tables.strides, tables.outcome, tables.weights[agent]
+    # Flat action-profile offset of the others' actions at each of their
+    # type profiles, in the order of `weights`.
+    bases = [
+        sum(offsets)
+        for offsets in itertools.product(
+            *[[strides[j] * a for a in plan[j]] for j in range(game.agent_count) if j != agent]
+        )
+    ]
+    step = strides[agent]
+    cells = [
+        [outcome[b + a * step] for b in bases] for a in range(len(game.mechanism.actions_of[agent]))
+    ]
+    rows = []
+    for u, costs in zip(tables.utility[agent], tables.cost[agent]):
+        row = [sum(w * u[x] for w, x in zip(weights, xs)) for xs in cells]
+        if mode is EquilibriumMode.PROFIT_BASED:
+            row = [v - c for v, c in zip(row, costs)]
+        rows.append(row)
+    return rows
+
+
+def _exact(game: BayesianGame, agent: int, value: int) -> Fraction:
+    """An interim payoff or gain of `agent` from `_interim_rows` as a Fraction."""
+    return Fraction(value, game._tables.scale[agent])
+
+
+def _best_replies(rows: list[list[int]]) -> list[list[int]]:
+    """Per type, the positions of the actions with the largest payoff."""
+    return [[a for a, v in enumerate(row) if v == top] for row, top in zip(rows, map(max, rows))]
+
+
+def _at_best_response(rows: list[list[int]], own: Sequence[int]) -> bool:
+    """Does the agent's own plan play a largest-payoff action at every type?"""
+    return all(row[a] == max(row) for row, a in zip(rows, own))
 
 
 def interim_expected_payoff(
@@ -211,38 +321,48 @@ def interim_expected_payoff(
     If `deviation` is given it replaces the agent's own action at this type
     only; opponents keep following the profile.
     """
-    _validate_profile(game, profile)
-    if type_label not in game.type_space.types_of[agent]:
+    plan = _plan(game, profile)
+    types = game.type_space.types_of[agent]
+    if type_label not in types:
         raise DomainError(f"agent {agent}: unknown type {type_label!r}")
-    action = profile.strategies[agent].action(type_label) if deviation is None else deviation
-    if action not in game.mechanism.actions_of[agent]:
-        raise DomainError(f"agent {agent}: unknown action {action!r}")
-    return _interim(game, profile, agent, type_label, action, mode)
+    t = types.index(type_label)
+    actions = game.mechanism.actions_of[agent]
+    if deviation is None:
+        a = plan[agent][t]
+    elif deviation in actions:
+        a = actions.index(deviation)
+    else:
+        raise DomainError(f"agent {agent}: unknown action {deviation!r}")
+    return _exact(game, agent, _interim_rows(game, plan, agent, mode)[t][a])
 
 
 def is_bayesian_nash(
     game: BayesianGame, profile: StrategyProfile, mode: EquilibriumMode
 ) -> EquilibriumVerdict:
-    """Check the weak-inequality equilibrium conditions by exhaustive scan.
+    """Check the weak-inequality equilibrium conditions on every deviation.
 
     Independence of the prior makes per-type single-action deviations
     sufficient. On failure the witness is the deviation with the largest gain;
     ties go to the smallest (agent index, type position, action position).
     """
-    _validate_profile(game, profile)
+    plan = _plan(game, profile)
+    types_of, actions_of = game.type_space.types_of, game.mechanism.actions_of
     best: Deviation | None = None
     for agent in range(game.agent_count):
-        for t in game.type_space.types_of[agent]:
-            played = profile.strategies[agent].action(t)
-            current = _interim(game, profile, agent, t, played, mode)
-            for a in game.mechanism.actions_of[agent]:
-                if a == played:
-                    continue
-                gain = _interim(game, profile, agent, t, a, mode) - current
-                # Scan order is already (agent, type order, action order), so
-                # a strict improvement is the tie-break.
-                if gain > 0 and (best is None or gain > best.gain):
-                    best = Deviation(agent, t, a, gain)
+        # Gains of one agent share a scale, so they compare as ints. Scan
+        # order is (type order, action order), so a strict improvement is
+        # the tie-break.
+        top, where = 0, None
+        for t, row in enumerate(_interim_rows(game, plan, agent, mode)):
+            current = row[plan[agent][t]]
+            for a, value in enumerate(row):
+                if value - current > top:
+                    top, where = value - current, (t, a)
+        if where is not None:
+            gain = _exact(game, agent, top)
+            if best is None or gain > best.gain:
+                t, a = where
+                best = Deviation(agent, types_of[agent][t], actions_of[agent][a], gain)
     if best is None:
         return EquilibriumVerdict(True, None)
     return EquilibriumVerdict(False, best)
@@ -270,17 +390,21 @@ def enumerate_pure_strategies(
     return out
 
 
+def _check_profile_cap(mechanism: Mechanism, type_space: TypeSpace, cap: int) -> None:
+    total = 1
+    for i in range(type_space.agent_count):
+        total *= len(mechanism.actions(i)) ** len(type_space.types(i))
+        if total > cap:
+            raise SearchSpaceError(f"{total}+ strategy profiles exceed the cap of {cap}")
+
+
 def enumerate_profiles(
     mechanism: Mechanism,
     type_space: TypeSpace,
     cap: int = DEFAULT_PROFILE_CAP,
 ) -> list[StrategyProfile]:
     """All pure strategy profiles, agent 0 outermost; guarded by a size cap."""
-    total = 1
-    for i in range(type_space.agent_count):
-        total *= len(mechanism.actions(i)) ** len(type_space.types(i))
-        if total > cap:
-            raise SearchSpaceError(f"{total}+ strategy profiles exceed the cap of {cap}")
+    _check_profile_cap(mechanism, type_space, cap)
     per_agent = [
         enumerate_pure_strategies(mechanism, type_space, i, cap)
         for i in range(type_space.agent_count)
@@ -295,20 +419,38 @@ def find_all_pure_bne(
 ) -> list[StrategyProfile]:
     """Every pure-strategy equilibrium, in enumeration order.
 
-    Exhaustive and exact; the returned list is bit-identical across runs.
+    Only the strategies of agents 0..n-2 are enumerated. The last agent's
+    payoffs do not depend on its own plan, so its plans that pass its own
+    deviation checks are exactly the product of its per-type best-reply
+    sets; only those are checked against the earlier agents' deviations.
+    Exact; the returned list is bit-identical across runs.
     """
-    return [
-        p
-        for p in enumerate_profiles(game.mechanism, game.type_space, cap)
-        if is_bayesian_nash(game, p, mode).is_equilibrium
-    ]
+    _check_profile_cap(game.mechanism, game.type_space, cap)
+    types_of, actions_of = game.type_space.types_of, game.mechanism.actions_of
+    *head, last = range(game.agent_count)
+
+    def strategy(agent: int, plan) -> PureStrategy:
+        actions = [actions_of[agent][a] for a in plan]
+        return PureStrategy(agent, tuple(zip(types_of[agent], actions)))
+
+    # Plans in the order of enumerate_pure_strategies; strategies are built
+    # only for the equilibria found.
+    plans = [itertools.product(range(len(actions_of[i])), repeat=len(types_of[i])) for i in head]
+    found = []
+    for choice in itertools.product(*plans):
+        plan = [*choice, None]
+        for reply in itertools.product(*_best_replies(_interim_rows(game, plan, last, mode))):
+            plan[last] = reply
+            if all(_at_best_response(_interim_rows(game, plan, i, mode), plan[i]) for i in head):
+                found.append(StrategyProfile(tuple(strategy(i, p) for i, p in enumerate(plan))))
+    return found
 
 
 def implements_scf(
     game: BayesianGame, profile: StrategyProfile, scf: SocialChoiceFunction
 ) -> bool:
     """Does playing the profile reproduce the social choice function everywhere?"""
-    _validate_profile(game, profile)
+    _plan(game, profile)
     for theta in game.type_space.profiles():
         if game.mechanism.outcome(profile.action_profile(theta)) != scf.evaluate(theta):
             return False

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference_engine as ref
 
 from revaudit.auditor import (
     AuditReport,
@@ -28,8 +29,6 @@ from revaudit.equilibrium import (
     StrategyProfile,
     enumerate_profiles,
     find_all_pure_bne,
-    interim_expected_payoff,
-    is_bayesian_nash,
 )
 from revaudit.labor import (
     BID_ZERO,
@@ -189,21 +188,21 @@ def costfree_report_value(scf, utilities, agent, type_label, report):
 
 
 def reference_chain(game, profile, scf):
-    """The proof chain recomputed from `interim_expected_payoff` and the
-    cost-free reference, one inequality at a time."""
+    """The proof chain recomputed with the reference engine and the cost-free
+    reference, one inequality at a time."""
     ts = game.type_space
-    holds = is_bayesian_nash(game, profile, PROFIT).is_equilibrium
+    holds = ref.is_bayesian_nash(game, profile, PROFIT).is_equilibrium
     mimicry_ok = costfree_ok = True
     best = None
     for agent in range(ts.agent_count):
         for t in ts.types_of[agent]:
-            own = interim_expected_payoff(game, profile, agent, t, mode=PROFIT)
+            own = ref.interim(game, profile, agent, t, profile.strategies[agent].action(t), PROFIT)
             truthful_value = costfree_report_value(scf, game.utilities, agent, t, t)
             for mimicked in ts.types_of[agent]:
                 if mimicked == t:
                     continue
                 action = profile.strategies[agent].action(mimicked)
-                holds_here = interim_expected_payoff(game, profile, agent, t, action, PROFIT) <= own
+                holds_here = ref.interim(game, profile, agent, t, action, PROFIT) <= own
                 mimicry_ok = mimicry_ok and holds_here
                 value = costfree_report_value(scf, game.utilities, agent, t, mimicked)
                 gain = value - truthful_value

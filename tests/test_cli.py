@@ -188,6 +188,14 @@ def test_analyze_profile_cap(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_analyze_rejects_a_profile_cap_below_one(tmp_path, capsys, value):
+    # Rejected while parsing, even when a declared profile means no search runs.
+    code = main(["analyze", single_agent_signal_cfg(tmp_path), "--max-profiles", value])
+    assert code == 1
+    assert "argument --max-profiles" in capsys.readouterr().err
+
+
 def test_analyze_unknown_kind(tmp_path, capsys):
     path = write_json(tmp_path, "odd.json", {"kind": "auction"})
     code = main(["analyze", path])

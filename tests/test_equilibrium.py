@@ -1,12 +1,14 @@
 """Engine checks: enumeration order, interim payoffs, equilibrium scans,
 ex-post games, and dominance. Random-instance suites compare the engine
-against independently written oracles."""
+against independently written oracles, among them the reference engine of
+`reference_engine.py`."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import reference_engine as ref
 
 from revaudit.auditor import random_zero_cost_game
 from revaudit.core import (
@@ -104,12 +106,16 @@ def test_enumerate_pure_strategies_order_and_count():
 
 def test_enumeration_caps():
     game = canonical_game()
-    with pytest.raises(SearchSpaceError):
+    with pytest.raises(SearchSpaceError, match="agent 0: 4 pure strategies exceed the cap of 3"):
         enumerate_pure_strategies(game.mechanism, game.type_space, 0, cap=3)
-    with pytest.raises(SearchSpaceError):
+    with pytest.raises(SearchSpaceError, match=r"^16\+ strategy profiles exceed the cap of 15$"):
         enumerate_profiles(game.mechanism, game.type_space, cap=15)
-    with pytest.raises(SearchSpaceError):
+    with pytest.raises(SearchSpaceError, match=r"^16\+ strategy profiles exceed the cap of 15$"):
         find_all_pure_bne(game, PROFIT, cap=15)
+    # A game with exactly as many profiles as the cap passes.
+    assert len(enumerate_pure_strategies(game.mechanism, game.type_space, 0, cap=4)) == 4
+    assert len(enumerate_profiles(game.mechanism, game.type_space, cap=16)) == 16
+    assert find_all_pure_bne(game, PROFIT, cap=16) == find_all_pure_bne(game, PROFIT)
 
 
 def test_enumerate_profiles_is_deterministic():
@@ -282,15 +288,58 @@ def exante_full_strategy_equilibrium(game, profile):
     return True
 
 
+# (types per agent, actions per agent) of games at the edges of the search:
+# a single agent (the pruned search has an empty head), an agent with one
+# type, an agent with one action, and three agents with both.
+EDGE_SHAPES = [
+    ((3,), (3,)),
+    ((1, 3), (3, 2)),
+    ((2, 2), (1, 3)),
+    ((2, 3), (3, 1)),
+    ((2, 1, 2), (2, 3, 1)),
+]
+
+
 def test_one_shot_deviations_match_full_strategy_oracle():
     rng = random.Random(7)
-    for _ in range(12):
-        game = attach_random_costs(random_zero_cost_game(rng), rng)
+    games = [attach_random_costs(random_zero_cost_game(rng), rng) for _ in range(12)]
+    games += [ref.random_costly_game(rng, *shape) for shape in EDGE_SHAPES]
+    for game in games:
         for profile in enumerate_profiles(game.mechanism, game.type_space):
             assert (
                 is_bayesian_nash(game, profile, PROFIT).is_equilibrium
                 == exante_full_strategy_equilibrium(game, profile)
             )
+
+
+def differential_shapes():
+    rng = random.Random(5)
+    shapes = list(EDGE_SHAPES)
+    # The largest games the search workload meets: 729 profiles.
+    shapes += [((6,), (3,)), ((3, 3), (3, 3)), ((2, 2, 2), (3, 3, 3))]
+    for agents in (1, 2, 3):
+        shapes += [ref.random_shape(rng, agents, max_profiles=81) for _ in range(6)]
+    return shapes
+
+
+@pytest.mark.parametrize("seed, shape", list(enumerate(differential_shapes())))
+def test_compiled_engine_matches_reference_engine(seed, shape):
+    game = ref.random_costly_game(random.Random(seed), *shape)
+    profiles = enumerate_profiles(game.mechanism, game.type_space)
+    ts, mech = game.type_space, game.mechanism
+    for mode in (UTILITY, PROFIT):
+        assert find_all_pure_bne(game, mode) == ref.find_all_pure_bne(game, mode)
+        for profile in profiles:
+            verdict = ref.is_bayesian_nash(game, profile, mode)
+            assert is_bayesian_nash(game, profile, mode) == verdict
+        # Every (agent, type, action); on every ninth profile of the largest games.
+        for profile in profiles[:: 1 if len(profiles) <= 81 else 9]:
+            for agent in range(game.agent_count):
+                for t in ts.types_of[agent]:
+                    for a in mech.actions_of[agent]:
+                        assert interim_expected_payoff(
+                            game, profile, agent, t, a, mode
+                        ) == ref.interim(game, profile, agent, t, a, mode)
 
 
 def test_modes_agree_when_costs_vanish():

@@ -1,0 +1,124 @@
+"""Properties of the exact engine under changes of the payoff unit.
+
+Verdicts compare payoffs of one agent, so they must not move when every
+utility and strategic cost is scaled by one positive rational, or when a
+constant is added to an agent's utilities at one type. The games are drawn
+with large, pairwise coprime denominators so that the engine's integer
+tables are built over large LCMs."""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from revaudit.core import CostModel, Mechanism, Outcome, TypeSpace, UtilityTable
+from revaudit.equilibrium import (
+    BayesianGame,
+    Deviation,
+    EquilibriumMode,
+    EquilibriumVerdict,
+    enumerate_profiles,
+    find_all_pure_bne,
+    interim_expected_payoff,
+    is_bayesian_nash,
+)
+
+MODES = (EquilibriumMode.UTILITY_BASED, EquilibriumMode.PROFIT_BASED)
+PRIMES = (7919, 104723, 999983, 1000003, 2147483647)
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def rationals(low=-(10**6)):
+    return st.builds(Fraction, st.integers(low, 10**6), st.sampled_from(PRIMES))
+
+
+@st.composite
+def games(draw):
+    agents = draw(st.integers(1, 3))
+    types_of = tuple(tuple(f"t{k}" for k in range(draw(st.integers(1, 2)))) for _ in range(agents))
+    actions_of = tuple(
+        tuple(f"a{k}" for k in range(draw(st.integers(1, 3 if agents < 3 else 2))))
+        for _ in range(agents)
+    )
+    priors = []
+    for ts in types_of:
+        weights = [draw(st.integers(1, 10**4)) for _ in ts]
+        priors.append({t: Fraction(w, sum(weights)) for t, w in zip(ts, weights)})
+    outcomes = [Outcome(f"x{k}") for k in range(draw(st.integers(1, 3)))]
+    outcome_of = {
+        p: outcomes[draw(st.integers(0, len(outcomes) - 1))]
+        for p in itertools.product(*actions_of)
+    }
+    utility = {
+        (i, x.label, t): draw(rationals())
+        for i in range(agents) for x in outcomes for t in types_of[i]
+    }
+    strategic = {
+        (i, a, t): draw(rationals(low=0))
+        for i in range(agents) for a in actions_of[i] for t in types_of[i]
+    }
+    return BayesianGame(
+        Mechanism(actions_of, outcome_of),
+        TypeSpace(types_of, tuple(priors)),
+        UtilityTable(utility),
+        CostModel(strategic=strategic),
+    )
+
+
+def rescaled(game, k):
+    return BayesianGame(
+        game.mechanism,
+        game.type_space,
+        UtilityTable({key: k * v for key, v in game.utilities.table.items()}),
+        CostModel(strategic={key: k * v for key, v in game.costs.strategic.items()}),
+    )
+
+
+def shifted(game, shift):
+    utility = {(i, x, t): v + shift[(i, t)] for (i, x, t), v in game.utilities.table.items()}
+    return BayesianGame(game.mechanism, game.type_space, UtilityTable(utility), game.costs)
+
+
+def scaled_verdict(verdict, k):
+    if verdict.witness is None:
+        return verdict
+    w = verdict.witness
+    return EquilibriumVerdict(False, Deviation(w.agent, w.type_label, w.action, k * w.gain))
+
+
+@SETTINGS
+@given(games(), rationals(low=1))
+def test_scaling_utilities_and_costs_scales_only_the_gains(game, k):
+    other = rescaled(game, k)
+    profiles = enumerate_profiles(game.mechanism, game.type_space)
+    for mode in MODES:
+        assert find_all_pure_bne(other, mode) == find_all_pure_bne(game, mode)
+        for profile in profiles:
+            verdict = is_bayesian_nash(game, profile, mode)
+            assert is_bayesian_nash(other, profile, mode) == scaled_verdict(verdict, k)
+            for agent, types in enumerate(game.type_space.types_of):
+                for t in types:
+                    assert interim_expected_payoff(other, profile, agent, t, mode=mode) == (
+                        k * interim_expected_payoff(game, profile, agent, t, mode=mode)
+                    )
+
+
+@SETTINGS
+@given(games(), st.data())
+def test_a_constant_per_agent_and_type_changes_no_verdict(game, data):
+    shift = {
+        (i, t): data.draw(rationals())
+        for i, types in enumerate(game.type_space.types_of) for t in types
+    }
+    other = shifted(game, shift)
+    profiles = enumerate_profiles(game.mechanism, game.type_space)
+    for mode in MODES:
+        assert find_all_pure_bne(other, mode) == find_all_pure_bne(game, mode)
+        for profile in profiles:
+            assert is_bayesian_nash(other, profile, mode) == is_bayesian_nash(game, profile, mode)
+            for agent, types in enumerate(game.type_space.types_of):
+                for t in types:
+                    assert interim_expected_payoff(other, profile, agent, t, mode=mode) == (
+                        interim_expected_payoff(game, profile, agent, t, mode=mode) + shift[(agent, t)]
+                    )
