@@ -9,6 +9,7 @@ a violation was found, 1 means the input or config was invalid.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -80,7 +81,11 @@ def _profile_cap_arg(text: str) -> int:
     return cap
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser. It depends on no input, so one is built per
+    process and shared; callers parse with it and never modify it. Each
+    parse_args call returns a fresh namespace."""
     parser = _Parser(
         prog="revaudit",
         description="Exact revelation-principle auditing for finite Bayesian mechanisms",

@@ -33,17 +33,24 @@ class SearchSpaceError(GameModelError):
 # Game data are small numbers. Capping a literal's length and exponent before
 # Fraction() sees it stops "1e999999" from expanding into a million digits.
 MAX_LITERAL = 100
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)")
 
 
 def check_literal_size(text: str, where: str = "value") -> str:
-    """Return a number literal unchanged, or reject it when it is too large."""
-    exponent = re.search(r"[eE]([-+]?\d+)", text)
+    """Return a number literal unchanged, or reject it when it is too large.
+
+    The length is checked first; only a text holding an "e" or "E" is
+    searched for an exponent, so a plain integer costs one len().
+    """
     if len(text) > MAX_LITERAL:
         problem = f"literal of {len(text)} characters"
-    elif exponent and abs(int(exponent.group(1))) > MAX_LITERAL:
-        problem = f"exponent of {text!r}"
-    else:
+    elif "e" not in text and "E" not in text:
         return text
+    else:
+        exponent = _EXPONENT.search(text)
+        if not exponent or abs(int(exponent.group(1))) <= MAX_LITERAL:
+            return text
+        problem = f"exponent of {text!r}"
     raise ConstructionError(f"{where}: {problem} exceeds the limit of {MAX_LITERAL}")
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .auditor import AuditReport, BreakPoint, ProofChainRecord
 from .core import (
+    MAX_LITERAL,
     CostModel,
     GameModelError,
     Mechanism,
@@ -33,6 +34,7 @@ from .equilibrium import (
     NormalFormGame,
     PureStrategy,
     StrategyProfile,
+    _plan,
 )
 from .labor import LaborParams, SeparatingReport, TruthfulnessReport
 
@@ -41,15 +43,23 @@ class ConfigError(GameModelError):
     """A config file is malformed; the message names the offending field."""
 
 
-def _parse_number(make):
+def _json_decimal(text: str) -> Fraction:
     # The decoder hands over the raw literal, so "0.1" becomes exactly 1/10.
-    return lambda text: make(check_literal_size(text, "JSON number"))
+    return Fraction(check_literal_size(text, "JSON number"))
+
+
+def _json_int(text: str) -> int:
+    # An integer literal has no exponent, so only its length can exceed the
+    # limit; check_literal_size is called only to report that.
+    if len(text) > MAX_LITERAL:
+        check_literal_size(text, "JSON number")
+    return int(text)
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=_parse_number(Fraction), parse_int=_parse_number(int))
+            data = json.load(fh, parse_float=_json_decimal, parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -117,16 +127,33 @@ GENERIC_KEYS = (
 )
 
 
-def _labels(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{where}: expected a list of label strings")
-    return tuple(value)
+def _is_label_list(value) -> bool:
+    # A plain loop: every outcome_function and rule row holds such a list,
+    # and all() over a generator costs twice as much on these short lists.
+    if not isinstance(value, list):
+        return False
+    for v in value:
+        if not isinstance(v, str):
+            return False
+    return True
 
 
 def _label_lists(value, where: str) -> tuple[tuple[str, ...], ...]:
+    """One non-empty list of distinct, non-empty labels per agent."""
     if not isinstance(value, list):
         raise ConfigError(f"{where}: expected a list of lists of labels")
-    return tuple(_labels(group, f"{where}[{i}]") for i, group in enumerate(value))
+    if not value:
+        raise ConfigError(f"{where}: expected at least one agent")
+    for i, group in enumerate(value):
+        if not _is_label_list(group):
+            raise ConfigError(f"{where}[{i}]: expected a list of label strings")
+        if not group:
+            raise ConfigError(f"{where}[{i}]: expected at least one label")
+        if "" in group:
+            raise ConfigError(f"{where}[{i}]: labels must be non-empty strings, got ''")
+        if len(set(group)) != len(group):
+            raise ConfigError(f"{where}[{i}]: duplicate labels in {group}")
+    return tuple(tuple(group) for group in value)
 
 
 def _list(cfg: dict, key: str, where: str, default=None) -> list:
@@ -136,46 +163,133 @@ def _list(cfg: dict, key: str, where: str, default=None) -> list:
     return value
 
 
-LABEL_FIELDS = ("label", "outcome", "type", "action", "true_type", "reported_type")
-LABEL_LIST_FIELDS = ("actions", "types")
+class _RowError(Exception):
+    """A fault inside one config row or prior. The message continues the
+    path of that row (".value: ..." or ": ..."); the path itself is
+    formatted only when the fault is reported."""
 
 
-def _row(entry, fields, where: str, optional=()) -> dict:
-    """A config row: an object with exactly `fields` (plus any `optional`
-    ones), each agent an int index and each label a string."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object")
-    _check_known_keys(entry, fields + optional, where)
-    for f in fields:
-        value = _require(entry, f, where)
-        if f == "agent" and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ConfigError(f"{where}.agent: expected an agent index")
-        if f in LABEL_FIELDS and not isinstance(value, str):
-            raise ConfigError(f"{where}.{f}: expected a label string")
-        if f in LABEL_LIST_FIELDS:
-            _labels(value, f"{where}.{f}")
-    return entry
+# How a row field is checked: an agent index, a label, or a list of labels.
+# Other fields (values and costs) are numbers, read later.
+AGENT, LABEL, LABELS = range(3)
+FIELD_KINDS = {
+    "agent": AGENT,
+    **dict.fromkeys(("label", "outcome", "type", "action", "true_type", "reported_type"), LABEL),
+    **dict.fromkeys(("actions", "types"), LABELS),
+}
 
 
-def _rows(cfg: dict, key: str, fields, where: str, default=None):
-    """Yield each row of a config table with its field path."""
-    for k, entry in enumerate(_list(cfg, key, where, default)):
-        w = f"{where}.{key}[{k}]"
-        yield _row(entry, fields, w), w
+class _Table:
+    """A config table: the key that holds it, the fields each row must have
+    (in the order their faults are reported) and the fields it may add."""
+
+    def __init__(self, key: str, fields: tuple[str, ...], optional: tuple[str, ...] = ()):
+        self.key = key
+        self.names = frozenset(fields)
+        self.allowed = self.names.union(optional)
+        self.kinds = tuple((f, FIELD_KINDS.get(f)) for f in fields)
+        self.typed = tuple((f, kind) for f, kind in self.kinds if kind is not None)
+
+    def check(self, entry) -> dict:
+        """An object with exactly the required fields (plus any optional
+        ones), each agent an int index and each label a string."""
+        if not isinstance(entry, dict):
+            raise _RowError(": expected an object")
+        if entry.keys() == self.names:
+            fields = self.typed  # no field is missing: check the typed ones
+        else:
+            unknown = entry.keys() - self.allowed
+            if unknown:
+                raise _RowError(f": unknown fields {sorted(unknown)}")
+            fields = self.kinds
+        for f, kind in fields:
+            try:
+                value = entry[f]
+            except KeyError:
+                raise _RowError(f": missing required field '{f}'") from None
+            if kind == LABEL:
+                if not isinstance(value, str):
+                    raise _RowError(f".{f}: expected a label string")
+            elif kind == AGENT:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise _RowError(f".{f}: expected an agent index")
+            elif kind == LABELS and not _is_label_list(value):
+                raise _RowError(f".{f}: expected a list of label strings")
+        return entry
 
 
-def _add_row(table: dict, key, value, domain, name: str, where: str) -> None:
+OUTCOMES = _Table("outcomes", ("label",), optional=("payload",))
+OUTCOME_FUNCTION = _Table("outcome_function", ("actions", "outcome"))
+RULE = _Table("rule", ("types", "outcome"))
+UTILITIES = _Table("utilities", ("agent", "outcome", "type", "value"))
+STRATEGIC_COSTS = _Table("strategic_costs", ("agent", "action", "type", "cost"))
+MISREPORT_COSTS = _Table("misreport_costs", ("agent", "true_type", "reported_type", "cost"))
+
+
+def _read_table(cfg: dict, table: _Table, where: str, add, default=None) -> None:
+    """Check each row of a config table and hand it to `add`; a fault in a
+    row is reported under the row's path."""
+    for k, entry in enumerate(_list(cfg, table.key, where, default)):
+        try:
+            add(table.check(entry))
+        except _RowError as exc:
+            raise ConfigError(f"{where}.{table.key}[{k}]{exc}") from None
+
+
+def _add_row(values: dict, key, value, domain, name: str) -> None:
     """Store one config row; a key outside `domain`, or one that an earlier
     row already set, would otherwise be ignored or silently overwritten."""
     if key not in domain:
-        raise ConfigError(f"{where}: {key} is not a declared {name}")
-    if key in table:
-        raise ConfigError(f"{where}: duplicate row for {key}")
-    table[key] = value
+        raise _RowError(f": {key} is not a declared {name}")
+    if key in values:
+        raise _RowError(f": duplicate row for {key}")
+    values[key] = value
+
+
+def _check_complete(values: dict, keys, name: str, where: str, table: _Table) -> None:
+    """A table must give a row for every key in `keys`, in their order."""
+    for key in keys:
+        if key not in values:
+            raise ConfigError(f"{where}.{table.key}: no row for {name} {key}")
+
+
+def _check_cost(value: Fraction) -> None:
+    if value.numerator < 0:
+        raise _RowError(f".cost: must be non-negative, got {value}")
+
+
+def _check_prior(prior: dict, types: tuple[str, ...]) -> None:
+    """A prior gives each declared type, and no other, a positive weight,
+    and the weights sum to 1."""
+    if prior.keys() != set(types):
+        raise _RowError(f": types {sorted(prior)} do not match the declared types {list(types)}")
+    for t in types:
+        if prior[t] <= 0:
+            raise _RowError(f"[{t}]: must be positive, got {prior[t]}")
+    total = sum(prior.values())
+    if total != 1:
+        raise _RowError(f": probabilities must sum to 1, got {total}")
 
 
 def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
     _check_known_keys(cfg, GENERIC_KEYS, where)
+
+    # Literal text -> value, for this config only: a value repeated across
+    # rows is parsed once. A bad literal raises before it is stored, so the
+    # error names the first row that holds it.
+    literals: dict[str, Fraction] = {}
+
+    def rational(value, field: str) -> Fraction:
+        if isinstance(value, str) and value in literals:
+            return literals[value]
+        try:
+            result = as_rational(value, field)
+        except GameModelError as exc:
+            raise _RowError(str(exc)) from None
+        if isinstance(value, str):
+            literals[value] = result
+        return result
+
     types_of = _label_lists(_require(cfg, "types", where), f"{where}.types")
     if "priors" in cfg:
         raw = cfg["priors"]
@@ -184,72 +298,106 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
         for i, prior in enumerate(raw):
             if not isinstance(prior, dict):
                 raise ConfigError(f"{where}.priors[{i}]: expected a {{type: probability}} object")
-        priors = tuple(
-            {t: _rational(p, f"{where}.priors[{i}][{t}]") for t, p in prior.items()}
-            for i, prior in enumerate(raw)
-        )
-        type_space = TypeSpace(types_of, priors)
+        priors = []
+        try:
+            for i, prior in enumerate(raw):
+                priors.append({t: rational(p, f"[{t}]") for t, p in prior.items()})
+            for i, (prior, types) in enumerate(zip(priors, types_of)):
+                _check_prior(prior, types)
+        except _RowError as exc:
+            raise ConfigError(f"{where}.priors[{i}]{exc}") from None
+        type_space = TypeSpace(types_of, tuple(priors))
     else:
         type_space = TypeSpace.uniform(types_of)
 
     actions_of = _label_lists(_require(cfg, "actions", where), f"{where}.actions")
+    if len(actions_of) != len(types_of):
+        raise ConfigError(f"{where}.actions: expected {len(types_of)} lists, one per agent")
 
     outcomes: dict[str, Outcome] = {}
-    for k, entry in enumerate(_list(cfg, "outcomes", where)):
-        w = f"{where}.outcomes[{k}]"
-        label = _row(entry, ("label",), w, optional=("payload",))["label"]
-        payload = tuple(
-            _rational(v, f"{w}.payload[{j}]") for j, v in enumerate(_list(entry, "payload", w, []))
-        )
+
+    def add_outcome(entry) -> None:
+        label = entry["label"]
+        payload = entry.get("payload", [])
+        if not isinstance(payload, list):
+            raise _RowError(".payload: expected a list")
+        payload = tuple(rational(v, f".payload[{j}]") for j, v in enumerate(payload))
         if label in outcomes:
-            raise ConfigError(f"{w}: duplicate outcome label {label!r}")
+            raise _RowError(f": duplicate outcome label {label!r}")
+        if not label:
+            raise _RowError(".label: labels must be non-empty strings, got ''")
         outcomes[label] = Outcome(label, payload)
 
-    def outcome_ref(label, w):
+    _read_table(cfg, OUTCOMES, where, add_outcome)
+
+    def outcome(label) -> Outcome:
         if label not in outcomes:
-            raise ConfigError(f"{w}: unknown outcome {label!r}")
+            raise _RowError(f": unknown outcome {label!r}")
         return outcomes[label]
 
-    outcome_of = {}
-    action_profiles = set(itertools.product(*actions_of))
-    for entry, w in _rows(cfg, "outcome_function", ("actions", "outcome"), where):
-        x = outcome_ref(entry["outcome"], w)
-        _add_row(outcome_of, tuple(entry["actions"]), x, action_profiles, "action profile", w)
-    mechanism = Mechanism(actions_of, outcome_of)
+    def profile_table(table: _Table, field: str, profiles, name: str) -> dict:
+        """Read a table of profile -> outcome rows, one row per profile."""
+        values, domain = {}, set(profiles)
 
-    rule_table = {}
-    type_profiles = set(type_space.profiles())
-    for entry, w in _rows(cfg, "rule", ("types", "outcome"), where):
-        x = outcome_ref(entry["outcome"], w)
-        _add_row(rule_table, tuple(entry["types"]), x, type_profiles, "type profile", w)
+        def add(entry) -> None:
+            x = outcome(entry["outcome"])
+            _add_row(values, tuple(entry[field]), x, domain, name)
+
+        _read_table(cfg, table, where, add)
+        _check_complete(values, profiles, name, where, table)
+        return values
+
+    action_profiles = tuple(itertools.product(*actions_of))
+    outcome_of = profile_table(OUTCOME_FUNCTION, "actions", action_profiles, "action profile")
+    mechanism = Mechanism(actions_of, outcome_of)
+    rule_table = profile_table(RULE, "types", type_space.profiles(), "type profile")
     scf = SocialChoiceFunction(type_space, rule_table)
 
     utility = {}
-    known = {(i, x, t) for i, ts in enumerate(types_of) for x in outcomes for t in ts}
-    for entry, w in _rows(cfg, "utilities", ("agent", "outcome", "type", "value"), where):
+    known_utilities = {(i, x, t) for i, ts in enumerate(types_of) for x in outcomes for t in ts}
+
+    def add_utility(entry) -> None:
         key = (entry["agent"], entry["outcome"], entry["type"])
-        value = _rational(entry["value"], f"{w}.value")
-        _add_row(utility, key, value, known, "(agent, outcome, type)", w)
+        value = rational(entry["value"], ".value")
+        _add_row(utility, key, value, known_utilities, "(agent, outcome, type)")
+
+    _read_table(cfg, UTILITIES, where, add_utility)
 
     strategic = {}
-    known = {
+    known_actions = {
         (i, a, t)
         for i, (ts, acts) in enumerate(zip(types_of, actions_of))
         for a in acts
         for t in ts
     }
-    for entry, w in _rows(cfg, "strategic_costs", ("agent", "action", "type", "cost"), where, []):
+
+    def add_strategic_cost(entry) -> None:
         key = (entry["agent"], entry["action"], entry["type"])
-        value = _rational(entry["cost"], f"{w}.cost")
-        _add_row(strategic, key, value, known, "(agent, action, type)", w)
+        value = rational(entry["cost"], ".cost")
+        _add_row(strategic, key, value, known_actions, "(agent, action, type)")
+        _check_cost(value)
+
+    _read_table(cfg, STRATEGIC_COSTS, where, add_strategic_cost, default=[])
 
     misreport = {}
-    known = {(i, t, r) for i, ts in enumerate(types_of) for t in ts for r in ts}
-    fields = ("agent", "true_type", "reported_type", "cost")
-    for entry, w in _rows(cfg, "misreport_costs", fields, where, []):
+    known_reports = {(i, t, r) for i, ts in enumerate(types_of) for t in ts for r in ts}
+
+    def add_misreport_cost(entry) -> None:
         key = (entry["agent"], entry["true_type"], entry["reported_type"])
-        value = _rational(entry["cost"], f"{w}.cost")
-        _add_row(misreport, key, value, known, "(agent, true type, reported type)", w)
+        value = rational(entry["cost"], ".cost")
+        _add_row(misreport, key, value, known_reports, "(agent, true type, reported type)")
+        _check_cost(value)
+        if key[1] == key[2] and value.numerator:
+            raise _RowError(f".cost: an honest report must cost 0, got {value}")
+
+    _read_table(cfg, MISREPORT_COSTS, where, add_misreport_cost, default=[])
+
+    # Every outcome the mechanism or the rule can reach needs a utility.
+    used = {x.label for x in outcome_of.values()} | {x.label for x in rule_table.values()}
+    needed = (
+        (i, x, t) for i, ts in enumerate(types_of) for x in outcomes if x in used for t in ts
+    )
+    _check_complete(utility, needed, "(agent, outcome, type)", where, UTILITIES)
 
     game = BayesianGame(
         mechanism, type_space, UtilityTable(utility), CostModel(strategic, misreport)
@@ -262,6 +410,7 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
             raise ConfigError(f"{where}.profile: expected one {{type: action}} object per agent")
         try:
             candidate = StrategyProfile.from_maps(maps)
+            _plan(game, candidate)
         except GameModelError as exc:
             raise ConfigError(f"{where}.profile: {exc}") from exc
     return GenericScenario(game, scf, candidate)

@@ -252,6 +252,13 @@ def inserted_row(table, k, row):
     return ([table], rows[:k] + [row] + rows[k:], f"config.{table}[{k}]")
 
 
+def removed_row(table, k):
+    """A malformed-config case: row k left out of `table`, which the error
+    must name."""
+    rows = two_agent_cfg()[table]
+    return ([table], rows[:k] + rows[k + 1:], f"config.{table}")
+
+
 COST_ROW = {"agent": 0, "action": "1", "type": "a", "cost": 1}
 MISREPORT_ROW = {"agent": 0, "true_type": "a", "reported_type": "b", "cost": 1}
 
@@ -278,11 +285,33 @@ MALFORMED_GENERIC = [
     inserted_row("utilities", 6, {"agent": 7, "outcome": "o1", "type": "a", "value": 1}),
     inserted_row("utilities", 0, {"agent": 0, "outcome": "o1", "type": "typo", "value": 1}),
     inserted_row("utilities", 3, {"agent": 1, "outcome": "o3", "type": "c", "value": 1}),
+    # Faults the game model catches, named by the config field that holds
+    # them; the last element tells apart cases that name the same field.
+    (["strategic_costs"], [dict(COST_ROW, cost=-1)], "config.strategic_costs[0].cost", "negative"),
+    (["misreport_costs"], [MISREPORT_ROW, dict(MISREPORT_ROW, reported_type="a", cost=-1)],
+     "config.misreport_costs[1].cost", "negative"),
+    (["misreport_costs"], [dict(MISREPORT_ROW, reported_type="a")],
+     "config.misreport_costs[0].cost", "honest-report"),
+    (*removed_row("utilities", 2), "missing-row"),
+    (*removed_row("outcome_function", 1), "missing-row"),
+    (*removed_row("rule", 0), "missing-row"),
+    (["priors"], [{"a": "1/2", "b": "1/3"}, {"c": 1}], "config.priors[0]", "sum"),
+    (["priors"], [{"a": 1, "b": 0}, {"c": 1}], "config.priors[0][b]", "zero"),
+    (["priors"], [{"a": "1/2", "b": "1/2"}, {"c": 1, "d": 0}], "config.priors[1]", "extra-type"),
+    (["types"], [], "config.types", "no-agent"),
+    (["types", 0], ["a", "b", "a"], "config.types[0]", "duplicate-label"),
+    (["actions", 1], [], "config.actions[1]", "empty"),
+    (["actions"], [["0", "1"]], "config.actions", "agent-count"),
+    (["outcomes", 1, "label"], "", "config.outcomes[1].label", "empty"),
+    (["profile", 0, "a"], "9", "config.profile", "unknown-action"),
+    (["profile", 0], {"a": "0"}, "config.profile", "missing-type"),
 ]
 
 
 @pytest.mark.parametrize(
-    "path, value, field", MALFORMED_GENERIC, ids=[f for _, _, f in MALFORMED_GENERIC]
+    "path, value, field",
+    [case[:3] for case in MALFORMED_GENERIC],
+    ids=["-".join(case[2:]) for case in MALFORMED_GENERIC],
 )
 def test_analyze_rejects_malformed_generic_config(tmp_path, capsys, path, value, field):
     cfg = two_agent_cfg()

@@ -14,6 +14,7 @@ from revaudit.core import (
     TypeSpace,
     UtilityTable,
     as_rational,
+    check_literal_size,
     profit,
     rational_str,
 )
@@ -39,6 +40,14 @@ def test_as_rational_bounds_the_literal_before_parsing():
     for bad in ("1e101", "1e-999999", "7" * 101, "1/" + "3" * 99):
         with pytest.raises(ConstructionError, match="exceeds the limit"):
             as_rational(bad)
+
+
+def test_literal_check_reads_the_exponent_only_when_there_is_one():
+    for ok in ("12", "-7" + "0" * 98, "1/3", "1e100", "-1E-100", "2.5e+100", "e", "1e"):
+        assert check_literal_size(ok) == ok
+    for bad in ("1e101", "1E-101", "2.5e+101", "1" * 101):
+        with pytest.raises(ConstructionError, match="exceeds the limit of 100"):
+            check_literal_size(bad)
 
 
 def test_rational_str_round_trips():

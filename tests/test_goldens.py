@@ -7,6 +7,9 @@ long way, from the full separating and truthfulness reports, and compares it
 with the row the sweep prints."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,26 +29,58 @@ GOLDENS = Path(__file__).parent / "goldens"
 CANONICAL = {"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "3/2"}
 
 
-def write_json(tmp_path, payload):
-    path = tmp_path / "cfg.json"
+def write_json(tmp_path, payload, name="cfg.json"):
+    path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
 
 
-@pytest.mark.parametrize(
-    "argv, config, golden, code",
-    [
-        (["analyze"], {**CANONICAL, "c_mis": "1/2"}, "analyze_labor_cmis_1_2.json", 2),
-        (["analyze"], {**CANONICAL, "c_mis": 1}, "analyze_labor_cmis_1.json", 0),
-        (["matrices", "--format", "md"], {**CANONICAL, "c_mis": "1/2"}, "matrices_labor.md", 0),
-        (["reproduce-paper"], None, "reproduce_paper.json", 0),
-    ],
-)
+GOLDEN_RUNS = [
+    (["analyze"], {**CANONICAL, "c_mis": "1/2"}, "analyze_labor_cmis_1_2.json", 2),
+    (["analyze"], {**CANONICAL, "c_mis": 1}, "analyze_labor_cmis_1.json", 0),
+    (["matrices", "--format", "md"], {**CANONICAL, "c_mis": "1/2"}, "matrices_labor.md", 0),
+    (["reproduce-paper"], None, "reproduce_paper.json", 0),
+]
+
+
+def golden_argv(tmp_path, argv, config, golden):
+    if config is None:
+        return argv
+    return [argv[0], write_json(tmp_path, config, f"{golden}.cfg.json"), *argv[1:]]
+
+
+@pytest.mark.parametrize("argv, config, golden, code", GOLDEN_RUNS)
 def test_output_matches_golden_bytes(tmp_path, capsys, argv, config, golden, code):
-    if config is not None:
-        argv = [argv[0], write_json(tmp_path, config), *argv[1:]]
-    assert main(argv) == code
+    assert main(golden_argv(tmp_path, argv, config, golden)) == code
     assert capsys.readouterr().out == (GOLDENS / golden).read_text(encoding="utf-8")
+
+
+def test_one_process_answers_like_fresh_processes(tmp_path, capsys, monkeypatch):
+    """main reuses one parser per process. Each run of a sequence that mixes
+    usage errors, --help, an override and the goldens must exit and print
+    exactly as the same run in a fresh `python -m revaudit`."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    labor = write_json(tmp_path, {**CANONICAL, "c_mis": "1/2"})
+    runs = [
+        ["analyze"],
+        ["--help"],
+        ["analyze", "--max-profiles", "0"],
+        ["analyze", labor, "--prior-high", "9/10"],
+        ["analyze", labor],
+        *(golden_argv(tmp_path, *run[:3]) for run in GOLDEN_RUNS),
+    ]
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    for argv, got in zip(runs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "revaudit", *argv], capture_output=True, env=env, check=False
+        )
+        assert got == (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()), argv
 
 
 def oracle_row(w, c_mis, fixed):

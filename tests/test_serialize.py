@@ -195,6 +195,66 @@ def test_parse_generic_diagnostics(mangle, fragment):
         parse_generic_scenario(cfg)
 
 
+# -- number literals ---------------------------------------------------------------
+
+
+def test_a_bad_literal_is_reported_at_its_first_row():
+    cfg = generic_cfg()
+    cfg["utilities"][1]["value"] = "1/x"
+    cfg["utilities"][4]["value"] = "1/x"
+    with pytest.raises(ConfigError, match=r"^config\.utilities\[1\]\.value: cannot parse '1/x'"):
+        parse_generic_scenario(cfg)
+
+
+def test_one_literal_text_has_one_value_in_every_table():
+    cfg = generic_cfg()  # "1/3" is already the prior of lo
+    cfg["utilities"][0]["value"] = "1/3"
+    cfg["strategic_costs"][0]["cost"] = "1/3"
+    game = parse_generic_scenario(cfg).game
+    assert game.type_space.prior_of[0]["lo"] == Fraction(1, 3)
+    assert game.utilities.utility(0, "x", "lo") == Fraction(1, 3)
+    assert game.costs.strategic_cost(0, "H", "lo") == Fraction(1, 3)
+
+
+def test_each_use_of_a_repeated_literal_is_checked():
+    # "-1" is a valid utility but not a valid cost.
+    cfg = generic_cfg()
+    cfg["utilities"][0]["value"] = "-1"
+    cfg["strategic_costs"][0]["cost"] = "-1"
+    with pytest.raises(
+        ConfigError, match=r"^config\.strategic_costs\[0\]\.cost: must be non-negative, got -1$"
+    ):
+        parse_generic_scenario(cfg)
+
+
+LITERALS_AT_THE_LIMIT = [
+    pytest.param("1" + "0" * 99, True, id="integer-100-chars"),
+    pytest.param("1" + "0" * 100, False, id="integer-101-chars"),
+    pytest.param("0." + "0" * 97 + "1", True, id="decimal-100-chars"),
+    pytest.param("0." + "0" * 98 + "1", False, id="decimal-101-chars"),
+    pytest.param("1e100", True, id="e100"),
+    pytest.param("1e-100", True, id="e-100"),
+    pytest.param("1e101", False, id="e101"),
+    pytest.param("1E-101", False, id="E-101"),
+]
+
+
+@pytest.mark.parametrize("text, accepted", LITERALS_AT_THE_LIMIT)
+@pytest.mark.parametrize("quoted", [False, True], ids=["json-number", "string"])
+def test_literal_size_limit(tmp_path, text, accepted, quoted):
+    cfg = generic_cfg()
+    cfg["utilities"][0]["value"] = "LITERAL"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"LITERAL"', json.dumps(text) if quoted else text))
+    if accepted:
+        game = parse_generic_scenario(load_config(str(path))).game
+        assert game.utilities.utility(0, "x", "lo") == Fraction(text)
+    else:
+        where = r"config\.utilities\[0\]\.value" if quoted else r".*cfg\.json: JSON number"
+        with pytest.raises(ConfigError, match=f"^{where}: .* exceeds the limit of 100$"):
+            parse_generic_scenario(load_config(str(path)))
+
+
 # -- sweep config ------------------------------------------------------------------
 
 
