@@ -174,7 +174,7 @@ def cmd_analyze(args) -> int:
         }
         sys.stdout.write(json_dumps(payload))
         return EXIT_VIOLATION if audit.violation else EXIT_OK
-    raise ConfigError(f"unknown config kind {kind!r}; expected 'labor' or 'generic'")
+    raise ConfigError(f"config.kind: unknown config kind {kind!r}; expected 'labor' or 'generic'")
 
 
 def _bool_cell(value: bool) -> str:

@@ -9,13 +9,38 @@ rejected at the door so no binary rounding can leak into a verdict.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 
 class GameModelError(ValueError):
-    """Base class for model construction and lookup failures."""
+    """Base class for model construction and lookup failures.
+
+    `problem` says what is wrong; `at` says where, in the names of the generic
+    config's tables: a table (or a lone value's name), then a row key or
+    agent index, then a field, e.g. ("strategic_costs", (0, "e", "lo"),
+    "cost"), ("priors", 0, "hi"), ("actions", 1) or ("rule",). str() joins
+    the two, so a caller that never reads a config still learns the agent or
+    key. A lookup failure has no location.
+    """
+
+    def __init__(self, problem: str, at: tuple = ()):
+        super().__init__(problem)
+        self.problem = problem
+        self.at = at
+
+    def path(self, row=repr) -> str:
+        """`at` as a path: `table[row].field` in a table keyed by rows, where
+        `row` renders the key, and `table[agent][type]` in the others."""
+        table, *rest = self.at
+        if table in ("types", "actions", "priors") or not rest:
+            return table + "".join(f"[{x}]" for x in rest)
+        return f"{table}[{row(rest[0])}]" + "".join(f".{f}" for f in rest[1:])
+
+    def __str__(self) -> str:
+        return f"{self.path()}: {self.problem}" if self.at else self.problem
 
 
 class ConstructionError(GameModelError):
@@ -36,11 +61,12 @@ MAX_LITERAL = 100
 _EXPONENT = re.compile(r"[eE]([-+]?\d+)")
 
 
-def check_literal_size(text: str, where: str = "value") -> str:
+def check_literal_size(text: str, where: str | tuple = "value") -> str:
     """Return a number literal unchanged, or reject it when it is too large.
 
     The length is checked first; only a text holding an "e" or "E" is
-    searched for an exponent, so a plain integer costs one len().
+    searched for an exponent, so a plain integer costs one len(). `where`
+    names the value, or is a GameModelError location.
     """
     if len(text) > MAX_LITERAL:
         problem = f"literal of {len(text)} characters"
@@ -51,32 +77,34 @@ def check_literal_size(text: str, where: str = "value") -> str:
         if not exponent or abs(int(exponent.group(1))) <= MAX_LITERAL:
             return text
         problem = f"exponent of {text!r}"
-    raise ConstructionError(f"{where}: {problem} exceeds the limit of {MAX_LITERAL}")
+    at = where if isinstance(where, tuple) else (where,)
+    raise ConstructionError(f"{problem} exceeds the limit of {MAX_LITERAL}", at)
 
 
-def as_rational(value, where: str = "value") -> Fraction:
+def as_rational(value, where: str | tuple = "value") -> Fraction:
     """Coerce int, Fraction, or a "p/q" string to an exact Fraction.
 
     Floats (and bools) are rejected: callers must pass exact values. Strings
-    must pass check_literal_size.
+    must pass check_literal_size. `where` names the value, or is a
+    GameModelError location.
     """
-    if isinstance(value, bool):
-        raise ConstructionError(f"{where}: expected a rational, got a bool")
     if isinstance(value, Fraction):
         return value
+    at = where if isinstance(where, tuple) else (where,)
+    if isinstance(value, bool):
+        raise ConstructionError("expected a rational, got a bool", at)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        raise ConstructionError(
-            f"{where}: floats are not accepted; pass an int, Fraction, or 'p/q' string"
-        )
+        problem = "floats are not accepted; pass an int, Fraction, or 'p/q' string"
+        raise ConstructionError(problem, at)
     if isinstance(value, str):
-        text = check_literal_size(value.strip(), where)
+        text = check_literal_size(value.strip(), at)
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConstructionError(f"{where}: cannot parse {value!r} as a rational") from exc
-    raise ConstructionError(f"{where}: cannot interpret {type(value).__name__} as a rational")
+            raise ConstructionError(f"cannot parse {value!r} as a rational", at) from exc
+    raise ConstructionError(f"cannot interpret {type(value).__name__} as a rational", at)
 
 
 def rational_str(value: Fraction) -> str:
@@ -84,10 +112,38 @@ def rational_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _check_label(label, where: str) -> str:
-    if not isinstance(label, str) or not label:
-        raise ConstructionError(f"{where}: labels must be non-empty strings, got {label!r}")
+def _is_label(label) -> bool:
+    return isinstance(label, str) and label != ""
+
+
+def _check_label(label, at: tuple) -> str:
+    if not _is_label(label):
+        raise ConstructionError(f"labels must be non-empty strings, got {label!r}", at)
     return label
+
+
+def _label_lists(lists, table: str) -> tuple[tuple[str, ...], ...]:
+    """At least one agent, each with a non-empty tuple of distinct, non-empty
+    labels: the types of a TypeSpace or the actions of a Mechanism."""
+    lists = tuple(tuple(labels) for labels in lists)
+    if not lists:
+        raise ConstructionError("expected at least one agent", (table,))
+    for i, labels in enumerate(lists):
+        at = (table, i)
+        if not labels:
+            raise ConstructionError("expected at least one label", at)
+        for label in labels:
+            _check_label(label, at)
+        if len(set(labels)) != len(labels):
+            raise ConstructionError(f"duplicate labels in {list(labels)}", at)
+    return lists
+
+
+def check_agent_count(actions_of, types_of) -> None:
+    """A mechanism fits a type space only with one action set per agent."""
+    if len(actions_of) != len(types_of):
+        problem = f"expected {len(types_of)} action sets, one per agent, got {len(actions_of)}"
+        raise ConstructionError(problem, ("actions",))
 
 
 @dataclass(frozen=True)
@@ -103,34 +159,24 @@ class TypeSpace:
     prior_of: tuple[dict[str, Fraction], ...]
 
     def __post_init__(self) -> None:
-        types_of = tuple(tuple(ts) for ts in self.types_of)
-        if not types_of:
-            raise ConstructionError("type space needs at least one agent")
-        for i, ts in enumerate(types_of):
-            if not ts:
-                raise ConstructionError(f"agent {i}: empty type set")
+        types_of = _label_lists(self.types_of, "types")
+        priors = tuple(dict(pr) for pr in self.prior_of)
+        if len(priors) != len(types_of):
+            raise ConstructionError("expected one prior object per agent", ("priors",))
+        for i, (ts, pr) in enumerate(zip(types_of, priors)):
+            if pr.keys() != set(ts):
+                problem = f"types {sorted(pr)} do not match the declared types {list(ts)}"
+                raise ConstructionError(problem, ("priors", i))
             for t in ts:
-                _check_label(t, f"agent {i} type")
-            if len(set(ts)) != len(ts):
-                raise ConstructionError(f"agent {i}: duplicate type labels in {ts}")
-        prior_of = tuple(
-            {t: as_rational(p, f"agent {i} prior[{t}]") for t, p in dict(pr).items()}
-            for i, pr in enumerate(self.prior_of)
-        )
-        if len(prior_of) != len(types_of):
-            raise ConstructionError("prior_of must list one marginal per agent")
-        for i, (ts, pr) in enumerate(zip(types_of, prior_of)):
-            if set(pr) != set(ts):
-                raise ConstructionError(
-                    f"agent {i}: prior support {sorted(pr)} does not match types {list(ts)}"
-                )
-            for t in ts:
-                if pr[t] <= 0:
-                    raise ConstructionError(f"agent {i}: prior of {t} must be positive")
+                p = pr[t]
+                p = pr[t] = p if isinstance(p, Fraction) else as_rational(p, ("priors", i, t))
+                if p <= 0:
+                    raise ConstructionError(f"must be positive, got {p}", ("priors", i, t))
             if sum(pr.values()) != 1:
-                raise ConstructionError(f"agent {i}: prior must sum to 1, got {sum(pr.values())}")
+                problem = f"probabilities must sum to 1, got {sum(pr.values())}"
+                raise ConstructionError(problem, ("priors", i))
         object.__setattr__(self, "types_of", types_of)
-        object.__setattr__(self, "prior_of", prior_of)
+        object.__setattr__(self, "prior_of", priors)
 
     @classmethod
     def uniform(cls, types_of) -> "TypeSpace":
@@ -215,20 +261,46 @@ class Outcome:
     payload: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_label(self.label, "outcome")
-        payload = tuple(as_rational(v, f"outcome {self.label} payload") for v in self.payload)
+        _check_label(self.label, ("outcomes", self.label, "label"))
+        at = ("outcomes", self.label, "payload")
+        payload = tuple(v if isinstance(v, Fraction) else as_rational(v, at) for v in self.payload)
         object.__setattr__(self, "payload", payload)
 
 
-def _check_outcome_labels(outcomes, where: str) -> None:
-    # Two distinct outcomes must not share a label.
+def _total_table(table: str, entries, label_lists, noun: str) -> dict[tuple[str, ...], Outcome]:
+    """A map from each profile of labels (one per agent) to an Outcome, where
+    outcomes that share a label are equal. Each key is checked label by
+    label; keys are distinct, so the count alone shows that no profile is
+    missing, and profiles are enumerated only to name a missing one."""
+    known = [frozenset(labels) for labels in label_lists]
+    result: dict[tuple[str, ...], Outcome] = {}
     seen: dict[str, Outcome] = {}
-    for x in outcomes:
+    for key, x in dict(entries).items():
+        key = tuple(key)
+        if len(key) != len(known) or not all(map(frozenset.__contains__, known, key)):
+            raise ConstructionError(f"{key} is not a declared {noun} profile", (table, key))
         if not isinstance(x, Outcome):
-            raise ConstructionError(f"{where}: table values must be Outcome, got {type(x).__name__}")
-        if x.label in seen and seen[x.label] != x:
-            raise ConstructionError(f"{where}: two different outcomes share label {x.label!r}")
-        seen[x.label] = x
+            problem = f"expected an Outcome, got {type(x).__name__}"
+            raise ConstructionError(problem, (table, key, "outcome"))
+        first = seen.setdefault(x.label, x)
+        if first is not x and first != x:
+            problem = f"two different outcomes share label {x.label!r}"
+            raise ConstructionError(problem, (table, key, "outcome"))
+        result[key] = x
+    if len(result) != math.prod(map(len, label_lists)):
+        missing = next(p for p in itertools.product(*label_lists) if p not in result)
+        raise ConstructionError(f"no row for {noun} profile {missing}", (table,))
+    return result
+
+
+def _distinct_outcomes(table, label_lists) -> tuple[Outcome, ...]:
+    """The distinct outcomes of a total table, in first-appearance order over
+    the profile order."""
+    seen: dict[str, Outcome] = {}
+    for profile in itertools.product(*label_lists):
+        x = table[profile]
+        seen.setdefault(x.label, x)
+    return tuple(seen.values())
 
 
 @dataclass(frozen=True)
@@ -239,15 +311,7 @@ class SocialChoiceFunction:
     table: dict[tuple[str, ...], Outcome]
 
     def __post_init__(self) -> None:
-        table = {tuple(k): v for k, v in dict(self.table).items()}
-        profiles = set(self.type_space.profiles())
-        missing = profiles - set(table)
-        if missing:
-            raise ConstructionError(f"social choice table is missing profiles {sorted(missing)}")
-        extra = set(table) - profiles
-        if extra:
-            raise ConstructionError(f"social choice table has unknown profiles {sorted(extra)}")
-        _check_outcome_labels(table.values(), "social choice table")
+        table = _total_table("rule", self.table, self.type_space.types_of, "type")
         object.__setattr__(self, "table", table)
 
     def evaluate(self, type_profile) -> Outcome:
@@ -255,12 +319,7 @@ class SocialChoiceFunction:
         return self.table[key]
 
     def outcomes(self) -> tuple[Outcome, ...]:
-        """Distinct outcomes in first-appearance order over the profile order."""
-        seen: dict[str, Outcome] = {}
-        for profile in self.type_space.profiles():
-            x = self.table[profile]
-            seen.setdefault(x.label, x)
-        return tuple(seen.values())
+        return _distinct_outcomes(self.table, self.type_space.types_of)
 
 
 @dataclass(frozen=True)
@@ -271,25 +330,8 @@ class Mechanism:
     outcome_of: dict[tuple[str, ...], Outcome]
 
     def __post_init__(self) -> None:
-        actions_of = tuple(tuple(a) for a in self.actions_of)
-        if not actions_of:
-            raise ConstructionError("mechanism needs at least one agent")
-        for i, acts in enumerate(actions_of):
-            if not acts:
-                raise ConstructionError(f"agent {i}: empty action set")
-            for a in acts:
-                _check_label(a, f"agent {i} action")
-            if len(set(acts)) != len(acts):
-                raise ConstructionError(f"agent {i}: duplicate action labels in {acts}")
-        table = {tuple(k): v for k, v in dict(self.outcome_of).items()}
-        profiles = set(itertools.product(*actions_of))
-        missing = profiles - set(table)
-        if missing:
-            raise ConstructionError(f"outcome table is missing action profiles {sorted(missing)}")
-        extra = set(table) - profiles
-        if extra:
-            raise ConstructionError(f"outcome table has unknown action profiles {sorted(extra)}")
-        _check_outcome_labels(table.values(), "outcome table")
+        actions_of = _label_lists(self.actions_of, "actions")
+        table = _total_table("outcome_function", self.outcome_of, actions_of, "action")
         object.__setattr__(self, "actions_of", actions_of)
         object.__setattr__(self, "outcome_of", table)
 
@@ -312,11 +354,20 @@ class Mechanism:
         return self.outcome_of[key]
 
     def outcomes(self) -> tuple[Outcome, ...]:
-        seen: dict[str, Outcome] = {}
-        for profile in itertools.product(*self.actions_of):
-            x = self.outcome_of[profile]
-            seen.setdefault(x.label, x)
-        return tuple(seen.values())
+        return _distinct_outcomes(self.outcome_of, self.actions_of)
+
+
+def _keyed_rationals(table: str, entries, field: str) -> dict[tuple[int, str, str], Fraction]:
+    """A sparse table keyed by (agent index, label, label), with rational
+    values. A value that is already a Fraction is taken as it is, so a
+    message is formatted only for a fault."""
+    result = {}
+    for key, v in dict(entries).items():
+        key = tuple(key)
+        if not (len(key) == 3 and type(key[0]) is int and _is_label(key[1]) and _is_label(key[2])):
+            raise ConstructionError("key must be (agent, label, label)", (table, key))
+        result[key] = v if isinstance(v, Fraction) else as_rational(v, (table, key, field))
+    return result
 
 
 @dataclass(frozen=True)
@@ -333,33 +384,18 @@ class CostModel:
     misreport: dict[tuple[int, str, str], Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        strategic = {}
-        for key, v in dict(self.strategic).items():
-            key = self._check_key(key, "strategic cost")
-            v = as_rational(v, f"strategic cost {key}")
-            if v < 0:
-                raise ConstructionError(f"strategic cost {key} must be non-negative, got {v}")
-            strategic[key] = v
-        misreport = {}
-        for key, v in dict(self.misreport).items():
-            key = self._check_key(key, "misreport cost")
-            v = as_rational(v, f"misreport cost {key}")
-            if v < 0:
-                raise ConstructionError(f"misreport cost {key} must be non-negative, got {v}")
-            if key[1] == key[2] and v != 0:
-                raise ConstructionError(f"honest report must cost 0, got {v} at {key}")
-            misreport[key] = v
+        strategic = _keyed_rationals("strategic_costs", self.strategic, "cost")
+        misreport = _keyed_rationals("misreport_costs", self.misreport, "cost")
+        for table, costs in (("strategic_costs", strategic), ("misreport_costs", misreport)):
+            for key, v in costs.items():
+                if v.numerator < 0:
+                    raise ConstructionError(f"must be non-negative, got {v}", (table, key, "cost"))
+        for key, v in misreport.items():
+            if v and key[1] == key[2]:
+                problem = f"an honest report must cost 0, got {v}"
+                raise ConstructionError(problem, ("misreport_costs", key, "cost"))
         object.__setattr__(self, "strategic", strategic)
         object.__setattr__(self, "misreport", misreport)
-
-    @staticmethod
-    def _check_key(key, where: str) -> tuple[int, str, str]:
-        key = tuple(key)
-        if len(key) != 3 or not isinstance(key[0], int) or isinstance(key[0], bool):
-            raise ConstructionError(f"{where}: key must be (agent, label, label), got {key}")
-        _check_label(key[1], where)
-        _check_label(key[2], where)
-        return (key[0], key[1], key[2])
 
     @classmethod
     def zero(cls) -> "CostModel":
@@ -380,18 +416,15 @@ class CostModel:
         would otherwise vanish silently.
         """
         for (agent, action, t) in self.strategic:
-            if not 0 <= agent < mechanism.agent_count:
-                raise DomainError(f"strategic cost references unknown agent {agent}")
-            if action not in mechanism.actions_of[agent]:
-                raise DomainError(f"strategic cost references unknown action {action!r}")
-            if t not in type_space.types_of[agent]:
-                raise DomainError(f"strategic cost references unknown type {t!r}")
+            actions = mechanism.actions_of[agent] if 0 <= agent < mechanism.agent_count else ()
+            if action not in actions or t not in type_space.types_of[agent]:
+                problem = f"{(agent, action, t)} is not a declared (agent, action, type)"
+                raise DomainError(problem, ("strategic_costs", (agent, action, t)))
         for (agent, t, r) in self.misreport:
-            if not 0 <= agent < type_space.agent_count:
-                raise DomainError(f"misreport cost references unknown agent {agent}")
-            for label in (t, r):
-                if label not in type_space.types_of[agent]:
-                    raise DomainError(f"misreport cost references unknown type {label!r}")
+            types = type_space.types_of[agent] if 0 <= agent < type_space.agent_count else ()
+            if t not in types or r not in types:
+                problem = f"{(agent, t, r)} is not a declared (agent, true type, reported type)"
+                raise DomainError(problem, ("misreport_costs", (agent, t, r)))
 
 
 @dataclass(frozen=True)
@@ -401,15 +434,7 @@ class UtilityTable:
     table: dict[tuple[int, str, str], Fraction]
 
     def __post_init__(self) -> None:
-        table = {}
-        for key, v in dict(self.table).items():
-            key = tuple(key)
-            if len(key) != 3 or not isinstance(key[0], int) or isinstance(key[0], bool):
-                raise ConstructionError(f"utility key must be (agent, outcome, type), got {key}")
-            _check_label(key[1], "utility outcome")
-            _check_label(key[2], "utility type")
-            table[(key[0], key[1], key[2])] = as_rational(v, f"utility {key}")
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _keyed_rationals("utilities", self.table, "value"))
 
     def utility(self, agent: int, outcome, type_label: str) -> Fraction:
         label = outcome.label if isinstance(outcome, Outcome) else outcome
@@ -417,6 +442,16 @@ class UtilityTable:
         if key not in self.table:
             raise DomainError(f"utility table has no entry for {key}")
         return self.table[key]
+
+    def check_covers(self, outcomes, types_of) -> None:
+        """Every agent has a utility for each outcome label in `outcomes` at
+        each of its types."""
+        for i, types in enumerate(types_of):
+            for x in outcomes:
+                for t in types:
+                    if (i, x, t) not in self.table:
+                        problem = f"no row for (agent, outcome, type) {(i, x, t)}"
+                        raise DomainError(problem, ("utilities",))
 
 
 def profit(

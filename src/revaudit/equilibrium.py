@@ -34,6 +34,7 @@ from .core import (
     TypeSpace,
     UtilityTable,
     _check_label,
+    check_agent_count,
     profit,
 )
 
@@ -61,10 +62,8 @@ class PureStrategy:
     def __post_init__(self) -> None:
         if not isinstance(self.agent, int) or isinstance(self.agent, bool) or self.agent < 0:
             raise ConstructionError(f"agent index must be a non-negative int, got {self.agent!r}")
-        where = f"agent {self.agent} strategy"
-        choice = tuple(
-            sorted((_check_label(t, where), _check_label(a, where)) for t, a in self.choice)
-        )
+        at = (f"agent {self.agent} strategy",)
+        choice = tuple(sorted((_check_label(t, at), _check_label(a, at)) for t, a in self.choice))
         if not choice:
             raise ConstructionError("a pure strategy must cover at least one type")
         types = [t for t, _ in choice]
@@ -151,15 +150,10 @@ class BayesianGame:
     costs: CostModel
 
     def __post_init__(self) -> None:
-        if self.mechanism.agent_count != self.type_space.agent_count:
-            raise ConstructionError(
-                f"mechanism has {self.mechanism.agent_count} agents, "
-                f"type space has {self.type_space.agent_count}"
-            )
-        for x in self.mechanism.outcomes():
-            for i in range(self.type_space.agent_count):
-                for t in self.type_space.types_of[i]:
-                    self.utilities.utility(i, x, t)
+        check_agent_count(self.mechanism.actions_of, self.type_space.types_of)
+        self.utilities.check_covers(
+            [x.label for x in self.mechanism.outcomes()], self.type_space.types_of
+        )
         self.costs.validate_against(self.mechanism, self.type_space)
 
     @property
@@ -375,8 +369,7 @@ def enumerate_pure_strategies(
     cap: int = DEFAULT_PROFILE_CAP,
 ) -> list[PureStrategy]:
     """All pure strategies of one agent, lexicographic over (type order, action order)."""
-    if mechanism.agent_count != type_space.agent_count:
-        raise ConstructionError("mechanism and type space disagree on agent count")
+    check_agent_count(mechanism.actions_of, type_space.types_of)
     types = type_space.types(agent)
     actions = mechanism.actions(agent)
     count = len(actions) ** len(types)

@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .core import (
     TypeSpace,
     UtilityTable,
     as_rational,
+    check_agent_count,
     check_literal_size,
     rational_str,
 )
@@ -56,10 +58,23 @@ def _json_int(text: str) -> int:
     return int(text)
 
 
+def _json_object(pairs: list) -> dict:
+    # json would keep the last of two equal keys and drop the first without
+    # a word; a config must not say two things about one field.
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {key!r} in an object")
+    return obj
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=_json_decimal, parse_int=_json_int)
+            data = json.load(
+                fh, parse_float=_json_decimal, parse_int=_json_int, object_pairs_hook=_json_object
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -138,22 +153,15 @@ def _is_label_list(value) -> bool:
     return True
 
 
-def _label_lists(value, where: str) -> tuple[tuple[str, ...], ...]:
-    """One non-empty list of distinct, non-empty labels per agent."""
+def _label_lists(value, where: str) -> list:
+    """A list of lists of label strings, one list per agent. The labels
+    themselves are the game model's to check."""
     if not isinstance(value, list):
         raise ConfigError(f"{where}: expected a list of lists of labels")
-    if not value:
-        raise ConfigError(f"{where}: expected at least one agent")
     for i, group in enumerate(value):
         if not _is_label_list(group):
             raise ConfigError(f"{where}[{i}]: expected a list of label strings")
-        if not group:
-            raise ConfigError(f"{where}[{i}]: expected at least one label")
-        if "" in group:
-            raise ConfigError(f"{where}[{i}]: labels must be non-empty strings, got ''")
-        if len(set(group)) != len(group):
-            raise ConfigError(f"{where}[{i}]: duplicate labels in {group}")
-    return tuple(tuple(group) for group in value)
+    return value
 
 
 def _list(cfg: dict, key: str, where: str, default=None) -> list:
@@ -180,11 +188,12 @@ FIELD_KINDS = {
 
 
 class _Table:
-    """A config table: the key that holds it, the fields each row must have
-    (in the order their faults are reported) and the fields it may add."""
+    """A config table: the key that holds it, what one row is keyed by, the
+    fields each row must have (in the order their faults are reported) and
+    the fields it may add."""
 
-    def __init__(self, key: str, fields: tuple[str, ...], optional: tuple[str, ...] = ()):
-        self.key = key
+    def __init__(self, key: str, noun: str, fields: tuple[str, ...], optional=()):
+        self.key, self.noun, self.fields = key, noun, fields
         self.names = frozenset(fields)
         self.allowed = self.names.union(optional)
         self.kinds = tuple((f, FIELD_KINDS.get(f)) for f in fields)
@@ -218,190 +227,58 @@ class _Table:
         return entry
 
 
-OUTCOMES = _Table("outcomes", ("label",), optional=("payload",))
-OUTCOME_FUNCTION = _Table("outcome_function", ("actions", "outcome"))
-RULE = _Table("rule", ("types", "outcome"))
-UTILITIES = _Table("utilities", ("agent", "outcome", "type", "value"))
-STRATEGIC_COSTS = _Table("strategic_costs", ("agent", "action", "type", "cost"))
-MISREPORT_COSTS = _Table("misreport_costs", ("agent", "true_type", "reported_type", "cost"))
+OUTCOMES = _Table("outcomes", "outcome label", ("label",), optional=("payload",))
+OUTCOME_FUNCTION = _Table("outcome_function", "action profile", ("actions", "outcome"))
+RULE = _Table("rule", "type profile", ("types", "outcome"))
+UTILITIES = _Table("utilities", "(agent, outcome, type)", ("agent", "outcome", "type", "value"))
+STRATEGIC_COSTS = _Table(
+    "strategic_costs", "(agent, action, type)", ("agent", "action", "type", "cost")
+)
+MISREPORT_COSTS = _Table(
+    "misreport_costs",
+    "(agent, true type, reported type)",
+    ("agent", "true_type", "reported_type", "cost"),
+)
 
 
-def _read_table(cfg: dict, table: _Table, where: str, add, default=None) -> None:
-    """Check each row of a config table and hand it to `add`; a fault in a
-    row is reported under the row's path."""
+def _read_rows(cfg: dict, table: _Table, where: str, rows: dict, read, default=None) -> dict:
+    """Check each row of a config table and store the (key, value) that
+    `read` makes of it in rows[table.key], in row order. A fault in a row,
+    or a second row for a key (which would silently replace the first), is
+    reported under the row's path."""
+    values = rows[table.key] = {}
     for k, entry in enumerate(_list(cfg, table.key, where, default)):
         try:
-            add(table.check(entry))
+            key, value = read(table.check(entry))
+            if key in values:
+                raise _RowError(f": duplicate {table.noun} {key!r}")
+            values[key] = value
         except _RowError as exc:
             raise ConfigError(f"{where}.{table.key}[{k}]{exc}") from None
-
-
-def _add_row(values: dict, key, value, domain, name: str) -> None:
-    """Store one config row; a key outside `domain`, or one that an earlier
-    row already set, would otherwise be ignored or silently overwritten."""
-    if key not in domain:
-        raise _RowError(f": {key} is not a declared {name}")
-    if key in values:
-        raise _RowError(f": duplicate row for {key}")
-    values[key] = value
-
-
-def _check_complete(values: dict, keys, name: str, where: str, table: _Table) -> None:
-    """A table must give a row for every key in `keys`, in their order."""
-    for key in keys:
-        if key not in values:
-            raise ConfigError(f"{where}.{table.key}: no row for {name} {key}")
-
-
-def _check_cost(value: Fraction) -> None:
-    if value.numerator < 0:
-        raise _RowError(f".cost: must be non-negative, got {value}")
-
-
-def _check_prior(prior: dict, types: tuple[str, ...]) -> None:
-    """A prior gives each declared type, and no other, a positive weight,
-    and the weights sum to 1."""
-    if prior.keys() != set(types):
-        raise _RowError(f": types {sorted(prior)} do not match the declared types {list(types)}")
-    for t in types:
-        if prior[t] <= 0:
-            raise _RowError(f"[{t}]: must be positive, got {prior[t]}")
-    total = sum(prior.values())
-    if total != 1:
-        raise _RowError(f": probabilities must sum to 1, got {total}")
+    return values
 
 
 def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
+    """Build the game a generic config declares.
+
+    The parser checks the JSON shape and the rules only a config can break:
+    one row per key, outcome labels declared once before use, utility rows
+    only for declared agents, outcomes and types, and utilities for the
+    outcomes only the rule reaches. Every rule of the game itself is checked
+    once, by `core` and `BayesianGame`. Their faults carry a location
+    (`GameModelError.at`), turned into a config field on the error path
+    only: a keyed row is the position of its key in its table, because each
+    row stores exactly one key.
+    """
     _check_known_keys(cfg, GENERIC_KEYS, where)
-
-    # Literal text -> value, for this config only: a value repeated across
-    # rows is parsed once. A bad literal raises before it is stored, so the
-    # error names the first row that holds it.
-    literals: dict[str, Fraction] = {}
-
-    def rational(value, field: str) -> Fraction:
-        if isinstance(value, str) and value in literals:
-            return literals[value]
-        try:
-            result = as_rational(value, field)
-        except GameModelError as exc:
-            raise _RowError(str(exc)) from None
-        if isinstance(value, str):
-            literals[value] = result
-        return result
-
-    types_of = _label_lists(_require(cfg, "types", where), f"{where}.types")
-    if "priors" in cfg:
-        raw = cfg["priors"]
-        if not isinstance(raw, list) or len(raw) != len(types_of):
-            raise ConfigError(f"{where}.priors: expected one prior object per agent")
-        for i, prior in enumerate(raw):
-            if not isinstance(prior, dict):
-                raise ConfigError(f"{where}.priors[{i}]: expected a {{type: probability}} object")
-        priors = []
-        try:
-            for i, prior in enumerate(raw):
-                priors.append({t: rational(p, f"[{t}]") for t, p in prior.items()})
-            for i, (prior, types) in enumerate(zip(priors, types_of)):
-                _check_prior(prior, types)
-        except _RowError as exc:
-            raise ConfigError(f"{where}.priors[{i}]{exc}") from None
-        type_space = TypeSpace(types_of, tuple(priors))
-    else:
-        type_space = TypeSpace.uniform(types_of)
-
-    actions_of = _label_lists(_require(cfg, "actions", where), f"{where}.actions")
-    if len(actions_of) != len(types_of):
-        raise ConfigError(f"{where}.actions: expected {len(types_of)} lists, one per agent")
-
-    outcomes: dict[str, Outcome] = {}
-
-    def add_outcome(entry) -> None:
-        label = entry["label"]
-        payload = entry.get("payload", [])
-        if not isinstance(payload, list):
-            raise _RowError(".payload: expected a list")
-        payload = tuple(rational(v, f".payload[{j}]") for j, v in enumerate(payload))
-        if label in outcomes:
-            raise _RowError(f": duplicate outcome label {label!r}")
-        if not label:
-            raise _RowError(".label: labels must be non-empty strings, got ''")
-        outcomes[label] = Outcome(label, payload)
-
-    _read_table(cfg, OUTCOMES, where, add_outcome)
-
-    def outcome(label) -> Outcome:
-        if label not in outcomes:
-            raise _RowError(f": unknown outcome {label!r}")
-        return outcomes[label]
-
-    def profile_table(table: _Table, field: str, profiles, name: str) -> dict:
-        """Read a table of profile -> outcome rows, one row per profile."""
-        values, domain = {}, set(profiles)
-
-        def add(entry) -> None:
-            x = outcome(entry["outcome"])
-            _add_row(values, tuple(entry[field]), x, domain, name)
-
-        _read_table(cfg, table, where, add)
-        _check_complete(values, profiles, name, where, table)
-        return values
-
-    action_profiles = tuple(itertools.product(*actions_of))
-    outcome_of = profile_table(OUTCOME_FUNCTION, "actions", action_profiles, "action profile")
-    mechanism = Mechanism(actions_of, outcome_of)
-    rule_table = profile_table(RULE, "types", type_space.profiles(), "type profile")
-    scf = SocialChoiceFunction(type_space, rule_table)
-
-    utility = {}
-    known_utilities = {(i, x, t) for i, ts in enumerate(types_of) for x in outcomes for t in ts}
-
-    def add_utility(entry) -> None:
-        key = (entry["agent"], entry["outcome"], entry["type"])
-        value = rational(entry["value"], ".value")
-        _add_row(utility, key, value, known_utilities, "(agent, outcome, type)")
-
-    _read_table(cfg, UTILITIES, where, add_utility)
-
-    strategic = {}
-    known_actions = {
-        (i, a, t)
-        for i, (ts, acts) in enumerate(zip(types_of, actions_of))
-        for a in acts
-        for t in ts
-    }
-
-    def add_strategic_cost(entry) -> None:
-        key = (entry["agent"], entry["action"], entry["type"])
-        value = rational(entry["cost"], ".cost")
-        _add_row(strategic, key, value, known_actions, "(agent, action, type)")
-        _check_cost(value)
-
-    _read_table(cfg, STRATEGIC_COSTS, where, add_strategic_cost, default=[])
-
-    misreport = {}
-    known_reports = {(i, t, r) for i, ts in enumerate(types_of) for t in ts for r in ts}
-
-    def add_misreport_cost(entry) -> None:
-        key = (entry["agent"], entry["true_type"], entry["reported_type"])
-        value = rational(entry["cost"], ".cost")
-        _add_row(misreport, key, value, known_reports, "(agent, true type, reported type)")
-        _check_cost(value)
-        if key[1] == key[2] and value.numerator:
-            raise _RowError(f".cost: an honest report must cost 0, got {value}")
-
-    _read_table(cfg, MISREPORT_COSTS, where, add_misreport_cost, default=[])
-
-    # Every outcome the mechanism or the rule can reach needs a utility.
-    used = {x.label for x in outcome_of.values()} | {x.label for x in rule_table.values()}
-    needed = (
-        (i, x, t) for i, ts in enumerate(types_of) for x in outcomes if x in used for t in ts
-    )
-    _check_complete(utility, needed, "(agent, outcome, type)", where, UTILITIES)
-
-    game = BayesianGame(
-        mechanism, type_space, UtilityTable(utility), CostModel(strategic, misreport)
-    )
+    rows: dict[str, dict] = {}  # the rows of each keyed table, in config order
+    try:
+        game, scf = _generic_game(cfg, where, rows)
+    except GameModelError as exc:
+        if not exc.at:  # a ConfigError names its field already
+            raise
+        path = exc.path(lambda key: list(rows[exc.at[0]]).index(key))
+        raise ConfigError(f"{where}.{path}: {exc.problem}") from None
 
     candidate = None
     if "profile" in cfg:
@@ -414,6 +291,93 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
         except GameModelError as exc:
             raise ConfigError(f"{where}.profile: {exc}") from exc
     return GenericScenario(game, scf, candidate)
+
+
+def _generic_game(cfg: dict, where: str, rows: dict):
+    """The game and rule of a generic config; each keyed table's rows are
+    stored in `rows` as they are read."""
+    # Literal text -> value, for this config only: a value repeated across
+    # rows is parsed once. A bad literal raises before it is stored, so the
+    # error names the first row that holds it.
+    literals: dict[str, Fraction] = {}
+
+    def rational(value, field: str) -> Fraction:
+        if isinstance(value, str) and value in literals:
+            return literals[value]
+        try:
+            result = as_rational(value)
+        except GameModelError as exc:
+            raise _RowError(f"{field}: {exc.problem}") from None
+        if isinstance(value, str):
+            literals[value] = result
+        return result
+
+    types_of = _label_lists(_require(cfg, "types", where), f"{where}.types")
+    if "priors" in cfg:
+        priors = cfg["priors"]
+        if not isinstance(priors, list):
+            raise ConfigError(f"{where}.priors: expected one prior object per agent")
+        for i, prior in enumerate(priors):
+            if not isinstance(prior, dict):
+                raise ConfigError(f"{where}.priors[{i}]: expected a {{type: probability}} object")
+        type_space = TypeSpace(types_of, priors)
+    else:
+        type_space = TypeSpace.uniform(types_of)
+    types_of = type_space.types_of
+
+    actions_of = _label_lists(_require(cfg, "actions", where), f"{where}.actions")
+    check_agent_count(actions_of, types_of)
+
+    def outcome_row(entry) -> tuple:
+        payload = entry.get("payload", [])
+        if not isinstance(payload, list):
+            raise _RowError(".payload: expected a list")
+        return entry["label"], tuple(rational(v, f".payload[{j}]") for j, v in enumerate(payload))
+
+    payloads = _read_rows(cfg, OUTCOMES, where, rows, outcome_row)
+    outcomes = {label: Outcome(label, payload) for label, payload in payloads.items()}
+
+    def outcome(entry) -> Outcome:
+        label = entry["outcome"]
+        if label not in outcomes:
+            raise _RowError(f": unknown outcome {label!r}")
+        return outcomes[label]
+
+    def profile_rows(table: _Table) -> dict:
+        """Rows keyed by a profile, the list in their first field."""
+        field = table.fields[0]
+        return _read_rows(cfg, table, where, rows, lambda e: (tuple(e[field]), outcome(e)))
+
+    mechanism = Mechanism(actions_of, profile_rows(OUTCOME_FUNCTION))
+    scf = SocialChoiceFunction(type_space, profile_rows(RULE))
+
+    type_sets = [frozenset(types) for types in types_of]
+
+    def utility_row(entry) -> tuple:
+        value = rational(entry["value"], ".value")
+        key = agent, x, t = entry["agent"], entry["outcome"], entry["type"]
+        if not (0 <= agent < len(type_sets) and x in outcomes and t in type_sets[agent]):
+            raise _RowError(f": {key} is not a declared {UTILITIES.noun}")
+        return key, value
+
+    utility = _read_rows(cfg, UTILITIES, where, rows, utility_row)
+
+    def cost_rows(table: _Table) -> dict:
+        """Rows keyed by their first three fields, each with a cost."""
+        key_of = operator.itemgetter(*table.fields[:3])
+        return _read_rows(
+            cfg, table, where, rows, lambda e: (key_of(e), rational(e["cost"], ".cost")), default=[]
+        )
+
+    costs = CostModel(cost_rows(STRATEGIC_COSTS), cost_rows(MISREPORT_COSTS))
+    game = BayesianGame(mechanism, type_space, UtilityTable(utility), costs)
+    # The game holds utilities for the mechanism's outcomes; the audit also
+    # needs them for the outcomes only the rule reaches.
+    reached = {x.label for x in mechanism.outcome_of.values()}
+    game.utilities.check_covers(
+        [x.label for x in scf.outcomes() if x.label not in reached], types_of
+    )
+    return game, scf
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Exit code contract: 0 no violation / clean survey, 1 bad input or a failed
 reference check, 2 violation found."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -305,6 +306,7 @@ MALFORMED_GENERIC = [
     (["outcomes", 1, "label"], "", "config.outcomes[1].label", "empty"),
     (["profile", 0, "a"], "9", "config.profile", "unknown-action"),
     (["profile", 0], {"a": "0"}, "config.profile", "missing-type"),
+    (["kind"], 7, "config.kind"),
 ]
 
 
@@ -349,6 +351,81 @@ def test_analyze_rejects_oversized_rationals(tmp_path, capsys, argv, cfg_text, m
     assert code == 1
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "cfg_text, key",
+    [
+        ('{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "3/2", "w": "5/2"}', "w"),
+        (json.dumps(two_agent_cfg()).replace('"value": 0}', '"value": 0, "value": 1}', 1), "value"),
+    ],
+    ids=["labor-top-level", "generic-utilities-row"],
+)
+def test_analyze_rejects_a_repeated_json_key(tmp_path, capsys, cfg_text, key):
+    # json.loads would keep the last value and drop the first without a word.
+    path = tmp_path / "repeated.json"
+    path.write_text(cfg_text)
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: duplicate key {key!r} in an object\n"
+
+
+def wide_mechanism_cfg():
+    """3 agents with 80 actions each, and one of the 512,000 action profiles
+    given a row."""
+    actions = [f"a{k}" for k in range(80)]
+    return {
+        "kind": "generic",
+        "types": [["t"]] * 3,
+        "actions": [actions] * 3,
+        "outcomes": [{"label": "x"}],
+        "outcome_function": [{"actions": ["a0"] * 3, "outcome": "x"}],
+        "rule": [{"types": ["t"] * 3, "outcome": "x"}],
+        "utilities": [{"agent": i, "outcome": "x", "type": "t", "value": 1} for i in range(3)],
+    }
+
+
+def many_outcomes_cfg():
+    """1,000 types, each sent by the rule to its own outcome, and no utilities."""
+    n = 1000
+    return {
+        "kind": "generic",
+        "types": [[f"t{k}" for k in range(n)]],
+        "actions": [["a"]],
+        "outcomes": [{"label": f"x{k}"} for k in range(n)],
+        "outcome_function": [{"actions": ["a"], "outcome": "x0"}],
+        "rule": [{"types": [f"t{k}"], "outcome": f"x{k}"} for k in range(n)],
+        "utilities": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (wide_mechanism_cfg(),
+         "config.outcome_function: no row for action profile ('a0', 'a0', 'a1')"),
+        (many_outcomes_cfg(),
+         "config.utilities: no row for (agent, outcome, type) (0, 'x0', 't0')"),
+    ],
+    ids=["3x80-actions-one-row", "1000-types-and-outcomes-no-utilities"],
+)
+def test_parse_work_is_bounded_by_config_size(tmp_path, capsys, cfg, message):
+    # Row keys are checked label by label and a table is known complete by
+    # its row count, so no profile or (agent, outcome, type) set is built.
+    path = write_json(tmp_path, "wide.json", cfg)
+    main(["analyze", path])  # builds the cached argument parser
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["analyze", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert peak < 5 * 2**20
 
 
 # -- sweep -----------------------------------------------------------------------

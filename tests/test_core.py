@@ -1,13 +1,16 @@
 """Model-layer checks: exact rationals, priors, tables, and their invariants."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from revaudit.auditor import random_zero_cost_game
 from revaudit.core import (
     ConstructionError,
     CostModel,
     DomainError,
+    GameModelError,
     Mechanism,
     Outcome,
     SocialChoiceFunction,
@@ -18,6 +21,8 @@ from revaudit.core import (
     profit,
     rational_str,
 )
+from revaudit.equilibrium import BayesianGame
+from revaudit.labor import LaborParams, build_scenario
 
 
 def test_as_rational_parses_exactly():
@@ -277,3 +282,101 @@ def test_profit_is_additively_separable_in_utility():
                 - profit(0, Outcome(outcome), action, "lo", u1, c)
                 == shift
             )
+
+
+# -- fault locations -----------------------------------------------------------
+
+
+def game_with(**changes):
+    """A one-agent game (types lo, hi; actions l, r) with one part replaced."""
+    a, b = Outcome("a"), Outcome("b")
+    parts = {
+        "mechanism": Mechanism((("l", "r"),), {("l",): a, ("r",): b}),
+        "type_space": TypeSpace.uniform([("lo", "hi")]),
+        "utilities": UtilityTable({(0, x, t): 1 for x in "ab" for t in ("lo", "hi")}),
+        "costs": CostModel(),
+    }
+    return BayesianGame(**{**parts, **changes})
+
+
+HALF = Fraction(1, 2)
+FAULTS = [
+    (lambda: TypeSpace.uniform([]), ("types",), "types: expected at least one agent"),
+    (lambda: TypeSpace.uniform([("a",), ()]), ("types", 1),
+     "types[1]: expected at least one label"),
+    (lambda: TypeSpace.uniform([("a", "")]), ("types", 0),
+     "types[0]: labels must be non-empty strings, got ''"),
+    (lambda: TypeSpace.uniform([("a", "a")]), ("types", 0),
+     "types[0]: duplicate labels in ['a', 'a']"),
+    (lambda: TypeSpace((("a",),), ()), ("priors",),
+     "priors: expected one prior object per agent"),
+    (lambda: TypeSpace((("a", "b"),), ({"a": 1},)), ("priors", 0),
+     "priors[0]: types ['a'] do not match the declared types ['a', 'b']"),
+    (lambda: TypeSpace((("a", "b"),), ({"a": 1, "b": 0},)), ("priors", 0, "b"),
+     "priors[0][b]: must be positive, got 0"),
+    (lambda: TypeSpace((("a", "b"),), ({"a": HALF, "b": Fraction(1, 3)},)), ("priors", 0),
+     "priors[0]: probabilities must sum to 1, got 5/6"),
+    (lambda: TypeSpace((("a",),), ({"a": "x"},)), ("priors", 0, "a"),
+     "priors[0][a]: cannot parse 'x' as a rational"),
+    (lambda: Outcome(""), ("outcomes", "", "label"),
+     "outcomes[''].label: labels must be non-empty strings, got ''"),
+    (lambda: Outcome("x", (0.5,)), ("outcomes", "x", "payload"),
+     "outcomes['x'].payload: floats are not accepted; pass an int, Fraction, or 'p/q' string"),
+    (lambda: Mechanism((), {}), ("actions",), "actions: expected at least one agent"),
+    (lambda: Mechanism((("l", "r"),), {("l",): Outcome("a")}), ("outcome_function",),
+     "outcome_function: no row for action profile ('r',)"),
+    (lambda: Mechanism((("l",),), {("l",): Outcome("a"), ("x",): Outcome("a")}),
+     ("outcome_function", ("x",)),
+     "outcome_function[('x',)]: ('x',) is not a declared action profile"),
+    (lambda: Mechanism((("l", "r"),), {("l",): Outcome("a"), ("r",): Outcome("a", (1,))}),
+     ("outcome_function", ("r",), "outcome"),
+     "outcome_function[('r',)].outcome: two different outcomes share label 'a'"),
+    (lambda: Mechanism((("l",),), {("l",): "a"}), ("outcome_function", ("l",), "outcome"),
+     "outcome_function[('l',)].outcome: expected an Outcome, got str"),
+    (lambda: SocialChoiceFunction(TypeSpace.uniform([("lo", "hi")]), {("hi",): Outcome("a")}),
+     ("rule",), "rule: no row for type profile ('lo',)"),
+    (lambda: CostModel(strategic={(0, "r", "lo"): -1}), ("strategic_costs", (0, "r", "lo"), "cost"),
+     "strategic_costs[(0, 'r', 'lo')].cost: must be non-negative, got -1"),
+    (lambda: CostModel(misreport={(0, "lo", "lo"): 1}),
+     ("misreport_costs", (0, "lo", "lo"), "cost"),
+     "misreport_costs[(0, 'lo', 'lo')].cost: an honest report must cost 0, got 1"),
+    (lambda: CostModel(strategic={(True, "r", "lo"): 1}), ("strategic_costs", (True, "r", "lo")),
+     "strategic_costs[(True, 'r', 'lo')]: key must be (agent, label, label)"),
+    (lambda: UtilityTable({(0, "a", "lo"): "w"}), ("utilities", (0, "a", "lo"), "value"),
+     "utilities[(0, 'a', 'lo')].value: cannot parse 'w' as a rational"),
+    (lambda: game_with(type_space=TypeSpace.uniform([("lo",), ("lo",)])), ("actions",),
+     "actions: expected 2 action sets, one per agent, got 1"),
+    (lambda: game_with(utilities=UtilityTable({(0, "a", "lo"): 1})), ("utilities",),
+     "utilities: no row for (agent, outcome, type) (0, 'a', 'hi')"),
+    (lambda: game_with(costs=CostModel({(0, "zz", "lo"): 1})), ("strategic_costs", (0, "zz", "lo")),
+     "strategic_costs[(0, 'zz', 'lo')]: (0, 'zz', 'lo') is not a declared (agent, action, type)"),
+    (lambda: game_with(costs=CostModel(misreport={(0, "lo", "mid"): 1})),
+     ("misreport_costs", (0, "lo", "mid")),
+     "misreport_costs[(0, 'lo', 'mid')]: (0, 'lo', 'mid') is not a declared "
+     "(agent, true type, reported type)"),
+]
+
+
+@pytest.mark.parametrize("make, at, message", FAULTS, ids=[m for _, _, m in FAULTS])
+def test_each_rule_raises_once_with_its_location(make, at, message):
+    with pytest.raises(GameModelError) as info:
+        make()
+    exc = info.value
+    assert exc.at == at
+    assert str(exc) == message
+    assert message.endswith(f": {exc.problem}")
+
+
+def test_a_fault_outside_any_config_names_its_agent_and_key():
+    game = random_zero_cost_game(random.Random(3))
+    utility = dict(game.utilities.table)
+    del utility[(1, "x0", "t0")]
+    with pytest.raises(DomainError) as info:
+        BayesianGame(game.mechanism, game.type_space, UtilityTable(utility), game.costs)
+    assert str(info.value) == "utilities: no row for (agent, outcome, type) (1, 'x0', 't0')"
+    costs = build_scenario(LaborParams(1, 2, 1, "3/2")).game.costs
+    with pytest.raises(ConstructionError) as info:
+        CostModel(costs.strategic, {**costs.misreport, (1, "theta_L", "theta_H"): Fraction(-1)})
+    assert str(info.value) == (
+        "misreport_costs[(1, 'theta_L', 'theta_H')].cost: must be non-negative, got -1"
+    )
