@@ -187,15 +187,16 @@ class AuditReport:
 
 
 def audit_revelation_principle(
-    game: BayesianGame, profile: StrategyProfile, scf: SocialChoiceFunction
+    game: BayesianGame, profile: StrategyProfile, scf: SocialChoiceFunction, direct: BayesianGame
 ) -> AuditReport:
     """Audit one implementation claim end to end.
 
     Checks that the profile is a profit-based equilibrium of the mechanism
-    and implements the rule, then asks whether the rule's direct game keeps
-    truth-telling as an equilibrium under the same misreporting schedule.
+    and implements the rule, then asks whether the rule's direct game,
+    `direct_game(scf, game.costs, game.utilities)` as the caller built it
+    once, keeps truth-telling as an equilibrium under the same misreporting
+    schedule.
     """
-    direct = direct_game(scf, game.costs, game.utilities)
     chain = audit_proof_chain(game, profile, direct)
     implemented = chain.equilibrium_inequalities_hold and implements_scf(game, profile, scf)
     truth = is_truthfully_implementable(direct)

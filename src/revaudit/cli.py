@@ -166,7 +166,7 @@ def cmd_analyze(args) -> int:
             raise ConfigError("--prior-high applies to labor configs only")
         scenario = parse_generic_scenario(cfg)
         profile, source = _select_profile(scenario, args.max_profiles)
-        audit = audit_revelation_principle(scenario.game, profile, scenario.scf)
+        audit = audit_revelation_principle(scenario.game, profile, scenario.scf, scenario.direct)
         payload = {
             "kind": "generic",
             "profile_source": source,
@@ -213,7 +213,7 @@ def cmd_sweep(args) -> int:
 def cmd_matrices(args) -> int:
     cfg = load_config(args.config)
     if cfg.get("kind", "labor") != "labor":
-        raise ConfigError("matrices requires a labor config (kind 'labor')")
+        raise ConfigError("config.kind: matrices requires a labor config (kind 'labor')")
     params = parse_labor_params(cfg)
     if args.prior_high is not None:
         params = replace(params, prior_high=args.prior_high)

@@ -293,16 +293,6 @@ def _total_table(table: str, entries, label_lists, noun: str) -> dict[tuple[str,
     return result
 
 
-def _distinct_outcomes(table, label_lists) -> tuple[Outcome, ...]:
-    """The distinct outcomes of a total table, in first-appearance order over
-    the profile order."""
-    seen: dict[str, Outcome] = {}
-    for profile in itertools.product(*label_lists):
-        x = table[profile]
-        seen.setdefault(x.label, x)
-    return tuple(seen.values())
-
-
 @dataclass(frozen=True)
 class SocialChoiceFunction:
     """A total map from type profiles to outcomes."""
@@ -317,9 +307,6 @@ class SocialChoiceFunction:
     def evaluate(self, type_profile) -> Outcome:
         key = self.type_space.validate_profile(type_profile)
         return self.table[key]
-
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return _distinct_outcomes(self.table, self.type_space.types_of)
 
 
 @dataclass(frozen=True)
@@ -354,7 +341,13 @@ class Mechanism:
         return self.outcome_of[key]
 
     def outcomes(self) -> tuple[Outcome, ...]:
-        return _distinct_outcomes(self.outcome_of, self.actions_of)
+        """The distinct outcomes, in first-appearance order over the action
+        profiles."""
+        seen: dict[str, Outcome] = {}
+        for profile in itertools.product(*self.actions_of):
+            x = self.outcome_of[profile]
+            seen.setdefault(x.label, x)
+        return tuple(seen.values())
 
 
 def _keyed_rationals(table: str, entries, field: str) -> dict[tuple[int, str, str], Fraction]:

@@ -199,8 +199,11 @@ def _scaled(value: Fraction, unit: int) -> int:
 def _compile(game: BayesianGame) -> _Tables:
     mech, ts = game.mechanism, game.type_space
     agents = range(ts.agent_count)
-    outcomes = mech.outcomes()
-    position = {x.label: k for k, x in enumerate(outcomes)}
+    position: dict[str, int] = {}
+    outcome = [
+        position.setdefault(mech.outcome_of[p].label, len(position))
+        for p in itertools.product(*mech.actions_of)
+    ]
     unit = math.lcm(
         *[v.denominator for v in game.utilities.table.values()],
         *[v.denominator for v in game.costs.strategic.values()],
@@ -217,9 +220,9 @@ def _compile(game: BayesianGame) -> _Tables:
     utility, cost = game.utilities.utility, game.costs.strategic_cost
     return _Tables(
         strides=[math.prod([len(acts) for acts in mech.actions_of[i + 1 :]]) for i in agents],
-        outcome=[position[mech.outcome_of[p].label] for p in itertools.product(*mech.actions_of)],
+        outcome=outcome,
         utility=[
-            [[_scaled(utility(i, x, t), unit) for x in outcomes] for t in ts.types_of[i]]
+            [[_scaled(utility(i, x, t), unit) for x in position] for t in ts.types_of[i]]
             for i in agents
         ],
         cost=[

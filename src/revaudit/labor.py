@@ -29,6 +29,7 @@ from .core import (
     TypeSpace,
     UtilityTable,
     as_rational,
+    profit,
 )
 from .equilibrium import (
     BayesianGame,
@@ -53,6 +54,37 @@ BID_HIGH = "e_H"
 HIRE_FIRST = Outcome("hire_1", (Fraction(1), Fraction(0)))
 SPLIT = Outcome("split", (Fraction(1, 2), Fraction(1, 2)))
 HIRE_SECOND = Outcome("hire_2", (Fraction(0), Fraction(1)))
+TYPES = (TYPE_LOW, TYPE_HIGH)
+BIDS = (BID_ZERO, BID_HIGH)
+DEFAULT_PRIOR_HIGH = Fraction(1, 2)
+
+
+def _hire_higher(low: str, high: str) -> dict[tuple[str, str], Outcome]:
+    """Hire the worker whose label ranks higher (low < high); a tie splits."""
+    pairs = ((low, low), (low, high), (high, low), (high, high))
+    return dict(zip(pairs, (SPLIT, HIRE_SECOND, HIRE_FIRST, SPLIT)))
+
+
+# Every LaborParams has 0 < e_H and theta_L < theta_H, so bids and types
+# rank the same way in every scenario: one bid mechanism and one hiring
+# rule table serve them all.
+MECHANISM = Mechanism((BIDS, BIDS), _hire_higher(BID_ZERO, BID_HIGH))
+HIRING_RULE = _hire_higher(TYPE_LOW, TYPE_HIGH)
+
+
+def check_market(
+    theta_L: Fraction, theta_H: Fraction, e_H: Fraction, prior_high: Fraction = DEFAULT_PRIOR_HIGH
+) -> None:
+    """The LaborParams rules on everything but the wage and the misreporting
+    cost: the parameters a sweep holds fixed across its cells."""
+    if not 0 < theta_L < theta_H:
+        raise ConstructionError(
+            f"need 0 < theta_L < theta_H, got theta_L={theta_L}, theta_H={theta_H}"
+        )
+    if e_H <= 0:
+        raise ConstructionError(f"education level e_H must be positive, got {e_H}")
+    if not 0 < prior_high < 1:
+        raise ConstructionError(f"prior_high must lie strictly between 0 and 1, got {prior_high}")
 
 
 @dataclass(frozen=True)
@@ -70,36 +102,29 @@ class LaborParams:
     e_H: Fraction
     w: Fraction
     c_mis: Fraction = Fraction(0)
-    prior_high: Fraction = Fraction(1, 2)
+    prior_high: Fraction = DEFAULT_PRIOR_HIGH
 
     def __post_init__(self) -> None:
         for name in ("theta_L", "theta_H", "e_H", "w", "c_mis", "prior_high"):
             object.__setattr__(self, name, as_rational(getattr(self, name), name))
-        if not 0 < self.theta_L < self.theta_H:
-            raise ConstructionError(
-                f"need 0 < theta_L < theta_H, got theta_L={self.theta_L}, theta_H={self.theta_H}"
-            )
-        if self.e_H <= 0:
-            raise ConstructionError(f"education level e_H must be positive, got {self.e_H}")
+        check_market(self.theta_L, self.theta_H, self.e_H, self.prior_high)
         if self.w <= 0:
             raise ConstructionError(f"wage must be positive, got {self.w}")
         if self.c_mis < 0:
             raise ConstructionError(f"misreporting cost must be non-negative, got {self.c_mis}")
-        if not 0 < self.prior_high < 1:
-            raise ConstructionError(
-                f"prior_high must lie strictly between 0 and 1, got {self.prior_high}"
-            )
 
 
 @dataclass(frozen=True)
 class LaborScenario:
-    """The assembled game plus the parameter bookkeeping the reports need."""
+    """The bid game, the hiring rule and the rule's direct game, each built
+    once by `build_scenario` and read by every check of the scenario, plus
+    the productivity of each type."""
 
     params: LaborParams
     game: BayesianGame
     scf: SocialChoiceFunction
+    direct: BayesianGame
     theta_value: dict[str, Fraction]
-    bid_value: dict[str, Fraction]
 
     def firm_expected_utility(self, bids, true_types) -> Fraction:
         """The firm's payoff: hired production minus the wage. Report-only;
@@ -113,48 +138,23 @@ class LaborScenario:
 
 
 def build_scenario(params: LaborParams) -> LaborScenario:
-    """Wire the labor market into the generic game model."""
-    types = (TYPE_LOW, TYPE_HIGH)
+    """Wire the labor market into the generic game model, and build the
+    direct game of its hiring rule."""
     prior = {TYPE_LOW: 1 - params.prior_high, TYPE_HIGH: params.prior_high}
-    type_space = TypeSpace((types, types), (dict(prior), dict(prior)))
+    type_space = TypeSpace((TYPES, TYPES), (prior, prior))
     theta_value = {TYPE_LOW: params.theta_L, TYPE_HIGH: params.theta_H}
-    bid_value = {BID_ZERO: Fraction(0), BID_HIGH: params.e_H}
-
-    def ranked(v1: Fraction, v2: Fraction) -> Outcome:
-        if v1 > v2:
-            return HIRE_FIRST
-        if v1 < v2:
-            return HIRE_SECOND
-        return SPLIT
-
-    scf = SocialChoiceFunction(
-        type_space,
-        {
-            (t1, t2): ranked(theta_value[t1], theta_value[t2])
-            for t1 in types
-            for t2 in types
-        },
-    )
-    bids = (BID_ZERO, BID_HIGH)
-    mechanism = Mechanism(
-        (bids, bids),
-        {
-            (b1, b2): ranked(bid_value[b1], bid_value[b2])
-            for b1 in bids
-            for b2 in bids
-        },
-    )
+    scf = SocialChoiceFunction(type_space, HIRING_RULE)
     utilities = UtilityTable(
         {
             (i, x.label, t): x.payload[i] * params.w
             for i in (0, 1)
             for x in (HIRE_FIRST, SPLIT, HIRE_SECOND)
-            for t in types
+            for t in TYPES
         }
     )
     costs = CostModel(
         strategic={
-            (i, BID_HIGH, t): params.e_H / theta_value[t] for i in (0, 1) for t in types
+            (i, BID_HIGH, t): params.e_H / theta_value[t] for i in (0, 1) for t in TYPES
         },
         misreport={
             (i, TYPE_LOW, TYPE_HIGH): params.c_mis for i in (0, 1)
@@ -162,8 +162,8 @@ def build_scenario(params: LaborParams) -> LaborScenario:
             (i, TYPE_HIGH, TYPE_LOW): Fraction(0) for i in (0, 1)
         },
     )
-    game = BayesianGame(mechanism, type_space, utilities, costs)
-    return LaborScenario(params, game, scf, theta_value, bid_value)
+    game = BayesianGame(MECHANISM, type_space, utilities, costs)
+    return LaborScenario(params, game, scf, direct_game(scf, costs, utilities), theta_value)
 
 
 def separating_profile() -> StrategyProfile:
@@ -221,9 +221,9 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     every type profile, and that the high type clears participation strictly
     (worst case: both high, split job).
     """
-    params = scenario.params
+    params, game = scenario.params, scenario.game
     profile = separating_profile()
-    verdict = is_bayesian_nash(scenario.game, profile, EquilibriumMode.PROFIT_BASED)
+    verdict = is_bayesian_nash(game, profile, EquilibriumMode.PROFIT_BASED)
     lo, hi = wage_window(params)
 
     cases = []
@@ -238,10 +238,11 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         "equilibrium statements cover pure strategy profiles only",
     ]
     for case, own, opp in pairs:
-        nf = expost_normal_form(scenario.game, (own, opp), mode=EquilibriumMode.PROFIT_BASED)
         opp_bid = profile.strategies[1].action(opp)
-        high = nf.payoff((BID_HIGH, opp_bid))[0]
-        zero = nf.payoff((BID_ZERO, opp_bid))[0]
+        high, zero = (
+            profit(0, MECHANISM.outcome((bid, opp_bid)), bid, own, game.utilities, game.costs)
+            for bid in (BID_HIGH, BID_ZERO)
+        )
         if high == zero:
             optimal = None
             notes.append(f"case {case}: both bids tie at w={params.w}")
@@ -257,7 +258,7 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         in_window=in_wage_window(params),
         separating_is_bne=verdict.is_equilibrium,
         bne_witness=verdict.witness,
-        implements_rule=implements_scf(scenario.game, profile, scenario.scf),
+        implements_rule=implements_scf(game, profile, scenario.scf),
         ir_margin=ir_margin,
         ir_satisfied=ir_margin > 0,
         best_response_cases=tuple(cases),
@@ -306,8 +307,7 @@ def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
     and pure Nash analysis. For c_mis below half the wage the only
     equilibrium is that everyone always reports high.
     """
-    params = scenario.params
-    game = direct_game(scenario.scf, scenario.game.costs, scenario.game.utilities)
+    params, game = scenario.params, scenario.direct
     truth = is_truthfully_implementable(game)
     equilibria = tuple(find_all_pure_bne(game, EquilibriumMode.PROFIT_BASED))
     high = all_report_high_profile()
@@ -348,4 +348,6 @@ def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
 
 def audit_scenario(scenario: LaborScenario) -> AuditReport:
     """Full revelation audit of the labor scenario at its separating profile."""
-    return audit_revelation_principle(scenario.game, separating_profile(), scenario.scf)
+    return audit_revelation_principle(
+        scenario.game, separating_profile(), scenario.scf, scenario.direct
+    )

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .auditor import AuditReport, BreakPoint, ProofChainRecord
+from .auditor import AuditReport, BreakPoint, ProofChainRecord, direct_game
 from .core import (
     MAX_LITERAL,
     CostModel,
@@ -38,7 +38,7 @@ from .equilibrium import (
     StrategyProfile,
     _plan,
 )
-from .labor import LaborParams, SeparatingReport, TruthfulnessReport
+from .labor import LaborParams, SeparatingReport, TruthfulnessReport, check_market
 
 
 class ConfigError(GameModelError):
@@ -120,10 +120,13 @@ def parse_labor_params(cfg: dict, where: str = "config") -> LaborParams:
 
 @dataclass(frozen=True)
 class GenericScenario:
-    """A fully explicit game from a config plus an optional candidate profile."""
+    """A fully explicit game from a config, its rule and the rule's direct
+    game, built once by `parse_generic_scenario`, plus an optional candidate
+    profile."""
 
     game: BayesianGame
     scf: SocialChoiceFunction
+    direct: BayesianGame
     candidate: StrategyProfile | None
 
 
@@ -262,18 +265,20 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
     """Build the game a generic config declares.
 
     The parser checks the JSON shape and the rules only a config can break:
-    one row per key, outcome labels declared once before use, utility rows
-    only for declared agents, outcomes and types, and utilities for the
-    outcomes only the rule reaches. Every rule of the game itself is checked
-    once, by `core` and `BayesianGame`. Their faults carry a location
-    (`GameModelError.at`), turned into a config field on the error path
-    only: a keyed row is the position of its key in its table, because each
-    row stores exactly one key.
+    one row per key, outcome labels declared once before use, and utility
+    rows only for declared agents, outcomes and types. Every rule of the
+    game itself is checked once, by `core` and `BayesianGame`, the rule's
+    direct game included: its check finds a missing utility for an outcome
+    only the rule reaches. Their faults carry a location (`GameModelError.at`),
+    turned into a config field on the error path only: a keyed row is the
+    position of its key in its table, because each row stores exactly one
+    key.
     """
     _check_known_keys(cfg, GENERIC_KEYS, where)
     rows: dict[str, dict] = {}  # the rows of each keyed table, in config order
     try:
         game, scf = _generic_game(cfg, where, rows)
+        direct = direct_game(scf, game.costs, game.utilities)
     except GameModelError as exc:
         if not exc.at:  # a ConfigError names its field already
             raise
@@ -290,7 +295,7 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
             _plan(game, candidate)
         except GameModelError as exc:
             raise ConfigError(f"{where}.profile: {exc}") from exc
-    return GenericScenario(game, scf, candidate)
+    return GenericScenario(game, scf, direct, candidate)
 
 
 def _generic_game(cfg: dict, where: str, rows: dict):
@@ -370,23 +375,22 @@ def _generic_game(cfg: dict, where: str, rows: dict):
         )
 
     costs = CostModel(cost_rows(STRATEGIC_COSTS), cost_rows(MISREPORT_COSTS))
-    game = BayesianGame(mechanism, type_space, UtilityTable(utility), costs)
-    # The game holds utilities for the mechanism's outcomes; the audit also
-    # needs them for the outcomes only the rule reaches.
-    reached = {x.label for x in mechanism.outcome_of.values()}
-    game.utilities.check_covers(
-        [x.label for x in scf.outcomes() if x.label not in reached], types_of
-    )
-    return game, scf
+    return BayesianGame(mechanism, type_space, UtilityTable(utility), costs), scf
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """A labor parameter grid: wages times misreporting costs, rest fixed."""
+    """A labor parameter grid: wages times misreporting costs, rest fixed.
+
+    The fixed parameters are checked here, once per grid (and again by
+    `replace`), so only a bad wage or cost is left to fail in a cell."""
 
     w_values: tuple[Fraction, ...]
     c_mis_values: tuple[Fraction, ...]
     fixed: dict
+
+    def __post_init__(self) -> None:
+        check_market(**self.fixed)
 
     def cell_params(self, w: Fraction, c_mis: Fraction) -> LaborParams:
         return LaborParams(w=w, c_mis=c_mis, **self.fixed)
@@ -398,6 +402,8 @@ SWEEP_FIXED_KEYS = ("theta_L", "theta_H", "e_H", "prior_high")
 
 def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
     _check_known_keys(cfg, SWEEP_KEYS, where)
+    if cfg.get("kind", "sweep") != "sweep":
+        raise ConfigError(f"{where}.kind: a sweep grid has kind 'sweep', got {cfg['kind']!r}")
     w_raw = _require(cfg, "w_values", where)
     c_raw = _require(cfg, "c_mis_values", where)
     if not isinstance(w_raw, list) or not w_raw:
@@ -413,11 +419,12 @@ def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
         for key in SWEEP_FIXED_KEYS
         if key != "prior_high" or key in fixed_cfg
     }
-    return SweepGrid(
-        w_values=tuple(_rational(v, f"{where}.w_values[{k}]") for k, v in enumerate(w_raw)),
-        c_mis_values=tuple(_rational(v, f"{where}.c_mis_values[{k}]") for k, v in enumerate(c_raw)),
-        fixed=fixed,
-    )
+    w_values = tuple(_rational(v, f"{where}.w_values[{k}]") for k, v in enumerate(w_raw))
+    c_mis_values = tuple(_rational(v, f"{where}.c_mis_values[{k}]") for k, v in enumerate(c_raw))
+    try:
+        return SweepGrid(w_values, c_mis_values, fixed)
+    except GameModelError as exc:
+        raise ConfigError(f"{where}.fixed: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_chain_matches_reference_on_every_profile_of_costly_games():
 
 def test_audit_flags_violation():
     sc = scenario(c_mis="1/2")
-    report = audit_revelation_principle(sc.game, separating_profile(), sc.scf)
+    report = audit_revelation_principle(sc.game, separating_profile(), sc.scf, sc.direct)
     assert report.implemented
     assert not report.truthful_is_bne
     assert report.violation
@@ -259,13 +259,13 @@ def test_audit_flags_violation():
 
 def test_audit_clears_when_fee_restores_truth():
     sc = scenario(c_mis=1)
-    report = audit_revelation_principle(sc.game, separating_profile(), sc.scf)
+    report = audit_revelation_principle(sc.game, separating_profile(), sc.scf, sc.direct)
     assert report.implemented and report.truthful_is_bne and not report.violation
 
 
 def test_audit_not_implemented_off_equilibrium():
     sc = scenario(w="5/2")  # outside the separating wage window
-    report = audit_revelation_principle(sc.game, separating_profile(), sc.scf)
+    report = audit_revelation_principle(sc.game, separating_profile(), sc.scf, sc.direct)
     assert not report.implemented and not report.violation
 
 
@@ -284,8 +284,8 @@ def test_scaling_leaves_the_audit_unchanged():
     scaled = build_scenario(
         LaborParams(theta_L=1, theta_H=2, e_H=k, w=Fraction(3 * k, 2), c_mis=Fraction(k, 2))
     )
-    r1 = audit_revelation_principle(base.game, separating_profile(), base.scf)
-    r2 = audit_revelation_principle(scaled.game, separating_profile(), scaled.scf)
+    r1 = audit_revelation_principle(base.game, separating_profile(), base.scf, base.direct)
+    r2 = audit_revelation_principle(scaled.game, separating_profile(), scaled.scf, scaled.direct)
     assert (r1.implemented, r1.truthful_is_bne, r1.violation) == (
         r2.implemented,
         r2.truthful_is_bne,

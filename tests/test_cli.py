@@ -4,10 +4,13 @@ Exit code contract: 0 no violation / clean survey, 1 bad input or a failed
 reference check, 2 violation found."""
 
 import json
+import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
+from revaudit import auditor, core, equilibrium
 from revaudit.cli import main
 from revaudit.equilibrium import enumerate_profiles
 from revaudit.serialize import parse_generic_scenario, profile_to_jsonable
@@ -260,6 +263,15 @@ def removed_row(table, k):
     return ([table], rows[:k] + rows[k + 1:], f"config.{table}")
 
 
+def rule_only_outcome_cfg():
+    """o2 is reached by the rule only, and agent 0 has no utility for it at
+    type a. Only the direct game's own check sees this."""
+    cfg = two_agent_cfg()
+    cfg["outcome_function"][1]["outcome"] = "o1"
+    del cfg["utilities"][1]
+    return cfg
+
+
 COST_ROW = {"agent": 0, "action": "1", "type": "a", "cost": 1}
 MISREPORT_ROW = {"agent": 0, "true_type": "a", "reported_type": "b", "cost": 1}
 
@@ -296,6 +308,7 @@ MALFORMED_GENERIC = [
     (*removed_row("utilities", 2), "missing-row"),
     (*removed_row("outcome_function", 1), "missing-row"),
     (*removed_row("rule", 0), "missing-row"),
+    ([], rule_only_outcome_cfg(), "config.utilities", "rule-only-outcome"),
     (["priors"], [{"a": "1/2", "b": "1/3"}, {"c": 1}], "config.priors[0]", "sum"),
     (["priors"], [{"a": 1, "b": 0}, {"c": 1}], "config.priors[0][b]", "zero"),
     (["priors"], [{"a": "1/2", "b": "1/2"}, {"c": 1, "d": 0}], "config.priors[1]", "extra-type"),
@@ -316,16 +329,27 @@ MALFORMED_GENERIC = [
     ids=["-".join(case[2:]) for case in MALFORMED_GENERIC],
 )
 def test_analyze_rejects_malformed_generic_config(tmp_path, capsys, path, value, field):
-    cfg = two_agent_cfg()
-    node = cfg
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    if path:
+        cfg = two_agent_cfg()
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:  # the case gives the whole config
+        cfg = value
     code = main(["analyze", write_json(tmp_path, "generic.json", cfg)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}: ")
+
+
+def test_a_missing_utility_for_an_outcome_only_the_rule_reaches(tmp_path, capsys):
+    code = main(["analyze", write_json(tmp_path, "generic.json", rule_only_outcome_cfg())])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: config.utilities: no row for (agent, outcome, type) (0, 'o2', 'a')\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -497,6 +521,38 @@ def test_sweep_rejects_bad_grid(tmp_path, capsys):
     assert "w_values" in capsys.readouterr().err
 
 
+def one_cell_grid(fixed, **top):
+    return {"kind": "sweep", "w_values": ["3/2"], "c_mis_values": ["0"], "fixed": fixed, **top}
+
+
+FIXED = {"theta_L": 1, "theta_H": 2, "e_H": 1}
+
+
+@pytest.mark.parametrize(
+    "grid, argv, message",
+    [
+        (one_cell_grid({**FIXED, "theta_L": 3}), [],
+         "config.fixed: need 0 < theta_L < theta_H, got theta_L=3, theta_H=2"),
+        (one_cell_grid({**FIXED, "e_H": 0}), [],
+         "config.fixed: education level e_H must be positive, got 0"),
+        (one_cell_grid({**FIXED, "prior_high": "3/2"}), [],
+         "config.fixed: prior_high must lie strictly between 0 and 1, got 3/2"),
+        (one_cell_grid(FIXED), ["--prior-high", "1"],
+         "prior_high must lie strictly between 0 and 1, got 1"),
+        (one_cell_grid(FIXED, kind="generic"), [],
+         "config.kind: a sweep grid has kind 'sweep', got 'generic'"),
+    ],
+    ids=["theta-order", "e_H", "prior_high", "prior-high-override", "kind"],
+)
+def test_sweep_rejects_a_bad_grid_before_any_cell(tmp_path, capsys, grid, argv, message):
+    # A cell holds only its wage and cost; the rest is wrong for every cell.
+    code = main(["sweep", write_json(tmp_path, "grid.json", grid), *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # -- matrices --------------------------------------------------------------------
 
 
@@ -521,6 +577,11 @@ def test_matrices_requires_labor_config(tmp_path, capsys):
     code = main(["matrices", single_agent_signal_cfg(tmp_path)])
     assert code == 1
     assert "labor config" in capsys.readouterr().err
+
+
+def test_matrices_names_the_kind_field(tmp_path, capsys):
+    assert main(["matrices", single_agent_signal_cfg(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: config.kind: ")
 
 
 # -- reproduce-paper ---------------------------------------------------------------
@@ -588,3 +649,47 @@ def test_help_exits_cleanly(capsys):
 def test_unknown_subcommand(capsys):
     assert main(["audit-everything"]) == 1
     capsys.readouterr()
+
+
+# -- work done per command ------------------------------------------------------------
+
+
+def counted(monkeypatch, functions, methods=()):
+    """Count the calls of each function in every revaudit module that binds
+    it, and of each (class, name) method, by rebinding them."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in functions:
+        wrapper = counting(fn.__name__, fn)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("revaudit") and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapper)
+    for cls, name in methods:
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    return counts
+
+
+def test_labor_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
+    counts = counted(
+        monkeypatch,
+        [auditor.direct_game, equilibrium._compile, equilibrium.expost_normal_form],
+        [(core.Mechanism, "outcomes")],
+    )
+    assert main(["analyze", labor_cfg(tmp_path)]) == 2
+    # The bid game and the direct game, each checked and compiled once; the
+    # four ex-post report matrices, and no matrix for the bid cases.
+    assert counts == {"direct_game": 1, "_compile": 2, "expost_normal_form": 4, "outcomes": 2}
+
+
+def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
+    counts = counted(
+        monkeypatch, [auditor.direct_game, equilibrium._compile], [(core.Mechanism, "outcomes")]
+    )
+    assert main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())]) == 0
+    assert counts == {"direct_game": 1, "_compile": 2, "outcomes": 2}

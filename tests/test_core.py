@@ -188,11 +188,6 @@ def test_outcome_labels_unique_within_rule():
         SocialChoiceFunction(ts, table)
 
 
-def test_scf_outcomes_in_first_appearance_order():
-    ts = two_by_two()
-    assert [x.label for x in rule_for(ts).outcomes()] == ["tie", "win"]
-
-
 def simple_mechanism():
     a = Outcome("a")
     b = Outcome("b")

@@ -1,17 +1,26 @@
-"""Properties of the exact engine under changes of the payoff unit.
+"""Properties of the exact engine and the auditor on random games.
 
 Verdicts compare payoffs of one agent, so they must not move when every
 utility and strategic cost is scaled by one positive rational, or when a
-constant is added to an agent's utilities at one type. The games are drawn
-with large, pairwise coprime denominators so that the engine's integer
-tables are built over large LCMs."""
+constant is added to an agent's utilities at one type. With every cost
+zero, the classical revelation principle holds, and an audit report reads
+back from its JSON exactly. The games are drawn with large, pairwise
+coprime denominators so that the engine's integer tables are built over
+large LCMs."""
 
 import itertools
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revaudit.auditor import (
+    audit_revelation_principle,
+    direct_game,
+    induced_scf,
+    is_truthfully_implementable,
+)
 from revaudit.core import CostModel, Mechanism, Outcome, TypeSpace, UtilityTable
 from revaudit.equilibrium import (
     BayesianGame,
@@ -23,6 +32,7 @@ from revaudit.equilibrium import (
     interim_expected_payoff,
     is_bayesian_nash,
 )
+from revaudit.serialize import audit_report_from_jsonable, audit_report_to_jsonable, json_dumps
 
 MODES = (EquilibriumMode.UTILITY_BASED, EquilibriumMode.PROFIT_BASED)
 PRIMES = (7919, 104723, 999983, 1000003, 2147483647)
@@ -122,3 +132,26 @@ def test_a_constant_per_agent_and_type_changes_no_verdict(game, data):
                     assert interim_expected_payoff(other, profile, agent, t, mode=mode) == (
                         interim_expected_payoff(game, profile, agent, t, mode=mode) + shift[(agent, t)]
                     )
+
+
+@SETTINGS
+@given(games())
+def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(game):
+    # Myerson (1979): a type reporting another gets what that type's
+    # equilibrium action gets, which the equilibrium says is no better.
+    free = BayesianGame(game.mechanism, game.type_space, game.utilities, CostModel.zero())
+    for profile in find_all_pure_bne(free, EquilibriumMode.PROFIT_BASED):
+        direct = direct_game(induced_scf(free, profile), free.costs, free.utilities)
+        assert is_truthfully_implementable(direct).is_equilibrium
+
+
+@SETTINGS
+@given(games(), st.data())
+def test_an_audit_report_reads_back_from_its_json(game, data):
+    profile = data.draw(st.sampled_from(enumerate_profiles(game.mechanism, game.type_space)))
+    scf = induced_scf(game, profile)
+    report = audit_revelation_principle(
+        game, profile, scf, direct_game(scf, game.costs, game.utilities)
+    )
+    text = json_dumps(audit_report_to_jsonable(report))
+    assert audit_report_from_jsonable(json.loads(text)) == report
