@@ -28,7 +28,7 @@ def labor_cfg(tmp_path, **overrides):
     return write_json(tmp_path, "labor.json", cfg)
 
 
-def single_agent_signal_cfg(tmp_path, with_profile=True):
+def signal_config(with_profile=True):
     """One worker signalling type by a costly action; misreporting is free, so
     the rule's direct game loses truth-telling while the signal game keeps
     its separating equilibrium."""
@@ -58,7 +58,11 @@ def single_agent_signal_cfg(tmp_path, with_profile=True):
     }
     if with_profile:
         cfg["profile"] = [{"lo": "0", "hi": "e"}]
-    return write_json(tmp_path, "signal.json", cfg)
+    return cfg
+
+
+def single_agent_signal_cfg(tmp_path, with_profile=True):
+    return write_json(tmp_path, "signal.json", signal_config(with_profile))
 
 
 # -- analyze ---------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Byte goldens for the command line outputs, and a sweep oracle.
 
 The files under tests/goldens/ are the exact stdout of `analyze` on the
-canonical labor config at c_mis 1/2 and 1, of `matrices --format md`, and of
-`reproduce-paper`. The sweep oracle recomputes every cell's violation the
+canonical labor config at c_mis 1/2 and 1, of `matrices --format md`, of
+`reproduce-paper`, and of `analyze` on generic configs: the one-agent signal
+game with its declared profile and without one (so the equilibrium search
+picks it), and the two-agent config. The sweep oracle recomputes every cell's violation the
 long way, from the full separating and truthfulness reports, and compares it
 with the row the sweep prints."""
 
@@ -23,6 +25,7 @@ from revaudit.labor import (
     check_separating_equilibrium,
     check_truthful_reporting,
 )
+from test_cli import signal_config, two_agent_cfg
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -40,6 +43,9 @@ GOLDEN_RUNS = [
     (["analyze"], {**CANONICAL, "c_mis": 1}, "analyze_labor_cmis_1.json", 0),
     (["matrices", "--format", "md"], {**CANONICAL, "c_mis": "1/2"}, "matrices_labor.md", 0),
     (["reproduce-paper"], None, "reproduce_paper.json", 0),
+    (["analyze"], signal_config(), "analyze_generic_signal_declared.json", 2),
+    (["analyze"], signal_config(with_profile=False), "analyze_generic_signal_search.json", 2),
+    (["analyze"], two_agent_cfg(), "analyze_generic_two_agent.json", 0),
 ]
 
 
