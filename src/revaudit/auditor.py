@@ -1,9 +1,10 @@
 """Revelation-principle auditing.
 
-The auditor builds the direct game of a social choice function, checks
-whether truthful reporting survives as an equilibrium when misreporting is
-costly, and decomposes the classical revelation argument into its individual
-inequality families so the exact step that breaks can be reported.
+The auditor plays a social choice function as its own direct mechanism,
+checks whether truthful reporting survives as an equilibrium when
+misreporting is costly, and decomposes the classical revelation argument
+into its individual inequality families so the exact step that breaks can
+be reported.
 
 Direct games are built so that strategic action costs cannot reach them:
 only the misreporting schedule is carried over, re-expressed as the cost of
@@ -43,22 +44,22 @@ from .equilibrium import (
 )
 
 
-def direct_game(
-    scf: SocialChoiceFunction, costs: CostModel, utilities: UtilityTable
-) -> BayesianGame:
-    """The direct game of a rule: reports are type labels in the declared type
-    order, and the outcome of a report profile is the rule's value there.
+def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
+    """The direct game of a rule that reports exactly the game's types: the
+    rule is played as it is, with the game's type space and utilities.
 
     Only the misreporting schedule carries over, stored once as the price of
     playing a report: strategic[(agent, report, true type)] =
     misreport[(agent, true type, report)]. Profit mode then values a report
     at its utility minus its misreporting cost, with honest reports free.
     """
-    ts = scf.type_space
+    if scf.actions_of != game.type_space.types_of:
+        problem = f"reports {scf.actions_of} are not the game's types {game.type_space.types_of}"
+        raise ConstructionError(problem, ("rule",))
     prices = {
-        (agent, reported, true): v for (agent, true, reported), v in costs.misreport.items()
+        (agent, reported, true): v for (agent, true, reported), v in game.costs.misreport.items()
     }
-    return BayesianGame(Mechanism(ts.types_of, scf.table), ts, utilities, CostModel(prices))
+    return BayesianGame(scf, game.type_space, game.utilities, CostModel(prices))
 
 
 def truthful_profile(type_space: TypeSpace) -> StrategyProfile:
@@ -114,8 +115,9 @@ def audit_proof_chain(
 ) -> ProofChainRecord:
     """Evaluate each step of the revelation argument separately.
 
-    `direct` is the rule's direct game; its utility-mode interim payoffs
-    under truth-telling are the cost-free report values. The record is
+    `direct` is `direct_game(game, scf)`, so its types and reports are the
+    game's types, in their order; its utility-mode interim payoffs under
+    truth-telling are the cost-free report values. The record is
     marked vacuous when the profile is not a profit-based equilibrium to
     begin with; the other inequality families are still reported as
     computed.
@@ -131,21 +133,18 @@ def audit_proof_chain(
         rows = _interim_rows(game, plan, agent, EquilibriumMode.PROFIT_BASED)
         holds_equilibrium = holds_equilibrium and _at_best_response(rows, plan[agent])
         free_rows = _interim_rows(direct, truthful, agent, EquilibriumMode.UTILITY_BASED)
-        free_type = direct.type_space.types_of[agent].index
-        report = direct.mechanism.actions_of[agent].index
         types = ts.types_of[agent]
         top, where = 0, None
         for k, t in enumerate(types):
-            row, free = rows[k], free_rows[free_type(t)]
+            row, free = rows[k], free_rows[k]
             own = row[plan[agent][k]]
-            truthful_value = free[report(t)]
             for m, mimicked in enumerate(types):
                 if m == k:
                     continue
                 mimicry_holds_here = row[plan[agent][m]] <= own
                 if not mimicry_holds_here:
                     mimicry_ok = False
-                costfree_gain = free[report(mimicked)] - truthful_value
+                costfree_gain = free[m] - free[k]
                 if costfree_gain > 0:
                     costfree_ok = False
                     if mimicry_holds_here and costfree_gain > top:
@@ -187,18 +186,20 @@ class AuditReport:
 
 
 def audit_revelation_principle(
-    game: BayesianGame, profile: StrategyProfile, scf: SocialChoiceFunction, direct: BayesianGame
+    game: BayesianGame, profile: StrategyProfile, direct: BayesianGame
 ) -> AuditReport:
     """Audit one implementation claim end to end.
 
-    Checks that the profile is a profit-based equilibrium of the mechanism
-    and implements the rule, then asks whether the rule's direct game,
-    `direct_game(scf, game.costs, game.utilities)` as the caller built it
-    once, keeps truth-telling as an equilibrium under the same misreporting
-    schedule.
+    `direct` is `direct_game(game, scf)` as the caller built it once; its
+    mechanism is the rule. Checks that the profile is a profit-based
+    equilibrium of the game's mechanism and implements the rule, then asks
+    whether the direct game keeps truth-telling as an equilibrium under the
+    same misreporting schedule.
     """
     chain = audit_proof_chain(game, profile, direct)
-    implemented = chain.equilibrium_inequalities_hold and implements_scf(game, profile, scf)
+    implemented = chain.equilibrium_inequalities_hold and implements_scf(
+        game, profile, direct.mechanism
+    )
     truth = is_truthfully_implementable(direct)
     return AuditReport(
         indirect_equilibrium=profile,
@@ -257,7 +258,7 @@ def induced_scf(game: BayesianGame, profile: StrategyProfile) -> SocialChoiceFun
         theta: game.mechanism.outcome(profile.action_profile(theta))
         for theta in game.type_space.profiles()
     }
-    return SocialChoiceFunction(game.type_space, table)
+    return SocialChoiceFunction(game.type_space.types_of, table)
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,7 @@ def zero_cost_regression(
         game = random_zero_cost_game(rng)
         for profile in find_all_pure_bne(game, EquilibriumMode.PROFIT_BASED):
             checked += 1
-            direct = direct_game(induced_scf(game, profile), game.costs, game.utilities)
+            direct = direct_game(game, induced_scf(game, profile))
             if not is_truthfully_implementable(direct).is_equilibrium:
                 failures.append(
                     f"instance {k}: induced rule not truthfully implementable at {profile}"

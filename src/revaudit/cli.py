@@ -128,7 +128,7 @@ def _select_profile(scenario: GenericScenario, cap: int):
         return scenario.candidate, "declared"
     equilibria = find_all_pure_bne(scenario.game, EquilibriumMode.PROFIT_BASED, cap)
     for p in equilibria:
-        if implements_scf(scenario.game, p, scenario.scf):
+        if implements_scf(scenario.game, p, scenario.direct.mechanism):
             return p, "first equilibrium implementing the rule"
     if equilibria:
         return equilibria[0], "first equilibrium"
@@ -166,7 +166,7 @@ def cmd_analyze(args) -> int:
             raise ConfigError("--prior-high applies to labor configs only")
         scenario = parse_generic_scenario(cfg)
         profile, source = _select_profile(scenario, args.max_profiles)
-        audit = audit_revelation_principle(scenario.game, profile, scenario.scf, scenario.direct)
+        audit = audit_revelation_principle(scenario.game, profile, scenario.direct)
         payload = {
             "kind": "generic",
             "profile_source": source,

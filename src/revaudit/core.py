@@ -1,9 +1,10 @@
 """Finite Bayesian game primitives over exact rationals.
 
 Everything here is a plain table: type spaces with independent full-support
-priors, outcomes, social choice functions, mechanisms, cost schedules, and
-utility tables. All numeric fields are `fractions.Fraction`; floats are
-rejected at the door so no binary rounding can leak into a verdict.
+priors, outcomes, mechanisms, social choice functions (each its own direct
+mechanism, over type reports), cost schedules, and utility tables. All
+numeric fields are `fractions.Fraction`; floats are rejected at the door so
+no binary rounding can leak into a verdict.
 """
 
 from __future__ import annotations
@@ -294,33 +295,21 @@ def _total_table(table: str, entries, label_lists, noun: str) -> dict[tuple[str,
 
 
 @dataclass(frozen=True)
-class SocialChoiceFunction:
-    """A total map from type profiles to outcomes."""
-
-    type_space: TypeSpace
-    table: dict[tuple[str, ...], Outcome]
-
-    def __post_init__(self) -> None:
-        table = _total_table("rule", self.table, self.type_space.types_of, "type")
-        object.__setattr__(self, "table", table)
-
-    def evaluate(self, type_profile) -> Outcome:
-        key = self.type_space.validate_profile(type_profile)
-        return self.table[key]
-
-
-@dataclass(frozen=True)
 class Mechanism:
     """Action sets per agent and a total outcome function on action profiles."""
 
     actions_of: tuple[tuple[str, ...], ...]
     outcome_of: dict[tuple[str, ...], Outcome]
 
+    # Fault locations: the label lists' table, the outcome table, a key's noun.
+    _tables = ("actions", "outcome_function", "action")
+
     def __post_init__(self) -> None:
-        actions_of = _label_lists(self.actions_of, "actions")
-        table = _total_table("outcome_function", self.outcome_of, actions_of, "action")
+        labels, table, noun = self._tables
+        actions_of = _label_lists(self.actions_of, labels)
+        outcome_of = _total_table(table, self.outcome_of, actions_of, noun)
         object.__setattr__(self, "actions_of", actions_of)
-        object.__setattr__(self, "outcome_of", table)
+        object.__setattr__(self, "outcome_of", outcome_of)
 
     @property
     def agent_count(self) -> int:
@@ -348,6 +337,15 @@ class Mechanism:
             x = self.outcome_of[profile]
             seen.setdefault(x.label, x)
         return tuple(seen.values())
+
+
+@dataclass(frozen=True)
+class SocialChoiceFunction(Mechanism):
+    """A rule, SocialChoiceFunction(types_of, table): a total map from type
+    profiles to outcomes, and its own direct mechanism (Myerson 1979), whose
+    actions are the type labels agents report. Faults name types and rule."""
+
+    _tables = ("types", "rule", "type")
 
 
 def _keyed_rationals(table: str, entries, field: str) -> dict[tuple[int, str, str], Fraction]:

@@ -445,12 +445,14 @@ def find_all_pure_bne(
 def implements_scf(
     game: BayesianGame, profile: StrategyProfile, scf: SocialChoiceFunction
 ) -> bool:
-    """Does playing the profile reproduce the social choice function everywhere?"""
+    """Does playing the profile reproduce the social choice function at every
+    type profile of the game? A type profile the rule lacks is a DomainError."""
     _plan(game, profile)
-    for theta in game.type_space.profiles():
-        if game.mechanism.outcome(profile.action_profile(theta)) != scf.evaluate(theta):
-            return False
-    return True
+    outcome = game.mechanism.outcome_of
+    return all(
+        outcome[profile.action_profile(theta)] == scf.outcome(theta)
+        for theta in game.type_space.profiles()
+    )
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,9 @@ def _hire_higher(low: str, high: str) -> dict[tuple[str, str], Outcome]:
 
 # Every LaborParams has 0 < e_H and theta_L < theta_H, so bids and types
 # rank the same way in every scenario: one bid mechanism and one hiring
-# rule table serve them all.
+# rule, which is also the direct mechanism, serve them all.
 MECHANISM = Mechanism((BIDS, BIDS), _hire_higher(BID_ZERO, BID_HIGH))
-HIRING_RULE = _hire_higher(TYPE_LOW, TYPE_HIGH)
+HIRING_RULE = SocialChoiceFunction((TYPES, TYPES), _hire_higher(TYPE_LOW, TYPE_HIGH))
 
 
 def check_market(
@@ -116,13 +116,13 @@ class LaborParams:
 
 @dataclass(frozen=True)
 class LaborScenario:
-    """The bid game, the hiring rule and the rule's direct game, each built
-    once by `build_scenario` and read by every check of the scenario, plus
-    the productivity of each type."""
+    """The bid game and the direct game of the hiring rule, each built once
+    by `build_scenario` and read by every check of the scenario, plus the
+    productivity of each type. The direct game's mechanism is the rule,
+    `HIRING_RULE`."""
 
     params: LaborParams
     game: BayesianGame
-    scf: SocialChoiceFunction
     direct: BayesianGame
     theta_value: dict[str, Fraction]
 
@@ -139,11 +139,10 @@ class LaborScenario:
 
 def build_scenario(params: LaborParams) -> LaborScenario:
     """Wire the labor market into the generic game model, and build the
-    direct game of its hiring rule."""
+    direct game of its hiring rule (both mechanisms are module constants)."""
     prior = {TYPE_LOW: 1 - params.prior_high, TYPE_HIGH: params.prior_high}
     type_space = TypeSpace((TYPES, TYPES), (prior, prior))
     theta_value = {TYPE_LOW: params.theta_L, TYPE_HIGH: params.theta_H}
-    scf = SocialChoiceFunction(type_space, HIRING_RULE)
     utilities = UtilityTable(
         {
             (i, x.label, t): x.payload[i] * params.w
@@ -163,7 +162,7 @@ def build_scenario(params: LaborParams) -> LaborScenario:
         },
     )
     game = BayesianGame(MECHANISM, type_space, utilities, costs)
-    return LaborScenario(params, game, scf, direct_game(scf, costs, utilities), theta_value)
+    return LaborScenario(params, game, direct_game(game, HIRING_RULE), theta_value)
 
 
 def separating_profile() -> StrategyProfile:
@@ -258,7 +257,7 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         in_window=in_wage_window(params),
         separating_is_bne=verdict.is_equilibrium,
         bne_witness=verdict.witness,
-        implements_rule=implements_scf(game, profile, scenario.scf),
+        implements_rule=implements_scf(game, profile, HIRING_RULE),
         ir_margin=ir_margin,
         ir_satisfied=ir_margin > 0,
         best_response_cases=tuple(cases),
@@ -348,6 +347,4 @@ def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
 
 def audit_scenario(scenario: LaborScenario) -> AuditReport:
     """Full revelation audit of the labor scenario at its separating profile."""
-    return audit_revelation_principle(
-        scenario.game, separating_profile(), scenario.scf, scenario.direct
-    )
+    return audit_revelation_principle(scenario.game, separating_profile(), scenario.direct)

@@ -81,6 +81,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nests too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return data
@@ -120,12 +122,11 @@ def parse_labor_params(cfg: dict, where: str = "config") -> LaborParams:
 
 @dataclass(frozen=True)
 class GenericScenario:
-    """A fully explicit game from a config, its rule and the rule's direct
-    game, built once by `parse_generic_scenario`, plus an optional candidate
-    profile."""
+    """A fully explicit game from a config and the direct game of its rule,
+    built once by `parse_generic_scenario`, plus an optional candidate
+    profile. The direct game's mechanism is the rule."""
 
     game: BayesianGame
-    scf: SocialChoiceFunction
     direct: BayesianGame
     candidate: StrategyProfile | None
 
@@ -278,7 +279,7 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
     rows: dict[str, dict] = {}  # the rows of each keyed table, in config order
     try:
         game, scf = _generic_game(cfg, where, rows)
-        direct = direct_game(scf, game.costs, game.utilities)
+        direct = direct_game(game, scf)
     except GameModelError as exc:
         if not exc.at:  # a ConfigError names its field already
             raise
@@ -295,7 +296,7 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
             _plan(game, candidate)
         except GameModelError as exc:
             raise ConfigError(f"{where}.profile: {exc}") from exc
-    return GenericScenario(game, scf, direct, candidate)
+    return GenericScenario(game, direct, candidate)
 
 
 def _generic_game(cfg: dict, where: str, rows: dict):
@@ -354,7 +355,7 @@ def _generic_game(cfg: dict, where: str, rows: dict):
         return _read_rows(cfg, table, where, rows, lambda e: (tuple(e[field]), outcome(e)))
 
     mechanism = Mechanism(actions_of, profile_rows(OUTCOME_FUNCTION))
-    scf = SocialChoiceFunction(type_space, profile_rows(RULE))
+    scf = SocialChoiceFunction(types_of, profile_rows(RULE))
 
     type_sets = [frozenset(types) for types in types_of]
 

@@ -2,6 +2,7 @@
 implementability, the inequality-family decomposition, and the zero-cost
 regression harness."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from revaudit.auditor import (
     truthful_profile,
     zero_cost_regression,
 )
-from revaudit.core import ConstructionError, CostModel
+from revaudit.core import ConstructionError, CostModel, SocialChoiceFunction
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
@@ -32,6 +33,8 @@ from revaudit.equilibrium import (
 )
 from revaudit.labor import (
     BID_ZERO,
+    HIRING_RULE,
+    SPLIT,
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
@@ -49,7 +52,7 @@ def scenario(w="3/2", c_mis="1/2", prior_high="1/2"):
 
 
 def direct_of(sc):
-    return direct_game(sc.scf, sc.game.costs, sc.game.utilities)
+    return direct_game(sc.game, sc.direct.mechanism)
 
 
 # -- direct mechanism construction ------------------------------------------------
@@ -61,7 +64,29 @@ def test_direct_mechanism_reports_are_type_labels():
     assert direct.type_space == sc.game.type_space
     assert direct.mechanism.actions_of == sc.game.type_space.types_of
     for profile in sc.game.type_space.profiles():
-        assert direct.mechanism.outcome(profile) == sc.scf.evaluate(profile)
+        assert direct.mechanism.outcome(profile) == HIRING_RULE.outcome(profile)
+
+
+def test_direct_game_plays_the_rule_as_it_is():
+    sc = scenario()
+    assert sc.direct.mechanism is HIRING_RULE
+    assert direct_of(sc).mechanism is HIRING_RULE
+
+
+@pytest.mark.parametrize(
+    "types_of",
+    [((TYPE_HIGH, TYPE_LOW), (TYPE_LOW, TYPE_HIGH)), ((TYPE_LOW, TYPE_HIGH, "theta_M"),) * 2],
+    ids=["reordered", "extra-type"],
+)
+def test_a_rule_must_report_the_game_types(types_of):
+    sc = scenario()
+    rule = SocialChoiceFunction(types_of, {p: SPLIT for p in itertools.product(*types_of)})
+    with pytest.raises(ConstructionError) as info:
+        direct_game(sc.game, rule)
+    assert info.value.at == ("rule",)
+    assert str(info.value) == (
+        f"rule: reports {types_of} are not the game's types {sc.game.type_space.types_of}"
+    )
 
 
 def test_direct_mechanism_drops_strategic_costs():
@@ -165,7 +190,7 @@ def test_chain_intact_on_zero_cost_instances():
         game = random_zero_cost_game(rng)
         for profile in find_all_pure_bne(game, PROFIT):
             seen += 1
-            direct = direct_game(induced_scf(game, profile), game.costs, game.utilities)
+            direct = direct_game(game, induced_scf(game, profile))
             chain = audit_proof_chain(game, profile, direct)
             assert not chain.vacuous
             assert chain.equilibrium_inequalities_hold
@@ -175,15 +200,14 @@ def test_chain_intact_on_zero_cost_instances():
     assert seen > 0
 
 
-def costfree_report_value(scf, utilities, agent, type_label, report):
+def costfree_report_value(ts, scf, utilities, agent, type_label, report):
     """Reference: expected rule utility for an agent of `type_label` reporting
     `report`, everyone else truthful, no costs of any kind."""
-    ts = scf.type_space
     total = Fraction(0)
     for opp in ts.opponent_profiles(agent):
         theta = opp[:agent] + (report,) + opp[agent:]
         w = ts.conditional_weight(agent, opp)
-        total += w * utilities.utility(agent, scf.evaluate(theta), type_label)
+        total += w * utilities.utility(agent, scf.outcome(theta), type_label)
     return total
 
 
@@ -197,14 +221,14 @@ def reference_chain(game, profile, scf):
     for agent in range(ts.agent_count):
         for t in ts.types_of[agent]:
             own = ref.interim(game, profile, agent, t, profile.strategies[agent].action(t), PROFIT)
-            truthful_value = costfree_report_value(scf, game.utilities, agent, t, t)
+            truthful_value = costfree_report_value(ts, scf, game.utilities, agent, t, t)
             for mimicked in ts.types_of[agent]:
                 if mimicked == t:
                     continue
                 action = profile.strategies[agent].action(mimicked)
                 holds_here = ref.interim(game, profile, agent, t, action, PROFIT) <= own
                 mimicry_ok = mimicry_ok and holds_here
-                value = costfree_report_value(scf, game.utilities, agent, t, mimicked)
+                value = costfree_report_value(ts, scf, game.utilities, agent, t, mimicked)
                 gain = value - truthful_value
                 if gain > 0:
                     costfree_ok = False
@@ -234,7 +258,7 @@ def test_chain_matches_reference_on_every_profile_of_costly_games():
         game = with_random_costs(random_zero_cost_game(rng), rng)
         for profile in enumerate_profiles(game.mechanism, game.type_space):
             scf = induced_scf(game, profile)
-            chain = audit_proof_chain(game, profile, direct_game(scf, game.costs, game.utilities))
+            chain = audit_proof_chain(game, profile, direct_game(game, scf))
             assert chain == reference_chain(game, profile, scf)
             records.append(chain)
     # Every branch of the chain was exercised.
@@ -249,7 +273,7 @@ def test_chain_matches_reference_on_every_profile_of_costly_games():
 
 def test_audit_flags_violation():
     sc = scenario(c_mis="1/2")
-    report = audit_revelation_principle(sc.game, separating_profile(), sc.scf, sc.direct)
+    report = audit_revelation_principle(sc.game, separating_profile(), sc.direct)
     assert report.implemented
     assert not report.truthful_is_bne
     assert report.violation
@@ -259,13 +283,13 @@ def test_audit_flags_violation():
 
 def test_audit_clears_when_fee_restores_truth():
     sc = scenario(c_mis=1)
-    report = audit_revelation_principle(sc.game, separating_profile(), sc.scf, sc.direct)
+    report = audit_revelation_principle(sc.game, separating_profile(), sc.direct)
     assert report.implemented and report.truthful_is_bne and not report.violation
 
 
 def test_audit_not_implemented_off_equilibrium():
     sc = scenario(w="5/2")  # outside the separating wage window
-    report = audit_revelation_principle(sc.game, separating_profile(), sc.scf, sc.direct)
+    report = audit_revelation_principle(sc.game, separating_profile(), sc.direct)
     assert not report.implemented and not report.violation
 
 
@@ -284,8 +308,8 @@ def test_scaling_leaves_the_audit_unchanged():
     scaled = build_scenario(
         LaborParams(theta_L=1, theta_H=2, e_H=k, w=Fraction(3 * k, 2), c_mis=Fraction(k, 2))
     )
-    r1 = audit_revelation_principle(base.game, separating_profile(), base.scf, base.direct)
-    r2 = audit_revelation_principle(scaled.game, separating_profile(), scaled.scf, scaled.direct)
+    r1 = audit_revelation_principle(base.game, separating_profile(), base.direct)
+    r2 = audit_revelation_principle(scaled.game, separating_profile(), scaled.direct)
     assert (r1.implemented, r1.truthful_is_bne, r1.violation) == (
         r2.implemented,
         r2.truthful_is_bne,
@@ -301,7 +325,7 @@ def test_scaling_leaves_the_audit_unchanged():
 def test_induced_scf_of_separating_profile_is_the_rule():
     sc = scenario()
     induced = induced_scf(sc.game, separating_profile())
-    assert induced.table == sc.scf.table
+    assert induced == HIRING_RULE
 
 
 def test_zero_cost_regression_passes():

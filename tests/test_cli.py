@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from revaudit import auditor, core, equilibrium
+from revaudit import auditor, core, equilibrium, labor
 from revaudit.cli import main
 from revaudit.equilibrium import enumerate_profiles
 from revaudit.serialize import parse_generic_scenario, profile_to_jsonable
@@ -400,6 +400,22 @@ def test_analyze_rejects_a_repeated_json_key(tmp_path, capsys, cfg_text, key):
     assert captured.err == f"error: {path}: duplicate key {key!r} in an object\n"
 
 
+@pytest.mark.parametrize(
+    "cfg_text",
+    ["[" * 100000 + "]" * 100000, '{"kind": "generic", "types": %s}' % ("[" * 5000 + "]" * 5000)],
+    ids=["bare-array", "generic-types"],
+)
+def test_analyze_rejects_deeply_nested_json(tmp_path, capsys, cfg_text):
+    # The decoder recurses once per level and gives up deep below any config.
+    path = tmp_path / "deep.json"
+    path.write_text(cfg_text)
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON nests too deeply\n"
+
+
 def wide_mechanism_cfg():
     """3 agents with 80 actions each, and one of the 512,000 action profiles
     given a row."""
@@ -682,18 +698,38 @@ def counted(monkeypatch, functions, methods=()):
 def test_labor_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
     counts = counted(
         monkeypatch,
-        [auditor.direct_game, equilibrium._compile, equilibrium.expost_normal_form],
+        [auditor.direct_game, core._total_table, equilibrium._compile,
+         equilibrium.expost_normal_form],
         [(core.Mechanism, "outcomes")],
     )
     assert main(["analyze", labor_cfg(tmp_path)]) == 2
     # The bid game and the direct game, each checked and compiled once; the
-    # four ex-post report matrices, and no matrix for the bid cases.
+    # four ex-post report matrices, and no matrix for the bid cases. The bid
+    # mechanism and the hiring rule are module constants, so no outcome
+    # table is checked (_total_table is not called).
     assert counts == {"direct_game": 1, "_compile": 2, "expost_normal_form": 4, "outcomes": 2}
+
+
+def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
+    counts = counted(monkeypatch, [labor.build_scenario, auditor.direct_game, core._total_table])
+    grid = {
+        "kind": "sweep",
+        "w_values": ["1", "3/2", "19/10"],
+        "c_mis_values": ["0", "1/2", "1"],
+        "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1},
+    }
+    assert main(["sweep", write_json(tmp_path, "grid.json", grid)]) == 0
+    # Each cell plays the constant hiring rule as its direct mechanism.
+    assert counts == {"build_scenario": 9, "direct_game": 9}
 
 
 def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
     counts = counted(
-        monkeypatch, [auditor.direct_game, equilibrium._compile], [(core.Mechanism, "outcomes")]
+        monkeypatch,
+        [auditor.direct_game, core._total_table, equilibrium._compile],
+        [(core.Mechanism, "outcomes")],
     )
     assert main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())]) == 0
-    assert counts == {"direct_game": 1, "_compile": 2, "outcomes": 2}
+    # Two outcome tables are checked: the outcome function and the rule,
+    # which the direct game plays as it is.
+    assert counts == {"direct_game": 1, "_total_table": 2, "_compile": 2, "outcomes": 2}

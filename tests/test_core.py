@@ -160,24 +160,24 @@ def rule_for(ts):
     table = {}
     for t1, t2 in ts.profiles():
         table[(t1, t2)] = tie if t1 == t2 else win
-    return SocialChoiceFunction(ts, table)
+    return SocialChoiceFunction(ts.types_of, table)
 
 
 def test_scf_totality_enforced():
     ts = two_by_two()
     scf = rule_for(ts)
-    assert scf.evaluate(("lo", "hi")).label == "win"
-    assert scf.evaluate(("hi", "hi")).label == "tie"
+    assert scf.outcome(("lo", "hi")).label == "win"
+    assert scf.outcome(("hi", "hi")).label == "tie"
     with pytest.raises(DomainError):
-        scf.evaluate(("lo", "mid"))
-    table = dict(scf.table)
+        scf.outcome(("lo", "mid"))
+    table = dict(scf.outcome_of)
     del table[("lo", "lo")]
     with pytest.raises(ConstructionError):
-        SocialChoiceFunction(ts, table)
-    table = dict(scf.table)
+        SocialChoiceFunction(ts.types_of, table)
+    table = dict(scf.outcome_of)
     table[("lo", "mid")] = Outcome("win", (Fraction(1),))
     with pytest.raises(ConstructionError):
-        SocialChoiceFunction(ts, table)
+        SocialChoiceFunction(ts.types_of, table)
 
 
 def test_outcome_labels_unique_within_rule():
@@ -185,7 +185,7 @@ def test_outcome_labels_unique_within_rule():
     table = {p: Outcome("x", (Fraction(1),)) for p in ts.profiles()}
     table[("lo", "lo")] = Outcome("x", (Fraction(2),))
     with pytest.raises(ConstructionError):
-        SocialChoiceFunction(ts, table)
+        SocialChoiceFunction(ts.types_of, table)
 
 
 def simple_mechanism():
@@ -328,7 +328,7 @@ FAULTS = [
      "outcome_function[('r',)].outcome: two different outcomes share label 'a'"),
     (lambda: Mechanism((("l",),), {("l",): "a"}), ("outcome_function", ("l",), "outcome"),
      "outcome_function[('l',)].outcome: expected an Outcome, got str"),
-    (lambda: SocialChoiceFunction(TypeSpace.uniform([("lo", "hi")]), {("hi",): Outcome("a")}),
+    (lambda: SocialChoiceFunction((("lo", "hi"),), {("hi",): Outcome("a")}),
      ("rule",), "rule: no row for type profile ('lo',)"),
     (lambda: CostModel(strategic={(0, "r", "lo"): -1}), ("strategic_costs", (0, "r", "lo"), "cost"),
      "strategic_costs[(0, 'r', 'lo')].cost: must be non-negative, got -1"),

@@ -240,11 +240,11 @@ def test_find_all_pure_bne_is_deterministic():
 def test_implements_scf():
     params = LaborParams(theta_L=1, theta_H=2, e_H=1, w="3/2")
     scenario = build_scenario(params)
-    assert implements_scf(scenario.game, separating_profile(), scenario.scf)
+    assert implements_scf(scenario.game, separating_profile(), scenario.direct.mechanism)
     both_zero = StrategyProfile.from_maps(
         [{TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_ZERO}] * 2
     )
-    assert not implements_scf(scenario.game, both_zero, scenario.scf)
+    assert not implements_scf(scenario.game, both_zero, scenario.direct.mechanism)
 
 
 # -- random-instance properties ---------------------------------------------------

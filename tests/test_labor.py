@@ -101,9 +101,10 @@ def test_scenario_tables():
     assert mech.outcome((BID_ZERO, BID_ZERO)) == SPLIT
     assert mech.outcome((BID_HIGH, BID_HIGH)) == SPLIT
 
-    assert sc.scf.evaluate((TYPE_HIGH, TYPE_LOW)) == HIRE_FIRST
-    assert sc.scf.evaluate((TYPE_LOW, TYPE_HIGH)) == HIRE_SECOND
-    assert sc.scf.evaluate((TYPE_LOW, TYPE_LOW)) == SPLIT
+    rule = sc.direct.mechanism
+    assert rule.outcome((TYPE_HIGH, TYPE_LOW)) == HIRE_FIRST
+    assert rule.outcome((TYPE_LOW, TYPE_HIGH)) == HIRE_SECOND
+    assert rule.outcome((TYPE_LOW, TYPE_LOW)) == SPLIT
 
     u = sc.game.utilities
     w = sc.params.w
@@ -281,7 +282,7 @@ def test_interim_is_the_prior_mixture_of_expost_rows():
     p = params(w="3/2", c_mis="1/2", prior_high="1/3")
     report = check_truthful_reporting(build_scenario(p))
     sc = build_scenario(p)
-    game = direct_game(sc.scf, sc.game.costs, sc.game.utilities)
+    game = direct_game(sc.game, sc.direct.mechanism)
     case_of = {(TYPE_HIGH, TYPE_HIGH): 1, (TYPE_LOW, TYPE_HIGH): 2,
                (TYPE_HIGH, TYPE_LOW): 3, (TYPE_LOW, TYPE_LOW): 4}
     by_case = {m.case: m for m in report.case_matrices}

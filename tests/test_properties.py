@@ -2,14 +2,16 @@
 
 Verdicts compare payoffs of one agent, so they must not move when every
 utility and strategic cost is scaled by one positive rational, or when a
-constant is added to an agent's utilities at one type. With every cost
-zero, the classical revelation principle holds, and an audit report reads
-back from its JSON exactly. The games are drawn with large, pairwise
+constant is added to an agent's utilities at one type. Renaming types,
+actions and outcomes renames every equilibrium and audit report the same
+way and moves no verdict. With every cost zero, the classical revelation
+principle holds, and an audit report reads back from its JSON exactly. The games are drawn with large, pairwise
 coprime denominators so that the engine's integer tables are built over
 large LCMs."""
 
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -21,12 +23,20 @@ from revaudit.auditor import (
     induced_scf,
     is_truthfully_implementable,
 )
-from revaudit.core import CostModel, Mechanism, Outcome, TypeSpace, UtilityTable
+from revaudit.core import (
+    CostModel,
+    Mechanism,
+    Outcome,
+    SocialChoiceFunction,
+    TypeSpace,
+    UtilityTable,
+)
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
     EquilibriumMode,
     EquilibriumVerdict,
+    StrategyProfile,
     enumerate_profiles,
     find_all_pure_bne,
     interim_expected_payoff,
@@ -141,7 +151,7 @@ def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(game):
     # equilibrium action gets, which the equilibrium says is no better.
     free = BayesianGame(game.mechanism, game.type_space, game.utilities, CostModel.zero())
     for profile in find_all_pure_bne(free, EquilibriumMode.PROFIT_BASED):
-        direct = direct_game(induced_scf(free, profile), free.costs, free.utilities)
+        direct = direct_game(free, induced_scf(free, profile))
         assert is_truthfully_implementable(direct).is_equilibrium
 
 
@@ -149,9 +159,104 @@ def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(game):
 @given(games(), st.data())
 def test_an_audit_report_reads_back_from_its_json(game, data):
     profile = data.draw(st.sampled_from(enumerate_profiles(game.mechanism, game.type_space)))
-    scf = induced_scf(game, profile)
-    report = audit_revelation_principle(
-        game, profile, scf, direct_game(scf, game.costs, game.utilities)
-    )
+    report = audit_revelation_principle(game, profile, direct_game(game, induced_scf(game, profile)))
     text = json_dumps(audit_report_to_jsonable(report))
     assert audit_report_from_jsonable(json.loads(text)) == report
+
+
+class Renaming:
+    """A bijection of type labels, one of action labels and one of outcome
+    labels, applied to games, rules, profiles and audit reports. Declared
+    orders are kept, so enumeration order is too, but the new labels sort
+    in another order than the old ones."""
+
+    def __init__(self, types, actions, outcomes):
+        self.types, self.actions, self.outcomes = types, actions, outcomes
+
+    def labels(self, lists, names):
+        return tuple(tuple(names[x] for x in labels) for labels in lists)
+
+    def outcome(self, x):
+        return Outcome(self.outcomes[x.label], x.payload)
+
+    def game(self, game):
+        ts, mech, costs = game.type_space, game.mechanism, game.costs
+        ty, ac, ox = self.types, self.actions, self.outcomes
+        return BayesianGame(
+            Mechanism(
+                self.labels(mech.actions_of, ac),
+                {tuple(ac[a] for a in p): self.outcome(x) for p, x in mech.outcome_of.items()},
+            ),
+            TypeSpace(
+                self.labels(ts.types_of, ty),
+                tuple({ty[t]: v for t, v in prior.items()} for prior in ts.prior_of),
+            ),
+            UtilityTable({(i, ox[x], ty[t]): v for (i, x, t), v in game.utilities.table.items()}),
+            CostModel(
+                {(i, ac[a], ty[t]): v for (i, a, t), v in costs.strategic.items()},
+                {(i, ty[t], ty[r]): v for (i, t, r), v in costs.misreport.items()},
+            ),
+        )
+
+    def rule(self, scf):
+        ty = self.types
+        return SocialChoiceFunction(
+            self.labels(scf.actions_of, ty),
+            {tuple(ty[t] for t in theta): self.outcome(x) for theta, x in scf.outcome_of.items()},
+        )
+
+    def profile(self, profile):
+        ty, ac = self.types, self.actions
+        return StrategyProfile.from_maps(
+            {ty[t]: ac[a] for t, a in s.choice} for s in profile.strategies
+        )
+
+    def report(self, report):
+        # In the direct game a deviation's action is a reported type.
+        ty, w, bp = self.types, report.truthful_witness, report.chain.break_point
+        return replace(
+            report,
+            indirect_equilibrium=self.profile(report.indirect_equilibrium),
+            truthful_witness=w and replace(w, type_label=ty[w.type_label], action=ty[w.action]),
+            chain=replace(
+                report.chain,
+                break_point=bp and replace(
+                    bp, type_label=ty[bp.type_label], mimicked_type=ty[bp.mimicked_type]
+                ),
+            ),
+        )
+
+
+def renaming(data, labels, pool):
+    return dict(zip(sorted(labels), data.draw(st.permutations(pool))))
+
+
+@SETTINGS
+@given(games(), st.data())
+def test_renaming_labels_renames_every_verdict(game, data):
+    ts = game.type_space
+    misreport = {
+        (i, t, r): data.draw(rationals(low=0))
+        for i, types in enumerate(ts.types_of) for t in types for r in types if r != t
+    }
+    game = BayesianGame(
+        game.mechanism, ts, game.utilities, CostModel(game.costs.strategic, misreport)
+    )
+    rename = Renaming(
+        renaming(data, {t for types in ts.types_of for t in types}, ["w", "v", "u"]),
+        renaming(data, {a for acts in game.mechanism.actions_of for a in acts}, ["s", "r", "q"]),
+        renaming(data, {x for _, x, _ in game.utilities.table}, ["p", "o", "n"]),
+    )
+    other = rename.game(game)
+    for mode in MODES:
+        assert find_all_pure_bne(other, mode) == [
+            rename.profile(p) for p in find_all_pure_bne(game, mode)
+        ]
+    profiles = enumerate_profiles(game.mechanism, ts)
+    scf = induced_scf(game, data.draw(st.sampled_from(profiles)))
+    direct, other_direct = direct_game(game, scf), direct_game(other, rename.rule(scf))
+    for profile in profiles:
+        report = audit_revelation_principle(game, profile, direct)
+        assert audit_revelation_principle(other, rename.profile(profile), other_direct) == (
+            rename.report(report)
+        )

@@ -147,7 +147,7 @@ def test_parse_generic_scenario():
     assert ts.types_of == (("lo", "hi"), ("m",))
     assert ts.prior_of[0]["hi"] == Fraction(2, 3)
     assert sc.game.mechanism.outcome(("H", "z")).label == "y"
-    assert sc.scf.evaluate(("hi", "m")).label == "y"
+    assert sc.direct.mechanism.outcome(("hi", "m")).label == "y"
     assert sc.game.utilities.utility(0, "y", "hi") == 1
     assert sc.game.costs.strategic_cost(0, "H", "lo") == Fraction(1, 4)
     assert sc.game.costs.misreport_cost(0, "lo", "hi") == Fraction(1, 2)
