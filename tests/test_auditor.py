@@ -70,7 +70,6 @@ def test_direct_mechanism_reports_are_type_labels():
 def test_direct_game_plays_the_rule_as_it_is():
     sc = scenario()
     assert sc.direct.mechanism is HIRING_RULE
-    assert direct_of(sc).mechanism is HIRING_RULE
 
 
 @pytest.mark.parametrize(
