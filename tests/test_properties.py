@@ -5,9 +5,9 @@ utility and strategic cost is scaled by one positive rational, or when a
 constant is added to an agent's utilities at one type. Renaming types,
 actions and outcomes renames every equilibrium and audit report the same
 way and moves no verdict. With every cost zero, the classical revelation
-principle holds, and an audit report reads back from its JSON exactly. The games are drawn with large, pairwise
-coprime denominators so that the engine's integer tables are built over
-large LCMs."""
+principle holds, and an audit report reads back from its JSON exactly. The
+games are drawn with large, pairwise coprime denominators so that the
+engine's integer tables are built over large LCMs."""
 
 import itertools
 import json
@@ -159,7 +159,8 @@ def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(game):
 @given(games(), st.data())
 def test_an_audit_report_reads_back_from_its_json(game, data):
     profile = data.draw(st.sampled_from(enumerate_profiles(game.mechanism, game.type_space)))
-    report = audit_revelation_principle(game, profile, direct_game(game, induced_scf(game, profile)))
+    direct = direct_game(game, induced_scf(game, profile))
+    report = audit_revelation_principle(game, profile, direct)
     text = json_dumps(audit_report_to_jsonable(report))
     assert audit_report_from_jsonable(json.loads(text)) == report
 
@@ -167,8 +168,8 @@ def test_an_audit_report_reads_back_from_its_json(game, data):
 class Renaming:
     """A bijection of type labels, one of action labels and one of outcome
     labels, applied to games, rules, profiles and audit reports. Declared
-    orders are kept, so enumeration order is too, but the new labels sort
-    in another order than the old ones."""
+    orders are kept, so enumeration order is too; the new labels, drawn as
+    a permutation, may sort in another order than the old ones."""
 
     def __init__(self, types, actions, outcomes):
         self.types, self.actions, self.outcomes = types, actions, outcomes
