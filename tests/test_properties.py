@@ -4,7 +4,8 @@ Verdicts compare payoffs of one agent, so they must not move when every
 utility and strategic cost is scaled by one positive rational, or when a
 constant is added to an agent's utilities at one type. Renaming types,
 actions and outcomes renames every equilibrium and audit report the same
-way and moves no verdict. With every cost zero, the classical revelation
+way and moves no verdict, and renumbering the agents renumbers every
+equilibrium. With every cost zero, the classical revelation
 principle holds, and an audit report reads back from its JSON exactly. The
 games are drawn with large, pairwise coprime denominators so that the
 engine's integer tables are built over large LCMs."""
@@ -226,6 +227,41 @@ class Renaming:
                 ),
             ),
         )
+
+
+def permuted(game, order):
+    """The game with old agent `order[j]` renumbered as agent j."""
+    new = {old: j for j, old in enumerate(order)}
+    mech, ts, costs = game.mechanism, game.type_space, game.costs
+    return BayesianGame(
+        Mechanism(
+            tuple(mech.actions_of[i] for i in order),
+            {tuple(p[i] for i in order): x for p, x in mech.outcome_of.items()},
+        ),
+        TypeSpace(tuple(ts.types_of[i] for i in order), tuple(ts.prior_of[i] for i in order)),
+        UtilityTable({(new[i], x, t): v for (i, x, t), v in game.utilities.table.items()}),
+        CostModel(
+            {(new[i], a, t): v for (i, a, t), v in costs.strategic.items()},
+            {(new[i], t, r): v for (i, t, r), v in costs.misreport.items()},
+        ),
+    )
+
+
+def permuted_profile(profile, order):
+    return StrategyProfile.from_maps(dict(profile.strategies[i].choice) for i in order)
+
+
+@SETTINGS
+@given(games(), st.data())
+def test_permuting_agents_permutes_the_equilibria(game, data):
+    order = data.draw(st.permutations(range(game.agent_count)))
+    other = permuted(game, order)
+    for mode in MODES:
+        found = find_all_pure_bne(game, mode)
+        others = find_all_pure_bne(other, mode)
+        # Enumeration order follows agent order, so only the sets match.
+        assert len(others) == len(found)
+        assert set(others) == {permuted_profile(p, order) for p in found}
 
 
 def renaming(data, labels, pool):
