@@ -9,10 +9,13 @@ from fractions import Fraction
 import pytest
 import reference_engine as ref
 
+import revaudit.auditor as auditor
 from revaudit.auditor import (
+    DEFAULT_REGRESSION_SEED,
     AuditReport,
     BreakPoint,
     ProofChainRecord,
+    RegressionSummary,
     audit_proof_chain,
     audit_revelation_principle,
     direct_game,
@@ -27,6 +30,7 @@ from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
     EquilibriumMode,
+    EquilibriumVerdict,
     StrategyProfile,
     enumerate_profiles,
     find_all_pure_bne,
@@ -339,3 +343,93 @@ def test_zero_cost_regression_is_deterministic():
     a = zero_cost_regression(instances=10, seed=99)
     b = zero_cost_regression(instances=10, seed=99)
     assert a == b
+
+
+def regression_games(instances, seed):
+    """Each game zero_cost_regression draws, with its index and equilibria."""
+    rng = random.Random(seed)
+    for k in range(instances):
+        game = random_zero_cost_game(rng)
+        yield k, game, find_all_pure_bne(game, PROFIT)
+
+
+def failure_line(k, profile):
+    return f"instance {k}: induced rule not truthfully implementable at {profile}"
+
+
+def regression_one_game_per_equilibrium(instances, seed):
+    """The regression without shared verdicts: one direct game per equilibrium."""
+    checked, failures = 0, []
+    for k, game, equilibria in regression_games(instances, seed):
+        for profile in equilibria:
+            checked += 1
+            direct = direct_game(game, induced_scf(game, profile))
+            if not auditor.is_truthfully_implementable(direct).is_equilibrium:
+                failures.append(failure_line(k, profile))
+    return RegressionSummary(instances, checked, tuple(failures))
+
+
+FAILED = EquilibriumVerdict(False, Deviation(0, "t0", "t0", Fraction(1)))
+
+
+def failing_where(fails):
+    """A truthfulness verdict that fails the direct games `fails` picks."""
+    real = auditor.is_truthfully_implementable
+    return lambda direct: FAILED if fails(direct) else real(direct)
+
+
+def first_outcome_pleases_agent_0(direct):
+    # Depends on the game's utilities as well as on the rule, so rules with
+    # one outcome table can get different verdicts in different games.
+    theta = direct.type_space.profiles()[0]
+    x = direct.mechanism.outcome(theta)
+    return direct.utilities.table[(0, x.label, theta[0])] > Fraction(1, 2)
+
+
+@pytest.mark.parametrize("fails", [None, first_outcome_pleases_agent_0])
+@pytest.mark.parametrize("instances, seed", [(25, 123), (60, 7), (200, DEFAULT_REGRESSION_SEED)])
+def test_shared_verdicts_change_no_summary(monkeypatch, fails, instances, seed):
+    if fails is not None:
+        monkeypatch.setattr(auditor, "is_truthfully_implementable", failing_where(fails))
+    expected = regression_one_game_per_equilibrium(instances, seed)
+    assert zero_cost_regression(instances, seed) == expected
+    assert (fails is None) == (expected.failures == ())
+
+
+def test_each_distinct_rule_of_a_game_is_checked_once(monkeypatch):
+    calls = []
+    real = auditor.is_truthfully_implementable
+    monkeypatch.setattr(
+        auditor, "is_truthfully_implementable", lambda direct: calls.append(direct) or real(direct)
+    )
+    summary = zero_cost_regression()
+    rules = sum(
+        len({tuple(induced_scf(game, p).outcome_of.items()) for p in equilibria})
+        for _, game, equilibria in regression_games(200, DEFAULT_REGRESSION_SEED)
+    )
+    assert len(calls) == rules == 239
+    assert summary.equilibria_checked == 1132
+    assert summary.passed
+
+
+def test_a_failing_rule_fails_each_equilibrium_that_plays_it(monkeypatch):
+    games = list(regression_games(40, DEFAULT_REGRESSION_SEED))
+    _, chosen_game, equilibria = games[26]
+    rule = induced_scf(chosen_game, equilibria[0])
+    plays = [k for k, game, eqs in games for p in eqs if induced_scf(game, p) == rule]
+    # Its 5 equilibria interleave with another rule's, and game 31 plays the
+    # same outcome table, which must keep its own verdict.
+    assert plays == [26] * 5 + [31]
+    assert [induced_scf(chosen_game, p) == rule for p in equilibria] == [
+        True, True, False, True, True, False, True,
+    ]
+
+    def fails(direct):
+        return direct.mechanism == rule and direct.utilities == chosen_game.utilities
+
+    monkeypatch.setattr(auditor, "is_truthfully_implementable", failing_where(fails))
+    summary = zero_cost_regression(40, DEFAULT_REGRESSION_SEED)
+    assert summary.failures == tuple(
+        failure_line(26, p) for p in equilibria if induced_scf(chosen_game, p) == rule
+    )
+    assert summary.equilibria_checked == sum(len(eqs) for _, _, eqs in games)
