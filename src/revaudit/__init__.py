@@ -47,29 +47,27 @@ from .auditor import (
     BreakPoint,
     ProofChainRecord,
     RegressionSummary,
-    audit_proof_chain,
     audit_revelation_principle,
     direct_game,
     induced_scf,
     is_truthfully_implementable,
     random_zero_cost_game,
-    truthful_profile,
     zero_cost_regression,
 )
 from .labor import (
+    ALL_REPORT_HIGH_PROFILE,
+    SEPARATING_PROFILE,
     BestResponseCase,
     CaseMatrix,
     LaborParams,
     LaborScenario,
     SeparatingReport,
     TruthfulnessReport,
-    all_report_high_profile,
     audit_scenario,
     build_scenario,
     check_separating_equilibrium,
     check_truthful_reporting,
     in_wage_window,
-    separating_profile,
     wage_window,
 )
 

@@ -35,12 +35,12 @@ from .equilibrium import (
     EquilibriumVerdict,
     StrategyProfile,
     _at_best_response,
-    _exact,
     _interim_rows,
+    _largest_gain,
     _plan,
+    _verdict,
     find_all_pure_bne,
     implements_scf,
-    is_bayesian_nash,
 )
 
 
@@ -62,19 +62,21 @@ def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
     return BayesianGame(scf, game.type_space, game.utilities, CostModel(prices))
 
 
-def truthful_profile(type_space: TypeSpace) -> StrategyProfile:
-    """Every type reports itself."""
-    return StrategyProfile.from_maps([{t: t for t in ts} for ts in type_space.types_of])
+def _truth(direct: BayesianGame) -> list[range]:
+    """Truth-telling as a plan of the direct game: `direct_game` makes the
+    reports the game's types, in their order, so each type plays its own
+    position."""
+    return [range(len(types)) for types in direct.type_space.types_of]
 
 
 def is_truthfully_implementable(direct: BayesianGame) -> EquilibriumVerdict:
-    """Is truth-telling a profit-based equilibrium of a rule's direct game?
+    """Is truth-telling a profit-based equilibrium of a rule's direct game,
+    `direct_game(game, scf)`?
 
     The witness on failure is the most profitable misreport, as (agent, true
     type, reported type, gain).
     """
-    truthful = truthful_profile(direct.type_space)
-    return is_bayesian_nash(direct, truthful, EquilibriumMode.PROFIT_BASED)
+    return _verdict(direct, _truth(direct), EquilibriumMode.PROFIT_BASED)
 
 
 @dataclass(frozen=True)
@@ -110,58 +112,6 @@ class ProofChainRecord:
     break_point: BreakPoint | None
 
 
-def audit_proof_chain(
-    game: BayesianGame, profile: StrategyProfile, direct: BayesianGame
-) -> ProofChainRecord:
-    """Evaluate each step of the revelation argument separately.
-
-    `direct` is `direct_game(game, scf)`, so its types and reports are the
-    game's types, in their order; its utility-mode interim payoffs under
-    truth-telling are the cost-free report values. The record is
-    marked vacuous when the profile is not a profit-based equilibrium to
-    begin with; the other inequality families are still reported as
-    computed.
-    """
-    ts = game.type_space
-    plan = _plan(game, profile)
-    truthful = _plan(direct, truthful_profile(direct.type_space))
-    holds_equilibrium = mimicry_ok = costfree_ok = True
-    best: BreakPoint | None = None
-    for agent in range(ts.agent_count):
-        # Profits at each type of every action, and the cost-free rule
-        # utility of every report with the others truthful.
-        rows = _interim_rows(game, plan, agent, EquilibriumMode.PROFIT_BASED)
-        holds_equilibrium = holds_equilibrium and _at_best_response(rows, plan[agent])
-        free_rows = _interim_rows(direct, truthful, agent, EquilibriumMode.UTILITY_BASED)
-        types = ts.types_of[agent]
-        top, where = 0, None
-        for k, t in enumerate(types):
-            row, free = rows[k], free_rows[k]
-            own = row[plan[agent][k]]
-            for m, mimicked in enumerate(types):
-                if m == k:
-                    continue
-                mimicry_holds_here = row[plan[agent][m]] <= own
-                if not mimicry_holds_here:
-                    mimicry_ok = False
-                costfree_gain = free[m] - free[k]
-                if costfree_gain > 0:
-                    costfree_ok = False
-                    if mimicry_holds_here and costfree_gain > top:
-                        top, where = costfree_gain, (t, mimicked)
-        if where is not None:
-            gain = _exact(direct, agent, top)
-            if best is None or gain > best.costfree_gain:
-                best = BreakPoint(agent, *where, gain)
-    return ProofChainRecord(
-        vacuous=not holds_equilibrium,
-        equilibrium_inequalities_hold=holds_equilibrium,
-        mimicry_inequalities_hold=mimicry_ok,
-        costfree_truthful_inequalities_hold=costfree_ok,
-        break_point=best,
-    )
-
-
 @dataclass(frozen=True)
 class AuditReport:
     """Full revelation audit of one (mechanism, profile, rule) triple.
@@ -188,25 +138,56 @@ class AuditReport:
 def audit_revelation_principle(
     game: BayesianGame, profile: StrategyProfile, direct: BayesianGame
 ) -> AuditReport:
-    """Audit one implementation claim end to end.
+    """Audit one implementation claim end to end, in one walk.
 
-    `direct` is `direct_game(game, scf)` as the caller built it once; its
-    mechanism is the rule. Checks that the profile is a profit-based
-    equilibrium of the game's mechanism and implements the rule, then asks
-    whether the direct game keeps truth-telling as an equilibrium under the
-    same misreporting schedule.
+    `direct` is `direct_game(game, scf)`, built once by the caller; its
+    mechanism is the rule and truth-telling is its identity plan. For each
+    agent the walk computes two sets of interim payoffs once, the game's
+    profits under the profile and the direct game's cost-free utilities under
+    truth-telling, and reads every verdict from them: the chain's equilibrium,
+    mimicry and cost-free families; truth-telling in the direct game, whose
+    profits are those utilities minus its report prices; and the break point,
+    the largest cost-free gain of a report where mimicry holds. The truthful
+    witness and the break point follow one deviation rule,
+    `equilibrium._largest_gain`. The chain is vacuous when the profile is not
+    a profit-based equilibrium; its other families are still reported.
     """
-    chain = audit_proof_chain(game, profile, direct)
-    implemented = chain.equilibrium_inequalities_hold and implements_scf(
-        game, profile, direct.mechanism
+    plan, truth = _plan(game, profile), _truth(direct)
+    prices = direct._tables.cost
+    holds_equilibrium = mimicry_ok = costfree_ok = True
+    truthful_rows, mimicry_rows = [], []
+    for agent, own in enumerate(plan):
+        rows = _interim_rows(game, plan, agent, EquilibriumMode.PROFIT_BASED)
+        free_rows = _interim_rows(direct, truth, agent, EquilibriumMode.UTILITY_BASED)
+        holds_equilibrium = holds_equilibrium and _at_best_response(rows, own)
+        costfree_ok = costfree_ok and _at_best_response(free_rows, truth[agent])
+        # mimics[k][m]: type k profits no more from type m's action than from its own.
+        mimics = [[row[a] <= row[b] for a in own] for row, b in zip(rows, own)]
+        mimicry_ok = mimicry_ok and all(map(all, mimics))
+        truthful_rows.append(
+            [[v - c for v, c in zip(free, cost)] for free, cost in zip(free_rows, prices[agent])]
+        )
+        # Reporting m at type k gains its cost-free gain where mimicry holds, else nothing.
+        mimicry_rows.append([
+            [v if ok else free[k] for v, ok in zip(free, oks)]
+            for k, (free, oks) in enumerate(zip(free_rows, mimics))
+        ])
+    witness = _largest_gain(direct, truth, truthful_rows)
+    gap = _largest_gain(direct, truth, mimicry_rows)
+    chain = ProofChainRecord(
+        vacuous=not holds_equilibrium,
+        equilibrium_inequalities_hold=holds_equilibrium,
+        mimicry_inequalities_hold=mimicry_ok,
+        costfree_truthful_inequalities_hold=costfree_ok,
+        break_point=gap and BreakPoint(gap.agent, gap.type_label, gap.action, gap.gain),
     )
-    truth = is_truthfully_implementable(direct)
+    implemented = holds_equilibrium and implements_scf(game, profile, direct.mechanism)
     return AuditReport(
         indirect_equilibrium=profile,
         implemented=implemented,
-        truthful_is_bne=truth.is_equilibrium,
-        violation=implemented and not truth.is_equilibrium,
-        truthful_witness=truth.witness,
+        truthful_is_bne=witness is None,
+        violation=implemented and witness is not None,
+        truthful_witness=witness,
         chain=chain,
     )
 

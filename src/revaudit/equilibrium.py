@@ -34,6 +34,7 @@ from .core import (
     TypeSpace,
     UtilityTable,
     _check_label,
+    _is_label,
     check_agent_count,
     profit,
 )
@@ -62,8 +63,11 @@ class PureStrategy:
     def __post_init__(self) -> None:
         if not isinstance(self.agent, int) or isinstance(self.agent, bool) or self.agent < 0:
             raise ConstructionError(f"agent index must be a non-negative int, got {self.agent!r}")
-        at = (f"agent {self.agent} strategy",)
-        choice = tuple(sorted((_check_label(t, at), _check_label(a, at)) for t, a in self.choice))
+        pairs = [(t, a) for t, a in self.choice]
+        for label in itertools.chain.from_iterable(pairs):
+            if not _is_label(label):  # the location is formatted on a fault only
+                _check_label(label, (f"agent {self.agent} strategy",))
+        choice = tuple(sorted(pairs))
         if not choice:
             raise ConstructionError("a pure strategy must cover at least one type")
         types = [t for t, _ in choice]
@@ -333,24 +337,20 @@ def interim_expected_payoff(
     return _exact(game, agent, _interim_rows(game, plan, agent, mode)[t][a])
 
 
-def is_bayesian_nash(
-    game: BayesianGame, profile: StrategyProfile, mode: EquilibriumMode
-) -> EquilibriumVerdict:
-    """Check the weak-inequality equilibrium conditions on every deviation.
-
-    Independence of the prior makes per-type single-action deviations
-    sufficient. On failure the witness is the deviation with the largest gain;
-    ties go to the smallest (agent index, type position, action position).
-    """
-    plan = _plan(game, profile)
+def _largest_gain(game: BayesianGame, plan, rows_of) -> Deviation | None:
+    """The deviation from `plan` with the largest gain, or None when no
+    deviation gains. `rows_of[i]` holds agent i's payoff of every action at
+    each of its types, as ints on the agent's scale (as `_interim_rows` gives
+    them). Ties go to the smallest (agent index, type position, action
+    position)."""
     types_of, actions_of = game.type_space.types_of, game.mechanism.actions_of
     best: Deviation | None = None
-    for agent in range(game.agent_count):
+    for agent, rows in enumerate(rows_of):
         # Gains of one agent share a scale, so they compare as ints. Scan
         # order is (type order, action order), so a strict improvement is
         # the tie-break.
         top, where = 0, None
-        for t, row in enumerate(_interim_rows(game, plan, agent, mode)):
+        for t, row in enumerate(rows):
             current = row[plan[agent][t]]
             for a, value in enumerate(row):
                 if value - current > top:
@@ -360,9 +360,27 @@ def is_bayesian_nash(
             if best is None or gain > best.gain:
                 t, a = where
                 best = Deviation(agent, types_of[agent][t], actions_of[agent][a], gain)
-    if best is None:
-        return EquilibriumVerdict(True, None)
-    return EquilibriumVerdict(False, best)
+    return best
+
+
+def _verdict(game: BayesianGame, plan, mode: EquilibriumMode) -> EquilibriumVerdict:
+    """The equilibrium verdict of a plan (action positions per agent, in type
+    order), witnessed by its largest deviation gain."""
+    rows_of = [_interim_rows(game, plan, i, mode) for i in range(game.agent_count)]
+    witness = _largest_gain(game, plan, rows_of)
+    return EquilibriumVerdict(witness is None, witness)
+
+
+def is_bayesian_nash(
+    game: BayesianGame, profile: StrategyProfile, mode: EquilibriumMode
+) -> EquilibriumVerdict:
+    """Check the weak-inequality equilibrium conditions on every deviation.
+
+    Independence of the prior makes per-type single-action deviations
+    sufficient. On failure the witness is the deviation with the largest gain;
+    ties go to the smallest (agent index, type position, action position).
+    """
+    return _verdict(game, _plan(game, profile), mode)
 
 
 def enumerate_pure_strategies(

@@ -67,9 +67,14 @@ def _hire_higher(low: str, high: str) -> dict[tuple[str, str], Outcome]:
 
 # Every LaborParams has 0 < e_H and theta_L < theta_H, so bids and types
 # rank the same way in every scenario: one bid mechanism and one hiring
-# rule, which is also the direct mechanism, serve them all.
+# rule, which is also the direct mechanism, serve them all, and so do the
+# two profiles the checks read.
 MECHANISM = Mechanism((BIDS, BIDS), _hire_higher(BID_ZERO, BID_HIGH))
 HIRING_RULE = SocialChoiceFunction((TYPES, TYPES), _hire_higher(TYPE_LOW, TYPE_HIGH))
+# High types bid the high education level, low types bid zero.
+SEPARATING_PROFILE = StrategyProfile.from_maps([{TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_HIGH}] * 2)
+# In the direct game, every type of both workers reports high.
+ALL_REPORT_HIGH_PROFILE = StrategyProfile.from_maps([dict.fromkeys(TYPES, TYPE_HIGH)] * 2)
 
 
 def check_market(
@@ -165,12 +170,6 @@ def build_scenario(params: LaborParams) -> LaborScenario:
     return LaborScenario(params, game, direct_game(game, HIRING_RULE), theta_value)
 
 
-def separating_profile() -> StrategyProfile:
-    """High types bid the high education level, low types bid zero."""
-    choice = {TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_HIGH}
-    return StrategyProfile.from_maps([choice, choice])
-
-
 def wage_window(params: LaborParams) -> tuple[Fraction, Fraction]:
     """The open wage interval where separation works: (2 e_H / theta_H, 2 e_H / theta_L)."""
     return (2 * params.e_H / params.theta_H, 2 * params.e_H / params.theta_L)
@@ -221,8 +220,7 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     (worst case: both high, split job).
     """
     params, game = scenario.params, scenario.game
-    profile = separating_profile()
-    verdict = is_bayesian_nash(game, profile, EquilibriumMode.PROFIT_BASED)
+    verdict = is_bayesian_nash(game, SEPARATING_PROFILE, EquilibriumMode.PROFIT_BASED)
     lo, hi = wage_window(params)
 
     cases = []
@@ -237,7 +235,7 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         "equilibrium statements cover pure strategy profiles only",
     ]
     for case, own, opp in pairs:
-        opp_bid = profile.strategies[1].action(opp)
+        opp_bid = SEPARATING_PROFILE.strategies[1].action(opp)
         high, zero = (
             profit(0, MECHANISM.outcome((bid, opp_bid)), bid, own, game.utilities, game.costs)
             for bid in (BID_HIGH, BID_ZERO)
@@ -257,7 +255,7 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         in_window=in_wage_window(params),
         separating_is_bne=verdict.is_equilibrium,
         bne_witness=verdict.witness,
-        implements_rule=implements_scf(game, profile, HIRING_RULE),
+        implements_rule=implements_scf(game, SEPARATING_PROFILE, HIRING_RULE),
         ir_margin=ir_margin,
         ir_satisfied=ir_margin > 0,
         best_response_cases=tuple(cases),
@@ -292,11 +290,6 @@ class TruthfulnessReport:
     notes: tuple[str, ...]
 
 
-def all_report_high_profile() -> StrategyProfile:
-    choice = {TYPE_LOW: TYPE_HIGH, TYPE_HIGH: TYPE_HIGH}
-    return StrategyProfile.from_maps([choice, choice])
-
-
 def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
     """Verify the direct-mechanism side of the reference scenario.
 
@@ -309,8 +302,7 @@ def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
     params, game = scenario.params, scenario.direct
     truth = is_truthfully_implementable(game)
     equilibria = tuple(find_all_pure_bne(game, EquilibriumMode.PROFIT_BASED))
-    high = all_report_high_profile()
-    all_high_is_bne = high in equilibria
+    all_high_is_bne = ALL_REPORT_HIGH_PROFILE in equilibria
 
     matrices = []
     pairs = [
@@ -347,4 +339,4 @@ def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
 
 def audit_scenario(scenario: LaborScenario) -> AuditReport:
     """Full revelation audit of the labor scenario at its separating profile."""
-    return audit_revelation_principle(scenario.game, separating_profile(), scenario.direct)
+    return audit_revelation_principle(scenario.game, SEPARATING_PROFILE, scenario.direct)

@@ -402,9 +402,11 @@ SWEEP_FIXED_KEYS = ("theta_L", "theta_H", "e_H", "prior_high")
 
 
 def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
-    _check_known_keys(cfg, SWEEP_KEYS, where)
+    # The kind first: another kind of config has other fields, and naming
+    # them would hide that the whole config is of the wrong kind.
     if cfg.get("kind", "sweep") != "sweep":
         raise ConfigError(f"{where}.kind: a sweep grid has kind 'sweep', got {cfg['kind']!r}")
+    _check_known_keys(cfg, SWEEP_KEYS, where)
     w_raw = _require(cfg, "w_values", where)
     c_raw = _require(cfg, "c_mis_values", where)
     if not isinstance(w_raw, list) or not w_raw:

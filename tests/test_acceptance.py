@@ -124,19 +124,19 @@ def test_criterion_1_separating_equilibrium_across_the_window():
     # Closed-form interim cross-check (the engine path goes through the
     # mechanism; this one never does).
     from revaudit.equilibrium import interim_expected_payoff
-    from revaudit.labor import separating_profile
+    from revaudit.labor import SEPARATING_PROFILE
 
     for w in WINDOW_WAGES:
         game = build_scenario(params(w)).game
         for own in (TYPE_LOW, TYPE_HIGH):
-            got = interim_expected_payoff(game, separating_profile(), 0, own)
+            got = interim_expected_payoff(game, SEPARATING_PROFILE, 0, own)
             want = closed_form_interim(w, HALF, own)
             if got != want:
                 problems.append(f"w={w}, {own}: interim {got} != closed form {want}")
     game = build_scenario(params(CANONICAL_WAGE)).game
-    if interim_expected_payoff(game, separating_profile(), 0, TYPE_HIGH) != Fraction(5, 8):
+    if interim_expected_payoff(game, SEPARATING_PROFILE, 0, TYPE_HIGH) != Fraction(5, 8):
         problems.append("canonical high-type interim is not 5/8")
-    if interim_expected_payoff(game, separating_profile(), 0, TYPE_LOW) != Fraction(3, 8):
+    if interim_expected_payoff(game, SEPARATING_PROFILE, 0, TYPE_LOW) != Fraction(3, 8):
         problems.append("canonical low-type interim is not 3/8")
     finish(1, "separating bids implement the hiring rule at window wages", problems)
 

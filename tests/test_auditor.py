@@ -16,13 +16,11 @@ from revaudit.auditor import (
     BreakPoint,
     ProofChainRecord,
     RegressionSummary,
-    audit_proof_chain,
     audit_revelation_principle,
     direct_game,
     induced_scf,
     is_truthfully_implementable,
     random_zero_cost_game,
-    truthful_profile,
     zero_cost_regression,
 )
 from revaudit.core import ConstructionError, CostModel, SocialChoiceFunction
@@ -38,12 +36,12 @@ from revaudit.equilibrium import (
 from revaudit.labor import (
     BID_ZERO,
     HIRING_RULE,
+    SEPARATING_PROFILE,
     SPLIT,
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
     build_scenario,
-    separating_profile,
 )
 
 PROFIT = EquilibriumMode.PROFIT_BASED
@@ -108,14 +106,6 @@ def test_direct_mechanism_drops_strategic_costs():
     assert costs.misreport == {}
 
 
-def test_truthful_profile_reports_own_type():
-    ts = scenario().game.type_space
-    p = truthful_profile(ts)
-    for agent in range(ts.agent_count):
-        for t in ts.types_of[agent]:
-            assert p.strategies[agent].action(t) == t
-
-
 # -- truthful implementability ------------------------------------------------------
 
 
@@ -159,7 +149,7 @@ def test_misreport_cost_threshold_is_monotone():
 
 def test_chain_breaks_at_costfree_step():
     sc = scenario(c_mis="1/2")
-    chain = audit_proof_chain(sc.game, separating_profile(), direct_of(sc))
+    chain = audit_revelation_principle(sc.game, SEPARATING_PROFILE, direct_of(sc)).chain
     assert not chain.vacuous
     assert chain.equilibrium_inequalities_hold
     assert chain.mimicry_inequalities_hold
@@ -171,7 +161,7 @@ def test_costfree_step_ignores_misreport_fees():
     # The cost-free family erases all costs, so it fails even when the fee is
     # high enough to restore truth-telling.
     sc = scenario(c_mis=1)
-    chain = audit_proof_chain(sc.game, separating_profile(), direct_of(sc))
+    chain = audit_revelation_principle(sc.game, SEPARATING_PROFILE, direct_of(sc)).chain
     assert not chain.costfree_truthful_inequalities_hold
     assert chain.break_point == BreakPoint(0, TYPE_LOW, TYPE_HIGH, Fraction(3, 4))
 
@@ -181,7 +171,7 @@ def test_chain_vacuous_off_equilibrium():
     both_zero = StrategyProfile.from_maps(
         [{TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_ZERO}] * 2
     )
-    chain = audit_proof_chain(sc.game, both_zero, direct_of(sc))
+    chain = audit_revelation_principle(sc.game, both_zero, direct_of(sc)).chain
     assert chain.vacuous
     assert not chain.equilibrium_inequalities_hold
 
@@ -194,7 +184,7 @@ def test_chain_intact_on_zero_cost_instances():
         for profile in find_all_pure_bne(game, PROFIT):
             seen += 1
             direct = direct_game(game, induced_scf(game, profile))
-            chain = audit_proof_chain(game, profile, direct)
+            chain = audit_revelation_principle(game, profile, direct).chain
             assert not chain.vacuous
             assert chain.equilibrium_inequalities_hold
             assert chain.mimicry_inequalities_hold
@@ -261,7 +251,7 @@ def test_chain_matches_reference_on_every_profile_of_costly_games():
         game = with_random_costs(random_zero_cost_game(rng), rng)
         for profile in enumerate_profiles(game.mechanism, game.type_space):
             scf = induced_scf(game, profile)
-            chain = audit_proof_chain(game, profile, direct_game(game, scf))
+            chain = audit_revelation_principle(game, profile, direct_game(game, scf)).chain
             assert chain == reference_chain(game, profile, scf)
             records.append(chain)
     # Every branch of the chain was exercised.
@@ -276,7 +266,7 @@ def test_chain_matches_reference_on_every_profile_of_costly_games():
 
 def test_audit_flags_violation():
     sc = scenario(c_mis="1/2")
-    report = audit_revelation_principle(sc.game, separating_profile(), sc.direct)
+    report = audit_revelation_principle(sc.game, SEPARATING_PROFILE, sc.direct)
     assert report.implemented
     assert not report.truthful_is_bne
     assert report.violation
@@ -286,19 +276,19 @@ def test_audit_flags_violation():
 
 def test_audit_clears_when_fee_restores_truth():
     sc = scenario(c_mis=1)
-    report = audit_revelation_principle(sc.game, separating_profile(), sc.direct)
+    report = audit_revelation_principle(sc.game, SEPARATING_PROFILE, sc.direct)
     assert report.implemented and report.truthful_is_bne and not report.violation
 
 
 def test_audit_not_implemented_off_equilibrium():
     sc = scenario(w="5/2")  # outside the separating wage window
-    report = audit_revelation_principle(sc.game, separating_profile(), sc.direct)
+    report = audit_revelation_principle(sc.game, SEPARATING_PROFILE, sc.direct)
     assert not report.implemented and not report.violation
 
 
 def test_audit_report_invariants():
     chain = ProofChainRecord(False, True, True, True, None)
-    sep = separating_profile()
+    sep = SEPARATING_PROFILE
     with pytest.raises(ConstructionError):
         AuditReport(sep, True, False, False, Deviation(0, "t", "u", Fraction(1)), chain)
     with pytest.raises(ConstructionError):
@@ -311,8 +301,8 @@ def test_scaling_leaves_the_audit_unchanged():
     scaled = build_scenario(
         LaborParams(theta_L=1, theta_H=2, e_H=k, w=Fraction(3 * k, 2), c_mis=Fraction(k, 2))
     )
-    r1 = audit_revelation_principle(base.game, separating_profile(), base.direct)
-    r2 = audit_revelation_principle(scaled.game, separating_profile(), scaled.direct)
+    r1 = audit_revelation_principle(base.game, SEPARATING_PROFILE, base.direct)
+    r2 = audit_revelation_principle(scaled.game, SEPARATING_PROFILE, scaled.direct)
     assert (r1.implemented, r1.truthful_is_bne, r1.violation) == (
         r2.implemented,
         r2.truthful_is_bne,
@@ -327,7 +317,7 @@ def test_scaling_leaves_the_audit_unchanged():
 
 def test_induced_scf_of_separating_profile_is_the_rule():
     sc = scenario()
-    induced = induced_scf(sc.game, separating_profile())
+    induced = induced_scf(sc.game, SEPARATING_PROFILE)
     assert induced == HIRING_RULE
 
 

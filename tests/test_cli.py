@@ -561,8 +561,14 @@ FIXED = {"theta_L": 1, "theta_H": 2, "e_H": 1}
          "prior_high must lie strictly between 0 and 1, got 1"),
         (one_cell_grid(FIXED, kind="generic"), [],
          "config.kind: a sweep grid has kind 'sweep', got 'generic'"),
+        # A whole config of another kind is named by its kind, not its fields.
+        ({"kind": "labor", **FIXED, "w": "3/2", "c_mis": "1/2"}, [],
+         "config.kind: a sweep grid has kind 'sweep', got 'labor'"),
+        (signal_config(), [],
+         "config.kind: a sweep grid has kind 'sweep', got 'generic'"),
     ],
-    ids=["theta-order", "e_H", "prior_high", "prior-high-override", "kind"],
+    ids=["theta-order", "e_H", "prior_high", "prior-high-override", "kind", "labor-config",
+         "generic-config"],
 )
 def test_sweep_rejects_a_bad_grid_before_any_cell(tmp_path, capsys, grid, argv, message):
     # A cell holds only its wage and cost; the rest is wrong for every cell.
@@ -733,3 +739,13 @@ def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
     # Two outcome tables are checked: the outcome function and the rule,
     # which the direct game plays as it is.
     assert counts == {"direct_game": 1, "_total_table": 2, "_compile": 2, "outcomes": 2}
+
+
+def test_a_generic_audit_computes_each_agents_payoffs_once(tmp_path, monkeypatch, capsys):
+    counts = counted(monkeypatch, [equilibrium._interim_rows, equilibrium._plan])
+    assert main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())]) == 0
+    # Per agent, the game's profits under the declared profile and the
+    # direct game's cost-free utilities under truth-telling: 2n row sets for
+    # n = 2 agents. The declared profile is checked when it is parsed, by
+    # the audit, and by implements_scf.
+    assert counts == {"_interim_rows": 4, "_plan": 3}

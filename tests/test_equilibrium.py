@@ -42,11 +42,11 @@ from revaudit.equilibrium import (
 from revaudit.labor import (
     BID_HIGH,
     BID_ZERO,
+    SEPARATING_PROFILE,
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
     build_scenario,
-    separating_profile,
 )
 
 UTILITY = EquilibriumMode.UTILITY_BASED
@@ -132,7 +132,7 @@ def test_enumerate_profiles_is_deterministic():
 
 def test_interim_values_at_canonical_wage():
     game = canonical_game()
-    sep = separating_profile()
+    sep = SEPARATING_PROFILE
     assert interim_expected_payoff(game, sep, 0, TYPE_HIGH) == Fraction(5, 8)
     assert interim_expected_payoff(game, sep, 0, TYPE_LOW) == Fraction(3, 8)
     # Low type forced up to the high bid: 1/2*(3/2) + 1/2*(3/4) - 1 = 1/8.
@@ -172,7 +172,7 @@ def test_interim_with_single_type_opponent_is_expost():
 
 def test_separating_profile_is_profit_equilibrium_only():
     game = canonical_game()
-    sep = separating_profile()
+    sep = SEPARATING_PROFILE
     assert is_bayesian_nash(game, sep, PROFIT).is_equilibrium
     # Without costs the low type would imitate: bids are free to inflate.
     verdict = is_bayesian_nash(game, sep, UTILITY)
@@ -240,7 +240,7 @@ def test_find_all_pure_bne_is_deterministic():
 def test_implements_scf():
     params = LaborParams(theta_L=1, theta_H=2, e_H=1, w="3/2")
     scenario = build_scenario(params)
-    assert implements_scf(scenario.game, separating_profile(), scenario.direct.mechanism)
+    assert implements_scf(scenario.game, SEPARATING_PROFILE, scenario.direct.mechanism)
     both_zero = StrategyProfile.from_maps(
         [{TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_ZERO}] * 2
     )

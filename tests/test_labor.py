@@ -8,27 +8,36 @@ from fractions import Fraction
 
 import pytest
 
-from revaudit.auditor import direct_game, truthful_profile
+from revaudit.auditor import direct_game
 from revaudit.core import ConstructionError
-from revaudit.equilibrium import Deviation, EquilibriumMode, interim_expected_payoff
+from revaudit.equilibrium import (
+    Deviation,
+    EquilibriumMode,
+    StrategyProfile,
+    interim_expected_payoff,
+)
 from revaudit.labor import (
+    ALL_REPORT_HIGH_PROFILE,
     BID_HIGH,
     BID_ZERO,
     HIRE_FIRST,
     HIRE_SECOND,
+    SEPARATING_PROFILE,
     SPLIT,
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
-    all_report_high_profile,
     audit_scenario,
     build_scenario,
     check_separating_equilibrium,
     check_truthful_reporting,
     in_wage_window,
-    separating_profile,
     wage_window,
 )
+
+
+# Every type of both workers reports itself in the direct game.
+TRUTHFUL = StrategyProfile.from_maps([{TYPE_LOW: TYPE_LOW, TYPE_HIGH: TYPE_HIGH}] * 2)
 
 
 def params(w="3/2", c_mis="0", prior_high="1/2", theta_L=1, theta_H=2, e_H=1):
@@ -225,7 +234,7 @@ def test_truthfulness_report_at_cheap_misreporting():
     assert report.truthful_witness == Deviation(0, TYPE_LOW, TYPE_HIGH, Fraction(1, 4))
     assert report.all_report_high_is_bne
     assert report.unique_bne_all_report_high
-    assert report.equilibria == (all_report_high_profile(),)
+    assert report.equilibria == (ALL_REPORT_HIGH_PROFILE,)
 
 
 def test_truthfulness_restored_by_dear_misreporting():
@@ -233,7 +242,7 @@ def test_truthfulness_restored_by_dear_misreporting():
     assert not report.cmis_below_half_w
     assert report.truthful_is_bne and report.truthful_witness is None
     assert not report.all_report_high_is_bne
-    assert truthful_profile(build_scenario(params()).game.type_space) in report.equilibria
+    assert TRUTHFUL in report.equilibria
 
 
 def test_free_misreporting_still_unique_all_high():
@@ -292,8 +301,7 @@ def test_interim_is_the_prior_mixture_of_expost_rows():
             prior[opp] * by_case[case_of[(own, opp)]].game.payoff((own, opp))[0]
             for opp in (TYPE_LOW, TYPE_HIGH)
         )
-        direct_truth = truthful_profile(game.type_space)
-        assert interim_expected_payoff(game, direct_truth, 0, own) == mixture
+        assert interim_expected_payoff(game, TRUTHFUL, 0, own) == mixture
 
 
 # -- firm ledger and the full audit --------------------------------------------------
@@ -333,6 +341,6 @@ def test_audit_scenario_outcomes():
 
 def test_interim_values_from_bid_game():
     sc = build_scenario(params(w="3/2"))
-    sep = separating_profile()
+    sep = SEPARATING_PROFILE
     assert interim_expected_payoff(sc.game, sep, 0, TYPE_HIGH) == Fraction(5, 8)
     assert interim_expected_payoff(sc.game, sep, 1, TYPE_LOW) == Fraction(3, 8)

@@ -6,7 +6,8 @@ constant is added to an agent's utilities at one type. Renaming types,
 actions and outcomes renames every equilibrium and audit report the same
 way and moves no verdict, and renumbering the agents renumbers every
 equilibrium. With every cost zero, the classical revelation
-principle holds, and an audit report reads back from its JSON exactly. The
+principle holds. The audit judges truth-telling as the engines do, and an
+audit report reads back from its JSON exactly. The
 games are drawn with large, pairwise coprime denominators so that the
 engine's integer tables are built over large LCMs."""
 
@@ -15,6 +16,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
+import reference_engine as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,6 +158,38 @@ def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(game):
         assert is_truthfully_implementable(direct).is_equilibrium
 
 
+def with_misreport_costs(game, data):
+    """The game with random non-negative misreport costs drawn from `data`."""
+    ts = game.type_space
+    misreport = {
+        (i, t, r): data.draw(rationals(low=0))
+        for i, types in enumerate(ts.types_of) for t in types for r in types if r != t
+    }
+    return BayesianGame(
+        game.mechanism, ts, game.utilities, CostModel(game.costs.strategic, misreport)
+    )
+
+
+@SETTINGS
+@given(games(), st.data())
+def test_the_audit_judges_truth_telling_as_the_engines_do(game, data):
+    # The audit reads truth-telling from cost-free utilities minus report
+    # prices; the engines compute the direct game's profits themselves.
+    game = with_misreport_costs(game, data)
+    ts = game.type_space
+    outcomes = game.mechanism.outcomes()
+    rule = SocialChoiceFunction(
+        ts.types_of, {theta: data.draw(st.sampled_from(outcomes)) for theta in ts.profiles()}
+    )
+    direct = direct_game(game, rule)
+    profile = data.draw(st.sampled_from(enumerate_profiles(game.mechanism, ts)))
+    report = audit_revelation_principle(game, profile, direct)
+    truthful = StrategyProfile.from_maps({t: t for t in types} for types in ts.types_of)
+    expected = ref.is_bayesian_nash(direct, truthful, EquilibriumMode.PROFIT_BASED)
+    assert is_truthfully_implementable(direct) == expected
+    assert EquilibriumVerdict(report.truthful_is_bne, report.truthful_witness) == expected
+
+
 @SETTINGS
 @given(games(), st.data())
 def test_an_audit_report_reads_back_from_its_json(game, data):
@@ -271,14 +305,8 @@ def renaming(data, labels, pool):
 @SETTINGS
 @given(games(), st.data())
 def test_renaming_labels_renames_every_verdict(game, data):
+    game = with_misreport_costs(game, data)
     ts = game.type_space
-    misreport = {
-        (i, t, r): data.draw(rationals(low=0))
-        for i, types in enumerate(ts.types_of) for t in types for r in types if r != t
-    }
-    game = BayesianGame(
-        game.mechanism, ts, game.utilities, CostModel(game.costs.strategic, misreport)
-    )
     rename = Renaming(
         renaming(data, {t for types in ts.types_of for t in types}, ["w", "v", "u"]),
         renaming(data, {a for acts in game.mechanism.actions_of for a in acts}, ["s", "r", "q"]),

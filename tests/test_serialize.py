@@ -8,6 +8,7 @@ import pytest
 
 from revaudit.equilibrium import Deviation
 from revaudit.labor import (
+    SEPARATING_PROFILE,
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
@@ -15,7 +16,6 @@ from revaudit.labor import (
     build_scenario,
     check_separating_equilibrium,
     check_truthful_reporting,
-    separating_profile,
 )
 from revaudit.serialize import (
     SWEEP_COLUMNS,
@@ -309,7 +309,7 @@ def test_params_to_jsonable():
 
 
 def test_profile_round_trip():
-    sep = separating_profile()
+    sep = SEPARATING_PROFILE
     assert profile_from_jsonable(profile_to_jsonable(sep)) == sep
 
 
