@@ -33,13 +33,10 @@ from .equilibrium import (
     PureStrategy,
     StrategyProfile,
     dominant_strategies,
-    enumerate_profiles,
-    enumerate_pure_strategies,
     expost_normal_form,
     find_all_pure_bne,
     find_pure_nash,
     implements_scf,
-    interim_expected_payoff,
     is_bayesian_nash,
 )
 from .auditor import (

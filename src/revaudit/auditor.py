@@ -116,23 +116,25 @@ class ProofChainRecord:
 class AuditReport:
     """Full revelation audit of one (mechanism, profile, rule) triple.
 
-    `violation` is the conjunction the revelation principle forbids: the
-    profile is an equilibrium implementing the rule, yet truthful reporting is
-    not an equilibrium of the rule's direct game.
+    `truthful_witness` is the most profitable misreport in the rule's direct
+    game, None when truthful reporting is an equilibrium there.
     """
 
     indirect_equilibrium: StrategyProfile
     implemented: bool
-    truthful_is_bne: bool
-    violation: bool
     truthful_witness: Deviation | None
     chain: ProofChainRecord
 
-    def __post_init__(self) -> None:
-        if self.violation != (self.implemented and not self.truthful_is_bne):
-            raise ConstructionError("violation flag must equal implemented and not truthful")
-        if self.truthful_is_bne and self.truthful_witness is not None:
-            raise ConstructionError("truthful witness present although truth-telling holds")
+    @property
+    def truthful_is_bne(self) -> bool:
+        return self.truthful_witness is None
+
+    @property
+    def violation(self) -> bool:
+        """The conjunction the revelation principle forbids: the profile is an
+        equilibrium implementing the rule, yet truthful reporting is not an
+        equilibrium of the rule's direct game."""
+        return self.implemented and not self.truthful_is_bne
 
 
 def audit_revelation_principle(
@@ -181,12 +183,9 @@ def audit_revelation_principle(
         costfree_truthful_inequalities_hold=costfree_ok,
         break_point=gap and BreakPoint(gap.agent, gap.type_label, gap.action, gap.gain),
     )
-    implemented = holds_equilibrium and implements_scf(game, profile, direct.mechanism)
     return AuditReport(
         indirect_equilibrium=profile,
-        implemented=implemented,
-        truthful_is_bne=witness is None,
-        violation=implemented and witness is not None,
+        implemented=holds_equilibrium and implements_scf(game, profile, direct.mechanism),
         truthful_witness=witness,
         chain=chain,
     )

@@ -195,15 +195,6 @@ class TypeSpace:
             raise DomainError(f"unknown agent index {agent!r}")
         return agent
 
-    def types(self, agent: int) -> tuple[str, ...]:
-        return self.types_of[self._check_agent(agent)]
-
-    def prior(self, agent: int, type_label: str) -> Fraction:
-        pr = self.prior_of[self._check_agent(agent)]
-        if type_label not in pr:
-            raise DomainError(f"agent {agent}: unknown type {type_label!r}")
-        return pr[type_label]
-
     def profiles(self) -> tuple[tuple[str, ...], ...]:
         """All type profiles, lexicographic in the declared orders."""
         return tuple(itertools.product(*self.types_of))
@@ -218,20 +209,6 @@ class TypeSpace:
             if t not in self.prior_of[i]:
                 raise DomainError(f"agent {i}: unknown type {t!r} in profile {profile}")
         return profile
-
-    def joint_prior(self, profile) -> Fraction:
-        """Probability of a full type profile under the independent prior."""
-        profile = self.validate_profile(profile)
-        w = Fraction(1)
-        for i, t in enumerate(profile):
-            w *= self.prior_of[i][t]
-        return w
-
-    def opponent_profiles(self, agent: int) -> tuple[tuple[str, ...], ...]:
-        """Type profiles of everyone but `agent`, in agent order, lexicographic."""
-        self._check_agent(agent)
-        rest = [ts for j, ts in enumerate(self.types_of) if j != agent]
-        return tuple(itertools.product(*rest))
 
     def conditional_weight(self, agent: int, opponent_profile) -> Fraction:
         """Weight of an opponent type profile given agent's own type.
@@ -315,11 +292,6 @@ class Mechanism:
     def agent_count(self) -> int:
         return len(self.actions_of)
 
-    def actions(self, agent: int) -> tuple[str, ...]:
-        if not isinstance(agent, int) or not 0 <= agent < self.agent_count:
-            raise DomainError(f"unknown agent index {agent!r}")
-        return self.actions_of[agent]
-
     def action_profiles(self) -> tuple[tuple[str, ...], ...]:
         return tuple(itertools.product(*self.actions_of))
 
@@ -394,11 +366,6 @@ class CostModel:
 
     def strategic_cost(self, agent: int, action: str, type_label: str) -> Fraction:
         return self.strategic.get((agent, action, type_label), Fraction(0))
-
-    def misreport_cost(self, agent: int, true_type: str, reported_type: str) -> Fraction:
-        if true_type == reported_type:
-            return Fraction(0)
-        return self.misreport.get((agent, true_type, reported_type), Fraction(0))
 
     def validate_against(self, mechanism: Mechanism, type_space: TypeSpace) -> None:
         """Reject cost entries that reference unknown agents, actions, or types.

@@ -81,9 +81,6 @@ class PureStrategy:
                 return a
         raise DomainError(f"strategy for agent {self.agent} covers no type {type_label!r}")
 
-    def as_map(self) -> dict[str, str]:
-        return dict(self.choice)
-
 
 @dataclass(frozen=True)
 class StrategyProfile:
@@ -127,16 +124,14 @@ class Deviation:
 
 @dataclass(frozen=True)
 class EquilibriumVerdict:
-    """Outcome of an equilibrium check; witness is the maximal-gap deviation."""
+    """Outcome of an equilibrium check; witness is the maximal-gap deviation,
+    None when no deviation gains."""
 
-    is_equilibrium: bool
     witness: Deviation | None
 
-    def __post_init__(self) -> None:
-        if self.is_equilibrium and self.witness is not None:
-            raise ConstructionError("an equilibrium verdict cannot carry a witness")
-        if not self.is_equilibrium and self.witness is None:
-            raise ConstructionError("a failed check must carry a witness")
+    @property
+    def is_equilibrium(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -309,34 +304,6 @@ def _at_best_response(rows: list[list[int]], own: Sequence[int]) -> bool:
     return all(row[a] == max(row) for row, a in zip(rows, own))
 
 
-def interim_expected_payoff(
-    game: BayesianGame,
-    profile: StrategyProfile,
-    agent: int,
-    type_label: str,
-    deviation: str | None = None,
-    mode: EquilibriumMode = EquilibriumMode.PROFIT_BASED,
-) -> Fraction:
-    """Interim expected payoff of agent at a type under a profile.
-
-    If `deviation` is given it replaces the agent's own action at this type
-    only; opponents keep following the profile.
-    """
-    plan = _plan(game, profile)
-    types = game.type_space.types_of[agent]
-    if type_label not in types:
-        raise DomainError(f"agent {agent}: unknown type {type_label!r}")
-    t = types.index(type_label)
-    actions = game.mechanism.actions_of[agent]
-    if deviation is None:
-        a = plan[agent][t]
-    elif deviation in actions:
-        a = actions.index(deviation)
-    else:
-        raise DomainError(f"agent {agent}: unknown action {deviation!r}")
-    return _exact(game, agent, _interim_rows(game, plan, agent, mode)[t][a])
-
-
 def _largest_gain(game: BayesianGame, plan, rows_of) -> Deviation | None:
     """The deviation from `plan` with the largest gain, or None when no
     deviation gains. `rows_of[i]` holds agent i's payoff of every action at
@@ -367,8 +334,7 @@ def _verdict(game: BayesianGame, plan, mode: EquilibriumMode) -> EquilibriumVerd
     """The equilibrium verdict of a plan (action positions per agent, in type
     order), witnessed by its largest deviation gain."""
     rows_of = [_interim_rows(game, plan, i, mode) for i in range(game.agent_count)]
-    witness = _largest_gain(game, plan, rows_of)
-    return EquilibriumVerdict(witness is None, witness)
+    return EquilibriumVerdict(_largest_gain(game, plan, rows_of))
 
 
 def is_bayesian_nash(
@@ -383,47 +349,12 @@ def is_bayesian_nash(
     return _verdict(game, _plan(game, profile), mode)
 
 
-def enumerate_pure_strategies(
-    mechanism: Mechanism,
-    type_space: TypeSpace,
-    agent: int,
-    cap: int = DEFAULT_PROFILE_CAP,
-) -> list[PureStrategy]:
-    """All pure strategies of one agent, lexicographic over (type order, action order)."""
-    check_agent_count(mechanism.actions_of, type_space.types_of)
-    types = type_space.types(agent)
-    actions = mechanism.actions(agent)
-    count = len(actions) ** len(types)
-    if count > cap:
-        raise SearchSpaceError(
-            f"agent {agent}: {count} pure strategies exceed the cap of {cap}"
-        )
-    out = []
-    for combo in itertools.product(actions, repeat=len(types)):
-        out.append(PureStrategy(agent, tuple(zip(types, combo))))
-    return out
-
-
-def _check_profile_cap(mechanism: Mechanism, type_space: TypeSpace, cap: int) -> None:
+def _check_profile_cap(game: BayesianGame, cap: int) -> None:
     total = 1
-    for i in range(type_space.agent_count):
-        total *= len(mechanism.actions(i)) ** len(type_space.types(i))
+    for types, actions in zip(game.type_space.types_of, game.mechanism.actions_of):
+        total *= len(actions) ** len(types)
         if total > cap:
             raise SearchSpaceError(f"{total}+ strategy profiles exceed the cap of {cap}")
-
-
-def enumerate_profiles(
-    mechanism: Mechanism,
-    type_space: TypeSpace,
-    cap: int = DEFAULT_PROFILE_CAP,
-) -> list[StrategyProfile]:
-    """All pure strategy profiles, agent 0 outermost; guarded by a size cap."""
-    _check_profile_cap(mechanism, type_space, cap)
-    per_agent = [
-        enumerate_pure_strategies(mechanism, type_space, i, cap)
-        for i in range(type_space.agent_count)
-    ]
-    return [StrategyProfile(combo) for combo in itertools.product(*per_agent)]
 
 
 def find_all_pure_bne(
@@ -439,7 +370,7 @@ def find_all_pure_bne(
     sets; only those are checked against the earlier agents' deviations.
     Exact; the returned list is bit-identical across runs.
     """
-    _check_profile_cap(game.mechanism, game.type_space, cap)
+    _check_profile_cap(game, cap)
     types_of, actions_of = game.type_space.types_of, game.mechanism.actions_of
     *head, last = range(game.agent_count)
 
@@ -447,8 +378,8 @@ def find_all_pure_bne(
         actions = [actions_of[agent][a] for a in plan]
         return PureStrategy(agent, tuple(zip(types_of[agent], actions)))
 
-    # Plans in the order of enumerate_pure_strategies; strategies are built
-    # only for the equilibria found.
+    # Each agent's plans are lexicographic over (type order, action order),
+    # agent 0 outermost; strategies are built only for the equilibria found.
     plans = [itertools.product(range(len(actions_of[i])), repeat=len(types_of[i])) for i in head]
     found = []
     for choice in itertools.product(*plans):

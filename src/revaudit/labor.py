@@ -122,24 +122,12 @@ class LaborParams:
 @dataclass(frozen=True)
 class LaborScenario:
     """The bid game and the direct game of the hiring rule, each built once
-    by `build_scenario` and read by every check of the scenario, plus the
-    productivity of each type. The direct game's mechanism is the rule,
-    `HIRING_RULE`."""
+    by `build_scenario` and read by every check of the scenario. The direct
+    game's mechanism is the rule, `HIRING_RULE`."""
 
     params: LaborParams
     game: BayesianGame
     direct: BayesianGame
-    theta_value: dict[str, Fraction]
-
-    def firm_expected_utility(self, bids, true_types) -> Fraction:
-        """The firm's payoff: hired production minus the wage. Report-only;
-        the firm is not a player and this feeds no equilibrium check."""
-        true_types = self.game.type_space.validate_profile(true_types)
-        x = self.game.mechanism.outcome(bids)
-        total = -self.params.w
-        for share, t in zip(x.payload, true_types):
-            total += share * self.theta_value[t]
-        return total
 
 
 def build_scenario(params: LaborParams) -> LaborScenario:
@@ -167,7 +155,7 @@ def build_scenario(params: LaborParams) -> LaborScenario:
         },
     )
     game = BayesianGame(MECHANISM, type_space, utilities, costs)
-    return LaborScenario(params, game, direct_game(game, HIRING_RULE), theta_value)
+    return LaborScenario(params, game, direct_game(game, HIRING_RULE))
 
 
 def wage_window(params: LaborParams) -> tuple[Fraction, Fraction]:

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .auditor import AuditReport, BreakPoint, ProofChainRecord, direct_game
+from .auditor import AuditReport, ProofChainRecord, direct_game
 from .core import (
     MAX_LITERAL,
     CostModel,
@@ -34,7 +34,6 @@ from .equilibrium import (
     BayesianGame,
     Deviation,
     NormalFormGame,
-    PureStrategy,
     StrategyProfile,
     _plan,
 )
@@ -432,7 +431,7 @@ def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
 
 # ---------------------------------------------------------------------------
 # Report rendering. to_jsonable functions emit plain dicts with rationals as
-# strings; the audit report also parses back, exactly.
+# strings.
 # ---------------------------------------------------------------------------
 
 
@@ -458,15 +457,6 @@ def profile_to_jsonable(profile: StrategyProfile) -> list:
     ]
 
 
-def profile_from_jsonable(data) -> StrategyProfile:
-    strategies = []
-    for entry in data:
-        strategies.append(
-            PureStrategy(entry["agent"], tuple((t, a) for t, a in entry["choice"]))
-        )
-    return StrategyProfile(tuple(strategies))
-
-
 def deviation_to_jsonable(dev: Deviation | None):
     if dev is None:
         return None
@@ -476,12 +466,6 @@ def deviation_to_jsonable(dev: Deviation | None):
         "action": dev.action,
         "gain": rational_str(dev.gain),
     }
-
-
-def deviation_from_jsonable(data) -> Deviation | None:
-    if data is None:
-        return None
-    return Deviation(data["agent"], data["type"], data["action"], Fraction(data["gain"]))
 
 
 def chain_to_jsonable(chain: ProofChainRecord) -> dict:
@@ -502,19 +486,6 @@ def chain_to_jsonable(chain: ProofChainRecord) -> dict:
     }
 
 
-def chain_from_jsonable(data) -> ProofChainRecord:
-    bp = data["break_point"]
-    return ProofChainRecord(
-        vacuous=data["vacuous"],
-        equilibrium_inequalities_hold=data["equilibrium_inequalities_hold"],
-        mimicry_inequalities_hold=data["mimicry_inequalities_hold"],
-        costfree_truthful_inequalities_hold=data["costfree_truthful_inequalities_hold"],
-        break_point=None
-        if bp is None
-        else BreakPoint(bp["agent"], bp["type"], bp["mimicked_type"], Fraction(bp["costfree_gain"])),
-    )
-
-
 def audit_report_to_jsonable(report: AuditReport) -> dict:
     return {
         "indirect_equilibrium": profile_to_jsonable(report.indirect_equilibrium),
@@ -524,17 +495,6 @@ def audit_report_to_jsonable(report: AuditReport) -> dict:
         "truthful_witness": deviation_to_jsonable(report.truthful_witness),
         "chain": chain_to_jsonable(report.chain),
     }
-
-
-def audit_report_from_jsonable(data) -> AuditReport:
-    return AuditReport(
-        indirect_equilibrium=profile_from_jsonable(data["indirect_equilibrium"]),
-        implemented=data["implemented"],
-        truthful_is_bne=data["truthful_is_bne"],
-        violation=data["violation"],
-        truthful_witness=deviation_from_jsonable(data["truthful_witness"]),
-        chain=chain_from_jsonable(data["chain"]),
-    )
 
 
 def normal_form_to_jsonable(nf: NormalFormGame) -> dict:

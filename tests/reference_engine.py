@@ -3,8 +3,10 @@
 This is the obviously correct engine that the compiled tables of
 `revaudit.equilibrium` are checked against. It walks every opponent type
 profile with `TypeSpace.conditional_weight`, looks each action up by label,
-and scans every pure profile of `enumerate_profiles`. It is slow and is used
-only by the tests, together with a generator of random costly games.
+and scans every pure profile. Profiles and opponent type profiles are
+enumerated here, from `itertools.product`, so the oracle shares no
+enumeration code with the library. It is slow and is used only by the
+tests, together with a generator of random costly games.
 """
 
 import itertools
@@ -13,13 +15,27 @@ from fractions import Fraction
 
 from revaudit.core import CostModel, DomainError, Mechanism, Outcome, TypeSpace, UtilityTable
 from revaudit.equilibrium import (
-    DEFAULT_PROFILE_CAP,
     BayesianGame,
     Deviation,
     EquilibriumMode,
     EquilibriumVerdict,
-    enumerate_profiles,
+    StrategyProfile,
 )
+
+
+def profiles(game):
+    """Every pure profile, agent 0 outermost; each agent's strategies run
+    lexicographically over (type order, action order)."""
+    per_agent = [
+        [dict(zip(types, combo)) for combo in itertools.product(actions, repeat=len(types))]
+        for types, actions in zip(game.type_space.types_of, game.mechanism.actions_of)
+    ]
+    return [StrategyProfile.from_maps(maps) for maps in itertools.product(*per_agent)]
+
+
+def opponent_profiles(ts, agent):
+    """Type profiles of everyone but `agent`, in agent order, lexicographic."""
+    return itertools.product(*[types for j, types in enumerate(ts.types_of) if j != agent])
 
 
 def validate_profile(game, profile):
@@ -44,7 +60,7 @@ def interim(game, profile, agent, type_label, action, mode):
     following `profile`, weighted by the conditional prior over their types."""
     ts = game.type_space
     total = Fraction(0)
-    for opp in ts.opponent_profiles(agent):
+    for opp in opponent_profiles(ts, agent):
         w = ts.conditional_weight(agent, opp)
         acts = []
         k = 0
@@ -78,18 +94,12 @@ def is_bayesian_nash(game, profile, mode):
                 gain = interim(game, profile, agent, t, a, mode) - current
                 if gain > 0 and (best is None or gain > best.gain):
                     best = Deviation(agent, t, a, gain)
-    if best is None:
-        return EquilibriumVerdict(True, None)
-    return EquilibriumVerdict(False, best)
+    return EquilibriumVerdict(best)
 
 
-def find_all_pure_bne(game, mode, cap=DEFAULT_PROFILE_CAP):
+def find_all_pure_bne(game, mode):
     """Every pure equilibrium, by checking each enumerated profile in turn."""
-    return [
-        p
-        for p in enumerate_profiles(game.mechanism, game.type_space, cap)
-        if is_bayesian_nash(game, p, mode).is_equilibrium
-    ]
+    return [p for p in profiles(game) if is_bayesian_nash(game, p, mode).is_equilibrium]
 
 
 def random_shape(rng, agents, max_profiles):

@@ -12,8 +12,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from payoff_probe import compiled_payoff
+
 from revaudit.auditor import zero_cost_regression
 from revaudit.labor import (
+    SEPARATING_PROFILE,
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
@@ -123,20 +126,17 @@ def test_criterion_1_separating_equilibrium_across_the_window():
                 problems.append(f"w={w}: unexpected tie in case {case.case}")
     # Closed-form interim cross-check (the engine path goes through the
     # mechanism; this one never does).
-    from revaudit.equilibrium import interim_expected_payoff
-    from revaudit.labor import SEPARATING_PROFILE
-
     for w in WINDOW_WAGES:
         game = build_scenario(params(w)).game
         for own in (TYPE_LOW, TYPE_HIGH):
-            got = interim_expected_payoff(game, SEPARATING_PROFILE, 0, own)
+            got = compiled_payoff(game, SEPARATING_PROFILE, 0, own)
             want = closed_form_interim(w, HALF, own)
             if got != want:
                 problems.append(f"w={w}, {own}: interim {got} != closed form {want}")
     game = build_scenario(params(CANONICAL_WAGE)).game
-    if interim_expected_payoff(game, SEPARATING_PROFILE, 0, TYPE_HIGH) != Fraction(5, 8):
+    if compiled_payoff(game, SEPARATING_PROFILE, 0, TYPE_HIGH) != Fraction(5, 8):
         problems.append("canonical high-type interim is not 5/8")
-    if interim_expected_payoff(game, SEPARATING_PROFILE, 0, TYPE_LOW) != Fraction(3, 8):
+    if compiled_payoff(game, SEPARATING_PROFILE, 0, TYPE_LOW) != Fraction(3, 8):
         problems.append("canonical low-type interim is not 3/8")
     finish(1, "separating bids implement the hiring rule at window wages", problems)
 

@@ -9,10 +9,10 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+import reference_engine as ref
 
 from revaudit import auditor, core, equilibrium, labor
 from revaudit.cli import main
-from revaudit.equilibrium import enumerate_profiles
 from revaudit.serialize import parse_generic_scenario, profile_to_jsonable
 
 
@@ -155,7 +155,7 @@ def test_analyze_generic_falls_back_to_first_profile(tmp_path, capsys):
     assert code == 0
     assert payload["profile_source"] == "first enumerated profile"
     game = parse_generic_scenario(cfg).game
-    first = enumerate_profiles(game.mechanism, game.type_space)[0]
+    first = ref.profiles(game)[0]
     assert payload["audit"]["indirect_equilibrium"] == profile_to_jsonable(first)
     assert payload["audit"]["chain"]["vacuous"] is True
 

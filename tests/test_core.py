@@ -70,8 +70,8 @@ def two_by_two(p_high=Fraction(1, 2)):
 
 def test_uniform_prior_default():
     ts = TypeSpace.uniform([("a", "b", "c"), ("x",)])
-    assert ts.prior(0, "b") == Fraction(1, 3)
-    assert ts.prior(1, "x") == Fraction(1)
+    assert ts.prior_of[0]["b"] == Fraction(1, 3)
+    assert ts.prior_of[1]["x"] == Fraction(1)
 
 
 def test_prior_must_be_full_support_and_sum_to_one():
@@ -98,19 +98,6 @@ def test_profiles_are_lexicographic():
     )
 
 
-def test_joint_prior_is_product_of_marginals():
-    assert two_by_two().joint_prior(("lo", "hi")) == Fraction(1, 4)
-    ts = TypeSpace(
-        (("a", "b"), ("c", "d")),
-        (
-            {"a": Fraction(3, 4), "b": Fraction(1, 4)},
-            {"c": Fraction(2, 3), "d": Fraction(1, 3)},
-        ),
-    )
-    assert ts.joint_prior(("a", "c")) == Fraction(1, 2)
-    assert sum(ts.joint_prior(p) for p in ts.profiles()) == 1
-
-
 def test_conditional_weight_divides_out_own_marginal():
     ts = TypeSpace(
         (("a", "b"), ("c", "d")),
@@ -119,27 +106,25 @@ def test_conditional_weight_divides_out_own_marginal():
             {"c": Fraction(2, 3), "d": Fraction(1, 3)},
         ),
     )
-    for own in ("a", "b"):
-        for opp in ts.opponent_profiles(0):
-            joint = ts.joint_prior((own,) + opp)
-            assert ts.conditional_weight(0, opp) == joint / ts.prior(0, own)
-    assert sum(ts.conditional_weight(0, opp) for opp in ts.opponent_profiles(0)) == 1
+    for own, opp in ts.profiles():
+        joint = ts.prior_of[0][own] * ts.prior_of[1][opp]
+        assert ts.conditional_weight(0, (opp,)) == joint / ts.prior_of[0][own]
+    assert sum(ts.conditional_weight(0, (opp,)) for opp in ("c", "d")) == 1
 
 
 def test_single_agent_has_one_empty_opponent_profile():
     ts = TypeSpace.uniform([("a", "b")])
-    assert ts.opponent_profiles(0) == ((),)
     assert ts.conditional_weight(0, ()) == 1
 
 
 def test_profile_validation():
     ts = two_by_two()
     with pytest.raises(DomainError):
-        ts.joint_prior(("lo",))
+        ts.validate_profile(("lo",))
     with pytest.raises(DomainError):
-        ts.joint_prior(("lo", "mid"))
+        ts.validate_profile(("lo", "mid"))
     with pytest.raises(DomainError):
-        ts.prior(2, "lo")
+        ts.conditional_weight(2, ("lo",))
 
 
 # -- outcomes, rules, mechanisms ---------------------------------------------
@@ -224,9 +209,7 @@ def test_cost_model_invariants():
     )
     assert c.strategic_cost(0, "r", "lo") == Fraction(1, 2)
     assert c.strategic_cost(0, "l", "lo") == 0
-    assert c.misreport_cost(0, "lo", "hi") == Fraction(1, 4)
-    assert c.misreport_cost(0, "hi", "hi") == 0
-    assert c.misreport_cost(1, "lo", "hi") == 0
+    assert c.misreport == {(0, "lo", "hi"): Fraction(1, 4), (0, "hi", "lo"): 0}
     with pytest.raises(ConstructionError):
         CostModel(strategic={(0, "r", "lo"): Fraction(-1)})
     with pytest.raises(ConstructionError):

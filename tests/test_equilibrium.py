@@ -1,14 +1,16 @@
-"""Engine checks: enumeration order, interim payoffs, equilibrium scans,
+"""Engine checks: the search cap, interim payoffs, equilibrium scans,
 ex-post games, and dominance. Random-instance suites compare the engine
 against independently written oracles, among them the reference engine of
 `reference_engine.py`."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import reference_engine as ref
+from payoff_probe import compiled_payoff
 
 from revaudit.auditor import random_zero_cost_game
 from revaudit.core import (
@@ -25,18 +27,14 @@ from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
     EquilibriumMode,
-    EquilibriumVerdict,
     NormalFormGame,
     PureStrategy,
     StrategyProfile,
     dominant_strategies,
-    enumerate_profiles,
-    enumerate_pure_strategies,
     expost_normal_form,
     find_all_pure_bne,
     find_pure_nash,
     implements_scf,
-    interim_expected_payoff,
     is_bayesian_nash,
 )
 from revaudit.labor import (
@@ -91,40 +89,12 @@ def test_from_maps_builds_indexed_strategies():
 # -- enumeration ----------------------------------------------------------------
 
 
-def test_enumerate_pure_strategies_order_and_count():
-    game = canonical_game()
-    strategies = enumerate_pure_strategies(game.mechanism, game.type_space, 0)
-    assert len(strategies) == 4
-    # Lexicographic over (type order, action order): the oracle is the raw product.
-    expected = [
-        PureStrategy(0, tuple(zip((TYPE_LOW, TYPE_HIGH), combo)))
-        for combo in itertools.product((BID_ZERO, BID_HIGH), repeat=2)
-    ]
-    assert strategies == expected
-    assert strategies[0].as_map() == {TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_ZERO}
-
-
 def test_enumeration_caps():
     game = canonical_game()
-    with pytest.raises(SearchSpaceError, match="agent 0: 4 pure strategies exceed the cap of 3"):
-        enumerate_pure_strategies(game.mechanism, game.type_space, 0, cap=3)
-    with pytest.raises(SearchSpaceError, match=r"^16\+ strategy profiles exceed the cap of 15$"):
-        enumerate_profiles(game.mechanism, game.type_space, cap=15)
     with pytest.raises(SearchSpaceError, match=r"^16\+ strategy profiles exceed the cap of 15$"):
         find_all_pure_bne(game, PROFIT, cap=15)
     # A game with exactly as many profiles as the cap passes.
-    assert len(enumerate_pure_strategies(game.mechanism, game.type_space, 0, cap=4)) == 4
-    assert len(enumerate_profiles(game.mechanism, game.type_space, cap=16)) == 16
     assert find_all_pure_bne(game, PROFIT, cap=16) == find_all_pure_bne(game, PROFIT)
-
-
-def test_enumerate_profiles_is_deterministic():
-    game = canonical_game()
-    first = enumerate_profiles(game.mechanism, game.type_space)
-    second = enumerate_profiles(game.mechanism, game.type_space)
-    assert len(first) == 16
-    assert first == second
-    assert repr(first) == repr(second)
 
 
 # -- interim payoffs ------------------------------------------------------------
@@ -133,16 +103,12 @@ def test_enumerate_profiles_is_deterministic():
 def test_interim_values_at_canonical_wage():
     game = canonical_game()
     sep = SEPARATING_PROFILE
-    assert interim_expected_payoff(game, sep, 0, TYPE_HIGH) == Fraction(5, 8)
-    assert interim_expected_payoff(game, sep, 0, TYPE_LOW) == Fraction(3, 8)
+    assert compiled_payoff(game, sep, 0, TYPE_HIGH) == Fraction(5, 8)
+    assert compiled_payoff(game, sep, 0, TYPE_LOW) == Fraction(3, 8)
     # Low type forced up to the high bid: 1/2*(3/2) + 1/2*(3/4) - 1 = 1/8.
-    assert interim_expected_payoff(game, sep, 0, TYPE_LOW, deviation=BID_HIGH) == Fraction(1, 8)
+    assert compiled_payoff(game, sep, 0, TYPE_LOW, BID_HIGH) == Fraction(1, 8)
     # Utility mode ignores the bid cost.
-    assert interim_expected_payoff(game, sep, 0, TYPE_LOW, deviation=BID_HIGH, mode=UTILITY) == Fraction(9, 8)
-    with pytest.raises(DomainError):
-        interim_expected_payoff(game, sep, 0, "theta_M")
-    with pytest.raises(DomainError):
-        interim_expected_payoff(game, sep, 0, TYPE_LOW, deviation="e_M")
+    assert compiled_payoff(game, sep, 0, TYPE_LOW, BID_HIGH, mode=UTILITY) == Fraction(9, 8)
 
 
 def test_interim_with_single_type_opponent_is_expost():
@@ -164,7 +130,7 @@ def test_interim_with_single_type_opponent_is_expost():
     c = CostModel(strategic={(0, "e", "hi"): Fraction(1, 2)})
     game = BayesianGame(mech, ts, u, c)
     profile = StrategyProfile.from_maps([{"hi": "e"}, {"lo": "0"}])
-    assert interim_expected_payoff(game, profile, 0, "hi") == Fraction(1)
+    assert compiled_payoff(game, profile, 0, "hi") == Fraction(1)
 
 
 # -- equilibrium checks -----------------------------------------------------------
@@ -225,13 +191,6 @@ def test_weak_inequality_keeps_indifferent_profiles():
     assert len(find_all_pure_bne(game, PROFIT)) == 2
 
 
-def test_verdict_shape_is_enforced():
-    with pytest.raises(ConstructionError):
-        EquilibriumVerdict(True, Deviation(0, "t", "a", Fraction(1)))
-    with pytest.raises(ConstructionError):
-        EquilibriumVerdict(False, None)
-
-
 def test_find_all_pure_bne_is_deterministic():
     game = canonical_game()
     assert find_all_pure_bne(game, PROFIT) == find_all_pure_bne(game, PROFIT)
@@ -273,7 +232,8 @@ def exante_full_strategy_equilibrium(game, profile):
                 for j in range(ts.agent_count)
             )
             x = mech.outcome(acts)
-            total += ts.joint_prior(theta) * (
+            joint = math.prod(prior[t] for prior, t in zip(ts.prior_of, theta))
+            total += joint * (
                 game.utilities.utility(agent, x, theta[agent])
                 - game.costs.strategic_cost(agent, acts[agent], theta[agent])
             )
@@ -305,7 +265,7 @@ def test_one_shot_deviations_match_full_strategy_oracle():
     games = [attach_random_costs(random_zero_cost_game(rng), rng) for _ in range(12)]
     games += [ref.random_costly_game(rng, *shape) for shape in EDGE_SHAPES]
     for game in games:
-        for profile in enumerate_profiles(game.mechanism, game.type_space):
+        for profile in ref.profiles(game):
             assert (
                 is_bayesian_nash(game, profile, PROFIT).is_equilibrium
                 == exante_full_strategy_equilibrium(game, profile)
@@ -325,7 +285,7 @@ def differential_shapes():
 @pytest.mark.parametrize("seed, shape", list(enumerate(differential_shapes())))
 def test_compiled_engine_matches_reference_engine(seed, shape):
     game = ref.random_costly_game(random.Random(seed), *shape)
-    profiles = enumerate_profiles(game.mechanism, game.type_space)
+    profiles = ref.profiles(game)
     ts, mech = game.type_space, game.mechanism
     for mode in (UTILITY, PROFIT):
         assert find_all_pure_bne(game, mode) == ref.find_all_pure_bne(game, mode)
@@ -337,7 +297,7 @@ def test_compiled_engine_matches_reference_engine(seed, shape):
             for agent in range(game.agent_count):
                 for t in ts.types_of[agent]:
                     for a in mech.actions_of[agent]:
-                        assert interim_expected_payoff(
+                        assert compiled_payoff(
                             game, profile, agent, t, a, mode
                         ) == ref.interim(game, profile, agent, t, a, mode)
 

