@@ -60,14 +60,17 @@ from .labor import (
     LaborScenario,
     SeparatingReport,
     TruthfulnessReport,
-    audit_scenario,
     build_scenario,
+    case_matrices,
     check_separating_equilibrium,
     check_truthful_reporting,
     in_wage_window,
     wage_window,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+
+# Importing a submodule binds it here too; submodules are not API names.
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _Module)]
 
 __version__ = "0.1.0"

@@ -35,12 +35,12 @@ from .equilibrium import (
     EquilibriumVerdict,
     StrategyProfile,
     _at_best_response,
+    _implements,
     _interim_rows,
     _largest_gain,
     _plan,
     _verdict,
     find_all_pure_bne,
-    implements_scf,
 )
 
 
@@ -185,7 +185,7 @@ def audit_revelation_principle(
     )
     return AuditReport(
         indirect_equilibrium=profile,
-        implemented=holds_equilibrium and implements_scf(game, profile, direct.mechanism),
+        implemented=holds_equilibrium and _implements(game, plan, direct.mechanism),
         truthful_witness=witness,
         chain=chain,
     )

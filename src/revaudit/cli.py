@@ -26,8 +26,8 @@ from .equilibrium import (
 from .labor import (
     LaborParams,
     LaborScenario,
-    audit_scenario,
     build_scenario,
+    case_matrices,
     check_separating_equilibrium,
     check_truthful_reporting,
     in_wage_window,
@@ -149,14 +149,14 @@ def cmd_analyze(args) -> int:
         if args.prior_high is not None:
             params = replace(params, prior_high=args.prior_high)
         scenario = build_scenario(params)
-        separating = check_separating_equilibrium(scenario)
-        truthful = check_truthful_reporting(scenario)
-        audit = audit_scenario(scenario)
+        audit = scenario.audit
         payload = {
             "kind": "labor",
             "params": params_to_jsonable(params),
-            "separating": separating_report_to_jsonable(separating),
-            "truthful": truthfulness_report_to_jsonable(truthful),
+            "separating": separating_report_to_jsonable(check_separating_equilibrium(scenario)),
+            "truthful": truthfulness_report_to_jsonable(
+                check_truthful_reporting(scenario), case_matrices(scenario)
+            ),
             "audit": audit_report_to_jsonable(audit),
         }
         sys.stdout.write(json_dumps(payload))
@@ -193,7 +193,7 @@ def cmd_sweep(args) -> int:
             # A bad cell (say w <= 0) records its error and the scan moves on.
             try:
                 params = grid.cell_params(w, c_mis)
-                audit = audit_scenario(build_scenario(params))
+                audit = build_scenario(params).audit
                 row.update(
                     in_window=_bool_cell(in_wage_window(params)),
                     separating_is_bne=_bool_cell(audit.chain.equilibrium_inequalities_hold),
@@ -217,11 +217,13 @@ def cmd_matrices(args) -> int:
     params = parse_labor_params(cfg)
     if args.prior_high is not None:
         params = replace(params, prior_high=args.prior_high)
-    truthful = check_truthful_reporting(build_scenario(params))
+    scenario = build_scenario(params)
+    matrices = case_matrices(scenario)
     if args.format == "md":
-        sys.stdout.write(render_matrices_markdown(truthful))
+        sys.stdout.write(render_matrices_markdown(params, matrices))
     else:
-        sys.stdout.write(json_dumps(truthfulness_report_to_jsonable(truthful)))
+        truthful = check_truthful_reporting(scenario)
+        sys.stdout.write(json_dumps(truthfulness_report_to_jsonable(truthful, matrices)))
     return EXIT_OK
 
 
@@ -319,9 +321,9 @@ def _crit_threshold(prior_high: Fraction):
 
 
 def _crit_matrices():
-    report = check_truthful_reporting(_scenario(CANONICAL_WAGE, Fraction(1, 2), Fraction(1, 2)))
+    matrices = case_matrices(_scenario(CANONICAL_WAGE, Fraction(1, 2), Fraction(1, 2)))
     mismatches = []
-    for matrix in report.case_matrices:
+    for matrix in matrices:
         expected = EXPECTED_MATRICES[matrix.case]
         for profile, values in expected.items():
             got = matrix.game.payoff(profile)
@@ -336,8 +338,7 @@ def _crit_matrices():
 
 
 def _crit_chain(prior_high: Fraction = Fraction(1, 2)):
-    report = audit_scenario(_scenario(CANONICAL_WAGE, Fraction(0), prior_high))
-    chain = report.chain
+    chain = _scenario(CANONICAL_WAGE, Fraction(0), prior_high).audit.chain
     ok = (
         chain.equilibrium_inequalities_hold
         and chain.mimicry_inequalities_hold

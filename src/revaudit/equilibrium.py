@@ -396,11 +396,20 @@ def implements_scf(
 ) -> bool:
     """Does playing the profile reproduce the social choice function at every
     type profile of the game? A type profile the rule lacks is a DomainError."""
-    _plan(game, profile)
+    return _implements(game, _plan(game, profile), scf)
+
+
+def _implements(game: BayesianGame, plan, scf: SocialChoiceFunction) -> bool:
+    """`implements_scf` for a plan (action positions per agent, in type
+    order), over the type profiles in `type_space.profiles()` order."""
     outcome = game.mechanism.outcome_of
+    moves = [
+        [(t, actions[a]) for t, a in zip(types, own)]
+        for types, actions, own in zip(game.type_space.types_of, game.mechanism.actions_of, plan)
+    ]
     return all(
-        outcome[profile.action_profile(theta)] == scf.outcome(theta)
-        for theta in game.type_space.profiles()
+        outcome[acts] == scf.outcome(theta)
+        for theta, acts in (zip(*cell) for cell in itertools.product(*moves))
     )
 
 

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .auditor import (
-    AuditReport,
-    audit_revelation_principle,
-    direct_game,
-    is_truthfully_implementable,
-)
+from .auditor import AuditReport, audit_revelation_principle, direct_game
 from .core import (
     ConstructionError,
     CostModel,
@@ -128,6 +124,12 @@ class LaborScenario:
     params: LaborParams
     game: BayesianGame
     direct: BayesianGame
+
+    @cached_property
+    def audit(self) -> AuditReport:
+        """The revelation audit at the separating profile, computed on first
+        use and kept with the scenario."""
+        return audit_revelation_principle(self.game, SEPARATING_PROFILE, self.direct)
 
 
 def build_scenario(params: LaborParams) -> LaborScenario:
@@ -263,45 +265,19 @@ class CaseMatrix:
     pure_nash: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class TruthfulnessReport:
-    """Does truth-telling survive in the direct mechanism of the hiring rule?"""
-
-    params: LaborParams
-    cmis_below_half_w: bool
-    truthful_is_bne: bool
-    truthful_witness: Deviation | None
-    all_report_high_is_bne: bool
-    unique_bne_all_report_high: bool
-    equilibria: tuple[StrategyProfile, ...]
-    case_matrices: tuple[CaseMatrix, ...]
-    notes: tuple[str, ...]
-
-
-def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
-    """Verify the direct-mechanism side of the reference scenario.
-
-    Scans all 16 pure report profiles of the direct game for equilibria in
-    profit mode (report utilities minus misreporting costs) and builds the
-    four ex-post report matrices, one per realized type pair, with dominance
-    and pure Nash analysis. For c_mis below half the wage the only
-    equilibrium is that everyone always reports high.
-    """
-    params, game = scenario.params, scenario.direct
-    truth = is_truthfully_implementable(game)
-    equilibria = tuple(find_all_pure_bne(game, EquilibriumMode.PROFIT_BASED))
-    all_high_is_bne = ALL_REPORT_HIGH_PROFILE in equilibria
-
-    matrices = []
+def case_matrices(scenario: LaborScenario) -> tuple[CaseMatrix, ...]:
+    """The four ex-post report matrices of the direct game, one per realized
+    type pair, with dominance and pure Nash analysis."""
     pairs = [
         (1, (TYPE_HIGH, TYPE_HIGH)),
         (2, (TYPE_LOW, TYPE_HIGH)),
         (3, (TYPE_HIGH, TYPE_LOW)),
         (4, (TYPE_LOW, TYPE_LOW)),
     ]
+    matrices = []
     for case, true_types in pairs:
         # The direct game prices each report at its misreporting cost.
-        nf = expost_normal_form(game, true_types, mode=EquilibriumMode.PROFIT_BASED)
+        nf = expost_normal_form(scenario.direct, true_types, mode=EquilibriumMode.PROFIT_BASED)
         matrices.append(
             CaseMatrix(
                 case=case,
@@ -311,20 +287,45 @@ def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
                 pure_nash=tuple(find_pure_nash(nf)),
             )
         )
+    return tuple(matrices)
 
+
+@dataclass(frozen=True)
+class TruthfulnessReport:
+    """Does truth-telling survive in the direct mechanism of the hiring rule?"""
+
+    params: LaborParams
+    cmis_below_half_w: bool
+    truthful_witness: Deviation | None
+    all_report_high_is_bne: bool
+    unique_bne_all_report_high: bool
+    equilibria: tuple[StrategyProfile, ...]
+
+    @property
+    def truthful_is_bne(self) -> bool:
+        return self.truthful_witness is None
+
+
+# The caveat printed with the direct game's reports and matrices.
+UNIQUENESS_NOTE = "uniqueness is certified over pure strategy profiles only"
+
+
+def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
+    """Verify the direct-mechanism side of the reference scenario.
+
+    Reads the truthful witness from the scenario's audit and scans all 16
+    pure report profiles of the direct game for equilibria in profit mode
+    (report utilities minus misreporting costs). For c_mis below half the
+    wage the only equilibrium is that everyone always reports high.
+    """
+    params = scenario.params
+    equilibria = tuple(find_all_pure_bne(scenario.direct, EquilibriumMode.PROFIT_BASED))
+    all_high_is_bne = ALL_REPORT_HIGH_PROFILE in equilibria
     return TruthfulnessReport(
         params=params,
         cmis_below_half_w=params.c_mis < params.w / 2,
-        truthful_is_bne=truth.is_equilibrium,
-        truthful_witness=truth.witness,
+        truthful_witness=scenario.audit.truthful_witness,
         all_report_high_is_bne=all_high_is_bne,
         unique_bne_all_report_high=(len(equilibria) == 1 and all_high_is_bne),
         equilibria=equilibria,
-        case_matrices=tuple(matrices),
-        notes=("uniqueness is certified over pure strategy profiles only",),
     )
-
-
-def audit_scenario(scenario: LaborScenario) -> AuditReport:
-    """Full revelation audit of the labor scenario at its separating profile."""
-    return audit_revelation_principle(scenario.game, SEPARATING_PROFILE, scenario.direct)

@@ -37,7 +37,14 @@ from .equilibrium import (
     StrategyProfile,
     _plan,
 )
-from .labor import LaborParams, SeparatingReport, TruthfulnessReport, check_market
+from .labor import (
+    UNIQUENESS_NOTE,
+    CaseMatrix,
+    LaborParams,
+    SeparatingReport,
+    TruthfulnessReport,
+    check_market,
+)
 
 
 class ConfigError(GameModelError):
@@ -537,7 +544,9 @@ def separating_report_to_jsonable(report: SeparatingReport) -> dict:
     }
 
 
-def truthfulness_report_to_jsonable(report: TruthfulnessReport) -> dict:
+def truthfulness_report_to_jsonable(
+    report: TruthfulnessReport, matrices: tuple[CaseMatrix, ...]
+) -> dict:
     return {
         "cmis_below_half_w": report.cmis_below_half_w,
         "truthful_is_bne": report.truthful_is_bne,
@@ -556,33 +565,31 @@ def truthfulness_report_to_jsonable(report: TruthfulnessReport) -> dict:
                 ],
                 "pure_nash": [list(p) for p in m.pure_nash],
             }
-            for m in report.case_matrices
+            for m in matrices
         ],
-        "notes": list(report.notes),
+        "notes": [UNIQUENESS_NOTE],
     }
 
 
-def render_matrices_markdown(report: TruthfulnessReport) -> str:
+def render_matrices_markdown(params: LaborParams, matrices: tuple[CaseMatrix, ...]) -> str:
     """Markdown document with one report-game table per realized type pair.
 
     Row player is the first agent of the pair; each cell is (row payoff,
     column payoff).
     """
-    p = report.params
     lines = [
         "# Ex-post report matrices",
         "",
         (
-            f"theta_L = {rational_str(p.theta_L)}, theta_H = {rational_str(p.theta_H)}, "
-            f"e_H = {rational_str(p.e_H)}, w = {rational_str(p.w)}, "
-            f"c_mis = {rational_str(p.c_mis)}"
+            f"theta_L = {rational_str(params.theta_L)}, "
+            f"theta_H = {rational_str(params.theta_H)}, e_H = {rational_str(params.e_H)}, "
+            f"w = {rational_str(params.w)}, c_mis = {rational_str(params.c_mis)}"
         ),
         "",
+        f"Note: {UNIQUENESS_NOTE}.",
+        "",
     ]
-    for note in report.notes:
-        lines.append(f"Note: {note}.")
-    lines.append("")
-    for m in report.case_matrices:
+    for m in matrices:
         row_actions, col_actions = m.game.actions_of
         lines.append(f"## Case {m.case}: true types ({m.true_types[0]}, {m.true_types[1]})")
         lines.append("")

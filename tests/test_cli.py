@@ -746,6 +746,37 @@ def test_a_generic_audit_computes_each_agents_payoffs_once(tmp_path, monkeypatch
     assert main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())]) == 0
     # Per agent, the game's profits under the declared profile and the
     # direct game's cost-free utilities under truth-telling: 2n row sets for
-    # n = 2 agents. The declared profile is checked when it is parsed, by
-    # the audit, and by implements_scf.
-    assert counts == {"_interim_rows": 4, "_plan": 3}
+    # n = 2 agents. The declared profile is checked when it is parsed and by
+    # the audit, which decides `implemented` on the plan it already holds.
+    assert counts == {"_interim_rows": 4, "_plan": 2}
+
+
+def test_labor_analyze_decides_truth_telling_once(tmp_path, monkeypatch, capsys):
+    counts = counted(
+        monkeypatch,
+        [equilibrium._interim_rows, auditor.audit_revelation_principle,
+         auditor.is_truthfully_implementable],
+    )
+    assert main(["analyze", labor_cfg(tmp_path)]) == 2
+    # Row sets: 2 for the separating verdict, 4 for the one audit, which the
+    # truthfulness report reads its witness from, and 8 for the search over
+    # the direct game's 16 report profiles. No second truthful verdict.
+    assert counts == {"_interim_rows": 14, "audit_revelation_principle": 1}
+
+
+def test_markdown_matrices_compute_only_the_matrices(tmp_path, monkeypatch, capsys):
+    counts = counted(
+        monkeypatch,
+        [equilibrium._interim_rows, equilibrium.find_all_pure_bne, equilibrium.expost_normal_form,
+         auditor.audit_revelation_principle, auditor.is_truthfully_implementable],
+    )
+    assert main(["matrices", labor_cfg(tmp_path), "--format", "md"]) == 0
+    # The document prints the four ex-post matrices and no verdict.
+    assert counts == {"expost_normal_form": 4}
+
+
+def test_reproduce_builds_only_the_matrices_it_checks(monkeypatch, capsys):
+    counts = counted(monkeypatch, [equilibrium.expost_normal_form])
+    assert main(["reproduce-paper"]) == 0
+    # Only the case-matrices criterion reads ex-post matrices: one set of 4.
+    assert counts == {"expost_normal_form": 4}

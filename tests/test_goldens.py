@@ -5,8 +5,9 @@ canonical labor config at c_mis 1/2 and 1, of `matrices --format md`, of
 `reproduce-paper`, and of `analyze` on generic configs: the one-agent signal
 game with its declared profile and without one (so the equilibrium search
 picks it), and the two-agent config. The sweep oracle recomputes every cell's violation the
-long way, from the full separating and truthfulness reports, and compares it
-with the row the sweep prints."""
+long way, from the engine's verdicts on the scenario's two games, which the
+audit behind the sweep does not call, and compares it with the row the sweep
+prints."""
 
 import json
 import os
@@ -17,13 +18,16 @@ from pathlib import Path
 
 import pytest
 
+from revaudit.auditor import is_truthfully_implementable
 from revaudit.cli import main
 from revaudit.core import GameModelError, rational_str
+from revaudit.equilibrium import EquilibriumMode, implements_scf, is_bayesian_nash
 from revaudit.labor import (
+    HIRING_RULE,
+    SEPARATING_PROFILE,
     LaborParams,
     build_scenario,
-    check_separating_equilibrium,
-    check_truthful_reporting,
+    in_wage_window,
 )
 from test_cli import signal_config, two_agent_cfg
 
@@ -90,7 +94,7 @@ def test_one_process_answers_like_fresh_processes(tmp_path, capsys, monkeypatch)
 
 
 def oracle_row(w, c_mis, fixed):
-    """The sweep row derived from the two full reports, violation inline."""
+    """The sweep row derived from the engine's verdicts, violation inline."""
     row = {"w": rational_str(w), "c_mis": rational_str(c_mis), "in_window": "",
            "separating_is_bne": "", "truthful_is_bne": "", "violation": "", "error": ""}
     try:
@@ -99,18 +103,15 @@ def oracle_row(w, c_mis, fixed):
         row["error"] = str(exc)
         return row
     scenario = build_scenario(params)
-    separating = check_separating_equilibrium(scenario)
-    truthful = check_truthful_reporting(scenario)
-    violation = (
-        separating.separating_is_bne
-        and separating.implements_rule
-        and not truthful.truthful_is_bne
-    )
+    game = scenario.game
+    separating = is_bayesian_nash(game, SEPARATING_PROFILE, EquilibriumMode.PROFIT_BASED)
+    implements = implements_scf(game, SEPARATING_PROFILE, HIRING_RULE)
+    truthful = is_truthfully_implementable(scenario.direct)
     cells = {
-        "in_window": separating.in_window,
-        "separating_is_bne": separating.separating_is_bne,
-        "truthful_is_bne": truthful.truthful_is_bne,
-        "violation": violation,
+        "in_window": in_wage_window(params),
+        "separating_is_bne": separating.is_equilibrium,
+        "truthful_is_bne": truthful.is_equilibrium,
+        "violation": separating.is_equilibrium and implements and not truthful.is_equilibrium,
     }
     row.update({k: "true" if v else "false" for k, v in cells.items()})
     return row

@@ -27,8 +27,8 @@ from revaudit.labor import (
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
-    audit_scenario,
     build_scenario,
+    case_matrices,
     check_separating_equilibrium,
     check_truthful_reporting,
     in_wage_window,
@@ -253,14 +253,14 @@ def test_free_misreporting_still_unique_all_high():
 
 
 def test_case_matrix_entries_and_dominance():
-    report = check_truthful_reporting(build_scenario(params(w="3/2", c_mis="1/2")))
-    assert [m.true_types for m in report.case_matrices] == [
+    matrices = case_matrices(build_scenario(params(w="3/2", c_mis="1/2")))
+    assert [m.true_types for m in matrices] == [
         (TYPE_HIGH, TYPE_HIGH),
         (TYPE_LOW, TYPE_HIGH),
         (TYPE_HIGH, TYPE_LOW),
         (TYPE_LOW, TYPE_LOW),
     ]
-    by_case = {m.case: m for m in report.case_matrices}
+    by_case = {m.case: m for m in matrices}
 
     both_high = by_case[1].game
     assert both_high.payoff((TYPE_LOW, TYPE_LOW)) == (Fraction(3, 4), Fraction(3, 4))
@@ -271,15 +271,15 @@ def test_case_matrix_entries_and_dominance():
     assert both_low.payoff((TYPE_HIGH, TYPE_LOW)) == (Fraction(1), Fraction(0))
     assert both_low.payoff((TYPE_HIGH, TYPE_HIGH)) == (Fraction(1, 4), Fraction(1, 4))
 
-    for m in report.case_matrices:
+    for m in matrices:
         for d in m.dominant:
             assert d is not None and d.action == TYPE_HIGH and d.kind == "strict"
         assert m.pure_nash == ((TYPE_HIGH, TYPE_HIGH),)
 
 
 def test_mixed_case_matrices_are_transposes():
-    report = check_truthful_reporting(build_scenario(params(w="3/2", c_mis="1/2")))
-    by_case = {m.case: m for m in report.case_matrices}
+    matrices = case_matrices(build_scenario(params(w="3/2", c_mis="1/2")))
+    by_case = {m.case: m for m in matrices}
     low_high, high_low = by_case[2].game, by_case[3].game
     for a in (TYPE_LOW, TYPE_HIGH):
         for b in (TYPE_LOW, TYPE_HIGH):
@@ -289,12 +289,11 @@ def test_mixed_case_matrices_are_transposes():
 
 def test_interim_is_the_prior_mixture_of_expost_rows():
     p = params(w="3/2", c_mis="1/2", prior_high="1/3")
-    report = check_truthful_reporting(build_scenario(p))
     sc = build_scenario(p)
     game = direct_game(sc.game, sc.direct.mechanism)
     case_of = {(TYPE_HIGH, TYPE_HIGH): 1, (TYPE_LOW, TYPE_HIGH): 2,
                (TYPE_HIGH, TYPE_LOW): 3, (TYPE_LOW, TYPE_LOW): 4}
-    by_case = {m.case: m for m in report.case_matrices}
+    by_case = {m.case: m for m in case_matrices(sc)}
     prior = {TYPE_HIGH: p.prior_high, TYPE_LOW: 1 - p.prior_high}
     for own in (TYPE_LOW, TYPE_HIGH):
         mixture = sum(
@@ -315,16 +314,16 @@ def test_conclusions_do_not_depend_on_the_prior(prior_high):
     truth = check_truthful_reporting(build_scenario(p))
     assert not truth.truthful_is_bne
     assert truth.truthful_witness == Deviation(0, TYPE_LOW, TYPE_HIGH, Fraction(1, 4))
-    report = audit_scenario(build_scenario(p))
+    report = build_scenario(p).audit
     assert report.violation
     assert report.chain.break_point.costfree_gain == Fraction(3, 4)
 
 
 def test_audit_scenario_outcomes():
-    assert audit_scenario(build_scenario(params(w="3/2", c_mis="1/2"))).violation
-    cleared = audit_scenario(build_scenario(params(w="3/2", c_mis=1)))
+    assert build_scenario(params(w="3/2", c_mis="1/2")).audit.violation
+    cleared = build_scenario(params(w="3/2", c_mis=1)).audit
     assert cleared.implemented and cleared.truthful_is_bne and not cleared.violation
-    outside = audit_scenario(build_scenario(params(w="5/2", c_mis="1/2")))
+    outside = build_scenario(params(w="5/2", c_mis="1/2")).audit
     assert not outside.implemented and not outside.violation
 
 

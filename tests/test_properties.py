@@ -9,7 +9,9 @@ equilibrium. With every cost zero, the classical revelation
 principle holds. The audit judges truth-telling as the engines do, and an
 audit report reads back from its JSON exactly, through the readers below.
 The games are drawn with large, pairwise coprime denominators so that the
-engine's integer tables are built over large LCMs."""
+engine's integer tables are built over large LCMs. Every verdict of the
+labor scenario follows the paper's closed forms at random rational
+parameters, window edges and skewed priors included."""
 
 import itertools
 import json
@@ -48,6 +50,14 @@ from revaudit.equilibrium import (
     find_all_pure_bne,
     is_bayesian_nash,
 )
+from revaudit.labor import (
+    TYPE_HIGH,
+    TYPE_LOW,
+    LaborParams,
+    build_scenario,
+    check_separating_equilibrium,
+    check_truthful_reporting,
+)
 from revaudit.serialize import audit_report_to_jsonable, json_dumps
 
 MODES = (EquilibriumMode.UTILITY_BASED, EquilibriumMode.PROFIT_BASED)
@@ -68,9 +78,14 @@ def rationals(low=-(10**6)):
 
 
 @st.composite
-def games(draw):
+def games(draw, misreportable=False):
+    """A random game; with `misreportable`, some agent has two types, so
+    some type can misreport."""
     agents = draw(st.integers(1, 3))
-    types_of = tuple(tuple(f"t{k}" for k in range(draw(st.integers(1, 2)))) for _ in range(agents))
+    sizes = [draw(st.integers(1, 2)) for _ in range(agents)]
+    if misreportable and max(sizes) == 1:
+        sizes[draw(st.integers(0, agents - 1))] = 2
+    types_of = tuple(tuple(f"t{k}" for k in range(n)) for n in sizes)
     actions_of = tuple(
         tuple(f"a{k}" for k in range(draw(st.integers(1, 3 if agents < 3 else 2))))
         for _ in range(agents)
@@ -182,7 +197,7 @@ def with_misreport_costs(game, data):
 
 
 @SETTINGS
-@given(games(), st.data())
+@given(games(misreportable=True), st.data())
 def test_the_audit_judges_truth_telling_as_the_engines_do(game, data):
     # The audit reads truth-telling from cost-free utilities minus report
     # prices; the engines compute the direct game's profits themselves.
@@ -206,6 +221,67 @@ def test_the_audit_judges_truth_telling_as_the_engines_do(game, data):
         expected = ref.is_bayesian_nash(direct, truthful, EquilibriumMode.PROFIT_BASED)
         assert is_truthfully_implementable(direct) == expected
         assert EquilibriumVerdict(report.truthful_witness) == expected
+
+
+def positive_rationals():
+    return st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**3))
+
+
+def unit_fractions():
+    """Rationals strictly between 0 and 1."""
+    return st.builds(lambda n, d: Fraction(n, n + d), st.integers(1, 10**3), st.integers(1, 10**3))
+
+
+@st.composite
+def labor_params(draw):
+    """Random rational labor parameters. The wage is drawn at either window
+    edge, inside the window or anywhere; the misreporting cost at 0, at
+    half the wage, below it or above it; the prior often skewed."""
+    theta_L = draw(positive_rationals())
+    theta_H = theta_L + draw(positive_rationals())
+    e_H = draw(positive_rationals())
+    lo, hi = 2 * e_H / theta_H, 2 * e_H / theta_L
+    w = draw(st.one_of(
+        st.sampled_from([lo, hi]),
+        unit_fractions().map(lambda k: lo + k * (hi - lo)),
+        positive_rationals(),
+    ))
+    half = w / 2
+    c_mis = draw(st.one_of(
+        st.sampled_from([Fraction(0), half]),
+        unit_fractions().map(lambda k: k * half),
+        positive_rationals().map(lambda k: half + k),
+    ))
+    prior_high = draw(st.one_of(
+        st.sampled_from([Fraction(1, 1000), Fraction(999, 1000)]), unit_fractions()
+    ))
+    return LaborParams(theta_L, theta_H, e_H, w, c_mis, prior_high)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(labor_params())
+def test_the_labor_verdicts_follow_the_closed_forms(params):
+    # Proposition 4 of the source paper and its wage window, derived here
+    # from the parameters alone.
+    w, c_mis = params.w, params.c_mis
+    lo, hi = 2 * params.e_H / params.theta_H, 2 * params.e_H / params.theta_L
+    scenario = build_scenario(params)
+    separating = check_separating_equilibrium(scenario)
+    truthful = check_truthful_reporting(scenario)
+    # Weak inequalities keep both window edges; `in_window` is the open interval.
+    closed = lo <= w <= hi
+    assert separating.separating_is_bne == closed
+    assert scenario.audit.chain.equilibrium_inequalities_hold == closed
+    assert separating.in_window == (lo < w < hi)
+    assert separating.ir_margin == w / 2 - params.e_H / params.theta_H
+    # A low type gains w/2 by reporting high, whatever the prior, and pays c_mis.
+    below = c_mis < w / 2
+    witness = Deviation(0, TYPE_LOW, TYPE_HIGH, w / 2 - c_mis) if below else None
+    assert truthful.truthful_witness == witness
+    assert truthful.unique_bne_all_report_high == below
+    assert scenario.audit.violation == (closed and below)
+    if closed:
+        assert scenario.audit.chain.break_point == BreakPoint(0, TYPE_LOW, TYPE_HIGH, w / 2)
 
 
 def profile_from_jsonable(data) -> StrategyProfile:

@@ -43,15 +43,12 @@ EXPORTS = [
     "UtilityTable",
     "as_rational",
     "audit_revelation_principle",
-    "audit_scenario",
-    "auditor",
     "build_scenario",
+    "case_matrices",
     "check_separating_equilibrium",
     "check_truthful_reporting",
-    "core",
     "direct_game",
     "dominant_strategies",
-    "equilibrium",
     "expost_normal_form",
     "find_all_pure_bne",
     "find_pure_nash",
@@ -60,7 +57,6 @@ EXPORTS = [
     "induced_scf",
     "is_bayesian_nash",
     "is_truthfully_implementable",
-    "labor",
     "profit",
     "random_zero_cost_game",
     "rational_str",

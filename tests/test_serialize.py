@@ -19,8 +19,8 @@ from revaudit.labor import (
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
-    audit_scenario,
     build_scenario,
+    case_matrices,
     check_separating_equilibrium,
     check_truthful_reporting,
 )
@@ -326,7 +326,7 @@ def test_deviation_round_trip():
 
 
 def test_audit_report_round_trips_through_json_text():
-    report = audit_scenario(build_scenario(canonical_params()))
+    report = build_scenario(canonical_params()).audit
     text = json_dumps(audit_report_to_jsonable(report))
     back = audit_report_from_jsonable(json.loads(text))
     assert back == report
@@ -335,8 +335,7 @@ def test_audit_report_round_trips_through_json_text():
 
 
 def test_normal_form_jsonable_rows_follow_action_order():
-    truth = check_truthful_reporting(build_scenario(canonical_params()))
-    data = normal_form_to_jsonable(truth.case_matrices[0].game)
+    data = normal_form_to_jsonable(case_matrices(build_scenario(canonical_params()))[0].game)
     assert data["actions"] == [[TYPE_LOW, TYPE_HIGH], [TYPE_LOW, TYPE_HIGH]]
     got_profiles = [tuple(row["actions"]) for row in data["payoffs"]]
     assert got_profiles == [
@@ -349,9 +348,11 @@ def test_normal_form_jsonable_rows_follow_action_order():
 
 
 def test_report_jsonables_are_json_serializable():
-    p = canonical_params()
-    sep = separating_report_to_jsonable(check_separating_equilibrium(build_scenario(p)))
-    truth = truthfulness_report_to_jsonable(check_truthful_reporting(build_scenario(p)))
+    scenario = build_scenario(canonical_params())
+    sep = separating_report_to_jsonable(check_separating_equilibrium(scenario))
+    truth = truthfulness_report_to_jsonable(
+        check_truthful_reporting(scenario), case_matrices(scenario)
+    )
     assert json.loads(json_dumps(sep))["in_window"] is True
     loaded = json.loads(json_dumps(truth))
     assert loaded["unique_bne_all_report_high"] is True
@@ -363,8 +364,8 @@ def test_report_jsonables_are_json_serializable():
 
 
 def test_render_matrices_markdown_golden_fragments():
-    scenario = build_scenario(canonical_params())
-    text = render_matrices_markdown(check_truthful_reporting(scenario))
+    p = canonical_params()
+    text = render_matrices_markdown(p, case_matrices(build_scenario(p)))
     assert text.startswith("# Ex-post report matrices\n")
     assert "theta_L = 1, theta_H = 2, e_H = 1, w = 3/2, c_mis = 1/2" in text
     assert "## Case 1: true types (theta_H, theta_H)" in text
@@ -374,7 +375,7 @@ def test_render_matrices_markdown_golden_fragments():
     assert "- dominant report for agent i: theta_H (strict)" in text
     assert "- pure Nash profiles: (theta_H, theta_H)" in text
     assert text.endswith("\n") and not text.endswith("\n\n")
-    assert text == render_matrices_markdown(check_truthful_reporting(scenario))
+    assert text == render_matrices_markdown(p, case_matrices(build_scenario(p)))
 
 
 def test_sweep_rows_to_csv():
