@@ -27,7 +27,6 @@ from .equilibrium import (
     BayesianGame,
     Deviation,
     DominantAction,
-    EquilibriumMode,
     EquilibriumVerdict,
     NormalFormGame,
     PureStrategy,

@@ -31,7 +31,6 @@ from .core import (
 from .equilibrium import (
     BayesianGame,
     Deviation,
-    EquilibriumMode,
     EquilibriumVerdict,
     StrategyProfile,
     _at_best_response,
@@ -50,7 +49,7 @@ def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
 
     Only the misreporting schedule carries over, stored once as the price of
     playing a report: strategic[(agent, report, true type)] =
-    misreport[(agent, true type, report)]. Profit mode then values a report
+    misreport[(agent, true type, report)]. Its profit then values a report
     at its utility minus its misreporting cost, with honest reports free.
     """
     if scf.actions_of != game.type_space.types_of:
@@ -70,13 +69,13 @@ def _truth(direct: BayesianGame) -> list[range]:
 
 
 def is_truthfully_implementable(direct: BayesianGame) -> EquilibriumVerdict:
-    """Is truth-telling a profit-based equilibrium of a rule's direct game,
+    """Is truth-telling an equilibrium of a rule's direct game,
     `direct_game(game, scf)`?
 
     The witness on failure is the most profitable misreport, as (agent, true
     type, reported type, gain).
     """
-    return _verdict(direct, _truth(direct), EquilibriumMode.PROFIT_BASED)
+    return _verdict(direct, _truth(direct))
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,9 @@ class ProofChainRecord:
     """The three inequality families behind the classical revelation argument.
 
     `equilibrium_inequalities_hold`: the candidate profile survives every
-    single-action deviation in profit mode (deviations range over all
-    actions). `mimicry_inequalities_hold`: it survives deviations restricted
-    to other types' equilibrium actions, strategic cost of the mimicked action
+    single-action deviation (deviations range over all actions).
+    `mimicry_inequalities_hold`: it survives deviations restricted to other
+    types' equilibrium actions, strategic cost of the mimicked action
     retained. `costfree_truthful_inequalities_hold`: truthful reporting beats
     misreporting on the rule itself with all costs erased. Classically the
     first implies the second implies the third; with strategic costs the last
@@ -144,31 +143,30 @@ def audit_revelation_principle(
 
     `direct` is `direct_game(game, scf)`, built once by the caller; its
     mechanism is the rule and truth-telling is its identity plan. For each
-    agent the walk computes two sets of interim payoffs once, the game's
-    profits under the profile and the direct game's cost-free utilities under
-    truth-telling, and reads every verdict from them: the chain's equilibrium,
-    mimicry and cost-free families; truth-telling in the direct game, whose
-    profits are those utilities minus its report prices; and the break point,
+    agent the walk computes two sets of interim profits once, the game's under
+    the profile and the direct game's under truth-telling, and reads every
+    verdict from them: the chain's equilibrium and mimicry families;
+    truth-telling in the direct game; the cost-free family, whose payoffs are
+    the direct game's profits plus its report prices; and the break point,
     the largest cost-free gain of a report where mimicry holds. The truthful
     witness and the break point follow one deviation rule,
     `equilibrium._largest_gain`. The chain is vacuous when the profile is not
-    a profit-based equilibrium; its other families are still reported.
+    an equilibrium; its other families are still reported.
     """
     plan, truth = _plan(game, profile), _truth(direct)
     prices = direct._tables.cost
     holds_equilibrium = mimicry_ok = costfree_ok = True
     truthful_rows, mimicry_rows = [], []
     for agent, own in enumerate(plan):
-        rows = _interim_rows(game, plan, agent, EquilibriumMode.PROFIT_BASED)
-        free_rows = _interim_rows(direct, truth, agent, EquilibriumMode.UTILITY_BASED)
+        rows = _interim_rows(game, plan, agent)
+        truthful = _interim_rows(direct, truth, agent)
+        free_rows = [[v + c for v, c in zip(row, cs)] for row, cs in zip(truthful, prices[agent])]
         holds_equilibrium = holds_equilibrium and _at_best_response(rows, own)
         costfree_ok = costfree_ok and _at_best_response(free_rows, truth[agent])
         # mimics[k][m]: type k profits no more from type m's action than from its own.
         mimics = [[row[a] <= row[b] for a in own] for row, b in zip(rows, own)]
         mimicry_ok = mimicry_ok and all(map(all, mimics))
-        truthful_rows.append(
-            [[v - c for v, c in zip(free, cost)] for free, cost in zip(free_rows, prices[agent])]
-        )
+        truthful_rows.append(truthful)
         # Reporting m at type k gains its cost-free gain where mimicry holds, else nothing.
         mimicry_rows.append([
             [v if ok else free[k] for v, ok in zip(free, oks)]
@@ -229,7 +227,7 @@ def random_zero_cost_game(rng: random.Random) -> BayesianGame:
         for x in outcomes:
             for t in types_of[agent]:
                 utility[(agent, x.label, t)] = Fraction(rng.randint(0, 12), 12)
-    return BayesianGame(mechanism, type_space, UtilityTable(utility), CostModel.zero())
+    return BayesianGame(mechanism, type_space, UtilityTable(utility), CostModel())
 
 
 def _induced_outcomes(game: BayesianGame, profile: StrategyProfile) -> tuple[Outcome, ...]:
@@ -264,11 +262,11 @@ def zero_cost_regression(
 ) -> RegressionSummary:
     """Check the classical revelation principle on random zero-cost games.
 
-    For every pure profit-based equilibrium of every generated game, the
-    induced rule must be truthfully implementable. Equilibria of one game
-    that play out the same rule share one verdict: each distinct rule's
-    direct game is built and checked once, and a failing rule gives one
-    failure per equilibrium that plays it. Deterministic for a fixed seed.
+    For every pure equilibrium of every generated game, the induced rule
+    must be truthfully implementable. Equilibria of one game that play out
+    the same rule share one verdict: each distinct rule's direct game is
+    built and checked once, and a failing rule gives one failure per
+    equilibrium that plays it. Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
     failures = []
@@ -276,7 +274,7 @@ def zero_cost_regression(
     for k in range(instances):
         game = random_zero_cost_game(rng)
         truthful_by_rule: dict[tuple[Outcome, ...], bool] = {}
-        for profile in find_all_pure_bne(game, EquilibriumMode.PROFIT_BASED):
+        for profile in find_all_pure_bne(game):
             checked += 1
             rule = _induced_outcomes(game, profile)
             if rule not in truthful_by_rule:

@@ -18,7 +18,6 @@ from .auditor import BreakPoint, audit_revelation_principle, zero_cost_regressio
 from .core import GameModelError, as_rational, rational_str
 from .equilibrium import (
     DEFAULT_PROFILE_CAP,
-    EquilibriumMode,
     StrategyProfile,
     find_all_pure_bne,
     implements_scf,
@@ -126,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _select_profile(scenario: GenericScenario, cap: int):
     if scenario.candidate is not None:
         return scenario.candidate, "declared"
-    equilibria = find_all_pure_bne(scenario.game, EquilibriumMode.PROFIT_BASED, cap)
+    equilibria = find_all_pure_bne(scenario.game, cap)
     for p in equilibria:
         if implements_scf(scenario.game, p, scenario.direct.mechanism):
             return p, "first equilibrium implementing the rule"

@@ -60,6 +60,9 @@ class SearchSpaceError(GameModelError):
 # Fraction() sees it stops "1e999999" from expanding into a million digits.
 MAX_LITERAL = 100
 _EXPONENT = re.compile(r"[eE]([-+]?\d+)")
+# Fraction() reads "1_000" from Python 3.11 on and "3 / 2" from 3.12 on; a
+# literal holding neither reads the same on every supported Python.
+_UNDERSCORE_OR_SPACE = re.compile(r"[_\s]")
 
 
 def check_literal_size(text: str, where: str | tuple = "value") -> str:
@@ -86,8 +89,9 @@ def as_rational(value, where: str | tuple = "value") -> Fraction:
     """Coerce int, Fraction, or a "p/q" string to an exact Fraction.
 
     Floats (and bools) are rejected: callers must pass exact values. Strings
-    must pass check_literal_size. `where` names the value, or is a
-    GameModelError location.
+    must pass check_literal_size and hold no underscore, and no whitespace
+    but at the ends. `where` names the value, or is a GameModelError
+    location.
     """
     if isinstance(value, Fraction):
         return value
@@ -101,10 +105,12 @@ def as_rational(value, where: str | tuple = "value") -> Fraction:
         raise ConstructionError(problem, at)
     if isinstance(value, str):
         text = check_literal_size(value.strip(), at)
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConstructionError(f"cannot parse {value!r} as a rational", at) from exc
+        if not _UNDERSCORE_OR_SPACE.search(text):
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ConstructionError(f"cannot parse {value!r} as a rational", at)
     raise ConstructionError(f"cannot interpret {type(value).__name__} as a rational", at)
 
 
@@ -359,10 +365,6 @@ class CostModel:
                 raise ConstructionError(problem, ("misreport_costs", key, "cost"))
         object.__setattr__(self, "strategic", strategic)
         object.__setattr__(self, "misreport", misreport)
-
-    @classmethod
-    def zero(cls) -> "CostModel":
-        return cls({}, {})
 
     def strategic_cost(self, agent: int, action: str, type_label: str) -> Fraction:
         return self.strategic.get((agent, action, type_label), Fraction(0))

@@ -6,12 +6,13 @@ denominators, utilities and strategic costs scaled by one LCM, and the
 outcome of every action profile. Equilibrium conditions are then weak
 inequalities between Python ints, and a reported payoff or gain is the exact
 Fraction of an int over the agent's scale; no tolerance enters anywhere.
-Payoffs come in two modes: utility-based (outcome utility only) and
-profit-based (outcome utility minus the strategic cost of the action
-actually played). With independent priors, per-type single-action
-deviations are sufficient. The equilibrium search enumerates the strategies
-of every agent but the last, takes the last agent's per-type best replies to
-them, and checks only those profiles against the other agents' deviations.
+The one payoff is profit: outcome utility minus the strategic cost of the
+action actually played. The classical utility view is the profit of the same
+game built with `CostModel()`. With independent priors, per-type
+single-action deviations are sufficient. The equilibrium search enumerates
+the strategies of every agent but the last, takes the last agent's per-type
+best replies to them, and checks only those profiles against the other
+agents' deviations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
@@ -40,13 +40,6 @@ from .core import (
 )
 
 DEFAULT_PROFILE_CAP = 10**6
-
-
-class EquilibriumMode(Enum):
-    """Which payoff the equilibrium inequalities compare."""
-
-    UTILITY_BASED = "utility"
-    PROFIT_BASED = "profit"
 
 
 @dataclass(frozen=True)
@@ -259,10 +252,8 @@ def _plan(game: BayesianGame, profile: StrategyProfile) -> list[list[int]]:
     return plan
 
 
-def _interim_rows(
-    game: BayesianGame, plan, agent: int, mode: EquilibriumMode
-) -> list[list[int]]:
-    """Interim payoff of every action of `agent` at each of its types, as ints
+def _interim_rows(game: BayesianGame, plan, agent: int) -> list[list[int]]:
+    """Interim profit of every action of `agent` at each of its types, as ints
     on the agent's scale, with the others following `plan` (the agent's own
     entry is not read). Independence of the prior makes the opponents' type
     weights the same at every own type."""
@@ -280,13 +271,10 @@ def _interim_rows(
     cells = [
         [outcome[b + a * step] for b in bases] for a in range(len(game.mechanism.actions_of[agent]))
     ]
-    rows = []
-    for u, costs in zip(tables.utility[agent], tables.cost[agent]):
-        row = [sum(w * u[x] for w, x in zip(weights, xs)) for xs in cells]
-        if mode is EquilibriumMode.PROFIT_BASED:
-            row = [v - c for v, c in zip(row, costs)]
-        rows.append(row)
-    return rows
+    return [
+        [sum(w * u[x] for w, x in zip(weights, xs)) - c for xs, c in zip(cells, costs)]
+        for u, costs in zip(tables.utility[agent], tables.cost[agent])
+    ]
 
 
 def _exact(game: BayesianGame, agent: int, value: int) -> Fraction:
@@ -330,23 +318,21 @@ def _largest_gain(game: BayesianGame, plan, rows_of) -> Deviation | None:
     return best
 
 
-def _verdict(game: BayesianGame, plan, mode: EquilibriumMode) -> EquilibriumVerdict:
+def _verdict(game: BayesianGame, plan) -> EquilibriumVerdict:
     """The equilibrium verdict of a plan (action positions per agent, in type
     order), witnessed by its largest deviation gain."""
-    rows_of = [_interim_rows(game, plan, i, mode) for i in range(game.agent_count)]
+    rows_of = [_interim_rows(game, plan, i) for i in range(game.agent_count)]
     return EquilibriumVerdict(_largest_gain(game, plan, rows_of))
 
 
-def is_bayesian_nash(
-    game: BayesianGame, profile: StrategyProfile, mode: EquilibriumMode
-) -> EquilibriumVerdict:
+def is_bayesian_nash(game: BayesianGame, profile: StrategyProfile) -> EquilibriumVerdict:
     """Check the weak-inequality equilibrium conditions on every deviation.
 
     Independence of the prior makes per-type single-action deviations
     sufficient. On failure the witness is the deviation with the largest gain;
     ties go to the smallest (agent index, type position, action position).
     """
-    return _verdict(game, _plan(game, profile), mode)
+    return _verdict(game, _plan(game, profile))
 
 
 def _check_profile_cap(game: BayesianGame, cap: int) -> None:
@@ -357,11 +343,7 @@ def _check_profile_cap(game: BayesianGame, cap: int) -> None:
             raise SearchSpaceError(f"{total}+ strategy profiles exceed the cap of {cap}")
 
 
-def find_all_pure_bne(
-    game: BayesianGame,
-    mode: EquilibriumMode,
-    cap: int = DEFAULT_PROFILE_CAP,
-) -> list[StrategyProfile]:
+def find_all_pure_bne(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> list[StrategyProfile]:
     """Every pure-strategy equilibrium, in enumeration order.
 
     Only the strategies of agents 0..n-2 are enumerated. The last agent's
@@ -384,9 +366,9 @@ def find_all_pure_bne(
     found = []
     for choice in itertools.product(*plans):
         plan = [*choice, None]
-        for reply in itertools.product(*_best_replies(_interim_rows(game, plan, last, mode))):
+        for reply in itertools.product(*_best_replies(_interim_rows(game, plan, last))):
             plan[last] = reply
-            if all(_at_best_response(_interim_rows(game, plan, i, mode), plan[i]) for i in head):
+            if all(_at_best_response(_interim_rows(game, plan, i), plan[i]) for i in head):
                 found.append(StrategyProfile(tuple(strategy(i, p) for i, p in enumerate(plan))))
     return found
 
@@ -461,26 +443,18 @@ class DominantAction:
             raise ConstructionError(f"kind must be 'strict' or 'weak', got {self.kind!r}")
 
 
-def expost_normal_form(
-    game: BayesianGame,
-    true_types,
-    mode: EquilibriumMode = EquilibriumMode.PROFIT_BASED,
-) -> NormalFormGame:
-    """The complete-information game at a fixed realized type profile.
+def expost_normal_form(game: BayesianGame, true_types) -> NormalFormGame:
+    """The complete-information profit game at a fixed realized type profile.
 
     In a direct game the strategic cost of a report is its misreporting cost,
-    so profit mode there gives the direct game's report payoffs.
+    so its profits there are the direct game's report payoffs.
     """
     true_types = game.type_space.validate_profile(true_types)
-    profit_mode = mode is EquilibriumMode.PROFIT_BASED
     payoffs = {}
     for acts in game.mechanism.action_profiles():
         x = game.mechanism.outcome(acts)
         payoffs[acts] = tuple(
-            profit(i, x, acts[i], t, game.utilities, game.costs)
-            if profit_mode
-            else game.utilities.utility(i, x, t)
-            for i, t in enumerate(true_types)
+            profit(i, x, acts[i], t, game.utilities, game.costs) for i, t in enumerate(true_types)
         )
     return NormalFormGame(game.mechanism.actions_of, payoffs)
 

@@ -31,7 +31,6 @@ from .equilibrium import (
     BayesianGame,
     Deviation,
     DominantAction,
-    EquilibriumMode,
     NormalFormGame,
     StrategyProfile,
     dominant_strategies,
@@ -204,13 +203,13 @@ class SeparatingReport:
 def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     """Verify the separating side of the reference scenario.
 
-    Checks, by exhaustive deviation scan in profit mode, that the separating
+    Checks, by exhaustive scan of profitable deviations, that the separating
     bid profile is an equilibrium, that it reproduces the hiring rule at
     every type profile, and that the high type clears participation strictly
     (worst case: both high, split job).
     """
     params, game = scenario.params, scenario.game
-    verdict = is_bayesian_nash(game, SEPARATING_PROFILE, EquilibriumMode.PROFIT_BASED)
+    verdict = is_bayesian_nash(game, SEPARATING_PROFILE)
     lo, hi = wage_window(params)
 
     cases = []
@@ -277,7 +276,7 @@ def case_matrices(scenario: LaborScenario) -> tuple[CaseMatrix, ...]:
     matrices = []
     for case, true_types in pairs:
         # The direct game prices each report at its misreporting cost.
-        nf = expost_normal_form(scenario.direct, true_types, mode=EquilibriumMode.PROFIT_BASED)
+        nf = expost_normal_form(scenario.direct, true_types)
         matrices.append(
             CaseMatrix(
                 case=case,
@@ -314,12 +313,12 @@ def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
     """Verify the direct-mechanism side of the reference scenario.
 
     Reads the truthful witness from the scenario's audit and scans all 16
-    pure report profiles of the direct game for equilibria in profit mode
-    (report utilities minus misreporting costs). For c_mis below half the
+    pure report profiles of the direct game for equilibria of report
+    profits (utilities minus misreporting costs). For c_mis below half the
     wage the only equilibrium is that everyone always reports high.
     """
     params = scenario.params
-    equilibria = tuple(find_all_pure_bne(scenario.direct, EquilibriumMode.PROFIT_BASED))
+    equilibria = tuple(find_all_pure_bne(scenario.direct))
     all_high_is_bne = ALL_REPORT_HIGH_PROFILE in equilibria
     return TruthfulnessReport(
         params=params,

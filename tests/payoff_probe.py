@@ -5,16 +5,14 @@ pin a payoff, or compare the compiled tables with the reference engine,
 read it from the engine's own rows.
 """
 
-from revaudit.equilibrium import EquilibriumMode, _exact, _interim_rows, _plan
+from revaudit.equilibrium import _exact, _interim_rows, _plan
 
 
-def compiled_payoff(
-    game, profile, agent, type_label, action=None, mode=EquilibriumMode.PROFIT_BASED
-):
-    """Interim expected payoff of `agent` at `type_label` under `profile`,
+def compiled_payoff(game, profile, agent, type_label, action=None):
+    """Interim expected profit of `agent` at `type_label` under `profile`,
     playing `action` there instead when it is given; opponents keep
     following the profile."""
     plan = _plan(game, profile)
     t = game.type_space.types_of[agent].index(type_label)
     a = plan[agent][t] if action is None else game.mechanism.actions_of[agent].index(action)
-    return _exact(game, agent, _interim_rows(game, plan, agent, mode)[t][a])
+    return _exact(game, agent, _interim_rows(game, plan, agent)[t][a])

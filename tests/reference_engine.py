@@ -17,7 +17,6 @@ from revaudit.core import CostModel, DomainError, Mechanism, Outcome, TypeSpace,
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
-    EquilibriumMode,
     EquilibriumVerdict,
     StrategyProfile,
 )
@@ -55,9 +54,10 @@ def validate_profile(game, profile):
                 raise DomainError(f"agent {i}: strategy plays unknown action {a!r}")
 
 
-def interim(game, profile, agent, type_label, action, mode):
-    """Expected payoff for agent of playing `action` at `type_label`, opponents
-    following `profile`, weighted by the conditional prior over their types."""
+def interim(game, profile, agent, type_label, action):
+    """Expected profit for agent of playing `action` at `type_label`, opponents
+    following `profile`: the utility weighted by the conditional prior over
+    their types, minus the strategic cost of `action`."""
     ts = game.type_space
     total = Fraction(0)
     for opp in opponent_profiles(ts, agent):
@@ -72,13 +72,11 @@ def interim(game, profile, agent, type_label, action, mode):
                 k += 1
         x = game.mechanism.outcome(tuple(acts))
         total += w * game.utilities.utility(agent, x, type_label)
-    if mode is EquilibriumMode.PROFIT_BASED:
-        # Conditional weights sum to one, so the constant cost comes off once.
-        total -= game.costs.strategic_cost(agent, action, type_label)
-    return total
+    # Conditional weights sum to one, so the constant cost comes off once.
+    return total - game.costs.strategic_cost(agent, action, type_label)
 
 
-def is_bayesian_nash(game, profile, mode):
+def is_bayesian_nash(game, profile):
     """Scan every per-type single-action deviation. The witness is the
     largest gain; ties go to the smallest (agent, type position, action
     position), which is the scan order."""
@@ -87,19 +85,25 @@ def is_bayesian_nash(game, profile, mode):
     for agent in range(game.agent_count):
         for t in game.type_space.types_of[agent]:
             played = profile.strategies[agent].action(t)
-            current = interim(game, profile, agent, t, played, mode)
+            current = interim(game, profile, agent, t, played)
             for a in game.mechanism.actions_of[agent]:
                 if a == played:
                     continue
-                gain = interim(game, profile, agent, t, a, mode) - current
+                gain = interim(game, profile, agent, t, a) - current
                 if gain > 0 and (best is None or gain > best.gain):
                     best = Deviation(agent, t, a, gain)
     return EquilibriumVerdict(best)
 
 
-def find_all_pure_bne(game, mode):
+def find_all_pure_bne(game):
     """Every pure equilibrium, by checking each enumerated profile in turn."""
-    return [p for p in profiles(game) if is_bayesian_nash(game, p, mode).is_equilibrium]
+    return [p for p in profiles(game) if is_bayesian_nash(game, p).is_equilibrium]
+
+
+def cost_free(game):
+    """The same game with every cost erased: its profits are its utilities,
+    the classical (utility-based) view of the game."""
+    return BayesianGame(game.mechanism, game.type_space, game.utilities, CostModel())
 
 
 def random_shape(rng, agents, max_profiles):

@@ -26,7 +26,6 @@ from revaudit.core import ConstructionError, CostModel, SocialChoiceFunction
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
-    EquilibriumMode,
     EquilibriumVerdict,
     StrategyProfile,
     find_all_pure_bne,
@@ -41,8 +40,6 @@ from revaudit.labor import (
     LaborParams,
     build_scenario,
 )
-
-PROFIT = EquilibriumMode.PROFIT_BASED
 
 
 def scenario(w="3/2", c_mis="1/2", prior_high="1/2"):
@@ -179,7 +176,7 @@ def test_chain_intact_on_zero_cost_instances():
     seen = 0
     for _ in range(20):
         game = random_zero_cost_game(rng)
-        for profile in find_all_pure_bne(game, PROFIT):
+        for profile in find_all_pure_bne(game):
             seen += 1
             direct = direct_game(game, induced_scf(game, profile))
             chain = audit_revelation_principle(game, profile, direct).chain
@@ -206,18 +203,18 @@ def reference_chain(game, profile, scf):
     """The proof chain recomputed with the reference engine and the cost-free
     reference, one inequality at a time."""
     ts = game.type_space
-    holds = ref.is_bayesian_nash(game, profile, PROFIT).is_equilibrium
+    holds = ref.is_bayesian_nash(game, profile).is_equilibrium
     mimicry_ok = costfree_ok = True
     best = None
     for agent in range(ts.agent_count):
         for t in ts.types_of[agent]:
-            own = ref.interim(game, profile, agent, t, profile.strategies[agent].action(t), PROFIT)
+            own = ref.interim(game, profile, agent, t, profile.strategies[agent].action(t))
             truthful_value = costfree_report_value(ts, scf, game.utilities, agent, t, t)
             for mimicked in ts.types_of[agent]:
                 if mimicked == t:
                     continue
                 action = profile.strategies[agent].action(mimicked)
-                holds_here = ref.interim(game, profile, agent, t, action, PROFIT) <= own
+                holds_here = ref.interim(game, profile, agent, t, action) <= own
                 mimicry_ok = mimicry_ok and holds_here
                 value = costfree_report_value(ts, scf, game.utilities, agent, t, mimicked)
                 gain = value - truthful_value
@@ -329,7 +326,7 @@ def regression_games(instances, seed):
     rng = random.Random(seed)
     for k in range(instances):
         game = random_zero_cost_game(rng)
-        yield k, game, find_all_pure_bne(game, PROFIT)
+        yield k, game, find_all_pure_bne(game)
 
 
 def failure_line(k, profile):

@@ -26,7 +26,6 @@ from revaudit.core import (
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
-    EquilibriumMode,
     NormalFormGame,
     PureStrategy,
     StrategyProfile,
@@ -46,9 +45,6 @@ from revaudit.labor import (
     LaborParams,
     build_scenario,
 )
-
-UTILITY = EquilibriumMode.UTILITY_BASED
-PROFIT = EquilibriumMode.PROFIT_BASED
 
 
 def canonical_game(w="3/2", c_mis="0", prior_high="1/2"):
@@ -92,9 +88,9 @@ def test_from_maps_builds_indexed_strategies():
 def test_enumeration_caps():
     game = canonical_game()
     with pytest.raises(SearchSpaceError, match=r"^16\+ strategy profiles exceed the cap of 15$"):
-        find_all_pure_bne(game, PROFIT, cap=15)
+        find_all_pure_bne(game, cap=15)
     # A game with exactly as many profiles as the cap passes.
-    assert find_all_pure_bne(game, PROFIT, cap=16) == find_all_pure_bne(game, PROFIT)
+    assert find_all_pure_bne(game, cap=16) == find_all_pure_bne(game)
 
 
 # -- interim payoffs ------------------------------------------------------------
@@ -107,8 +103,8 @@ def test_interim_values_at_canonical_wage():
     assert compiled_payoff(game, sep, 0, TYPE_LOW) == Fraction(3, 8)
     # Low type forced up to the high bid: 1/2*(3/2) + 1/2*(3/4) - 1 = 1/8.
     assert compiled_payoff(game, sep, 0, TYPE_LOW, BID_HIGH) == Fraction(1, 8)
-    # Utility mode ignores the bid cost.
-    assert compiled_payoff(game, sep, 0, TYPE_LOW, BID_HIGH, mode=UTILITY) == Fraction(9, 8)
+    # The cost-free game ignores the bid cost.
+    assert compiled_payoff(ref.cost_free(game), sep, 0, TYPE_LOW, BID_HIGH) == Fraction(9, 8)
 
 
 def test_interim_with_single_type_opponent_is_expost():
@@ -139,9 +135,9 @@ def test_interim_with_single_type_opponent_is_expost():
 def test_separating_profile_is_profit_equilibrium_only():
     game = canonical_game()
     sep = SEPARATING_PROFILE
-    assert is_bayesian_nash(game, sep, PROFIT).is_equilibrium
+    assert is_bayesian_nash(game, sep).is_equilibrium
     # Without costs the low type would imitate: bids are free to inflate.
-    verdict = is_bayesian_nash(game, sep, UTILITY)
+    verdict = is_bayesian_nash(ref.cost_free(game), sep)
     assert not verdict.is_equilibrium
     assert verdict.witness == Deviation(0, TYPE_LOW, BID_HIGH, Fraction(3, 4))
 
@@ -151,7 +147,7 @@ def test_witness_is_maximal_gap_with_agent_tiebreak():
     both_zero = StrategyProfile.from_maps(
         [{TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_ZERO}] * 2
     )
-    verdict = is_bayesian_nash(game, both_zero, PROFIT)
+    verdict = is_bayesian_nash(game, both_zero)
     assert not verdict.is_equilibrium
     # Both agents' high types gain 1/4; the tie goes to agent 0.
     assert verdict.witness == Deviation(0, TYPE_HIGH, BID_HIGH, Fraction(1, 4))
@@ -176,9 +172,9 @@ def test_witness_prefers_larger_gain_over_earlier_agent():
             (1, "x11", "t"): Fraction(0),
         }
     )
-    game = BayesianGame(mech, ts, u, CostModel.zero())
+    game = BayesianGame(mech, ts, u, CostModel())
     both_s = StrategyProfile.from_maps([{"t": "s"}, {"t": "s"}])
-    verdict = is_bayesian_nash(game, both_s, PROFIT)
+    verdict = is_bayesian_nash(game, both_s)
     assert verdict.witness == Deviation(1, "t", "d", Fraction(1, 2))
 
 
@@ -187,13 +183,13 @@ def test_weak_inequality_keeps_indifferent_profiles():
     x = Outcome("x")
     mech = Mechanism((("a", "b"),), {("a",): x, ("b",): x})
     u = UtilityTable({(0, "x", "t"): Fraction(1)})
-    game = BayesianGame(mech, ts, u, CostModel.zero())
-    assert len(find_all_pure_bne(game, PROFIT)) == 2
+    game = BayesianGame(mech, ts, u, CostModel())
+    assert len(find_all_pure_bne(game)) == 2
 
 
 def test_find_all_pure_bne_is_deterministic():
     game = canonical_game()
-    assert find_all_pure_bne(game, PROFIT) == find_all_pure_bne(game, PROFIT)
+    assert find_all_pure_bne(game) == find_all_pure_bne(game)
 
 
 def test_implements_scf():
@@ -267,7 +263,7 @@ def test_one_shot_deviations_match_full_strategy_oracle():
     for game in games:
         for profile in ref.profiles(game):
             assert (
-                is_bayesian_nash(game, profile, PROFIT).is_equilibrium
+                is_bayesian_nash(game, profile).is_equilibrium
                 == exante_full_strategy_equilibrium(game, profile)
             )
 
@@ -284,29 +280,21 @@ def differential_shapes():
 
 @pytest.mark.parametrize("seed, shape", list(enumerate(differential_shapes())))
 def test_compiled_engine_matches_reference_engine(seed, shape):
-    game = ref.random_costly_game(random.Random(seed), *shape)
-    profiles = ref.profiles(game)
-    ts, mech = game.type_space, game.mechanism
-    for mode in (UTILITY, PROFIT):
-        assert find_all_pure_bne(game, mode) == ref.find_all_pure_bne(game, mode)
+    costly = ref.random_costly_game(random.Random(seed), *shape)
+    profiles = ref.profiles(costly)
+    ts, mech = costly.type_space, costly.mechanism
+    for game in (costly, ref.cost_free(costly)):
+        assert find_all_pure_bne(game) == ref.find_all_pure_bne(game)
         for profile in profiles:
-            verdict = ref.is_bayesian_nash(game, profile, mode)
-            assert is_bayesian_nash(game, profile, mode) == verdict
+            assert is_bayesian_nash(game, profile) == ref.is_bayesian_nash(game, profile)
         # Every (agent, type, action); on every ninth profile of the largest games.
         for profile in profiles[:: 1 if len(profiles) <= 81 else 9]:
             for agent in range(game.agent_count):
                 for t in ts.types_of[agent]:
                     for a in mech.actions_of[agent]:
                         assert compiled_payoff(
-                            game, profile, agent, t, a, mode
-                        ) == ref.interim(game, profile, agent, t, a, mode)
-
-
-def test_modes_agree_when_costs_vanish():
-    rng = random.Random(11)
-    for _ in range(30):
-        game = random_zero_cost_game(rng)
-        assert find_all_pure_bne(game, UTILITY) == find_all_pure_bne(game, PROFIT)
+                            game, profile, agent, t, a
+                        ) == ref.interim(game, profile, agent, t, a)
 
 
 # -- ex-post games and dominance ---------------------------------------------------
@@ -314,7 +302,7 @@ def test_modes_agree_when_costs_vanish():
 
 def test_expost_matches_case_values():
     game = canonical_game()
-    nf = expost_normal_form(game, (TYPE_HIGH, TYPE_LOW), mode=PROFIT)
+    nf = expost_normal_form(game, (TYPE_HIGH, TYPE_LOW))
     assert nf.payoff((BID_HIGH, BID_ZERO))[0] == Fraction(1)
     assert nf.payoff((BID_ZERO, BID_ZERO))[0] == Fraction(3, 4)
 

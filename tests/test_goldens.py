@@ -21,7 +21,7 @@ import pytest
 from revaudit.auditor import is_truthfully_implementable
 from revaudit.cli import main
 from revaudit.core import GameModelError, rational_str
-from revaudit.equilibrium import EquilibriumMode, implements_scf, is_bayesian_nash
+from revaudit.equilibrium import implements_scf, is_bayesian_nash
 from revaudit.labor import (
     HIRING_RULE,
     SEPARATING_PROFILE,
@@ -104,7 +104,7 @@ def oracle_row(w, c_mis, fixed):
         return row
     scenario = build_scenario(params)
     game = scenario.game
-    separating = is_bayesian_nash(game, SEPARATING_PROFILE, EquilibriumMode.PROFIT_BASED)
+    separating = is_bayesian_nash(game, SEPARATING_PROFILE)
     implements = implements_scf(game, SEPARATING_PROFILE, HIRING_RULE)
     truthful = is_truthfully_implementable(scenario.direct)
     cells = {

@@ -11,11 +11,7 @@ from payoff_probe import compiled_payoff
 
 from revaudit.auditor import direct_game
 from revaudit.core import ConstructionError
-from revaudit.equilibrium import (
-    Deviation,
-    EquilibriumMode,
-    StrategyProfile,
-)
+from revaudit.equilibrium import Deviation, StrategyProfile
 from revaudit.labor import (
     ALL_REPORT_HIGH_PROFILE,
     BID_HIGH,

@@ -9,9 +9,10 @@ equilibrium. With every cost zero, the classical revelation
 principle holds. The audit judges truth-telling as the engines do, and an
 audit report reads back from its JSON exactly, through the readers below.
 The games are drawn with large, pairwise coprime denominators so that the
-engine's integer tables are built over large LCMs. Every verdict of the
-labor scenario follows the paper's closed forms at random rational
-parameters, window edges and skewed priors included."""
+engine's integer tables are built over large LCMs. Every verdict and bid
+payoff of the labor scenario follows the paper's closed forms at random
+rational parameters, window edges and skewed priors included, and no labor
+report depends on the prior."""
 
 import itertools
 import json
@@ -43,7 +44,6 @@ from revaudit.core import (
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
-    EquilibriumMode,
     EquilibriumVerdict,
     PureStrategy,
     StrategyProfile,
@@ -51,16 +51,23 @@ from revaudit.equilibrium import (
     is_bayesian_nash,
 )
 from revaudit.labor import (
+    BID_HIGH,
+    BID_ZERO,
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
     build_scenario,
+    case_matrices,
     check_separating_equilibrium,
     check_truthful_reporting,
 )
-from revaudit.serialize import audit_report_to_jsonable, json_dumps
+from revaudit.serialize import (
+    audit_report_to_jsonable,
+    json_dumps,
+    separating_report_to_jsonable,
+    truthfulness_report_to_jsonable,
+)
 
-MODES = (EquilibriumMode.UTILITY_BASED, EquilibriumMode.PROFIT_BASED)
 PRIMES = (7919, 104723, 999983, 1000003, 2147483647)
 # No shrinking: with these wide rationals a failing example took minutes and
 # gigabytes to shrink, so a failure is reported as first found.
@@ -79,8 +86,8 @@ def rationals(low=-(10**6)):
 
 @st.composite
 def games(draw, misreportable=False):
-    """A random game; with `misreportable`, some agent has two types, so
-    some type can misreport."""
+    """A random game; with `misreportable`, some agent has two types and
+    there are two outcomes or more, so some misreport can move the outcome."""
     agents = draw(st.integers(1, 3))
     sizes = [draw(st.integers(1, 2)) for _ in range(agents)]
     if misreportable and max(sizes) == 1:
@@ -94,7 +101,7 @@ def games(draw, misreportable=False):
     for ts in types_of:
         weights = [draw(st.integers(1, 10**4)) for _ in ts]
         priors.append({t: Fraction(w, sum(weights)) for t, w in zip(ts, weights)})
-    outcomes = [Outcome(f"x{k}") for k in range(draw(st.integers(1, 3)))]
+    outcomes = [Outcome(f"x{k}") for k in range(draw(st.integers(1 + misreportable, 3)))]
     outcome_of = {
         p: outcomes[draw(st.integers(0, len(outcomes) - 1))]
         for p in itertools.product(*actions_of)
@@ -129,6 +136,12 @@ def shifted(game, shift):
     return BayesianGame(game.mechanism, game.type_space, UtilityTable(utility), game.costs)
 
 
+def and_cost_free(game, other):
+    """The two games, then their cost-free copies: a property of profits
+    holds for utilities too, which are the profits of the cost-free game."""
+    return (game, other), (ref.cost_free(game), ref.cost_free(other))
+
+
 def scaled_verdict(verdict, k):
     if verdict.witness is None:
         return verdict
@@ -139,17 +152,16 @@ def scaled_verdict(verdict, k):
 @SETTINGS
 @given(games(), rationals(low=1))
 def test_scaling_utilities_and_costs_scales_only_the_gains(game, k):
-    other = rescaled(game, k)
     profiles = ref.profiles(game)
-    for mode in MODES:
-        assert find_all_pure_bne(other, mode) == find_all_pure_bne(game, mode)
+    for game, other in and_cost_free(game, rescaled(game, k)):
+        assert find_all_pure_bne(other) == find_all_pure_bne(game)
         for profile in profiles:
-            verdict = is_bayesian_nash(game, profile, mode)
-            assert is_bayesian_nash(other, profile, mode) == scaled_verdict(verdict, k)
+            verdict = is_bayesian_nash(game, profile)
+            assert is_bayesian_nash(other, profile) == scaled_verdict(verdict, k)
             for agent, types in enumerate(game.type_space.types_of):
                 for t in types:
-                    assert compiled_payoff(other, profile, agent, t, mode=mode) == (
-                        k * compiled_payoff(game, profile, agent, t, mode=mode)
+                    assert compiled_payoff(other, profile, agent, t) == (
+                        k * compiled_payoff(game, profile, agent, t)
                     )
 
 
@@ -160,16 +172,15 @@ def test_a_constant_per_agent_and_type_changes_no_verdict(game, data):
         (i, t): data.draw(rationals())
         for i, types in enumerate(game.type_space.types_of) for t in types
     }
-    other = shifted(game, shift)
     profiles = ref.profiles(game)
-    for mode in MODES:
-        assert find_all_pure_bne(other, mode) == find_all_pure_bne(game, mode)
+    for game, other in and_cost_free(game, shifted(game, shift)):
+        assert find_all_pure_bne(other) == find_all_pure_bne(game)
         for profile in profiles:
-            assert is_bayesian_nash(other, profile, mode) == is_bayesian_nash(game, profile, mode)
+            assert is_bayesian_nash(other, profile) == is_bayesian_nash(game, profile)
             for agent, types in enumerate(game.type_space.types_of):
                 for t in types:
-                    assert compiled_payoff(other, profile, agent, t, mode=mode) == (
-                        compiled_payoff(game, profile, agent, t, mode=mode) + shift[(agent, t)]
+                    assert compiled_payoff(other, profile, agent, t) == (
+                        compiled_payoff(game, profile, agent, t) + shift[(agent, t)]
                     )
 
 
@@ -178,8 +189,8 @@ def test_a_constant_per_agent_and_type_changes_no_verdict(game, data):
 def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(game):
     # Myerson (1979): a type reporting another gets what that type's
     # equilibrium action gets, which the equilibrium says is no better.
-    free = BayesianGame(game.mechanism, game.type_space, game.utilities, CostModel.zero())
-    for profile in find_all_pure_bne(free, EquilibriumMode.PROFIT_BASED):
+    free = ref.cost_free(game)
+    for profile in find_all_pure_bne(free):
         direct = direct_game(free, induced_scf(free, profile))
         assert is_truthfully_implementable(direct).is_equilibrium
 
@@ -196,20 +207,35 @@ def with_misreport_costs(game, data):
     )
 
 
+@st.composite
+def rules_a_report_moves(draw, game):
+    """A random rule over the game's outcomes in which the report of some
+    two-type agent moves the outcome at some type profile, so that some
+    misreport changes what the agent gets. The game must have a two-type
+    agent and two outcomes or more, as `games(misreportable=True)` draws."""
+    ts = game.type_space
+    outcomes = [Outcome(x) for x in sorted({x for _, x, _ in game.utilities.table})]
+    table = {theta: draw(st.sampled_from(outcomes)) for theta in ts.profiles()}
+    agent = draw(st.sampled_from([i for i, types in enumerate(ts.types_of) if len(types) == 2]))
+    theta = draw(st.sampled_from(ts.profiles()))
+    mimic = list(theta)
+    mimic[agent] = next(t for t in ts.types_of[agent] if t != theta[agent])
+    table[tuple(mimic)] = draw(st.sampled_from([x for x in outcomes if x != table[theta]]))
+    return SocialChoiceFunction(ts.types_of, table)
+
+
 @SETTINGS
 @given(games(misreportable=True), st.data())
 def test_the_audit_judges_truth_telling_as_the_engines_do(game, data):
-    # The audit reads truth-telling from cost-free utilities minus report
-    # prices; the engines compute the direct game's profits themselves.
-    # Truth-telling seldom fails at the drawn prices, so the check runs
+    # The audit and `is_truthfully_implementable` read truth-telling from the
+    # compiled direct game; the reference engine computes its profits by
+    # label. The drawn rule lets some misreport move the outcome. Even so,
+    # truth-telling seldom fails at the drawn prices, so the check runs
     # again with every price divided by a large prime, where it often fails
     # and the prices size the witness.
     game = with_misreport_costs(game, data)
     ts = game.type_space
-    outcomes = game.mechanism.outcomes()
-    rule = SocialChoiceFunction(
-        ts.types_of, {theta: data.draw(st.sampled_from(outcomes)) for theta in ts.profiles()}
-    )
+    rule = data.draw(rules_a_report_moves(game))
     profile = data.draw(st.sampled_from(ref.profiles(game)))
     cut = data.draw(st.sampled_from(PRIMES))
     cheap = {key: v / cut for key, v in game.costs.misreport.items()}
@@ -218,7 +244,7 @@ def test_the_audit_judges_truth_telling_as_the_engines_do(game, data):
     for priced in (game, cheap):
         direct = direct_game(priced, rule)
         report = audit_revelation_principle(priced, profile, direct)
-        expected = ref.is_bayesian_nash(direct, truthful, EquilibriumMode.PROFIT_BASED)
+        expected = ref.is_bayesian_nash(direct, truthful)
         assert is_truthfully_implementable(direct) == expected
         assert EquilibriumVerdict(report.truthful_witness) == expected
 
@@ -282,6 +308,45 @@ def test_the_labor_verdicts_follow_the_closed_forms(params):
     assert scenario.audit.violation == (closed and below)
     if closed:
         assert scenario.audit.chain.break_point == BreakPoint(0, TYPE_LOW, TYPE_HIGH, w / 2)
+    # Each bid's profit against the separating opponent: the high bid wins
+    # outright over a zero bid and ties with a high one, and costs e_H/theta.
+    cost_L, cost_H = params.e_H / params.theta_L, params.e_H / params.theta_H
+    expected = [
+        (1, TYPE_LOW, TYPE_LOW, w - cost_L, w / 2),
+        (2, TYPE_LOW, TYPE_HIGH, w / 2 - cost_L, 0),
+        (3, TYPE_HIGH, TYPE_LOW, w - cost_H, w / 2),
+        (4, TYPE_HIGH, TYPE_HIGH, w / 2 - cost_H, 0),
+    ]
+    cases = separating.best_response_cases
+    assert [
+        (c.case, c.own_type, c.opponent_type, c.payoff_bid_high, c.payoff_bid_zero) for c in cases
+    ] == expected
+    for c in cases:
+        high, zero = c.payoff_bid_high, c.payoff_bid_zero
+        assert c.optimal_bid == (None if high == zero else BID_HIGH if high > zero else BID_ZERO)
+
+
+def labor_json(params):
+    """Every labor report `analyze` prints but the parameters, as JSON."""
+    scenario = build_scenario(params)
+    return json_dumps({
+        "separating": separating_report_to_jsonable(check_separating_equilibrium(scenario)),
+        "truthful": truthfulness_report_to_jsonable(
+            check_truthful_reporting(scenario), case_matrices(scenario)
+        ),
+        "audit": audit_report_to_jsonable(scenario.audit),
+    })
+
+
+@SETTINGS
+@given(labor_params(), st.lists(unit_fractions(), min_size=3, max_size=3))
+def test_no_labor_report_depends_on_the_prior(params, priors):
+    # Against a separating or truthful opponent every deviation gains the
+    # same at each opponent type, so the prior weights cancel: the paper's
+    # verdicts, witnesses, matrices and break point hold at every prior.
+    expected = labor_json(params)
+    for prior_high in priors:
+        assert labor_json(replace(params, prior_high=prior_high)) == expected
 
 
 def profile_from_jsonable(data) -> StrategyProfile:
@@ -421,10 +486,9 @@ def permuted_profile(profile, order):
 @given(games(), st.data())
 def test_permuting_agents_permutes_the_equilibria(game, data):
     order = data.draw(st.permutations(range(game.agent_count)))
-    other = permuted(game, order)
-    for mode in MODES:
-        found = find_all_pure_bne(game, mode)
-        others = find_all_pure_bne(other, mode)
+    for game, other in and_cost_free(game, permuted(game, order)):
+        found = find_all_pure_bne(game)
+        others = find_all_pure_bne(other)
         # Enumeration order follows agent order, so only the sets match.
         assert len(others) == len(found)
         assert set(others) == {permuted_profile(p, order) for p in found}
@@ -445,10 +509,8 @@ def test_renaming_labels_renames_every_verdict(game, data):
         renaming(data, {x for _, x, _ in game.utilities.table}, ["p", "o", "n"]),
     )
     other = rename.game(game)
-    for mode in MODES:
-        assert find_all_pure_bne(other, mode) == [
-            rename.profile(p) for p in find_all_pure_bne(game, mode)
-        ]
+    for one, renamed in and_cost_free(game, other):
+        assert find_all_pure_bne(renamed) == [rename.profile(p) for p in find_all_pure_bne(one)]
     profiles = ref.profiles(game)
     scf = induced_scf(game, data.draw(st.sampled_from(profiles)))
     direct, other_direct = direct_game(game, scf), direct_game(other, rename.rule(scf))

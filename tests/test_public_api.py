@@ -1,11 +1,13 @@
 """The public surface: the package exports exactly the names below, and the
-README's Python API example runs as written. Adding or removing a public
-name means changing this list."""
+README's Python API example and command examples run as written. Adding or
+removing a public name means changing this list."""
 
 import re
+import shlex
 from pathlib import Path
 
 import revaudit
+from revaudit.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,7 +24,6 @@ EXPORTS = [
     "Deviation",
     "DomainError",
     "DominantAction",
-    "EquilibriumMode",
     "EquilibriumVerdict",
     "GameModelError",
     "LaborParams",
@@ -69,7 +70,34 @@ def test_the_package_exports_exactly_these_names():
     assert sorted(revaudit.__all__) == EXPORTS
 
 
+def readme_block(heading, language):
+    """The first `language` code block after a README heading."""
+    section = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)\n```\n", section, re.DOTALL).group(1)
+
+
 def test_the_readme_python_api_example_runs():
-    section = README.read_text(encoding="utf-8").split("\n## Python API\n", 1)[1]
-    block = re.match(r"\s*```python\n(.*?)\n```\n", section, re.DOTALL).group(1)
-    exec(compile(block, "README.md", "exec"), {})
+    exec(compile(readme_block("## Python API", "python"), "README.md", "exec"), {})
+
+
+# The exit code the README gives for each of its command examples.
+EXIT_CODES = {"analyze": 2, "sweep": 0, "matrices": 0, "reproduce-paper": 0}
+
+
+def test_the_readme_command_examples_run_as_documented(tmp_path, capsys):
+    (tmp_path / "labor.json").write_text(readme_block("### analyze", "json"))
+    (tmp_path / "grid.json").write_text(readme_block("### sweep", "json"))
+    commands = [
+        shlex.split(line, comments=True)
+        for heading in ("### analyze", "### sweep", "### matrices", "### reproduce-paper")
+        for line in readme_block(heading, "sh").splitlines()
+    ]
+    assert [argv[:2] for argv in commands] == [
+        ["revaudit", command]
+        for command in ["analyze"] * 2 + ["sweep"] * 2 + ["matrices"] * 2 + ["reproduce-paper"]
+    ]
+    for _, command, *args in commands:
+        code = main([command, *(str(tmp_path / a) if a.endswith(".json") else a for a in args)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_CODES[command], ""), args
+        assert captured.out
