@@ -89,9 +89,9 @@ def as_rational(value, where: str | tuple = "value") -> Fraction:
     """Coerce int, Fraction, or a "p/q" string to an exact Fraction.
 
     Floats (and bools) are rejected: callers must pass exact values. Strings
-    must pass check_literal_size and hold no underscore, and no whitespace
-    but at the ends. `where` names the value, or is a GameModelError
-    location.
+    must pass check_literal_size and be ASCII, with no underscore, and no
+    whitespace but at the ends. `where` names the value, or is a
+    GameModelError location.
     """
     if isinstance(value, Fraction):
         return value
@@ -105,7 +105,9 @@ def as_rational(value, where: str | tuple = "value") -> Fraction:
         raise ConstructionError(problem, at)
     if isinstance(value, str):
         text = check_literal_size(value.strip(), at)
-        if not _UNDERSCORE_OR_SPACE.search(text):
+        # Fraction() reads any Unicode decimal digit, full-width or
+        # Arabic-Indic among them; a literal must be ASCII to be read alike.
+        if text.isascii() and not _UNDERSCORE_OR_SPACE.search(text):
             try:
                 return Fraction(text)
             except (ValueError, ZeroDivisionError):
@@ -115,8 +117,9 @@ def as_rational(value, where: str | tuple = "value") -> Fraction:
 
 
 def rational_str(value: Fraction) -> str:
-    """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
-    return str(Fraction(value))
+    """Render a Fraction as "p/q" (or "p" when the denominator is 1). The
+    value must be a Fraction; it is not converted."""
+    return str(value)
 
 
 def _is_label(label) -> bool:

@@ -10,9 +10,9 @@ The one payoff is profit: outcome utility minus the strategic cost of the
 action actually played. The classical utility view is the profit of the same
 game built with `CostModel()`. With independent priors, per-type
 single-action deviations are sufficient. The equilibrium search enumerates
-the strategies of every agent but the last, takes the last agent's per-type
-best replies to them, and checks only those profiles against the other
-agents' deviations.
+the strategies of every agent but the one with the most plans, takes that
+agent's per-type best replies to them, and checks only those profiles
+against the other agents' deviations.
 """
 
 from __future__ import annotations
@@ -346,31 +346,40 @@ def _check_profile_cap(game: BayesianGame, cap: int) -> None:
 def find_all_pure_bne(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> list[StrategyProfile]:
     """Every pure-strategy equilibrium, in enumeration order.
 
-    Only the strategies of agents 0..n-2 are enumerated. The last agent's
-    payoffs do not depend on its own plan, so its plans that pass its own
-    deviation checks are exactly the product of its per-type best-reply
-    sets; only those are checked against the earlier agents' deviations.
-    Exact; the returned list is bit-identical across runs.
+    One agent, the pivot, is not enumerated: the one with the most plans,
+    |A_i|^|T_i|, ties to the highest index. The pivot's payoffs do not
+    depend on its own plan, so its plans that pass its own deviation checks
+    are exactly the product of its per-type best-reply sets, taken against
+    each enumerated plan of the others; only those are checked against the
+    other agents' deviations. Exact; the returned list is bit-identical
+    across runs.
     """
     _check_profile_cap(game, cap)
     types_of, actions_of = game.type_space.types_of, game.mechanism.actions_of
-    *head, last = range(game.agent_count)
+    agents = range(game.agent_count)
+    pivot = max(agents, key=lambda i: (len(actions_of[i]) ** len(types_of[i]), i))
+    others = [i for i in agents if i != pivot]
 
-    def strategy(agent: int, plan) -> PureStrategy:
-        actions = [actions_of[agent][a] for a in plan]
+    # Each agent's plans are lexicographic over (type order, action order).
+    plans = [itertools.product(range(len(actions_of[i])), repeat=len(types_of[i])) for i in others]
+    found = []
+    plan: list = [None] * game.agent_count
+    for choice in itertools.product(*plans):
+        for i, own in zip(others, choice):
+            plan[i] = own
+        for reply in itertools.product(*_best_replies(_interim_rows(game, plan, pivot))):
+            plan[pivot] = reply
+            if all(_at_best_response(_interim_rows(game, plan, i), plan[i]) for i in others):
+                found.append(tuple(plan))
+    # Sorted plans are in enumeration order, agent 0 outermost; strategies
+    # are built only for the equilibria found.
+    found.sort()
+
+    def strategy(agent: int, own) -> PureStrategy:
+        actions = [actions_of[agent][a] for a in own]
         return PureStrategy(agent, tuple(zip(types_of[agent], actions)))
 
-    # Each agent's plans are lexicographic over (type order, action order),
-    # agent 0 outermost; strategies are built only for the equilibria found.
-    plans = [itertools.product(range(len(actions_of[i])), repeat=len(types_of[i])) for i in head]
-    found = []
-    for choice in itertools.product(*plans):
-        plan = [*choice, None]
-        for reply in itertools.product(*_best_replies(_interim_rows(game, plan, last))):
-            plan[last] = reply
-            if all(_at_best_response(_interim_rows(game, plan, i), plan[i]) for i in head):
-                found.append(StrategyProfile(tuple(strategy(i, p) for i, p in enumerate(plan))))
-    return found
+    return [StrategyProfile(tuple(strategy(i, own) for i, own in enumerate(p))) for p in found]
 
 
 def implements_scf(

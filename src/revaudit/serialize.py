@@ -14,6 +14,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .auditor import AuditReport, ProofChainRecord, direct_game
 from .core import (
@@ -443,7 +444,57 @@ def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
 
 
 def json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of `json.dumps(payload, indent=2, sort_keys=True)`, plus a
+    newline, written in one pass: that call never reaches json's C encoder
+    when it indents.
+
+    A value is a dict with str keys, a list or tuple, a str, an int, a bool
+    or None. Anything else, a float or a Fraction among them, raises
+    TypeError: reports carry exact rationals as strings.
+    """
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the JSON of `value` to `out`; `newline` is a newline and the
+    indent of the line the value starts on."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep + inner + _encode_str(key) + ": ")
+            _write(item, inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"a {type(value).__name__} has no JSON form in a report")
 
 
 def params_to_jsonable(params: LaborParams) -> dict:

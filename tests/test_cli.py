@@ -381,10 +381,12 @@ def test_analyze_rejects_oversized_rationals(tmp_path, capsys, argv, cfg_text, m
     assert message in captured.err
 
 
-@pytest.mark.parametrize("literal", ["1e9_999999", "1_000", "3 / 2"])
+@pytest.mark.parametrize("literal", ["1e9_999999", "1_000", "3 / 2", "\u0661", "\uff11/\uff12"])
 def test_analyze_reads_a_literal_alike_on_every_python(tmp_path, capsys, literal):
     # Fraction() reads "1_000" from Python 3.11 on and "3 / 2" from 3.12 on,
     # and the exponent cap would stop at the underscore of "1e9_999999".
+    # It reads any Unicode digit on every Python: Arabic-Indic one, and
+    # full-width 1/2.
     cfg = {"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "3/2", "c_mis": literal}
     code = main(["analyze", write_json(tmp_path, "labor.json", cfg)])
     captured = capsys.readouterr()

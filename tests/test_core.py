@@ -33,10 +33,12 @@ def test_as_rational_parses_exactly():
     assert as_rational("\t1/3\n") == Fraction(1, 3)
 
 
-# An underscore or an inner space is refused on every Python, though
-# Fraction() reads "1_000" from 3.11 on and "3 / 2" from 3.12 on.
+# An underscore, an inner space or a non-ASCII digit is refused on every
+# Python, though Fraction() reads "1_000" from 3.11 on, "3 / 2" from 3.12 on,
+# and Arabic-Indic or full-width digits everywhere.
 @pytest.mark.parametrize(
-    "bad", [1.5, True, "a/b", "1/0", None, [1], "1_000", "3 / 2", "1e9_999999"]
+    "bad",
+    [1.5, True, "a/b", "1/0", None, [1], "1_000", "3 / 2", "1e9_999999", "\u0661", "\uff11/\uff12"],
 )
 def test_as_rational_rejects_inexact_and_malformed(bad):
     with pytest.raises(ConstructionError):

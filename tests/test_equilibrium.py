@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 import reference_engine as ref
 from payoff_probe import compiled_payoff
+from test_cli import counted
 
+from revaudit import equilibrium
 from revaudit.auditor import random_zero_cost_game
 from revaudit.core import (
     ConstructionError,
@@ -275,6 +277,9 @@ def differential_shapes():
     shapes += [((6,), (3,)), ((3, 3), (3, 3)), ((2, 2, 2), (3, 3, 3))]
     for agents in (1, 2, 3):
         shapes += [ref.random_shape(rng, agents, max_profiles=81) for _ in range(6)]
+    # The search pivots on the agent with the most plans: agent 0 of 3,
+    # the middle agent, and the last of three tied agents.
+    shapes += [((2, 1, 1), (3, 2, 2)), ((1, 2, 1), (2, 3, 2)), ((1, 2, 1), (4, 2, 4))]
     return shapes
 
 
@@ -295,6 +300,30 @@ def test_compiled_engine_matches_reference_engine(seed, shape):
                         assert compiled_payoff(
                             game, profile, agent, t, a
                         ) == ref.interim(game, profile, agent, t, a)
+
+
+def test_the_search_pivots_on_the_agent_with_the_most_plans(monkeypatch):
+    # Agent 0 has 10**5 plans and agent 1 one, so the search pivots on
+    # agent 0: its rows once, then agent 1's rows once per best-reply
+    # combination (two here), instead of two row sets per plan of agent 0.
+    game = ref.random_costly_game(random.Random(21), (5, 1), (10, 1))
+    counts = counted(monkeypatch, [equilibrium._interim_rows])
+    found = find_all_pure_bne(game)
+    assert counts == {"_interim_rows": 3}
+    # Agent 1 has one action, so the equilibria are agent 0's per-type best
+    # replies, which do not depend on agent 0's own plan.
+    (types, (lone,)), (actions, (only,)) = game.type_space.types_of, game.mechanism.actions_of
+    probe = StrategyProfile.from_maps([dict.fromkeys(types, actions[0]), {lone: only}])
+    best = []
+    for t in types:
+        values = [ref.interim(game, probe, 0, t, a) for a in actions]
+        best.append([a for a, v in zip(actions, values) if v == max(values)])
+    expected = [
+        StrategyProfile.from_maps([dict(zip(types, combo)), {lone: only}])
+        for combo in itertools.product(*best)
+    ]
+    assert found == expected and len(found) == 2
+    assert all(ref.is_bayesian_nash(game, p).is_equilibrium for p in found)
 
 
 # -- ex-post games and dominance ---------------------------------------------------

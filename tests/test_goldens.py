@@ -1,13 +1,14 @@
 """Byte goldens for the command line outputs, and a sweep oracle.
 
 The files under tests/goldens/ are the exact stdout of `analyze` on the
-canonical labor config at c_mis 1/2 and 1, of `matrices --format md`, of
-`reproduce-paper`, and of `analyze` on generic configs: the one-agent signal
-game with its declared profile and without one (so the equilibrium search
-picks it), and the two-agent config. The sweep oracle recomputes every cell's violation the
-long way, from the engine's verdicts on the scenario's two games, which the
-audit behind the sweep does not call, and compares it with the row the sweep
-prints."""
+canonical labor config at c_mis 1/2 and 1, of `matrices` in both formats, of
+`reproduce-paper`, of `sweep --format json` on a grid around the wage
+window, and of `analyze` on generic configs: the one-agent signal game with
+its declared profile and without one (so the equilibrium search picks it),
+and the two-agent config. The sweep oracle recomputes every cell's violation
+the long way, from the engine's verdicts on the scenario's two games, which
+the audit behind the sweep does not call, and compares it with the row the
+sweep prints."""
 
 import json
 import os
@@ -42,6 +43,17 @@ def write_json(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+# Window (1, 2) at theta 1, 2 and e_H 1: both edges, points just inside and
+# outside, wages on either side, c_mis at and around w/2, and invalid wages.
+SWEEP_W = ["-1", "0", "1/2", "1", "101/100", "3/2", "199/100", "2", "5/2"]
+SWEEP_C = ["0", "1/4", "1/2", "3/4", "1", "5/4"]
+SWEEP_GRID = {
+    "kind": "sweep",
+    "w_values": SWEEP_W,
+    "c_mis_values": SWEEP_C,
+    "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1},
+}
+
 GOLDEN_RUNS = [
     (["analyze"], {**CANONICAL, "c_mis": "1/2"}, "analyze_labor_cmis_1_2.json", 2),
     (["analyze"], {**CANONICAL, "c_mis": 1}, "analyze_labor_cmis_1.json", 0),
@@ -50,6 +62,8 @@ GOLDEN_RUNS = [
     (["analyze"], signal_config(), "analyze_generic_signal_declared.json", 2),
     (["analyze"], signal_config(with_profile=False), "analyze_generic_signal_search.json", 2),
     (["analyze"], two_agent_cfg(), "analyze_generic_two_agent.json", 0),
+    (["matrices", "--format", "json"], {**CANONICAL, "c_mis": "1/2"}, "matrices_labor.json", 0),
+    (["sweep", "--format", "json"], SWEEP_GRID, "sweep_labor.json", 0),
 ]
 
 
@@ -115,12 +129,6 @@ def oracle_row(w, c_mis, fixed):
     }
     row.update({k: "true" if v else "false" for k, v in cells.items()})
     return row
-
-
-# Window (1, 2) at theta 1, 2 and e_H 1: both edges, points just inside and
-# outside, wages on either side, c_mis at and around w/2, and invalid wages.
-SWEEP_W = ["-1", "0", "1/2", "1", "101/100", "3/2", "199/100", "2", "5/2"]
-SWEEP_C = ["0", "1/4", "1/2", "3/4", "1", "5/4"]
 
 
 @pytest.mark.parametrize("prior_high", [None, "1/10", "9/10"])

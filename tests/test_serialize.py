@@ -6,7 +6,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from test_properties import (
+    SETTINGS,
     audit_report_from_jsonable,
     chain_from_jsonable,
     deviation_from_jsonable,
@@ -298,6 +301,36 @@ def test_json_dumps_is_deterministic():
     assert json_dumps({"b": 1, "a": 2}) == json_dumps({"a": 2, "b": 1})
     assert json_dumps({}).endswith("\n")
     assert json_dumps({"b": 1, "a": 2}).index('"a"') < json_dumps({"b": 1, "a": 2}).index('"b"')
+
+
+# Text with what the writer must escape: quotes, backslashes, control
+# characters, and characters beyond ASCII (one outside the BMP).
+json_text = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\xe9\U0001f600'))
+json_ints = (
+    st.integers()
+    | st.integers(10**399, 10**400 - 1)
+    | st.integers(-(10**400) + 1, -(10**399))
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | json_text,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_text, inner),
+    max_leaves=30,
+)
+
+
+@SETTINGS
+@given(json_values)
+def test_json_dumps_writes_the_bytes_of_json_dumps(value):
+    assert json_dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, Fraction(1, 2), {"a"}, {1: "a"}, {"a": [1, 2.5]}], ids=repr
+)
+def test_json_dumps_refuses_what_a_report_never_holds(value):
+    # Reports carry exact rationals as strings, so a float is a bug.
+    with pytest.raises(TypeError):
+        json_dumps(value)
 
 
 def test_params_to_jsonable():
