@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 class GameModelError(ValueError):
@@ -188,6 +189,12 @@ class TypeSpace:
         object.__setattr__(self, "types_of", types_of)
         object.__setattr__(self, "prior_of", priors)
 
+    @cached_property
+    def weights(self) -> "PriorWeights":
+        """The prior as ints, computed on first use and kept with the type
+        space, so a game and its direct game share one copy."""
+        return _prior_weights(self)
+
     @classmethod
     def uniform(cls, types_of) -> "TypeSpace":
         """Build a type space with the uniform prior on each agent's types."""
@@ -238,6 +245,29 @@ class TypeSpace:
                 raise DomainError(f"agent {j}: unknown type {t!r}")
             w *= self.prior_of[j][t]
         return w
+
+
+@dataclass(frozen=True)
+class PriorWeights:
+    """An independent prior as ints. `of[j][k]` is agent j's prior of its
+    k-th type times j's unit, the LCM of j's prior denominators, so each
+    agent's weights sum to its unit. The weight of a type profile of the
+    others is the product of their weights, and those products sum, over the
+    profiles of everyone but agent i, to `total[i]`, the product of the other
+    agents' units."""
+
+    of: tuple[tuple[int, ...], ...]
+    total: tuple[int, ...]
+
+
+def _prior_weights(ts: TypeSpace) -> PriorWeights:
+    units = [math.lcm(*[p.denominator for p in prior.values()]) for prior in ts.prior_of]
+    of = tuple(
+        tuple(prior[t].numerator * (unit // prior[t].denominator) for t in types)
+        for types, prior, unit in zip(ts.types_of, ts.prior_of, units)
+    )
+    everyone = math.prod(units)
+    return PriorWeights(of, tuple(everyone // unit for unit in units))
 
 
 @dataclass(frozen=True)
@@ -310,14 +340,11 @@ class Mechanism:
             raise DomainError(f"unknown action profile {key}")
         return self.outcome_of[key]
 
-    def outcomes(self) -> tuple[Outcome, ...]:
-        """The distinct outcomes, in first-appearance order over the action
-        profiles."""
-        seen: dict[str, Outcome] = {}
-        for profile in itertools.product(*self.actions_of):
-            x = self.outcome_of[profile]
-            seen.setdefault(x.label, x)
-        return tuple(seen.values())
+    @cached_property
+    def walk(self) -> "OutcomeWalk":
+        """The outcome table walked once, on first use, and kept with the
+        mechanism."""
+        return _walk_outcomes(self)
 
 
 @dataclass(frozen=True)
@@ -327,6 +354,30 @@ class SocialChoiceFunction(Mechanism):
     actions are the type labels agents report. Faults name types and rule."""
 
     _tables = ("types", "rule", "type")
+
+
+@dataclass(frozen=True)
+class OutcomeWalk:
+    """A mechanism's outcome table over action positions, in
+    itertools.product order (agent 0 outermost). The flat index of an action
+    profile is sum(strides[j] * action position of j), and `outcome[flat]`
+    is the position of its outcome in `labels`, the distinct outcome labels
+    in first-appearance order."""
+
+    labels: tuple[str, ...]
+    outcome: list[int]
+    strides: list[int]
+
+
+def _walk_outcomes(mech: Mechanism) -> OutcomeWalk:
+    position: dict[str, int] = {}
+    outcome = [
+        position.setdefault(mech.outcome_of[p].label, len(position))
+        for p in itertools.product(*mech.actions_of)
+    ]
+    sizes = [len(actions) for actions in mech.actions_of]
+    strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+    return OutcomeWalk(tuple(position), outcome, strides)
 
 
 def _keyed_rationals(table: str, entries, field: str) -> dict[tuple[int, str, str], Fraction]:

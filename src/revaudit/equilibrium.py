@@ -1,11 +1,16 @@
 """Exact equilibrium engine for finite Bayesian games.
 
-Each game is compiled once, on first use, into integer tables over type and
-action positions: prior weights scaled by the LCM of each agent's prior
-denominators, utilities and strategic costs scaled by one LCM, and the
-outcome of every action profile. Equilibrium conditions are then weak
-inequalities between Python ints, and a reported payoff or gain is the exact
-Fraction of an int over the agent's scale; no tolerance enters anywhere.
+Each part of a game is compiled once, on first use, on the object that owns
+it, into integer tables over type and action positions. A mechanism walks
+its outcome table once (`Mechanism.walk`): the outcome of every action
+profile. A type space scales its prior once (`TypeSpace.weights`): each
+agent's prior times the LCM of its denominators, shared by a game and its
+direct game. A game scales its utilities and strategic costs by one LCM
+(`_Tables`). An interim row sums, for each own action, the opponents' prior
+weight on each outcome that action reaches, then takes one sum over those
+outcomes per own type. Equilibrium conditions are weak inequalities between
+Python ints, and a reported payoff or gain is the exact Fraction of an int
+over the agent's scale; no tolerance enters anywhere.
 The one payoff is profit: outcome utility minus the strategic cost of the
 action actually played. The classical utility view is the profit of the same
 game built with `CostModel()`. With independent priors, per-type
@@ -35,6 +40,7 @@ from .core import (
     UtilityTable,
     _check_label,
     _is_label,
+    as_rational,
     check_agent_count,
     profit,
 )
@@ -143,9 +149,7 @@ class BayesianGame:
 
     def __post_init__(self) -> None:
         check_agent_count(self.mechanism.actions_of, self.type_space.types_of)
-        self.utilities.check_covers(
-            [x.label for x in self.mechanism.outcomes()], self.type_space.types_of
-        )
+        self.utilities.check_covers(self.mechanism.walk.labels, self.type_space.types_of)
         self.costs.validate_against(self.mechanism, self.type_space)
 
     @property
@@ -160,27 +164,21 @@ class BayesianGame:
 
 @dataclass(frozen=True)
 class _Tables:
-    """A game as exact integer tables over type and action positions.
-
-    Prior weights of agent j are scaled by the LCM of j's prior denominators,
-    and utilities and strategic costs by one LCM of their denominators. An
-    interim payoff of agent i is then an int over `scale[i]`, and payoffs of
-    one agent compare as ints with the same weak inequalities.
+    """A game's payoffs as exact integer tables over type and action
+    positions; the parts a game shares are compiled on their owners. The
+    mechanism walks its outcome table once (`Mechanism.walk`), and the type
+    space scales its prior once (`TypeSpace.weights`), so a game and its
+    direct game share the prior. Here utilities and strategic costs are
+    scaled by one LCM of their denominators. An interim payoff of agent i is
+    then an int over `scale[i]`, and payoffs of one agent compare as ints
+    with the same weak inequalities.
     """
 
-    # A flat action profile is sum(strides[j] * action position of j),
-    # agent 0 outermost, as in itertools.product.
-    strides: list[int]
-    # Outcome position (in Mechanism.outcomes() order) per flat action profile.
-    outcome: list[int]
-    # utility[i][t][x]: scaled utility of agent i at type t for outcome x.
+    # utility[i][t][x]: scaled utility of agent i at type t for outcome x,
+    # in the order of the mechanism's walk labels.
     utility: list[list[list[int]]]
     # cost[i][t][a]: scaled strategic cost, already on agent i's scale.
     cost: list[list[list[int]]]
-    # weights[i]: the scaled prior weight of each type profile of the other
-    # agents, in itertools.product order over their type positions; they
-    # sum to scale[i] over the unit of utilities and costs.
-    weights: list[list[int]]
     scale: list[int]
 
 
@@ -190,43 +188,25 @@ def _scaled(value: Fraction, unit: int) -> int:
 
 def _compile(game: BayesianGame) -> _Tables:
     mech, ts = game.mechanism, game.type_space
-    agents = range(ts.agent_count)
-    position: dict[str, int] = {}
-    outcome = [
-        position.setdefault(mech.outcome_of[p].label, len(position))
-        for p in itertools.product(*mech.actions_of)
-    ]
+    labels, total = mech.walk.labels, ts.weights.total
+    table, strategic = game.utilities.table, game.costs.strategic
     unit = math.lcm(
-        *[v.denominator for v in game.utilities.table.values()],
-        *[v.denominator for v in game.costs.strategic.values()],
+        *[v.denominator for v in table.values()], *[v.denominator for v in strategic.values()]
     )
-    prior_units = [math.lcm(*[p.denominator for p in prior.values()]) for prior in ts.prior_of]
-    priors = [[_scaled(ts.prior_of[i][t], prior_units[i]) for t in ts.types_of[i]] for i in agents]
-    # Each agent's scaled priors sum to its prior unit, so the weights of
-    # the others' type profiles sum to the product of their units.
-    weights = [
-        [math.prod(w) for w in itertools.product(*[priors[j] for j in agents if j != i])]
-        for i in agents
+    utility = [
+        [[_scaled(table[i, x, t], unit) for x in labels] for t in types]
+        for i, types in enumerate(ts.types_of)
     ]
-    totals = [sum(w) for w in weights]
-    utility, cost = game.utilities.utility, game.costs.strategic_cost
-    return _Tables(
-        strides=[math.prod([len(acts) for acts in mech.actions_of[i + 1 :]]) for i in agents],
-        outcome=outcome,
-        utility=[
-            [[_scaled(utility(i, x, t), unit) for x in position] for t in ts.types_of[i]]
-            for i in agents
-        ],
-        cost=[
-            [
-                [_scaled(cost(i, a, t), unit) * totals[i] for a in mech.actions_of[i]]
-                for t in ts.types_of[i]
-            ]
-            for i in agents
-        ],
-        weights=weights,
-        scale=[unit * total for total in totals],
-    )
+    # Costs are sparse with default 0: only the entries present are filled.
+    cost = [
+        [[0] * len(actions) for _ in types] for types, actions in zip(ts.types_of, mech.actions_of)
+    ]
+    types_at = [{t: k for k, t in enumerate(types)} for types in ts.types_of]
+    actions_at = [{a: k for k, a in enumerate(actions)} for actions in mech.actions_of]
+    for (i, a, t), v in strategic.items():
+        if v:
+            cost[i][types_at[i][t]][actions_at[i][a]] = _scaled(v, unit) * total[i]
+    return _Tables(utility=utility, cost=cost, scale=[unit * n for n in total])
 
 
 def _plan(game: BayesianGame, profile: StrategyProfile) -> list[list[int]]:
@@ -255,24 +235,34 @@ def _plan(game: BayesianGame, profile: StrategyProfile) -> list[list[int]]:
 def _interim_rows(game: BayesianGame, plan, agent: int) -> list[list[int]]:
     """Interim profit of every action of `agent` at each of its types, as ints
     on the agent's scale, with the others following `plan` (the agent's own
-    entry is not read). Independence of the prior makes the opponents' type
-    weights the same at every own type."""
-    tables = game._tables
-    strides, outcome, weights = tables.strides, tables.outcome, tables.weights[agent]
-    # Flat action-profile offset of the others' actions at each of their
-    # type profiles, in the order of `weights`.
-    bases = [
-        sum(offsets)
-        for offsets in itertools.product(
-            *[[strides[j] * a for a in plan[j]] for j in range(game.agent_count) if j != agent]
-        )
-    ]
+    entry is not read). Independence of the prior makes the opponents'
+    weights the same at every own type, so each own action's prior weight on
+    the outcomes it reaches is summed once, and each row entry is a sum over
+    those outcomes."""
+    walk, weights = game.mechanism.walk, game.type_space.weights.of
+    strides, outcome = walk.strides, walk.outcome
+    # Each flat action-profile offset the others play, with the prior weight
+    # of their type profiles that play it: one agent's types that play one
+    # action are summed first.
+    bases = [(0, 1)]
+    for j, own in enumerate(plan):
+        if j != agent:
+            played: dict[int, int] = {}
+            for a, w in zip(own, weights[j]):
+                played[a] = played.get(a, 0) + w
+            step = strides[j]
+            bases = [(b + step * a, v * w) for b, v in bases for a, w in played.items()]
     step = strides[agent]
-    cells = [
-        [outcome[b + a * step] for b in bases] for a in range(len(game.mechanism.actions_of[agent]))
-    ]
+    reached = []
+    for a in range(len(game.mechanism.actions_of[agent])):
+        mass: dict[int, int] = {}
+        for b, w in bases:
+            x = outcome[b + a * step]
+            mass[x] = mass.get(x, 0) + w
+        reached.append(mass.items())
+    tables = game._tables
     return [
-        [sum(w * u[x] for w, x in zip(weights, xs)) - c for xs, c in zip(cells, costs)]
+        [sum([w * u[x] for x, w in mass]) - c for mass, c in zip(reached, costs)]
         for u, costs in zip(tables.utility[agent], tables.cost[agent])
     ]
 
@@ -419,7 +409,7 @@ class NormalFormGame:
         payoffs = {}
         for key, vals in dict(self.payoffs).items():
             key = tuple(key)
-            vals = tuple(Fraction(v) for v in vals)
+            vals = tuple(as_rational(v, ("payoffs", key)) for v in vals)
             if len(vals) != n:
                 raise ConstructionError(f"payoff vector at {key} has arity {len(vals)}, want {n}")
             payoffs[key] = vals
@@ -504,7 +494,7 @@ def dominant_strategies(nf: NormalFormGame, agent: int) -> DominantAction | None
     reported when the action beats every alternative everywhere. First action
     in declared order wins ties among weakly dominant actions.
     """
-    if not 0 <= agent < nf.agent_count:
+    if not isinstance(agent, int) or isinstance(agent, bool) or not 0 <= agent < nf.agent_count:
         raise DomainError(f"unknown agent index {agent!r}")
     rests = _opponent_action_profiles(nf, agent)
     weak_winner = None

@@ -116,10 +116,11 @@ def random_shape(rng, agents, max_profiles):
             return types, actions
 
 
-def random_costly_game(rng, types, actions):
+def random_costly_game(rng, types, actions, outcomes=None):
     """A random game with the given type and action counts per agent:
     non-uniform priors, and utilities and strategic costs drawn from a small
-    range of rationals so that ties are common."""
+    range of rationals so that ties are common. There are `outcomes`
+    outcomes, or 2 to 4 when it is None."""
     agents = len(types)
     types_of = tuple(tuple(f"t{k}" for k in range(n)) for n in types)
     priors = []
@@ -127,7 +128,7 @@ def random_costly_game(rng, types, actions):
         weights = [rng.randint(1, 5) for _ in ts]
         priors.append({t: Fraction(w, sum(weights)) for t, w in zip(ts, weights)})
     actions_of = tuple(tuple(f"a{k}" for k in range(n)) for n in actions)
-    outcomes = [Outcome(f"x{k}") for k in range(rng.randint(2, 4))]
+    outcomes = [Outcome(f"x{k}") for k in range(outcomes or rng.randint(2, 4))]
     outcome_of = {p: rng.choice(outcomes) for p in itertools.product(*actions_of)}
 
     def value(low):

@@ -694,9 +694,9 @@ def test_unknown_subcommand(capsys):
 # -- work done per command ------------------------------------------------------------
 
 
-def counted(monkeypatch, functions, methods=()):
+def counted(monkeypatch, functions):
     """Count the calls of each function in every revaudit module that binds
-    it, and of each (class, name) method, by rebinding them."""
+    it, by rebinding it."""
     counts = Counter()
 
     def counting(name, fn):
@@ -710,24 +710,29 @@ def counted(monkeypatch, functions, methods=()):
         for mod in list(sys.modules.values()):
             if mod.__name__.startswith("revaudit") and getattr(mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, wrapper)
-    for cls, name in methods:
-        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     return counts
 
 
 def test_labor_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
+    # The bid mechanism and the hiring rule are module constants, which keep
+    # their walks; an earlier test may have made them, so drop them first.
+    for mechanism in (labor.MECHANISM, labor.HIRING_RULE):
+        monkeypatch.delitem(vars(mechanism), "walk", raising=False)
     counts = counted(
         monkeypatch,
         [auditor.direct_game, core._total_table, equilibrium._compile,
-         equilibrium.expost_normal_form],
-        [(core.Mechanism, "outcomes")],
+         equilibrium.expost_normal_form, core._walk_outcomes, core._prior_weights],
     )
     assert main(["analyze", labor_cfg(tmp_path)]) == 2
     # The bid game and the direct game, each checked and compiled once; the
-    # four ex-post report matrices, and no matrix for the bid cases. The bid
-    # mechanism and the hiring rule are module constants, so no outcome
-    # table is checked (_total_table is not called).
-    assert counts == {"direct_game": 1, "_compile": 2, "expost_normal_form": 4, "outcomes": 2}
+    # four ex-post report matrices, and no matrix for the bid cases. Being
+    # module constants, the two mechanisms' outcome tables are not checked
+    # (_total_table is not called), but each is walked once. The two games
+    # share one type space, whose prior is scaled once.
+    assert counts == {
+        "direct_game": 1, "_compile": 2, "expost_normal_form": 4,
+        "_walk_outcomes": 2, "_prior_weights": 1,
+    }
 
 
 def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
@@ -746,13 +751,17 @@ def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
 def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
     counts = counted(
         monkeypatch,
-        [auditor.direct_game, core._total_table, equilibrium._compile],
-        [(core.Mechanism, "outcomes")],
+        [auditor.direct_game, core._total_table, equilibrium._compile, core._walk_outcomes,
+         core._prior_weights],
     )
     assert main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())]) == 0
-    # Two outcome tables are checked: the outcome function and the rule,
-    # which the direct game plays as it is.
-    assert counts == {"direct_game": 1, "_total_table": 2, "_compile": 2, "outcomes": 2}
+    # Two outcome tables are checked and walked once each: the outcome
+    # function and the rule, which the direct game plays as it is. The game
+    # and the direct game share one type space, whose prior is scaled once.
+    assert counts == {
+        "direct_game": 1, "_total_table": 2, "_compile": 2, "_walk_outcomes": 2,
+        "_prior_weights": 1,
+    }
 
 
 def test_a_generic_audit_computes_each_agents_payoffs_once(tmp_path, monkeypatch, capsys):

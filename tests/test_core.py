@@ -197,7 +197,10 @@ def simple_mechanism():
 def test_mechanism_table_checks():
     m = simple_mechanism()
     assert m.outcome(("l", "r")).label == "b"
-    assert [x.label for x in m.outcomes()] == ["a", "b"]
+    # One walk: labels in first-appearance order, and the outcome position
+    # of each flat action profile, agent 0 outermost.
+    assert (m.walk.labels, m.walk.outcome, m.walk.strides) == (("a", "b"), [0, 1, 1, 0], [2, 1])
+    assert m.walk is m.walk
     with pytest.raises(DomainError):
         m.outcome(("l", "x"))
     with pytest.raises(ConstructionError):

@@ -302,6 +302,31 @@ def test_compiled_engine_matches_reference_engine(seed, shape):
                         ) == ref.interim(game, profile, agent, t, a)
 
 
+# The shapes the declared workload runs, where opponent type profiles
+# outnumber outcomes (up to 36 against 6), and a game with one outcome.
+WIDE_SHAPES = [((6, 6, 6), (4, 4, 4), 6), ((8, 8), (8, 8), 6), ((3, 2), (2, 3), 1)]
+
+
+@pytest.mark.parametrize(
+    "types, actions, outcomes", WIDE_SHAPES, ids=["3-agents-6x4", "2-agents-8x8", "one-outcome"]
+)
+def test_per_outcome_sums_match_the_reference_engine_on_wide_games(types, actions, outcomes):
+    rng = random.Random(sum(types))
+    game = ref.random_costly_game(rng, types, actions, outcomes)
+    ts, mech = game.type_space, game.mechanism
+    for _ in range(3):
+        profile = StrategyProfile.from_maps(
+            {t: rng.choice(acts) for t in types}
+            for types, acts in zip(ts.types_of, mech.actions_of)
+        )
+        for agent in range(game.agent_count):
+            for t in ts.types_of[agent]:
+                for a in mech.actions_of[agent]:
+                    assert compiled_payoff(
+                        game, profile, agent, t, a
+                    ) == ref.interim(game, profile, agent, t, a)
+
+
 def test_the_search_pivots_on_the_agent_with_the_most_plans(monkeypatch):
     # Agent 0 has 10**5 plans and agent 1 one, so the search pivots on
     # agent 0: its rows once, then agent 1's rows once per best-reply
@@ -378,6 +403,18 @@ def test_singleton_action_set_is_trivially_dominant():
     nf = NormalFormGame((("only",),), {("only",): (Fraction(0),)})
     d = dominant_strategies(nf, 0)
     assert d is not None and d.kind == "strict"
+
+
+@pytest.mark.parametrize("value", [0.1, True, "\u0661"], ids=["float", "bool", "arabic-indic-one"])
+def test_normal_form_payoffs_are_exact_rationals(value):
+    with pytest.raises(ConstructionError) as err:
+        NormalFormGame((("a", "b"),), {("a",): (Fraction(0),), ("b",): (value,)})
+    assert err.value.at == ("payoffs", ("b",))
+
+
+def test_dominant_strategies_rejects_a_bool_agent():
+    with pytest.raises(DomainError, match="unknown agent index True"):
+        dominant_strategies(prisoners_dilemma(), True)
 
 
 def test_normal_form_validation():
