@@ -43,7 +43,7 @@ from .equilibrium import (
 )
 
 
-def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
+def direct_game(game: BayesianGame, scf: SocialChoiceFunction, misreport=None) -> BayesianGame:
     """The direct game of a rule that reports exactly the game's types: the
     rule is played as it is, with the game's type space and utilities.
 
@@ -51,13 +51,13 @@ def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
     playing a report: strategic[(agent, report, true type)] =
     misreport[(agent, true type, report)]. Its profit then values a report
     at its utility minus its misreporting cost, with honest reports free.
+    A given `misreport` schedule stands in for the game's own.
     """
     if scf.actions_of != game.type_space.types_of:
         problem = f"reports {scf.actions_of} are not the game's types {game.type_space.types_of}"
         raise ConstructionError(problem, ("rule",))
-    prices = {
-        (agent, reported, true): v for (agent, true, reported), v in game.costs.misreport.items()
-    }
+    schedule = game.costs.misreport if misreport is None else misreport
+    prices = {(agent, reported, true): v for (agent, true, reported), v in schedule.items()}
     return BayesianGame(scf, game.type_space, game.utilities, CostModel(prices))
 
 

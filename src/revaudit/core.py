@@ -206,10 +206,9 @@ class TypeSpace:
     def agent_count(self) -> int:
         return len(self.types_of)
 
-    def _check_agent(self, agent: int) -> int:
-        if not isinstance(agent, int) or not 0 <= agent < self.agent_count:
+    def _check_agent(self, agent: int) -> None:
+        if type(agent) is not int or not 0 <= agent < self.agent_count:  # a bool is no index
             raise DomainError(f"unknown agent index {agent!r}")
-        return agent
 
     def profiles(self) -> tuple[tuple[str, ...], ...]:
         """All type profiles, lexicographic in the declared orders."""

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .auditor import AuditReport, audit_revelation_principle, direct_game
+from .auditor import (
+    AuditReport,
+    audit_revelation_principle,
+    direct_game,
+    is_truthfully_implementable,
+)
 from .core import (
     ConstructionError,
     CostModel,
@@ -130,6 +135,17 @@ class LaborScenario:
         use and kept with the scenario."""
         return audit_revelation_principle(self.game, SEPARATING_PROFILE, self.direct)
 
+    def truthful_at(self, c_mis: Fraction) -> bool:
+        """Is truth-telling an equilibrium of the direct game at misreporting cost c_mis?"""
+        direct = direct_game(self.game, HIRING_RULE, misreport_costs(c_mis))
+        return is_truthfully_implementable(direct).is_equilibrium
+
+
+def misreport_costs(c_mis: Fraction) -> dict[tuple[int, str, str], Fraction]:
+    """A low type reporting high pays c_mis; a high type reporting low pays nothing."""
+    pairs = ((TYPE_LOW, TYPE_HIGH, c_mis), (TYPE_HIGH, TYPE_LOW, Fraction(0)))
+    return {(i, t, r): c for t, r, c in pairs for i in (0, 1)}
+
 
 def build_scenario(params: LaborParams) -> LaborScenario:
     """Wire the labor market into the generic game model, and build the
@@ -149,11 +165,7 @@ def build_scenario(params: LaborParams) -> LaborScenario:
         strategic={
             (i, BID_HIGH, t): params.e_H / theta_value[t] for i in (0, 1) for t in TYPES
         },
-        misreport={
-            (i, TYPE_LOW, TYPE_HIGH): params.c_mis for i in (0, 1)
-        } | {
-            (i, TYPE_HIGH, TYPE_LOW): Fraction(0) for i in (0, 1)
-        },
+        misreport=misreport_costs(params.c_mis),
     )
     game = BayesianGame(MECHANISM, type_space, utilities, costs)
     return LaborScenario(params, game, direct_game(game, HIRING_RULE))

@@ -390,8 +390,9 @@ def _generic_game(cfg: dict, where: str, rows: dict):
 class SweepGrid:
     """A labor parameter grid: wages times misreporting costs, rest fixed.
 
-    The fixed parameters are checked here, once per grid (and again by
-    `replace`), so only a bad wage or cost is left to fail in a cell."""
+    The fixed parameters are checked once per grid (and by `replace`), so a cell
+    fails only on its wage or cost. A sweep builds one scenario per wage and
+    one direct game per further cost."""
 
     w_values: tuple[Fraction, ...]
     c_mis_values: tuple[Fraction, ...]

@@ -124,6 +124,15 @@ def test_single_agent_has_one_empty_opponent_profile():
     assert ts.conditional_weight(0, ()) == 1
 
 
+@pytest.mark.parametrize("agent", [True, False])
+def test_conditional_weight_rejects_a_bool_agent(agent):
+    # True would read as agent 1, whose opponent profile ("a",) has weight 1/2.
+    ts = TypeSpace.uniform([["a", "b"], ["c", "d", "e"]])
+    with pytest.raises(DomainError, match=f"unknown agent index {agent}"):
+        ts.conditional_weight(agent, ["a"])
+    assert ts.conditional_weight(1, ["a"]) == Fraction(1, 2)
+
+
 def test_profile_validation():
     ts = two_by_two()
     with pytest.raises(DomainError):

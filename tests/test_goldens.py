@@ -6,9 +6,9 @@ canonical labor config at c_mis 1/2 and 1, of `matrices` in both formats, of
 window, and of `analyze` on generic configs: the one-agent signal game with
 its declared profile and without one (so the equilibrium search picks it),
 and the two-agent config. The sweep oracle recomputes every cell's violation
-the long way, from the engine's verdicts on the scenario's two games, which
-the audit behind the sweep does not call, and compares it with the row the
-sweep prints."""
+the long way, from the engine's verdicts on that cell's own scenario, where
+the sweep shares one scenario and audit across a wage's costs, and compares
+it with the row the sweep prints."""
 
 import json
 import os

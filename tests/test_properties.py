@@ -12,10 +12,14 @@ The games are drawn with large, pairwise coprime denominators so that the
 engine's integer tables are built over large LCMs. Every verdict and bid
 payoff of the labor scenario follows the paper's closed forms at random
 rational parameters, window edges and skewed priors included, and no labor
-report depends on the prior."""
+report depends on the prior. A sweep, which builds one scenario per wage,
+prints every cell as that cell's own scenario answers it."""
 
+import contextlib
+import io
 import itertools
 import json
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,6 +27,7 @@ import reference_engine as ref
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from payoff_probe import compiled_payoff
+from test_goldens import oracle_row
 
 from revaudit.auditor import (
     AuditReport,
@@ -33,6 +38,7 @@ from revaudit.auditor import (
     induced_scf,
     is_truthfully_implementable,
 )
+from revaudit.cli import main
 from revaudit.core import (
     CostModel,
     Mechanism,
@@ -40,6 +46,7 @@ from revaudit.core import (
     SocialChoiceFunction,
     TypeSpace,
     UtilityTable,
+    rational_str,
 )
 from revaudit.equilibrium import (
     BayesianGame,
@@ -347,6 +354,62 @@ def test_no_labor_report_depends_on_the_prior(params, priors):
     expected = labor_json(params)
     for prior_high in priors:
         assert labor_json(replace(params, prior_high=prior_high)) == expected
+
+
+@st.composite
+def sweep_grids(draw):
+    """A random sweep grid, its fixed parameters and an optional prior
+    override. Wages are drawn at either window edge, inside the window,
+    anywhere, at 0 or below it. Costs come from a small pool, so a row often
+    repeats one: 0, half of either edge wage and a point between (where
+    truth-telling turns for window wages), a random cost, and a negative one,
+    which may open a row so that its scenario is built at a later cost."""
+    theta_L = draw(positive_rationals())
+    theta_H = theta_L + draw(positive_rationals())
+    e_H = draw(positive_rationals())
+    lo, hi = 2 * e_H / theta_H, 2 * e_H / theta_L
+    wages = st.one_of(
+        st.sampled_from([lo, hi, Fraction(0), -lo]),
+        unit_fractions().map(lambda k: lo + k * (hi - lo)),
+        positive_rationals(),
+    )
+    pool = [Fraction(-1), Fraction(0), lo / 2, (lo + hi) / 4, hi / 2, draw(positive_rationals())]
+    w_values = draw(st.lists(wages, min_size=1, max_size=4))
+    c_mis_values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    prior_high = draw(st.none() | unit_fractions())
+    fixed = {"theta_L": theta_L, "theta_H": theta_H, "e_H": e_H}
+    return fixed, w_values, c_mis_values, prior_high
+
+
+def sweep_json(fixed, w_values, c_mis_values, prior_high):
+    """The rows `sweep --format json` prints for a grid."""
+    grid = {
+        "kind": "sweep",
+        "w_values": [rational_str(w) for w in w_values],
+        "c_mis_values": [rational_str(c) for c in c_mis_values],
+        "fixed": {key: rational_str(v) for key, v in fixed.items()},
+    }
+    override = [] if prior_high is None else ["--prior-high", rational_str(prior_high)]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = f"{tmp}/grid.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(grid, fh)
+        assert main(["sweep", path, "--format", "json", *override]) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(SETTINGS, max_examples=60)
+@given(sweep_grids())
+def test_a_sweep_prints_each_cell_as_its_own_scenario_answers(grid):
+    # The sweep shares one scenario and audit across a wage's costs; the
+    # oracle builds every valid cell's scenario and reads the engine's
+    # verdicts on it, so a verdict carried over from another cost shows.
+    fixed, w_values, c_mis_values, prior_high = grid
+    rows = sweep_json(fixed, w_values, c_mis_values, prior_high)
+    if prior_high is not None:
+        fixed = {**fixed, "prior_high": prior_high}
+    assert rows == [oracle_row(w, c, fixed) for w in w_values for c in c_mis_values]
 
 
 def profile_from_jsonable(data) -> StrategyProfile:
