@@ -34,6 +34,7 @@ from .equilibrium import (
     EquilibriumVerdict,
     StrategyProfile,
     _at_best_response,
+    _exact,
     _implements,
     _interim_rows,
     _largest_gain,
@@ -43,21 +44,18 @@ from .equilibrium import (
 )
 
 
-def direct_game(game: BayesianGame, scf: SocialChoiceFunction, misreport=None) -> BayesianGame:
+def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
     """The direct game of a rule that reports exactly the game's types: the
     rule is played as it is, with the game's type space and utilities.
 
     Only the misreporting schedule carries over, stored once as the price of
     playing a report: strategic[(agent, report, true type)] =
-    misreport[(agent, true type, report)]. Its profit then values a report
-    at its utility minus its misreporting cost, with honest reports free.
-    A given `misreport` schedule stands in for the game's own.
-    """
+    misreport[(agent, true type, report)], with honest reports free. Another
+    schedule is judged against `misreport_gains`, without a game of its own."""
     if scf.actions_of != game.type_space.types_of:
         problem = f"reports {scf.actions_of} are not the game's types {game.type_space.types_of}"
         raise ConstructionError(problem, ("rule",))
-    schedule = game.costs.misreport if misreport is None else misreport
-    prices = {(agent, reported, true): v for (agent, true, reported), v in schedule.items()}
+    prices = {(i, reported, true): v for (i, true, reported), v in game.costs.misreport.items()}
     return BayesianGame(scf, game.type_space, game.utilities, CostModel(prices))
 
 
@@ -76,6 +74,22 @@ def is_truthfully_implementable(direct: BayesianGame) -> EquilibriumVerdict:
     type, reported type, gain).
     """
     return _verdict(direct, _truth(direct))
+
+
+def _costfree(direct: BayesianGame, rows, agent: int) -> list[list[int]]:
+    """The agent's rows of direct-game profits with their report prices added back."""
+    return [[v + c for v, c in zip(row, cs)] for row, cs in zip(rows, direct._tables.cost[agent])]
+
+
+def misreport_gains(direct: BayesianGame) -> dict[tuple[int, str, str], Fraction]:
+    """Each misreport's gain with every report price erased, keyed (agent, true type,
+    reported type): truth-telling is an equilibrium exactly when no gain exceeds its price."""
+    truth, types_of = _truth(direct), direct.type_space.types_of
+    free = [_costfree(direct, _interim_rows(direct, truth, i), i) for i in range(len(types_of))]
+    return {
+        (i, ts[k], ts[r]): _exact(direct, i, free[i][k][r] - free[i][k][k])
+        for i, ts in enumerate(types_of) for k, r in itertools.permutations(range(len(ts)), 2)
+    }
 
 
 @dataclass(frozen=True)
@@ -154,13 +168,12 @@ def audit_revelation_principle(
     an equilibrium; its other families are still reported.
     """
     plan, truth = _plan(game, profile), _truth(direct)
-    prices = direct._tables.cost
     holds_equilibrium = mimicry_ok = costfree_ok = True
     truthful_rows, mimicry_rows = [], []
     for agent, own in enumerate(plan):
         rows = _interim_rows(game, plan, agent)
         truthful = _interim_rows(direct, truth, agent)
-        free_rows = [[v + c for v, c in zip(row, cs)] for row, cs in zip(truthful, prices[agent])]
+        free_rows = _costfree(direct, truthful, agent)
         holds_equilibrium = holds_equilibrium and _at_best_response(rows, own)
         costfree_ok = costfree_ok and _at_best_response(free_rows, truth[agent])
         # mimics[k][m]: type k profits no more from type m's action than from its own.

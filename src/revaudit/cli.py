@@ -181,28 +181,26 @@ def _bool_cell(value: bool) -> str:
 
 
 def cmd_sweep(args) -> int:
-    """One row per (w, c_mis) cell, each checking its own params: one scenario and
-    audit per wage, and one direct game per further cost (`LaborScenario.truthful_at`)."""
+    """One row per (w, c_mis) cell, each checking its own params: a wage's scenario,
+    audit and window are read once, and each cost is priced by `LaborScenario.truthful_at`."""
     grid = parse_sweep_grid(load_config(args.config))
     if args.prior_high is not None:
         grid = replace(grid, fixed={**grid.fixed, "prior_high": args.prior_high})
     rows = []
     for w in grid.w_values:
-        audit = None
+        scenario = None
         for c_mis in grid.c_mis_values:
             row = dict.fromkeys(SWEEP_COLUMNS, "")
             row.update(w=rational_str(w), c_mis=rational_str(c_mis))
             # A bad cell (say w <= 0) records its error and the scan moves on.
             try:
                 params = grid.cell_params(w, c_mis)
-                if audit is None:
+                if scenario is None:
                     scenario = build_scenario(params)
-                    audit = scenario.audit
-                    truthful = audit.truthful_is_bne
-                else:
-                    truthful = scenario.truthful_at(params.c_mis)
+                    audit, in_window = scenario.audit, _bool_cell(in_wage_window(params))
+                truthful = scenario.truthful_at(params.c_mis)
                 row.update(
-                    in_window=_bool_cell(in_wage_window(params)),
+                    in_window=in_window,
                     separating_is_bne=_bool_cell(audit.chain.equilibrium_inequalities_hold),
                     truthful_is_bne=_bool_cell(truthful),
                     violation=_bool_cell(audit.implemented and not truthful),

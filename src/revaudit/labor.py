@@ -19,7 +19,7 @@ from .auditor import (
     AuditReport,
     audit_revelation_principle,
     direct_game,
-    is_truthfully_implementable,
+    misreport_gains,
 )
 from .core import (
     ConstructionError,
@@ -131,14 +131,18 @@ class LaborScenario:
 
     @cached_property
     def audit(self) -> AuditReport:
-        """The revelation audit at the separating profile, computed on first
-        use and kept with the scenario."""
+        """The revelation audit at the separating profile, kept with the scenario."""
         return audit_revelation_principle(self.game, SEPARATING_PROFILE, self.direct)
+
+    @cached_property
+    def costfree_gains(self) -> dict[tuple[int, str, str], Fraction]:
+        """Each misreport's gain with costs erased: it depends on w, not on c_mis."""
+        return misreport_gains(self.direct)
 
     def truthful_at(self, c_mis: Fraction) -> bool:
         """Is truth-telling an equilibrium of the direct game at misreporting cost c_mis?"""
-        direct = direct_game(self.game, HIRING_RULE, misreport_costs(c_mis))
-        return is_truthfully_implementable(direct).is_equilibrium
+        prices = misreport_costs(c_mis)
+        return all(gain <= prices.get(key, 0) for key, gain in self.costfree_gains.items())
 
 
 def misreport_costs(c_mis: Fraction) -> dict[tuple[int, str, str], Fraction]:
@@ -253,7 +257,7 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         params=params,
         window_low=lo,
         window_high=hi,
-        in_window=in_wage_window(params),
+        in_window=lo < params.w < hi,
         separating_is_bne=verdict.is_equilibrium,
         bne_witness=verdict.witness,
         implements_rule=implements_scf(game, SEPARATING_PROFILE, HIRING_RULE),

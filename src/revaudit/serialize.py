@@ -392,7 +392,7 @@ class SweepGrid:
 
     The fixed parameters are checked once per grid (and by `replace`), so a cell
     fails only on its wage or cost. A sweep builds one scenario per wage and
-    one direct game per further cost."""
+    prices each cost against that wage's cost-free misreport gains."""
 
     w_values: tuple[Fraction, ...]
     c_mis_values: tuple[Fraction, ...]

@@ -744,10 +744,12 @@ def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
         "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1},
     }
     assert main(["sweep", write_json(tmp_path, "grid.json", grid)]) == 0
-    # Each wage builds its scenario once, at its first cost; each further
-    # cost builds only its direct game. Every direct game plays the constant
-    # hiring rule as its mechanism, so no outcome table is checked.
-    assert counts == {"build_scenario": 3, "direct_game": 9}
+    # Each wage builds its scenario, and so its one direct game, once, at its
+    # first cost; every cost is priced against that wage's cost-free
+    # misreport gains, so no cost builds a game of its own. Every direct game
+    # plays the constant hiring rule as its mechanism, so no outcome table
+    # is checked.
+    assert counts == {"build_scenario": 3, "direct_game": 3}
 
 
 def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):

@@ -6,14 +6,17 @@ constant is added to an agent's utilities at one type. Renaming types,
 actions and outcomes renames every equilibrium and audit report the same
 way and moves no verdict, and renumbering the agents renumbers every
 equilibrium. With every cost zero, the classical revelation
-principle holds. The audit judges truth-telling as the engines do, and an
-audit report reads back from its JSON exactly, through the readers below.
+principle holds. The audit judges truth-telling as the engines do, and so
+do the cost-free misreport gains under any misreporting schedule. An audit
+report reads back from its JSON exactly, through the readers below.
 The games are drawn with large, pairwise coprime denominators so that the
 engine's integer tables are built over large LCMs. Every verdict and bid
 payoff of the labor scenario follows the paper's closed forms at random
 rational parameters, window edges and skewed priors included, and no labor
-report depends on the prior. A sweep, which builds one scenario per wage,
-prints every cell as that cell's own scenario answers it."""
+report depends on the prior. A scenario's cost-free gains judge every
+misreporting cost as that cost's own direct game does, and a sweep, which
+builds one scenario per wage, prints every cell as that cell's own scenario
+answers it."""
 
 import contextlib
 import io
@@ -37,6 +40,7 @@ from revaudit.auditor import (
     direct_game,
     induced_scf,
     is_truthfully_implementable,
+    misreport_gains,
 )
 from revaudit.cli import main
 from revaudit.core import (
@@ -60,6 +64,7 @@ from revaudit.equilibrium import (
 from revaudit.labor import (
     BID_HIGH,
     BID_ZERO,
+    DEFAULT_PRIOR_HIGH,
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
@@ -256,6 +261,30 @@ def test_the_audit_judges_truth_telling_as_the_engines_do(game, data):
         assert EquilibriumVerdict(report.truthful_witness) == expected
 
 
+@SETTINGS
+@given(games(misreportable=True), st.data())
+def test_the_cost_free_gains_judge_any_schedule_as_the_engine_does(game, data):
+    # The gains are read once, from the direct game at the drawn schedule;
+    # truth-telling holds under another schedule when no gain exceeds its
+    # price there. The engine judges each schedule's own direct game: with
+    # every price at its gain (where truth holds, weakly), with one positive
+    # gain priced below it, and at a fresh random schedule.
+    game = with_misreport_costs(game, data)
+    rule = data.draw(rules_a_report_moves(game))
+    gains = misreport_gains(direct_game(game, rule))
+    at_gain = {key: max(gain, Fraction(0)) for key, gain in gains.items()}
+    schedules = [at_gain, with_misreport_costs(game, data).costs.misreport]
+    positive = [key for key, gain in gains.items() if gain > 0]
+    if positive:
+        key = data.draw(st.sampled_from(positive))
+        schedules.append({**at_gain, key: gains[key] * data.draw(unit_fractions())})
+    for schedule in schedules:
+        costs = CostModel(game.costs.strategic, schedule)
+        priced = BayesianGame(game.mechanism, game.type_space, game.utilities, costs)
+        expected = is_truthfully_implementable(direct_game(priced, rule)).is_equilibrium
+        assert all(gain <= schedule.get(key, 0) for key, gain in gains.items()) == expected
+
+
 def positive_rationals():
     return st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**3))
 
@@ -331,6 +360,22 @@ def test_the_labor_verdicts_follow_the_closed_forms(params):
     for c in cases:
         high, zero = c.payoff_bid_high, c.payoff_bid_zero
         assert c.optimal_bid == (None if high == zero else BID_HIGH if high > zero else BID_ZERO)
+
+
+@SETTINGS
+@given(labor_params(), positive_rationals())
+def test_a_labor_scenario_prices_each_cost_as_that_costs_direct_game(params, above):
+    # One scenario's cost-free gains judge truth-telling at every cost as the
+    # engine judges the direct game built at that cost: at the gain w/2, just
+    # below it, at 0 and above it, at the drawn prior and at the even one.
+    half = params.w / 2
+    costs = (half, half * Fraction(10**6 - 1, 10**6), Fraction(0), half + above)
+    for prior_high in (params.prior_high, DEFAULT_PRIOR_HIGH):
+        params = replace(params, prior_high=prior_high)
+        scenario = build_scenario(params)
+        for c in costs:
+            direct = build_scenario(replace(params, c_mis=c)).direct
+            assert scenario.truthful_at(c) == is_truthfully_implementable(direct).is_equilibrium
 
 
 def labor_json(params):
