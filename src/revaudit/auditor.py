@@ -34,13 +34,13 @@ from .equilibrium import (
     EquilibriumVerdict,
     StrategyProfile,
     _at_best_response,
+    _equilibrium_plans,
     _exact,
     _implements,
     _interim_rows,
     _largest_gain,
     _plan,
-    _verdict,
-    find_all_pure_bne,
+    _profile,
 )
 
 
@@ -59,13 +59,6 @@ def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
     return BayesianGame(scf, game.type_space, game.utilities, CostModel(prices))
 
 
-def _truth(direct: BayesianGame) -> list[range]:
-    """Truth-telling as a plan of the direct game: `direct_game` makes the
-    reports the game's types, in their order, so each type plays its own
-    position."""
-    return [range(len(types)) for types in direct.type_space.types_of]
-
-
 def is_truthfully_implementable(direct: BayesianGame) -> EquilibriumVerdict:
     """Is truth-telling an equilibrium of a rule's direct game,
     `direct_game(game, scf)`?
@@ -73,7 +66,7 @@ def is_truthfully_implementable(direct: BayesianGame) -> EquilibriumVerdict:
     The witness on failure is the most profitable misreport, as (agent, true
     type, reported type, gain).
     """
-    return _verdict(direct, _truth(direct))
+    return EquilibriumVerdict(_largest_gain(direct, direct._truth, direct._truthful_rows))
 
 
 def _costfree(direct: BayesianGame, rows, agent: int) -> list[list[int]]:
@@ -84,8 +77,8 @@ def _costfree(direct: BayesianGame, rows, agent: int) -> list[list[int]]:
 def misreport_gains(direct: BayesianGame) -> dict[tuple[int, str, str], Fraction]:
     """Each misreport's gain with every report price erased, keyed (agent, true type,
     reported type): truth-telling is an equilibrium exactly when no gain exceeds its price."""
-    truth, types_of = _truth(direct), direct.type_space.types_of
-    free = [_costfree(direct, _interim_rows(direct, truth, i), i) for i in range(len(types_of))]
+    types_of = direct.type_space.types_of
+    free = [_costfree(direct, rows, i) for i, rows in enumerate(direct._truthful_rows)]
     return {
         (i, ts[k], ts[r]): _exact(direct, i, free[i][k][r] - free[i][k][k])
         for i, ts in enumerate(types_of) for k, r in itertools.permutations(range(len(ts)), 2)
@@ -157,35 +150,33 @@ def audit_revelation_principle(
 
     `direct` is `direct_game(game, scf)`, built once by the caller; its
     mechanism is the rule and truth-telling is its identity plan. For each
-    agent the walk computes two sets of interim profits once, the game's under
-    the profile and the direct game's under truth-telling, and reads every
-    verdict from them: the chain's equilibrium and mimicry families;
-    truth-telling in the direct game; the cost-free family, whose payoffs are
-    the direct game's profits plus its report prices; and the break point,
-    the largest cost-free gain of a report where mimicry holds. The truthful
-    witness and the break point follow one deviation rule,
+    agent the walk reads two sets of interim profits, the game's under the
+    profile and the direct game's under truth-telling (kept with the direct
+    game), and reads every verdict from them: the chain's equilibrium and
+    mimicry families; truth-telling in the direct game; the cost-free family,
+    whose payoffs are the direct game's profits plus its report prices; and
+    the break point, the largest cost-free gain of a report where mimicry
+    holds. The truthful witness and the break point follow one deviation rule,
     `equilibrium._largest_gain`. The chain is vacuous when the profile is not
     an equilibrium; its other families are still reported.
     """
-    plan, truth = _plan(game, profile), _truth(direct)
+    plan, truth = _plan(game, profile), direct._truth
     holds_equilibrium = mimicry_ok = costfree_ok = True
-    truthful_rows, mimicry_rows = [], []
+    mimicry_rows = []
     for agent, own in enumerate(plan):
         rows = _interim_rows(game, plan, agent)
-        truthful = _interim_rows(direct, truth, agent)
-        free_rows = _costfree(direct, truthful, agent)
+        free_rows = _costfree(direct, direct._truthful_rows[agent], agent)
         holds_equilibrium = holds_equilibrium and _at_best_response(rows, own)
         costfree_ok = costfree_ok and _at_best_response(free_rows, truth[agent])
         # mimics[k][m]: type k profits no more from type m's action than from its own.
         mimics = [[row[a] <= row[b] for a in own] for row, b in zip(rows, own)]
         mimicry_ok = mimicry_ok and all(map(all, mimics))
-        truthful_rows.append(truthful)
         # Reporting m at type k gains its cost-free gain where mimicry holds, else nothing.
         mimicry_rows.append([
             [v if ok else free[k] for v, ok in zip(free, oks)]
             for k, (free, oks) in enumerate(zip(free_rows, mimics))
         ])
-    witness = _largest_gain(direct, truth, truthful_rows)
+    witness = _largest_gain(direct, truth, direct._truthful_rows)
     gap = _largest_gain(direct, truth, mimicry_rows)
     chain = ProofChainRecord(
         vacuous=not holds_equilibrium,
@@ -243,18 +234,25 @@ def random_zero_cost_game(rng: random.Random) -> BayesianGame:
     return BayesianGame(mechanism, type_space, UtilityTable(utility), CostModel())
 
 
-def _induced_outcomes(game: BayesianGame, profile: StrategyProfile) -> tuple[Outcome, ...]:
-    """The outcome a profile realizes at each type profile, in the order of
-    `type_space.profiles()`."""
-    outcome = game.mechanism.outcome
-    return tuple(outcome(profile.action_profile(theta)) for theta in game.type_space.profiles())
+def _rule(game: BayesianGame, plan) -> tuple[int, ...]:
+    """The rule a plan plays out, as the outcome position (in the mechanism's
+    walk) it realizes at each type profile, in `type_space.profiles()` order."""
+    walk = game.mechanism.walk
+    moves = [[step * a for a in own] for step, own in zip(walk.strides, plan)]
+    return tuple(walk.outcome[sum(flat)] for flat in itertools.product(*moves))
+
+
+def _rule_scf(game: BayesianGame, rule: tuple[int, ...]) -> SocialChoiceFunction:
+    """A rule of outcome positions (as `_rule` gives it) as a SocialChoiceFunction."""
+    mech, ts = game.mechanism, game.type_space
+    named = {x.label: x for x in mech.outcome_of.values()}
+    table = [named[mech.walk.labels[x]] for x in rule]
+    return SocialChoiceFunction(ts.types_of, dict(zip(ts.profiles(), table)))
 
 
 def induced_scf(game: BayesianGame, profile: StrategyProfile) -> SocialChoiceFunction:
     """The rule a profile plays out: type profile -> realized outcome."""
-    ts = game.type_space
-    table = dict(zip(ts.profiles(), _induced_outcomes(game, profile)))
-    return SocialChoiceFunction(ts.types_of, table)
+    return _rule_scf(game, _rule(game, _plan(game, profile)))
 
 
 @dataclass(frozen=True)
@@ -286,14 +284,15 @@ def zero_cost_regression(
     checked = 0
     for k in range(instances):
         game = random_zero_cost_game(rng)
-        truthful_by_rule: dict[tuple[Outcome, ...], bool] = {}
-        for profile in find_all_pure_bne(game):
+        truthful_by_rule: dict[tuple[int, ...], bool] = {}
+        for plan in _equilibrium_plans(game):
             checked += 1
-            rule = _induced_outcomes(game, profile)
+            rule = _rule(game, plan)
             if rule not in truthful_by_rule:
-                direct = direct_game(game, induced_scf(game, profile))
+                direct = direct_game(game, _rule_scf(game, rule))
                 truthful_by_rule[rule] = is_truthfully_implementable(direct).is_equilibrium
             if not truthful_by_rule[rule]:
+                profile = _profile(game, plan)
                 failures.append(
                     f"instance {k}: induced rule not truthfully implementable at {profile}"
                 )

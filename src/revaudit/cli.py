@@ -18,7 +18,7 @@ from .auditor import BreakPoint, audit_revelation_principle, zero_cost_regressio
 from .core import GameModelError, as_rational, rational_str
 from .equilibrium import (
     DEFAULT_PROFILE_CAP,
-    StrategyProfile,
+    _profile,
     find_all_pure_bne,
     implements_scf,
 )
@@ -132,12 +132,8 @@ def _select_profile(scenario: GenericScenario, cap: int):
     if equilibria:
         return equilibria[0], "first equilibrium"
     # find_all_pure_bne has already enforced the cap on this game.
-    game = scenario.game
-    first = StrategyProfile.from_maps(
-        {t: actions[0] for t in types}
-        for types, actions in zip(game.type_space.types_of, game.mechanism.actions_of)
-    )
-    return first, "first enumerated profile"
+    first = [[0] * len(types) for types in scenario.game.type_space.types_of]
+    return _profile(scenario.game, first), "first enumerated profile"
 
 
 def cmd_analyze(args) -> int:

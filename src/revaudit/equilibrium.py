@@ -14,10 +14,11 @@ over the agent's scale; no tolerance enters anywhere.
 The one payoff is profit: outcome utility minus the strategic cost of the
 action actually played. The classical utility view is the profit of the same
 game built with `CostModel()`. With independent priors, per-type
-single-action deviations are sufficient. The equilibrium search enumerates
-the strategies of every agent but the one with the most plans, takes that
-agent's per-type best replies to them, and checks only those profiles
-against the other agents' deviations.
+single-action deviations are sufficient. The equilibrium search works on
+plans, tuples of action positions: it enumerates the plans of every agent
+but the one with the most plans, takes that agent's per-type best replies,
+and checks them against the others' deviations on rows computed once per
+search. Labelled strategies are built only for the equilibria it returns.
 """
 
 from __future__ import annotations
@@ -161,6 +162,16 @@ class BayesianGame:
         # Compiled on first use and dropped with the game.
         return _compile(self)
 
+    @property
+    def _truth(self) -> list[range]:
+        # Truth-telling in a direct game, whose reports are its types in order.
+        return [range(len(types)) for types in self.type_space.types_of]
+
+    @cached_property
+    def _truthful_rows(self) -> list[list[list[int]]]:
+        # A direct game's rows under truth-telling, shared by every check of its rule.
+        return [_interim_rows(self, self._truth, i) for i in range(self.agent_count)]
+
 
 @dataclass(frozen=True)
 class _Tables:
@@ -272,11 +283,6 @@ def _exact(game: BayesianGame, agent: int, value: int) -> Fraction:
     return Fraction(value, game._tables.scale[agent])
 
 
-def _best_replies(rows: list[list[int]]) -> list[list[int]]:
-    """Per type, the positions of the actions with the largest payoff."""
-    return [[a for a, v in enumerate(row) if v == top] for row, top in zip(rows, map(max, rows))]
-
-
 def _at_best_response(rows: list[list[int]], own: Sequence[int]) -> bool:
     """Does the agent's own plan play a largest-payoff action at every type?"""
     return all(row[a] == max(row) for row, a in zip(rows, own))
@@ -308,13 +314,6 @@ def _largest_gain(game: BayesianGame, plan, rows_of) -> Deviation | None:
     return best
 
 
-def _verdict(game: BayesianGame, plan) -> EquilibriumVerdict:
-    """The equilibrium verdict of a plan (action positions per agent, in type
-    order), witnessed by its largest deviation gain."""
-    rows_of = [_interim_rows(game, plan, i) for i in range(game.agent_count)]
-    return EquilibriumVerdict(_largest_gain(game, plan, rows_of))
-
-
 def is_bayesian_nash(game: BayesianGame, profile: StrategyProfile) -> EquilibriumVerdict:
     """Check the weak-inequality equilibrium conditions on every deviation.
 
@@ -322,7 +321,9 @@ def is_bayesian_nash(game: BayesianGame, profile: StrategyProfile) -> Equilibriu
     sufficient. On failure the witness is the deviation with the largest gain;
     ties go to the smallest (agent index, type position, action position).
     """
-    return _verdict(game, _plan(game, profile))
+    plan = _plan(game, profile)
+    rows_of = [_interim_rows(game, plan, i) for i in range(game.agent_count)]
+    return EquilibriumVerdict(_largest_gain(game, plan, rows_of))
 
 
 def _check_profile_cap(game: BayesianGame, cap: int) -> None:
@@ -333,43 +334,57 @@ def _check_profile_cap(game: BayesianGame, cap: int) -> None:
             raise SearchSpaceError(f"{total}+ strategy profiles exceed the cap of {cap}")
 
 
-def find_all_pure_bne(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> list[StrategyProfile]:
-    """Every pure-strategy equilibrium, in enumeration order.
-
-    One agent, the pivot, is not enumerated: the one with the most plans,
-    |A_i|^|T_i|, ties to the highest index. The pivot's payoffs do not
-    depend on its own plan, so its plans that pass its own deviation checks
-    are exactly the product of its per-type best-reply sets, taken against
-    each enumerated plan of the others; only those are checked against the
-    other agents' deviations. Exact; the returned list is bit-identical
-    across runs.
-    """
-    _check_profile_cap(game, cap)
+def _equilibrium_plans(game: BayesianGame) -> list[tuple]:
+    """Every pure equilibrium as a plan (a tuple of action positions per
+    agent, in type order), sorted into enumeration order. The pivot, the
+    agent with the most plans (|A_i|^|T_i|, ties to the highest index), is
+    not enumerated: its payoffs do not depend on its own plan, so its
+    equilibrium replies are the product of its per-type best replies to
+    each plan of the others. Only those are checked against the others'
+    deviations, on rows kept for the search by (agent, the others' plans)."""
     types_of, actions_of = game.type_space.types_of, game.mechanism.actions_of
     agents = range(game.agent_count)
     pivot = max(agents, key=lambda i: (len(actions_of[i]) ** len(types_of[i]), i))
     others = [i for i in agents if i != pivot]
-
-    # Each agent's plans are lexicographic over (type order, action order).
     plans = [itertools.product(range(len(actions_of[i])), repeat=len(types_of[i])) for i in others]
     found = []
     plan: list = [None] * game.agent_count
+    kept_rows: dict[tuple, list[list[int]]] = {}
+
+    def at_best_response(i: int) -> bool:
+        key = (i, *plan[:i], *plan[i + 1 :])
+        if key not in kept_rows:
+            kept_rows[key] = _interim_rows(game, plan, i)
+        return _at_best_response(kept_rows[key], plan[i])
+
     for choice in itertools.product(*plans):
         for i, own in zip(others, choice):
             plan[i] = own
-        for reply in itertools.product(*_best_replies(_interim_rows(game, plan, pivot))):
+        rows = _interim_rows(game, plan, pivot)
+        tops = zip(rows, map(max, rows))
+        best = [[a for a, v in enumerate(row) if v == top] for row, top in tops]
+        for reply in itertools.product(*best):
             plan[pivot] = reply
-            if all(_at_best_response(_interim_rows(game, plan, i), plan[i]) for i in others):
+            if all(map(at_best_response, others)):
                 found.append(tuple(plan))
-    # Sorted plans are in enumeration order, agent 0 outermost; strategies
-    # are built only for the equilibria found.
     found.sort()
+    return found
 
-    def strategy(agent: int, own) -> PureStrategy:
-        actions = [actions_of[agent][a] for a in own]
-        return PureStrategy(agent, tuple(zip(types_of[agent], actions)))
 
-    return [StrategyProfile(tuple(strategy(i, own) for i, own in enumerate(p))) for p in found]
+def _profile(game: BayesianGame, plan) -> StrategyProfile:
+    """The strategy profile of a plan (action positions per agent, in type order)."""
+    moves = zip(game.type_space.types_of, game.mechanism.actions_of, plan)
+    return StrategyProfile.from_maps(
+        {t: actions[a] for t, a in zip(types, own)} for types, actions, own in moves
+    )
+
+
+def find_all_pure_bne(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> list[StrategyProfile]:
+    """Every pure-strategy equilibrium, in enumeration order: agent 0
+    outermost, each agent's strategies lexicographic over (type order, action
+    order). Exact and bit-identical across runs; see `_equilibrium_plans`."""
+    _check_profile_cap(game, cap)
+    return [_profile(game, plan) for plan in _equilibrium_plans(game)]
 
 
 def implements_scf(

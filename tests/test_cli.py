@@ -736,7 +736,10 @@ def test_labor_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
-    counts = counted(monkeypatch, [labor.build_scenario, auditor.direct_game, core._total_table])
+    counts = counted(
+        monkeypatch,
+        [labor.build_scenario, auditor.direct_game, core._total_table, equilibrium._interim_rows],
+    )
     grid = {
         "kind": "sweep",
         "w_values": ["1", "3/2", "19/10"],
@@ -748,8 +751,10 @@ def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
     # first cost; every cost is priced against that wage's cost-free
     # misreport gains, so no cost builds a game of its own. Every direct game
     # plays the constant hiring rule as its mechanism, so no outcome table
-    # is checked.
-    assert counts == {"build_scenario": 3, "direct_game": 3}
+    # is checked. Each wage computes 4 row sets, all in its audit: each
+    # agent's in the bid game, and each agent's truthful rows, which the
+    # direct game keeps for its cost-free gains.
+    assert counts == {"build_scenario": 3, "direct_game": 3, "_interim_rows": 12}
 
 
 def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
@@ -786,9 +791,11 @@ def test_labor_analyze_decides_truth_telling_once(tmp_path, monkeypatch, capsys)
     )
     assert main(["analyze", labor_cfg(tmp_path)]) == 2
     # Row sets: 2 for the separating verdict, 4 for the one audit, which the
-    # truthfulness report reads its witness from, and 8 for the search over
-    # the direct game's 16 report profiles. No second truthful verdict.
-    assert counts == {"_interim_rows": 14, "audit_revelation_principle": 1}
+    # truthfulness report reads its witness from, and 5 for the search over
+    # the direct game's 16 report profiles, not 8: the pivot's rows for each
+    # of the other agent's 4 plans, and that agent's rows once for the one
+    # reply the pivot gives them all. No second truthful verdict.
+    assert counts == {"_interim_rows": 11, "audit_revelation_principle": 1}
 
 
 def test_markdown_matrices_compute_only_the_matrices(tmp_path, monkeypatch, capsys):

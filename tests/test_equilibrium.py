@@ -280,6 +280,11 @@ def differential_shapes():
     # The search pivots on the agent with the most plans: agent 0 of 3,
     # the middle agent, and the last of three tied agents.
     shapes += [((2, 1, 1), (3, 2, 2)), ((1, 2, 1), (2, 3, 2)), ((1, 2, 1), (4, 2, 4))]
+    # Four agents: a non-pivot agent's rows are kept by the plans of three
+    # others, the pivot's reply among them. At their seeds each of these
+    # games and its cost-free copy has equilibria (1 to 36).
+    shapes += [((2, 1, 2, 1), (2, 3, 2, 2)), ((1, 1, 2, 1), (3, 3, 2, 3))]
+    shapes += [((1, 1, 1, 1), (3, 3, 3, 3))]
     return shapes
 
 
@@ -353,6 +358,29 @@ def test_the_search_pivots_on_the_agent_with_the_most_plans(monkeypatch):
     ]
     assert found == expected and len(found) == 2
     assert all(ref.is_bayesian_nash(game, p).is_equilibrium for p in found)
+
+
+def test_the_search_computes_each_row_set_once(monkeypatch):
+    # Agent 1, the pivot, has 9 plans and agent 0 has 4. The search takes
+    # the pivot's rows once per plan of agent 0, and agent 0's rows once per
+    # distinct reply of the pivot, however many of agent 0's plans it answers.
+    game = ref.random_costly_game(random.Random(2), (2, 2), (2, 3))
+    (types0, types1), (actions0, actions1) = game.type_space.types_of, game.mechanism.actions_of
+    plans0 = [dict(zip(types0, combo)) for combo in itertools.product(actions0, repeat=2)]
+    replies = []
+    for own in plans0:
+        probe = StrategyProfile.from_maps([own, dict.fromkeys(types1, actions1[0])])
+        best = []
+        for t in types1:
+            values = [ref.interim(game, probe, 1, t, a) for a in actions1]
+            best.append([a for a, v in zip(actions1, values) if v == max(values)])
+        replies += itertools.product(*best)
+    # With ties the pivot gives 17 replies to agent 0's 4 plans, 7 of them
+    # distinct: 11 row sets, where one per reply would take 21.
+    assert (len(replies), len(set(replies))) == (17, 7)
+    counts = counted(monkeypatch, [equilibrium._interim_rows])
+    find_all_pure_bne(game)
+    assert counts == {"_interim_rows": len(plans0) + len(set(replies))}
 
 
 # -- ex-post games and dominance ---------------------------------------------------

@@ -6,7 +6,8 @@ constant is added to an agent's utilities at one type. Renaming types,
 actions and outcomes renames every equilibrium and audit report the same
 way and moves no verdict, and renumbering the agents renumbers every
 equilibrium. With every cost zero, the classical revelation
-principle holds. The audit judges truth-telling as the engines do, and so
+principle holds. The rule an equilibrium plan plays out, read from
+outcome positions, is the rule its labels play out. The audit judges truth-telling as the engines do, and so
 do the cost-free misreport gains under any misreporting schedule. An audit
 report reads back from its JSON exactly, through the readers below.
 The games are drawn with large, pairwise coprime denominators so that the
@@ -36,6 +37,7 @@ from revaudit.auditor import (
     AuditReport,
     BreakPoint,
     ProofChainRecord,
+    _rule,
     audit_revelation_principle,
     direct_game,
     induced_scf,
@@ -58,6 +60,8 @@ from revaudit.equilibrium import (
     EquilibriumVerdict,
     PureStrategy,
     StrategyProfile,
+    _equilibrium_plans,
+    _profile,
     find_all_pure_bne,
     is_bayesian_nash,
 )
@@ -205,6 +209,26 @@ def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(game):
     for profile in find_all_pure_bne(free):
         direct = direct_game(free, induced_scf(free, profile))
         assert is_truthfully_implementable(direct).is_equilibrium
+
+
+def oracle_rule(game, profile):
+    """The outcome a profile realizes at each type profile, read label by label."""
+    outcome = game.mechanism.outcome
+    return [outcome(profile.action_profile(theta)) for theta in game.type_space.profiles()]
+
+
+@SETTINGS
+@given(games())
+def test_the_rule_of_each_equilibrium_plan_is_the_rule_its_labels_play(game):
+    for game in (game, ref.cost_free(game)):
+        plans = _equilibrium_plans(game)
+        assert [_profile(game, plan) for plan in plans] == find_all_pure_bne(game)
+        labels = game.mechanism.walk.labels
+        for plan in plans:
+            expected = oracle_rule(game, _profile(game, plan))
+            assert [labels[x] for x in _rule(game, plan)] == [x.label for x in expected]
+            induced = induced_scf(game, _profile(game, plan))
+            assert [induced.outcome(theta) for theta in game.type_space.profiles()] == expected
 
 
 def with_misreport_costs(game, data):
