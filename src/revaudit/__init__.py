@@ -19,7 +19,6 @@ from .core import (
     TypeSpace,
     UtilityTable,
     as_rational,
-    profit,
     rational_str,
 )
 from .equilibrium import (

@@ -80,6 +80,15 @@ def _profile_cap_arg(text: str) -> int:
     return cap
 
 
+def _override(value, **changes):
+    """`value` with fields set from the command line. They come from no
+    config field, so a fault they cause is reported without a location."""
+    try:
+        return replace(value, **changes)
+    except GameModelError as exc:
+        raise ConfigError(exc.problem) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser. It depends on no input, so one is built per
@@ -142,7 +151,7 @@ def cmd_analyze(args) -> int:
     if kind == "labor":
         params = parse_labor_params(cfg)
         if args.prior_high is not None:
-            params = replace(params, prior_high=args.prior_high)
+            params = _override(params, prior_high=args.prior_high)
         scenario = build_scenario(params)
         audit = scenario.audit
         payload = {
@@ -181,7 +190,7 @@ def cmd_sweep(args) -> int:
     audit and window are read once, and each cost is priced by `LaborScenario.truthful_at`."""
     grid = parse_sweep_grid(load_config(args.config))
     if args.prior_high is not None:
-        grid = replace(grid, fixed={**grid.fixed, "prior_high": args.prior_high})
+        grid = _override(grid, fixed={**grid.fixed, "prior_high": args.prior_high})
     rows = []
     for w in grid.w_values:
         scenario = None
@@ -202,7 +211,7 @@ def cmd_sweep(args) -> int:
                     violation=_bool_cell(audit.implemented and not truthful),
                 )
             except GameModelError as exc:
-                row["error"] = str(exc)
+                row["error"] = exc.problem
             rows.append(row)
     if args.format == "csv":
         sys.stdout.write(sweep_rows_to_csv(rows))
@@ -217,7 +226,7 @@ def cmd_matrices(args) -> int:
         raise ConfigError("config.kind: matrices requires a labor config (kind 'labor')")
     params = parse_labor_params(cfg)
     if args.prior_high is not None:
-        params = replace(params, prior_high=args.prior_high)
+        params = _override(params, prior_high=args.prior_high)
     scenario = build_scenario(params)
     matrices = case_matrices(scenario)
     if args.format == "md":

@@ -330,9 +330,6 @@ class Mechanism:
     def agent_count(self) -> int:
         return len(self.actions_of)
 
-    def action_profiles(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(itertools.product(*self.actions_of))
-
     def outcome(self, action_profile) -> Outcome:
         key = tuple(action_profile)
         if key not in self.outcome_of:
@@ -419,9 +416,6 @@ class CostModel:
         object.__setattr__(self, "strategic", strategic)
         object.__setattr__(self, "misreport", misreport)
 
-    def strategic_cost(self, agent: int, action: str, type_label: str) -> Fraction:
-        return self.strategic.get((agent, action, type_label), Fraction(0))
-
     def validate_against(self, mechanism: Mechanism, type_space: TypeSpace) -> None:
         """Reject cost entries that reference unknown agents, actions, or types.
 
@@ -449,13 +443,6 @@ class UtilityTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", _keyed_rationals("utilities", self.table, "value"))
 
-    def utility(self, agent: int, outcome, type_label: str) -> Fraction:
-        label = outcome.label if isinstance(outcome, Outcome) else outcome
-        key = (agent, label, type_label)
-        if key not in self.table:
-            raise DomainError(f"utility table has no entry for {key}")
-        return self.table[key]
-
     def check_covers(self, outcomes, types_of) -> None:
         """Every agent has a utility for each outcome label in `outcomes` at
         each of its types."""
@@ -466,20 +453,3 @@ class UtilityTable:
                         problem = f"no row for (agent, outcome, type) {(i, x, t)}"
                         raise DomainError(problem, ("utilities",))
 
-
-def profit(
-    agent: int,
-    outcome,
-    action: str,
-    type_label: str,
-    utilities: UtilityTable,
-    costs: CostModel,
-) -> Fraction:
-    """Utility of the outcome minus the strategic cost of the action played.
-
-    Misreporting costs enter only in a direct game, whose cost model stores
-    them as the strategic cost of each report.
-    """
-    return utilities.utility(agent, outcome, type_label) - costs.strategic_cost(
-        agent, action, type_label
-    )

@@ -12,7 +12,9 @@ outcomes per own type. Equilibrium conditions are weak inequalities between
 Python ints, and a reported payoff or gain is the exact Fraction of an int
 over the agent's scale; no tolerance enters anywhere.
 The one payoff is profit: outcome utility minus the strategic cost of the
-action actually played. The classical utility view is the profit of the same
+action actually played, read from these tables alone, by the interim rows
+and by the ex-post slices (`expost_normal_form`, and the labor scenario's
+bid cases) alike. The classical utility view is the profit of the same
 game built with `CostModel()`. With independent priors, per-type
 single-action deviations are sufficient. The equilibrium search works on
 plans, tuples of action positions: it enumerates the plans of every agent
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +46,6 @@ from .core import (
     _is_label,
     as_rational,
     check_agent_count,
-    profit,
 )
 
 DEFAULT_PROFILE_CAP = 10**6
@@ -457,41 +459,44 @@ class DominantAction:
             raise ConstructionError(f"kind must be 'strict' or 'weak', got {self.kind!r}")
 
 
+def _expost_profit(game: BayesianGame, agent: int, k: int, actions: Sequence[int]) -> Fraction:
+    """Agent's ex-post profit at its k-th type when the agents play the action
+    positions `actions`, read from the compiled tables: the utility of the
+    outcome, brought to the agent's scale, minus the cost of its own action."""
+    tables, walk = game._tables, game.mechanism.walk
+    x = walk.outcome[sum(map(operator.mul, walk.strides, actions))]
+    value = tables.utility[agent][k][x] * game.type_space.weights.total[agent]
+    return Fraction(value - tables.cost[agent][k][actions[agent]], tables.scale[agent])
+
+
 def expost_normal_form(game: BayesianGame, true_types) -> NormalFormGame:
-    """The complete-information profit game at a fixed realized type profile.
+    """The complete-information profit game at a fixed realized type profile,
+    read from the game's compiled tables.
 
     In a direct game the strategic cost of a report is its misreporting cost,
     so its profits there are the direct game's report payoffs.
     """
     true_types = game.type_space.validate_profile(true_types)
-    payoffs = {}
-    for acts in game.mechanism.action_profiles():
-        x = game.mechanism.outcome(acts)
-        payoffs[acts] = tuple(
-            profit(i, x, acts[i], t, game.utilities, game.costs) for i, t in enumerate(true_types)
-        )
-    return NormalFormGame(game.mechanism.actions_of, payoffs)
-
-
-def _opponent_action_profiles(nf: NormalFormGame, agent: int):
-    rest = [acts for j, acts in enumerate(nf.actions_of) if j != agent]
-    return tuple(itertools.product(*rest))
-
-
-def _embed(agent: int, own: str, rest: tuple[str, ...]) -> tuple[str, ...]:
-    return rest[:agent] + (own,) + rest[agent:]
+    type_at = [types.index(t) for types, t in zip(game.type_space.types_of, true_types)]
+    actions_of = game.mechanism.actions_of
+    positions = itertools.product(*[range(len(actions)) for actions in actions_of])
+    payoffs = {
+        acts: tuple(_expost_profit(game, i, k, played) for i, k in enumerate(type_at))
+        for acts, played in zip(itertools.product(*actions_of), positions)
+    }
+    return NormalFormGame(actions_of, payoffs)
 
 
 def find_pure_nash(nf: NormalFormGame) -> list[tuple[str, ...]]:
     """All pure Nash profiles of a normal-form game (weak inequalities)."""
-    out = []
+    payoffs, out = nf.payoffs, []
     for profile in itertools.product(*nf.actions_of):
+        current = payoffs[profile]
         stable = True
         for i, acts in enumerate(nf.actions_of):
-            rest = profile[:i] + profile[i + 1 :]
-            current = nf.payoff(profile)[i]
+            head, played, tail = profile[:i], profile[i], profile[i + 1 :]
             for a in acts:
-                if a != profile[i] and nf.payoff(_embed(i, a, rest))[i] > current:
+                if a != played and payoffs[head + (a,) + tail][i] > current[i]:
                     stable = False
                     break
             if not stable:
@@ -511,17 +516,20 @@ def dominant_strategies(nf: NormalFormGame, agent: int) -> DominantAction | None
     """
     if not isinstance(agent, int) or isinstance(agent, bool) or not 0 <= agent < nf.agent_count:
         raise DomainError(f"unknown agent index {agent!r}")
-    rests = _opponent_action_profiles(nf, agent)
+    own = nf.actions_of[agent]
+    # Each opponent profile once, the agent's first action standing in for its own.
+    rests = list(itertools.product(*nf.actions_of[:agent], own[:1], *nf.actions_of[agent + 1 :]))
     weak_winner = None
-    for a in nf.actions_of[agent]:
+    for a in own:
         strict = True
         weak = True
-        for rest in rests:
-            va = nf.payoff(_embed(agent, a, rest))[agent]
-            for b in nf.actions_of[agent]:
+        for p in rests:
+            head, tail = p[:agent], p[agent + 1 :]
+            va = nf.payoffs[head + (a,) + tail][agent]
+            for b in own:
                 if b == a:
                     continue
-                vb = nf.payoff(_embed(agent, b, rest))[agent]
+                vb = nf.payoffs[head + (b,) + tail][agent]
                 if va < vb:
                     weak = False
                     strict = False

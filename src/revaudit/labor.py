@@ -11,6 +11,7 @@ for small misreporting costs truth-telling dies in the direct mechanism.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +31,6 @@ from .core import (
     TypeSpace,
     UtilityTable,
     as_rational,
-    profit,
 )
 from .equilibrium import (
     BayesianGame,
@@ -38,6 +38,7 @@ from .equilibrium import (
     DominantAction,
     NormalFormGame,
     StrategyProfile,
+    _expost_profit,
     dominant_strategies,
     expost_normal_form,
     find_all_pure_bne,
@@ -81,15 +82,16 @@ def check_market(
     theta_L: Fraction, theta_H: Fraction, e_H: Fraction, prior_high: Fraction = DEFAULT_PRIOR_HIGH
 ) -> None:
     """The LaborParams rules on everything but the wage and the misreporting
-    cost: the parameters a sweep holds fixed across its cells."""
+    cost: the parameters a sweep holds fixed across its cells. A fault's
+    location is the parameter it names (the type order names theta_L)."""
     if not 0 < theta_L < theta_H:
-        raise ConstructionError(
-            f"need 0 < theta_L < theta_H, got theta_L={theta_L}, theta_H={theta_H}"
-        )
+        problem = f"need 0 < theta_L < theta_H, got theta_L={theta_L}, theta_H={theta_H}"
+        raise ConstructionError(problem, ("theta_L",))
     if e_H <= 0:
-        raise ConstructionError(f"education level e_H must be positive, got {e_H}")
+        raise ConstructionError(f"education level e_H must be positive, got {e_H}", ("e_H",))
     if not 0 < prior_high < 1:
-        raise ConstructionError(f"prior_high must lie strictly between 0 and 1, got {prior_high}")
+        problem = f"prior_high must lie strictly between 0 and 1, got {prior_high}"
+        raise ConstructionError(problem, ("prior_high",))
 
 
 @dataclass(frozen=True)
@@ -114,9 +116,10 @@ class LaborParams:
             object.__setattr__(self, name, as_rational(getattr(self, name), name))
         check_market(self.theta_L, self.theta_H, self.e_H, self.prior_high)
         if self.w <= 0:
-            raise ConstructionError(f"wage must be positive, got {self.w}")
+            raise ConstructionError(f"wage must be positive, got {self.w}", ("w",))
         if self.c_mis < 0:
-            raise ConstructionError(f"misreporting cost must be non-negative, got {self.c_mis}")
+            problem = f"misreporting cost must be non-negative, got {self.c_mis}"
+            raise ConstructionError(problem, ("c_mis",))
 
 
 @dataclass(frozen=True)
@@ -229,20 +232,15 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     lo, hi = wage_window(params)
 
     cases = []
-    pairs = [
-        (1, TYPE_LOW, TYPE_LOW),
-        (2, TYPE_LOW, TYPE_HIGH),
-        (3, TYPE_HIGH, TYPE_LOW),
-        (4, TYPE_HIGH, TYPE_HIGH),
-    ]
     notes = [
         "participation uses the equilibrium high bid e_H for the high type",
         "equilibrium statements cover pure strategy profiles only",
     ]
-    for case, own, opp in pairs:
-        opp_bid = SEPARATING_PROFILE.strategies[1].action(opp)
+    # Cases 1-4: (own, opponent) types (L, L), (L, H), (H, L), (H, H).
+    for case, (own, opp) in enumerate(itertools.product(TYPES, TYPES), start=1):
+        opp_bid = BIDS.index(SEPARATING_PROFILE.strategies[1].action(opp))
         high, zero = (
-            profit(0, MECHANISM.outcome((bid, opp_bid)), bid, own, game.utilities, game.costs)
+            _expost_profit(game, 0, TYPES.index(own), (BIDS.index(bid), opp_bid))
             for bid in (BID_HIGH, BID_ZERO)
         )
         if high == zero:

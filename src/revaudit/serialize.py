@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .auditor import AuditReport, ProofChainRecord, direct_game
 from .core import (
     MAX_LITERAL,
+    ConstructionError,
     CostModel,
     GameModelError,
     Mechanism,
@@ -120,11 +121,15 @@ LABOR_KEYS = ("kind", "theta_L", "theta_H", "e_H", "w", "c_mis", "prior_high")
 def parse_labor_params(cfg: dict, where: str = "config") -> LaborParams:
     _check_known_keys(cfg, LABOR_KEYS, where)
     required = ("theta_L", "theta_H", "e_H", "w")
-    return LaborParams(**{
+    values = {
         key: _rational(_require(cfg, key, where), f"{where}.{key}")
         for key in required + ("c_mis", "prior_high")
         if key in required or key in cfg
-    })
+    }
+    try:
+        return LaborParams(**values)
+    except ConstructionError as exc:  # a range fault, located at its parameter
+        raise ConfigError(f"{where}.{exc.path()}: {exc.problem}") from None
 
 
 @dataclass(frozen=True)
@@ -435,7 +440,7 @@ def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
     try:
         return SweepGrid(w_values, c_mis_values, fixed)
     except GameModelError as exc:
-        raise ConfigError(f"{where}.fixed: {exc}") from None
+        raise ConfigError(f"{where}.fixed: {exc.problem}") from None
 
 
 # ---------------------------------------------------------------------------

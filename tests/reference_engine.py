@@ -2,11 +2,14 @@
 
 This is the obviously correct engine that the compiled tables of
 `revaudit.equilibrium` are checked against. It walks every opponent type
-profile with `TypeSpace.conditional_weight`, looks each action up by label,
-and scans every pure profile. Profiles and opponent type profiles are
-enumerated here, from `itertools.product`, so the oracle shares no
-enumeration code with the library. It is slow and is used only by the
-tests, together with a generator of random costly games.
+profile with `TypeSpace.conditional_weight`, looks each utility up by label
+in `utilities.table` and each strategic cost in `costs.strategic` (0 where
+absent), and scans every pure profile. Ex-post payoffs, pure Nash profiles
+and dominant actions of normal-form games are found the same way, by brute
+force. Profiles and opponent type profiles are enumerated here, from
+`itertools.product`, so the oracle shares no enumeration code with the
+library. It is slow and is used only by the tests, together with a
+generator of random costly games.
 """
 
 import itertools
@@ -17,6 +20,7 @@ from revaudit.core import CostModel, DomainError, Mechanism, Outcome, TypeSpace,
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
+    DominantAction,
     EquilibriumVerdict,
     StrategyProfile,
 )
@@ -71,9 +75,9 @@ def interim(game, profile, agent, type_label, action):
                 acts.append(profile.strategies[j].action(opp[k]))
                 k += 1
         x = game.mechanism.outcome(tuple(acts))
-        total += w * game.utilities.utility(agent, x, type_label)
+        total += w * game.utilities.table[agent, x.label, type_label]
     # Conditional weights sum to one, so the constant cost comes off once.
-    return total - game.costs.strategic_cost(agent, action, type_label)
+    return total - game.costs.strategic.get((agent, action, type_label), 0)
 
 
 def is_bayesian_nash(game, profile):
@@ -98,6 +102,52 @@ def is_bayesian_nash(game, profile):
 def find_all_pure_bne(game):
     """Every pure equilibrium, by checking each enumerated profile in turn."""
     return [p for p in profiles(game) if is_bayesian_nash(game, p).is_equilibrium]
+
+
+def expost_payoffs(game, true_types):
+    """Each action profile's profits at a realized type profile, looked up by
+    label: the utility of its outcome minus the strategic cost of the action
+    played, which is 0 where the cost table has no entry."""
+    return {
+        acts: tuple(
+            game.utilities.table[i, game.mechanism.outcome(acts).label, t]
+            - game.costs.strategic.get((i, a, t), 0)
+            for i, (a, t) in enumerate(zip(acts, true_types))
+        )
+        for acts in itertools.product(*game.mechanism.actions_of)
+    }
+
+
+def pure_nash(nf):
+    """Every profile of a normal-form game at which no agent gains by any
+    action of its own, in `itertools.product` order."""
+    return [
+        p
+        for p in itertools.product(*nf.actions_of)
+        if all(
+            nf.payoffs[p[:i] + (a,) + p[i + 1 :]][i] <= nf.payoffs[p][i]
+            for i, actions in enumerate(nf.actions_of)
+            for a in actions
+        )
+    ]
+
+
+def dominant_action(nf, agent):
+    """The first action in declared order that does at least as well as
+    every action against every opponent profile, "strict" when it does
+    strictly better than every other action everywhere; None without one."""
+    own = nf.actions_of[agent]
+    rests = list(itertools.product(*[acts for j, acts in enumerate(nf.actions_of) if j != agent]))
+
+    def value(a, rest):
+        return nf.payoffs[rest[:agent] + (a,) + rest[agent:]][agent]
+
+    weak = [a for a in own if all(value(a, r) >= value(b, r) for r in rests for b in own)]
+    if not weak:
+        return None
+    a = weak[0]
+    strict = all(value(a, r) > value(b, r) for r in rests for b in own if b != a)
+    return DominantAction(a, "strict" if strict else "weak")
 
 
 def cost_free(game):

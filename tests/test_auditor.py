@@ -195,7 +195,7 @@ def costfree_report_value(ts, scf, utilities, agent, type_label, report):
     for opp in ref.opponent_profiles(ts, agent):
         theta = opp[:agent] + (report,) + opp[agent:]
         w = ts.conditional_weight(agent, opp)
-        total += w * utilities.utility(agent, scf.outcome(theta), type_label)
+        total += w * utilities.table[agent, scf.outcome(theta).label, type_label]
     return total
 
 

@@ -103,6 +103,33 @@ def test_analyze_rejects_malformed_prior(tmp_path, capsys):
     assert "not a rational" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "matrices"])
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("w", 0, "wage must be positive, got 0"),
+        ("c_mis", -1, "misreporting cost must be non-negative, got -1"),
+        ("e_H", 0, "education level e_H must be positive, got 0"),
+        ("prior_high", 1, "prior_high must lie strictly between 0 and 1, got 1"),
+        ("theta_L", 3, "need 0 < theta_L < theta_H, got theta_L=3, theta_H=2"),
+    ],
+)
+def test_a_labor_range_fault_names_its_field(tmp_path, capsys, command, field, value, problem):
+    code = main([command, labor_cfg(tmp_path, **{field: value})])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: config.{field}: {problem}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "matrices"])
+def test_a_prior_override_fault_names_no_config_field(tmp_path, capsys, command):
+    # As in the sweep: the flag's value comes from no config field.
+    code = main([command, labor_cfg(tmp_path), "--prior-high", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: prior_high must lie strictly between 0 and 1, got 1\n"
+
+
 def test_analyze_rejects_bad_labor_parameters(tmp_path, capsys):
     code = main(["analyze", labor_cfg(tmp_path, theta_L=3)])
     err = capsys.readouterr().err
@@ -802,11 +829,14 @@ def test_markdown_matrices_compute_only_the_matrices(tmp_path, monkeypatch, caps
     counts = counted(
         monkeypatch,
         [equilibrium._interim_rows, equilibrium.find_all_pure_bne, equilibrium.expost_normal_form,
-         auditor.audit_revelation_principle, auditor.is_truthfully_implementable],
+         auditor.audit_revelation_principle, auditor.is_truthfully_implementable,
+         equilibrium._compile],
     )
     assert main(["matrices", labor_cfg(tmp_path), "--format", "md"]) == 0
-    # The document prints the four ex-post matrices and no verdict.
-    assert counts == {"expost_normal_form": 4}
+    # The document prints the four ex-post matrices and no verdict. The
+    # matrices read the direct game's compiled tables; the bid game is never
+    # compiled.
+    assert counts == {"expost_normal_form": 4, "_compile": 1}
 
 
 def test_reproduce_builds_only_the_matrices_it_checks(monkeypatch, capsys):

@@ -18,10 +18,9 @@ from revaudit.core import (
     UtilityTable,
     as_rational,
     check_literal_size,
-    profit,
     rational_str,
 )
-from revaudit.equilibrium import BayesianGame
+from revaudit.equilibrium import BayesianGame, expost_normal_form
 from revaudit.labor import LaborParams, build_scenario
 
 
@@ -226,8 +225,7 @@ def test_cost_model_invariants():
         strategic={(0, "r", "lo"): Fraction(1, 2)},
         misreport={(0, "lo", "hi"): Fraction(1, 4), (0, "hi", "lo"): Fraction(0)},
     )
-    assert c.strategic_cost(0, "r", "lo") == Fraction(1, 2)
-    assert c.strategic_cost(0, "l", "lo") == 0
+    assert c.strategic == {(0, "r", "lo"): Fraction(1, 2)}
     assert c.misreport == {(0, "lo", "hi"): Fraction(1, 4), (0, "hi", "lo"): 0}
     with pytest.raises(ConstructionError):
         CostModel(strategic={(0, "r", "lo"): Fraction(-1)})
@@ -247,38 +245,35 @@ def test_cost_model_validate_against_catches_strays():
         CostModel(strategic={(5, "r", "lo"): Fraction(1)}).validate_against(m, ts)
 
 
-def test_utility_table_lookup():
+def test_utility_table_reads_rationals():
     u = UtilityTable({(0, "a", "lo"): "3/2"})
-    assert u.utility(0, "a", "lo") == Fraction(3, 2)
-    assert u.utility(0, Outcome("a"), "lo") == Fraction(3, 2)
-    with pytest.raises(DomainError):
-        u.utility(0, "b", "lo")
+    assert u.table == {(0, "a", "lo"): Fraction(3, 2)}
 
 
-def test_profit_subtracts_only_strategic_cost():
-    u = UtilityTable({(0, "a", "lo"): Fraction(2)})
-    c = CostModel(
-        strategic={(0, "r", "lo"): Fraction(1, 2)},
-        misreport={(0, "lo", "hi"): Fraction(10)},
-    )
-    assert profit(0, Outcome("a"), "r", "lo", u, c) == Fraction(3, 2)
-    assert profit(0, Outcome("a"), "l", "lo", u, c) == Fraction(2)
+def test_expost_payoff_subtracts_only_strategic_cost():
+    # Misreporting costs never enter a game's ex-post payoff: only a direct
+    # game charges them, as the strategic cost of each report.
+    u = UtilityTable({(0, x, t): Fraction(2) for x in "ab" for t in ("lo", "hi")})
+    c = CostModel(strategic={(0, "r", "lo"): HALF}, misreport={(0, "lo", "hi"): Fraction(10)})
+    game = game_with(utilities=u, costs=c)
+    assert expost_normal_form(game, ("lo",)).payoffs == {
+        ("l",): (Fraction(2),), ("r",): (Fraction(3, 2),)
+    }
+    assert expost_normal_form(game, ("hi",)).payoffs == {("l",): (2,), ("r",): (2,)}
 
 
-def test_profit_is_additively_separable_in_utility():
-    # Shifting the utility of every outcome by k shifts profit by k for any action.
+def test_a_utility_shift_shifts_every_expost_payoff():
+    # Shifting the utility of every outcome by k shifts the profit of every
+    # action by k.
     shift = Fraction(7, 3)
-    base = {(0, "a", "lo"): Fraction(1), (0, "b", "lo"): Fraction(1, 2)}
-    u1 = UtilityTable(base)
-    u2 = UtilityTable({k: v + shift for k, v in base.items()})
-    c = CostModel(strategic={(0, "r", "lo"): Fraction(1, 5)})
-    for outcome in ("a", "b"):
-        for action in ("l", "r"):
-            assert (
-                profit(0, Outcome(outcome), action, "lo", u2, c)
-                - profit(0, Outcome(outcome), action, "lo", u1, c)
-                == shift
-            )
+    base = {(0, "a", "lo"): 1, (0, "b", "lo"): HALF, (0, "a", "hi"): -2, (0, "b", "hi"): 0}
+    costs = CostModel(strategic={(0, "r", "lo"): Fraction(1, 5), (0, "l", "hi"): Fraction(3, 7)})
+    for t in ("lo", "hi"):
+        before, after = (
+            expost_normal_form(game_with(utilities=UtilityTable(u), costs=costs), (t,)).payoffs
+            for u in (base, {k: v + shift for k, v in base.items()})
+        )
+        assert after == {acts: (v + shift,) for acts, (v,) in before.items()}
 
 
 # -- fault locations -----------------------------------------------------------

@@ -28,6 +28,7 @@ from revaudit.core import (
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
+    DominantAction,
     NormalFormGame,
     PureStrategy,
     StrategyProfile,
@@ -232,8 +233,8 @@ def exante_full_strategy_equilibrium(game, profile):
             x = mech.outcome(acts)
             joint = math.prod(prior[t] for prior, t in zip(ts.prior_of, theta))
             total += joint * (
-                game.utilities.utility(agent, x, theta[agent])
-                - game.costs.strategic_cost(agent, acts[agent], theta[agent])
+                game.utilities.table[agent, x.label, theta[agent]]
+                - game.costs.strategic.get((agent, acts[agent], theta[agent]), 0)
             )
         return total
 
@@ -429,6 +430,35 @@ def test_matching_pennies_has_no_dominant_action():
     nf = NormalFormGame((("h", "t"), ("h", "t")), payoffs)
     assert dominant_strategies(nf, 0) is None
     assert find_pure_nash(nf) == []
+
+
+def test_only_the_middle_agents_deviation_breaks_a_profile():
+    # Agents 0 and 2 get 0 everywhere; agent 1 gets 1 only at (x, y, x), so
+    # (x, x, x) fails on the middle agent's deviation alone.
+    profiles = list(itertools.product("xy", repeat=3))
+    payoffs = {p: (Fraction(0), Fraction(p == ("x", "y", "x")), Fraction(0)) for p in profiles}
+    nf = NormalFormGame((("x", "y"),) * 3, payoffs)
+    assert find_pure_nash(nf) == [p for p in profiles if p != ("x", "x", "x")]
+
+
+def own_payoffs_game(rows):
+    """A two-agent normal form where agent 0 plays the keys of `rows`, each
+    holding its payoffs against agent 1's l and r, and agent 1 gets 0."""
+    payoffs = {
+        (a, b): (Fraction(v), Fraction(0)) for a, row in rows.items() for b, v in zip("lr", row)
+    }
+    return NormalFormGame((tuple(rows), ("l", "r")), payoffs)
+
+
+def test_a_weakly_dominant_action_after_a_non_dominant_one_is_found():
+    # b ties a against l and c against r, and is never beaten.
+    nf = own_payoffs_game({"a": (1, 0), "b": (1, 1), "c": (0, 1)})
+    assert dominant_strategies(nf, 0) == DominantAction("b", "weak")
+
+
+def test_the_first_of_two_tied_weakly_dominant_actions_wins():
+    nf = own_payoffs_game({"a": (0, 1), "b": (1, 1), "c": (1, 1)})
+    assert dominant_strategies(nf, 0) == DominantAction("b", "weak")
 
 
 def test_singleton_action_set_is_trivially_dominant():

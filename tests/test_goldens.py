@@ -114,7 +114,7 @@ def oracle_row(w, c_mis, fixed):
     try:
         params = LaborParams(w=w, c_mis=c_mis, **fixed)
     except GameModelError as exc:
-        row["error"] = str(exc)
+        row["error"] = exc.problem  # the row names the cell's w and c_mis itself
         return row
     scenario = build_scenario(params)
     game = scenario.game

@@ -114,14 +114,14 @@ def test_scenario_tables():
     u = sc.game.utilities
     w = sc.params.w
     for t in (TYPE_LOW, TYPE_HIGH):
-        assert u.utility(0, HIRE_FIRST, t) == w
-        assert u.utility(1, HIRE_FIRST, t) == 0
-        assert u.utility(0, SPLIT, t) == w / 2
+        assert u.table[0, HIRE_FIRST.label, t] == w
+        assert u.table[1, HIRE_FIRST.label, t] == 0
+        assert u.table[0, SPLIT.label, t] == w / 2
 
     c = sc.game.costs
-    assert c.strategic_cost(0, BID_HIGH, TYPE_LOW) == Fraction(1)
-    assert c.strategic_cost(0, BID_HIGH, TYPE_HIGH) == Fraction(1, 2)
-    assert c.strategic_cost(0, BID_ZERO, TYPE_LOW) == 0
+    assert c.strategic[0, BID_HIGH, TYPE_LOW] == Fraction(1)
+    assert c.strategic[0, BID_HIGH, TYPE_HIGH] == Fraction(1, 2)
+    assert (0, BID_ZERO, TYPE_LOW) not in c.strategic
 
 
 # -- separating side ---------------------------------------------------------------

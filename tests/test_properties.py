@@ -8,7 +8,10 @@ way and moves no verdict, and renumbering the agents renumbers every
 equilibrium. With every cost zero, the classical revelation
 principle holds. The rule an equilibrium plan plays out, read from
 outcome positions, is the rule its labels play out. The audit judges truth-telling as the engines do, and so
-do the cost-free misreport gains under any misreporting schedule. An audit
+do the cost-free misreport gains under any misreporting schedule. Every
+ex-post payoff, of a game or of a rule's direct game, is the utility of the
+outcome minus the strategic cost of the action played, and the pure Nash
+and dominance scans of a normal-form game agree with brute force. An audit
 report reads back from its JSON exactly, through the readers below.
 The games are drawn with large, pairwise coprime denominators so that the
 engine's integer tables are built over large LCMs. Every verdict and bid
@@ -23,6 +26,7 @@ import contextlib
 import io
 import itertools
 import json
+import random
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -58,11 +62,15 @@ from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
     EquilibriumVerdict,
+    NormalFormGame,
     PureStrategy,
     StrategyProfile,
     _equilibrium_plans,
     _profile,
+    dominant_strategies,
+    expost_normal_form,
     find_all_pure_bne,
+    find_pure_nash,
     is_bayesian_nash,
 )
 from revaudit.labor import (
@@ -307,6 +315,54 @@ def test_the_cost_free_gains_judge_any_schedule_as_the_engine_does(game, data):
         priced = BayesianGame(game.mechanism, game.type_space, game.utilities, costs)
         expected = is_truthfully_implementable(direct_game(priced, rule)).is_equilibrium
         assert all(gain <= schedule.get(key, 0) for key, gain in gains.items()) == expected
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_expost_payoffs_are_utility_minus_strategic_cost(agents, seed):
+    # A reference game, priced with random misreport costs, and the direct
+    # game of a random rule over its outcomes, which charges those costs as
+    # report prices. The engine reads each payoff from the compiled tables;
+    # the oracle looks it up by label.
+    rng = random.Random(seed)
+    game = ref.random_costly_game(rng, *ref.random_shape(rng, agents, max_profiles=729))
+    ts = game.type_space
+    misreport = {
+        (i, t, r): Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 5)))
+        for i, types in enumerate(ts.types_of) for t in types for r in types if r != t
+    }
+    priced = BayesianGame(
+        game.mechanism, ts, game.utilities, CostModel(game.costs.strategic, misreport)
+    )
+    outcomes = [Outcome(x) for x in sorted({x for _, x, _ in game.utilities.table})]
+    table = {theta: rng.choice(outcomes) for theta in ts.profiles()}
+    rule = SocialChoiceFunction(ts.types_of, table)
+    for played in (priced, direct_game(priced, rule)):
+        for theta in ts.profiles():
+            assert expost_normal_form(played, theta).payoffs == ref.expost_payoffs(played, theta)
+
+
+@st.composite
+def normal_forms(draw):
+    """A normal-form game of 1..3 agents with 1..3 actions each, and payoffs
+    drawn from 0, 1/2 and 1, so that ties and weak dominance are common."""
+    agents = draw(st.integers(1, 3))
+    actions_of = tuple(
+        tuple(f"a{k}" for k in range(draw(st.integers(1, 3)))) for _ in range(agents)
+    )
+    value = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1)))
+    payoffs = {
+        p: tuple(draw(value) for _ in range(agents)) for p in itertools.product(*actions_of)
+    }
+    return NormalFormGame(actions_of, payoffs)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(normal_forms())
+def test_the_nash_and_dominance_scans_match_brute_force(nf):
+    assert find_pure_nash(nf) == ref.pure_nash(nf)
+    for agent in range(nf.agent_count):
+        assert dominant_strategies(nf, agent) == ref.dominant_action(nf, agent)
 
 
 def positive_rationals():

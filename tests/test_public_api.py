@@ -58,7 +58,6 @@ EXPORTS = [
     "induced_scf",
     "is_bayesian_nash",
     "is_truthfully_implementable",
-    "profit",
     "random_zero_cost_game",
     "rational_str",
     "wage_window",

@@ -154,8 +154,8 @@ def test_parse_generic_scenario():
     assert ts.prior_of[0]["hi"] == Fraction(2, 3)
     assert sc.game.mechanism.outcome(("H", "z")).label == "y"
     assert sc.direct.mechanism.outcome(("hi", "m")).label == "y"
-    assert sc.game.utilities.utility(0, "y", "hi") == 1
-    assert sc.game.costs.strategic_cost(0, "H", "lo") == Fraction(1, 4)
+    assert sc.game.utilities.table[0, "y", "hi"] == 1
+    assert sc.game.costs.strategic[0, "H", "lo"] == Fraction(1, 4)
     assert sc.game.costs.misreport[(0, "lo", "hi")] == Fraction(1, 2)
     assert sc.candidate is not None
     assert sc.candidate.action_profile(("hi", "m")) == ("H", "z")
@@ -218,8 +218,8 @@ def test_one_literal_text_has_one_value_in_every_table():
     cfg["strategic_costs"][0]["cost"] = "1/3"
     game = parse_generic_scenario(cfg).game
     assert game.type_space.prior_of[0]["lo"] == Fraction(1, 3)
-    assert game.utilities.utility(0, "x", "lo") == Fraction(1, 3)
-    assert game.costs.strategic_cost(0, "H", "lo") == Fraction(1, 3)
+    assert game.utilities.table[0, "x", "lo"] == Fraction(1, 3)
+    assert game.costs.strategic[0, "H", "lo"] == Fraction(1, 3)
 
 
 def test_each_use_of_a_repeated_literal_is_checked():
@@ -254,7 +254,7 @@ def test_literal_size_limit(tmp_path, text, accepted, quoted):
     path.write_text(json.dumps(cfg).replace('"LITERAL"', json.dumps(text) if quoted else text))
     if accepted:
         game = parse_generic_scenario(load_config(str(path))).game
-        assert game.utilities.utility(0, "x", "lo") == Fraction(text)
+        assert game.utilities.table[0, "x", "lo"] == Fraction(text)
     else:
         where = r"config\.utilities\[0\]\.value" if quoted else r".*cfg\.json: JSON number"
         with pytest.raises(ConfigError, match=f"^{where}: .* exceeds the limit of 100$"):
