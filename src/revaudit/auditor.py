@@ -22,6 +22,7 @@ from fractions import Fraction
 from .core import (
     ConstructionError,
     CostModel,
+    DomainError,
     Mechanism,
     Outcome,
     SocialChoiceFunction,
@@ -41,6 +42,7 @@ from .equilibrium import (
     _largest_gain,
     _plan,
     _profile,
+    _rule,
 )
 
 
@@ -55,8 +57,12 @@ def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
     if scf.actions_of != game.type_space.types_of:
         problem = f"reports {scf.actions_of} are not the game's types {game.type_space.types_of}"
         raise ConstructionError(problem, ("rule",))
-    prices = {(i, reported, true): v for (i, true, reported), v in game.costs.misreport.items()}
-    return BayesianGame(scf, game.type_space, game.utilities, CostModel(prices))
+    return BayesianGame(scf, game.type_space, game.utilities, CostModel(_report_prices(game)))
+
+
+def _report_prices(game: BayesianGame) -> dict[tuple[int, str, str], Fraction]:
+    """The game's misreport schedule as its direct game's report prices."""
+    return {(i, reported, true): v for (i, true, reported), v in game.costs.misreport.items()}
 
 
 def is_truthfully_implementable(direct: BayesianGame) -> EquilibriumVerdict:
@@ -148,7 +154,8 @@ def audit_revelation_principle(
 ) -> AuditReport:
     """Audit one implementation claim end to end, in one walk.
 
-    `direct` is `direct_game(game, scf)`, built once by the caller; its
+    `direct` is `direct_game(game, scf)`, built once by the caller (any other
+    is a DomainError, as another game's would report that game's gains); its
     mechanism is the rule and truth-telling is its identity plan. For each
     agent the walk reads two sets of interim profits, the game's under the
     profile and the direct game's under truth-telling (kept with the direct
@@ -160,6 +167,11 @@ def audit_revelation_principle(
     `equilibrium._largest_gain`. The chain is vacuous when the profile is not
     an equilibrium; its other families are still reported.
     """
+    got = (direct.type_space, direct.utilities, direct.mechanism.actions_of, direct.costs.strategic)
+    want = (game.type_space, game.utilities, game.type_space.types_of, _report_prices(game))
+    for part, a, b in zip(("type space", "utilities", "reports", "report prices"), got, want):
+        if a != b:
+            raise DomainError(f"the direct game does not match the game in its {part}")
     plan, truth = _plan(game, profile), direct._truth
     holds_equilibrium = mimicry_ok = costfree_ok = True
     mimicry_rows = []
@@ -232,14 +244,6 @@ def random_zero_cost_game(rng: random.Random) -> BayesianGame:
             for t in types_of[agent]:
                 utility[(agent, x.label, t)] = Fraction(rng.randint(0, 12), 12)
     return BayesianGame(mechanism, type_space, UtilityTable(utility), CostModel())
-
-
-def _rule(game: BayesianGame, plan) -> tuple[int, ...]:
-    """The rule a plan plays out, as the outcome position (in the mechanism's
-    walk) it realizes at each type profile, in `type_space.profiles()` order."""
-    walk = game.mechanism.walk
-    moves = [[step * a for a in own] for step, own in zip(walk.strides, plan)]
-    return tuple(walk.outcome[sum(flat)] for flat in itertools.product(*moves))
 
 
 def _rule_scf(game: BayesianGame, rule: tuple[int, ...]) -> SocialChoiceFunction:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .auditor import BreakPoint, audit_revelation_principle, zero_cost_regression
-from .core import GameModelError, as_rational, rational_str
+from .core import GameModelError, rational_str
 from .equilibrium import (
     DEFAULT_PROFILE_CAP,
     _profile,
@@ -63,13 +62,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return as_rational(text, "not a rational")
-    except GameModelError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _profile_cap_arg(text: str) -> int:
     try:
         cap = int(text)
@@ -78,15 +70,6 @@ def _profile_cap_arg(text: str) -> int:
     if cap < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
     return cap
-
-
-def _override(value, **changes):
-    """`value` with fields set from the command line. They come from no
-    config field, so a fault they cause is reported without a location."""
-    try:
-        return replace(value, **changes)
-    except GameModelError as exc:
-        raise ConfigError(exc.problem) from None
 
 
 @functools.cache
@@ -102,31 +85,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="audit one scenario config")
     analyze.add_argument("config", help="path to a labor or generic scenario JSON config")
-    analyze.add_argument("--prior-high", type=_rational_arg, default=None,
-                         help="override the high-type prior (labor configs)")
-    analyze.add_argument("--format", choices=["json"], default="json")
     analyze.add_argument("--max-profiles", type=_profile_cap_arg, default=DEFAULT_PROFILE_CAP,
                          help="cap on enumerated strategy profiles")
     analyze.set_defaults(func=cmd_analyze)
 
     sweep = sub.add_parser("sweep", help="scan a labor (w, c_mis) grid")
     sweep.add_argument("config", help="path to a sweep grid JSON config")
-    sweep.add_argument("--prior-high", type=_rational_arg, default=None,
-                       help="override the high-type prior for every cell")
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.set_defaults(func=cmd_sweep)
 
     matrices = sub.add_parser("matrices", help="render the ex-post report matrices")
     matrices.add_argument("config", help="path to a labor scenario JSON config")
-    matrices.add_argument("--prior-high", type=_rational_arg, default=None,
-                          help="override the high-type prior (ex-post tables ignore it)")
     matrices.add_argument("--format", choices=["md", "json"], default="md")
     matrices.set_defaults(func=cmd_matrices)
 
     reproduce = sub.add_parser(
         "reproduce-paper", help="rerun the bundled reference scenario checks"
     )
-    reproduce.add_argument("--format", choices=["json"], default="json")
     reproduce.set_defaults(func=cmd_reproduce)
     return parser
 
@@ -150,8 +125,6 @@ def cmd_analyze(args) -> int:
     kind = cfg.get("kind", "labor")
     if kind == "labor":
         params = parse_labor_params(cfg)
-        if args.prior_high is not None:
-            params = _override(params, prior_high=args.prior_high)
         scenario = build_scenario(params)
         audit = scenario.audit
         payload = {
@@ -166,8 +139,6 @@ def cmd_analyze(args) -> int:
         sys.stdout.write(json_dumps(payload))
         return EXIT_VIOLATION if audit.violation else EXIT_OK
     if kind == "generic":
-        if args.prior_high is not None:
-            raise ConfigError("--prior-high applies to labor configs only")
         scenario = parse_generic_scenario(cfg)
         profile, source = _select_profile(scenario, args.max_profiles)
         audit = audit_revelation_principle(scenario.game, profile, scenario.direct)
@@ -189,8 +160,6 @@ def cmd_sweep(args) -> int:
     """One row per (w, c_mis) cell, each checking its own params: a wage's scenario,
     audit and window are read once, and each cost is priced by `LaborScenario.truthful_at`."""
     grid = parse_sweep_grid(load_config(args.config))
-    if args.prior_high is not None:
-        grid = _override(grid, fixed={**grid.fixed, "prior_high": args.prior_high})
     rows = []
     for w in grid.w_values:
         scenario = None
@@ -225,8 +194,6 @@ def cmd_matrices(args) -> int:
     if cfg.get("kind", "labor") != "labor":
         raise ConfigError("config.kind: matrices requires a labor config (kind 'labor')")
     params = parse_labor_params(cfg)
-    if args.prior_high is not None:
-        params = _override(params, prior_high=args.prior_high)
     scenario = build_scenario(params)
     matrices = case_matrices(scenario)
     if args.format == "md":

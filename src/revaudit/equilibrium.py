@@ -44,6 +44,7 @@ from .core import (
     UtilityTable,
     _check_label,
     _is_label,
+    _label_lists,
     as_rational,
     check_agent_count,
 )
@@ -393,22 +394,26 @@ def implements_scf(
     game: BayesianGame, profile: StrategyProfile, scf: SocialChoiceFunction
 ) -> bool:
     """Does playing the profile reproduce the social choice function at every
-    type profile of the game? A type profile the rule lacks is a DomainError."""
+    type profile of the game? A rule over other types or type order is a DomainError."""
     return _implements(game, _plan(game, profile), scf)
 
 
+def _rule(game: BayesianGame, plan) -> tuple[int, ...]:
+    """The rule a plan plays out, as the outcome position (in the mechanism's
+    walk) it realizes at each type profile, in `type_space.profiles()` order."""
+    walk = game.mechanism.walk
+    moves = [[step * a for a in own] for step, own in zip(walk.strides, plan)]
+    return tuple(walk.outcome[sum(flat)] for flat in itertools.product(*moves))
+
+
 def _implements(game: BayesianGame, plan, scf: SocialChoiceFunction) -> bool:
-    """`implements_scf` for a plan (action positions per agent, in type
-    order), over the type profiles in `type_space.profiles()` order."""
-    outcome = game.mechanism.outcome_of
-    moves = [
-        [(t, actions[a]) for t, a in zip(types, own)]
-        for types, actions, own in zip(game.type_space.types_of, game.mechanism.actions_of, plan)
-    ]
-    return all(
-        outcome[acts] == scf.outcome(theta)
-        for theta, acts in (zip(*cell) for cell in itertools.product(*moves))
-    )
+    """`implements_scf` for a plan (action positions per agent, in type order):
+    the outcome labels `_rule` reaches, as utilities key them, against the rule's walk."""
+    if scf.actions_of != game.type_space.types_of:
+        raise DomainError(f"rule over types {scf.actions_of}, not the game's types")
+    played, wanted = game.mechanism.walk.labels, scf.walk
+    rule = [wanted.labels[x] for x in wanted.outcome]
+    return [played[x] for x in _rule(game, plan)] == rule
 
 
 @dataclass(frozen=True)
@@ -419,9 +424,7 @@ class NormalFormGame:
     payoffs: dict[tuple[str, ...], tuple[Fraction, ...]]
 
     def __post_init__(self) -> None:
-        actions_of = tuple(tuple(a) for a in self.actions_of)
-        if not actions_of or any(not acts for acts in actions_of):
-            raise ConstructionError("normal form needs a non-empty action set per agent")
+        actions_of = _label_lists(self.actions_of, "actions")
         n = len(actions_of)
         payoffs = {}
         for key, vals in dict(self.payoffs).items():

@@ -206,7 +206,6 @@ class BestResponseCase:
 class SeparatingReport:
     """Does the separating profile implement the hiring rule in equilibrium?"""
 
-    params: LaborParams
     window_low: Fraction
     window_high: Fraction
     in_window: bool
@@ -252,10 +251,9 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
 
     ir_margin = params.w / 2 - params.e_H / params.theta_H
     return SeparatingReport(
-        params=params,
         window_low=lo,
         window_high=hi,
-        in_window=lo < params.w < hi,
+        in_window=in_wage_window(params),
         separating_is_bne=verdict.is_equilibrium,
         bne_witness=verdict.witness,
         implements_rule=implements_scf(game, SEPARATING_PROFILE, HIRING_RULE),
@@ -307,7 +305,6 @@ def case_matrices(scenario: LaborScenario) -> tuple[CaseMatrix, ...]:
 class TruthfulnessReport:
     """Does truth-telling survive in the direct mechanism of the hiring rule?"""
 
-    params: LaborParams
     cmis_below_half_w: bool
     truthful_witness: Deviation | None
     all_report_high_is_bne: bool
@@ -335,7 +332,6 @@ def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
     equilibria = tuple(find_all_pure_bne(scenario.direct))
     all_high_is_bne = ALL_REPORT_HIGH_PROFILE in equilibria
     return TruthfulnessReport(
-        params=params,
         cmis_below_half_w=params.c_mis < params.w / 2,
         truthful_witness=scenario.audit.truthful_witness,
         all_report_high_is_bne=all_high_is_bne,

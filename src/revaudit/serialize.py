@@ -395,9 +395,9 @@ def _generic_game(cfg: dict, where: str, rows: dict):
 class SweepGrid:
     """A labor parameter grid: wages times misreporting costs, rest fixed.
 
-    The fixed parameters are checked once per grid (and by `replace`), so a cell
-    fails only on its wage or cost. A sweep builds one scenario per wage and
-    prices each cost against that wage's cost-free misreport gains."""
+    The fixed parameters are checked once per grid, so a cell fails only on
+    its wage or cost. A sweep builds one scenario per wage and prices each
+    cost against that wage's cost-free misreport gains."""
 
     w_values: tuple[Fraction, ...]
     c_mis_values: tuple[Fraction, ...]

@@ -22,7 +22,7 @@ from revaudit.auditor import (
     random_zero_cost_game,
     zero_cost_regression,
 )
-from revaudit.core import ConstructionError, CostModel, SocialChoiceFunction
+from revaudit.core import ConstructionError, CostModel, DomainError, SocialChoiceFunction
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
@@ -279,6 +279,31 @@ def test_audit_not_implemented_off_equilibrium():
     sc = scenario(w="5/2")  # outside the separating wage window
     report = audit_revelation_principle(sc.game, SEPARATING_PROFILE, sc.direct)
     assert not report.implemented and not report.violation
+
+
+@pytest.mark.parametrize(
+    "foreign, part",
+    [
+        (lambda sc: scenario(prior_high="1/3").direct, "type space"),
+        # The w=5 direct game's cost-free gain of 5/2 would be the break point.
+        (lambda sc: scenario(w="5").direct, "utilities"),
+        (lambda sc: sc.game, "reports"),  # bids, not types
+        # The c_mis=1 direct game would clear the violation.
+        (lambda sc: scenario(c_mis="1").direct, "report prices"),
+    ],
+    ids=["type-space", "utilities", "reports", "prices"],
+)
+def test_an_audit_refuses_a_direct_game_of_another_game(foreign, part):
+    sc = scenario()
+    with pytest.raises(DomainError) as err:
+        audit_revelation_principle(sc.game, SEPARATING_PROFILE, foreign(sc))
+    assert err.value.problem == f"the direct game does not match the game in its {part}"
+
+
+def test_an_audit_takes_an_equal_direct_game_built_apart():
+    sc, twin = scenario(), scenario()
+    report = audit_revelation_principle(sc.game, SEPARATING_PROFILE, twin.direct)
+    assert report == sc.audit
 
 
 def test_scaling_leaves_the_audit_unchanged():

@@ -89,7 +89,8 @@ def test_analyze_labor_clean_when_misreporting_dear(tmp_path, capsys):
 
 
 def test_analyze_prior_high_override(tmp_path, capsys):
-    code = main(["analyze", labor_cfg(tmp_path), "--prior-high", "9/10"])
+    # The config's prior_high overrides the default prior of 1/2.
+    code = main(["analyze", labor_cfg(tmp_path, prior_high="9/10")])
     payload = json.loads(capsys.readouterr().out)
     assert code == 2
     assert payload["params"]["prior_high"] == "9/10"
@@ -97,10 +98,10 @@ def test_analyze_prior_high_override(tmp_path, capsys):
 
 
 def test_analyze_rejects_malformed_prior(tmp_path, capsys):
-    code = main(["analyze", labor_cfg(tmp_path), "--prior-high", "almost-one"])
+    code = main(["analyze", labor_cfg(tmp_path, prior_high="almost-one")])
     err = capsys.readouterr().err
     assert code == 1
-    assert "not a rational" in err
+    assert err == "error: config.prior_high: cannot parse 'almost-one' as a rational\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "matrices"])
@@ -120,14 +121,6 @@ def test_a_labor_range_fault_names_its_field(tmp_path, capsys, command, field, v
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: config.{field}: {problem}\n"
-
-
-@pytest.mark.parametrize("command", ["analyze", "matrices"])
-def test_a_prior_override_fault_names_no_config_field(tmp_path, capsys, command):
-    # As in the sweep: the flag's value comes from no config field.
-    code = main([command, labor_cfg(tmp_path), "--prior-high", "1"])
-    assert code == 1
-    assert capsys.readouterr().err == "error: prior_high must lie strictly between 0 and 1, got 1\n"
 
 
 def test_analyze_rejects_bad_labor_parameters(tmp_path, capsys):
@@ -207,12 +200,6 @@ def test_analyze_generic_clean_exit(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["audit"]["violation"] is False
-
-
-def test_analyze_generic_refuses_prior_flag(tmp_path, capsys):
-    code = main(["analyze", single_agent_signal_cfg(tmp_path), "--prior-high", "1/2"])
-    assert code == 1
-    assert "labor configs only" in capsys.readouterr().err
 
 
 def test_analyze_profile_cap(tmp_path, capsys):
@@ -384,24 +371,21 @@ def test_a_missing_utility_for_an_outcome_only_the_rule_reaches(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "argv, cfg_text, message",
+    "cfg_text, message",
     [
-        ([], '{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": 1e999999}',
+        ('{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": 1e999999}',
          "JSON number: exponent of '1e999999' exceeds"),
-        ([], '{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": 1%s}' % ("0" * 4999),
+        ('{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": 1%s}' % ("0" * 4999),
          "JSON number: literal of 5000 characters exceeds"),
-        ([], '{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "1e999999"}',
+        ('{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "1e999999"}',
          "config.w: exponent of '1e999999' exceeds"),
-        (["--prior-high", "1e999999"],
-         '{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "3/2"}',
-         "argument --prior-high: not a rational: exponent of '1e999999' exceeds"),
     ],
-    ids=["json-exponent", "json-integer-digits", "string-exponent", "prior-high-flag"],
+    ids=["json-exponent", "json-integer-digits", "string-exponent"],
 )
-def test_analyze_rejects_oversized_rationals(tmp_path, capsys, argv, cfg_text, message):
+def test_analyze_rejects_oversized_rationals(tmp_path, capsys, cfg_text, message):
     path = tmp_path / "big.json"
     path.write_text(cfg_text)
-    code = main(["analyze", str(path), *argv])
+    code = main(["analyze", str(path)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -536,7 +520,7 @@ w,c_mis,in_window,separating_is_bne,truthful_is_bne,violation,error
 """
 
 
-def sweep_cfg(tmp_path):
+def sweep_cfg(tmp_path, **fixed):
     return write_json(
         tmp_path,
         "grid.json",
@@ -544,7 +528,7 @@ def sweep_cfg(tmp_path):
             "kind": "sweep",
             "w_values": ["0", "1", "3/2", "19/10", "5/2"],
             "c_mis_values": ["0", "1/2", "1"],
-            "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1},
+            "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1, **fixed},
         },
     )
 
@@ -557,7 +541,8 @@ def test_sweep_golden_csv(tmp_path, capsys):
 
 
 def test_sweep_json_format_and_prior_override(tmp_path, capsys):
-    code = main(["sweep", sweep_cfg(tmp_path), "--format", "json", "--prior-high", "1/10"])
+    # The grid's fixed prior_high overrides the default prior of 1/2.
+    code = main(["sweep", sweep_cfg(tmp_path, prior_high="1/10"), "--format", "json"])
     rows = json.loads(capsys.readouterr().out)
     assert code == 0
     assert len(rows) == 15
@@ -590,30 +575,27 @@ FIXED = {"theta_L": 1, "theta_H": 2, "e_H": 1}
 
 
 @pytest.mark.parametrize(
-    "grid, argv, message",
+    "grid, message",
     [
-        (one_cell_grid({**FIXED, "theta_L": 3}), [],
+        (one_cell_grid({**FIXED, "theta_L": 3}),
          "config.fixed: need 0 < theta_L < theta_H, got theta_L=3, theta_H=2"),
-        (one_cell_grid({**FIXED, "e_H": 0}), [],
+        (one_cell_grid({**FIXED, "e_H": 0}),
          "config.fixed: education level e_H must be positive, got 0"),
-        (one_cell_grid({**FIXED, "prior_high": "3/2"}), [],
+        (one_cell_grid({**FIXED, "prior_high": "3/2"}),
          "config.fixed: prior_high must lie strictly between 0 and 1, got 3/2"),
-        (one_cell_grid(FIXED), ["--prior-high", "1"],
-         "prior_high must lie strictly between 0 and 1, got 1"),
-        (one_cell_grid(FIXED, kind="generic"), [],
+        (one_cell_grid(FIXED, kind="generic"),
          "config.kind: a sweep grid has kind 'sweep', got 'generic'"),
         # A whole config of another kind is named by its kind, not its fields.
-        ({"kind": "labor", **FIXED, "w": "3/2", "c_mis": "1/2"}, [],
+        ({"kind": "labor", **FIXED, "w": "3/2", "c_mis": "1/2"},
          "config.kind: a sweep grid has kind 'sweep', got 'labor'"),
-        (signal_config(), [],
+        (signal_config(),
          "config.kind: a sweep grid has kind 'sweep', got 'generic'"),
     ],
-    ids=["theta-order", "e_H", "prior_high", "prior-high-override", "kind", "labor-config",
-         "generic-config"],
+    ids=["theta-order", "e_H", "prior_high", "kind", "labor-config", "generic-config"],
 )
-def test_sweep_rejects_a_bad_grid_before_any_cell(tmp_path, capsys, grid, argv, message):
+def test_sweep_rejects_a_bad_grid_before_any_cell(tmp_path, capsys, grid, message):
     # A cell holds only its wage and cost; the rest is wrong for every cell.
-    code = main(["sweep", write_json(tmp_path, "grid.json", grid), *argv])
+    code = main(["sweep", write_json(tmp_path, "grid.json", grid)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -716,6 +698,27 @@ def test_help_exits_cleanly(capsys):
 def test_unknown_subcommand(capsys):
     assert main(["audit-everything"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("analyze", ["--prior-high", "9/10"]),
+        ("sweep", ["--prior-high", "9/10"]),
+        ("matrices", ["--prior-high", "9/10"]),
+        ("analyze", ["--format", "json"]),
+        ("reproduce-paper", ["--format", "json"]),
+    ],
+)
+def test_a_removed_flag_is_a_usage_error(tmp_path, capsys, command, flag):
+    # The prior is set in the config only, and analyze and reproduce-paper
+    # print JSON only.
+    config = [] if command == "reproduce-paper" else [labor_cfg(tmp_path)]
+    assert main([command, *config, *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: revaudit ")
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 # -- work done per command ------------------------------------------------------------

@@ -22,6 +22,7 @@ from revaudit.core import (
     Mechanism,
     Outcome,
     SearchSpaceError,
+    SocialChoiceFunction,
     TypeSpace,
     UtilityTable,
 )
@@ -203,6 +204,20 @@ def test_implements_scf():
         [{TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_ZERO}] * 2
     )
     assert not implements_scf(scenario.game, both_zero, scenario.direct.mechanism)
+
+
+@pytest.mark.parametrize(
+    "types", [(TYPE_HIGH, TYPE_LOW), ("lo", "hi")], ids=["reordered", "other-labels"]
+)
+def test_implements_scf_refuses_a_rule_over_other_types(monkeypatch, types):
+    scenario = build_scenario(LaborParams(theta_L=1, theta_H=2, e_H=1, w="3/2"))
+    rule = SocialChoiceFunction(
+        (types, types), dict.fromkeys(itertools.product(types, types), Outcome("split"))
+    )
+    counts = counted(monkeypatch, [equilibrium._rule])
+    with pytest.raises(DomainError, match="rule over types"):
+        implements_scf(scenario.game, SEPARATING_PROFILE, rule)
+    assert counts["_rule"] == 0  # refused before any profile is played
 
 
 # -- random-instance properties ---------------------------------------------------
@@ -477,6 +492,25 @@ def test_normal_form_payoffs_are_exact_rationals(value):
 def test_dominant_strategies_rejects_a_bool_agent():
     with pytest.raises(DomainError, match="unknown agent index True"):
         dominant_strategies(prisoners_dilemma(), True)
+
+
+@pytest.mark.parametrize(
+    "actions_of, at",
+    [
+        ((("a", "a"), ("b",)), ("actions", 0)),
+        ((("a",), ()), ("actions", 1)),
+        ((("a", ""),), ("actions", 0)),
+        (((1, 2),), ("actions", 0)),
+        ((), ("actions",)),
+    ],
+    ids=["duplicate", "empty-set", "empty-label", "non-string", "no-agent"],
+)
+def test_normal_form_checks_its_action_labels(actions_of, at):
+    # A duplicate would list its Nash profile twice and dominate itself.
+    payoffs = {p: (Fraction(0),) * len(p) for p in itertools.product(*actions_of)}
+    with pytest.raises(ConstructionError) as err:
+        NormalFormGame(actions_of, payoffs)
+    assert err.value.at == at
 
 
 def test_normal_form_validation():

@@ -81,15 +81,16 @@ def test_output_matches_golden_bytes(tmp_path, capsys, argv, config, golden, cod
 
 def test_one_process_answers_like_fresh_processes(tmp_path, capsys, monkeypatch):
     """main reuses one parser per process. Each run of a sequence that mixes
-    usage errors, --help, an override and the goldens must exit and print
-    exactly as the same run in a fresh `python -m revaudit`."""
+    usage errors, --help, a non-default option and the goldens must exit and
+    print exactly as the same run in a fresh `python -m revaudit`."""
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
     labor = write_json(tmp_path, {**CANONICAL, "c_mis": "1/2"})
+    search = write_json(tmp_path, signal_config(with_profile=False), "search.json")
     runs = [
         ["analyze"],
         ["--help"],
         ["analyze", "--max-profiles", "0"],
-        ["analyze", labor, "--prior-high", "9/10"],
+        ["analyze", search, "--max-profiles", "1"],
         ["analyze", labor],
         *(golden_argv(tmp_path, *run[:3]) for run in GOLDEN_RUNS),
     ]
@@ -139,12 +140,11 @@ def test_sweep_matches_inline_violation_oracle(tmp_path, capsys, prior_high):
         "c_mis_values": SWEEP_C + ["3/2"],
         "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1},
     }
-    argv = ["sweep", write_json(tmp_path, grid), "--format", "json"]
     fixed = {"theta_L": Fraction(1), "theta_H": Fraction(2), "e_H": Fraction(1)}
     if prior_high is not None:
-        argv += ["--prior-high", prior_high]
+        grid["fixed"]["prior_high"] = prior_high
         fixed["prior_high"] = Fraction(prior_high)
-    assert main(argv) == 0
+    assert main(["sweep", write_json(tmp_path, grid), "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     expected = [
         oracle_row(Fraction(w), Fraction(c), fixed)

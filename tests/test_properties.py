@@ -7,7 +7,8 @@ actions and outcomes renames every equilibrium and audit report the same
 way and moves no verdict, and renumbering the agents renumbers every
 equilibrium. With every cost zero, the classical revelation
 principle holds. The rule an equilibrium plan plays out, read from
-outcome positions, is the rule its labels play out. The audit judges truth-telling as the engines do, and so
+outcome positions, is the rule its labels play out, and `implements_scf`
+agrees with the labels on every profile. The audit judges truth-telling as the engines do, and so
 do the cost-free misreport gains under any misreporting schedule. Every
 ex-post payoff, of a game or of a rule's direct game, is the utility of the
 outcome minus the strategic cost of the action played, and the pure Nash
@@ -41,7 +42,6 @@ from revaudit.auditor import (
     AuditReport,
     BreakPoint,
     ProofChainRecord,
-    _rule,
     audit_revelation_principle,
     direct_game,
     induced_scf,
@@ -67,10 +67,12 @@ from revaudit.equilibrium import (
     StrategyProfile,
     _equilibrium_plans,
     _profile,
+    _rule,
     dominant_strategies,
     expost_normal_form,
     find_all_pure_bne,
     find_pure_nash,
+    implements_scf,
     is_bayesian_nash,
 )
 from revaudit.labor import (
@@ -228,6 +230,11 @@ def oracle_rule(game, profile):
 @SETTINGS
 @given(games())
 def test_the_rule_of_each_equilibrium_plan_is_the_rule_its_labels_play(game):
+    # implements_scf plays a profile out on outcome positions; the oracle
+    # compares labels, over every profile, those that play the rule and
+    # those that do not.
+    profiles = ref.profiles(game)
+    played = [[x.label for x in oracle_rule(game, p)] for p in profiles]
     for game in (game, ref.cost_free(game)):
         plans = _equilibrium_plans(game)
         assert [_profile(game, plan) for plan in plans] == find_all_pure_bne(game)
@@ -237,6 +244,8 @@ def test_the_rule_of_each_equilibrium_plan_is_the_rule_its_labels_play(game):
             assert [labels[x] for x in _rule(game, plan)] == [x.label for x in expected]
             induced = induced_scf(game, _profile(game, plan))
             assert [induced.outcome(theta) for theta in game.type_space.profiles()] == expected
+            verdicts = [implements_scf(game, p, induced) for p in profiles]
+            assert verdicts == [rule == [x.label for x in expected] for rule in played]
 
 
 def with_misreport_costs(game, data):
@@ -483,12 +492,13 @@ def test_no_labor_report_depends_on_the_prior(params, priors):
 
 @st.composite
 def sweep_grids(draw):
-    """A random sweep grid, its fixed parameters and an optional prior
-    override. Wages are drawn at either window edge, inside the window,
-    anywhere, at 0 or below it. Costs come from a small pool, so a row often
-    repeats one: 0, half of either edge wage and a point between (where
-    truth-telling turns for window wages), a random cost, and a negative one,
-    which may open a row so that its scenario is built at a later cost."""
+    """A random sweep grid: its fixed parameters, prior_high among them or
+    left at its default, its wages and its costs. Wages are drawn at either
+    window edge, inside the window, anywhere, at 0 or below it. Costs come
+    from a small pool, so a row often repeats one: 0, half of either edge
+    wage and a point between (where truth-telling turns for window wages), a
+    random cost, and a negative one, which may open a row so that its
+    scenario is built at a later cost."""
     theta_L = draw(positive_rationals())
     theta_H = theta_L + draw(positive_rationals())
     e_H = draw(positive_rationals())
@@ -503,10 +513,12 @@ def sweep_grids(draw):
     c_mis_values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
     prior_high = draw(st.none() | unit_fractions())
     fixed = {"theta_L": theta_L, "theta_H": theta_H, "e_H": e_H}
-    return fixed, w_values, c_mis_values, prior_high
+    if prior_high is not None:
+        fixed["prior_high"] = prior_high
+    return fixed, w_values, c_mis_values
 
 
-def sweep_json(fixed, w_values, c_mis_values, prior_high):
+def sweep_json(fixed, w_values, c_mis_values):
     """The rows `sweep --format json` prints for a grid."""
     grid = {
         "kind": "sweep",
@@ -514,13 +526,12 @@ def sweep_json(fixed, w_values, c_mis_values, prior_high):
         "c_mis_values": [rational_str(c) for c in c_mis_values],
         "fixed": {key: rational_str(v) for key, v in fixed.items()},
     }
-    override = [] if prior_high is None else ["--prior-high", rational_str(prior_high)]
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
         path = f"{tmp}/grid.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(grid, fh)
-        assert main(["sweep", path, "--format", "json", *override]) == 0
+        assert main(["sweep", path, "--format", "json"]) == 0
     return json.loads(out.getvalue())
 
 
@@ -530,10 +541,8 @@ def test_a_sweep_prints_each_cell_as_its_own_scenario_answers(grid):
     # The sweep shares one scenario and audit across a wage's costs; the
     # oracle builds every valid cell's scenario and reads the engine's
     # verdicts on it, so a verdict carried over from another cost shows.
-    fixed, w_values, c_mis_values, prior_high = grid
-    rows = sweep_json(fixed, w_values, c_mis_values, prior_high)
-    if prior_high is not None:
-        fixed = {**fixed, "prior_high": prior_high}
+    fixed, w_values, c_mis_values = grid
+    rows = sweep_json(fixed, w_values, c_mis_values)
     assert rows == [oracle_row(w, c, fixed) for w in w_values for c in c_mis_values]
 
 

@@ -93,7 +93,7 @@ def test_the_readme_command_examples_run_as_documented(tmp_path, capsys):
     ]
     assert [argv[:2] for argv in commands] == [
         ["revaudit", command]
-        for command in ["analyze"] * 2 + ["sweep"] * 2 + ["matrices"] * 2 + ["reproduce-paper"]
+        for command in ["analyze"] + ["sweep"] * 2 + ["matrices"] * 2 + ["reproduce-paper"]
     ]
     for _, command, *args in commands:
         code = main([command, *(str(tmp_path / a) if a.endswith(".json") else a for a in args)])
