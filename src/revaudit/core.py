@@ -86,6 +86,33 @@ def check_literal_size(text: str, where: str | tuple = "value") -> str:
     raise ConstructionError(f"{problem} exceeds the limit of {MAX_LITERAL}", at)
 
 
+# The engine brings each table of numbers to one denominator, the LCM of its
+# denominators, whose bit length is at most the sum of the bit lengths of the
+# distinct ones. A game's scale is the LCM of its utilities' and one cost
+# schedule's denominators times a product of the agents' prior units; the audit
+# compares values of a game and its direct game: at most four tables, so at
+# most 4 x 2,048 bits, 2,467 decimal digits, in any denominator it prints.
+# A numerator adds the digits of the value's size, a few hundred at most for
+# values read from literals of 100 characters, so every printed int stays
+# under 3,000 digits, well under the 4,300 that Python's int-to-str
+# conversion allows.
+MAX_DENOMINATOR_BITS = 2048
+
+
+def check_denominators(values, at: tuple) -> None:
+    """Refuse a table of Fractions whose distinct denominators have more than
+    MAX_DENOMINATOR_BITS bits in all, located at the table `at`."""
+    bits = 0
+    for d in {v.denominator for v in values}:
+        bits += d.bit_length()
+    if bits > MAX_DENOMINATOR_BITS:
+        problem = (
+            f"distinct denominators of {bits} bits in all exceed the limit of "
+            f"{MAX_DENOMINATOR_BITS}"
+        )
+        raise ConstructionError(problem, at)
+
+
 def as_rational(value, where: str | tuple = "value") -> Fraction:
     """Coerce int, Fraction, or a "p/q" string to an exact Fraction.
 
@@ -183,6 +210,8 @@ class TypeSpace:
                 p = pr[t] = p if isinstance(p, Fraction) else as_rational(p, ("priors", i, t))
                 if p <= 0:
                     raise ConstructionError(f"must be positive, got {p}", ("priors", i, t))
+        check_denominators([p for pr in priors for p in pr.values()], ("priors",))
+        for i, pr in enumerate(priors):
             if sum(pr.values()) != 1:
                 problem = f"probabilities must sum to 1, got {sum(pr.values())}"
                 raise ConstructionError(problem, ("priors", i))
@@ -386,6 +415,7 @@ def _keyed_rationals(table: str, entries, field: str) -> dict[tuple[int, str, st
         if not (len(key) == 3 and type(key[0]) is int and _is_label(key[1]) and _is_label(key[2])):
             raise ConstructionError("key must be (agent, label, label)", (table, key))
         result[key] = v if isinstance(v, Fraction) else as_rational(v, (table, key, field))
+    check_denominators(result.values(), (table,))
     return result
 
 

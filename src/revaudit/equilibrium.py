@@ -13,21 +13,23 @@ Python ints, and a reported payoff or gain is the exact Fraction of an int
 over the agent's scale; no tolerance enters anywhere.
 The one payoff is profit: outcome utility minus the strategic cost of the
 action actually played, read from these tables alone, by the interim rows
-and by the ex-post slices (`expost_normal_form`, and the labor scenario's
-bid cases) alike. The classical utility view is the profit of the same
-game built with `CostModel()`. With independent priors, per-type
-single-action deviations are sufficient. The equilibrium search works on
-plans, tuples of action positions: it enumerates the plans of every agent
-but the one with the most plans, takes that agent's per-type best replies,
-and checks them against the others' deviations on rows computed once per
-search. Labelled strategies are built only for the equilibria it returns.
+and by the ex-post slices alike. A slice (`_expost_slice`) is one agent's
+profit at one own type at every action profile, as ints on its scale; an
+ex-post game keeps one per agent as its int tables, and the Nash and
+dominance scans of every `NormalFormGame` compare such ints. The classical
+utility view is the profit of the same game built with `CostModel()`. With
+independent priors, per-type single-action deviations are sufficient. The
+equilibrium search works on plans, tuples of action positions: it
+enumerates the plans of every agent but the one with the most plans, takes
+that agent's per-type best replies, and checks them against the others'
+deviations on rows computed once per search. Labelled strategies are built
+only for the equilibria it returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +49,7 @@ from .core import (
     _label_lists,
     as_rational,
     check_agent_count,
+    check_denominators,
 )
 
 DEFAULT_PROFILE_CAP = 10**6
@@ -418,7 +421,10 @@ def _implements(game: BayesianGame, plan, scf: SocialChoiceFunction) -> bool:
 
 @dataclass(frozen=True)
 class NormalFormGame:
-    """A complete-information payoff table over action profiles."""
+    """A complete-information payoff table over action profiles. The scans
+    compare `_values[i]`, agent i's payoffs in `itertools.product` order as
+    ints on one scale: computed on first use, on the agent's own LCM, or
+    kept from the slices an ex-post game was read from (`_expost_game`)."""
 
     actions_of: tuple[tuple[str, ...], ...]
     payoffs: dict[tuple[str, ...], tuple[Fraction, ...]]
@@ -436,8 +442,18 @@ class NormalFormGame:
         expected = set(itertools.product(*actions_of))
         if set(payoffs) != expected:
             raise ConstructionError("payoff table does not cover exactly the action profiles")
+        for values in zip(*payoffs.values()):
+            check_denominators(values, ("payoffs",))
         object.__setattr__(self, "actions_of", actions_of)
         object.__setattr__(self, "payoffs", payoffs)
+
+    @cached_property
+    def _values(self) -> list[list[int]]:
+        values = []
+        for column in zip(*map(self.payoffs.__getitem__, itertools.product(*self.actions_of))):
+            unit = math.lcm(*[v.denominator for v in column])
+            values.append([_scaled(v, unit) for v in column])
+        return values
 
     @property
     def agent_count(self) -> int:
@@ -462,51 +478,75 @@ class DominantAction:
             raise ConstructionError(f"kind must be 'strict' or 'weak', got {self.kind!r}")
 
 
-def _expost_profit(game: BayesianGame, agent: int, k: int, actions: Sequence[int]) -> Fraction:
-    """Agent's ex-post profit at its k-th type when the agents play the action
-    positions `actions`, read from the compiled tables: the utility of the
-    outcome, brought to the agent's scale, minus the cost of its own action."""
+def _expost_slice(game: BayesianGame, agent: int, k: int) -> list[int]:
+    """The agent's ex-post profit at its k-th type at every action profile,
+    in the walk's order, as ints on the agent's scale: the utility of the
+    outcome, weighted by `total[agent]`, minus the cost of its own action."""
     tables, walk = game._tables, game.mechanism.walk
-    x = walk.outcome[sum(map(operator.mul, walk.strides, actions))]
-    value = tables.utility[agent][k][x] * game.type_space.weights.total[agent]
-    return Fraction(value - tables.cost[agent][k][actions[agent]], tables.scale[agent])
+    total = game.type_space.weights.total[agent]
+    utility = [v * total for v in tables.utility[agent][k]]
+    cost = tables.cost[agent][k]
+    stride, n = walk.strides[agent], len(cost)
+    return [utility[x] - cost[flat // stride % n] for flat, x in enumerate(walk.outcome)]
+
+
+def _expost_game(game: BayesianGame, slices: list[list[int]]) -> NormalFormGame:
+    """The ex-post game in which agent i's payoffs are `slices[i]`, from
+    `_expost_slice`: it keeps the slices as its int tables and builds its
+    Fractions from them, with no second check of values or labels."""
+    actions_of, scale = game.mechanism.actions_of, game._tables.scale
+    columns = [[Fraction(v, s) for v in values] for values, s in zip(slices, scale)]
+    nf = object.__new__(NormalFormGame)
+    object.__setattr__(nf, "actions_of", actions_of)
+    object.__setattr__(nf, "payoffs", dict(zip(itertools.product(*actions_of), zip(*columns))))
+    object.__setattr__(nf, "_values", slices)
+    return nf
 
 
 def expost_normal_form(game: BayesianGame, true_types) -> NormalFormGame:
-    """The complete-information profit game at a fixed realized type profile,
-    read from the game's compiled tables.
+    """The complete-information profit game at a fixed realized type profile:
+    each agent's payoffs are one slice of the game's compiled tables, at its
+    own true type (`_expost_slice`).
 
     In a direct game the strategic cost of a report is its misreporting cost,
     so its profits there are the direct game's report payoffs.
     """
     true_types = game.type_space.validate_profile(true_types)
-    type_at = [types.index(t) for types, t in zip(game.type_space.types_of, true_types)]
-    actions_of = game.mechanism.actions_of
-    positions = itertools.product(*[range(len(actions)) for actions in actions_of])
-    payoffs = {
-        acts: tuple(_expost_profit(game, i, k, played) for i, k in enumerate(type_at))
-        for acts, played in zip(itertools.product(*actions_of), positions)
-    }
-    return NormalFormGame(actions_of, payoffs)
+    types_of = game.type_space.types_of
+    slices = [_expost_slice(game, i, types_of[i].index(t)) for i, t in enumerate(true_types)]
+    return _expost_game(game, slices)
+
+
+def _lines(actions_of, agent: int) -> list[range]:
+    """Per opponent profile, in `itertools.product` order, the flat positions
+    of the profiles where the agent plays each of its actions in turn."""
+    sizes = [len(actions) for actions in actions_of]
+    stride, block = math.prod(sizes[agent + 1 :]), math.prod(sizes[agent:])
+    return [range(r, r + block, stride) for r in range(math.prod(sizes)) if r % block < stride]
+
+
+def _best_replies(actions_of, agent: int, values: list[int]) -> set[int]:
+    """The flat positions, in `itertools.product` order over `actions_of`,
+    of the profiles where the agent plays a best reply to the others'
+    actions. `values` are its payoffs there, as ints on one scale."""
+    best = set()
+    for line in _lines(actions_of, agent):
+        top = max([values[flat] for flat in line])
+        best.update(flat for flat in line if values[flat] == top)
+    return best
+
+
+def _nash(actions_of, best_of: list[set[int]]) -> list[tuple[str, ...]]:
+    """The profiles at which every agent plays a best reply, from each
+    agent's `_best_replies`."""
+    stable = set.intersection(*best_of)
+    return [p for flat, p in enumerate(itertools.product(*actions_of)) if flat in stable]
 
 
 def find_pure_nash(nf: NormalFormGame) -> list[tuple[str, ...]]:
     """All pure Nash profiles of a normal-form game (weak inequalities)."""
-    payoffs, out = nf.payoffs, []
-    for profile in itertools.product(*nf.actions_of):
-        current = payoffs[profile]
-        stable = True
-        for i, acts in enumerate(nf.actions_of):
-            head, played, tail = profile[:i], profile[i], profile[i + 1 :]
-            for a in acts:
-                if a != played and payoffs[head + (a,) + tail][i] > current[i]:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            out.append(profile)
-    return out
+    best_of = [_best_replies(nf.actions_of, i, values) for i, values in enumerate(nf._values)]
+    return _nash(nf.actions_of, best_of)
 
 
 def dominant_strategies(nf: NormalFormGame, agent: int) -> DominantAction | None:
@@ -519,30 +559,16 @@ def dominant_strategies(nf: NormalFormGame, agent: int) -> DominantAction | None
     """
     if not isinstance(agent, int) or isinstance(agent, bool) or not 0 <= agent < nf.agent_count:
         raise DomainError(f"unknown agent index {agent!r}")
-    own = nf.actions_of[agent]
-    # Each opponent profile once, the agent's first action standing in for its own.
-    rests = list(itertools.product(*nf.actions_of[:agent], own[:1], *nf.actions_of[agent + 1 :]))
-    weak_winner = None
-    for a in own:
-        strict = True
-        weak = True
-        for p in rests:
-            head, tail = p[:agent], p[agent + 1 :]
-            va = nf.payoffs[head + (a,) + tail][agent]
-            for b in own:
-                if b == a:
-                    continue
-                vb = nf.payoffs[head + (b,) + tail][agent]
-                if va < vb:
-                    weak = False
-                    strict = False
-                    break
-                if va <= vb:
-                    strict = False
-            if not weak:
-                break
-        if weak and strict:
-            return DominantAction(a, "strict")
-        if weak and weak_winner is None:
-            weak_winner = DominantAction(a, "weak")
-    return weak_winner
+    return _dominant(nf.actions_of, agent, _best_replies(nf.actions_of, agent, nf._values[agent]))
+
+
+def _dominant(actions_of, agent: int, best: set[int]) -> DominantAction | None:
+    """`dominant_strategies` from the agent's `_best_replies`: an action is
+    weakly dominant when every profile where it is played is a best reply,
+    and strictly when those are all the best replies."""
+    lines = _lines(actions_of, agent)
+    for a, action in enumerate(actions_of[agent]):
+        played = {line[a] for line in lines}
+        if played <= best:
+            return DominantAction(action, "strict" if played == best else "weak")
+    return None

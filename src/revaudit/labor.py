@@ -38,11 +38,13 @@ from .equilibrium import (
     DominantAction,
     NormalFormGame,
     StrategyProfile,
-    _expost_profit,
-    dominant_strategies,
-    expost_normal_form,
+    _best_replies,
+    _dominant,
+    _exact,
+    _expost_game,
+    _expost_slice,
+    _nash,
     find_all_pure_bne,
-    find_pure_nash,
     implements_scf,
     is_bayesian_nash,
 )
@@ -224,7 +226,9 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     Checks, by exhaustive scan of profitable deviations, that the separating
     bid profile is an equilibrium, that it reproduces the hiring rule at
     every type profile, and that the high type clears participation strictly
-    (worst case: both high, split job).
+    (worst case: both high, split job). The four bid cases read worker 0's
+    ex-post profits from one slice of the bid game's tables per own type,
+    compare them as ints, and make a Fraction only of each printed payoff.
     """
     params, game = scenario.params, scenario.game
     verdict = is_bayesian_nash(game, SEPARATING_PROFILE)
@@ -235,19 +239,21 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         "participation uses the equilibrium high bid e_H for the high type",
         "equilibrium statements cover pure strategy profiles only",
     ]
-    # Cases 1-4: (own, opponent) types (L, L), (L, H), (H, L), (H, H).
+    slices = [_expost_slice(game, 0, k) for k in range(len(TYPES))]
+    # Cases 1-4: (own, opponent) types (L, L), (L, H), (H, L), (H, H). The
+    # bid profile (own bid, opponent's bid) sits at flat position
+    # len(BIDS) * own bid + opponent's bid.
     for case, (own, opp) in enumerate(itertools.product(TYPES, TYPES), start=1):
         opp_bid = BIDS.index(SEPARATING_PROFILE.strategies[1].action(opp))
-        high, zero = (
-            _expost_profit(game, 0, TYPES.index(own), (BIDS.index(bid), opp_bid))
-            for bid in (BID_HIGH, BID_ZERO)
-        )
+        profits = slices[TYPES.index(own)]
+        high, zero = (profits[len(BIDS) * BIDS.index(b) + opp_bid] for b in (BID_HIGH, BID_ZERO))
         if high == zero:
             optimal = None
             notes.append(f"case {case}: both bids tie at w={params.w}")
         else:
             optimal = BID_HIGH if high > zero else BID_ZERO
-        cases.append(BestResponseCase(case, own, opp, high, zero, optimal))
+        payoffs = _exact(game, 0, high), _exact(game, 0, zero)
+        cases.append(BestResponseCase(case, own, opp, *payoffs, optimal))
 
     ir_margin = params.w / 2 - params.e_H / params.theta_H
     return SeparatingReport(
@@ -278,24 +284,32 @@ class CaseMatrix:
 
 def case_matrices(scenario: LaborScenario) -> tuple[CaseMatrix, ...]:
     """The four ex-post report matrices of the direct game, one per realized
-    type pair, with dominance and pure Nash analysis."""
+    type pair, with dominance and pure Nash analysis. A worker's payoffs
+    depend on its own true type only, so its slice of the direct game's
+    tables at each type, its best replies there and its dominant report are
+    found once for the two cases where it holds that type: 4 slices and 4
+    best-reply scans serve the four matrices."""
     pairs = [
         (1, (TYPE_HIGH, TYPE_HIGH)),
         (2, (TYPE_LOW, TYPE_HIGH)),
         (3, (TYPE_HIGH, TYPE_LOW)),
         (4, (TYPE_LOW, TYPE_LOW)),
     ]
+    direct, reports = scenario.direct, scenario.direct.mechanism.actions_of
+    # The direct game prices each report at its misreporting cost.
+    slices = {(i, t): _expost_slice(direct, i, k) for i in (0, 1) for k, t in enumerate(TYPES)}
+    best = {key: _best_replies(reports, key[0], values) for key, values in slices.items()}
+    dominant = {key: _dominant(reports, key[0], flags) for key, flags in best.items()}
     matrices = []
     for case, true_types in pairs:
-        # The direct game prices each report at its misreporting cost.
-        nf = expost_normal_form(scenario.direct, true_types)
+        keys = list(enumerate(true_types))
         matrices.append(
             CaseMatrix(
                 case=case,
                 true_types=true_types,
-                game=nf,
-                dominant=tuple(dominant_strategies(nf, i) for i in (0, 1)),
-                pure_nash=tuple(find_pure_nash(nf)),
+                game=_expost_game(direct, [slices[key] for key in keys]),
+                dominant=tuple(dominant[key] for key in keys),
+                pure_nash=tuple(_nash(reports, [best[key] for key in keys])),
             )
         )
     return tuple(matrices)

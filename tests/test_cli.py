@@ -497,6 +497,82 @@ def test_parse_work_is_bounded_by_config_size(tmp_path, capsys, cfg, message):
     assert peak < 5 * 2**20
 
 
+# A 91-digit odd number: utility j of a config below is k/(LONG + 2j), with a
+# denominator of its own.
+LONG = 10**90 + 1
+
+
+def long_scale_search_cfg(n):
+    """2 agents with 2 types and n actions each, one outcome per action
+    profile, every utility over its own 91-digit denominator, and no declared
+    profile. Unbounded, the LCM the engine scales by grows with n**2
+    denominators: about 200,000 digits at n = 24, within every other cap."""
+    types, actions = [["lo", "hi"]] * 2, [[f"a{k}" for k in range(n)]] * 2
+    outcomes = [f"x{a}_{b}" for a in range(n) for b in range(n)]
+    keys = [(i, x, t) for i in (0, 1) for x in outcomes for t in types[i]]
+    return {
+        "kind": "generic",
+        "types": types,
+        "actions": actions,
+        "outcomes": [{"label": x} for x in outcomes],
+        "outcome_function": [
+            {"actions": [f"a{a}", f"a{b}"], "outcome": f"x{a}_{b}"}
+            for a in range(n) for b in range(n)
+        ],
+        "rule": [{"types": [s, t], "outcome": f"x{k}_{m}"}
+                 for k, s in enumerate(types[0]) for m, t in enumerate(types[1])],
+        "utilities": [
+            {"agent": i, "outcome": x, "type": t, "value": f"{j % 7}/{LONG + 2 * j}"}
+            for j, (i, x, t) in enumerate(keys)
+        ],
+    }
+
+
+def long_gain_declared_cfg(m):
+    """Agent 0 has 2 types and agent 1 has m; rule and mechanism send each
+    type profile to its own outcome, agent 0's utilities have distinct
+    91-digit denominators, and truth-telling is declared. Unbounded, the
+    truthful witness's gain has more digits than str() of an int allows at
+    m = 60, and fewer at m = 20."""
+    types = [["t0", "t1"], [f"s{k}" for k in range(m)]]
+    rows = [{"types": [a, b], "outcome": f"x{a}_{b}"} for a in types[0] for b in types[1]]
+    outcomes = [row["outcome"] for row in rows]
+    keys = [(x, t) for x in outcomes for t in types[0]]
+    return {
+        "kind": "generic",
+        "types": types,
+        "actions": types,
+        "outcomes": [{"label": x} for x in outcomes],
+        "outcome_function": [{"actions": row["types"], "outcome": row["outcome"]} for row in rows],
+        "rule": rows,
+        "utilities": [
+            {"agent": 0, "outcome": x, "type": t, "value": f"{1 + j % 5}/{LONG + 2 * j}"}
+            for j, (x, t) in enumerate(keys)
+        ] + [{"agent": 1, "outcome": x, "type": t, "value": 0} for x in outcomes for t in types[1]],
+        "profile": [{t: t for t in ts} for ts in types],
+    }
+
+
+@pytest.mark.parametrize(
+    "cfg, bits",
+    [(long_scale_search_cfg(4), 16137), (long_gain_declared_cfg(60), 71745),
+     (long_gain_declared_cfg(20), 23915)],
+    ids=["search-4-actions", "declared-60-types", "declared-20-types"],
+)
+def test_long_distinct_denominators_are_refused_at_their_table(tmp_path, capsys, cfg, bits):
+    # The sum of the bit lengths of a table's distinct denominators bounds
+    # the bit length of their LCM, and so every int the engine computes and
+    # prints. The 20-type config ran before the bound; now it is refused.
+    code = main(["analyze", write_json(tmp_path, "long.json", cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: config.utilities: distinct denominators of {bits} bits in all exceed "
+        "the limit of 2048\n"
+    )
+
+
 # -- sweep -----------------------------------------------------------------------
 
 
@@ -751,17 +827,21 @@ def test_labor_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
     counts = counted(
         monkeypatch,
         [auditor.direct_game, core._total_table, equilibrium._compile,
-         equilibrium.expost_normal_form, core._walk_outcomes, core._prior_weights],
+         equilibrium._expost_slice, equilibrium._best_replies, equilibrium._dominant,
+         core._walk_outcomes, core._prior_weights],
     )
     assert main(["analyze", labor_cfg(tmp_path)]) == 2
-    # The bid game and the direct game, each checked and compiled once; the
-    # four ex-post report matrices, and no matrix for the bid cases. Being
-    # module constants, the two mechanisms' outcome tables are not checked
-    # (_total_table is not called), but each is walked once. The two games
-    # share one type space, whose prior is scaled once.
+    # The bid game and the direct game, each checked and compiled once. Six
+    # ex-post slices: the bid cases read worker 0's 2 in the bid game, and
+    # the four report matrices share the direct game's 4 (one per worker and
+    # true type), each scanned once for best replies and dominance, which
+    # also give the Nash profiles. Being module constants, the
+    # two mechanisms' outcome tables are not checked (_total_table is not
+    # called), but each is walked once. The two games share one type space,
+    # whose prior is scaled once.
     assert counts == {
-        "direct_game": 1, "_compile": 2, "expost_normal_form": 4,
-        "_walk_outcomes": 2, "_prior_weights": 1,
+        "direct_game": 1, "_compile": 2, "_expost_slice": 6, "_best_replies": 4,
+        "_dominant": 4, "_walk_outcomes": 2, "_prior_weights": 1,
     }
 
 
@@ -831,19 +911,30 @@ def test_labor_analyze_decides_truth_telling_once(tmp_path, monkeypatch, capsys)
 def test_markdown_matrices_compute_only_the_matrices(tmp_path, monkeypatch, capsys):
     counts = counted(
         monkeypatch,
-        [equilibrium._interim_rows, equilibrium.find_all_pure_bne, equilibrium.expost_normal_form,
-         auditor.audit_revelation_principle, auditor.is_truthfully_implementable,
-         equilibrium._compile],
+        [equilibrium._interim_rows, equilibrium.find_all_pure_bne, equilibrium._expost_slice,
+         equilibrium._best_replies, equilibrium._dominant, auditor.audit_revelation_principle,
+         auditor.is_truthfully_implementable, equilibrium._compile],
     )
     assert main(["matrices", labor_cfg(tmp_path), "--format", "md"]) == 0
     # The document prints the four ex-post matrices and no verdict. The
-    # matrices read the direct game's compiled tables; the bid game is never
-    # compiled.
-    assert counts == {"expost_normal_form": 4, "_compile": 1}
+    # matrices share the direct game's 4 slices (one per worker and true
+    # type), each scanned once for best replies and dominance; the bid game
+    # is never compiled.
+    assert counts == {"_expost_slice": 4, "_best_replies": 4, "_dominant": 4, "_compile": 1}
 
 
 def test_reproduce_builds_only_the_matrices_it_checks(monkeypatch, capsys):
-    counts = counted(monkeypatch, [equilibrium.expost_normal_form])
+    counts = counted(
+        monkeypatch,
+        [equilibrium._expost_slice, equilibrium._best_replies, equilibrium._dominant,
+         labor.check_separating_equilibrium],
+    )
     assert main(["reproduce-paper"]) == 0
-    # Only the case-matrices criterion reads ex-post matrices: one set of 4.
-    assert counts == {"expost_normal_form": 4}
+    # Only the case-matrices criterion reads ex-post matrices: one set, from
+    # the direct game's 4 slices, each scanned once for best replies and
+    # dominance. Each of the 9 separating checks reads worker 0's 2 bid-game
+    # slices: 4 + 9 x 2 slices in all.
+    assert counts == {
+        "_expost_slice": 22, "_best_replies": 4, "_dominant": 4,
+        "check_separating_equilibrium": 9,
+    }

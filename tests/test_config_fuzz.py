@@ -2,7 +2,8 @@
 
 Each example starts from a valid generic config and changes one thing: it
 drops, duplicates or retypes one field, swaps one label for another, puts an
-oversized number literal in place of a value, or repeats a JSON object key.
+oversized number literal in place of a value, repeats a JSON object key, or
+puts every value of one table over a long denominator of its own.
 `main` must then either run (exit 0, or 2 for a violation, with a JSON
 report and nothing on stderr) or exit 1 with empty stdout and one `error:`
 line that names the field or key. It must never raise, and never accept a
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revaudit.cli import main
+from revaudit.core import MAX_DENOMINATOR_BITS
 from test_cli import two_agent_cfg
 from test_serialize import generic_cfg
 
@@ -51,12 +53,45 @@ def signal_cfg():
     }
 
 
-BASES = (two_agent_cfg, generic_cfg, signal_cfg)
+def four_type_cfg():
+    """One agent with four types: its utility and strategic cost tables hold
+    more values than the others', enough for long denominators to cross the
+    bound on their bits."""
+    types = ["t0", "t1", "t2", "t3"]
+    return {
+        "kind": "generic",
+        "types": [types],
+        "actions": [["0", "e"]],
+        "outcomes": [{"label": "prize"}, {"label": "nothing"}],
+        "outcome_function": [
+            {"actions": ["0"], "outcome": "nothing"},
+            {"actions": ["e"], "outcome": "prize"},
+        ],
+        "rule": [
+            {"types": [t], "outcome": ("nothing", "prize")[k % 2]} for k, t in enumerate(types)
+        ],
+        "utilities": [
+            {"agent": 0, "outcome": x, "type": t, "value": int(x == "prize")}
+            for x in ("prize", "nothing")
+            for t in types
+        ],
+        "strategic_costs": [
+            {"agent": 0, "action": "e", "type": t, "cost": f"{k + 1}/4"}
+            for k, t in enumerate(types)
+        ],
+        "misreport_costs": [{"agent": 0, "true_type": "t0", "reported_type": "t1", "cost": "1/3"}],
+    }
+
+
+BASES = (two_agent_cfg, generic_cfg, signal_cfg, four_type_cfg)
 
 # Stand-ins written into the config tree and replaced in the JSON text, for
 # what a Python dict cannot hold: a repeated key and an oversized literal.
 REPEAT, BIG = "__repeated_key__", "__big_literal__"
 BIG_NUMBERS = ("1" + "0" * 100, "1e101", "-2.5E-999", "0." + "0" * 98 + "1")
+# The rational field of each table whose values a "long" mutation puts over
+# distinct 98-digit denominators, in literals of the longest length allowed.
+LONG_TABLES = {"utilities": "value", "strategic_costs": "cost", "misreport_costs": "cost"}
 
 # Values of another JSON type than the field takes; none of them may be
 # accepted. A rational field takes a number or a "p/q" string, an agent a
@@ -109,7 +144,14 @@ def mutated_configs(draw):
     """(JSON text, mutation, path, detail) for one changed config."""
     cfg = draw(st.sampled_from(BASES))()
     paths = list(nodes(cfg))[1:]
-    mutation = draw(st.sampled_from(("drop", "duplicate", "retype", "swap", "big", "repeat")))
+    mutations = ("drop", "duplicate", "retype", "swap", "big", "repeat", "long")
+    mutation = draw(st.sampled_from(mutations))
+    if mutation == "long":
+        table = draw(st.sampled_from([t for t in LONG_TABLES if cfg.get(t)]))
+        denominators = [10**97 + 2 * j + 1 for j in range(len(cfg[table]))]
+        for row, d in zip(cfg[table], denominators):
+            row[LONG_TABLES[table]] = f"1/{d}"
+        return json.dumps(cfg), mutation, (table,), sum(d.bit_length() for d in denominators)
     if mutation == "repeat":
         objects = [p for p in [()] + paths if isinstance(get(cfg, p), dict) and get(cfg, p)]
         path = draw(st.sampled_from(objects))
@@ -173,13 +215,23 @@ def test_a_mutated_config_runs_or_names_its_fault(cfg_file, case):
         assert json.loads(out)["kind"] == "generic"
         # A repeated key, a value of the wrong JSON type or an oversized
         # literal is never valid; a duplicated list item is valid only in a
-        # payload, which may have any length.
-        assert mutation in ("drop", "swap") or (mutation == "duplicate" and "payload" in path)
+        # payload, which may have any length; long denominators only while
+        # their bits stay within the bound.
+        assert (
+            mutation in ("drop", "swap")
+            or (mutation == "duplicate" and "payload" in path)
+            or (mutation == "long" and detail <= MAX_DENOMINATOR_BITS)
+        )
         return
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
-    if mutation == "repeat":
+    if mutation == "long":
+        assert err == (
+            f"error: config.{path[0]}: distinct denominators of {detail} bits in all exceed "
+            f"the limit of {MAX_DENOMINATOR_BITS}\n"
+        )
+    elif mutation == "repeat":
         assert f"duplicate key {detail!r}" in err
     elif mutation == "big":
         assert "exceeds the limit of 100" in err

@@ -292,6 +292,14 @@ def game_with(**changes):
 
 
 HALF = Fraction(1, 2)
+
+
+def bits_prior(bits):
+    """A two-type prior whose one denominator has `bits` bits."""
+    low = Fraction(1, 2 ** (bits - 1))
+    return dict(zip("ab", (low, 1 - low)))
+
+
 FAULTS = [
     (lambda: TypeSpace.uniform([]), ("types",), "types: expected at least one agent"),
     (lambda: TypeSpace.uniform([("a",), ()]), ("types", 1),
@@ -336,6 +344,15 @@ FAULTS = [
      "strategic_costs[(True, 'r', 'lo')]: key must be (agent, label, label)"),
     (lambda: UtilityTable({(0, "a", "lo"): "w"}), ("utilities", (0, "a", "lo"), "value"),
      "utilities[(0, 'a', 'lo')].value: cannot parse 'w' as a rational"),
+    (lambda: UtilityTable({(0, "a", "lo"): Fraction(1, 2**2048)}), ("utilities",),
+     "utilities: distinct denominators of 2049 bits in all exceed the limit of 2048"),
+    (lambda: CostModel({(0, "r", t): Fraction(1, 2**k) for t, k in (("lo", 1024), ("hi", 1023))}),
+     ("strategic_costs",),
+     "strategic_costs: distinct denominators of 2049 bits in all exceed the limit of 2048"),
+    (lambda: CostModel(misreport={(0, "lo", "hi"): Fraction(1, 2**2048)}), ("misreport_costs",),
+     "misreport_costs: distinct denominators of 2049 bits in all exceed the limit of 2048"),
+    (lambda: TypeSpace((("a", "b"), ("a", "b")), (bits_prior(1025), bits_prior(1024))),
+     ("priors",), "priors: distinct denominators of 2049 bits in all exceed the limit of 2048"),
     (lambda: game_with(type_space=TypeSpace.uniform([("lo",), ("lo",)])), ("actions",),
      "actions: expected 2 action sets, one per agent, got 1"),
     (lambda: game_with(utilities=UtilityTable({(0, "a", "lo"): 1})), ("utilities",),
@@ -357,6 +374,17 @@ def test_each_rule_raises_once_with_its_location(make, at, message):
     assert exc.at == at
     assert str(exc) == message
     assert message.endswith(f": {exc.problem}")
+
+
+def test_the_denominator_bound_counts_each_distinct_denominator_once():
+    # 2**2047 has 2,048 bits: at the bound, however many values share it.
+    at_bound = Fraction(1, 2**2047)
+    UtilityTable({(0, x, "lo"): k * at_bound for k, x in zip((1, 3, 5, -7), "abcd")})
+    CostModel({(0, "r", "lo"): at_bound}, {(0, "lo", "hi"): at_bound})
+    TypeSpace((("a", "b"), ("a", "b")), (bits_prior(1025), bits_prior(1023)))
+    # A second denominator, 3, adds its 2 bits.
+    with pytest.raises(ConstructionError, match="2050 bits"):
+        UtilityTable({(0, "a", "lo"): at_bound, (0, "a", "hi"): Fraction(1, 3)})
 
 
 def test_a_fault_outside_any_config_names_its_agent_and_key():

@@ -489,6 +489,21 @@ def test_normal_form_payoffs_are_exact_rationals(value):
     assert err.value.at == ("payoffs", ("b",))
 
 
+def test_normal_form_bounds_each_agents_denominators():
+    # Each agent's payoffs are compared on its own LCM, so each agent's
+    # denominators are bounded on their own: agent 0's 2**2048 and 1 have
+    # 2,049 bits and 1 bit.
+    long = Fraction(1, 2**2048)
+    with pytest.raises(ConstructionError) as err:
+        NormalFormGame((("a", "b"), ("c",)), {("a", "c"): (long, 0), ("b", "c"): (0, 0)})
+    assert err.value.at == ("payoffs",)
+    assert str(err.value) == (
+        "payoffs: distinct denominators of 2050 bits in all exceed the limit of 2048"
+    )
+    half = Fraction(1, 2**2047)
+    NormalFormGame((("a", "b"),) * 2, {p: (half, half) for p in itertools.product("ab", "ab")})
+
+
 def test_dominant_strategies_rejects_a_bool_agent():
     with pytest.raises(DomainError, match="unknown agent index True"):
         dominant_strategies(prisoners_dilemma(), True)

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from revaudit.labor import (
 from test_cli import signal_config, two_agent_cfg
 
 GOLDENS = Path(__file__).parent / "goldens"
+FRESH_PROCESSES = 4
 
 CANONICAL = {"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "3/2"}
 
@@ -101,11 +103,16 @@ def test_one_process_answers_like_fresh_processes(tmp_path, capsys, monkeypatch)
         in_process.append((code, captured.out, captured.err))
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
-    for argv, got in zip(runs, in_process):
-        fresh = subprocess.run(
+
+    def fresh(argv):
+        return subprocess.run(
             [sys.executable, "-m", "revaudit", *argv], capture_output=True, env=env, check=False
         )
-        assert got == (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()), argv
+
+    # The fresh processes are independent: at most FRESH_PROCESSES run at once.
+    with ThreadPoolExecutor(FRESH_PROCESSES) as pool:
+        for argv, got, run in zip(runs, in_process, pool.map(fresh, runs)):
+            assert got == (run.returncode, run.stdout.decode(), run.stderr.decode()), argv
 
 
 def oracle_row(w, c_mis, fixed):

@@ -12,7 +12,10 @@ agrees with the labels on every profile. The audit judges truth-telling as the e
 do the cost-free misreport gains under any misreporting schedule. Every
 ex-post payoff, of a game or of a rule's direct game, is the utility of the
 outcome minus the strategic cost of the action played, and the pure Nash
-and dominance scans of a normal-form game agree with brute force. An audit
+and dominance scans of a normal-form game agree with brute force. They
+answer on an ex-post game's own ints as on its payoffs rebuilt by hand,
+and the labor matrices, which share each worker's scans by type, answer as
+each case's game does alone. An audit
 report reads back from its JSON exactly, through the readers below.
 The games are drawn with large, pairwise coprime denominators so that the
 engine's integer tables are built over large LCMs. Every verdict and bid
@@ -374,6 +377,36 @@ def test_the_nash_and_dominance_scans_match_brute_force(nf):
         assert dominant_strategies(nf, agent) == ref.dominant_action(nf, agent)
 
 
+@SETTINGS
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_an_expost_game_is_the_game_its_payoffs_declare(agents, seed):
+    # The same games as in test_expost_payoffs_are_utility_minus_strategic_cost.
+    # An ex-post game keeps its slices of the compiled tables as its ints; the
+    # same payoffs through the public constructor are scaled on each agent's
+    # own LCM. Both are one game, and the scans read them alike.
+    rng = random.Random(seed)
+    game = ref.random_costly_game(rng, *ref.random_shape(rng, agents, max_profiles=729))
+    ts = game.type_space
+    misreport = {
+        (i, t, r): Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 5)))
+        for i, types in enumerate(ts.types_of) for t in types for r in types if r != t
+    }
+    priced = BayesianGame(
+        game.mechanism, ts, game.utilities, CostModel(game.costs.strategic, misreport)
+    )
+    outcomes = [Outcome(x) for x in sorted({x for _, x, _ in game.utilities.table})]
+    table = {theta: rng.choice(outcomes) for theta in ts.profiles()}
+    rule = SocialChoiceFunction(ts.types_of, table)
+    for played in (priced, direct_game(priced, rule)):
+        for theta in ts.profiles():
+            nf = expost_normal_form(played, theta)
+            rebuilt = NormalFormGame(nf.actions_of, nf.payoffs)
+            assert nf == rebuilt
+            assert find_pure_nash(nf) == find_pure_nash(rebuilt)
+            for agent in range(nf.agent_count):
+                assert dominant_strategies(nf, agent) == dominant_strategies(rebuilt, agent)
+
+
 def positive_rationals():
     return st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**3))
 
@@ -407,6 +440,19 @@ def labor_params(draw):
         st.sampled_from([Fraction(1, 1000), Fraction(999, 1000)]), unit_fractions()
     ))
     return LaborParams(theta_L, theta_H, e_H, w, c_mis, prior_high)
+
+
+@settings(SETTINGS, max_examples=50)
+@given(labor_params())
+def test_the_case_matrices_share_what_each_game_scans_alone(params):
+    # case_matrices finds each worker's best replies and dominant report once
+    # per true type and shares them by the two cases that hold it; each
+    # case's own game, scanned on its own, gives the same answers.
+    scenario = build_scenario(params)
+    for m in case_matrices(scenario):
+        assert m.dominant == tuple(dominant_strategies(m.game, i) for i in (0, 1))
+        assert m.pure_nash == tuple(find_pure_nash(m.game))
+        assert m.game == expost_normal_form(scenario.direct, m.true_types)
 
 
 @settings(SETTINGS, max_examples=200)
