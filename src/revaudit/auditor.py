@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    ConstructionError,
     CostModel,
     DomainError,
     Mechanism,
@@ -35,6 +34,7 @@ from .equilibrium import (
     EquilibriumVerdict,
     StrategyProfile,
     _at_best_response,
+    _check_reports,
     _equilibrium_plans,
     _exact,
     _implements,
@@ -54,9 +54,7 @@ def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
     playing a report: strategic[(agent, report, true type)] =
     misreport[(agent, true type, report)], with honest reports free. Another
     schedule is judged against `misreport_gains`, without a game of its own."""
-    if scf.actions_of != game.type_space.types_of:
-        problem = f"reports {scf.actions_of} are not the game's types {game.type_space.types_of}"
-        raise ConstructionError(problem, ("rule",))
+    _check_reports(game, scf)
     return BayesianGame(scf, game.type_space, game.utilities, CostModel(_report_prices(game)))
 
 
@@ -155,7 +153,7 @@ def audit_revelation_principle(
     """Audit one implementation claim end to end, in one walk.
 
     `direct` is `direct_game(game, scf)`, built once by the caller (any other
-    is a DomainError, as another game's would report that game's gains); its
+    is refused, as another game's would report that game's gains); its
     mechanism is the rule and truth-telling is its identity plan. For each
     agent the walk reads two sets of interim profits, the game's under the
     profile and the direct game's under truth-telling (kept with the direct
@@ -167,12 +165,20 @@ def audit_revelation_principle(
     `equilibrium._largest_gain`. The chain is vacuous when the profile is not
     an equilibrium; its other families are still reported.
     """
-    got = (direct.type_space, direct.utilities, direct.mechanism.actions_of, direct.costs.strategic)
-    want = (game.type_space, game.utilities, game.type_space.types_of, _report_prices(game))
-    for part, a, b in zip(("type space", "utilities", "reports", "report prices"), got, want):
+    return _audit(game, _plan(game, profile), profile, direct, None)
+
+
+def _audit(game: BayesianGame, plan, profile: StrategyProfile | None, direct: BayesianGame,
+           plays_rule: bool | None) -> AuditReport:
+    """`audit_revelation_principle` of a plan, labelled by `profile` (None: labelled here).
+    `plays_rule` says if the plan plays the rule; when None, an equilibrium is played out."""
+    _check_reports(game, direct.mechanism)
+    got = (direct.type_space, direct.utilities, direct.costs.strategic)
+    want = (game.type_space, game.utilities, _report_prices(game))
+    for part, a, b in zip(("type space", "utilities", "report prices"), got, want):
         if a != b:
             raise DomainError(f"the direct game does not match the game in its {part}")
-    plan, truth = _plan(game, profile), direct._truth
+    truth = direct._truth
     holds_equilibrium = mimicry_ok = costfree_ok = True
     mimicry_rows = []
     for agent, own in enumerate(plan):
@@ -197,9 +203,11 @@ def audit_revelation_principle(
         costfree_truthful_inequalities_hold=costfree_ok,
         break_point=gap and BreakPoint(gap.agent, gap.type_label, gap.action, gap.gain),
     )
+    if holds_equilibrium and plays_rule is None:
+        plays_rule = _implements(game, plan, direct.mechanism)
     return AuditReport(
-        indirect_equilibrium=profile,
-        implemented=holds_equilibrium and _implements(game, plan, direct.mechanism),
+        indirect_equilibrium=profile or _profile(game, plan),
+        implemented=holds_equilibrium and plays_rule,
         truthful_witness=witness,
         chain=chain,
     )

@@ -13,13 +13,13 @@ import functools
 import sys
 from fractions import Fraction
 
-from .auditor import BreakPoint, audit_revelation_principle, zero_cost_regression
+from .auditor import BreakPoint, _audit, zero_cost_regression
 from .core import GameModelError, rational_str
 from .equilibrium import (
     DEFAULT_PROFILE_CAP,
-    _profile,
-    find_all_pure_bne,
-    implements_scf,
+    _equilibrium_plans,
+    _implements,
+    _plan,
 )
 from .labor import (
     LaborParams,
@@ -107,17 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _select_profile(scenario: GenericScenario, cap: int):
+    """The plan to audit, whether it plays the rule (None: unknown), and its source."""
+    game, rule = scenario.game, scenario.direct.mechanism
     if scenario.candidate is not None:
-        return scenario.candidate, "declared"
-    equilibria = find_all_pure_bne(scenario.game, cap)
-    for p in equilibria:
-        if implements_scf(scenario.game, p, scenario.direct.mechanism):
-            return p, "first equilibrium implementing the rule"
-    if equilibria:
-        return equilibria[0], "first equilibrium"
-    # find_all_pure_bne has already enforced the cap on this game.
-    first = [[0] * len(types) for types in scenario.game.type_space.types_of]
-    return _profile(scenario.game, first), "first enumerated profile"
+        return _plan(game, scenario.candidate), None, "declared"
+    plans = _equilibrium_plans(game, cap)
+    for plan in plans:
+        if _implements(game, plan, rule):
+            return plan, True, "first equilibrium implementing the rule"
+    if plans:
+        return plans[0], False, "first equilibrium"
+    first = [[0] * len(types) for types in game.type_space.types_of]
+    return first, None, "first enumerated profile"
 
 
 def cmd_analyze(args) -> int:
@@ -134,22 +135,18 @@ def cmd_analyze(args) -> int:
             "truthful": truthfulness_report_to_jsonable(
                 check_truthful_reporting(scenario), case_matrices(scenario)
             ),
-            "audit": audit_report_to_jsonable(audit),
         }
-        sys.stdout.write(json_dumps(payload))
-        return EXIT_VIOLATION if audit.violation else EXIT_OK
-    if kind == "generic":
+    elif kind == "generic":
         scenario = parse_generic_scenario(cfg)
-        profile, source = _select_profile(scenario, args.max_profiles)
-        audit = audit_revelation_principle(scenario.game, profile, scenario.direct)
-        payload = {
-            "kind": "generic",
-            "profile_source": source,
-            "audit": audit_report_to_jsonable(audit),
-        }
-        sys.stdout.write(json_dumps(payload))
-        return EXIT_VIOLATION if audit.violation else EXIT_OK
-    raise ConfigError(f"config.kind: unknown config kind {kind!r}; expected 'labor' or 'generic'")
+        plan, plays_rule, source = _select_profile(scenario, args.max_profiles)
+        audit = _audit(scenario.game, plan, scenario.candidate, scenario.direct, plays_rule)
+        payload = {"kind": "generic", "profile_source": source}
+    else:
+        problem = f"unknown config kind {kind!r}; expected 'labor' or 'generic'"
+        raise ConfigError(f"config.kind: {problem}")
+    payload["audit"] = audit_report_to_jsonable(audit)
+    sys.stdout.write(json_dumps(payload))
+    return EXIT_VIOLATION if audit.violation else EXIT_OK
 
 
 def _bool_cell(value: bool) -> str:

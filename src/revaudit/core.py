@@ -359,12 +359,6 @@ class Mechanism:
     def agent_count(self) -> int:
         return len(self.actions_of)
 
-    def outcome(self, action_profile) -> Outcome:
-        key = tuple(action_profile)
-        if key not in self.outcome_of:
-            raise DomainError(f"unknown action profile {key}")
-        return self.outcome_of[key]
-
     @cached_property
     def walk(self) -> "OutcomeWalk":
         """The outcome table walked once, on first use, and kept with the

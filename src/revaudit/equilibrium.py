@@ -110,13 +110,6 @@ class StrategyProfile:
     def agent_count(self) -> int:
         return len(self.strategies)
 
-    def action_profile(self, type_profile) -> tuple[str, ...]:
-        """Actions the profile plays at a realized type profile."""
-        type_profile = tuple(type_profile)
-        if len(type_profile) != len(self.strategies):
-            raise DomainError(f"type profile {type_profile} has wrong arity")
-        return tuple(s.action(t) for s, t in zip(self.strategies, type_profile))
-
 
 @dataclass(frozen=True)
 class Deviation:
@@ -340,14 +333,16 @@ def _check_profile_cap(game: BayesianGame, cap: int) -> None:
             raise SearchSpaceError(f"{total}+ strategy profiles exceed the cap of {cap}")
 
 
-def _equilibrium_plans(game: BayesianGame) -> list[tuple]:
+def _equilibrium_plans(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> list[tuple]:
     """Every pure equilibrium as a plan (a tuple of action positions per
-    agent, in type order), sorted into enumeration order. The pivot, the
-    agent with the most plans (|A_i|^|T_i|, ties to the highest index), is
-    not enumerated: its payoffs do not depend on its own plan, so its
+    agent, in type order), sorted into enumeration order, in a game of at
+    most `cap` profiles (`_check_profile_cap`). The pivot, the agent with
+    the most plans (|A_i|^|T_i|, ties to the highest index), is not
+    enumerated: its payoffs do not depend on its own plan, so its
     equilibrium replies are the product of its per-type best replies to
     each plan of the others. Only those are checked against the others'
     deviations, on rows kept for the search by (agent, the others' plans)."""
+    _check_profile_cap(game, cap)
     types_of, actions_of = game.type_space.types_of, game.mechanism.actions_of
     agents = range(game.agent_count)
     pivot = max(agents, key=lambda i: (len(actions_of[i]) ** len(types_of[i]), i))
@@ -389,16 +384,22 @@ def find_all_pure_bne(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> lis
     """Every pure-strategy equilibrium, in enumeration order: agent 0
     outermost, each agent's strategies lexicographic over (type order, action
     order). Exact and bit-identical across runs; see `_equilibrium_plans`."""
-    _check_profile_cap(game, cap)
-    return [_profile(game, plan) for plan in _equilibrium_plans(game)]
+    return [_profile(game, plan) for plan in _equilibrium_plans(game, cap)]
 
 
 def implements_scf(
     game: BayesianGame, profile: StrategyProfile, scf: SocialChoiceFunction
 ) -> bool:
     """Does playing the profile reproduce the social choice function at every
-    type profile of the game? A rule over other types or type order is a DomainError."""
+    type profile of the game? A rule over other reports is refused (`_check_reports`)."""
     return _implements(game, _plan(game, profile), scf)
+
+
+def _check_reports(game: BayesianGame, scf: SocialChoiceFunction) -> None:
+    """Refuse a rule whose reports are not the game's types, in order."""
+    if scf.actions_of != game.type_space.types_of:
+        problem = f"reports {scf.actions_of} are not the game's types {game.type_space.types_of}"
+        raise ConstructionError(problem, ("rule",))
 
 
 def _rule(game: BayesianGame, plan) -> tuple[int, ...]:
@@ -410,10 +411,9 @@ def _rule(game: BayesianGame, plan) -> tuple[int, ...]:
 
 
 def _implements(game: BayesianGame, plan, scf: SocialChoiceFunction) -> bool:
-    """`implements_scf` for a plan (action positions per agent, in type order):
-    the outcome labels `_rule` reaches, as utilities key them, against the rule's walk."""
-    if scf.actions_of != game.type_space.types_of:
-        raise DomainError(f"rule over types {scf.actions_of}, not the game's types")
+    """`implements_scf` for a plan (action positions per agent, in type order),
+    after `_check_reports`: the outcome labels `_rule` reaches, against the rule's walk."""
+    _check_reports(game, scf)
     played, wanted = game.mechanism.walk.labels, scf.walk
     rule = [wanted.labels[x] for x in wanted.outcome]
     return [played[x] for x in _rule(game, plan)] == rule

@@ -134,9 +134,9 @@ def parse_labor_params(cfg: dict, where: str = "config") -> LaborParams:
 
 @dataclass(frozen=True)
 class GenericScenario:
-    """A fully explicit game from a config and the direct game of its rule,
-    built once by `parse_generic_scenario`, plus an optional candidate
-    profile. The direct game's mechanism is the rule."""
+    """A fully explicit game from a config and the direct game of its rule
+    (whose mechanism is the rule), built once by `parse_generic_scenario`,
+    plus an optional declared profile, checked to fit the game."""
 
     game: BayesianGame
     direct: BayesianGame

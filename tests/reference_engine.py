@@ -74,7 +74,7 @@ def interim(game, profile, agent, type_label, action):
             else:
                 acts.append(profile.strategies[j].action(opp[k]))
                 k += 1
-        x = game.mechanism.outcome(tuple(acts))
+        x = game.mechanism.outcome_of[tuple(acts)]
         total += w * game.utilities.table[agent, x.label, type_label]
     # Conditional weights sum to one, so the constant cost comes off once.
     return total - game.costs.strategic.get((agent, action, type_label), 0)
@@ -110,7 +110,7 @@ def expost_payoffs(game, true_types):
     played, which is 0 where the cost table has no entry."""
     return {
         acts: tuple(
-            game.utilities.table[i, game.mechanism.outcome(acts).label, t]
+            game.utilities.table[i, game.mechanism.outcome_of[acts].label, t]
             - game.costs.strategic.get((i, a, t), 0)
             for i, (a, t) in enumerate(zip(acts, true_types))
         )

@@ -31,6 +31,7 @@ from revaudit.equilibrium import (
     find_all_pure_bne,
 )
 from revaudit.labor import (
+    BID_HIGH,
     BID_ZERO,
     HIRING_RULE,
     SEPARATING_PROFILE,
@@ -61,7 +62,7 @@ def test_direct_mechanism_reports_are_type_labels():
     assert direct.type_space == sc.game.type_space
     assert direct.mechanism.actions_of == sc.game.type_space.types_of
     for profile in sc.game.type_space.profiles():
-        assert direct.mechanism.outcome(profile) == HIRING_RULE.outcome(profile)
+        assert direct.mechanism.outcome_of[profile] == HIRING_RULE.outcome_of[profile]
 
 
 def test_direct_game_plays_the_rule_as_it_is():
@@ -195,7 +196,7 @@ def costfree_report_value(ts, scf, utilities, agent, type_label, report):
     for opp in ref.opponent_profiles(ts, agent):
         theta = opp[:agent] + (report,) + opp[agent:]
         w = ts.conditional_weight(agent, opp)
-        total += w * utilities.table[agent, scf.outcome(theta).label, type_label]
+        total += w * utilities.table[agent, scf.outcome_of[theta].label, type_label]
     return total
 
 
@@ -281,23 +282,32 @@ def test_audit_not_implemented_off_equilibrium():
     assert not report.implemented and not report.violation
 
 
+def mismatch(part):
+    return DomainError, f"the direct game does not match the game in its {part}"
+
+
 @pytest.mark.parametrize(
-    "foreign, part",
+    "foreign, error",
     [
-        (lambda sc: scenario(prior_high="1/3").direct, "type space"),
+        (lambda sc: scenario(prior_high="1/3").direct, mismatch("type space")),
         # The w=5 direct game's cost-free gain of 5/2 would be the break point.
-        (lambda sc: scenario(w="5").direct, "utilities"),
-        (lambda sc: sc.game, "reports"),  # bids, not types
+        (lambda sc: scenario(w="5").direct, mismatch("utilities")),
+        # Bids, not types: refused as `direct_game` refuses such a rule.
+        (lambda sc: sc.game, (ConstructionError, (
+            f"rule: reports {((BID_ZERO, BID_HIGH),) * 2} are not the game's types "
+            f"{((TYPE_LOW, TYPE_HIGH),) * 2}"
+        ))),
         # The c_mis=1 direct game would clear the violation.
-        (lambda sc: scenario(c_mis="1").direct, "report prices"),
+        (lambda sc: scenario(c_mis="1").direct, mismatch("report prices")),
     ],
     ids=["type-space", "utilities", "reports", "prices"],
 )
-def test_an_audit_refuses_a_direct_game_of_another_game(foreign, part):
+def test_an_audit_refuses_a_direct_game_of_another_game(foreign, error):
     sc = scenario()
-    with pytest.raises(DomainError) as err:
+    cls, message = error
+    with pytest.raises(cls) as err:
         audit_revelation_principle(sc.game, SEPARATING_PROFILE, foreign(sc))
-    assert err.value.problem == f"the direct game does not match the game in its {part}"
+    assert str(err.value) == message
 
 
 def test_an_audit_takes_an_equal_direct_game_built_apart():
@@ -383,7 +393,7 @@ def first_outcome_pleases_agent_0(direct):
     # Depends on the game's utilities as well as on the rule, so rules with
     # one outcome table can get different verdicts in different games.
     theta = direct.type_space.profiles()[0]
-    x = direct.mechanism.outcome(theta)
+    x = direct.mechanism.outcome_of[theta]
     return direct.utilities.table[(0, x.label, theta[0])] > Fraction(1, 2)
 
 

@@ -13,6 +13,7 @@ import reference_engine as ref
 
 from revaudit import auditor, core, equilibrium, labor
 from revaudit.cli import main
+from revaudit.equilibrium import find_all_pure_bne
 from revaudit.serialize import parse_generic_scenario, profile_to_jsonable
 
 
@@ -259,6 +260,47 @@ def two_agent_cfg():
         "misreport_costs": [],
         "profile": [{"a": "0", "b": "1"}, {"c": "z"}],
     }
+
+
+def swapped_rule_cfg():
+    """two_agent_cfg without its profile and with the rule's outcomes
+    swapped: agent 0's one equilibrium plays o1 at a and o2 at b, not the
+    rule, and the rule's direct game rewards misreporting."""
+    cfg = two_agent_cfg()
+    del cfg["profile"]
+    cfg["rule"] = [
+        {"types": ["a", "c"], "outcome": "o2"},
+        {"types": ["b", "c"], "outcome": "o1"},
+    ]
+    return cfg
+
+
+def tied_rule_cfg():
+    """two_agent_cfg without its profile, type a indifferent between the
+    outcomes and a rule that is always o2: of the two equilibria, in
+    enumeration order, only the second plays the rule."""
+    cfg = two_agent_cfg()
+    del cfg["profile"]
+    cfg["utilities"][1]["value"] = 1  # agent 0 at type a values o2 as o1
+    cfg["rule"] = [
+        {"types": ["a", "c"], "outcome": "o2"},
+        {"types": ["b", "c"], "outcome": "o2"},
+    ]
+    return cfg
+
+
+def test_analyze_generic_falls_back_to_the_first_equilibrium(tmp_path, capsys):
+    cfg = swapped_rule_cfg()
+    code = main(["analyze", write_json(tmp_path, "swapped.json", cfg)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["profile_source"] == "first equilibrium"
+    audit = payload["audit"]
+    assert audit["implemented"] is False
+    assert audit["truthful_is_bne"] is False
+    assert audit["chain"]["equilibrium_inequalities_hold"] is True
+    first = find_all_pure_bne(parse_generic_scenario(cfg).game)[0]
+    assert audit["indirect_equilibrium"] == profile_to_jsonable(first)
 
 
 def test_analyze_two_agent_generic_config_is_clean(tmp_path, capsys):
@@ -891,6 +933,32 @@ def test_a_generic_audit_computes_each_agents_payoffs_once(tmp_path, monkeypatch
     # n = 2 agents. The declared profile is checked when it is parsed and by
     # the audit, which decides `implemented` on the plan it already holds.
     assert counts == {"_interim_rows": 4, "_plan": 2}
+
+
+@pytest.mark.parametrize(
+    "cfg, examined, source",
+    [
+        (signal_config(with_profile=False), 1, "first equilibrium implementing the rule"),
+        (swapped_rule_cfg(), 1, "first equilibrium"),
+        (tied_rule_cfg(), 2, "first equilibrium implementing the rule"),
+    ],
+    ids=["signal", "swapped-rule", "tied-rule"],
+)
+def test_a_generic_search_plays_each_equilibrium_out_once(
+    tmp_path, monkeypatch, capsys, cfg, examined, source
+):
+    counts = counted(
+        monkeypatch,
+        [equilibrium._implements, equilibrium._plan, equilibrium.find_all_pure_bne,
+         equilibrium._profile],
+    )
+    main(["analyze", write_json(tmp_path, "search.json", cfg)])
+    assert json.loads(capsys.readouterr().out)["profile_source"] == source
+    # The selection plays out the equilibria in enumeration order, up to the
+    # first that plays the rule, and the audit reads its verdict. The search
+    # stays on plans: none is converted back from labels, and only the
+    # chosen one is labelled, for the report.
+    assert counts == {"_implements": examined, "_profile": 1}
 
 
 def test_labor_analyze_decides_truth_telling_once(tmp_path, monkeypatch, capsys):

@@ -166,10 +166,8 @@ def rule_for(ts):
 def test_scf_totality_enforced():
     ts = two_by_two()
     scf = rule_for(ts)
-    assert scf.outcome(("lo", "hi")).label == "win"
-    assert scf.outcome(("hi", "hi")).label == "tie"
-    with pytest.raises(DomainError):
-        scf.outcome(("lo", "mid"))
+    assert scf.outcome_of["lo", "hi"].label == "win"
+    assert scf.outcome_of["hi", "hi"].label == "tie"
     table = dict(scf.outcome_of)
     del table[("lo", "lo")]
     with pytest.raises(ConstructionError):
@@ -204,13 +202,11 @@ def simple_mechanism():
 
 def test_mechanism_table_checks():
     m = simple_mechanism()
-    assert m.outcome(("l", "r")).label == "b"
+    assert m.outcome_of["l", "r"].label == "b"
     # One walk: labels in first-appearance order, and the outcome position
     # of each flat action profile, agent 0 outermost.
     assert (m.walk.labels, m.walk.outcome, m.walk.strides) == (("a", "b"), [0, 1, 1, 0], [2, 1])
     assert m.walk is m.walk
-    with pytest.raises(DomainError):
-        m.outcome(("l", "x"))
     with pytest.raises(ConstructionError):
         Mechanism((("l", "l"),), {("l",): Outcome("a")})
     with pytest.raises(ConstructionError):

@@ -75,7 +75,7 @@ def test_pure_strategy_is_canonical_and_total():
 def test_profile_agent_order_enforced():
     a = PureStrategy(0, (("t", "x"),))
     b = PureStrategy(1, (("t", "y"),))
-    assert StrategyProfile((a, b)).action_profile(("t", "t")) == ("x", "y")
+    assert [s.action("t") for s in StrategyProfile((a, b)).strategies] == ["x", "y"]
     with pytest.raises(ConstructionError):
         StrategyProfile((b, a))
 
@@ -83,7 +83,7 @@ def test_profile_agent_order_enforced():
 def test_from_maps_builds_indexed_strategies():
     p = StrategyProfile.from_maps([{"t": "x"}, {"t": "y"}])
     assert p.strategies[1].agent == 1
-    assert p.action_profile(("t", "t")) == ("x", "y")
+    assert [s.action("t") for s in p.strategies] == ["x", "y"]
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -215,8 +215,13 @@ def test_implements_scf_refuses_a_rule_over_other_types(monkeypatch, types):
         (types, types), dict.fromkeys(itertools.product(types, types), Outcome("split"))
     )
     counts = counted(monkeypatch, [equilibrium._rule])
-    with pytest.raises(DomainError, match="rule over types"):
+    with pytest.raises(ConstructionError) as err:
         implements_scf(scenario.game, SEPARATING_PROFILE, rule)
+    # The refusal of `direct_game`, at the rule, for any rule over other reports.
+    assert err.value.at == ("rule",)
+    assert str(err.value) == (
+        f"rule: reports {(types, types)} are not the game's types {((TYPE_LOW, TYPE_HIGH),) * 2}"
+    )
     assert counts["_rule"] == 0  # refused before any profile is played
 
 
@@ -245,7 +250,7 @@ def exante_full_strategy_equilibrium(game, profile):
                 strategy_map[theta[j]] if j == agent else profile.strategies[j].action(theta[j])
                 for j in range(ts.agent_count)
             )
-            x = mech.outcome(acts)
+            x = mech.outcome_of[acts]
             joint = math.prod(prior[t] for prior, t in zip(ts.prior_of, theta))
             total += joint * (
                 game.utilities.table[agent, x.label, theta[agent]]

@@ -101,15 +101,15 @@ def test_scenario_tables():
     assert ts.prior_of[1][TYPE_LOW] == Fraction(2, 3)
 
     mech = sc.game.mechanism
-    assert mech.outcome((BID_HIGH, BID_ZERO)) == HIRE_FIRST
-    assert mech.outcome((BID_ZERO, BID_HIGH)) == HIRE_SECOND
-    assert mech.outcome((BID_ZERO, BID_ZERO)) == SPLIT
-    assert mech.outcome((BID_HIGH, BID_HIGH)) == SPLIT
+    assert mech.outcome_of[BID_HIGH, BID_ZERO] == HIRE_FIRST
+    assert mech.outcome_of[BID_ZERO, BID_HIGH] == HIRE_SECOND
+    assert mech.outcome_of[BID_ZERO, BID_ZERO] == SPLIT
+    assert mech.outcome_of[BID_HIGH, BID_HIGH] == SPLIT
 
     rule = sc.direct.mechanism
-    assert rule.outcome((TYPE_HIGH, TYPE_LOW)) == HIRE_FIRST
-    assert rule.outcome((TYPE_LOW, TYPE_HIGH)) == HIRE_SECOND
-    assert rule.outcome((TYPE_LOW, TYPE_LOW)) == SPLIT
+    assert rule.outcome_of[TYPE_HIGH, TYPE_LOW] == HIRE_FIRST
+    assert rule.outcome_of[TYPE_LOW, TYPE_HIGH] == HIRE_SECOND
+    assert rule.outcome_of[TYPE_LOW, TYPE_LOW] == SPLIT
 
     u = sc.game.utilities
     w = sc.params.w

@@ -226,8 +226,11 @@ def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(game):
 
 def oracle_rule(game, profile):
     """The outcome a profile realizes at each type profile, read label by label."""
-    outcome = game.mechanism.outcome
-    return [outcome(profile.action_profile(theta)) for theta in game.type_space.profiles()]
+    outcome_of, strategies = game.mechanism.outcome_of, profile.strategies
+    return [
+        outcome_of[tuple(s.action(t) for s, t in zip(strategies, theta))]
+        for theta in game.type_space.profiles()
+    ]
 
 
 @SETTINGS
@@ -246,7 +249,7 @@ def test_the_rule_of_each_equilibrium_plan_is_the_rule_its_labels_play(game):
             expected = oracle_rule(game, _profile(game, plan))
             assert [labels[x] for x in _rule(game, plan)] == [x.label for x in expected]
             induced = induced_scf(game, _profile(game, plan))
-            assert [induced.outcome(theta) for theta in game.type_space.profiles()] == expected
+            assert [induced.outcome_of[theta] for theta in game.type_space.profiles()] == expected
             verdicts = [implements_scf(game, p, induced) for p in profiles]
             assert verdicts == [rule == [x.label for x in expected] for rule in played]
 

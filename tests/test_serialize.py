@@ -152,13 +152,13 @@ def test_parse_generic_scenario():
     ts = sc.game.type_space
     assert ts.types_of == (("lo", "hi"), ("m",))
     assert ts.prior_of[0]["hi"] == Fraction(2, 3)
-    assert sc.game.mechanism.outcome(("H", "z")).label == "y"
-    assert sc.direct.mechanism.outcome(("hi", "m")).label == "y"
+    assert sc.game.mechanism.outcome_of["H", "z"].label == "y"
+    assert sc.direct.mechanism.outcome_of["hi", "m"].label == "y"
     assert sc.game.utilities.table[0, "y", "hi"] == 1
     assert sc.game.costs.strategic[0, "H", "lo"] == Fraction(1, 4)
     assert sc.game.costs.misreport[(0, "lo", "hi")] == Fraction(1, 2)
     assert sc.candidate is not None
-    assert sc.candidate.action_profile(("hi", "m")) == ("H", "z")
+    assert [s.action(t) for s, t in zip(sc.candidate.strategies, ("hi", "m"))] == ["H", "z"]
 
 
 def test_parse_generic_defaults_to_uniform_prior():
