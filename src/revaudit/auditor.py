@@ -68,9 +68,9 @@ def is_truthfully_implementable(direct: BayesianGame) -> EquilibriumVerdict:
     `direct_game(game, scf)`?
 
     The witness on failure is the most profitable misreport, as (agent, true
-    type, reported type, gain).
+    type, reported type, gain), decided once and kept with the direct game.
     """
-    return EquilibriumVerdict(_largest_gain(direct, direct._truth, direct._truthful_rows))
+    return EquilibriumVerdict(direct._truthful_witness)
 
 
 def _costfree(direct: BayesianGame, rows, agent: int) -> list[list[int]]:
@@ -194,7 +194,6 @@ def _audit(game: BayesianGame, plan, profile: StrategyProfile | None, direct: Ba
             [v if ok else free[k] for v, ok in zip(free, oks)]
             for k, (free, oks) in enumerate(zip(free_rows, mimics))
         ])
-    witness = _largest_gain(direct, truth, direct._truthful_rows)
     gap = _largest_gain(direct, truth, mimicry_rows)
     chain = ProofChainRecord(
         vacuous=not holds_equilibrium,
@@ -208,7 +207,7 @@ def _audit(game: BayesianGame, plan, profile: StrategyProfile | None, direct: Ba
     return AuditReport(
         indirect_equilibrium=profile or _profile(game, plan),
         implemented=holds_equilibrium and plays_rule,
-        truthful_witness=witness,
+        truthful_witness=direct._truthful_witness,
         chain=chain,
     )
 

@@ -408,13 +408,9 @@ def reference_criteria() -> list[dict]:
 def cmd_reproduce(args) -> int:
     criteria = reference_criteria()
     all_passed = all(c["passed"] for c in criteria)
+    canonical = {**CANONICAL_FIXED, "w": CANONICAL_WAGE}
     payload = {
-        "parameters": {
-            "theta_L": rational_str(CANONICAL_FIXED["theta_L"]),
-            "theta_H": rational_str(CANONICAL_FIXED["theta_H"]),
-            "e_H": rational_str(CANONICAL_FIXED["e_H"]),
-            "w": rational_str(CANONICAL_WAGE),
-        },
+        "parameters": {name: rational_str(value) for name, value in canonical.items()},
         "criteria": criteria,
         "all_passed": all_passed,
     }

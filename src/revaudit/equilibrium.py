@@ -171,6 +171,11 @@ class BayesianGame:
         # A direct game's rows under truth-telling, shared by every check of its rule.
         return [_interim_rows(self, self._truth, i) for i in range(self.agent_count)]
 
+    @cached_property
+    def _truthful_witness(self) -> Deviation | None:
+        # A direct game's most profitable misreport, None when truth-telling is an equilibrium.
+        return _largest_gain(self, self._truth, self._truthful_rows)
+
 
 @dataclass(frozen=True)
 class _Tables:

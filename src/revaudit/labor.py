@@ -12,7 +12,7 @@ for small misreporting costs truth-telling dies in the direct mechanism.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -20,6 +20,7 @@ from .auditor import (
     AuditReport,
     audit_revelation_principle,
     direct_game,
+    is_truthfully_implementable,
     misreport_gains,
 )
 from .core import (
@@ -114,14 +115,18 @@ class LaborParams:
     prior_high: Fraction = DEFAULT_PRIOR_HIGH
 
     def __post_init__(self) -> None:
-        for name in ("theta_L", "theta_H", "e_H", "w", "c_mis", "prior_high"):
-            object.__setattr__(self, name, as_rational(getattr(self, name), name))
+        for f in LABOR_FIELDS:
+            object.__setattr__(self, f.name, as_rational(getattr(self, f.name), f.name))
         check_market(self.theta_L, self.theta_H, self.e_H, self.prior_high)
         if self.w <= 0:
             raise ConstructionError(f"wage must be positive, got {self.w}", ("w",))
         if self.c_mis < 0:
             problem = f"misreporting cost must be non-negative, got {self.c_mis}"
             raise ConstructionError(problem, ("c_mis",))
+
+
+# The labor parameters in order, read once: a sweep builds a LaborParams per cell.
+LABOR_FIELDS = fields(LaborParams)
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,8 @@ class LaborScenario:
 
     @cached_property
     def audit(self) -> AuditReport:
-        """The revelation audit at the separating profile, kept with the scenario."""
+        """The bid game's revelation audit at the separating profile, kept with
+        the scenario; no check of truth-telling reads it."""
         return audit_revelation_principle(self.game, SEPARATING_PROFILE, self.direct)
 
     @cached_property
@@ -337,17 +343,17 @@ UNIQUENESS_NOTE = "uniqueness is certified over pure strategy profiles only"
 def check_truthful_reporting(scenario: LaborScenario) -> TruthfulnessReport:
     """Verify the direct-mechanism side of the reference scenario.
 
-    Reads the truthful witness from the scenario's audit and scans all 16
-    pure report profiles of the direct game for equilibria of report
-    profits (utilities minus misreporting costs). For c_mis below half the
-    wage the only equilibrium is that everyone always reports high.
+    Reads the truthful witness from the direct game, not the bid game, and
+    scans its 16 pure report profiles for equilibria of report profits
+    (utilities minus misreporting costs). For c_mis below half the wage the
+    only equilibrium is that everyone always reports high.
     """
     params = scenario.params
     equilibria = tuple(find_all_pure_bne(scenario.direct))
     all_high_is_bne = ALL_REPORT_HIGH_PROFILE in equilibria
     return TruthfulnessReport(
         cmis_below_half_w=params.c_mis < params.w / 2,
-        truthful_witness=scenario.audit.truthful_witness,
+        truthful_witness=is_truthfully_implementable(scenario.direct).witness,
         all_report_high_is_bne=all_high_is_bne,
         unique_bne_all_report_high=(len(equilibria) == 1 and all_high_is_bne),
         equilibria=equilibria,

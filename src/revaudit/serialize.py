@@ -12,7 +12,7 @@ import io
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -40,6 +40,7 @@ from .equilibrium import (
     _plan,
 )
 from .labor import (
+    LABOR_FIELDS,
     UNIQUENESS_NOTE,
     CaseMatrix,
     LaborParams,
@@ -115,21 +116,27 @@ def _check_known_keys(cfg: dict, known, where: str) -> None:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
 
 
-LABOR_KEYS = ("kind", "theta_L", "theta_H", "e_H", "w", "c_mis", "prior_high")
+def _read_params(cfg: dict, params, where: str, also=()) -> dict:
+    """Read the LaborParams fields `params` from cfg as rationals. cfg may hold
+    no other field but `also`; a field without a default is required."""
+    _check_known_keys(cfg, also + tuple(f.name for f in params), where)
+    return {
+        f.name: _rational(_require(cfg, f.name, where), f"{where}.{f.name}")
+        for f in params
+        if f.default is MISSING or f.name in cfg
+    }
+
+
+def _located(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a range fault located at its parameter under `where`."""
+    try:
+        return build(*args, **kwargs)
+    except ConstructionError as exc:
+        raise ConfigError(f"{where}.{exc.path()}: {exc.problem}") from None
 
 
 def parse_labor_params(cfg: dict, where: str = "config") -> LaborParams:
-    _check_known_keys(cfg, LABOR_KEYS, where)
-    required = ("theta_L", "theta_H", "e_H", "w")
-    values = {
-        key: _rational(_require(cfg, key, where), f"{where}.{key}")
-        for key in required + ("c_mis", "prior_high")
-        if key in required or key in cfg
-    }
-    try:
-        return LaborParams(**values)
-    except ConstructionError as exc:  # a range fault, located at its parameter
-        raise ConfigError(f"{where}.{exc.path()}: {exc.problem}") from None
+    return _located(where, LaborParams, **_read_params(cfg, LABOR_FIELDS, where, ("kind",)))
 
 
 @dataclass(frozen=True)
@@ -411,7 +418,10 @@ class SweepGrid:
 
 
 SWEEP_KEYS = ("kind", "w_values", "c_mis_values", "fixed")
-SWEEP_FIXED_KEYS = ("theta_L", "theta_H", "e_H", "prior_high")
+# A cell holds its wage and cost; the other labor parameters are fixed.
+SWEEP_FIXED = tuple(f for f in LABOR_FIELDS if f.name not in ("w", "c_mis"))
+# A sweep's work grows with its cells, about 25 microseconds each.
+MAX_SWEEP_CELLS = 10**5
 
 
 def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
@@ -426,21 +436,17 @@ def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
         raise ConfigError(f"{where}.w_values: expected a non-empty list")
     if not isinstance(c_raw, list) or not c_raw:
         raise ConfigError(f"{where}.c_mis_values: expected a non-empty list")
+    cells = len(w_raw) * len(c_raw)
+    if cells > MAX_SWEEP_CELLS:
+        problem = f"{len(w_raw)} x {len(c_raw)} = {cells} cells exceed the cap of {MAX_SWEEP_CELLS}"
+        raise ConfigError(f"{where}.w_values, {where}.c_mis_values: {problem}")
     fixed_cfg = _require(cfg, "fixed", where)
     if not isinstance(fixed_cfg, dict):
         raise ConfigError(f"{where}.fixed: expected an object")
-    _check_known_keys(fixed_cfg, SWEEP_FIXED_KEYS, f"{where}.fixed")
-    fixed = {
-        key: _rational(_require(fixed_cfg, key, f"{where}.fixed"), f"{where}.fixed.{key}")
-        for key in SWEEP_FIXED_KEYS
-        if key != "prior_high" or key in fixed_cfg
-    }
+    fixed = _read_params(fixed_cfg, SWEEP_FIXED, f"{where}.fixed")
     w_values = tuple(_rational(v, f"{where}.w_values[{k}]") for k, v in enumerate(w_raw))
     c_mis_values = tuple(_rational(v, f"{where}.c_mis_values[{k}]") for k, v in enumerate(c_raw))
-    try:
-        return SweepGrid(w_values, c_mis_values, fixed)
-    except GameModelError as exc:
-        raise ConfigError(f"{where}.fixed: {exc.problem}") from None
+    return _located(f"{where}.fixed", SweepGrid, w_values, c_mis_values, fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +510,7 @@ def _write(value, newline: str, out: list) -> None:
 
 
 def params_to_jsonable(params: LaborParams) -> dict:
-    return {
-        "theta_L": rational_str(params.theta_L),
-        "theta_H": rational_str(params.theta_H),
-        "e_H": rational_str(params.e_H),
-        "w": rational_str(params.w),
-        "c_mis": rational_str(params.c_mis),
-        "prior_high": rational_str(params.prior_high),
-    }
+    return {f.name: rational_str(getattr(params, f.name)) for f in LABOR_FIELDS}
 
 
 def profile_to_jsonable(profile: StrategyProfile) -> list:
@@ -637,10 +636,10 @@ def render_matrices_markdown(params: LaborParams, matrices: tuple[CaseMatrix, ..
     lines = [
         "# Ex-post report matrices",
         "",
-        (
-            f"theta_L = {rational_str(params.theta_L)}, "
-            f"theta_H = {rational_str(params.theta_H)}, e_H = {rational_str(params.e_H)}, "
-            f"w = {rational_str(params.w)}, c_mis = {rational_str(params.c_mis)}"
+        ", ".join(
+            f"{name} = {value}"
+            for name, value in params_to_jsonable(params).items()
+            if name != "prior_high"
         ),
         "",
         f"Note: {UNIQUENESS_NOTE}.",

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 import reference_engine as ref
 
-from revaudit import auditor, core, equilibrium, labor
+from revaudit import auditor, core, equilibrium, labor, serialize
 from revaudit.cli import main
 from revaudit.equilibrium import find_all_pure_bne
 from revaudit.serialize import parse_generic_scenario, profile_to_jsonable
@@ -696,11 +696,11 @@ FIXED = {"theta_L": 1, "theta_H": 2, "e_H": 1}
     "grid, message",
     [
         (one_cell_grid({**FIXED, "theta_L": 3}),
-         "config.fixed: need 0 < theta_L < theta_H, got theta_L=3, theta_H=2"),
+         "config.fixed.theta_L: need 0 < theta_L < theta_H, got theta_L=3, theta_H=2"),
         (one_cell_grid({**FIXED, "e_H": 0}),
-         "config.fixed: education level e_H must be positive, got 0"),
+         "config.fixed.e_H: education level e_H must be positive, got 0"),
         (one_cell_grid({**FIXED, "prior_high": "3/2"}),
-         "config.fixed: prior_high must lie strictly between 0 and 1, got 3/2"),
+         "config.fixed.prior_high: prior_high must lie strictly between 0 and 1, got 3/2"),
         (one_cell_grid(FIXED, kind="generic"),
          "config.kind: a sweep grid has kind 'sweep', got 'generic'"),
         # A whole config of another kind is named by its kind, not its fields.
@@ -718,6 +718,62 @@ def test_sweep_rejects_a_bad_grid_before_any_cell(tmp_path, capsys, grid, messag
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("theta_L", 3, "need 0 < theta_L < theta_H, got theta_L=3, theta_H=2"),
+        ("e_H", 0, "education level e_H must be positive, got 0"),
+        ("prior_high", "3/2", "prior_high must lie strictly between 0 and 1, got 3/2"),
+    ],
+    ids=["theta-order", "e_H", "prior_high"],
+)
+def test_a_labor_config_and_a_sweep_locate_a_range_fault_alike(
+    tmp_path, capsys, field, value, problem
+):
+    # One reader and one location rule: the fault is named at its field,
+    # under the block that holds it.
+    labor_path = labor_cfg(tmp_path, **{field: value})
+    grid_path = write_json(tmp_path, "grid.json", one_cell_grid({**FIXED, field: value}))
+    for argv, where in ((["analyze", labor_path], "config"), (["sweep", grid_path], "config.fixed")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {where}.{field}: {problem}\n"
+
+
+def test_a_sweep_over_the_cell_cap_is_refused_before_any_cell(tmp_path, monkeypatch, capsys):
+    counts = counted(monkeypatch, [labor.build_scenario])
+    # 317 x 316 cells, just over the cap of 10^5 (316 x 316 is under it).
+    assert serialize.MAX_SWEEP_CELLS == 10**5
+    grid = {
+        "kind": "sweep",
+        "w_values": [f"{k}/100" for k in range(1, 318)],
+        "c_mis_values": [f"{k}/100" for k in range(316)],
+        "fixed": FIXED,
+    }
+    code = main(["sweep", write_json(tmp_path, "grid.json", grid)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        "error: config.w_values, config.c_mis_values: "
+        "317 x 316 = 100172 cells exceed the cap of 100000\n"
+    )
+    assert counts["build_scenario"] == 0
+
+
+def test_a_sweep_at_the_cell_cap_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(serialize, "MAX_SWEEP_CELLS", 6)
+    grid = {"kind": "sweep", "w_values": ["1", "3/2"], "c_mis_values": ["0", "1/2", "1"],
+            "fixed": FIXED}
+    assert main(["sweep", write_json(tmp_path, "grid.json", grid)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+    grid["c_mis_values"].append("2")
+    assert main(["sweep", write_json(tmp_path, "grid.json", grid)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config.w_values, config.c_mis_values: 2 x 4 = 8 cells exceed the cap of 6\n"
+    )
 
 
 # -- matrices --------------------------------------------------------------------
@@ -965,15 +1021,21 @@ def test_labor_analyze_decides_truth_telling_once(tmp_path, monkeypatch, capsys)
     counts = counted(
         monkeypatch,
         [equilibrium._interim_rows, auditor.audit_revelation_principle,
-         auditor.is_truthfully_implementable],
+         auditor.is_truthfully_implementable, equilibrium._largest_gain],
     )
     assert main(["analyze", labor_cfg(tmp_path)]) == 2
-    # Row sets: 2 for the separating verdict, 4 for the one audit, which the
-    # truthfulness report reads its witness from, and 5 for the search over
-    # the direct game's 16 report profiles, not 8: the pivot's rows for each
-    # of the other agent's 4 plans, and that agent's rows once for the one
-    # reply the pivot gives them all. No second truthful verdict.
-    assert counts == {"_interim_rows": 11, "audit_revelation_principle": 1}
+    # Row sets: 2 for the separating verdict, 4 for the one audit, and 5 for
+    # the search over the direct game's 16 report profiles, not 8: the
+    # pivot's rows for each of the other agent's 4 plans, and that agent's
+    # rows once for the one reply the pivot gives them all. The direct game
+    # decides truth-telling once and keeps the witness: the audit reads it,
+    # and so does the truthfulness report through is_truthfully_implementable.
+    # Largest gains: the separating witness, the truthful witness and the
+    # audit's break point.
+    assert counts == {
+        "_interim_rows": 11, "audit_revelation_principle": 1,
+        "is_truthfully_implementable": 1, "_largest_gain": 3,
+    }
 
 
 def test_markdown_matrices_compute_only_the_matrices(tmp_path, monkeypatch, capsys):
@@ -1006,3 +1068,25 @@ def test_reproduce_builds_only_the_matrices_it_checks(monkeypatch, capsys):
         "_expost_slice": 22, "_best_replies": 4, "_dominant": 4,
         "check_separating_equilibrium": 9,
     }
+
+
+def test_reproduce_audits_only_the_chain_it_prints(monkeypatch, capsys):
+    counts = counted(
+        monkeypatch,
+        [auditor.audit_revelation_principle, auditor._audit, equilibrium._implements],
+    )
+    assert main(["reproduce-paper"]) == 0
+    # The direct game alone decides truth-telling, so only the proof-chain
+    # criterion audits the bid game. Plays of the rule: the 9 separating
+    # checks (3 wages at 3 priors) and the one audit.
+    assert counts == {"audit_revelation_principle": 1, "_audit": 1, "_implements": 10}
+
+
+def test_json_matrices_never_touch_the_bid_game(tmp_path, monkeypatch, capsys):
+    counts = counted(
+        monkeypatch, [auditor.audit_revelation_principle, auditor._audit, equilibrium._compile]
+    )
+    assert main(["matrices", labor_cfg(tmp_path), "--format", "json"]) == 0
+    # The truthfulness report and the matrices are of the direct game, the
+    # one game compiled; the bid game is neither audited nor compiled.
+    assert counts == {"_compile": 1}
