@@ -9,6 +9,7 @@ a violation was found, 1 means the input or config was invalid.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import sys
 from fractions import Fraction
@@ -19,7 +20,6 @@ from .equilibrium import (
     DEFAULT_PROFILE_CAP,
     _equilibrium_plans,
     _implements,
-    _plan,
 )
 from .labor import (
     LaborParams,
@@ -44,7 +44,6 @@ from .serialize import (
     parse_sweep_grid,
     render_matrices_markdown,
     separating_report_to_jsonable,
-    sweep_rows_to_csv,
     truthfulness_report_to_jsonable,
 )
 
@@ -109,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _select_profile(scenario: GenericScenario, cap: int):
     """The plan to audit, whether it plays the rule (None: unknown), and its source."""
     game, rule = scenario.game, scenario.direct.mechanism
-    if scenario.candidate is not None:
-        return _plan(game, scenario.candidate), None, "declared"
+    if scenario.plan is not None:
+        return scenario.plan, None, "declared"
     plans = _equilibrium_plans(game, cap)
     for plan in plans:
         if _implements(game, plan, rule):
@@ -155,17 +154,23 @@ def _bool_cell(value: bool) -> str:
 
 def cmd_sweep(args) -> int:
     """One row per (w, c_mis) cell, each checking its own params: a wage's scenario,
-    audit and window are read once, and each cost is priced by `LaborScenario.truthful_at`."""
-    grid = parse_sweep_grid(load_config(args.config))
+    audit and window are read once, and each cost is priced by `LaborScenario.truthful_at`.
+    A CSV row is written as its cell finishes; JSON rows are kept for the one array."""
+    w_values, c_mis_values, fixed = parse_sweep_grid(load_config(args.config))
     rows = []
-    for w in grid.w_values:
+    emit = rows.append
+    if args.format == "csv":
+        writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        emit = writer.writerow
+    for w in w_values:
         scenario = None
-        for c_mis in grid.c_mis_values:
+        for c_mis in c_mis_values:
             row = dict.fromkeys(SWEEP_COLUMNS, "")
             row.update(w=rational_str(w), c_mis=rational_str(c_mis))
             # A bad cell (say w <= 0) records its error and the scan moves on.
             try:
-                params = grid.cell_params(w, c_mis)
+                params = LaborParams(w=w, c_mis=c_mis, **fixed)
                 if scenario is None:
                     scenario = build_scenario(params)
                     audit, in_window = scenario.audit, _bool_cell(in_wage_window(params))
@@ -178,10 +183,8 @@ def cmd_sweep(args) -> int:
                 )
             except GameModelError as exc:
                 row["error"] = exc.problem
-            rows.append(row)
-    if args.format == "csv":
-        sys.stdout.write(sweep_rows_to_csv(rows))
-    else:
+            emit(row)
+    if args.format == "json":
         sys.stdout.write(json_dumps(rows))
     return EXIT_OK
 

@@ -7,8 +7,6 @@ rendering is deterministic: fixed key order, fixed row order, no timestamps.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import operator
@@ -19,7 +17,6 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .auditor import AuditReport, ProofChainRecord, direct_game
 from .core import (
     MAX_LITERAL,
-    ConstructionError,
     CostModel,
     GameModelError,
     Mechanism,
@@ -103,13 +100,6 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
-def _rational(value, where: str) -> Fraction:
-    try:
-        return as_rational(value, where)
-    except GameModelError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _check_known_keys(cfg: dict, known, where: str) -> None:
     unknown = set(cfg) - set(known)
     if unknown:
@@ -121,18 +111,25 @@ def _read_params(cfg: dict, params, where: str, also=()) -> dict:
     no other field but `also`; a field without a default is required."""
     _check_known_keys(cfg, also + tuple(f.name for f in params), where)
     return {
-        f.name: _rational(_require(cfg, f.name, where), f"{where}.{f.name}")
+        f.name: _located(where, as_rational, _require(cfg, f.name, where), f.name)
         for f in params
         if f.default is MISSING or f.name in cfg
     }
 
 
-def _located(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), a range fault located at its parameter under `where`."""
+def _located(where: str, build, *args, keyed=None, **kwargs):
+    """build(*args, **kwargs), a game-model fault turned into a ConfigError at
+    its location under `where`; the one place a config fault is located. A
+    row of the keyed table `keyed[table]` is named by its key's position,
+    because each row stores exactly one key. A fault with no location (a
+    ConfigError among them) names its field already and passes through."""
     try:
         return build(*args, **kwargs)
-    except ConstructionError as exc:
-        raise ConfigError(f"{where}.{exc.path()}: {exc.problem}") from None
+    except GameModelError as exc:
+        if not exc.at:
+            raise
+        row = repr if keyed is None else lambda key: list(keyed[exc.at[0]]).index(key)
+        raise ConfigError(f"{where}.{exc.path(row)}: {exc.problem}") from None
 
 
 def parse_labor_params(cfg: dict, where: str = "config") -> LaborParams:
@@ -143,11 +140,12 @@ def parse_labor_params(cfg: dict, where: str = "config") -> LaborParams:
 class GenericScenario:
     """A fully explicit game from a config and the direct game of its rule
     (whose mechanism is the rule), built once by `parse_generic_scenario`,
-    plus an optional declared profile, checked to fit the game."""
+    plus an optional declared profile and its plan, checked to fit the game."""
 
     game: BayesianGame
     direct: BayesianGame
     candidate: StrategyProfile | None
+    plan: list[list[int]] | None
 
 
 GENERIC_KEYS = (
@@ -290,37 +288,29 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
     game itself is checked once, by `core` and `BayesianGame`, the rule's
     direct game included: its check finds a missing utility for an outcome
     only the rule reaches. Their faults carry a location (`GameModelError.at`),
-    turned into a config field on the error path only: a keyed row is the
-    position of its key in its table, because each row stores exactly one
-    key.
+    turned into a config field by `_located` on the error path only.
     """
     _check_known_keys(cfg, GENERIC_KEYS, where)
     rows: dict[str, dict] = {}  # the rows of each keyed table, in config order
-    try:
-        game, scf = _generic_game(cfg, where, rows)
-        direct = direct_game(game, scf)
-    except GameModelError as exc:
-        if not exc.at:  # a ConfigError names its field already
-            raise
-        path = exc.path(lambda key: list(rows[exc.at[0]]).index(key))
-        raise ConfigError(f"{where}.{path}: {exc.problem}") from None
+    game, direct = _located(where, _generic_game, cfg, where, rows, keyed=rows)
 
-    candidate = None
+    candidate = plan = None
     if "profile" in cfg:
         maps = cfg["profile"]
         if not isinstance(maps, list) or not all(isinstance(m, dict) for m in maps):
             raise ConfigError(f"{where}.profile: expected one {{type: action}} object per agent")
         try:
             candidate = StrategyProfile.from_maps(maps)
-            _plan(game, candidate)
+            plan = _plan(game, candidate)
         except GameModelError as exc:
             raise ConfigError(f"{where}.profile: {exc}") from exc
-    return GenericScenario(game, direct, candidate)
+    return GenericScenario(game, direct, candidate, plan)
 
 
 def _generic_game(cfg: dict, where: str, rows: dict):
-    """The game and rule of a generic config; each keyed table's rows are
-    stored in `rows` as they are read."""
+    """The game of a generic config and its rule's direct game; each keyed
+    table's rows are stored in `rows` as they are read, for `_located` to
+    name a faulty row by its position."""
     # Literal text -> value, for this config only: a value repeated across
     # rows is parsed once. A bad literal raises before it is stored, so the
     # error names the first row that holds it.
@@ -395,26 +385,8 @@ def _generic_game(cfg: dict, where: str, rows: dict):
         )
 
     costs = CostModel(cost_rows(STRATEGIC_COSTS), cost_rows(MISREPORT_COSTS))
-    return BayesianGame(mechanism, type_space, UtilityTable(utility), costs), scf
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """A labor parameter grid: wages times misreporting costs, rest fixed.
-
-    The fixed parameters are checked once per grid, so a cell fails only on
-    its wage or cost. A sweep builds one scenario per wage and prices each
-    cost against that wage's cost-free misreport gains."""
-
-    w_values: tuple[Fraction, ...]
-    c_mis_values: tuple[Fraction, ...]
-    fixed: dict
-
-    def __post_init__(self) -> None:
-        check_market(**self.fixed)
-
-    def cell_params(self, w: Fraction, c_mis: Fraction) -> LaborParams:
-        return LaborParams(w=w, c_mis=c_mis, **self.fixed)
+    game = BayesianGame(mechanism, type_space, UtilityTable(utility), costs)
+    return game, direct_game(game, scf)
 
 
 SWEEP_KEYS = ("kind", "w_values", "c_mis_values", "fixed")
@@ -424,7 +396,13 @@ SWEEP_FIXED = tuple(f for f in LABOR_FIELDS if f.name not in ("w", "c_mis"))
 MAX_SWEEP_CELLS = 10**5
 
 
-def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
+def parse_sweep_grid(cfg: dict, where: str = "config") -> tuple[tuple, tuple, dict]:
+    """A labor parameter grid as rationals: its wages, its misreporting costs
+    and the other parameters, fixed across its cells.
+
+    The fixed parameters are checked once per grid, so a cell fails only on
+    its wage or cost. A sweep builds one scenario per wage and prices each
+    cost against that wage's cost-free misreport gains."""
     # The kind first: another kind of config has other fields, and naming
     # them would hide that the whole config is of the wrong kind.
     if cfg.get("kind", "sweep") != "sweep":
@@ -444,9 +422,12 @@ def parse_sweep_grid(cfg: dict, where: str = "config") -> SweepGrid:
     if not isinstance(fixed_cfg, dict):
         raise ConfigError(f"{where}.fixed: expected an object")
     fixed = _read_params(fixed_cfg, SWEEP_FIXED, f"{where}.fixed")
-    w_values = tuple(_rational(v, f"{where}.w_values[{k}]") for k, v in enumerate(w_raw))
-    c_mis_values = tuple(_rational(v, f"{where}.c_mis_values[{k}]") for k, v in enumerate(c_raw))
-    return _located(f"{where}.fixed", SweepGrid, w_values, c_mis_values, fixed)
+    w_values = tuple(_located(where, as_rational, v, f"w_values[{k}]") for k, v in enumerate(w_raw))
+    c_mis_values = tuple(
+        _located(where, as_rational, v, f"c_mis_values[{k}]") for k, v in enumerate(c_raw)
+    )
+    _located(f"{where}.fixed", check_market, **fixed)
+    return w_values, c_mis_values, fixed
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +657,3 @@ SWEEP_COLUMNS = (
     "violation",
     "error",
 )
-
-
-def sweep_rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()

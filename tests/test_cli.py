@@ -3,6 +3,8 @@
 Exit code contract: 0 no violation / clean survey, 1 bad input or a failed
 reference check, 2 violation found."""
 
+import csv
+import io
 import json
 import sys
 import tracemalloc
@@ -670,6 +672,16 @@ def test_sweep_json_format_and_prior_override(tmp_path, capsys):
     assert by_key[("0", "0")]["error"].startswith("wage must be positive")
 
 
+def test_sweep_csv_and_json_rows_agree(tmp_path, capsys):
+    # CSV rows are written as each cell finishes, JSON rows all at the end.
+    path = sweep_cfg(tmp_path)
+    assert main(["sweep", path, "--format", "csv"]) == 0
+    csv_rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert main(["sweep", path, "--format", "json"]) == 0
+    assert csv_rows == json.loads(capsys.readouterr().out)
+    assert len(csv_rows) == 15
+
+
 def test_sweep_rejects_bad_grid(tmp_path, capsys):
     path = write_json(
         tmp_path,
@@ -708,8 +720,16 @@ FIXED = {"theta_L": 1, "theta_H": 2, "e_H": 1}
          "config.kind: a sweep grid has kind 'sweep', got 'labor'"),
         (signal_config(),
          "config.kind: a sweep grid has kind 'sweep', got 'generic'"),
+        # A literal is named by its list and position, or by its fixed field.
+        ({**one_cell_grid(FIXED), "w_values": ["3/2", "x"]},
+         "config.w_values[1]: cannot parse 'x' as a rational"),
+        ({**one_cell_grid(FIXED), "c_mis_values": ["0", "1e999"]},
+         "config.c_mis_values[1]: exponent of '1e999' exceeds the limit of 100"),
+        (one_cell_grid({**FIXED, "e_H": "1/0"}),
+         "config.fixed.e_H: cannot parse '1/0' as a rational"),
     ],
-    ids=["theta-order", "e_H", "prior_high", "kind", "labor-config", "generic-config"],
+    ids=["theta-order", "e_H", "prior_high", "kind", "labor-config", "generic-config",
+         "w-literal", "c_mis-literal", "fixed-literal"],
 )
 def test_sweep_rejects_a_bad_grid_before_any_cell(tmp_path, capsys, grid, message):
     # A cell holds only its wage and cost; the rest is wrong for every cell.
@@ -986,9 +1006,9 @@ def test_a_generic_audit_computes_each_agents_payoffs_once(tmp_path, monkeypatch
     assert main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())]) == 0
     # Per agent, the game's profits under the declared profile and the
     # direct game's cost-free utilities under truth-telling: 2n row sets for
-    # n = 2 agents. The declared profile is checked when it is parsed and by
-    # the audit, which decides `implemented` on the plan it already holds.
-    assert counts == {"_interim_rows": 4, "_plan": 2}
+    # n = 2 agents. The declared profile is checked once, when it is parsed,
+    # into the plan the audit reads; the audit decides `implemented` on it.
+    assert counts == {"_interim_rows": 4, "_plan": 1}
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,6 @@ from revaudit.labor import (
     check_truthful_reporting,
 )
 from revaudit.serialize import (
-    SWEEP_COLUMNS,
     ConfigError,
     audit_report_to_jsonable,
     chain_to_jsonable,
@@ -43,7 +42,6 @@ from revaudit.serialize import (
     profile_to_jsonable,
     render_matrices_markdown,
     separating_report_to_jsonable,
-    sweep_rows_to_csv,
     truthfulness_report_to_jsonable,
 )
 
@@ -271,11 +269,12 @@ def test_parse_sweep_grid():
         "c_mis_values": [0, "1/2"],
         "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1},
     }
-    grid = parse_sweep_grid(cfg)
-    assert grid.w_values == (Fraction(1), Fraction(3, 2))
-    assert grid.c_mis_values == (Fraction(0), Fraction(1, 2))
-    cell = grid.cell_params(Fraction(3, 2), Fraction(1, 2))
-    assert cell == canonical_params()
+    w_values, c_mis_values, fixed = parse_sweep_grid(cfg)
+    assert w_values == (Fraction(1), Fraction(3, 2))
+    assert c_mis_values == (Fraction(0), Fraction(1, 2))
+    assert fixed == {"theta_L": 1, "theta_H": 2, "e_H": 1}
+    assert all(type(v) is Fraction for v in fixed.values())
+    assert LaborParams(w=Fraction(3, 2), c_mis=Fraction(1, 2), **fixed) == canonical_params()
 
 
 def test_parse_sweep_grid_diagnostics():
@@ -409,22 +408,3 @@ def test_render_matrices_markdown_golden_fragments():
     assert "- pure Nash profiles: (theta_H, theta_H)" in text
     assert text.endswith("\n") and not text.endswith("\n\n")
     assert text == render_matrices_markdown(p, case_matrices(build_scenario(p)))
-
-
-def test_sweep_rows_to_csv():
-    rows = [
-        {
-            "w": "3/2",
-            "c_mis": "1/2",
-            "in_window": "true",
-            "separating_is_bne": "true",
-            "truthful_is_bne": "false",
-            "violation": "true",
-            "error": "",
-        }
-    ]
-    text = sweep_rows_to_csv(rows)
-    lines = text.splitlines()
-    assert lines[0] == ",".join(SWEEP_COLUMNS)
-    assert lines[1] == "3/2,1/2,true,true,false,true,"
-    assert "\r" not in text
