@@ -26,6 +26,7 @@ from .labor import (
     LaborScenario,
     build_scenario,
     case_matrices,
+    check_cell,
     check_separating_equilibrium,
     check_truthful_reporting,
     in_wage_window,
@@ -36,6 +37,7 @@ from .serialize import (
     GenericScenario,
     audit_report_to_jsonable,
     chain_to_jsonable,
+    json_dump,
     json_dumps,
     load_config,
     params_to_jsonable,
@@ -152,17 +154,11 @@ def _bool_cell(value: bool) -> str:
     return "true" if value else "false"
 
 
-def cmd_sweep(args) -> int:
-    """One row per (w, c_mis) cell, each checking its own params: a wage's scenario,
-    audit and window are read once, and each cost is priced by `LaborScenario.truthful_at`.
-    A CSV row is written as its cell finishes; JSON rows are kept for the one array."""
-    w_values, c_mis_values, fixed = parse_sweep_grid(load_config(args.config))
-    rows = []
-    emit = rows.append
-    if args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        emit = writer.writerow
+def _sweep_rows(w_values, c_mis_values, fixed):
+    """Each (w, c_mis) cell's row, in grid order. A cell checks only its wage
+    and cost (`check_cell`); a wage builds its scenario, audit and window
+    once, at its first valid cost, and each cost is priced by
+    `LaborScenario.truthful_at`."""
     for w in w_values:
         scenario = None
         for c_mis in c_mis_values:
@@ -170,11 +166,11 @@ def cmd_sweep(args) -> int:
             row.update(w=rational_str(w), c_mis=rational_str(c_mis))
             # A bad cell (say w <= 0) records its error and the scan moves on.
             try:
-                params = LaborParams(w=w, c_mis=c_mis, **fixed)
+                check_cell(w, c_mis)
                 if scenario is None:
-                    scenario = build_scenario(params)
-                    audit, in_window = scenario.audit, _bool_cell(in_wage_window(params))
-                truthful = scenario.truthful_at(params.c_mis)
+                    scenario = build_scenario(LaborParams(w=w, c_mis=c_mis, **fixed))
+                    audit, in_window = scenario.audit, _bool_cell(in_wage_window(scenario.params))
+                truthful = scenario.truthful_at(c_mis)
                 row.update(
                     in_window=in_window,
                     separating_is_bne=_bool_cell(audit.chain.equilibrium_inequalities_hold),
@@ -183,9 +179,19 @@ def cmd_sweep(args) -> int:
                 )
             except GameModelError as exc:
                 row["error"] = exc.problem
-            emit(row)
-    if args.format == "json":
-        sys.stdout.write(json_dumps(rows))
+            yield row
+
+
+def cmd_sweep(args) -> int:
+    """One row per (w, c_mis) cell, written as its cell finishes in either
+    format, so no row is kept. A grid fault exits before any row."""
+    rows = _sweep_rows(*parse_sweep_grid(load_config(args.config)))
+    if args.format == "csv":
+        writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        json_dump(rows, sys.stdout)
     return EXIT_OK
 
 
@@ -314,8 +320,8 @@ def _crit_matrices():
     return not mismatches, {"entries_checked": 16, "mismatches": mismatches}
 
 
-def _crit_chain(prior_high: Fraction = Fraction(1, 2)):
-    chain = _scenario(CANONICAL_WAGE, Fraction(0), prior_high).audit.chain
+def _crit_chain():
+    chain = _scenario(CANONICAL_WAGE, Fraction(0), Fraction(1, 2)).audit.chain
     ok = (
         chain.equilibrium_inequalities_hold
         and chain.mimicry_inequalities_hold

@@ -97,6 +97,16 @@ def check_market(
         raise ConstructionError(problem, ("prior_high",))
 
 
+def check_cell(w: Fraction, c_mis: Fraction) -> None:
+    """The LaborParams rules on the wage and the misreporting cost: the
+    parameters a sweep sets per cell. A fault's location is the parameter it
+    names, the wage first."""
+    if w <= 0:
+        raise ConstructionError(f"wage must be positive, got {w}", ("w",))
+    if c_mis < 0:
+        raise ConstructionError(f"misreporting cost must be non-negative, got {c_mis}", ("c_mis",))
+
+
 @dataclass(frozen=True)
 class LaborParams:
     """Exact parameters of the labor market.
@@ -118,14 +128,10 @@ class LaborParams:
         for f in LABOR_FIELDS:
             object.__setattr__(self, f.name, as_rational(getattr(self, f.name), f.name))
         check_market(self.theta_L, self.theta_H, self.e_H, self.prior_high)
-        if self.w <= 0:
-            raise ConstructionError(f"wage must be positive, got {self.w}", ("w",))
-        if self.c_mis < 0:
-            problem = f"misreporting cost must be non-negative, got {self.c_mis}"
-            raise ConstructionError(problem, ("c_mis",))
+        check_cell(self.w, self.c_mis)
 
 
-# The labor parameters in order, read once: a sweep builds a LaborParams per cell.
+# The labor parameters in order, read once: a sweep builds a LaborParams per wage.
 LABOR_FIELDS = fields(LaborParams)
 
 

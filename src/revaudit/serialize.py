@@ -13,6 +13,7 @@ import operator
 from dataclasses import MISSING, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
+from types import GeneratorType
 
 from .auditor import AuditReport, ProofChainRecord, direct_game
 from .core import (
@@ -132,8 +133,8 @@ def _located(where: str, build, *args, keyed=None, **kwargs):
         raise ConfigError(f"{where}.{exc.path(row)}: {exc.problem}") from None
 
 
-def parse_labor_params(cfg: dict, where: str = "config") -> LaborParams:
-    return _located(where, LaborParams, **_read_params(cfg, LABOR_FIELDS, where, ("kind",)))
+def parse_labor_params(cfg: dict) -> LaborParams:
+    return _located("config", LaborParams, **_read_params(cfg, LABOR_FIELDS, "config", ("kind",)))
 
 
 @dataclass(frozen=True)
@@ -185,10 +186,10 @@ def _label_lists(value, where: str) -> list:
     return value
 
 
-def _list(cfg: dict, key: str, where: str, default=None) -> list:
-    value = _require(cfg, key, where) if default is None else cfg.get(key, default)
+def _list(cfg: dict, key: str, default=None) -> list:
+    value = _require(cfg, key, "config") if default is None else cfg.get(key, default)
     if not isinstance(value, list):
-        raise ConfigError(f"{where}.{key}: expected a list")
+        raise ConfigError(f"config.{key}: expected a list")
     return value
 
 
@@ -262,24 +263,24 @@ MISREPORT_COSTS = _Table(
 )
 
 
-def _read_rows(cfg: dict, table: _Table, where: str, rows: dict, read, default=None) -> dict:
+def _read_rows(cfg: dict, table: _Table, rows: dict, read, default=None) -> dict:
     """Check each row of a config table and store the (key, value) that
     `read` makes of it in rows[table.key], in row order. A fault in a row,
     or a second row for a key (which would silently replace the first), is
     reported under the row's path."""
     values = rows[table.key] = {}
-    for k, entry in enumerate(_list(cfg, table.key, where, default)):
+    for k, entry in enumerate(_list(cfg, table.key, default)):
         try:
             key, value = read(table.check(entry))
             if key in values:
                 raise _RowError(f": duplicate {table.noun} {key!r}")
             values[key] = value
         except _RowError as exc:
-            raise ConfigError(f"{where}.{table.key}[{k}]{exc}") from None
+            raise ConfigError(f"config.{table.key}[{k}]{exc}") from None
     return values
 
 
-def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
+def parse_generic_scenario(cfg: dict) -> GenericScenario:
     """Build the game a generic config declares.
 
     The parser checks the JSON shape and the rules only a config can break:
@@ -290,24 +291,24 @@ def parse_generic_scenario(cfg: dict, where: str = "config") -> GenericScenario:
     only the rule reaches. Their faults carry a location (`GameModelError.at`),
     turned into a config field by `_located` on the error path only.
     """
-    _check_known_keys(cfg, GENERIC_KEYS, where)
+    _check_known_keys(cfg, GENERIC_KEYS, "config")
     rows: dict[str, dict] = {}  # the rows of each keyed table, in config order
-    game, direct = _located(where, _generic_game, cfg, where, rows, keyed=rows)
+    game, direct = _located("config", _generic_game, cfg, rows, keyed=rows)
 
     candidate = plan = None
     if "profile" in cfg:
         maps = cfg["profile"]
         if not isinstance(maps, list) or not all(isinstance(m, dict) for m in maps):
-            raise ConfigError(f"{where}.profile: expected one {{type: action}} object per agent")
+            raise ConfigError("config.profile: expected one {type: action} object per agent")
         try:
             candidate = StrategyProfile.from_maps(maps)
             plan = _plan(game, candidate)
         except GameModelError as exc:
-            raise ConfigError(f"{where}.profile: {exc}") from exc
+            raise ConfigError(f"config.profile: {exc}") from exc
     return GenericScenario(game, direct, candidate, plan)
 
 
-def _generic_game(cfg: dict, where: str, rows: dict):
+def _generic_game(cfg: dict, rows: dict):
     """The game of a generic config and its rule's direct game; each keyed
     table's rows are stored in `rows` as they are read, for `_located` to
     name a faulty row by its position."""
@@ -327,20 +328,20 @@ def _generic_game(cfg: dict, where: str, rows: dict):
             literals[value] = result
         return result
 
-    types_of = _label_lists(_require(cfg, "types", where), f"{where}.types")
+    types_of = _label_lists(_require(cfg, "types", "config"), "config.types")
     if "priors" in cfg:
         priors = cfg["priors"]
         if not isinstance(priors, list):
-            raise ConfigError(f"{where}.priors: expected one prior object per agent")
+            raise ConfigError("config.priors: expected one prior object per agent")
         for i, prior in enumerate(priors):
             if not isinstance(prior, dict):
-                raise ConfigError(f"{where}.priors[{i}]: expected a {{type: probability}} object")
+                raise ConfigError(f"config.priors[{i}]: expected a {{type: probability}} object")
         type_space = TypeSpace(types_of, priors)
     else:
         type_space = TypeSpace.uniform(types_of)
     types_of = type_space.types_of
 
-    actions_of = _label_lists(_require(cfg, "actions", where), f"{where}.actions")
+    actions_of = _label_lists(_require(cfg, "actions", "config"), "config.actions")
     check_agent_count(actions_of, types_of)
 
     def outcome_row(entry) -> tuple:
@@ -349,7 +350,7 @@ def _generic_game(cfg: dict, where: str, rows: dict):
             raise _RowError(".payload: expected a list")
         return entry["label"], tuple(rational(v, f".payload[{j}]") for j, v in enumerate(payload))
 
-    payloads = _read_rows(cfg, OUTCOMES, where, rows, outcome_row)
+    payloads = _read_rows(cfg, OUTCOMES, rows, outcome_row)
     outcomes = {label: Outcome(label, payload) for label, payload in payloads.items()}
 
     def outcome(entry) -> Outcome:
@@ -361,7 +362,7 @@ def _generic_game(cfg: dict, where: str, rows: dict):
     def profile_rows(table: _Table) -> dict:
         """Rows keyed by a profile, the list in their first field."""
         field = table.fields[0]
-        return _read_rows(cfg, table, where, rows, lambda e: (tuple(e[field]), outcome(e)))
+        return _read_rows(cfg, table, rows, lambda e: (tuple(e[field]), outcome(e)))
 
     mechanism = Mechanism(actions_of, profile_rows(OUTCOME_FUNCTION))
     scf = SocialChoiceFunction(types_of, profile_rows(RULE))
@@ -375,13 +376,13 @@ def _generic_game(cfg: dict, where: str, rows: dict):
             raise _RowError(f": {key} is not a declared {UTILITIES.noun}")
         return key, value
 
-    utility = _read_rows(cfg, UTILITIES, where, rows, utility_row)
+    utility = _read_rows(cfg, UTILITIES, rows, utility_row)
 
     def cost_rows(table: _Table) -> dict:
         """Rows keyed by their first three fields, each with a cost."""
         key_of = operator.itemgetter(*table.fields[:3])
         return _read_rows(
-            cfg, table, where, rows, lambda e: (key_of(e), rational(e["cost"], ".cost")), default=[]
+            cfg, table, rows, lambda e: (key_of(e), rational(e["cost"], ".cost")), default=[]
         )
 
     costs = CostModel(cost_rows(STRATEGIC_COSTS), cost_rows(MISREPORT_COSTS))
@@ -392,11 +393,12 @@ def _generic_game(cfg: dict, where: str, rows: dict):
 SWEEP_KEYS = ("kind", "w_values", "c_mis_values", "fixed")
 # A cell holds its wage and cost; the other labor parameters are fixed.
 SWEEP_FIXED = tuple(f for f in LABOR_FIELDS if f.name not in ("w", "c_mis"))
-# A sweep's work grows with its cells, about 25 microseconds each.
+# A sweep's time grows with its cells, 13 to 29 microseconds each on one
+# Xeon core in either format; its memory does not, since no row is kept.
 MAX_SWEEP_CELLS = 10**5
 
 
-def parse_sweep_grid(cfg: dict, where: str = "config") -> tuple[tuple, tuple, dict]:
+def parse_sweep_grid(cfg: dict) -> tuple[tuple, tuple, dict]:
     """A labor parameter grid as rationals: its wages, its misreporting costs
     and the other parameters, fixed across its cells.
 
@@ -406,27 +408,27 @@ def parse_sweep_grid(cfg: dict, where: str = "config") -> tuple[tuple, tuple, di
     # The kind first: another kind of config has other fields, and naming
     # them would hide that the whole config is of the wrong kind.
     if cfg.get("kind", "sweep") != "sweep":
-        raise ConfigError(f"{where}.kind: a sweep grid has kind 'sweep', got {cfg['kind']!r}")
-    _check_known_keys(cfg, SWEEP_KEYS, where)
-    w_raw = _require(cfg, "w_values", where)
-    c_raw = _require(cfg, "c_mis_values", where)
+        raise ConfigError(f"config.kind: a sweep grid has kind 'sweep', got {cfg['kind']!r}")
+    _check_known_keys(cfg, SWEEP_KEYS, "config")
+    w_raw = _require(cfg, "w_values", "config")
+    c_raw = _require(cfg, "c_mis_values", "config")
     if not isinstance(w_raw, list) or not w_raw:
-        raise ConfigError(f"{where}.w_values: expected a non-empty list")
+        raise ConfigError("config.w_values: expected a non-empty list")
     if not isinstance(c_raw, list) or not c_raw:
-        raise ConfigError(f"{where}.c_mis_values: expected a non-empty list")
+        raise ConfigError("config.c_mis_values: expected a non-empty list")
     cells = len(w_raw) * len(c_raw)
     if cells > MAX_SWEEP_CELLS:
         problem = f"{len(w_raw)} x {len(c_raw)} = {cells} cells exceed the cap of {MAX_SWEEP_CELLS}"
-        raise ConfigError(f"{where}.w_values, {where}.c_mis_values: {problem}")
-    fixed_cfg = _require(cfg, "fixed", where)
+        raise ConfigError(f"config.w_values, config.c_mis_values: {problem}")
+    fixed_cfg = _require(cfg, "fixed", "config")
     if not isinstance(fixed_cfg, dict):
-        raise ConfigError(f"{where}.fixed: expected an object")
-    fixed = _read_params(fixed_cfg, SWEEP_FIXED, f"{where}.fixed")
-    w_values = tuple(_located(where, as_rational, v, f"w_values[{k}]") for k, v in enumerate(w_raw))
-    c_mis_values = tuple(
-        _located(where, as_rational, v, f"c_mis_values[{k}]") for k, v in enumerate(c_raw)
+        raise ConfigError("config.fixed: expected an object")
+    fixed = _read_params(fixed_cfg, SWEEP_FIXED, "config.fixed")
+    w_values, c_mis_values = (
+        tuple(_located("config", as_rational, v, f"{key}[{k}]") for k, v in enumerate(raw))
+        for key, raw in (("w_values", w_raw), ("c_mis_values", c_raw))
     )
-    _located(f"{where}.fixed", check_market, **fixed)
+    _located("config.fixed", check_market, **fixed)
     return w_values, c_mis_values, fixed
 
 
@@ -441,51 +443,52 @@ def json_dumps(payload) -> str:
     newline, written in one pass: that call never reaches json's C encoder
     when it indents.
 
-    A value is a dict with str keys, a list or tuple, a str, an int, a bool
-    or None. Anything else, a float or a Fraction among them, raises
-    TypeError: reports carry exact rationals as strings.
+    A value is a dict with str keys, a list, tuple or generator, a str, an
+    int, a bool or None. Anything else, a float or a Fraction among them,
+    raises TypeError: reports carry exact rationals as strings.
     """
     out: list[str] = []
-    _write(payload, "\n", out)
+    _write(payload, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
 
-def _write(value, newline: str, out: list) -> None:
-    """Append the JSON of `value` to `out`; `newline` is a newline and the
-    indent of the line the value starts on."""
+def json_dump(payload, fp) -> None:
+    """Write `json_dumps(payload)` to the text file `fp` piece by piece, so a
+    generator's items are written as they come and none is kept."""
+    _write(payload, "\n", fp.write)
+    fp.write("\n")
+
+
+def _write(value, newline: str, write) -> None:
+    """Pass the JSON of `value` to `write` in pieces; `newline` is a newline
+    and the indent of the line the value starts on."""
     if isinstance(value, str):
-        out.append(_encode_str(value))
+        write(_encode_str(value))
     elif value is None:
-        out.append("null")
+        write("null")
     elif value is True:
-        out.append("true")
+        write("true")
     elif value is False:
-        out.append("false")
+        write("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        write(int.__repr__(value))
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
         inner, sep = newline + "  ", "{"
         for key, item in sorted(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out.append(sep + inner + _encode_str(key) + ": ")
-            _write(item, inner, out)
+            write(sep + inner + _encode_str(key) + ": ")
+            _write(item, inner, write)
             sep = ","
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
+        write("{}" if sep == "{" else newline + "}")
+    elif isinstance(value, (list, tuple, GeneratorType)):
         inner, sep = newline + "  ", "["
         for item in value:
-            out.append(sep + inner)
-            _write(item, inner, out)
+            write(sep + inner)
+            _write(item, inner, write)
             sep = ","
-        out.append(newline + "]")
+        write("[]" if sep == "[" else newline + "]")
     else:
         raise TypeError(f"a {type(value).__name__} has no JSON form in a report")
 

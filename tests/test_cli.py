@@ -14,7 +14,7 @@ import pytest
 import reference_engine as ref
 
 from revaudit import auditor, core, equilibrium, labor, serialize
-from revaudit.cli import main
+from revaudit.cli import build_parser, main
 from revaudit.equilibrium import find_all_pure_bne
 from revaudit.serialize import parse_generic_scenario, profile_to_jsonable
 
@@ -673,7 +673,7 @@ def test_sweep_json_format_and_prior_override(tmp_path, capsys):
 
 
 def test_sweep_csv_and_json_rows_agree(tmp_path, capsys):
-    # CSV rows are written as each cell finishes, JSON rows all at the end.
+    # One generator yields the rows; the format only picks their writer.
     path = sweep_cfg(tmp_path)
     assert main(["sweep", path, "--format", "csv"]) == 0
     csv_rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
@@ -794,6 +794,33 @@ def test_a_sweep_at_the_cell_cap_runs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: config.w_values, config.c_mis_values: 2 x 4 = 8 cells exceed the cap of 6\n"
     )
+
+
+class _Sink:
+    """A stdout that drops what it is written."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_sweep_keeps_no_rows(tmp_path, monkeypatch, fmt):
+    # Both formats write each row as its cell finishes, so the peak does not
+    # grow with the grid: 2,000 cells, where one kept row dict per cell with
+    # its strings would take about 3 MiB.
+    grid = {"kind": "sweep", "w_values": [f"{k}/20" for k in range(50)],
+            "c_mis_values": [f"{k}/40" for k in range(40)], "fixed": FIXED}
+    path = write_json(tmp_path, "grid.json", grid)
+    build_parser()
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    tracemalloc.start()
+    try:
+        code = main(["sweep", path, "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
 
 
 # -- matrices --------------------------------------------------------------------
@@ -966,7 +993,8 @@ def test_labor_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
 def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
     counts = counted(
         monkeypatch,
-        [labor.build_scenario, auditor.direct_game, core._total_table, equilibrium._interim_rows],
+        [labor.build_scenario, auditor.direct_game, core._total_table, equilibrium._interim_rows,
+         labor.check_market],
     )
     grid = {
         "kind": "sweep",
@@ -981,8 +1009,12 @@ def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
     # plays the constant hiring rule as its mechanism, so no outcome table
     # is checked. Each wage computes 4 row sets, all in its audit: each
     # agent's in the bid game, and each agent's truthful rows, which the
-    # direct game keeps for its cost-free gains.
-    assert counts == {"build_scenario": 3, "direct_game": 3, "_interim_rows": 12}
+    # direct game keeps for its cost-free gains. The fixed parameters are
+    # checked once for the grid and once by each wage's LaborParams; a cell
+    # checks only its wage and cost.
+    assert counts == {
+        "build_scenario": 3, "direct_game": 3, "_interim_rows": 12, "check_market": 4,
+    }
 
 
 def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
