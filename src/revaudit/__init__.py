@@ -30,10 +30,7 @@ from .equilibrium import (
     NormalFormGame,
     PureStrategy,
     StrategyProfile,
-    dominant_strategies,
-    expost_normal_form,
     find_all_pure_bne,
-    find_pure_nash,
     implements_scf,
     is_bayesian_nash,
 )
@@ -44,7 +41,6 @@ from .auditor import (
     RegressionSummary,
     audit_revelation_principle,
     direct_game,
-    induced_scf,
     is_truthfully_implementable,
     random_zero_cost_game,
     zero_cost_regression,
@@ -71,4 +67,4 @@ from types import ModuleType as _Module
 # Importing a submodule binds it here too; submodules are not API names.
 __all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _Module)]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -261,11 +261,6 @@ def _rule_scf(game: BayesianGame, rule: tuple[int, ...]) -> SocialChoiceFunction
     return SocialChoiceFunction(ts.types_of, dict(zip(ts.profiles(), table)))
 
 
-def induced_scf(game: BayesianGame, profile: StrategyProfile) -> SocialChoiceFunction:
-    """The rule a profile plays out: type profile -> realized outcome."""
-    return _rule_scf(game, _rule(game, _plan(game, profile)))
-
-
 @dataclass(frozen=True)
 class RegressionSummary:
     """Result of the zero-cost regression sweep."""

@@ -243,17 +243,7 @@ class TypeSpace:
         """All type profiles, lexicographic in the declared orders."""
         return tuple(itertools.product(*self.types_of))
 
-    def validate_profile(self, profile) -> tuple[str, ...]:
-        profile = tuple(profile)
-        if len(profile) != self.agent_count:
-            raise DomainError(
-                f"type profile {profile} has {len(profile)} entries, expected {self.agent_count}"
-            )
-        for i, t in enumerate(profile):
-            if t not in self.prior_of[i]:
-                raise DomainError(f"agent {i}: unknown type {t!r} in profile {profile}")
-        return profile
-
+    # No command calls it; the benchmark tracer patches it by name, the reference engine uses it.
     def conditional_weight(self, agent: int, opponent_profile) -> Fraction:
         """Weight of an opponent type profile given agent's own type.
 

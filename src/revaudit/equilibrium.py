@@ -14,9 +14,10 @@ over the agent's scale; no tolerance enters anywhere.
 The one payoff is profit: outcome utility minus the strategic cost of the
 action actually played, read from these tables alone, by the interim rows
 and by the ex-post slices alike. A slice (`_expost_slice`) is one agent's
-profit at one own type at every action profile, as ints on its scale; an
-ex-post game keeps one per agent as its int tables, and the Nash and
-dominance scans of every `NormalFormGame` compare such ints. The classical
+profit at one own type at every action profile, as ints on its scale. The
+Nash and dominance scans (`_best_replies`, `_nash`, `_dominant`) compare
+such ints, and an ex-post game (`_expost_game`) is a `NormalFormGame`
+record of the same slices as Fractions. The classical
 utility view is the profit of the same game built with `CostModel()`. With
 independent priors, per-type single-action deviations are sufficient. The
 equilibrium search works on plans, tuples of action positions: it
@@ -46,10 +47,7 @@ from .core import (
     UtilityTable,
     _check_label,
     _is_label,
-    _label_lists,
-    as_rational,
     check_agent_count,
-    check_denominators,
 )
 
 DEFAULT_PROFILE_CAP = 10**6
@@ -426,43 +424,11 @@ def _implements(game: BayesianGame, plan, scf: SocialChoiceFunction) -> bool:
 
 @dataclass(frozen=True)
 class NormalFormGame:
-    """A complete-information payoff table over action profiles. The scans
-    compare `_values[i]`, agent i's payoffs in `itertools.product` order as
-    ints on one scale: computed on first use, on the agent's own LCM, or
-    kept from the slices an ex-post game was read from (`_expost_game`)."""
+    """A complete-information payoff table over action profiles: each
+    agent's exact payoffs at every profile of `actions_of`."""
 
     actions_of: tuple[tuple[str, ...], ...]
     payoffs: dict[tuple[str, ...], tuple[Fraction, ...]]
-
-    def __post_init__(self) -> None:
-        actions_of = _label_lists(self.actions_of, "actions")
-        n = len(actions_of)
-        payoffs = {}
-        for key, vals in dict(self.payoffs).items():
-            key = tuple(key)
-            vals = tuple(as_rational(v, ("payoffs", key)) for v in vals)
-            if len(vals) != n:
-                raise ConstructionError(f"payoff vector at {key} has arity {len(vals)}, want {n}")
-            payoffs[key] = vals
-        expected = set(itertools.product(*actions_of))
-        if set(payoffs) != expected:
-            raise ConstructionError("payoff table does not cover exactly the action profiles")
-        for values in zip(*payoffs.values()):
-            check_denominators(values, ("payoffs",))
-        object.__setattr__(self, "actions_of", actions_of)
-        object.__setattr__(self, "payoffs", payoffs)
-
-    @cached_property
-    def _values(self) -> list[list[int]]:
-        values = []
-        for column in zip(*map(self.payoffs.__getitem__, itertools.product(*self.actions_of))):
-            unit = math.lcm(*[v.denominator for v in column])
-            values.append([_scaled(v, unit) for v in column])
-        return values
-
-    @property
-    def agent_count(self) -> int:
-        return len(self.actions_of)
 
     def payoff(self, action_profile) -> tuple[Fraction, ...]:
         key = tuple(action_profile)
@@ -497,29 +463,10 @@ def _expost_slice(game: BayesianGame, agent: int, k: int) -> list[int]:
 
 def _expost_game(game: BayesianGame, slices: list[list[int]]) -> NormalFormGame:
     """The ex-post game in which agent i's payoffs are `slices[i]`, from
-    `_expost_slice`: it keeps the slices as its int tables and builds its
-    Fractions from them, with no second check of values or labels."""
+    `_expost_slice`, as Fractions over the agent's scale."""
     actions_of, scale = game.mechanism.actions_of, game._tables.scale
     columns = [[Fraction(v, s) for v in values] for values, s in zip(slices, scale)]
-    nf = object.__new__(NormalFormGame)
-    object.__setattr__(nf, "actions_of", actions_of)
-    object.__setattr__(nf, "payoffs", dict(zip(itertools.product(*actions_of), zip(*columns))))
-    object.__setattr__(nf, "_values", slices)
-    return nf
-
-
-def expost_normal_form(game: BayesianGame, true_types) -> NormalFormGame:
-    """The complete-information profit game at a fixed realized type profile:
-    each agent's payoffs are one slice of the game's compiled tables, at its
-    own true type (`_expost_slice`).
-
-    In a direct game the strategic cost of a report is its misreporting cost,
-    so its profits there are the direct game's report payoffs.
-    """
-    true_types = game.type_space.validate_profile(true_types)
-    types_of = game.type_space.types_of
-    slices = [_expost_slice(game, i, types_of[i].index(t)) for i, t in enumerate(true_types)]
-    return _expost_game(game, slices)
+    return NormalFormGame(actions_of, dict(zip(itertools.product(*actions_of), zip(*columns))))
 
 
 def _lines(actions_of, agent: int) -> list[range]:
@@ -548,29 +495,11 @@ def _nash(actions_of, best_of: list[set[int]]) -> list[tuple[str, ...]]:
     return [p for flat, p in enumerate(itertools.product(*actions_of)) if flat in stable]
 
 
-def find_pure_nash(nf: NormalFormGame) -> list[tuple[str, ...]]:
-    """All pure Nash profiles of a normal-form game (weak inequalities)."""
-    best_of = [_best_replies(nf.actions_of, i, values) for i, values in enumerate(nf._values)]
-    return _nash(nf.actions_of, best_of)
-
-
-def dominant_strategies(nf: NormalFormGame, agent: int) -> DominantAction | None:
-    """The agent's dominant action in a normal-form game, if any.
-
-    Weak dominance here means best response against every opponent profile,
-    with no strictness requirement, so ties qualify. Strict dominance is
-    reported when the action beats every alternative everywhere. First action
-    in declared order wins ties among weakly dominant actions.
-    """
-    if not isinstance(agent, int) or isinstance(agent, bool) or not 0 <= agent < nf.agent_count:
-        raise DomainError(f"unknown agent index {agent!r}")
-    return _dominant(nf.actions_of, agent, _best_replies(nf.actions_of, agent, nf._values[agent]))
-
-
 def _dominant(actions_of, agent: int, best: set[int]) -> DominantAction | None:
-    """`dominant_strategies` from the agent's `_best_replies`: an action is
-    weakly dominant when every profile where it is played is a best reply,
-    and strictly when those are all the best replies."""
+    """The agent's dominant action, from its `_best_replies`, or None: an
+    action is weakly dominant when every profile where it is played is a
+    best reply, and strictly when those are all the best replies. Ties
+    qualify, and the first weakly dominant action in declared order wins."""
     lines = _lines(actions_of, agent)
     for a, action in enumerate(actions_of[agent]):
         played = {line[a] for line in lines}

@@ -6,17 +6,25 @@ profile with `TypeSpace.conditional_weight`, looks each utility up by label
 in `utilities.table` and each strategic cost in `costs.strategic` (0 where
 absent), and scans every pure profile. Ex-post payoffs, pure Nash profiles
 and dominant actions of normal-form games are found the same way, by brute
-force. Profiles and opponent type profiles are enumerated here, from
-`itertools.product`, so the oracle shares no enumeration code with the
-library. It is slow and is used only by the tests, together with a
-generator of random costly games.
+force, and so is the rule a profile plays out. Profiles and opponent type
+profiles are enumerated here, from `itertools.product`, so the oracle
+shares no enumeration code with the library. It is slow and is used only
+by the tests, together with a generator of random costly games.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from revaudit.core import CostModel, DomainError, Mechanism, Outcome, TypeSpace, UtilityTable
+from revaudit.core import (
+    CostModel,
+    DomainError,
+    Mechanism,
+    Outcome,
+    SocialChoiceFunction,
+    TypeSpace,
+    UtilityTable,
+)
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
@@ -102,6 +110,20 @@ def is_bayesian_nash(game, profile):
 def find_all_pure_bne(game):
     """Every pure equilibrium, by checking each enumerated profile in turn."""
     return [p for p in profiles(game) if is_bayesian_nash(game, p).is_equilibrium]
+
+
+def induced_scf(game, profile):
+    """The rule a profile plays out: at each type profile, the outcome the
+    mechanism gives the actions the strategies take there, looked up by
+    label."""
+    types_of, strategies = game.type_space.types_of, profile.strategies
+    return SocialChoiceFunction(
+        types_of,
+        {
+            theta: game.mechanism.outcome_of[tuple(s.action(t) for s, t in zip(strategies, theta))]
+            for theta in itertools.product(*types_of)
+        },
+    )
 
 
 def expost_payoffs(game, true_types):

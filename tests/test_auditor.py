@@ -17,7 +17,6 @@ from revaudit.auditor import (
     RegressionSummary,
     audit_revelation_principle,
     direct_game,
-    induced_scf,
     is_truthfully_implementable,
     random_zero_cost_game,
     zero_cost_regression,
@@ -28,6 +27,8 @@ from revaudit.equilibrium import (
     Deviation,
     EquilibriumVerdict,
     StrategyProfile,
+    _plan,
+    _rule,
     find_all_pure_bne,
 )
 from revaudit.labor import (
@@ -179,7 +180,7 @@ def test_chain_intact_on_zero_cost_instances():
         game = random_zero_cost_game(rng)
         for profile in find_all_pure_bne(game):
             seen += 1
-            direct = direct_game(game, induced_scf(game, profile))
+            direct = direct_game(game, ref.induced_scf(game, profile))
             chain = audit_revelation_principle(game, profile, direct).chain
             assert not chain.vacuous
             assert chain.equilibrium_inequalities_hold
@@ -246,7 +247,7 @@ def test_chain_matches_reference_on_every_profile_of_costly_games():
     for _ in range(30):
         game = with_random_costs(random_zero_cost_game(rng), rng)
         for profile in ref.profiles(game):
-            scf = induced_scf(game, profile)
+            scf = ref.induced_scf(game, profile)
             chain = audit_revelation_principle(game, profile, direct_game(game, scf)).chain
             assert chain == reference_chain(game, profile, scf)
             records.append(chain)
@@ -337,9 +338,11 @@ def test_scaling_leaves_the_audit_unchanged():
 
 
 def test_induced_scf_of_separating_profile_is_the_rule():
-    sc = scenario()
-    induced = induced_scf(sc.game, SEPARATING_PROFILE)
-    assert induced == HIRING_RULE
+    # The oracle reads the rule label by label; the engine, as the
+    # regression does, from outcome positions.
+    game = scenario().game
+    assert ref.induced_scf(game, SEPARATING_PROFILE) == HIRING_RULE
+    assert auditor._rule_scf(game, _rule(game, _plan(game, SEPARATING_PROFILE))) == HIRING_RULE
 
 
 def test_zero_cost_regression_passes():
@@ -374,7 +377,7 @@ def regression_one_game_per_equilibrium(instances, seed):
     for k, game, equilibria in regression_games(instances, seed):
         for profile in equilibria:
             checked += 1
-            direct = direct_game(game, induced_scf(game, profile))
+            direct = direct_game(game, ref.induced_scf(game, profile))
             if not auditor.is_truthfully_implementable(direct).is_equilibrium:
                 failures.append(failure_line(k, profile))
     return RegressionSummary(instances, checked, tuple(failures))
@@ -415,7 +418,7 @@ def test_each_distinct_rule_of_a_game_is_checked_once(monkeypatch):
     )
     summary = zero_cost_regression()
     rules = sum(
-        len({tuple(induced_scf(game, p).outcome_of.items()) for p in equilibria})
+        len({tuple(ref.induced_scf(game, p).outcome_of.items()) for p in equilibria})
         for _, game, equilibria in regression_games(200, DEFAULT_REGRESSION_SEED)
     )
     assert len(calls) == rules == 239
@@ -426,12 +429,12 @@ def test_each_distinct_rule_of_a_game_is_checked_once(monkeypatch):
 def test_a_failing_rule_fails_each_equilibrium_that_plays_it(monkeypatch):
     games = list(regression_games(40, DEFAULT_REGRESSION_SEED))
     _, chosen_game, equilibria = games[26]
-    rule = induced_scf(chosen_game, equilibria[0])
-    plays = [k for k, game, eqs in games for p in eqs if induced_scf(game, p) == rule]
+    rule = ref.induced_scf(chosen_game, equilibria[0])
+    plays = [k for k, game, eqs in games for p in eqs if ref.induced_scf(game, p) == rule]
     # Its 5 equilibria interleave with another rule's, and game 31 plays the
     # same outcome table, which must keep its own verdict.
     assert plays == [26] * 5 + [31]
-    assert [induced_scf(chosen_game, p) == rule for p in equilibria] == [
+    assert [ref.induced_scf(chosen_game, p) == rule for p in equilibria] == [
         True, True, False, True, True, False, True,
     ]
 
@@ -441,6 +444,6 @@ def test_a_failing_rule_fails_each_equilibrium_that_plays_it(monkeypatch):
     monkeypatch.setattr(auditor, "is_truthfully_implementable", failing_where(fails))
     summary = zero_cost_regression(40, DEFAULT_REGRESSION_SEED)
     assert summary.failures == tuple(
-        failure_line(26, p) for p in equilibria if induced_scf(chosen_game, p) == rule
+        failure_line(26, p) for p in equilibria if ref.induced_scf(chosen_game, p) == rule
     )
     assert summary.equilibria_checked == sum(len(eqs) for _, _, eqs in games)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 import reference_engine as ref
-from payoff_probe import compiled_payoff
+from payoff_probe import compiled_payoff, expost_game
 from test_cli import counted
 
 from revaudit import equilibrium
@@ -30,13 +30,12 @@ from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
     DominantAction,
-    NormalFormGame,
     PureStrategy,
     StrategyProfile,
-    dominant_strategies,
-    expost_normal_form,
+    _best_replies,
+    _dominant,
+    _nash,
     find_all_pure_bne,
-    find_pure_nash,
     implements_scf,
     is_bayesian_nash,
 )
@@ -409,132 +408,68 @@ def test_the_search_computes_each_row_set_once(monkeypatch):
 
 def test_expost_matches_case_values():
     game = canonical_game()
-    nf = expost_normal_form(game, (TYPE_HIGH, TYPE_LOW))
+    nf = expost_game(game, (TYPE_HIGH, TYPE_LOW))
     assert nf.payoff((BID_HIGH, BID_ZERO))[0] == Fraction(1)
     assert nf.payoff((BID_ZERO, BID_ZERO))[0] == Fraction(3, 4)
 
 
-def prisoners_dilemma():
-    labels = {
-        ("c", "c"): (Fraction(2), Fraction(2)),
-        ("c", "d"): (Fraction(0), Fraction(3)),
-        ("d", "c"): (Fraction(3), Fraction(0)),
-        ("d", "d"): (Fraction(1), Fraction(1)),
-    }
-    return NormalFormGame((("c", "d"), ("c", "d")), labels)
+def scans(actions_of, payoffs):
+    """The pure Nash profiles and each agent's dominant action of a table of
+    int payoffs, by the scans `case_matrices` runs: `_best_replies` per
+    agent, then `_nash` and `_dominant` on them."""
+    values = [payoffs[p] for p in itertools.product(*actions_of)]
+    best = [_best_replies(actions_of, i, [v[i] for v in values]) for i in range(len(actions_of))]
+    return _nash(actions_of, best), [_dominant(actions_of, i, b) for i, b in enumerate(best)]
 
 
 def test_find_pure_nash_and_strict_dominance():
-    nf = prisoners_dilemma()
-    assert find_pure_nash(nf) == [("d", "d")]
-    for agent in (0, 1):
-        d = dominant_strategies(nf, agent)
-        assert d is not None and d.action == "d" and d.kind == "strict"
+    # The prisoner's dilemma.
+    payoffs = {("c", "c"): (2, 2), ("c", "d"): (0, 3), ("d", "c"): (3, 0), ("d", "d"): (1, 1)}
+    nash, dominant = scans((("c", "d"), ("c", "d")), payoffs)
+    assert nash == [("d", "d")]
+    assert dominant == [DominantAction("d", "strict")] * 2
 
 
 def test_constant_game_everything_is_weakly_dominant():
-    payoffs = {p: (Fraction(1), Fraction(1)) for p in itertools.product("ab", "ab")}
-    nf = NormalFormGame((("a", "b"), ("a", "b")), payoffs)
-    assert len(find_pure_nash(nf)) == 4
-    d = dominant_strategies(nf, 0)
-    assert d is not None and d.action == "a" and d.kind == "weak"
+    payoffs = dict.fromkeys(itertools.product("ab", "ab"), (1, 1))
+    nash, dominant = scans((("a", "b"), ("a", "b")), payoffs)
+    assert len(nash) == 4
+    assert dominant[0] == DominantAction("a", "weak")
 
 
 def test_matching_pennies_has_no_dominant_action():
-    payoffs = {
-        ("h", "h"): (Fraction(1), Fraction(-1)),
-        ("h", "t"): (Fraction(-1), Fraction(1)),
-        ("t", "h"): (Fraction(-1), Fraction(1)),
-        ("t", "t"): (Fraction(1), Fraction(-1)),
-    }
-    nf = NormalFormGame((("h", "t"), ("h", "t")), payoffs)
-    assert dominant_strategies(nf, 0) is None
-    assert find_pure_nash(nf) == []
+    payoffs = {("h", "h"): (1, -1), ("h", "t"): (-1, 1), ("t", "h"): (-1, 1), ("t", "t"): (1, -1)}
+    nash, dominant = scans((("h", "t"), ("h", "t")), payoffs)
+    assert dominant[0] is None
+    assert nash == []
 
 
 def test_only_the_middle_agents_deviation_breaks_a_profile():
     # Agents 0 and 2 get 0 everywhere; agent 1 gets 1 only at (x, y, x), so
     # (x, x, x) fails on the middle agent's deviation alone.
     profiles = list(itertools.product("xy", repeat=3))
-    payoffs = {p: (Fraction(0), Fraction(p == ("x", "y", "x")), Fraction(0)) for p in profiles}
-    nf = NormalFormGame((("x", "y"),) * 3, payoffs)
-    assert find_pure_nash(nf) == [p for p in profiles if p != ("x", "x", "x")]
+    payoffs = {p: (0, int(p == ("x", "y", "x")), 0) for p in profiles}
+    nash, _ = scans((("x", "y"),) * 3, payoffs)
+    assert nash == [p for p in profiles if p != ("x", "x", "x")]
 
 
-def own_payoffs_game(rows):
-    """A two-agent normal form where agent 0 plays the keys of `rows`, each
-    holding its payoffs against agent 1's l and r, and agent 1 gets 0."""
-    payoffs = {
-        (a, b): (Fraction(v), Fraction(0)) for a, row in rows.items() for b, v in zip("lr", row)
-    }
-    return NormalFormGame((tuple(rows), ("l", "r")), payoffs)
+def own_dominant(rows):
+    """Agent 0's dominant action in a two-agent game where it plays the keys
+    of `rows`, each holding its payoffs against agent 1's l and r, and
+    agent 1 gets 0."""
+    payoffs = {(a, b): (v, 0) for a, row in rows.items() for b, v in zip("lr", row)}
+    return scans((tuple(rows), ("l", "r")), payoffs)[1][0]
 
 
 def test_a_weakly_dominant_action_after_a_non_dominant_one_is_found():
     # b ties a against l and c against r, and is never beaten.
-    nf = own_payoffs_game({"a": (1, 0), "b": (1, 1), "c": (0, 1)})
-    assert dominant_strategies(nf, 0) == DominantAction("b", "weak")
+    assert own_dominant({"a": (1, 0), "b": (1, 1), "c": (0, 1)}) == DominantAction("b", "weak")
 
 
 def test_the_first_of_two_tied_weakly_dominant_actions_wins():
-    nf = own_payoffs_game({"a": (0, 1), "b": (1, 1), "c": (1, 1)})
-    assert dominant_strategies(nf, 0) == DominantAction("b", "weak")
+    assert own_dominant({"a": (0, 1), "b": (1, 1), "c": (1, 1)}) == DominantAction("b", "weak")
 
 
 def test_singleton_action_set_is_trivially_dominant():
-    nf = NormalFormGame((("only",),), {("only",): (Fraction(0),)})
-    d = dominant_strategies(nf, 0)
-    assert d is not None and d.kind == "strict"
-
-
-@pytest.mark.parametrize("value", [0.1, True, "\u0661"], ids=["float", "bool", "arabic-indic-one"])
-def test_normal_form_payoffs_are_exact_rationals(value):
-    with pytest.raises(ConstructionError) as err:
-        NormalFormGame((("a", "b"),), {("a",): (Fraction(0),), ("b",): (value,)})
-    assert err.value.at == ("payoffs", ("b",))
-
-
-def test_normal_form_bounds_each_agents_denominators():
-    # Each agent's payoffs are compared on its own LCM, so each agent's
-    # denominators are bounded on their own: agent 0's 2**2048 and 1 have
-    # 2,049 bits and 1 bit.
-    long = Fraction(1, 2**2048)
-    with pytest.raises(ConstructionError) as err:
-        NormalFormGame((("a", "b"), ("c",)), {("a", "c"): (long, 0), ("b", "c"): (0, 0)})
-    assert err.value.at == ("payoffs",)
-    assert str(err.value) == (
-        "payoffs: distinct denominators of 2050 bits in all exceed the limit of 2048"
-    )
-    half = Fraction(1, 2**2047)
-    NormalFormGame((("a", "b"),) * 2, {p: (half, half) for p in itertools.product("ab", "ab")})
-
-
-def test_dominant_strategies_rejects_a_bool_agent():
-    with pytest.raises(DomainError, match="unknown agent index True"):
-        dominant_strategies(prisoners_dilemma(), True)
-
-
-@pytest.mark.parametrize(
-    "actions_of, at",
-    [
-        ((("a", "a"), ("b",)), ("actions", 0)),
-        ((("a",), ()), ("actions", 1)),
-        ((("a", ""),), ("actions", 0)),
-        (((1, 2),), ("actions", 0)),
-        ((), ("actions",)),
-    ],
-    ids=["duplicate", "empty-set", "empty-label", "non-string", "no-agent"],
-)
-def test_normal_form_checks_its_action_labels(actions_of, at):
-    # A duplicate would list its Nash profile twice and dominate itself.
-    payoffs = {p: (Fraction(0),) * len(p) for p in itertools.product(*actions_of)}
-    with pytest.raises(ConstructionError) as err:
-        NormalFormGame(actions_of, payoffs)
-    assert err.value.at == at
-
-
-def test_normal_form_validation():
-    with pytest.raises(ConstructionError):
-        NormalFormGame((("a", "b"),), {("a",): (Fraction(1),)})
-    with pytest.raises(ConstructionError):
-        NormalFormGame((("a",),), {("a",): (Fraction(1), Fraction(2))})
+    nash, dominant = scans((("only",),), {("only",): (0,)})
+    assert (nash, dominant) == ([("only",)], [DominantAction("only", "strict")])

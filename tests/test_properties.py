@@ -7,15 +7,15 @@ actions and outcomes renames every equilibrium and audit report the same
 way and moves no verdict, and renumbering the agents renumbers every
 equilibrium. With every cost zero, the classical revelation
 principle holds. The rule an equilibrium plan plays out, read from
-outcome positions, is the rule its labels play out, and `implements_scf`
-agrees with the labels on every profile. The audit judges truth-telling as the engines do, and so
-do the cost-free misreport gains under any misreporting schedule. Every
+outcome positions, is the rule its labels play out by brute force, and
+`implements_scf` agrees with the labels on every profile. The audit judges
+truth-telling as the engines do, and so do the cost-free misreport gains
+under any misreporting schedule. Every
 ex-post payoff, of a game or of a rule's direct game, is the utility of the
 outcome minus the strategic cost of the action played, and the pure Nash
-and dominance scans of a normal-form game agree with brute force. They
-answer on an ex-post game's own ints as on its payoffs rebuilt by hand,
-and the labor matrices, which share each worker's scans by type, answer as
-each case's game does alone. An audit
+and dominance scans agree with brute force: on random int tables, on an
+ex-post game's slices against its exact payoffs, and in the labor
+matrices, which share each worker's scans by type. An audit
 report reads back from its JSON exactly, through the readers below.
 The games are drawn with large, pairwise coprime denominators so that the
 engine's integer tables are built over large LCMs. Every verdict and bid
@@ -38,16 +38,17 @@ from fractions import Fraction
 import reference_engine as ref
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from payoff_probe import compiled_payoff
+from payoff_probe import compiled_payoff, expost_game, expost_slices
+from test_equilibrium import scans
 from test_goldens import oracle_row
 
 from revaudit.auditor import (
     AuditReport,
     BreakPoint,
     ProofChainRecord,
+    _rule_scf,
     audit_revelation_principle,
     direct_game,
-    induced_scf,
     is_truthfully_implementable,
     misreport_gains,
 )
@@ -69,12 +70,10 @@ from revaudit.equilibrium import (
     PureStrategy,
     StrategyProfile,
     _equilibrium_plans,
+    _expost_game,
     _profile,
     _rule,
-    dominant_strategies,
-    expost_normal_form,
     find_all_pure_bne,
-    find_pure_nash,
     implements_scf,
     is_bayesian_nash,
 )
@@ -220,38 +219,33 @@ def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(game):
     # equilibrium action gets, which the equilibrium says is no better.
     free = ref.cost_free(game)
     for profile in find_all_pure_bne(free):
-        direct = direct_game(free, induced_scf(free, profile))
+        direct = direct_game(free, ref.induced_scf(free, profile))
         assert is_truthfully_implementable(direct).is_equilibrium
 
 
-def oracle_rule(game, profile):
-    """The outcome a profile realizes at each type profile, read label by label."""
-    outcome_of, strategies = game.mechanism.outcome_of, profile.strategies
-    return [
-        outcome_of[tuple(s.action(t) for s, t in zip(strategies, theta))]
-        for theta in game.type_space.profiles()
-    ]
+def played_labels(game, profile):
+    """The outcome label a profile realizes at each type profile, by brute force."""
+    rule = ref.induced_scf(game, profile)
+    return [rule.outcome_of[theta].label for theta in game.type_space.profiles()]
 
 
 @SETTINGS
 @given(games())
 def test_the_rule_of_each_equilibrium_plan_is_the_rule_its_labels_play(game):
-    # implements_scf plays a profile out on outcome positions; the oracle
-    # compares labels, over every profile, those that play the rule and
-    # those that do not.
+    # The engine plays a plan out on outcome positions (`_rule`); the oracle
+    # reads labels. implements_scf is compared over every profile, those
+    # that play the rule and those that do not.
     profiles = ref.profiles(game)
-    played = [[x.label for x in oracle_rule(game, p)] for p in profiles]
+    played = [played_labels(game, p) for p in profiles]
     for game in (game, ref.cost_free(game)):
         plans = _equilibrium_plans(game)
         assert [_profile(game, plan) for plan in plans] == find_all_pure_bne(game)
-        labels = game.mechanism.walk.labels
         for plan in plans:
-            expected = oracle_rule(game, _profile(game, plan))
-            assert [labels[x] for x in _rule(game, plan)] == [x.label for x in expected]
-            induced = induced_scf(game, _profile(game, plan))
-            assert [induced.outcome_of[theta] for theta in game.type_space.profiles()] == expected
+            induced = ref.induced_scf(game, _profile(game, plan))
+            assert _rule_scf(game, _rule(game, plan)) == induced
             verdicts = [implements_scf(game, p, induced) for p in profiles]
-            assert verdicts == [rule == [x.label for x in expected] for rule in played]
+            expected = played_labels(game, _profile(game, plan))
+            assert verdicts == [rule == expected for rule in played]
 
 
 def with_misreport_costs(game, data):
@@ -354,20 +348,20 @@ def test_expost_payoffs_are_utility_minus_strategic_cost(agents, seed):
     rule = SocialChoiceFunction(ts.types_of, table)
     for played in (priced, direct_game(priced, rule)):
         for theta in ts.profiles():
-            assert expost_normal_form(played, theta).payoffs == ref.expost_payoffs(played, theta)
+            assert expost_game(played, theta).payoffs == ref.expost_payoffs(played, theta)
 
 
 @st.composite
 def normal_forms(draw):
-    """A normal-form game of 1..3 agents with 1..3 actions each, and payoffs
-    drawn from 0, 1/2 and 1, so that ties and weak dominance are common."""
+    """A normal-form game of 1..3 agents with 1..3 actions each, and int
+    payoffs from 0 to 2, so that ties and weak dominance are common."""
     agents = draw(st.integers(1, 3))
     actions_of = tuple(
         tuple(f"a{k}" for k in range(draw(st.integers(1, 3)))) for _ in range(agents)
     )
-    value = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1)))
     payoffs = {
-        p: tuple(draw(value) for _ in range(agents)) for p in itertools.product(*actions_of)
+        p: tuple(draw(st.integers(0, 2)) for _ in range(agents))
+        for p in itertools.product(*actions_of)
     }
     return NormalFormGame(actions_of, payoffs)
 
@@ -375,18 +369,17 @@ def normal_forms(draw):
 @settings(SETTINGS, max_examples=200)
 @given(normal_forms())
 def test_the_nash_and_dominance_scans_match_brute_force(nf):
-    assert find_pure_nash(nf) == ref.pure_nash(nf)
-    for agent in range(nf.agent_count):
-        assert dominant_strategies(nf, agent) == ref.dominant_action(nf, agent)
+    nash, dominant = scans(nf.actions_of, nf.payoffs)
+    assert nash == ref.pure_nash(nf)
+    assert dominant == [ref.dominant_action(nf, i) for i in range(len(nf.actions_of))]
 
 
 @SETTINGS
 @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_an_expost_game_is_the_game_its_payoffs_declare(agents, seed):
     # The same games as in test_expost_payoffs_are_utility_minus_strategic_cost.
-    # An ex-post game keeps its slices of the compiled tables as its ints; the
-    # same payoffs through the public constructor are scaled on each agent's
-    # own LCM. Both are one game, and the scans read them alike.
+    # The scans read the slices, ints on each agent's own scale; brute force
+    # on the ex-post game's exact payoffs finds the same profiles and actions.
     rng = random.Random(seed)
     game = ref.random_costly_game(rng, *ref.random_shape(rng, agents, max_profiles=729))
     ts = game.type_space
@@ -401,13 +394,14 @@ def test_an_expost_game_is_the_game_its_payoffs_declare(agents, seed):
     table = {theta: rng.choice(outcomes) for theta in ts.profiles()}
     rule = SocialChoiceFunction(ts.types_of, table)
     for played in (priced, direct_game(priced, rule)):
+        actions_of = played.mechanism.actions_of
         for theta in ts.profiles():
-            nf = expost_normal_form(played, theta)
-            rebuilt = NormalFormGame(nf.actions_of, nf.payoffs)
-            assert nf == rebuilt
-            assert find_pure_nash(nf) == find_pure_nash(rebuilt)
-            for agent in range(nf.agent_count):
-                assert dominant_strategies(nf, agent) == dominant_strategies(rebuilt, agent)
+            slices = expost_slices(played, theta)
+            nf = _expost_game(played, slices)
+            payoffs = dict(zip(itertools.product(*actions_of), zip(*slices)))
+            nash, dominant = scans(actions_of, payoffs)
+            assert nash == ref.pure_nash(nf)
+            assert dominant == [ref.dominant_action(nf, i) for i in range(len(actions_of))]
 
 
 def positive_rationals():
@@ -449,13 +443,16 @@ def labor_params(draw):
 @given(labor_params())
 def test_the_case_matrices_share_what_each_game_scans_alone(params):
     # case_matrices finds each worker's best replies and dominant report once
-    # per true type and shares them by the two cases that hold it; each
-    # case's own game, scanned on its own, gives the same answers.
+    # per true type and shares them by the two cases that hold it; brute
+    # force on each case's payoffs, looked up by label, gives the same game
+    # and the same answers.
     scenario = build_scenario(params)
+    reports = scenario.direct.mechanism.actions_of
     for m in case_matrices(scenario):
-        assert m.dominant == tuple(dominant_strategies(m.game, i) for i in (0, 1))
-        assert m.pure_nash == tuple(find_pure_nash(m.game))
-        assert m.game == expost_normal_form(scenario.direct, m.true_types)
+        nf = NormalFormGame(reports, ref.expost_payoffs(scenario.direct, m.true_types))
+        assert m.game == nf
+        assert m.dominant == tuple(ref.dominant_action(nf, i) for i in (0, 1))
+        assert m.pure_nash == tuple(ref.pure_nash(nf))
 
 
 @settings(SETTINGS, max_examples=200)
@@ -635,7 +632,7 @@ def audit_report_from_jsonable(data) -> AuditReport:
 @given(games(), st.data())
 def test_an_audit_report_reads_back_from_its_json(game, data):
     profile = data.draw(st.sampled_from(ref.profiles(game)))
-    direct = direct_game(game, induced_scf(game, profile))
+    direct = direct_game(game, ref.induced_scf(game, profile))
     report = audit_revelation_principle(game, profile, direct)
     rendered = json.loads(json_dumps(audit_report_to_jsonable(report)))
     assert audit_report_from_jsonable(rendered) == report
@@ -758,7 +755,7 @@ def test_renaming_labels_renames_every_verdict(game, data):
     for one, renamed in and_cost_free(game, other):
         assert find_all_pure_bne(renamed) == [rename.profile(p) for p in find_all_pure_bne(one)]
     profiles = ref.profiles(game)
-    scf = induced_scf(game, data.draw(st.sampled_from(profiles)))
+    scf = ref.induced_scf(game, data.draw(st.sampled_from(profiles)))
     direct, other_direct = direct_game(game, scf), direct_game(other, rename.rule(scf))
     for profile in profiles:
         report = audit_revelation_principle(game, profile, direct)

@@ -1,5 +1,6 @@
-"""The public surface: the package exports exactly the names below, and the
-README's Python API example and command examples run as written. Adding or
+"""The public surface: the package exports exactly the names below, its
+version is the project's, and the README's Python API example and command
+examples run as written. Adding or
 removing a public name means changing this list."""
 
 import re
@@ -9,7 +10,8 @@ from pathlib import Path
 import revaudit
 from revaudit.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 EXPORTS = [
     "ALL_REPORT_HIGH_PROFILE",
@@ -49,13 +51,9 @@ EXPORTS = [
     "check_separating_equilibrium",
     "check_truthful_reporting",
     "direct_game",
-    "dominant_strategies",
-    "expost_normal_form",
     "find_all_pure_bne",
-    "find_pure_nash",
     "implements_scf",
     "in_wage_window",
-    "induced_scf",
     "is_bayesian_nash",
     "is_truthfully_implementable",
     "random_zero_cost_game",
@@ -67,6 +65,13 @@ EXPORTS = [
 
 def test_the_package_exports_exactly_these_names():
     assert sorted(revaudit.__all__) == EXPORTS
+
+
+def test_the_package_version_is_the_project_version():
+    # Read with a regex: Python 3.10 has no tomllib.
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    version = re.search(r'^\[project\]$.*?^version = "([^"]+)"$', project, re.DOTALL | re.MULTILINE)
+    assert revaudit.__version__ == version.group(1)
 
 
 def readme_block(heading, language):
