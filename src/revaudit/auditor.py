@@ -27,6 +27,7 @@ from .core import (
     SocialChoiceFunction,
     TypeSpace,
     UtilityTable,
+    _checked,
 )
 from .equilibrium import (
     BayesianGame,
@@ -53,9 +54,15 @@ def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
     Only the misreporting schedule carries over, stored once as the price of
     playing a report: strategic[(agent, report, true type)] =
     misreport[(agent, true type, report)], with honest reports free. Another
-    schedule is judged against `misreport_gains`, without a game of its own."""
+    schedule is judged against `misreport_gains`, without a game of its own.
+
+    The game has checked its type space, utilities and misreport schedule,
+    and a report is a type, so the prices need no check of their own: only
+    that the utilities cover every outcome the rule reaches is checked."""
     _check_reports(game, scf)
-    return BayesianGame(scf, game.type_space, game.utilities, CostModel(_report_prices(game)))
+    game.utilities.check_covers(scf.walk.labels, game.type_space.types_of)
+    prices = _checked(CostModel, _report_prices(game), {})
+    return _checked(BayesianGame, scf, game.type_space, game.utilities, prices)
 
 
 def _report_prices(game: BayesianGame) -> dict[tuple[int, str, str], Fraction]:

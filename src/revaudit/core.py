@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -389,18 +389,36 @@ def _walk_outcomes(mech: Mechanism) -> OutcomeWalk:
     return OutcomeWalk(tuple(position), outcome, strides)
 
 
+class _ConfigRows(dict):
+    """A table of Fractions read by the config parser, whose row check has
+    checked the type of each field of each (agent, label, label) key."""
+
+
 def _keyed_rationals(table: str, entries, field: str) -> dict[tuple[int, str, str], Fraction]:
     """A sparse table keyed by (agent index, label, label), with rational
     values. A value that is already a Fraction is taken as it is, so a
-    message is formatted only for a fault."""
-    result = {}
-    for key, v in dict(entries).items():
-        key = tuple(key)
-        if not (len(key) == 3 and type(key[0]) is int and _is_label(key[1]) and _is_label(key[2])):
-            raise ConstructionError("key must be (agent, label, label)", (table, key))
-        result[key] = v if isinstance(v, Fraction) else as_rational(v, (table, key, field))
+    message is formatted only for a fault. Of a `_ConfigRows` table only
+    the labels are looked at, for an empty one, which the row check lets
+    through; a table holding one is walked, to name its first bad key."""
+    result = dict(entries)
+    if type(entries) is not _ConfigRows or any("" in key for key in result):
+        rows, result = result, {}
+        for key, v in rows.items():
+            key = tuple(key)
+            if not (len(key) == 3 and type(key[0]) is int and _is_label(key[1]) and _is_label(key[2])):
+                raise ConstructionError("key must be (agent, label, label)", (table, key))
+            result[key] = v if isinstance(v, Fraction) else as_rational(v, (table, key, field))
     check_denominators(result.values(), (table,))
     return result
+
+
+def _checked(cls, *values):
+    """`cls(*values)` for a frozen dataclass `cls`, built without its
+    `__post_init__`: for parts whose checks have already run."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 @dataclass(frozen=True)

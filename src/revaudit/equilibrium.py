@@ -427,6 +427,8 @@ class NormalFormGame:
     """A complete-information payoff table over action profiles: each
     agent's exact payoffs at every profile of `actions_of`."""
 
+    __hash__ = None  # its payoffs are a dict
+
     actions_of: tuple[tuple[str, ...], ...]
     payoffs: dict[tuple[str, ...], tuple[Fraction, ...]]
 

@@ -287,6 +287,8 @@ class CaseMatrix:
     """The ex-post report game at one realized type pair, with its dominance
     structure and pure Nash profiles."""
 
+    __hash__ = None  # its game's payoffs are a dict
+
     case: int
     true_types: tuple[str, str]
     game: NormalFormGame

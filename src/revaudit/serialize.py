@@ -25,6 +25,7 @@ from .core import (
     SocialChoiceFunction,
     TypeSpace,
     UtilityTable,
+    _ConfigRows,
     as_rational,
     check_agent_count,
     check_literal_size,
@@ -165,14 +166,7 @@ GENERIC_KEYS = (
 
 
 def _is_label_list(value) -> bool:
-    # A plain loop: every outcome_function and rule row holds such a list,
-    # and all() over a generator costs twice as much on these short lists.
-    if not isinstance(value, list):
-        return False
-    for v in value:
-        if not isinstance(v, str):
-            return False
-    return True
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _label_lists(value, where: str) -> list:
@@ -199,13 +193,12 @@ class _RowError(Exception):
     formatted only when the fault is reported."""
 
 
-# How a row field is checked: an agent index, a label, or a list of labels.
-# Other fields (values and costs) are numbers, read later.
-AGENT, LABEL, LABELS = range(3)
-FIELD_KINDS = {
-    "agent": AGENT,
-    **dict.fromkeys(("label", "outcome", "type", "action", "true_type", "reported_type"), LABEL),
-    **dict.fromkeys(("actions", "types"), LABELS),
+# The type of each checked row field: an agent index, a label, or a list of
+# labels. Other fields (values and costs) are numbers, read later.
+FIELD_TYPES = {
+    "agent": int,
+    **dict.fromkeys(("label", "outcome", "type", "action", "true_type", "reported_type"), str),
+    **dict.fromkeys(("actions", "types"), list),
 }
 
 
@@ -216,35 +209,48 @@ class _Table:
 
     def __init__(self, key: str, noun: str, fields: tuple[str, ...], optional=()):
         self.key, self.noun, self.fields = key, noun, fields
-        self.names = frozenset(fields)
-        self.allowed = self.names.union(optional)
-        self.kinds = tuple((f, FIELD_KINDS.get(f)) for f in fields)
-        self.typed = tuple((f, kind) for f, kind in self.kinds if kind is not None)
+        self.allowed = frozenset(fields).union(optional)
+        self.kinds = tuple((f, FIELD_TYPES.get(f)) for f in fields)
+
+    def valid(self, entries: list) -> bool:
+        """Whether every row is an object with exactly the required fields,
+        each checked field of its type, a list holding only labels. Each
+        field is compared as one column of the whole table: one pass over
+        its rows in C, where a walk of each row costs a Python loop. A table
+        that fails is walked row by row, by `check`, to name its fault."""
+        if set(map(type, entries)) != {dict} or set(map(len, entries)) != {len(self.fields)}:
+            return False
+        for f, kind in self.kinds:
+            try:
+                column = list(map(operator.itemgetter(f), entries))
+            except KeyError:
+                return False
+            if kind and set(map(type, column)) != {kind}:
+                return False
+            if kind is list and not set(map(type, itertools.chain.from_iterable(column))) <= {str}:
+                return False
+        return True
 
     def check(self, entry) -> dict:
         """An object with exactly the required fields (plus any optional
         ones), each agent an int index and each label a string."""
         if not isinstance(entry, dict):
             raise _RowError(": expected an object")
-        if entry.keys() == self.names:
-            fields = self.typed  # no field is missing: check the typed ones
-        else:
-            unknown = entry.keys() - self.allowed
-            if unknown:
-                raise _RowError(f": unknown fields {sorted(unknown)}")
-            fields = self.kinds
-        for f, kind in fields:
+        unknown = entry.keys() - self.allowed
+        if unknown:
+            raise _RowError(f": unknown fields {sorted(unknown)}")
+        for f, kind in self.kinds:
             try:
                 value = entry[f]
             except KeyError:
                 raise _RowError(f": missing required field '{f}'") from None
-            if kind == LABEL:
+            if kind is str:
                 if not isinstance(value, str):
                     raise _RowError(f".{f}: expected a label string")
-            elif kind == AGENT:
+            elif kind is int:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise _RowError(f".{f}: expected an agent index")
-            elif kind == LABELS and not _is_label_list(value):
+            elif kind is list and not _is_label_list(value):
                 raise _RowError(f".{f}: expected a list of label strings")
         return entry
 
@@ -269,9 +275,11 @@ def _read_rows(cfg: dict, table: _Table, rows: dict, read, default=None) -> dict
     or a second row for a key (which would silently replace the first), is
     reported under the row's path."""
     values = rows[table.key] = {}
-    for k, entry in enumerate(_list(cfg, table.key, default)):
+    entries = _list(cfg, table.key, default)
+    valid = table.valid(entries)
+    for k, entry in enumerate(entries):
         try:
-            key, value = read(table.check(entry))
+            key, value = read(entry if valid else table.check(entry))
             if key in values:
                 raise _RowError(f": duplicate {table.noun} {key!r}")
             values[key] = value
@@ -381,12 +389,12 @@ def _generic_game(cfg: dict, rows: dict):
     def cost_rows(table: _Table) -> dict:
         """Rows keyed by their first three fields, each with a cost."""
         key_of = operator.itemgetter(*table.fields[:3])
-        return _read_rows(
+        return _ConfigRows(_read_rows(
             cfg, table, rows, lambda e: (key_of(e), rational(e["cost"], ".cost")), default=[]
-        )
+        ))
 
     costs = CostModel(cost_rows(STRATEGIC_COSTS), cost_rows(MISREPORT_COSTS))
-    game = BayesianGame(mechanism, type_space, UtilityTable(utility), costs)
+    game = BayesianGame(mechanism, type_space, UtilityTable(_ConfigRows(utility)), costs)
     return game, direct_game(game, scf)
 
 

@@ -1033,6 +1033,31 @@ def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: parse_generic_scenario(two_agent_cfg()),
+     lambda: labor.build_scenario(labor.LaborParams(1, 2, 1, "3/2", "1/2"))],
+    ids=["generic", "labor"],
+)
+def test_a_scenario_checks_its_cost_schedule_once(monkeypatch, build):
+    counts = Counter()
+    for name in ("__post_init__", "validate_against"):
+        method = getattr(core.CostModel, name)
+
+        def counting(self, *args, name=name, method=method):
+            counts[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(core.CostModel, name, counting)
+    scenario = build()
+    # The game's schedule is checked once, on its own and against the game.
+    # The direct game prices reports from that checked schedule, so its
+    # prices are not checked again.
+    assert counts == {"__post_init__": 1, "validate_against": 1}
+    assert scenario.direct.costs.strategic == {
+        (i, r, t): v for (i, t, r), v in scenario.game.costs.misreport.items()
+    }
+
+
 def test_a_generic_audit_computes_each_agents_payoffs_once(tmp_path, monkeypatch, capsys):
     counts = counted(monkeypatch, [equilibrium._interim_rows, equilibrium._plan])
     assert main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())]) == 0

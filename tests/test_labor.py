@@ -4,6 +4,7 @@ direct-game truthfulness, ex-post report matrices, and the full audit.
 Closed-form payoff formulas are recomputed inside the tests so the scenario
 code is checked against an independent derivation, not against itself."""
 
+import collections.abc
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,15 @@ def test_mixed_case_matrices_are_transposes():
         for b in (TYPE_LOW, TYPE_HIGH):
             assert low_high.payoff((a, b))[0] == high_low.payoff((b, a))[1]
             assert low_high.payoff((a, b))[1] == high_low.payoff((b, a))[0]
+
+
+def test_case_matrices_are_not_hashable():
+    # A matrix holds its payoffs in a dict, so neither record can be hashed.
+    matrix = case_matrices(build_scenario(params(w="3/2", c_mis="1/2")))[0]
+    for record in (matrix, matrix.game):
+        assert not isinstance(record, collections.abc.Hashable)
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
+            hash(record)
 
 
 def test_interim_is_the_prior_mixture_of_expost_rows():

@@ -3,10 +3,11 @@ deterministic JSON/CSV/markdown, and full audit-report round trips through
 the readers of `test_properties.py`."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_properties import (
     SETTINGS,
@@ -28,7 +29,14 @@ from revaudit.labor import (
     check_truthful_reporting,
 )
 from revaudit.serialize import (
+    MISREPORT_COSTS,
+    OUTCOME_FUNCTION,
+    OUTCOMES,
+    RULE,
+    STRATEGIC_COSTS,
+    UTILITIES,
     ConfigError,
+    _RowError,
     audit_report_to_jsonable,
     chain_to_jsonable,
     deviation_to_jsonable,
@@ -168,6 +176,38 @@ def test_parse_generic_defaults_to_uniform_prior():
     assert sc.candidate is None
 
 
+def _row_fault(table, fields, message, label):
+    """A fault in the first row of a keyed table, with its whole message."""
+    return pytest.param(
+        lambda c: c[table][0].update(fields),
+        f"^{re.escape(f'config.{table}[0]{message}')}$",
+        id=f"{table}-{label}",
+    )
+
+
+# Faults in the first row of each table keyed by (agent, label, label). An
+# unknown field is named before a field's type, and a field's type before a
+# value. An empty label passes the row check: the utilities reader finds it
+# undeclared, and `core` finds a cost key malformed.
+KEYED_ROW_FAULTS = [
+    _row_fault(table, fields, message, label)
+    for table, name, value, empty in [
+        ("utilities", "outcome", "value", ": (0, '', 'lo') is not a declared (agent, outcome, type)"),
+        ("strategic_costs", "action", "cost", ": key must be (agent, label, label)"),
+        ("misreport_costs", "true_type", "cost", ": key must be (agent, label, label)"),
+    ]
+    for fields, message, label in [
+        ({"agent": True}, ".agent: expected an agent index", "bool-agent"),
+        ({name: 1}, f".{name}: expected a label string", "int-label"),
+        ({name: ["lo"]}, f".{name}: expected a label string", "list-label"),
+        ({name: ""}, empty, "empty-label"),
+        ({"extra": 1}, ": unknown fields ['extra']", "unknown-field"),
+        ({"extra": 1, name: 1}, ": unknown fields ['extra']", "unknown-field-and-bad-type"),
+        ({value: "w", "agent": True}, ".agent: expected an agent index", "bad-value-and-bool-agent"),
+    ]
+]
+
+
 @pytest.mark.parametrize(
     "mangle, fragment",
     [
@@ -190,6 +230,17 @@ def test_parse_generic_defaults_to_uniform_prior():
         ),
         (lambda c: c.__setitem__("profile", "sep"), "profile"),
         (lambda c: c.__setitem__("priors", [{"lo": 1}]), "one prior object per agent"),
+        *KEYED_ROW_FAULTS,
+        pytest.param(
+            lambda c: c["outcome_function"][1]["actions"].__setitem__(1, 0),
+            r"^config\.outcome_function\[1\]\.actions: expected a list of label strings$",
+            id="outcome_function-int-in-label-list",
+        ),
+        pytest.param(
+            lambda c: c["rule"][1].update(extra=1),
+            r"^config\.rule\[1\]: unknown fields \['extra'\]$",
+            id="rule-unknown-field",
+        ),
     ],
 )
 def test_parse_generic_diagnostics(mangle, fragment):
@@ -197,6 +248,59 @@ def test_parse_generic_diagnostics(mangle, fragment):
     mangle(cfg)
     with pytest.raises(ConfigError, match=fragment):
         parse_generic_scenario(cfg)
+
+
+# A field's value of the field's own type, and one of another type.
+FIELD_VALUES = {
+    int: st.integers(-1, 2),
+    str: st.sampled_from(["lo", "x", ""]),
+    list: st.lists(st.sampled_from(["lo", "z"]), max_size=2),
+    None: st.one_of(st.sampled_from(["1/2", "w"]), st.integers(-1, 1), st.none()),
+}
+WRONG_VALUES = {
+    int: st.one_of(st.booleans(), st.just("0")),
+    str: st.one_of(st.integers(0, 1), st.none(), st.just(["lo"])),
+    list: st.one_of(st.just("lo"), st.lists(st.sampled_from([1, None]), min_size=1, max_size=2)),
+    None: st.just([]),
+}
+TABLES = [OUTCOMES, OUTCOME_FUNCTION, RULE, UTILITIES, STRATEGIC_COSTS, MISREPORT_COSTS]
+
+
+@st.composite
+def table_rows(draw, table):
+    """A table's rows, each a valid object or one with one fault: a field
+    of another type, a field dropped or added, or no object at all."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = {f: draw(FIELD_VALUES[kind]) for f, kind in table.kinds}
+        fault = draw(st.sampled_from(["none"] * 4 + ["type", "drop", "add", "other"]))
+        f, kind = draw(st.sampled_from(table.kinds))
+        if fault == "type":
+            row[f] = draw(WRONG_VALUES[kind])
+        elif fault == "drop":
+            del row[f]
+        elif fault == "add":
+            row[draw(st.sampled_from(["extra", "payload"]))] = []
+        rows.append(draw(st.sampled_from([[], "row", 0])) if fault == "other" else row)
+    return rows
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.sampled_from(TABLES).flatmap(lambda t: st.tuples(st.just(t), table_rows(t))))
+def test_a_table_is_valid_exactly_when_every_row_passes_its_check(table_and_rows):
+    # `valid` lets a table's rows skip `check`, so it must never pass a row
+    # that `check` refuses, and it passes every table of plain rows that
+    # have exactly the required fields and pass.
+    table, rows = table_and_rows
+
+    def passes(row) -> bool:
+        try:
+            table.check(row)
+        except _RowError:
+            return False
+        return row.keys() == set(table.fields)
+
+    assert table.valid(rows) == (bool(rows) and all(map(passes, rows)))
 
 
 # -- number literals ---------------------------------------------------------------
