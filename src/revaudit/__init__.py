@@ -31,8 +31,6 @@ from .equilibrium import (
     PureStrategy,
     StrategyProfile,
     find_all_pure_bne,
-    implements_scf,
-    is_bayesian_nash,
 )
 from .auditor import (
     AuditReport,
@@ -67,4 +65,4 @@ from types import ModuleType as _Module
 # Importing a submodule binds it here too; submodules are not API names.
 __all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _Module)]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -172,12 +172,13 @@ def audit_revelation_principle(
     `equilibrium._largest_gain`. The chain is vacuous when the profile is not
     an equilibrium; its other families are still reported.
     """
-    return _audit(game, _plan(game, profile), profile, direct, None)
+    return _audit(game, _plan(game, profile), profile, direct, None)[0]
 
 
 def _audit(game: BayesianGame, plan, profile: StrategyProfile | None, direct: BayesianGame,
-           plays_rule: bool | None) -> AuditReport:
-    """`audit_revelation_principle` of a plan, labelled by `profile` (None: labelled here).
+           plays_rule: bool | None) -> tuple[AuditReport, list[list[list[int]]]]:
+    """`audit_revelation_principle` of a plan, labelled by `profile` (None: labelled here),
+    with the game's interim rows under the plan, one set per agent, that it was read from.
     `plays_rule` says if the plan plays the rule; when None, an equilibrium is played out."""
     _check_reports(game, direct.mechanism)
     got = (direct.type_space, direct.utilities, direct.costs.strategic)
@@ -187,9 +188,10 @@ def _audit(game: BayesianGame, plan, profile: StrategyProfile | None, direct: Ba
             raise DomainError(f"the direct game does not match the game in its {part}")
     truth = direct._truth
     holds_equilibrium = mimicry_ok = costfree_ok = True
-    mimicry_rows = []
+    rows_of, mimicry_rows = [], []
     for agent, own in enumerate(plan):
         rows = _interim_rows(game, plan, agent)
+        rows_of.append(rows)
         free_rows = _costfree(direct, direct._truthful_rows[agent], agent)
         holds_equilibrium = holds_equilibrium and _at_best_response(rows, own)
         costfree_ok = costfree_ok and _at_best_response(free_rows, truth[agent])
@@ -211,12 +213,13 @@ def _audit(game: BayesianGame, plan, profile: StrategyProfile | None, direct: Ba
     )
     if holds_equilibrium and plays_rule is None:
         plays_rule = _implements(game, plan, direct.mechanism)
-    return AuditReport(
+    report = AuditReport(
         indirect_equilibrium=profile or _profile(game, plan),
         implemented=holds_equilibrium and plays_rule,
         truthful_witness=direct._truthful_witness,
         chain=chain,
     )
+    return report, rows_of
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def cmd_analyze(args) -> int:
     elif kind == "generic":
         scenario = parse_generic_scenario(cfg)
         plan, plays_rule, source = _select_profile(scenario, args.max_profiles)
-        audit = _audit(scenario.game, plan, scenario.candidate, scenario.direct, plays_rule)
+        audit, _ = _audit(scenario.game, plan, scenario.candidate, scenario.direct, plays_rule)
         payload = {"kind": "generic", "profile_source": source}
     else:
         problem = f"unknown config kind {kind!r}; expected 'labor' or 'generic'"

@@ -316,18 +316,6 @@ def _largest_gain(game: BayesianGame, plan, rows_of) -> Deviation | None:
     return best
 
 
-def is_bayesian_nash(game: BayesianGame, profile: StrategyProfile) -> EquilibriumVerdict:
-    """Check the weak-inequality equilibrium conditions on every deviation.
-
-    Independence of the prior makes per-type single-action deviations
-    sufficient. On failure the witness is the deviation with the largest gain;
-    ties go to the smallest (agent index, type position, action position).
-    """
-    plan = _plan(game, profile)
-    rows_of = [_interim_rows(game, plan, i) for i in range(game.agent_count)]
-    return EquilibriumVerdict(_largest_gain(game, plan, rows_of))
-
-
 def _check_profile_cap(game: BayesianGame, cap: int) -> None:
     total = 1
     for types, actions in zip(game.type_space.types_of, game.mechanism.actions_of):
@@ -390,14 +378,6 @@ def find_all_pure_bne(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> lis
     return [_profile(game, plan) for plan in _equilibrium_plans(game, cap)]
 
 
-def implements_scf(
-    game: BayesianGame, profile: StrategyProfile, scf: SocialChoiceFunction
-) -> bool:
-    """Does playing the profile reproduce the social choice function at every
-    type profile of the game? A rule over other reports is refused (`_check_reports`)."""
-    return _implements(game, _plan(game, profile), scf)
-
-
 def _check_reports(game: BayesianGame, scf: SocialChoiceFunction) -> None:
     """Refuse a rule whose reports are not the game's types, in order."""
     if scf.actions_of != game.type_space.types_of:
@@ -414,8 +394,10 @@ def _rule(game: BayesianGame, plan) -> tuple[int, ...]:
 
 
 def _implements(game: BayesianGame, plan, scf: SocialChoiceFunction) -> bool:
-    """`implements_scf` for a plan (action positions per agent, in type order),
-    after `_check_reports`: the outcome labels `_rule` reaches, against the rule's walk."""
+    """Does playing a plan (action positions per agent, in type order) reproduce
+    the rule at every type profile of the game? A rule over other reports is
+    refused (`_check_reports`); otherwise the outcome labels `_rule` reaches are
+    compared with the rule's walk."""
     _check_reports(game, scf)
     played, wanted = game.mechanism.walk.labels, scf.walk
     rule = [wanted.labels[x] for x in wanted.outcome]

@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .auditor import (
     AuditReport,
-    audit_revelation_principle,
+    _audit,
     direct_game,
     is_truthfully_implementable,
     misreport_gains,
@@ -44,10 +44,11 @@ from .equilibrium import (
     _exact,
     _expost_game,
     _expost_slice,
+    _implements,
+    _largest_gain,
     _nash,
+    _plan,
     find_all_pure_bne,
-    implements_scf,
-    is_bayesian_nash,
 )
 
 TYPE_LOW = "theta_L"
@@ -146,10 +147,19 @@ class LaborScenario:
     direct: BayesianGame
 
     @cached_property
+    def _separating(self) -> tuple[list[list[int]], AuditReport, list[list[list[int]]]]:
+        """The separating profile as a plan, the bid game's revelation audit of
+        it, and the game's interim rows under it that the audit read: the one
+        judgement of the separating profile, which `check_separating_equilibrium`
+        reads too."""
+        plan = _plan(self.game, SEPARATING_PROFILE)
+        return (plan, *_audit(self.game, plan, SEPARATING_PROFILE, self.direct, None))
+
+    @property
     def audit(self) -> AuditReport:
         """The bid game's revelation audit at the separating profile, kept with
         the scenario; no check of truth-telling reads it."""
-        return audit_revelation_principle(self.game, SEPARATING_PROFILE, self.direct)
+        return self._separating[1]
 
     @cached_property
     def costfree_gains(self) -> dict[tuple[int, str, str], Fraction]:
@@ -158,7 +168,7 @@ class LaborScenario:
 
     def truthful_at(self, c_mis: Fraction) -> bool:
         """Is truth-telling an equilibrium of the direct game at misreporting cost c_mis?"""
-        prices = misreport_costs(c_mis)
+        prices = misreport_costs(as_rational(c_mis, "c_mis"))
         return all(gain <= prices.get(key, 0) for key, gain in self.costfree_gains.items())
 
 
@@ -235,15 +245,19 @@ class SeparatingReport:
 def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     """Verify the separating side of the reference scenario.
 
-    Checks, by exhaustive scan of profitable deviations, that the separating
-    bid profile is an equilibrium, that it reproduces the hiring rule at
-    every type profile, and that the high type clears participation strictly
-    (worst case: both high, split job). The four bid cases read worker 0's
-    ex-post profits from one slice of the bid game's tables per own type,
-    compare them as ints, and make a Fraction only of each printed payoff.
+    Reads the scenario's audit of the separating bid profile: whether it is
+    an equilibrium (the chain's equilibrium family) and whether it then
+    reproduces the hiring rule at every type profile. The witness is the
+    largest gain over the interim rows that audit read; a profile that is not
+    an equilibrium is played out against the rule here. The high type must
+    clear participation strictly (worst case: both high, split job). The
+    four bid cases read worker 0's ex-post profits from one slice of the bid
+    game's tables per own type, compare them as ints, and make a Fraction
+    only of each printed payoff.
     """
     params, game = scenario.params, scenario.game
-    verdict = is_bayesian_nash(game, SEPARATING_PROFILE)
+    plan, audit, rows_of = scenario._separating
+    is_bne = audit.chain.equilibrium_inequalities_hold
     lo, hi = wage_window(params)
 
     cases = []
@@ -272,9 +286,9 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         window_low=lo,
         window_high=hi,
         in_window=in_wage_window(params),
-        separating_is_bne=verdict.is_equilibrium,
-        bne_witness=verdict.witness,
-        implements_rule=implements_scf(game, SEPARATING_PROFILE, HIRING_RULE),
+        separating_is_bne=is_bne,
+        bne_witness=_largest_gain(game, plan, rows_of),
+        implements_rule=audit.implemented if is_bne else _implements(game, plan, HIRING_RULE),
         ir_margin=ir_margin,
         ir_satisfied=ir_margin > 0,
         best_response_cases=tuple(cases),

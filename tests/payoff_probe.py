@@ -1,11 +1,22 @@
-"""Single payoffs, read from the compiled engine.
+"""Single payoffs and single verdicts, read from the compiled engine.
 
-The library reports verdicts and witnesses, not single payoffs. Tests that
-pin a payoff, or compare the compiled tables with the reference engine,
-read it from the engine's own rows and slices.
+The library reports verdicts and witnesses of the questions its commands
+ask, not single payoffs, nor a verdict on any profile. Tests that pin a
+payoff or a verdict, or compare the compiled tables with the reference
+engine, read it from the engine's own rows, slices and play-outs: the
+kernels the commands call.
 """
 
-from revaudit.equilibrium import _exact, _expost_game, _expost_slice, _interim_rows, _plan
+from revaudit.equilibrium import (
+    EquilibriumVerdict,
+    _exact,
+    _expost_game,
+    _expost_slice,
+    _implements,
+    _interim_rows,
+    _largest_gain,
+    _plan,
+)
 
 
 def compiled_payoff(game, profile, agent, type_label, action=None):
@@ -29,3 +40,16 @@ def expost_game(game, true_types):
     """The complete-information profit game at a realized type profile, as
     `case_matrices` builds it from the slices."""
     return _expost_game(game, expost_slices(game, true_types))
+
+
+def compiled_verdict(game, profile):
+    """Is `profile` an equilibrium? The witness is the largest gain over
+    every agent's interim rows, as the audit and the separating check find it."""
+    plan = _plan(game, profile)
+    rows_of = [_interim_rows(game, plan, i) for i in range(game.agent_count)]
+    return EquilibriumVerdict(_largest_gain(game, plan, rows_of))
+
+
+def compiled_implements(game, profile, scf):
+    """Does playing `profile` reproduce the rule `scf` at every type profile?"""
+    return _implements(game, _plan(game, profile), scf)

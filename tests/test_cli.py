@@ -1097,21 +1097,24 @@ def test_a_generic_search_plays_each_equilibrium_out_once(
 def test_labor_analyze_decides_truth_telling_once(tmp_path, monkeypatch, capsys):
     counts = counted(
         monkeypatch,
-        [equilibrium._interim_rows, auditor.audit_revelation_principle,
-         auditor.is_truthfully_implementable, equilibrium._largest_gain],
+        [equilibrium._interim_rows, auditor._audit, auditor.is_truthfully_implementable,
+         equilibrium._largest_gain, equilibrium._plan, equilibrium._implements],
     )
     assert main(["analyze", labor_cfg(tmp_path)]) == 2
-    # Row sets: 2 for the separating verdict, 4 for the one audit, and 5 for
-    # the search over the direct game's 16 report profiles, not 8: the
-    # pivot's rows for each of the other agent's 4 plans, and that agent's
-    # rows once for the one reply the pivot gives them all. The direct game
-    # decides truth-telling once and keeps the witness: the audit reads it,
-    # and so does the truthfulness report through is_truthfully_implementable.
-    # Largest gains: the separating witness, the truthful witness and the
-    # audit's break point.
+    # The separating profile is judged once, by the one audit: its plan is
+    # checked once, and the audit plays the equilibrium out against the rule
+    # once. Row sets: 4 for that audit (2 of the bid game, which the
+    # separating report reads too, and the direct game's 2 under
+    # truth-telling), and 5 for the search over the direct game's 16 report
+    # profiles, not 8: the pivot's rows for each of the other agent's 4
+    # plans, and that agent's rows once for the one reply the pivot gives
+    # them all. The direct game decides truth-telling once and keeps the
+    # witness: the audit reads it, and so does the truthfulness report
+    # through is_truthfully_implementable. Largest gains: the separating
+    # witness, the truthful witness and the audit's break point.
     assert counts == {
-        "_interim_rows": 11, "audit_revelation_principle": 1,
-        "is_truthfully_implementable": 1, "_largest_gain": 3,
+        "_interim_rows": 9, "_audit": 1, "is_truthfully_implementable": 1,
+        "_largest_gain": 3, "_plan": 1, "_implements": 1,
     }
 
 
@@ -1147,16 +1150,18 @@ def test_reproduce_builds_only_the_matrices_it_checks(monkeypatch, capsys):
     }
 
 
-def test_reproduce_audits_only_the_chain_it_prints(monkeypatch, capsys):
+def test_reproduce_separating_checks_read_their_audits(monkeypatch, capsys):
     counts = counted(
         monkeypatch,
         [auditor.audit_revelation_principle, auditor._audit, equilibrium._implements],
     )
     assert main(["reproduce-paper"]) == 0
-    # The direct game alone decides truth-telling, so only the proof-chain
-    # criterion audits the bid game. Plays of the rule: the 9 separating
-    # checks (3 wages at 3 priors) and the one audit.
-    assert counts == {"audit_revelation_principle": 1, "_audit": 1, "_implements": 10}
+    # The direct game alone decides truth-telling, so the bid game is audited
+    # only where a separating profile is judged: by each of the 9 separating
+    # checks (3 wages at 3 priors), which read their scenario's audit, and by
+    # the proof-chain criterion. Each audit plays its equilibrium out against
+    # the rule once.
+    assert counts == {"_audit": 10, "_implements": 10}
 
 
 def test_json_matrices_never_touch_the_bid_game(tmp_path, monkeypatch, capsys):

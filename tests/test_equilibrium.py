@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 import reference_engine as ref
-from payoff_probe import compiled_payoff, expost_game
+from payoff_probe import compiled_implements, compiled_payoff, compiled_verdict, expost_game
 from test_cli import counted
 
 from revaudit import equilibrium
@@ -36,8 +36,6 @@ from revaudit.equilibrium import (
     _dominant,
     _nash,
     find_all_pure_bne,
-    implements_scf,
-    is_bayesian_nash,
 )
 from revaudit.labor import (
     BID_HIGH,
@@ -138,9 +136,9 @@ def test_interim_with_single_type_opponent_is_expost():
 def test_separating_profile_is_profit_equilibrium_only():
     game = canonical_game()
     sep = SEPARATING_PROFILE
-    assert is_bayesian_nash(game, sep).is_equilibrium
+    assert compiled_verdict(game, sep).is_equilibrium
     # Without costs the low type would imitate: bids are free to inflate.
-    verdict = is_bayesian_nash(ref.cost_free(game), sep)
+    verdict = compiled_verdict(ref.cost_free(game), sep)
     assert not verdict.is_equilibrium
     assert verdict.witness == Deviation(0, TYPE_LOW, BID_HIGH, Fraction(3, 4))
 
@@ -150,7 +148,7 @@ def test_witness_is_maximal_gap_with_agent_tiebreak():
     both_zero = StrategyProfile.from_maps(
         [{TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_ZERO}] * 2
     )
-    verdict = is_bayesian_nash(game, both_zero)
+    verdict = compiled_verdict(game, both_zero)
     assert not verdict.is_equilibrium
     # Both agents' high types gain 1/4; the tie goes to agent 0.
     assert verdict.witness == Deviation(0, TYPE_HIGH, BID_HIGH, Fraction(1, 4))
@@ -177,7 +175,7 @@ def test_witness_prefers_larger_gain_over_earlier_agent():
     )
     game = BayesianGame(mech, ts, u, CostModel())
     both_s = StrategyProfile.from_maps([{"t": "s"}, {"t": "s"}])
-    verdict = is_bayesian_nash(game, both_s)
+    verdict = compiled_verdict(game, both_s)
     assert verdict.witness == Deviation(1, "t", "d", Fraction(1, 2))
 
 
@@ -198,11 +196,11 @@ def test_find_all_pure_bne_is_deterministic():
 def test_implements_scf():
     params = LaborParams(theta_L=1, theta_H=2, e_H=1, w="3/2")
     scenario = build_scenario(params)
-    assert implements_scf(scenario.game, SEPARATING_PROFILE, scenario.direct.mechanism)
+    assert compiled_implements(scenario.game, SEPARATING_PROFILE, scenario.direct.mechanism)
     both_zero = StrategyProfile.from_maps(
         [{TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_ZERO}] * 2
     )
-    assert not implements_scf(scenario.game, both_zero, scenario.direct.mechanism)
+    assert not compiled_implements(scenario.game, both_zero, scenario.direct.mechanism)
 
 
 @pytest.mark.parametrize(
@@ -215,7 +213,7 @@ def test_implements_scf_refuses_a_rule_over_other_types(monkeypatch, types):
     )
     counts = counted(monkeypatch, [equilibrium._rule])
     with pytest.raises(ConstructionError) as err:
-        implements_scf(scenario.game, SEPARATING_PROFILE, rule)
+        compiled_implements(scenario.game, SEPARATING_PROFILE, rule)
     # The refusal of `direct_game`, at the rule, for any rule over other reports.
     assert err.value.at == ("rule",)
     assert str(err.value) == (
@@ -285,7 +283,7 @@ def test_one_shot_deviations_match_full_strategy_oracle():
     for game in games:
         for profile in ref.profiles(game):
             assert (
-                is_bayesian_nash(game, profile).is_equilibrium
+                compiled_verdict(game, profile).is_equilibrium
                 == exante_full_strategy_equilibrium(game, profile)
             )
 
@@ -320,7 +318,7 @@ def test_compiled_engine_matches_reference_engine(seed, shape):
         equilibria = [profile for profile, v in zip(profiles, verdicts) if v.is_equilibrium]
         assert find_all_pure_bne(game) == equilibria
         for profile, verdict in zip(profiles, verdicts):
-            assert is_bayesian_nash(game, profile) == verdict
+            assert compiled_verdict(game, profile) == verdict
         # Every (agent, type, action); on every ninth profile of the largest games.
         for profile in profiles[:: 1 if len(profiles) <= 81 else 9]:
             for agent in range(game.agent_count):

@@ -6,9 +6,10 @@ canonical labor config at c_mis 1/2 and 1, of `matrices` in both formats, of
 window, and of `analyze` on generic configs: the one-agent signal game with
 its declared profile and without one (so the equilibrium search picks it),
 and the two-agent config. The sweep oracle recomputes every cell's violation
-the long way, from the engine's verdicts on that cell's own scenario, where
-the sweep shares one scenario and audit across a wage's costs, and compares
-it with the row the sweep prints."""
+the long way, from the reference engine's verdicts on that cell's own bid
+and direct games and from the window's closed form, where the sweep shares
+one scenario and audit across a wage's costs, and compares it with the row
+the sweep prints."""
 
 import json
 import os
@@ -19,18 +20,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import reference_engine as ref
 
-from revaudit.auditor import is_truthfully_implementable
 from revaudit.cli import main
 from revaudit.core import GameModelError, rational_str
-from revaudit.equilibrium import implements_scf, is_bayesian_nash
-from revaudit.labor import (
-    HIRING_RULE,
-    SEPARATING_PROFILE,
-    LaborParams,
-    build_scenario,
-    in_wage_window,
-)
+from revaudit.equilibrium import StrategyProfile
+from revaudit.labor import HIRING_RULE, SEPARATING_PROFILE, TYPES, LaborParams, build_scenario
 from test_cli import signal_config, two_agent_cfg
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -115,8 +110,11 @@ def test_one_process_answers_like_fresh_processes(tmp_path, capsys, monkeypatch)
             assert got == (run.returncode, run.stdout.decode(), run.stderr.decode()), argv
 
 
+TRUTHFUL_PROFILE = StrategyProfile.from_maps([{t: t for t in TYPES}] * 2)
+
+
 def oracle_row(w, c_mis, fixed):
-    """The sweep row derived from the engine's verdicts, violation inline."""
+    """The sweep row derived by the reference engine, violation inline."""
     row = {"w": rational_str(w), "c_mis": rational_str(c_mis), "in_window": "",
            "separating_is_bne": "", "truthful_is_bne": "", "violation": "", "error": ""}
     try:
@@ -126,14 +124,15 @@ def oracle_row(w, c_mis, fixed):
         return row
     scenario = build_scenario(params)
     game = scenario.game
-    separating = is_bayesian_nash(game, SEPARATING_PROFILE)
-    implements = implements_scf(game, SEPARATING_PROFILE, HIRING_RULE)
-    truthful = is_truthfully_implementable(scenario.direct)
+    separating = ref.is_bayesian_nash(game, SEPARATING_PROFILE).is_equilibrium
+    implements = ref.induced_scf(game, SEPARATING_PROFILE) == HIRING_RULE
+    truthful = ref.is_bayesian_nash(scenario.direct, TRUTHFUL_PROFILE).is_equilibrium
+    lo, hi = 2 * params.e_H / params.theta_H, 2 * params.e_H / params.theta_L
     cells = {
-        "in_window": in_wage_window(params),
-        "separating_is_bne": separating.is_equilibrium,
-        "truthful_is_bne": truthful.is_equilibrium,
-        "violation": separating.is_equilibrium and implements and not truthful.is_equilibrium,
+        "in_window": lo < params.w < hi,
+        "separating_is_bne": separating,
+        "truthful_is_bne": truthful,
+        "violation": separating and implements and not truthful,
     }
     row.update({k: "true" if v else "false" for k, v in cells.items()})
     return row

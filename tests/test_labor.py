@@ -249,6 +249,16 @@ def test_free_misreporting_still_unique_all_high():
     assert report.unique_bne_all_report_high
 
 
+def test_truthful_at_takes_exact_costs_only():
+    scenario = build_scenario(params(w="3/2"))
+    # A low type gains w/2 = 3/4 by reporting high: truth holds weakly at that price.
+    assert scenario.truthful_at("3/4") is scenario.truthful_at(Fraction(3, 4)) is True
+    assert scenario.truthful_at("1/2") is scenario.truthful_at(Fraction(1, 2)) is False
+    with pytest.raises(ConstructionError) as err:
+        scenario.truthful_at(0.75)
+    assert err.value.at == ("c_mis",)
+
+
 def test_case_matrix_entries_and_dominance():
     matrices = case_matrices(build_scenario(params(w="3/2", c_mis="1/2")))
     assert [m.true_types for m in matrices] == [

@@ -8,7 +8,7 @@ way and moves no verdict, and renumbering the agents renumbers every
 equilibrium. With every cost zero, the classical revelation
 principle holds. The rule an equilibrium plan plays out, read from
 outcome positions, is the rule its labels play out by brute force, and
-`implements_scf` agrees with the labels on every profile. The audit judges
+the engine's play-out against a rule agrees with the labels on every profile. The audit judges
 truth-telling as the engines do, and so do the cost-free misreport gains
 under any misreporting schedule. Every
 ex-post payoff, of a game or of a rule's direct game, is the utility of the
@@ -20,7 +20,8 @@ report reads back from its JSON exactly, through the readers below.
 The games are drawn with large, pairwise coprime denominators so that the
 engine's integer tables are built over large LCMs. Every verdict and bid
 payoff of the labor scenario follows the paper's closed forms at random
-rational parameters, window edges and skewed priors included, and no labor
+rational parameters, window edges and skewed priors included, the separating
+report judges the bid game as the reference engine does, and no labor
 report depends on the prior. A scenario's cost-free gains judge every
 misreporting cost as that cost's own direct game does, and a sweep, which
 builds one scenario per wage, prints every cell as that cell's own scenario
@@ -38,7 +39,13 @@ from fractions import Fraction
 import reference_engine as ref
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from payoff_probe import compiled_payoff, expost_game, expost_slices
+from payoff_probe import (
+    compiled_implements,
+    compiled_payoff,
+    compiled_verdict,
+    expost_game,
+    expost_slices,
+)
 from test_equilibrium import scans
 from test_goldens import oracle_row
 
@@ -74,13 +81,13 @@ from revaudit.equilibrium import (
     _profile,
     _rule,
     find_all_pure_bne,
-    implements_scf,
-    is_bayesian_nash,
 )
 from revaudit.labor import (
     BID_HIGH,
     BID_ZERO,
     DEFAULT_PRIOR_HIGH,
+    HIRING_RULE,
+    SEPARATING_PROFILE,
     TYPE_HIGH,
     TYPE_LOW,
     LaborParams,
@@ -184,8 +191,8 @@ def test_scaling_utilities_and_costs_scales_only_the_gains(game, k):
     for game, other in and_cost_free(game, rescaled(game, k)):
         assert find_all_pure_bne(other) == find_all_pure_bne(game)
         for profile in profiles:
-            verdict = is_bayesian_nash(game, profile)
-            assert is_bayesian_nash(other, profile) == scaled_verdict(verdict, k)
+            verdict = compiled_verdict(game, profile)
+            assert compiled_verdict(other, profile) == scaled_verdict(verdict, k)
             for agent, types in enumerate(game.type_space.types_of):
                 for t in types:
                     assert compiled_payoff(other, profile, agent, t) == (
@@ -204,7 +211,7 @@ def test_a_constant_per_agent_and_type_changes_no_verdict(game, data):
     for game, other in and_cost_free(game, shifted(game, shift)):
         assert find_all_pure_bne(other) == find_all_pure_bne(game)
         for profile in profiles:
-            assert is_bayesian_nash(other, profile) == is_bayesian_nash(game, profile)
+            assert compiled_verdict(other, profile) == compiled_verdict(game, profile)
             for agent, types in enumerate(game.type_space.types_of):
                 for t in types:
                     assert compiled_payoff(other, profile, agent, t) == (
@@ -233,8 +240,8 @@ def played_labels(game, profile):
 @given(games())
 def test_the_rule_of_each_equilibrium_plan_is_the_rule_its_labels_play(game):
     # The engine plays a plan out on outcome positions (`_rule`); the oracle
-    # reads labels. implements_scf is compared over every profile, those
-    # that play the rule and those that do not.
+    # reads labels. Its play-out against a rule (`_implements`) is compared
+    # over every profile, those that play the rule and those that do not.
     profiles = ref.profiles(game)
     played = [played_labels(game, p) for p in profiles]
     for game in (game, ref.cost_free(game)):
@@ -243,7 +250,7 @@ def test_the_rule_of_each_equilibrium_plan_is_the_rule_its_labels_play(game):
         for plan in plans:
             induced = ref.induced_scf(game, _profile(game, plan))
             assert _rule_scf(game, _rule(game, plan)) == induced
-            verdicts = [implements_scf(game, p, induced) for p in profiles]
+            verdicts = [compiled_implements(game, p, induced) for p in profiles]
             expected = played_labels(game, _profile(game, plan))
             assert verdicts == [rule == expected for rule in played]
 
@@ -495,6 +502,22 @@ def test_the_labor_verdicts_follow_the_closed_forms(params):
     for c in cases:
         high, zero = c.payoff_bid_high, c.payoff_bid_zero
         assert c.optimal_bid == (None if high == zero else BID_HIGH if high > zero else BID_ZERO)
+
+
+@SETTINGS
+@given(labor_params())
+def test_the_separating_report_judges_as_the_reference_engine(params):
+    # The report reads the scenario's audit and the bid game's rows the audit
+    # kept, and plays a non-equilibrium out on its own; the reference engine
+    # judges the bid game by label.
+    scenario = build_scenario(params)
+    report = check_separating_equilibrium(scenario)
+    game = scenario.game
+    expected = ref.is_bayesian_nash(game, SEPARATING_PROFILE)
+    assert report.bne_witness == expected.witness
+    assert report.implements_rule == (ref.induced_scf(game, SEPARATING_PROFILE) == HIRING_RULE)
+    assert report.separating_is_bne == scenario.audit.chain.equilibrium_inequalities_hold
+    assert report.separating_is_bne == expected.is_equilibrium
 
 
 @SETTINGS
