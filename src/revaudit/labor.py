@@ -162,20 +162,28 @@ class LaborScenario:
         return self._separating[1]
 
     @cached_property
-    def costfree_gains(self) -> dict[tuple[int, str, str], Fraction]:
-        """Each misreport's gain with costs erased: it depends on w, not on c_mis."""
-        return misreport_gains(self.direct)
+    def break_even(self) -> Fraction | None:
+        """The least misreporting cost at which truth-telling is an equilibrium
+        of the direct game: the largest cost-free gain of a priced misreport,
+        or None when a free misreport gains. It depends on w, not on c_mis."""
+        gains = misreport_gains(self.direct)
+        priced = max(gains.pop(key) for key in PRICED_MISREPORTS)
+        return None if any(gain > 0 for gain in gains.values()) else priced
 
     def truthful_at(self, c_mis: Fraction) -> bool:
         """Is truth-telling an equilibrium of the direct game at misreporting cost c_mis?"""
-        prices = misreport_costs(as_rational(c_mis, "c_mis"))
-        return all(gain <= prices.get(key, 0) for key, gain in self.costfree_gains.items())
+        c_mis = as_rational(c_mis, "c_mis")
+        return self.break_even is not None and c_mis >= self.break_even
+
+
+# The misreports that cost c_mis: a low type reporting high. The reverse is free.
+PRICED_MISREPORTS = tuple((i, TYPE_LOW, TYPE_HIGH) for i in (0, 1))
+MISREPORTS = PRICED_MISREPORTS + tuple((i, TYPE_HIGH, TYPE_LOW) for i in (0, 1))
 
 
 def misreport_costs(c_mis: Fraction) -> dict[tuple[int, str, str], Fraction]:
-    """A low type reporting high pays c_mis; a high type reporting low pays nothing."""
-    pairs = ((TYPE_LOW, TYPE_HIGH, c_mis), (TYPE_HIGH, TYPE_LOW, Fraction(0)))
-    return {(i, t, r): c for t, r, c in pairs for i in (0, 1)}
+    """A priced misreport pays c_mis; the others pay nothing."""
+    return {key: c_mis if key in PRICED_MISREPORTS else Fraction(0) for key in MISREPORTS}
 
 
 def build_scenario(params: LaborParams) -> LaborScenario:

@@ -150,33 +150,14 @@ class GenericScenario:
     plan: list[list[int]] | None
 
 
-GENERIC_KEYS = (
-    "kind",
-    "types",
-    "priors",
-    "actions",
-    "outcomes",
-    "outcome_function",
-    "rule",
-    "utilities",
-    "strategic_costs",
-    "misreport_costs",
-    "profile",
-)
-
-
-def _is_label_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def _label_lists(value, where: str) -> list:
     """A list of lists of label strings, one list per agent. The labels
     themselves are the game model's to check."""
     if not isinstance(value, list):
         raise ConfigError(f"{where}: expected a list of lists of labels")
     for i, group in enumerate(value):
-        if not _is_label_list(group):
-            raise ConfigError(f"{where}[{i}]: expected a list of label strings")
+        if not _typed(list, [group]):
+            raise ConfigError(f"{where}[{i}]: expected {KIND_NAMES[list]}")
     return value
 
 
@@ -200,6 +181,17 @@ FIELD_TYPES = {
     **dict.fromkeys(("label", "outcome", "type", "action", "true_type", "reported_type"), str),
     **dict.fromkeys(("actions", "types"), list),
 }
+# What a value of each kind is, as the fault of a value not of its kind names it.
+KIND_NAMES = {int: "an agent index", str: "a label string", list: "a list of label strings"}
+
+
+def _typed(kind: type, column: list) -> bool:
+    """Whether every value of a non-empty column has exactly the type `kind`,
+    a list holding only labels: one pass over the column in C, where a test
+    of each value costs a Python loop. JSON decodes to exact types only."""
+    if set(map(type, column)) != {kind}:
+        return False
+    return kind is not list or set(map(type, itertools.chain.from_iterable(column))) <= {str}
 
 
 class _Table:
@@ -216,8 +208,8 @@ class _Table:
         """Whether every row is an object with exactly the required fields,
         each checked field of its type, a list holding only labels. Each
         field is compared as one column of the whole table: one pass over
-        its rows in C, where a walk of each row costs a Python loop. A table
-        that fails is walked row by row, by `check`, to name its fault."""
+        its rows by `_typed`. A table that fails is walked row by row, by
+        `check`, to name its fault."""
         if set(map(type, entries)) != {dict} or set(map(len, entries)) != {len(self.fields)}:
             return False
         for f, kind in self.kinds:
@@ -225,33 +217,23 @@ class _Table:
                 column = list(map(operator.itemgetter(f), entries))
             except KeyError:
                 return False
-            if kind and set(map(type, column)) != {kind}:
-                return False
-            if kind is list and not set(map(type, itertools.chain.from_iterable(column))) <= {str}:
+            if kind and not _typed(kind, column):
                 return False
         return True
 
     def check(self, entry) -> dict:
         """An object with exactly the required fields (plus any optional
-        ones), each agent an int index and each label a string."""
+        ones), each checked field of its type by the test `valid` applies."""
         if not isinstance(entry, dict):
             raise _RowError(": expected an object")
         unknown = entry.keys() - self.allowed
         if unknown:
             raise _RowError(f": unknown fields {sorted(unknown)}")
         for f, kind in self.kinds:
-            try:
-                value = entry[f]
-            except KeyError:
-                raise _RowError(f": missing required field '{f}'") from None
-            if kind is str:
-                if not isinstance(value, str):
-                    raise _RowError(f".{f}: expected a label string")
-            elif kind is int:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise _RowError(f".{f}: expected an agent index")
-            elif kind is list and not _is_label_list(value):
-                raise _RowError(f".{f}: expected a list of label strings")
+            if f not in entry:
+                raise _RowError(f": missing required field '{f}'")
+            if kind and not _typed(kind, [entry[f]]):
+                raise _RowError(f".{f}: expected {KIND_NAMES[kind]}")
         return entry
 
 
@@ -267,6 +249,10 @@ MISREPORT_COSTS = _Table(
     "(agent, true type, reported type)",
     ("agent", "true_type", "reported_type", "cost"),
 )
+ROW_TABLES = (OUTCOMES, OUTCOME_FUNCTION, RULE, UTILITIES, STRATEGIC_COSTS, MISREPORT_COSTS)
+# The fields of a generic config: its agents' types, priors and actions, its
+# six row tables and an optional declared profile.
+GENERIC_KEYS = ("kind", "types", "priors", "actions", *(t.key for t in ROW_TABLES), "profile")
 
 
 def _read_rows(cfg: dict, table: _Table, rows: dict, read, default=None) -> dict:

@@ -252,6 +252,7 @@ def test_free_misreporting_still_unique_all_high():
 def test_truthful_at_takes_exact_costs_only():
     scenario = build_scenario(params(w="3/2"))
     # A low type gains w/2 = 3/4 by reporting high: truth holds weakly at that price.
+    assert scenario.break_even == Fraction(3, 4)
     assert scenario.truthful_at("3/4") is scenario.truthful_at(Fraction(3, 4)) is True
     assert scenario.truthful_at("1/2") is scenario.truthful_at(Fraction(1, 2)) is False
     with pytest.raises(ConstructionError) as err:

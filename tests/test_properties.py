@@ -23,7 +23,8 @@ payoff of the labor scenario follows the paper's closed forms at random
 rational parameters, window edges and skewed priors included, the separating
 report judges the bid game as the reference engine does, and no labor
 report depends on the prior. A scenario's cost-free gains judge every
-misreporting cost as that cost's own direct game does, and a sweep, which
+misreporting cost as that cost's own direct game does, its break-even cost
+is half the wage at every prior, and a sweep, which
 builds one scenario per wage, prints every cell as that cell's own scenario
 answers it."""
 
@@ -534,6 +535,22 @@ def test_a_labor_scenario_prices_each_cost_as_that_costs_direct_game(params, abo
         for c in costs:
             direct = build_scenario(replace(params, c_mis=c)).direct
             assert scenario.truthful_at(c) == is_truthfully_implementable(direct).is_equilibrium
+
+
+@SETTINGS
+@given(labor_params(), unit_fractions())
+def test_the_break_even_cost_is_half_the_wage(params, prior_high):
+    # The threshold of the paper's Proposition 4: a low type gains w/2 by
+    # reporting high at every prior, and a high type loses by reporting low,
+    # so truth-telling holds exactly from c_mis = w/2 on. At the canonical
+    # w = 3/2 that is 3/4, between reproduce-paper's failing 7/10 and its
+    # restoring 19/25.
+    for params in (params, replace(params, prior_high=prior_high)):
+        scenario = build_scenario(params)
+        half = params.w / 2
+        assert scenario.break_even == half
+        for c in (params.c_mis, half, half * Fraction(10**6 - 1, 10**6)):
+            assert scenario.truthful_at(c) == (c >= half)
 
 
 def labor_json(params):

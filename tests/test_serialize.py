@@ -241,6 +241,28 @@ KEYED_ROW_FAULTS = [
             r"^config\.rule\[1\]: unknown fields \['extra'\]$",
             id="rule-unknown-field",
         ),
+        pytest.param(
+            lambda c: c.__setitem__("types", "lo"),
+            r"^config\.types: expected a list of lists of labels$",
+            id="types-string",
+        ),
+        pytest.param(
+            lambda c: c["actions"][1].__setitem__(0, 0),
+            r"^config\.actions\[1\]: expected a list of label strings$",
+            id="actions-int-label",
+        ),
+        pytest.param(
+            lambda c: c["outcome_function"][0].__setitem__("actions", "L"),
+            r"^config\.outcome_function\[0\]\.actions: expected a list of label strings$",
+            id="outcome_function-string-for-label-list",
+        ),
+        # A row with a payload has more fields than the table requires, so
+        # an outcomes table that holds one is always walked row by row.
+        pytest.param(
+            lambda c: c["outcomes"][0].__setitem__("label", 0),
+            r"^config\.outcomes\[0\]\.label: expected a label string$",
+            id="outcomes-with-payload-int-label",
+        ),
     ],
 )
 def test_parse_generic_diagnostics(mangle, fragment):
