@@ -172,28 +172,51 @@ def audit_revelation_principle(
     `equilibrium._largest_gain`. The chain is vacuous when the profile is not
     an equilibrium; its other families are still reported.
     """
-    return _audit(game, _plan(game, profile), profile, direct, None)[0]
+    return _audit(game, _plan(game, profile), profile, direct)
+
+
+@dataclass(frozen=True)
+class Judgement:
+    """A plan judged in a game, the first step of its audit: the game's
+    interim rows under the plan (one set per agent, as `_interim_rows` gives
+    them), whether the plan is an equilibrium, and whether it is one that
+    plays the rule."""
+
+    __hash__ = None  # its rows are lists
+
+    rows_of: list[list[list[int]]]
+    equilibrium: bool
+    implemented: bool
+
+
+def _judge(game: BayesianGame, plan, rule: SocialChoiceFunction,
+           plays_rule: bool | None = None) -> Judgement:
+    """The judgement of a plan against a rule. `plays_rule` says if the plan
+    plays the rule; when None, an equilibrium is played out against it."""
+    rows_of = [_interim_rows(game, plan, agent) for agent in range(game.agent_count)]
+    equilibrium = all(map(_at_best_response, rows_of, plan))
+    if equilibrium and plays_rule is None:
+        plays_rule = _implements(game, plan, rule)
+    return Judgement(rows_of, equilibrium, equilibrium and plays_rule)
 
 
 def _audit(game: BayesianGame, plan, profile: StrategyProfile | None, direct: BayesianGame,
-           plays_rule: bool | None) -> tuple[AuditReport, list[list[list[int]]]]:
+           judged: Judgement | None = None) -> AuditReport:
     """`audit_revelation_principle` of a plan, labelled by `profile` (None: labelled here),
-    with the game's interim rows under the plan, one set per agent, that it was read from.
-    `plays_rule` says if the plan plays the rule; when None, an equilibrium is played out."""
+    read from `judged`, the plan's judgement against the direct game's rule (None: judged
+    here)."""
     _check_reports(game, direct.mechanism)
     got = (direct.type_space, direct.utilities, direct.costs.strategic)
     want = (game.type_space, game.utilities, _report_prices(game))
     for part, a, b in zip(("type space", "utilities", "report prices"), got, want):
         if a != b:
             raise DomainError(f"the direct game does not match the game in its {part}")
+    judged = judged or _judge(game, plan, direct.mechanism)
     truth = direct._truth
-    holds_equilibrium = mimicry_ok = costfree_ok = True
-    rows_of, mimicry_rows = [], []
-    for agent, own in enumerate(plan):
-        rows = _interim_rows(game, plan, agent)
-        rows_of.append(rows)
+    mimicry_ok = costfree_ok = True
+    mimicry_rows = []
+    for agent, (own, rows) in enumerate(zip(plan, judged.rows_of)):
         free_rows = _costfree(direct, direct._truthful_rows[agent], agent)
-        holds_equilibrium = holds_equilibrium and _at_best_response(rows, own)
         costfree_ok = costfree_ok and _at_best_response(free_rows, truth[agent])
         # mimics[k][m]: type k profits no more from type m's action than from its own.
         mimics = [[row[a] <= row[b] for a in own] for row, b in zip(rows, own)]
@@ -205,21 +228,18 @@ def _audit(game: BayesianGame, plan, profile: StrategyProfile | None, direct: Ba
         ])
     gap = _largest_gain(direct, truth, mimicry_rows)
     chain = ProofChainRecord(
-        vacuous=not holds_equilibrium,
-        equilibrium_inequalities_hold=holds_equilibrium,
+        vacuous=not judged.equilibrium,
+        equilibrium_inequalities_hold=judged.equilibrium,
         mimicry_inequalities_hold=mimicry_ok,
         costfree_truthful_inequalities_hold=costfree_ok,
         break_point=gap and BreakPoint(gap.agent, gap.type_label, gap.action, gap.gain),
     )
-    if holds_equilibrium and plays_rule is None:
-        plays_rule = _implements(game, plan, direct.mechanism)
-    report = AuditReport(
+    return AuditReport(
         indirect_equilibrium=profile or _profile(game, plan),
-        implemented=holds_equilibrium and plays_rule,
+        implemented=judged.implemented,
         truthful_witness=direct._truthful_witness,
         chain=chain,
     )
-    return report, rows_of
 
 
 # ---------------------------------------------------------------------------

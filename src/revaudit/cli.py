@@ -14,7 +14,7 @@ import functools
 import sys
 from fractions import Fraction
 
-from .auditor import BreakPoint, _audit, zero_cost_regression
+from .auditor import BreakPoint, _audit, _judge, zero_cost_regression
 from .core import GameModelError, rational_str
 from .equilibrium import (
     DEFAULT_PROFILE_CAP,
@@ -22,6 +22,7 @@ from .equilibrium import (
     _implements,
 )
 from .labor import (
+    LaborMarket,
     LaborParams,
     LaborScenario,
     build_scenario,
@@ -29,7 +30,6 @@ from .labor import (
     check_cell,
     check_separating_equilibrium,
     check_truthful_reporting,
-    in_wage_window,
 )
 from .serialize import (
     SWEEP_COLUMNS,
@@ -139,8 +139,10 @@ def cmd_analyze(args) -> int:
         }
     elif kind == "generic":
         scenario = parse_generic_scenario(cfg)
+        game, direct = scenario.game, scenario.direct
         plan, plays_rule, source = _select_profile(scenario, args.max_profiles)
-        audit, _ = _audit(scenario.game, plan, scenario.candidate, scenario.direct, plays_rule)
+        judged = _judge(game, plan, direct.mechanism, plays_rule)
+        audit = _audit(game, plan, scenario.candidate, direct, judged)
         payload = {"kind": "generic", "profile_source": source}
     else:
         problem = f"unknown config kind {kind!r}; expected 'labor' or 'generic'"
@@ -155,27 +157,33 @@ def _bool_cell(value: bool) -> str:
 
 
 def _sweep_rows(w_values, c_mis_values, fixed):
-    """Each (w, c_mis) cell's row, in grid order. A cell checks only its wage
-    and cost (`check_cell`); a wage builds its scenario, audit and window
-    once, at its first valid cost, and each cost is priced by
-    `LaborScenario.truthful_at`."""
+    """Each (w, c_mis) cell's row, in grid order. The grid builds one market
+    from its checked `fixed` parameters, with the wage window. A cell checks
+    only its wage and cost (`check_cell`); a wage builds its scenario on the
+    market and judges the separating profile once, at its first valid cost,
+    and each cost is priced by `LaborScenario.truthful_at`. No row prints
+    the audit's other families, so none is audited. Each wage and each cost
+    is written as text once."""
+    market = LaborMarket(**fixed)
+    lo, hi = market.window
+    costs = [(c_mis, rational_str(c_mis)) for c_mis in c_mis_values]
     for w in w_values:
-        scenario = None
-        for c_mis in c_mis_values:
+        w_text, scenario = rational_str(w), None
+        for c_mis, c_text in costs:
             row = dict.fromkeys(SWEEP_COLUMNS, "")
-            row.update(w=rational_str(w), c_mis=rational_str(c_mis))
+            row.update(w=w_text, c_mis=c_text)
             # A bad cell (say w <= 0) records its error and the scan moves on.
             try:
                 check_cell(w, c_mis)
                 if scenario is None:
-                    scenario = build_scenario(LaborParams(w=w, c_mis=c_mis, **fixed))
-                    audit, in_window = scenario.audit, _bool_cell(in_wage_window(scenario.params))
+                    scenario = build_scenario(LaborParams(w=w, c_mis=c_mis, **fixed), market)
+                    judged, in_window = scenario.judgement, _bool_cell(lo < w < hi)
                 truthful = scenario.truthful_at(c_mis)
                 row.update(
                     in_window=in_window,
-                    separating_is_bne=_bool_cell(audit.chain.equilibrium_inequalities_hold),
+                    separating_is_bne=_bool_cell(judged.equilibrium),
                     truthful_is_bne=_bool_cell(truthful),
-                    violation=_bool_cell(audit.implemented and not truthful),
+                    violation=_bool_cell(judged.implemented and not truthful),
                 )
             except GameModelError as exc:
                 row["error"] = exc.problem

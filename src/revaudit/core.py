@@ -302,25 +302,35 @@ class Outcome:
         object.__setattr__(self, "payload", payload)
 
 
+class _ConfigRows(dict):
+    """A table read by the config parser, whose row check has checked the
+    type of each field of each key: of Fractions keyed by (agent, label,
+    label), or of the parser's outcomes (one per label) keyed by a profile."""
+
+
 def _total_table(table: str, entries, label_lists, noun: str) -> dict[tuple[str, ...], Outcome]:
     """A map from each profile of labels (one per agent) to an Outcome, where
     outcomes that share a label are equal. Each key is checked label by
     label; keys are distinct, so the count alone shows that no profile is
-    missing, and profiles are enumerated only to name a missing one."""
+    missing, and profiles are enumerated only to name a missing one. The
+    values of a `_ConfigRows` table are the parser's outcomes, one per
+    label, so only its keys are checked."""
     known = [frozenset(labels) for labels in label_lists]
+    checked = type(entries) is _ConfigRows
     result: dict[tuple[str, ...], Outcome] = {}
     seen: dict[str, Outcome] = {}
     for key, x in dict(entries).items():
         key = tuple(key)
         if len(key) != len(known) or not all(map(frozenset.__contains__, known, key)):
             raise ConstructionError(f"{key} is not a declared {noun} profile", (table, key))
-        if not isinstance(x, Outcome):
-            problem = f"expected an Outcome, got {type(x).__name__}"
-            raise ConstructionError(problem, (table, key, "outcome"))
-        first = seen.setdefault(x.label, x)
-        if first is not x and first != x:
-            problem = f"two different outcomes share label {x.label!r}"
-            raise ConstructionError(problem, (table, key, "outcome"))
+        if not checked:
+            if not isinstance(x, Outcome):
+                problem = f"expected an Outcome, got {type(x).__name__}"
+                raise ConstructionError(problem, (table, key, "outcome"))
+            first = seen.setdefault(x.label, x)
+            if first is not x and first != x:
+                problem = f"two different outcomes share label {x.label!r}"
+                raise ConstructionError(problem, (table, key, "outcome"))
         result[key] = x
     if len(result) != math.prod(map(len, label_lists)):
         missing = next(p for p in itertools.product(*label_lists) if p not in result)
@@ -387,11 +397,6 @@ def _walk_outcomes(mech: Mechanism) -> OutcomeWalk:
     sizes = [len(actions) for actions in mech.actions_of]
     strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
     return OutcomeWalk(tuple(position), outcome, strides)
-
-
-class _ConfigRows(dict):
-    """A table of Fractions read by the config parser, whose row check has
-    checked the type of each field of each (agent, label, label) key."""
 
 
 def _keyed_rationals(table: str, entries, field: str) -> dict[tuple[int, str, str], Fraction]:

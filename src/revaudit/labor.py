@@ -12,13 +12,16 @@ for small misreporting costs truth-telling dies in the direct mechanism.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
 from .auditor import (
     AuditReport,
+    Judgement,
     _audit,
+    _judge,
     direct_game,
     is_truthfully_implementable,
     misreport_gains,
@@ -26,6 +29,7 @@ from .auditor import (
 from .core import (
     ConstructionError,
     CostModel,
+    DomainError,
     Mechanism,
     Outcome,
     SocialChoiceFunction,
@@ -59,6 +63,7 @@ BID_HIGH = "e_H"
 HIRE_FIRST = Outcome("hire_1", (Fraction(1), Fraction(0)))
 SPLIT = Outcome("split", (Fraction(1, 2), Fraction(1, 2)))
 HIRE_SECOND = Outcome("hire_2", (Fraction(0), Fraction(1)))
+OUTCOMES = (HIRE_FIRST, SPLIT, HIRE_SECOND)
 TYPES = (TYPE_LOW, TYPE_HIGH)
 BIDS = (BID_ZERO, BID_HIGH)
 DEFAULT_PRIOR_HIGH = Fraction(1, 2)
@@ -137,6 +142,39 @@ LABOR_FIELDS = fields(LaborParams)
 
 
 @dataclass(frozen=True)
+class LaborMarket:
+    """The parts of a labor scenario that neither the wage nor the
+    misreporting cost changes, each made on first use and kept: the type
+    space (with its prior weights), the cost of the high bid at each type,
+    and the wage window. Its parameters are those `check_market` passed; a
+    sweep builds one market for its grid, and each wage's scenario reads it."""
+
+    theta_L: Fraction
+    theta_H: Fraction
+    e_H: Fraction
+    prior_high: Fraction = DEFAULT_PRIOR_HIGH
+
+    @cached_property
+    def type_space(self) -> TypeSpace:
+        prior = {TYPE_LOW: 1 - self.prior_high, TYPE_HIGH: self.prior_high}
+        return TypeSpace((TYPES, TYPES), (prior, prior))
+
+    @cached_property
+    def high_bid_costs(self) -> dict[tuple[int, str, str], Fraction]:
+        """The strategic costs, keyed (agent, bid, type): e_H / theta for the high bid."""
+        theta = {TYPE_LOW: self.theta_L, TYPE_HIGH: self.theta_H}
+        return {(i, BID_HIGH, t): self.e_H / theta[t] for i in (0, 1) for t in TYPES}
+
+    @cached_property
+    def window(self) -> tuple[Fraction, Fraction]:
+        return wage_window(self)
+
+
+# A market's parameters, read alike from a LaborMarket and from a LaborParams.
+MARKET_PARAMS = operator.attrgetter(*(f.name for f in fields(LaborMarket)))
+
+
+@dataclass(frozen=True)
 class LaborScenario:
     """The bid game and the direct game of the hiring rule, each built once
     by `build_scenario` and read by every check of the scenario. The direct
@@ -147,19 +185,24 @@ class LaborScenario:
     direct: BayesianGame
 
     @cached_property
-    def _separating(self) -> tuple[list[list[int]], AuditReport, list[list[list[int]]]]:
-        """The separating profile as a plan, the bid game's revelation audit of
-        it, and the game's interim rows under it that the audit read: the one
-        judgement of the separating profile, which `check_separating_equilibrium`
-        reads too."""
-        plan = _plan(self.game, SEPARATING_PROFILE)
-        return (plan, *_audit(self.game, plan, SEPARATING_PROFILE, self.direct, None))
+    def plan(self) -> list[list[int]]:
+        """The separating profile as a plan of the bid game."""
+        return _plan(self.game, SEPARATING_PROFILE)
 
-    @property
+    @cached_property
+    def judgement(self) -> Judgement:
+        """The one judgement of the separating profile against the hiring
+        rule: the bid game's interim rows under it, whether it is an
+        equilibrium, and whether it then implements the rule. The audit and
+        `check_separating_equilibrium` read it, and a sweep reads it alone."""
+        return _judge(self.game, self.plan, self.direct.mechanism)
+
+    @cached_property
     def audit(self) -> AuditReport:
-        """The bid game's revelation audit at the separating profile, kept with
-        the scenario; no check of truth-telling reads it."""
-        return self._separating[1]
+        """The bid game's revelation audit at the separating profile, read from
+        its judgement and kept with the scenario; no check of truth-telling
+        reads it."""
+        return _audit(self.game, self.plan, SEPARATING_PROFILE, self.direct, self.judgement)
 
     @cached_property
     def break_even(self) -> Fraction | None:
@@ -186,31 +229,24 @@ def misreport_costs(c_mis: Fraction) -> dict[tuple[int, str, str], Fraction]:
     return {key: c_mis if key in PRICED_MISREPORTS else Fraction(0) for key in MISREPORTS}
 
 
-def build_scenario(params: LaborParams) -> LaborScenario:
+def build_scenario(params: LaborParams, market: LaborMarket | None = None) -> LaborScenario:
     """Wire the labor market into the generic game model, and build the
-    direct game of its hiring rule (both mechanisms are module constants)."""
-    prior = {TYPE_LOW: 1 - params.prior_high, TYPE_HIGH: params.prior_high}
-    type_space = TypeSpace((TYPES, TYPES), (prior, prior))
-    theta_value = {TYPE_LOW: params.theta_L, TYPE_HIGH: params.theta_H}
-    utilities = UtilityTable(
-        {
-            (i, x.label, t): x.payload[i] * params.w
-            for i in (0, 1)
-            for x in (HIRE_FIRST, SPLIT, HIRE_SECOND)
-            for t in TYPES
-        }
-    )
-    costs = CostModel(
-        strategic={
-            (i, BID_HIGH, t): params.e_H / theta_value[t] for i in (0, 1) for t in TYPES
-        },
-        misreport=misreport_costs(params.c_mis),
-    )
-    game = BayesianGame(MECHANISM, type_space, utilities, costs)
+    direct game of its hiring rule (both mechanisms are module constants).
+    `market` holds the parts no wage changes, for params' other parameters
+    (None: built here); a market of other parameters is refused. A worker's
+    utility of an outcome is its share of the wage at either type."""
+    if market is None:
+        market = LaborMarket(*MARKET_PARAMS(params))
+    elif MARKET_PARAMS(market) != MARKET_PARAMS(params):
+        raise DomainError("the market's theta_L, theta_H, e_H and prior_high are not the params'")
+    pay = {(i, x.label): x.payload[i] * params.w for i in (0, 1) for x in OUTCOMES}
+    utilities = UtilityTable({(i, x, t): v for (i, x), v in pay.items() for t in TYPES})
+    costs = CostModel(strategic=market.high_bid_costs, misreport=misreport_costs(params.c_mis))
+    game = BayesianGame(MECHANISM, market.type_space, utilities, costs)
     return LaborScenario(params, game, direct_game(game, HIRING_RULE))
 
 
-def wage_window(params: LaborParams) -> tuple[Fraction, Fraction]:
+def wage_window(params: LaborParams | LaborMarket) -> tuple[Fraction, Fraction]:
     """The open wage interval where separation works: (2 e_H / theta_H, 2 e_H / theta_L)."""
     return (2 * params.e_H / params.theta_H, 2 * params.e_H / params.theta_L)
 
@@ -256,15 +292,15 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     Reads the scenario's audit of the separating bid profile: whether it is
     an equilibrium (the chain's equilibrium family) and whether it then
     reproduces the hiring rule at every type profile. The witness is the
-    largest gain over the interim rows that audit read; a profile that is not
-    an equilibrium is played out against the rule here. The high type must
+    largest gain over the interim rows of the scenario's judgement, which
+    that audit read; a profile that is not an equilibrium is played out
+    against the rule here. The high type must
     clear participation strictly (worst case: both high, split job). The
     four bid cases read worker 0's ex-post profits from one slice of the bid
     game's tables per own type, compare them as ints, and make a Fraction
     only of each printed payoff.
     """
-    params, game = scenario.params, scenario.game
-    plan, audit, rows_of = scenario._separating
+    params, game, plan, audit = scenario.params, scenario.game, scenario.plan, scenario.audit
     is_bne = audit.chain.equilibrium_inequalities_hold
     lo, hi = wage_window(params)
 
@@ -295,7 +331,7 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         window_high=hi,
         in_window=in_wage_window(params),
         separating_is_bne=is_bne,
-        bne_witness=_largest_gain(game, plan, rows_of),
+        bne_witness=_largest_gain(game, plan, scenario.judgement.rows_of),
         implements_rule=audit.implemented if is_bne else _implements(game, plan, HIRING_RULE),
         ir_margin=ir_margin,
         ir_satisfied=ir_margin > 0,

@@ -1007,14 +1007,43 @@ def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
     # first cost; every cost is priced against that wage's cost-free
     # misreport gains, so no cost builds a game of its own. Every direct game
     # plays the constant hiring rule as its mechanism, so no outcome table
-    # is checked. Each wage computes 4 row sets, all in its audit: each
-    # agent's in the bid game, and each agent's truthful rows, which the
-    # direct game keeps for its cost-free gains. The fixed parameters are
-    # checked once for the grid and once by each wage's LaborParams; a cell
-    # checks only its wage and cost.
+    # is checked. Each wage computes 4 row sets: each agent's in the bid
+    # game, for its judgement of the separating profile, and each agent's
+    # truthful rows, which the direct game keeps for its cost-free gains.
+    # The fixed parameters are checked once for the grid and once by each
+    # wage's LaborParams; a cell checks only its wage and cost.
     assert counts == {
         "build_scenario": 3, "direct_game": 3, "_interim_rows": 12, "check_market": 4,
     }
+
+
+def test_a_sweep_builds_one_market_and_judges_each_wage_only_on_its_row(
+    tmp_path, monkeypatch, capsys
+):
+    from test_goldens import SWEEP_GRID
+
+    counts = counted(
+        monkeypatch,
+        [labor.LaborMarket, core.TypeSpace, equilibrium._interim_rows, equilibrium._implements,
+         auditor._audit, equilibrium._largest_gain],
+    )
+    path = write_json(tmp_path, "grid.json", SWEEP_GRID)
+    # 9 wages x 6 costs, 7 of the wages valid. The grid builds one market,
+    # and so one type space, for its fixed parameters. Each valid wage reads
+    # 4 row sets: its bid game's 2 under the separating profile, and its
+    # direct game's 2 under truth-telling, for the break-even cost. The 5
+    # wages where the separating profile is an equilibrium (1 to 2, both
+    # edges included) play it out against the rule. No row prints the
+    # audit's other families or a witness, so nothing is audited and no
+    # largest gain is sought.
+    expected = Counter(
+        LaborMarket=1, TypeSpace=1, _interim_rows=28, _implements=5, _audit=0, _largest_gain=0
+    )
+    for _ in range(2):
+        counts.clear()
+        assert main(["sweep", path]) == 0
+        assert counts == expected
+    capsys.readouterr()
 
 
 def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ its declared profile and without one (so the equilibrium search picks it),
 and the two-agent config. The sweep oracle recomputes every cell's violation
 the long way, from the reference engine's verdicts on that cell's own bid
 and direct games and from the window's closed form, where the sweep shares
-one scenario and audit across a wage's costs, and compares it with the row
+one scenario and judgement across a wage's costs, and compares it with the row
 the sweep prints."""
 
 import json

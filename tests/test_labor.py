@@ -11,7 +11,7 @@ import pytest
 from payoff_probe import compiled_payoff
 
 from revaudit.auditor import direct_game
-from revaudit.core import ConstructionError
+from revaudit.core import ConstructionError, DomainError
 from revaudit.equilibrium import Deviation, StrategyProfile
 from revaudit.labor import (
     ALL_REPORT_HIGH_PROFILE,
@@ -23,6 +23,7 @@ from revaudit.labor import (
     SPLIT,
     TYPE_HIGH,
     TYPE_LOW,
+    LaborMarket,
     LaborParams,
     build_scenario,
     case_matrices,
@@ -89,6 +90,19 @@ def test_wage_window_is_open():
     assert not in_wage_window(params(w=1))
     assert not in_wage_window(params(w=2))
     assert not in_wage_window(params(w="5/2"))
+
+
+def test_a_market_serves_every_wage_of_its_parameters_and_no_other():
+    market = LaborMarket(Fraction(1), Fraction(3), Fraction(3, 2), Fraction(1, 4))
+    assert market.window == wage_window(params(theta_L=1, theta_H=3, e_H="3/2"))
+    for w in ("1", "2", "7/2"):
+        p = params(w=w, c_mis="1/3", theta_L=1, theta_H=3, e_H="3/2", prior_high="1/4")
+        shared, own = build_scenario(p, market), build_scenario(p)
+        assert shared.game.type_space is market.type_space
+        assert (shared.game, shared.direct) == (own.game, own.direct)
+        assert shared.audit == own.audit
+    with pytest.raises(DomainError, match="the market's theta_L"):
+        build_scenario(params(theta_L=1, theta_H=3, e_H="3/2"), market)
 
 
 # -- scenario wiring ---------------------------------------------------------------
