@@ -15,14 +15,13 @@ import sys
 from fractions import Fraction
 
 from .auditor import BreakPoint, _audit, _judge, zero_cost_regression
-from .core import GameModelError, rational_str
+from .core import GameModelError, _checked, rational_str
 from .equilibrium import (
     DEFAULT_PROFILE_CAP,
     _equilibrium_plans,
     _implements,
 )
 from .labor import (
-    LaborMarket,
     LaborParams,
     LaborScenario,
     build_scenario,
@@ -30,9 +29,11 @@ from .labor import (
     check_cell,
     check_separating_equilibrium,
     check_truthful_reporting,
+    in_wage_window,
 )
 from .serialize import (
     SWEEP_COLUMNS,
+    SWEEP_FIXED,
     ConfigError,
     GenericScenario,
     audit_report_to_jsonable,
@@ -157,15 +158,14 @@ def _bool_cell(value: bool) -> str:
 
 
 def _sweep_rows(w_values, c_mis_values, fixed):
-    """Each (w, c_mis) cell's row, in grid order. The grid builds one market
-    from its checked `fixed` parameters, with the wage window. A cell checks
-    only its wage and cost (`check_cell`); a wage builds its scenario on the
-    market and judges the separating profile once, at its first valid cost,
-    and each cost is priced by `LaborScenario.truthful_at`. No row prints
-    the audit's other families, so none is audited. Each wage and each cost
-    is written as text once."""
-    market = LaborMarket(**fixed)
-    lo, hi = market.window
+    """Each (w, c_mis) cell's row, in grid order. A cell checks only its
+    wage and cost (`check_cell`); the grid's `fixed` parameters were checked
+    once, by `parse_sweep_grid`. So a wage builds its `LaborParams` from
+    checked parts, builds its scenario and judges the separating profile
+    once, at its first valid cost, and each cost is priced by
+    `LaborScenario.truthful_at`. No row prints the audit's other families,
+    so none is audited. Each wage and each cost is written as text once."""
+    theta_L, theta_H, e_H, prior_high = (fixed.get(f.name, f.default) for f in SWEEP_FIXED)
     costs = [(c_mis, rational_str(c_mis)) for c_mis in c_mis_values]
     for w in w_values:
         w_text, scenario = rational_str(w), None
@@ -176,8 +176,9 @@ def _sweep_rows(w_values, c_mis_values, fixed):
             try:
                 check_cell(w, c_mis)
                 if scenario is None:
-                    scenario = build_scenario(LaborParams(w=w, c_mis=c_mis, **fixed), market)
-                    judged, in_window = scenario.judgement, _bool_cell(lo < w < hi)
+                    params = _checked(LaborParams, theta_L, theta_H, e_H, w, c_mis, prior_high)
+                    scenario = build_scenario(params)
+                    judged, in_window = scenario.judgement, _bool_cell(in_wage_window(params))
                 truthful = scenario.truthful_at(c_mis)
                 row.update(
                     in_window=in_window,

@@ -12,7 +12,6 @@ for small misreporting costs truth-telling dies in the direct mechanism.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -29,13 +28,14 @@ from .auditor import (
 from .core import (
     ConstructionError,
     CostModel,
-    DomainError,
     Mechanism,
     Outcome,
     SocialChoiceFunction,
     TypeSpace,
     UtilityTable,
+    _checked,
     as_rational,
+    check_denominators,
 )
 from .equilibrium import (
     BayesianGame,
@@ -91,8 +91,10 @@ def check_market(
     theta_L: Fraction, theta_H: Fraction, e_H: Fraction, prior_high: Fraction = DEFAULT_PRIOR_HIGH
 ) -> None:
     """The LaborParams rules on everything but the wage and the misreporting
-    cost: the parameters a sweep holds fixed across its cells. A fault's
-    location is the parameter it names (the type order names theta_L)."""
+    cost: the parameters a sweep holds fixed across its cells. The prior's
+    denominator is bounded as a type space's would be, since `build_scenario`
+    builds its type space from checked parts. A fault's location is the
+    parameter it names (the type order names theta_L)."""
     if not 0 < theta_L < theta_H:
         problem = f"need 0 < theta_L < theta_H, got theta_L={theta_L}, theta_H={theta_H}"
         raise ConstructionError(problem, ("theta_L",))
@@ -101,6 +103,7 @@ def check_market(
     if not 0 < prior_high < 1:
         problem = f"prior_high must lie strictly between 0 and 1, got {prior_high}"
         raise ConstructionError(problem, ("prior_high",))
+    check_denominators((prior_high,), ("prior_high",))
 
 
 def check_cell(w: Fraction, c_mis: Fraction) -> None:
@@ -142,39 +145,6 @@ LABOR_FIELDS = fields(LaborParams)
 
 
 @dataclass(frozen=True)
-class LaborMarket:
-    """The parts of a labor scenario that neither the wage nor the
-    misreporting cost changes, each made on first use and kept: the type
-    space (with its prior weights), the cost of the high bid at each type,
-    and the wage window. Its parameters are those `check_market` passed; a
-    sweep builds one market for its grid, and each wage's scenario reads it."""
-
-    theta_L: Fraction
-    theta_H: Fraction
-    e_H: Fraction
-    prior_high: Fraction = DEFAULT_PRIOR_HIGH
-
-    @cached_property
-    def type_space(self) -> TypeSpace:
-        prior = {TYPE_LOW: 1 - self.prior_high, TYPE_HIGH: self.prior_high}
-        return TypeSpace((TYPES, TYPES), (prior, prior))
-
-    @cached_property
-    def high_bid_costs(self) -> dict[tuple[int, str, str], Fraction]:
-        """The strategic costs, keyed (agent, bid, type): e_H / theta for the high bid."""
-        theta = {TYPE_LOW: self.theta_L, TYPE_HIGH: self.theta_H}
-        return {(i, BID_HIGH, t): self.e_H / theta[t] for i in (0, 1) for t in TYPES}
-
-    @cached_property
-    def window(self) -> tuple[Fraction, Fraction]:
-        return wage_window(self)
-
-
-# A market's parameters, read alike from a LaborMarket and from a LaborParams.
-MARKET_PARAMS = operator.attrgetter(*(f.name for f in fields(LaborMarket)))
-
-
-@dataclass(frozen=True)
 class LaborScenario:
     """The bid game and the direct game of the hiring rule, each built once
     by `build_scenario` and read by every check of the scenario. The direct
@@ -193,15 +163,16 @@ class LaborScenario:
     def judgement(self) -> Judgement:
         """The one judgement of the separating profile against the hiring
         rule: the bid game's interim rows under it, whether it is an
-        equilibrium, and whether it then implements the rule. The audit and
-        `check_separating_equilibrium` read it, and a sweep reads it alone."""
+        equilibrium, and whether it then implements the rule. The audit,
+        `check_separating_equilibrium` and a sweep read it."""
         return _judge(self.game, self.plan, self.direct.mechanism)
 
     @cached_property
     def audit(self) -> AuditReport:
         """The bid game's revelation audit at the separating profile, read from
-        its judgement and kept with the scenario; no check of truth-telling
-        reads it."""
+        its judgement and kept with the scenario. Labor `analyze` and the
+        proof-chain criterion of `reproduce-paper` read it; the separating
+        report and a sweep read the judgement alone."""
         return _audit(self.game, self.plan, SEPARATING_PROFILE, self.direct, self.judgement)
 
     @cached_property
@@ -229,24 +200,24 @@ def misreport_costs(c_mis: Fraction) -> dict[tuple[int, str, str], Fraction]:
     return {key: c_mis if key in PRICED_MISREPORTS else Fraction(0) for key in MISREPORTS}
 
 
-def build_scenario(params: LaborParams, market: LaborMarket | None = None) -> LaborScenario:
+def build_scenario(params: LaborParams) -> LaborScenario:
     """Wire the labor market into the generic game model, and build the
     direct game of its hiring rule (both mechanisms are module constants).
-    `market` holds the parts no wage changes, for params' other parameters
-    (None: built here); a market of other parameters is refused. A worker's
-    utility of an outcome is its share of the wage at either type."""
-    if market is None:
-        market = LaborMarket(*MARKET_PARAMS(params))
-    elif MARKET_PARAMS(market) != MARKET_PARAMS(params):
-        raise DomainError("the market's theta_L, theta_H, e_H and prior_high are not the params'")
+    The type space is built from checked parts: its labels are `TYPES`, and
+    `LaborParams` has checked its prior. A worker's utility of an outcome is
+    its share of the wage at either type; the high bid costs e_H / theta."""
+    prior = {TYPE_LOW: 1 - params.prior_high, TYPE_HIGH: params.prior_high}
+    theta = {TYPE_LOW: params.theta_L, TYPE_HIGH: params.theta_H}
+    bid_costs = {(i, BID_HIGH, t): params.e_H / theta[t] for i in (0, 1) for t in TYPES}
     pay = {(i, x.label): x.payload[i] * params.w for i in (0, 1) for x in OUTCOMES}
     utilities = UtilityTable({(i, x, t): v for (i, x), v in pay.items() for t in TYPES})
-    costs = CostModel(strategic=market.high_bid_costs, misreport=misreport_costs(params.c_mis))
-    game = BayesianGame(MECHANISM, market.type_space, utilities, costs)
+    costs = CostModel(strategic=bid_costs, misreport=misreport_costs(params.c_mis))
+    type_space = _checked(TypeSpace, (TYPES, TYPES), (prior, prior))
+    game = BayesianGame(MECHANISM, type_space, utilities, costs)
     return LaborScenario(params, game, direct_game(game, HIRING_RULE))
 
 
-def wage_window(params: LaborParams | LaborMarket) -> tuple[Fraction, Fraction]:
+def wage_window(params: LaborParams) -> tuple[Fraction, Fraction]:
     """The open wage interval where separation works: (2 e_H / theta_H, 2 e_H / theta_L)."""
     return (2 * params.e_H / params.theta_H, 2 * params.e_H / params.theta_L)
 
@@ -289,19 +260,18 @@ class SeparatingReport:
 def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     """Verify the separating side of the reference scenario.
 
-    Reads the scenario's audit of the separating bid profile: whether it is
-    an equilibrium (the chain's equilibrium family) and whether it then
-    reproduces the hiring rule at every type profile. The witness is the
-    largest gain over the interim rows of the scenario's judgement, which
-    that audit read; a profile that is not an equilibrium is played out
-    against the rule here. The high type must
+    Reads the scenario's judgement of the separating bid profile: whether it
+    is an equilibrium and whether it then reproduces the hiring rule at every
+    type profile. The witness is the largest gain over the judgement's
+    interim rows; a profile that is not an equilibrium is played out against
+    the rule here. No audit runs. The high type must
     clear participation strictly (worst case: both high, split job). The
     four bid cases read worker 0's ex-post profits from one slice of the bid
     game's tables per own type, compare them as ints, and make a Fraction
     only of each printed payoff.
     """
-    params, game, plan, audit = scenario.params, scenario.game, scenario.plan, scenario.audit
-    is_bne = audit.chain.equilibrium_inequalities_hold
+    params, game, plan, judged = scenario.params, scenario.game, scenario.plan, scenario.judgement
+    is_bne = judged.equilibrium
     lo, hi = wage_window(params)
 
     cases = []
@@ -331,8 +301,8 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         window_high=hi,
         in_window=in_wage_window(params),
         separating_is_bne=is_bne,
-        bne_witness=_largest_gain(game, plan, scenario.judgement.rows_of),
-        implements_rule=audit.implemented if is_bne else _implements(game, plan, HIRING_RULE),
+        bne_witness=_largest_gain(game, plan, judged.rows_of),
+        implements_rule=judged.implemented if is_bne else _implements(game, plan, HIRING_RULE),
         ir_margin=ir_margin,
         ir_satisfied=ir_margin > 0,
         best_response_cases=tuple(cases),

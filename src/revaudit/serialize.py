@@ -398,9 +398,8 @@ def parse_sweep_grid(cfg: dict) -> tuple[tuple, tuple, dict]:
     and the other parameters, fixed across its cells.
 
     The fixed parameters are checked once per grid, so a cell fails only on
-    its wage or cost. A sweep builds one market from them, one scenario per
-    wage on it, and prices each cost against that wage's cost-free
-    misreport gains."""
+    its wage or cost. A sweep builds one scenario per wage from them, and
+    prices each cost against that wage's cost-free misreport gains."""
     # The kind first: another kind of config has other fields, and naming
     # them would hide that the whole config is of the wrong kind.
     if cfg.get("kind", "sweep") != "sweep":

@@ -3,10 +3,12 @@ code, leaving out blank lines, comments and docstrings (a string literal that
 opens a module, class or function body). A statement spread over several
 lines counts each line it spans that holds a token of its own.
 
-Run `python tests/code_lines.py [DIR]` (default `src/revaudit`) to print the
-count per file and the total. It only reports; nothing fails on the number.
+Run `python tests/code_lines.py [DIR] [--max N]` (default `src/revaudit`) to
+print the count per file and the total. With `--max N` it exits 1 when the
+total exceeds N; without it, it only reports.
 """
 
+import argparse
 import ast
 import sys
 import tokenize
@@ -52,13 +54,19 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src/revaudit")
+    parser = argparse.ArgumentParser(description="Count the code lines of a Python package.")
+    parser.add_argument("root", nargs="?", default="src/revaudit", type=Path)
+    parser.add_argument("--max", type=int, help="exit 1 when the total exceeds this many lines")
+    args = parser.parse_args(argv[1:])
     total = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted(args.root.rglob("*.py")):
         count = code_lines(path)
         total += count
         print(f"{count:6d}  {path}")
     print(f"{total:6d}  total code lines")
+    if args.max is not None and total > args.max:
+        print(f"{total} code lines exceed the maximum of {args.max}", file=sys.stderr)
+        return 1
     return 0
 
 

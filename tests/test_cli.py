@@ -305,6 +305,47 @@ def test_analyze_generic_falls_back_to_the_first_equilibrium(tmp_path, capsys):
     assert audit["indirect_equilibrium"] == profile_to_jsonable(first)
 
 
+def coordination_cfg():
+    """Two agents, one type each, who gain 1 when their actions match: the
+    game's two equilibria are (a, a) and (b, b), and the rule picks the
+    miss, which neither plays."""
+    pairs = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    return {
+        "kind": "generic",
+        "types": [["t"], ["u"]],
+        "actions": [["a", "b"], ["a", "b"]],
+        "outcomes": [{"label": "match"}, {"label": "miss"}],
+        "outcome_function": [
+            {"actions": list(pair), "outcome": "match" if pair[0] == pair[1] else "miss"}
+            for pair in pairs
+        ],
+        "rule": [{"types": ["t", "u"], "outcome": "miss"}],
+        "utilities": [
+            {"agent": i, "outcome": x, "type": t, "value": int(x == "match")}
+            for i, t in enumerate("tu")
+            for x in ("match", "miss")
+        ],
+        "strategic_costs": [],
+        "misreport_costs": [],
+    }
+
+
+def test_analyze_generic_audits_the_first_of_two_equilibria_off_the_rule(tmp_path, capsys):
+    # Neither equilibrium plays the rule, so the first in enumeration order
+    # is audited: (a, a), not (b, b).
+    code = main(["analyze", write_json(tmp_path, "coordination.json", coordination_cfg())])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["profile_source"] == "first equilibrium"
+    audit = payload["audit"]
+    assert audit["indirect_equilibrium"] == [
+        {"agent": 0, "choice": [["t", "a"]]},
+        {"agent": 1, "choice": [["u", "a"]]},
+    ]
+    assert audit["implemented"] is False
+    assert audit["chain"]["equilibrium_inequalities_hold"] is True
+
+
 def test_analyze_two_agent_generic_config_is_clean(tmp_path, capsys):
     code = main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())])
     assert code == 0
@@ -1010,10 +1051,11 @@ def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
     # is checked. Each wage computes 4 row sets: each agent's in the bid
     # game, for its judgement of the separating profile, and each agent's
     # truthful rows, which the direct game keeps for its cost-free gains.
-    # The fixed parameters are checked once for the grid and once by each
-    # wage's LaborParams; a cell checks only its wage and cost.
+    # The fixed parameters are checked once, for the grid; each wage builds
+    # its LaborParams from checked parts, and a cell checks only its wage and
+    # cost.
     assert counts == {
-        "build_scenario": 3, "direct_game": 3, "_interim_rows": 12, "check_market": 4,
+        "build_scenario": 3, "direct_game": 3, "_interim_rows": 12, "check_market": 1,
     }
 
 
@@ -1024,20 +1066,22 @@ def test_a_sweep_builds_one_market_and_judges_each_wage_only_on_its_row(
 
     counts = counted(
         monkeypatch,
-        [labor.LaborMarket, core.TypeSpace, equilibrium._interim_rows, equilibrium._implements,
-         auditor._audit, equilibrium._largest_gain],
+        [core._prior_weights, labor.check_market, equilibrium._interim_rows,
+         equilibrium._implements, auditor._audit, equilibrium._largest_gain],
     )
     path = write_json(tmp_path, "grid.json", SWEEP_GRID)
-    # 9 wages x 6 costs, 7 of the wages valid. The grid builds one market,
-    # and so one type space, for its fixed parameters. Each valid wage reads
-    # 4 row sets: its bid game's 2 under the separating profile, and its
-    # direct game's 2 under truth-telling, for the break-even cost. The 5
-    # wages where the separating profile is an equilibrium (1 to 2, both
-    # edges included) play it out against the rule. No row prints the
-    # audit's other families or a witness, so nothing is audited and no
-    # largest gain is sought.
+    # 9 wages x 6 costs, 7 of the wages valid. The grid checks its fixed
+    # parameters once; each valid wage builds its LaborParams and its type
+    # space from checked parts, and scales that type space's prior once for
+    # its two games. Each valid wage reads 4 row sets: its bid game's 2
+    # under the separating profile, and its direct game's 2 under
+    # truth-telling, for the break-even cost. The 5 wages where the
+    # separating profile is an equilibrium (1 to 2, both edges included)
+    # play it out against the rule. No row prints the audit's other families
+    # or a witness, so nothing is audited and no largest gain is sought.
     expected = Counter(
-        LaborMarket=1, TypeSpace=1, _interim_rows=28, _implements=5, _audit=0, _largest_gain=0
+        _prior_weights=7, check_market=1, _interim_rows=28, _implements=5, _audit=0,
+        _largest_gain=0,
     )
     for _ in range(2):
         counts.clear()
@@ -1179,18 +1223,19 @@ def test_reproduce_builds_only_the_matrices_it_checks(monkeypatch, capsys):
     }
 
 
-def test_reproduce_separating_checks_read_their_audits(monkeypatch, capsys):
+def test_reproduce_separating_checks_read_their_judgements(monkeypatch, capsys):
     counts = counted(
         monkeypatch,
         [auditor.audit_revelation_principle, auditor._audit, equilibrium._implements],
     )
     assert main(["reproduce-paper"]) == 0
-    # The direct game alone decides truth-telling, so the bid game is audited
-    # only where a separating profile is judged: by each of the 9 separating
-    # checks (3 wages at 3 priors), which read their scenario's audit, and by
-    # the proof-chain criterion. Each audit plays its equilibrium out against
-    # the rule once.
-    assert counts == {"_audit": 10, "_implements": 10}
+    # The direct game alone decides truth-telling, and each of the 9
+    # separating checks (3 wages at 3 priors) reads its scenario's
+    # judgement, so the bid game is audited once, by the proof-chain
+    # criterion. Each of the 10 separating profiles judged is played out
+    # against the rule once: by its judgement at an equilibrium, else by its
+    # check.
+    assert counts == {"_audit": 1, "_implements": 10}
 
 
 def test_json_matrices_never_touch_the_bid_game(tmp_path, monkeypatch, capsys):

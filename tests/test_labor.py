@@ -11,7 +11,7 @@ import pytest
 from payoff_probe import compiled_payoff
 
 from revaudit.auditor import direct_game
-from revaudit.core import ConstructionError, DomainError
+from revaudit.core import ConstructionError, TypeSpace, as_rational
 from revaudit.equilibrium import Deviation, StrategyProfile
 from revaudit.labor import (
     ALL_REPORT_HIGH_PROFILE,
@@ -23,7 +23,7 @@ from revaudit.labor import (
     SPLIT,
     TYPE_HIGH,
     TYPE_LOW,
-    LaborMarket,
+    TYPES,
     LaborParams,
     build_scenario,
     case_matrices,
@@ -66,6 +66,9 @@ def test_params_coerce_to_exact_rationals():
         dict(theta_L=1, theta_H=2, e_H=1, w=1, c_mis=-1),
         dict(theta_L=1, theta_H=2, e_H=1, w=1, prior_high=0),
         dict(theta_L=1, theta_H=2, e_H=1, w=1, prior_high=1),
+        # The scenario's type space is built from checked parts, so the prior's
+        # denominator is bounded here, as a TypeSpace bounds it.
+        dict(theta_L=1, theta_H=2, e_H=1, w=1, prior_high=Fraction(1, 2**2048)),
         dict(theta_L=1, theta_H=2, e_H=1, w=1.5),
     ],
 )
@@ -92,20 +95,21 @@ def test_wage_window_is_open():
     assert not in_wage_window(params(w="5/2"))
 
 
-def test_a_market_serves_every_wage_of_its_parameters_and_no_other():
-    market = LaborMarket(Fraction(1), Fraction(3), Fraction(3, 2), Fraction(1, 4))
-    assert market.window == wage_window(params(theta_L=1, theta_H=3, e_H="3/2"))
-    for w in ("1", "2", "7/2"):
-        p = params(w=w, c_mis="1/3", theta_L=1, theta_H=3, e_H="3/2", prior_high="1/4")
-        shared, own = build_scenario(p, market), build_scenario(p)
-        assert shared.game.type_space is market.type_space
-        assert (shared.game, shared.direct) == (own.game, own.direct)
-        assert shared.audit == own.audit
-    with pytest.raises(DomainError, match="the market's theta_L"):
-        build_scenario(params(theta_L=1, theta_H=3, e_H="3/2"), market)
-
-
 # -- scenario wiring ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("prior_high", ["1/10", "1/2", "9/10", "0." + "37" * 49])
+def test_the_scenario_type_space_is_the_one_type_space_checks(prior_high):
+    # build_scenario builds its type space from checked parts; it equals the
+    # type space that TypeSpace checks, prior weights included, at a literal
+    # of the full 100 characters too, and the direct game shares it.
+    scenario = build_scenario(params(prior_high=prior_high))
+    p = as_rational(prior_high)
+    prior = {TYPE_LOW: 1 - p, TYPE_HIGH: p}
+    checked = TypeSpace((TYPES, TYPES), (prior, prior))
+    assert scenario.game.type_space == checked
+    assert scenario.game.type_space.weights == checked.weights
+    assert scenario.direct.type_space is scenario.game.type_space
 
 
 def test_scenario_tables():
