@@ -253,7 +253,13 @@ DEFAULT_REGRESSION_SEED = 20240811
 
 def random_zero_cost_game(rng: random.Random) -> BayesianGame:
     """A random two-agent game: 1..2 types, 1..3 actions, utilities in [0, 1]
-    with denominator 12, prior uniform or random full-support weights."""
+    with denominator 12, prior uniform or random full-support weights.
+
+    Each part is built with `_checked`, without its constructor's checks,
+    since every rule they check holds by construction: the labels are
+    distinct, each prior is positive and sums to 1, the outcome table is
+    total, every (agent, outcome, type) has a utility, and there are no
+    costs."""
     types_of = tuple(
         tuple(f"t{k}" for k in range(rng.randint(1, 2))) for _ in range(2)
     )
@@ -264,31 +270,34 @@ def random_zero_cost_game(rng: random.Random) -> BayesianGame:
         else:
             weights = [rng.randint(1, 6) for _ in ts]
             priors.append({t: Fraction(w, sum(weights)) for t, w in zip(ts, weights)})
-    type_space = TypeSpace(types_of, tuple(priors))
+    type_space = _checked(TypeSpace, types_of, tuple(priors))
 
     actions_of = tuple(
         tuple(f"a{k}" for k in range(rng.randint(1, 3))) for _ in range(2)
     )
-    outcomes = [Outcome(f"x{k}") for k in range(rng.randint(1, 4))]
+    outcomes = [_checked(Outcome, f"x{k}", ()) for k in range(rng.randint(1, 4))]
     outcome_of = {
         profile: rng.choice(outcomes) for profile in itertools.product(*actions_of)
     }
-    mechanism = Mechanism(actions_of, outcome_of)
+    mechanism = _checked(Mechanism, actions_of, outcome_of)
 
     utility = {}
     for agent in range(2):
         for x in outcomes:
             for t in types_of[agent]:
                 utility[(agent, x.label, t)] = Fraction(rng.randint(0, 12), 12)
-    return BayesianGame(mechanism, type_space, UtilityTable(utility), CostModel())
+    costs = _checked(CostModel, {}, {})
+    return _checked(BayesianGame, mechanism, type_space, _checked(UtilityTable, utility), costs)
 
 
 def _rule_scf(game: BayesianGame, rule: tuple[int, ...]) -> SocialChoiceFunction:
-    """A rule of outcome positions (as `_rule` gives it) as a SocialChoiceFunction."""
+    """A rule of outcome positions (as `_rule` gives it) as a SocialChoiceFunction
+    of the game's outcomes over its type profiles, built with `_checked`: the
+    rule is total by construction."""
     mech, ts = game.mechanism, game.type_space
     named = {x.label: x for x in mech.outcome_of.values()}
     table = [named[mech.walk.labels[x]] for x in rule]
-    return SocialChoiceFunction(ts.types_of, dict(zip(ts.profiles(), table)))
+    return _checked(SocialChoiceFunction, ts.types_of, dict(zip(ts.profiles(), table)))
 
 
 @dataclass(frozen=True)

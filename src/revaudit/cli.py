@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .auditor import BreakPoint, _audit, _judge, zero_cost_regression
-from .core import GameModelError, _checked, rational_str
+from .core import _UNDERSCORE_OR_SPACE, GameModelError, _checked, rational_str
 from .equilibrium import (
     DEFAULT_PROFILE_CAP,
     _equilibrium_plans,
@@ -65,7 +65,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _profile_cap_arg(text: str) -> int:
+    # int() reads "1_000", " 5 " and any Unicode digit; a config literal
+    # must be ASCII, with no underscore and no whitespace, and so must this.
     try:
+        if not text.isascii() or _UNDERSCORE_OR_SPACE.search(text):
+            raise ValueError
         cap = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")

@@ -9,6 +9,7 @@ no binary rounding can leak into a verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -278,10 +279,15 @@ class PriorWeights:
     total: tuple[int, ...]
 
 
+def _scaled(value: Fraction, unit: int) -> int:
+    """`value * unit` as an int, for a unit that `value`'s denominator divides."""
+    return value.numerator * (unit // value.denominator)
+
+
 def _prior_weights(ts: TypeSpace) -> PriorWeights:
     units = [math.lcm(*[p.denominator for p in prior.values()]) for prior in ts.prior_of]
     of = tuple(
-        tuple(prior[t].numerator * (unit // prior[t].denominator) for t in types)
+        tuple(_scaled(prior[t], unit) for t in types)
         for types, prior, unit in zip(ts.types_of, ts.prior_of, units)
     )
     everyone = math.prod(units)
@@ -417,12 +423,18 @@ def _keyed_rationals(table: str, entries, field: str) -> dict[tuple[int, str, st
     return result
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    # Keyed by class, so it holds one entry per dataclass that `_checked` builds.
+    return tuple(f.name for f in fields(cls))
+
+
 def _checked(cls, *values):
     """`cls(*values)` for a frozen dataclass `cls`, built without its
-    `__post_init__`: for parts whose checks have already run."""
+    `__post_init__`: for parts whose checks have already run. Every field
+    is given, defaults included."""
     obj = object.__new__(cls)
-    for f, value in zip(fields(cls), values):
-        object.__setattr__(obj, f.name, value)
+    vars(obj).update(zip(_field_names(cls), values))
     return obj
 
 
@@ -480,6 +492,12 @@ class UtilityTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", _keyed_rationals("utilities", self.table, "value"))
 
+    @cached_property
+    def scaled(self) -> "ScaledTable":
+        """The table on one unit, computed on first use and kept with the
+        table, so a game and its direct game read its Fractions once."""
+        return _scale_table(self.table)
+
     def check_covers(self, outcomes, types_of) -> None:
         """Every agent has a utility for each outcome label in `outcomes` at
         each of its types."""
@@ -490,3 +508,16 @@ class UtilityTable:
                         problem = f"no row for (agent, outcome, type) {(i, x, t)}"
                         raise DomainError(problem, ("utilities",))
 
+
+@dataclass(frozen=True)
+class ScaledTable:
+    """A table of Fractions on one unit, the LCM of its denominators:
+    `of[key]` is the entry at `key` times `unit`, an int."""
+
+    unit: int
+    of: dict[tuple[int, str, str], int]
+
+
+def _scale_table(table: dict[tuple[int, str, str], Fraction]) -> ScaledTable:
+    unit = math.lcm(*[v.denominator for v in table.values()])
+    return ScaledTable(unit, {key: _scaled(v, unit) for key, v in table.items()})

@@ -5,12 +5,14 @@ it, into integer tables over type and action positions. A mechanism walks
 its outcome table once (`Mechanism.walk`): the outcome of every action
 profile. A type space scales its prior once (`TypeSpace.weights`): each
 agent's prior times the LCM of its denominators, shared by a game and its
-direct game. A game scales its utilities and strategic costs by one LCM
-(`_Tables`). An interim row sums, for each own action, the opponents' prior
-weight on each outcome that action reaches, then takes one sum over those
-outcomes per own type. Equilibrium conditions are weak inequalities between
-Python ints, and a reported payoff or gain is the exact Fraction of an int
-over the agent's scale; no tolerance enters anywhere.
+direct game. A utility table scales its entries once (`UtilityTable.scaled`),
+to ints on the LCM of its denominators, also shared by a game and its direct
+game. A game brings those ints and its strategic costs to one LCM (`_Tables`)
+with one int factor per utility. An interim row sums, for each own action,
+the opponents' prior weight on each outcome that action reaches, then takes
+one sum over those outcomes per own type. Equilibrium conditions are weak
+inequalities between Python ints, and a reported payoff or gain is the exact
+Fraction of an int over the agent's scale; no tolerance enters anywhere.
 The one payoff is profit: outcome utility minus the strategic cost of the
 action actually played, read from these tables alone, by the interim rows
 and by the ex-post slices alike. A slice (`_expost_slice`) is one agent's
@@ -47,6 +49,7 @@ from .core import (
     UtilityTable,
     _check_label,
     _is_label,
+    _scaled,
     check_agent_count,
 )
 
@@ -180,11 +183,13 @@ class _Tables:
     """A game's payoffs as exact integer tables over type and action
     positions; the parts a game shares are compiled on their owners. The
     mechanism walks its outcome table once (`Mechanism.walk`), and the type
-    space scales its prior once (`TypeSpace.weights`), so a game and its
-    direct game share the prior. Here utilities and strategic costs are
-    scaled by one LCM of their denominators. An interim payoff of agent i is
-    then an int over `scale[i]`, and payoffs of one agent compare as ints
-    with the same weak inequalities.
+    space scales its prior once (`TypeSpace.weights`), and the utility table
+    its entries (`UtilityTable.scaled`), so a game and its direct game share
+    both. Here the utilities and strategic costs are brought to one unit, the
+    LCM of the table's unit and the costs' denominators: each scaled utility
+    is multiplied by one int. An interim payoff of agent i is then an int
+    over `scale[i]`, and payoffs of one agent compare as ints with the same
+    weak inequalities.
     """
 
     # utility[i][t][x]: scaled utility of agent i at type t for outcome x,
@@ -195,19 +200,15 @@ class _Tables:
     scale: list[int]
 
 
-def _scaled(value: Fraction, unit: int) -> int:
-    return value.numerator * (unit // value.denominator)
-
-
 def _compile(game: BayesianGame) -> _Tables:
     mech, ts = game.mechanism, game.type_space
     labels, total = mech.walk.labels, ts.weights.total
-    table, strategic = game.utilities.table, game.costs.strategic
-    unit = math.lcm(
-        *[v.denominator for v in table.values()], *[v.denominator for v in strategic.values()]
-    )
+    scaled, strategic = game.utilities.scaled, game.costs.strategic
+    unit = math.lcm(scaled.unit, *[v.denominator for v in strategic.values()])
+    # Each utility is on the table's unit, which divides the game's.
+    factor, table = unit // scaled.unit, scaled.of
     utility = [
-        [[_scaled(table[i, x, t], unit) for x in labels] for t in types]
+        [[table[i, x, t] * factor for x in labels] for t in types]
         for i, types in enumerate(ts.types_of)
     ]
     # Costs are sparse with default 0: only the entries present are filled.
@@ -251,33 +252,41 @@ def _interim_rows(game: BayesianGame, plan, agent: int) -> list[list[int]]:
     entry is not read). Independence of the prior makes the opponents'
     weights the same at every own type, so each own action's prior weight on
     the outcomes it reaches is summed once, and each row entry is a sum over
-    those outcomes."""
+    those outcomes. The others' action profiles are kept as flat offsets,
+    each keyed to its prior weight, and every sum is a plain loop, so a call
+    makes no frame but its own."""
     walk, weights = game.mechanism.walk, game.type_space.weights.of
     strides, outcome = walk.strides, walk.outcome
-    # Each flat action-profile offset the others play, with the prior weight
-    # of their type profiles that play it: one agent's types that play one
-    # action are summed first.
-    bases = [(0, 1)]
+    # Each flat action-profile offset the others play, keyed to the prior
+    # weight of their type profiles that play it.
+    bases = {0: 1}
     for j, own in enumerate(plan):
         if j != agent:
-            played: dict[int, int] = {}
-            for a, w in zip(own, weights[j]):
-                played[a] = played.get(a, 0) + w
-            step = strides[j]
-            bases = [(b + step * a, v * w) for b, v in bases for a, w in played.items()]
+            step, grown = strides[j], {}
+            for b, v in bases.items():
+                for a, w in zip(own, weights[j]):
+                    flat = b + step * a
+                    grown[flat] = grown.get(flat, 0) + v * w
+            bases = grown
     step = strides[agent]
     reached = []
     for a in range(len(game.mechanism.actions_of[agent])):
         mass: dict[int, int] = {}
-        for b, w in bases:
+        for b, w in bases.items():
             x = outcome[b + a * step]
             mass[x] = mass.get(x, 0) + w
         reached.append(mass.items())
     tables = game._tables
-    return [
-        [sum([w * u[x] for x, w in mass]) - c for mass, c in zip(reached, costs)]
-        for u, costs in zip(tables.utility[agent], tables.cost[agent])
-    ]
+    rows = []
+    for u, costs in zip(tables.utility[agent], tables.cost[agent]):
+        row = []
+        for mass, c in zip(reached, costs):
+            total = -c
+            for x, w in mass:
+                total += w * u[x]
+            row.append(total)
+        rows.append(row)
+    return rows
 
 
 def _exact(game: BayesianGame, agent: int, value: int) -> Fraction:

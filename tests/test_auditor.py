@@ -21,13 +21,23 @@ from revaudit.auditor import (
     random_zero_cost_game,
     zero_cost_regression,
 )
-from revaudit.core import ConstructionError, CostModel, DomainError, SocialChoiceFunction
+from revaudit.core import (
+    ConstructionError,
+    CostModel,
+    DomainError,
+    Mechanism,
+    SocialChoiceFunction,
+    TypeSpace,
+    UtilityTable,
+)
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
     EquilibriumVerdict,
     StrategyProfile,
+    _equilibrium_plans,
     _plan,
+    _profile,
     _rule,
     find_all_pure_bne,
 )
@@ -365,6 +375,33 @@ def regression_games(instances, seed):
     for k in range(instances):
         game = random_zero_cost_game(rng)
         yield k, game, find_all_pure_bne(game)
+
+
+def same_parts(built, checked):
+    # A repr also tells an int from an equal Fraction, and one order of a dict from another.
+    return built == checked and repr(built) == repr(checked)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_REGRESSION_SEED, 2])
+def test_regression_parts_equal_the_checking_constructors_parts(seed):
+    # The regression builds its games and rules without their checks; every
+    # checking constructor must accept the same parts and build equal ones.
+    rng, equilibria = random.Random(seed), 0
+    for _ in range(200):
+        game = random_zero_cost_game(rng)
+        ts, mech = game.type_space, game.mechanism
+        rebuilt = BayesianGame(
+            Mechanism(mech.actions_of, mech.outcome_of),
+            TypeSpace(ts.types_of, ts.prior_of),
+            UtilityTable(game.utilities.table),
+            CostModel(),
+        )
+        assert same_parts(rebuilt, game)
+        for plan in _equilibrium_plans(game):
+            scf = auditor._rule_scf(game, _rule(game, plan))
+            assert same_parts(ref.induced_scf(game, _profile(game, plan)), scf)
+            equilibria += 1
+    assert equilibria == zero_cost_regression(200, seed).equilibria_checked
 
 
 def failure_line(k, profile):

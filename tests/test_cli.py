@@ -213,12 +213,18 @@ def test_analyze_profile_cap(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "two"])
+@pytest.mark.parametrize("value", ["0", "-3", "two", "1_000", " 5 ", "\u0661\u0660"])
 def test_analyze_rejects_a_profile_cap_below_one(tmp_path, capsys, value):
     # Rejected while parsing, even when a declared profile means no search runs.
+    # int() reads the last three as 1000, 5 and 10, but a config literal of
+    # the same form is refused, and so is the cap.
     code = main(["analyze", single_agent_signal_cfg(tmp_path), "--max-profiles", value])
     assert code == 1
-    assert "argument --max-profiles" in capsys.readouterr().err
+    if value in ("0", "-3"):
+        problem = f"must be at least 1, got {value}"
+    else:
+        problem = f"invalid int value: {value!r}"
+    assert f"argument --max-profiles: {problem}" in capsys.readouterr().err
 
 
 def test_analyze_unknown_kind(tmp_path, capsys):
@@ -1014,7 +1020,7 @@ def test_labor_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
         monkeypatch,
         [auditor.direct_game, core._total_table, equilibrium._compile,
          equilibrium._expost_slice, equilibrium._best_replies, equilibrium._dominant,
-         core._walk_outcomes, core._prior_weights],
+         core._walk_outcomes, core._prior_weights, core._scale_table],
     )
     assert main(["analyze", labor_cfg(tmp_path)]) == 2
     # The bid game and the direct game, each checked and compiled once. Six
@@ -1024,10 +1030,10 @@ def test_labor_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
     # also give the Nash profiles. Being module constants, the
     # two mechanisms' outcome tables are not checked (_total_table is not
     # called), but each is walked once. The two games share one type space,
-    # whose prior is scaled once.
+    # whose prior is scaled once, and one utility table, also scaled once.
     assert counts == {
         "direct_game": 1, "_compile": 2, "_expost_slice": 6, "_best_replies": 4,
-        "_dominant": 4, "_walk_outcomes": 2, "_prior_weights": 1,
+        "_dominant": 4, "_walk_outcomes": 2, "_prior_weights": 1, "_scale_table": 1,
     }
 
 
