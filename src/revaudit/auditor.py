@@ -85,15 +85,21 @@ def _costfree(direct: BayesianGame, rows, agent: int) -> list[list[int]]:
     return [[v + c for v, c in zip(row, cs)] for row, cs in zip(rows, direct._tables.cost[agent])]
 
 
-def misreport_gains(direct: BayesianGame) -> dict[tuple[int, str, str], Fraction]:
-    """Each misreport's gain with every report price erased, keyed (agent, true type,
-    reported type): truth-telling is an equilibrium exactly when no gain exceeds its price."""
+def _costfree_gains(direct: BayesianGame) -> dict[tuple[int, str, str], int]:
+    """Each misreport's gain with every report price erased, as an int on its
+    agent's scale, keyed (agent, true type, reported type)."""
     types_of = direct.type_space.types_of
     free = [_costfree(direct, rows, i) for i, rows in enumerate(direct._truthful_rows)]
     return {
-        (i, ts[k], ts[r]): _exact(direct, i, free[i][k][r] - free[i][k][k])
+        (i, ts[k], ts[r]): free[i][k][r] - free[i][k][k]
         for i, ts in enumerate(types_of) for k, r in itertools.permutations(range(len(ts)), 2)
     }
+
+
+def misreport_gains(direct: BayesianGame) -> dict[tuple[int, str, str], Fraction]:
+    """Each misreport's gain with every report price erased, keyed (agent, true type,
+    reported type): truth-telling is an equilibrium exactly when no gain exceeds its price."""
+    return {key: _exact(direct, key[0], gain) for key, gain in _costfree_gains(direct).items()}
 
 
 @dataclass(frozen=True)

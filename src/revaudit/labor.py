@@ -20,10 +20,10 @@ from .auditor import (
     AuditReport,
     Judgement,
     _audit,
+    _costfree_gains,
     _judge,
     direct_game,
     is_truthfully_implementable,
-    misreport_gains,
 )
 from .core import (
     ConstructionError,
@@ -64,6 +64,10 @@ HIRE_FIRST = Outcome("hire_1", (Fraction(1), Fraction(0)))
 SPLIT = Outcome("split", (Fraction(1, 2), Fraction(1, 2)))
 HIRE_SECOND = Outcome("hire_2", (Fraction(0), Fraction(1)))
 OUTCOMES = (HIRE_FIRST, SPLIT, HIRE_SECOND)
+# The distinct shares of the wage that some outcome pays a worker, and each
+# (worker, outcome label) with the position of its share there.
+WAGE_SHARES = tuple(dict.fromkeys(share for x in OUTCOMES for share in x.payload))
+PAID = tuple((i, x.label, WAGE_SHARES.index(x.payload[i])) for i in (0, 1) for x in OUTCOMES)
 TYPES = (TYPE_LOW, TYPE_HIGH)
 BIDS = (BID_ZERO, BID_HIGH)
 DEFAULT_PRIOR_HIGH = Fraction(1, 2)
@@ -148,16 +152,12 @@ LABOR_FIELDS = fields(LaborParams)
 class LaborScenario:
     """The bid game and the direct game of the hiring rule, each built once
     by `build_scenario` and read by every check of the scenario. The direct
-    game's mechanism is the rule, `HIRING_RULE`."""
+    game's mechanism is the rule, `HIRING_RULE`; the separating profile is
+    the bid game's `SEPARATING_PLAN`."""
 
     params: LaborParams
     game: BayesianGame
     direct: BayesianGame
-
-    @cached_property
-    def plan(self) -> list[list[int]]:
-        """The separating profile as a plan of the bid game."""
-        return _plan(self.game, SEPARATING_PROFILE)
 
     @cached_property
     def judgement(self) -> Judgement:
@@ -165,7 +165,7 @@ class LaborScenario:
         rule: the bid game's interim rows under it, whether it is an
         equilibrium, and whether it then implements the rule. The audit,
         `check_separating_equilibrium` and a sweep read it."""
-        return _judge(self.game, self.plan, self.direct.mechanism)
+        return _judge(self.game, SEPARATING_PLAN, self.direct.mechanism)
 
     @cached_property
     def audit(self) -> AuditReport:
@@ -173,16 +173,23 @@ class LaborScenario:
         its judgement and kept with the scenario. Labor `analyze` and the
         proof-chain criterion of `reproduce-paper` read it; the separating
         report and a sweep read the judgement alone."""
-        return _audit(self.game, self.plan, SEPARATING_PROFILE, self.direct, self.judgement)
+        return _audit(self.game, SEPARATING_PLAN, SEPARATING_PROFILE, self.direct, self.judgement)
 
     @cached_property
     def break_even(self) -> Fraction | None:
         """The least misreporting cost at which truth-telling is an equilibrium
         of the direct game: the largest cost-free gain of a priced misreport,
-        or None when a free misreport gains. It depends on w, not on c_mis."""
-        gains = misreport_gains(self.direct)
-        priced = max(gains.pop(key) for key in PRICED_MISREPORTS)
-        return None if any(gain > 0 for gain in gains.values()) else priced
+        or None when a free misreport gains. It depends on w, not on c_mis.
+        The gains compare as ints on each worker's scale, and only the
+        threshold becomes a Fraction."""
+        direct = self.direct
+        gains = _costfree_gains(direct)
+        if any(gains[key] > 0 for key in FREE_MISREPORTS):
+            return None
+        # A gain g of worker i is g / scale[i]: it ranks as g times the other worker's scale.
+        scale = direct._tables.scale
+        key = max(PRICED_MISREPORTS, key=lambda k: gains[k] * scale[1 - k[0]])
+        return _exact(direct, key[0], gains[key])
 
     def truthful_at(self, c_mis: Fraction) -> bool:
         """Is truth-telling an equilibrium of the direct game at misreporting cost c_mis?"""
@@ -192,7 +199,8 @@ class LaborScenario:
 
 # The misreports that cost c_mis: a low type reporting high. The reverse is free.
 PRICED_MISREPORTS = tuple((i, TYPE_LOW, TYPE_HIGH) for i in (0, 1))
-MISREPORTS = PRICED_MISREPORTS + tuple((i, TYPE_HIGH, TYPE_LOW) for i in (0, 1))
+FREE_MISREPORTS = tuple((i, TYPE_HIGH, TYPE_LOW) for i in (0, 1))
+MISREPORTS = PRICED_MISREPORTS + FREE_MISREPORTS
 
 
 def misreport_costs(c_mis: Fraction) -> dict[tuple[int, str, str], Fraction]:
@@ -203,18 +211,36 @@ def misreport_costs(c_mis: Fraction) -> dict[tuple[int, str, str], Fraction]:
 def build_scenario(params: LaborParams) -> LaborScenario:
     """Wire the labor market into the generic game model, and build the
     direct game of its hiring rule (both mechanisms are module constants).
-    The type space is built from checked parts: its labels are `TYPES`, and
-    `LaborParams` has checked its prior. A worker's utility of an outcome is
-    its share of the wage at either type; the high bid costs e_H / theta."""
+    A worker's utility of an outcome is its share of the wage at either
+    type; the high bid costs e_H / theta. Each distinct value is computed
+    once: the wage times each share, and each type's bid cost.
+
+    The type space, utilities, costs and bid game are built from checked
+    parts (`_checked`): a checked `LaborParams` makes every rule their
+    constructors check hold. The labels are `TYPES` and `BIDS`, the prior is
+    checked, every (worker, outcome, type) has a utility, and the costs are
+    non-negative, on declared keys, and none on an honest report. Only each
+    table's denominators are still bounded, read from its distinct values
+    and located as the constructors locate them; the direct game checks the
+    rule as it checks any."""
     prior = {TYPE_LOW: 1 - params.prior_high, TYPE_HIGH: params.prior_high}
-    theta = {TYPE_LOW: params.theta_L, TYPE_HIGH: params.theta_H}
-    bid_costs = {(i, BID_HIGH, t): params.e_H / theta[t] for i in (0, 1) for t in TYPES}
-    pay = {(i, x.label): x.payload[i] * params.w for i in (0, 1) for x in OUTCOMES}
-    utilities = UtilityTable({(i, x, t): v for (i, x), v in pay.items() for t in TYPES})
-    costs = CostModel(strategic=bid_costs, misreport=misreport_costs(params.c_mis))
     type_space = _checked(TypeSpace, (TYPES, TYPES), (prior, prior))
-    game = BayesianGame(MECHANISM, type_space, utilities, costs)
+    wage = [share * params.w for share in WAGE_SHARES]
+    bid_cost = {t: params.e_H / theta for t, theta in zip(TYPES, (params.theta_L, params.theta_H))}
+    misreport = misreport_costs(params.c_mis)
+    check_denominators(wage, ("utilities",))
+    check_denominators(bid_cost.values(), ("strategic_costs",))
+    check_denominators(misreport.values(), ("misreport_costs",))
+    utilities = {(i, x, t): wage[k] for i, x, k in PAID for t in TYPES}
+    strategic = {(i, BID_HIGH, t): bid_cost[t] for i in (0, 1) for t in TYPES}
+    costs = _checked(CostModel, strategic, misreport)
+    game = _checked(BayesianGame, MECHANISM, type_space, _checked(UtilityTable, utilities), costs)
     return LaborScenario(params, game, direct_game(game, HIRING_RULE))
+
+
+# Every scenario's bid game plays MECHANISM over TYPES, so the separating
+# profile is one plan in all of them, checked once, in one of them.
+SEPARATING_PLAN = _plan(build_scenario(LaborParams(1, 2, 1, 1)).game, SEPARATING_PROFILE)
 
 
 def wage_window(params: LaborParams) -> tuple[Fraction, Fraction]:
@@ -270,8 +296,8 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     game's tables per own type, compare them as ints, and make a Fraction
     only of each printed payoff.
     """
-    params, game, plan, judged = scenario.params, scenario.game, scenario.plan, scenario.judgement
-    is_bne = judged.equilibrium
+    params, game, judged = scenario.params, scenario.game, scenario.judgement
+    plan, is_bne = SEPARATING_PLAN, judged.equilibrium
     lo, hi = wage_window(params)
 
     cases = []
@@ -299,7 +325,7 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     return SeparatingReport(
         window_low=lo,
         window_high=hi,
-        in_window=in_wage_window(params),
+        in_window=lo < params.w < hi,
         separating_is_bne=is_bne,
         bne_witness=_largest_gain(game, plan, judged.rows_of),
         implements_rule=judged.implemented if is_bne else _implements(game, plan, HIRING_RULE),

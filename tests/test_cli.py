@@ -1113,12 +1113,12 @@ def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "build",
-    [lambda: parse_generic_scenario(two_agent_cfg()),
-     lambda: labor.build_scenario(labor.LaborParams(1, 2, 1, "3/2", "1/2"))],
+    "build, checks",
+    [(lambda: parse_generic_scenario(two_agent_cfg()), 1),
+     (lambda: labor.build_scenario(labor.LaborParams(1, 2, 1, "3/2", "1/2")), 0)],
     ids=["generic", "labor"],
 )
-def test_a_scenario_checks_its_cost_schedule_once(monkeypatch, build):
+def test_a_scenario_checks_its_cost_schedule_once(monkeypatch, build, checks):
     counts = Counter()
     for name in ("__post_init__", "validate_against"):
         method = getattr(core.CostModel, name)
@@ -1128,10 +1128,11 @@ def test_a_scenario_checks_its_cost_schedule_once(monkeypatch, build):
             return method(self, *args)
         monkeypatch.setattr(core.CostModel, name, counting)
     scenario = build()
-    # The game's schedule is checked once, on its own and against the game.
-    # The direct game prices reports from that checked schedule, so its
+    # A config's schedule is checked once, on its own and against the game.
+    # A labor schedule is built from checked parts, so it is not checked at
+    # all. The direct game prices reports from the game's schedule, so its
     # prices are not checked again.
-    assert counts == {"__post_init__": 1, "validate_against": 1}
+    assert counts == Counter(__post_init__=checks, validate_against=checks)
     assert scenario.direct.costs.strategic == {
         (i, r, t): v for (i, t, r), v in scenario.game.costs.misreport.items()
     }
@@ -1180,21 +1181,22 @@ def test_labor_analyze_decides_truth_telling_once(tmp_path, monkeypatch, capsys)
          equilibrium._largest_gain, equilibrium._plan, equilibrium._implements],
     )
     assert main(["analyze", labor_cfg(tmp_path)]) == 2
-    # The separating profile is judged once, by the one audit: its plan is
-    # checked once, and the audit plays the equilibrium out against the rule
-    # once. Row sets: 4 for that audit (2 of the bid game, which the
-    # separating report reads too, and the direct game's 2 under
-    # truth-telling), and 5 for the search over the direct game's 16 report
+    # The separating profile is judged once, by the one audit: its plan is a
+    # module constant, checked when the module loads, not per scenario, and
+    # the audit plays the equilibrium out against the rule once. Row sets: 4
+    # for that audit (2 of the bid game, which the separating report reads
+    # too, and the direct game's 2 under truth-telling), and 5 for the
+    # search over the direct game's 16 report
     # profiles, not 8: the pivot's rows for each of the other agent's 4
     # plans, and that agent's rows once for the one reply the pivot gives
     # them all. The direct game decides truth-telling once and keeps the
     # witness: the audit reads it, and so does the truthfulness report
     # through is_truthfully_implementable. Largest gains: the separating
     # witness, the truthful witness and the audit's break point.
-    assert counts == {
-        "_interim_rows": 9, "_audit": 1, "is_truthfully_implementable": 1,
-        "_largest_gain": 3, "_plan": 1, "_implements": 1,
-    }
+    assert counts == Counter(
+        _interim_rows=9, _audit=1, is_truthfully_implementable=1,
+        _largest_gain=3, _plan=0, _implements=1,
+    )
 
 
 def test_markdown_matrices_compute_only_the_matrices(tmp_path, monkeypatch, capsys):

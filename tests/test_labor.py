@@ -5,20 +5,24 @@ Closed-form payoff formulas are recomputed inside the tests so the scenario
 code is checked against an independent derivation, not against itself."""
 
 import collections.abc
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from payoff_probe import compiled_payoff
+from test_auditor import same_parts
 
 from revaudit.auditor import direct_game
-from revaudit.core import ConstructionError, TypeSpace, as_rational
-from revaudit.equilibrium import Deviation, StrategyProfile
+from revaudit.core import ConstructionError, CostModel, Mechanism, TypeSpace, UtilityTable, as_rational
+from revaudit.equilibrium import BayesianGame, Deviation, StrategyProfile
 from revaudit.labor import (
     ALL_REPORT_HIGH_PROFILE,
     BID_HIGH,
     BID_ZERO,
     HIRE_FIRST,
     HIRE_SECOND,
+    HIRING_RULE,
     SEPARATING_PROFILE,
     SPLIT,
     TYPE_HIGH,
@@ -110,6 +114,70 @@ def test_the_scenario_type_space_is_the_one_type_space_checks(prior_high):
     assert scenario.game.type_space == checked
     assert scenario.game.type_space.weights == checked.weights
     assert scenario.direct.type_space is scenario.game.type_space
+
+
+def random_params(rng):
+    """A random labor market: small positive rationals with denominators up
+    to 12, theta_H above theta_L, and a prior strictly inside (0, 1)."""
+    def positive():
+        return Fraction(rng.randint(1, 36), rng.randint(1, 12))
+
+    theta_L = positive()
+    d = rng.randint(2, 12)
+    return LaborParams(
+        theta_L=theta_L, theta_H=theta_L + positive(), e_H=positive(), w=positive(),
+        c_mis=Fraction(rng.randint(0, 36), rng.randint(1, 12)),
+        prior_high=Fraction(rng.randint(1, d - 1), d),
+    )
+
+
+def check_built_parts(p):
+    """build_scenario builds its parts without their constructors' checks;
+    the checking constructors must accept the same fields and build equal
+    games, and an equal direct game of the hiring rule."""
+    scenario = build_scenario(p)
+    game = scenario.game
+    ts, mech, costs = game.type_space, game.mechanism, game.costs
+    checked = BayesianGame(
+        Mechanism(mech.actions_of, mech.outcome_of),
+        TypeSpace(ts.types_of, ts.prior_of),
+        UtilityTable(game.utilities.table),
+        CostModel(costs.strategic, costs.misreport),
+    )
+    assert same_parts(game, checked), p
+    assert same_parts(scenario.direct, direct_game(checked, HIRING_RULE)), p
+
+
+# The canonical market, skewed priors, both edges of the wage window (1, 2).
+LABOR_PARAMS_CASES = [
+    params(w="3/2", c_mis="1/2"),
+    params(w="3/2", prior_high="1/10"),
+    params(w="3/2", c_mis=1, prior_high="9/10"),
+    params(w=1),
+    params(w=2, c_mis="3/4"),
+    *(random_params(random.Random(seed)) for seed in range(20)),
+]
+
+
+@pytest.mark.parametrize("p", LABOR_PARAMS_CASES)
+def test_scenario_parts_equal_the_checking_constructors_parts(p):
+    check_built_parts(p)
+
+
+@pytest.mark.parametrize(
+    "field, bits, table",
+    [("w", 4102, "utilities"), ("c_mis", 2051, "misreport_costs"), ("e_H", 4101, "strategic_costs")],
+)
+def test_a_scenario_bounds_each_tables_denominators(field, bits, table):
+    # Each table's distinct denominators are bounded as its constructor bounds
+    # them: w over 2**2049 gives utilities w, w/2 and 0 (2,050 + 2,051 + 1
+    # bits), e_H over 2**2049 costs e_H and e_H/2, and c_mis costs c_mis or 0.
+    p = dataclasses.replace(LaborParams(1, 2, 1, 1), **{field: Fraction(1, 2**2049)})
+    with pytest.raises(ConstructionError) as err:
+        build_scenario(p)
+    assert str(err.value) == (
+        f"{table}: distinct denominators of {bits} bits in all exceed the limit of 2048"
+    )
 
 
 def test_scenario_tables():
