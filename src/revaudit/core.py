@@ -65,6 +65,9 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+)")
 # Fraction() reads "1_000" from Python 3.11 on and "3 / 2" from 3.12 on; a
 # literal holding neither reads the same on every supported Python.
 _UNDERSCORE_OR_SPACE = re.compile(r"[_\s]")
+# An integer or "p/q" literal in ASCII digits, the common case, read without
+# Fraction()'s general parser (see as_rational).
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def check_literal_size(text: str, where: str | tuple = "value") -> str:
@@ -119,9 +122,15 @@ def as_rational(value, where: str | tuple = "value") -> Fraction:
 
     Floats (and bools) are rejected: callers must pass exact values. Strings
     must pass check_literal_size and be ASCII, with no underscore, and no
-    whitespace but at the ends. `where` names the value, or is a
-    GameModelError location.
+    whitespace but at the ends. A plain "p" or "p/q" of ASCII digits, with
+    an optional leading "-", of at most MAX_LITERAL characters and a
+    nonzero q, is read as `Fraction(int(p), int(q))`, the value Fraction()
+    gives it. `where` names the value, or is a GameModelError location.
     """
+    if type(value) is str and len(value) <= MAX_LITERAL:  # the plain literal first
+        plain = _PLAIN_RATIONAL.fullmatch(value)
+        if plain and (denominator := int(plain[2] or 1)):  # "p/0" is refused below
+            return Fraction(int(plain[1]), denominator)
     if isinstance(value, Fraction):
         return value
     at = where if isinstance(where, tuple) else (where,)
@@ -207,13 +216,13 @@ class TypeSpace:
                 problem = f"types {sorted(pr)} do not match the declared types {list(ts)}"
                 raise ConstructionError(problem, ("priors", i))
             for t in ts:
-                p = pr[t]
-                p = pr[t] = p if isinstance(p, Fraction) else as_rational(p, ("priors", i, t))
-                if p <= 0:
+                p = pr[t] = as_rational(pr[t], ("priors", i, t))
+                if p.numerator <= 0:
                     raise ConstructionError(f"must be positive, got {p}", ("priors", i, t))
         check_denominators([p for pr in priors for p in pr.values()], ("priors",))
         for i, pr in enumerate(priors):
-            if sum(pr.values()) != 1:
+            unit = math.lcm(*[p.denominator for p in pr.values()])
+            if sum(_scaled(p, unit) for p in pr.values()) != unit:
                 problem = f"probabilities must sum to 1, got {sum(pr.values())}"
                 raise ConstructionError(problem, ("priors", i))
         object.__setattr__(self, "types_of", types_of)
@@ -320,24 +329,28 @@ def _total_table(table: str, entries, label_lists, noun: str) -> dict[tuple[str,
     label; keys are distinct, so the count alone shows that no profile is
     missing, and profiles are enumerated only to name a missing one. The
     values of a `_ConfigRows` table are the parser's outcomes, one per
-    label, so only its keys are checked."""
+    label, so only its keys are checked: with one set inclusion per agent
+    position, and label by label only to name a fault."""
     known = [frozenset(labels) for labels in label_lists]
     checked = type(entries) is _ConfigRows
-    result: dict[tuple[str, ...], Outcome] = {}
-    seen: dict[str, Outcome] = {}
-    for key, x in dict(entries).items():
-        key = tuple(key)
-        if len(key) != len(known) or not all(map(frozenset.__contains__, known, key)):
-            raise ConstructionError(f"{key} is not a declared {noun} profile", (table, key))
-        if not checked:
-            if not isinstance(x, Outcome):
-                problem = f"expected an Outcome, got {type(x).__name__}"
-                raise ConstructionError(problem, (table, key, "outcome"))
-            first = seen.setdefault(x.label, x)
-            if first is not x and first != x:
-                problem = f"two different outcomes share label {x.label!r}"
-                raise ConstructionError(problem, (table, key, "outcome"))
-        result[key] = x
+    fits = checked and set(map(len, entries)) <= {len(known)}
+    if fits and all(map(frozenset.issuperset, known, zip(*entries))):
+        result = dict(entries)
+    else:
+        result, seen = {}, {}
+        for key, x in dict(entries).items():
+            key = tuple(key)
+            if len(key) != len(known) or not all(map(frozenset.__contains__, known, key)):
+                raise ConstructionError(f"{key} is not a declared {noun} profile", (table, key))
+            if not checked:
+                if not isinstance(x, Outcome):
+                    problem = f"expected an Outcome, got {type(x).__name__}"
+                    raise ConstructionError(problem, (table, key, "outcome"))
+                first = seen.setdefault(x.label, x)
+                if first is not x and first != x:
+                    problem = f"two different outcomes share label {x.label!r}"
+                    raise ConstructionError(problem, (table, key, "outcome"))
+            result[key] = x
     if len(result) != math.prod(map(len, label_lists)):
         missing = next(p for p in itertools.product(*label_lists) if p not in result)
         raise ConstructionError(f"no row for {noun} profile {missing}", (table,))

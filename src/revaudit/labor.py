@@ -165,7 +165,7 @@ class LaborScenario:
         rule: the bid game's interim rows under it, whether it is an
         equilibrium, and whether it then implements the rule. The audit,
         `check_separating_equilibrium` and a sweep read it."""
-        return _judge(self.game, SEPARATING_PLAN, self.direct.mechanism)
+        return _judge(self.game, SEPARATING_PLAN, self.direct.mechanism, SEPARATING_PLAYS_RULE)
 
     @cached_property
     def audit(self) -> AuditReport:
@@ -239,8 +239,11 @@ def build_scenario(params: LaborParams) -> LaborScenario:
 
 
 # Every scenario's bid game plays MECHANISM over TYPES, so the separating
-# profile is one plan in all of them, checked once, in one of them.
-SEPARATING_PLAN = _plan(build_scenario(LaborParams(1, 2, 1, 1)).game, SEPARATING_PROFILE)
+# profile is one plan in all of them, checked once, in one of them; and
+# whether that plan plays HIRING_RULE out is one answer for all of them.
+_BID_GAME = build_scenario(LaborParams(1, 2, 1, 1)).game
+SEPARATING_PLAN = _plan(_BID_GAME, SEPARATING_PROFILE)
+SEPARATING_PLAYS_RULE = _implements(_BID_GAME, SEPARATING_PLAN, HIRING_RULE)
 
 
 def wage_window(params: LaborParams) -> tuple[Fraction, Fraction]:
@@ -286,18 +289,17 @@ class SeparatingReport:
 def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     """Verify the separating side of the reference scenario.
 
-    Reads the scenario's judgement of the separating bid profile: whether it
-    is an equilibrium and whether it then reproduces the hiring rule at every
-    type profile. The witness is the largest gain over the judgement's
-    interim rows; a profile that is not an equilibrium is played out against
-    the rule here. No audit runs. The high type must
+    Reads the scenario's judgement of the separating bid profile, whether it
+    is an equilibrium, and `SEPARATING_PLAYS_RULE`, whether it reproduces
+    the hiring rule at every type profile: one answer for every scenario.
+    The witness is the largest gain over the judgement's interim rows. No
+    audit runs. The high type must
     clear participation strictly (worst case: both high, split job). The
     four bid cases read worker 0's ex-post profits from one slice of the bid
     game's tables per own type, compare them as ints, and make a Fraction
     only of each printed payoff.
     """
     params, game, judged = scenario.params, scenario.game, scenario.judgement
-    plan, is_bne = SEPARATING_PLAN, judged.equilibrium
     lo, hi = wage_window(params)
 
     cases = []
@@ -326,9 +328,9 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         window_low=lo,
         window_high=hi,
         in_window=lo < params.w < hi,
-        separating_is_bne=is_bne,
-        bne_witness=_largest_gain(game, plan, judged.rows_of),
-        implements_rule=judged.implemented if is_bne else _implements(game, plan, HIRING_RULE),
+        separating_is_bne=judged.equilibrium,
+        bne_witness=_largest_gain(game, SEPARATING_PLAN, judged.rows_of),
+        implements_rule=SEPARATING_PLAYS_RULE,
         ir_margin=ir_margin,
         ir_satisfied=ir_margin > 0,
         best_response_cases=tuple(cases),

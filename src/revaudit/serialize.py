@@ -1,8 +1,12 @@
 """Config parsing and report rendering for the command line harness.
 
 Configs are JSON. Rationals travel as "p/q" strings or integers; JSON decimal
-literals are parsed digit-exact into Fractions (never through a float). All
-rendering is deterministic: fixed key order, fixed row order, no timestamps.
+literals are parsed digit-exact into Fractions (never through a float). A
+generic config's tables are read by columns: each table's fields are
+type-checked as whole columns, each distinct literal is parsed once, and
+each rule on its rows is checked over whole columns. Only a table that fails
+is walked row by row, to name the first faulty row. All rendering is
+deterministic: fixed key order, fixed row order, no timestamps.
 """
 
 from __future__ import annotations
@@ -201,29 +205,33 @@ class _Table:
 
     def __init__(self, key: str, noun: str, fields: tuple[str, ...], optional=()):
         self.key, self.noun, self.fields = key, noun, fields
-        self.allowed = frozenset(fields).union(optional)
+        self.allowed = (*fields, *optional)
         self.kinds = tuple((f, FIELD_TYPES.get(f)) for f in fields)
 
-    def valid(self, entries: list) -> bool:
-        """Whether every row is an object with exactly the required fields,
-        each checked field of its type, a list holding only labels. Each
-        field is compared as one column of the whole table: one pass over
-        its rows by `_typed`. A table that fails is walked row by row, by
-        `check`, to name its fault."""
+    def valid(self, entries: list) -> dict[str, list] | None:
+        """The table's columns, {field: its values in row order} with the
+        required fields in their order, when every row is an object with
+        exactly the required fields, each checked field of its type, a list
+        holding only labels; else None. Each field is checked as one column
+        of the whole table: one pass over its rows by `_typed`. A table that
+        fails is walked row by row, by `check`, to name its fault."""
         if set(map(type, entries)) != {dict} or set(map(len, entries)) != {len(self.fields)}:
-            return False
+            return None
+        columns = {}
         for f, kind in self.kinds:
             try:
-                column = list(map(operator.itemgetter(f), entries))
+                column = columns[f] = list(map(operator.itemgetter(f), entries))
             except KeyError:
-                return False
+                return None
             if kind and not _typed(kind, column):
-                return False
-        return True
+                return None
+        return columns
 
-    def check(self, entry) -> dict:
-        """An object with exactly the required fields (plus any optional
-        ones), each checked field of its type by the test `valid` applies."""
+    def check(self, entry) -> dict[str, list]:
+        """The columns of one row, as `valid` gives a table's, then any
+        optional field it holds: the row must be an object with exactly the
+        required fields (plus any optional ones), each checked field of its
+        type by the test `valid` applies."""
         if not isinstance(entry, dict):
             raise _RowError(": expected an object")
         unknown = entry.keys() - self.allowed
@@ -234,7 +242,7 @@ class _Table:
                 raise _RowError(f": missing required field '{f}'")
             if kind and not _typed(kind, [entry[f]]):
                 raise _RowError(f".{f}: expected {KIND_NAMES[kind]}")
-        return entry
+        return {f: [entry[f]] for f in self.allowed if f in entry}
 
 
 OUTCOMES = _Table("outcomes", "outcome label", ("label",), optional=("payload",))
@@ -249,23 +257,35 @@ MISREPORT_COSTS = _Table(
     "(agent, true type, reported type)",
     ("agent", "true_type", "reported_type", "cost"),
 )
-ROW_TABLES = (OUTCOMES, OUTCOME_FUNCTION, RULE, UTILITIES, STRATEGIC_COSTS, MISREPORT_COSTS)
+COST_TABLES = (STRATEGIC_COSTS, MISREPORT_COSTS)
+ROW_TABLES = (OUTCOMES, OUTCOME_FUNCTION, RULE, UTILITIES, *COST_TABLES)
 # The fields of a generic config: its agents' types, priors and actions, its
 # six row tables and an optional declared profile.
 GENERIC_KEYS = ("kind", "types", "priors", "actions", *(t.key for t in ROW_TABLES), "profile")
 
 
-def _read_rows(cfg: dict, table: _Table, rows: dict, read, default=None) -> dict:
-    """Check each row of a config table and store the (key, value) that
-    `read` makes of it in rows[table.key], in row order. A fault in a row,
-    or a second row for a key (which would silently replace the first), is
-    reported under the row's path."""
-    values = rows[table.key] = {}
+def _read_rows(cfg: dict, table: _Table, rows: dict, read, default=None) -> _ConfigRows:
+    """Read a config table by columns: `read` makes a {key: value} dict, in
+    row order, of the columns `valid` gives, and raises a _RowError on a
+    fault. The dict is stored in rows[table.key]. It must hold one key per
+    row, or some row repeats a key and would silently replace another.
+
+    A table that fails any of this is walked row by row, only to name its
+    first fault: each row is checked and read alone by the same `read`, on
+    the row's columns from `check`, so its fault, or a second row for a
+    key, is reported under the row's path."""
     entries = _list(cfg, table.key, default)
-    valid = table.valid(entries)
+    columns = table.valid(entries)
+    try:
+        values = rows[table.key] = _ConfigRows(read(columns) if columns else ())
+    except _RowError:
+        values = ()
+    if len(values) == len(entries):
+        return values
+    values = rows[table.key] = _ConfigRows()
     for k, entry in enumerate(entries):
         try:
-            key, value = read(entry if valid else table.check(entry))
+            ((key, value),) = read(table.check(entry)).items()
             if key in values:
                 raise _RowError(f": duplicate {table.noun} {key!r}")
             values[key] = value
@@ -306,21 +326,21 @@ def _generic_game(cfg: dict, rows: dict):
     """The game of a generic config and its rule's direct game; each keyed
     table's rows are stored in `rows` as they are read, for `_located` to
     name a faulty row by its position."""
-    # Literal text -> value, for this config only: a value repeated across
-    # rows is parsed once. A bad literal raises before it is stored, so the
-    # error names the first row that holds it.
-    literals: dict[str, Fraction] = {}
+    # (type, literal) -> value, for this config only: each distinct literal
+    # is parsed once, and `true` never takes the value of `1`.
+    literals: dict[tuple, Fraction] = {}
 
-    def rational(value, field: str) -> Fraction:
-        if isinstance(value, str) and value in literals:
-            return literals[value]
+    def rationals(column: list, field: str) -> list[Fraction]:
+        """The value of each literal of a column, or a _RowError at `field`."""
         try:
-            result = as_rational(value)
+            try:
+                keyed = list(zip(map(type, column), column))
+                literals.update((key, as_rational(key[1])) for key in set(keyed) - literals.keys())
+            except TypeError:  # a list or an object: it cannot be hashed, nor read
+                return list(map(as_rational, column))
+            return list(map(literals.__getitem__, keyed))
         except GameModelError as exc:
             raise _RowError(f"{field}: {exc.problem}") from None
-        if isinstance(value, str):
-            literals[value] = result
-        return result
 
     types_of = _label_lists(_require(cfg, "types", "config"), "config.types")
     if "priors" in cfg:
@@ -338,50 +358,43 @@ def _generic_game(cfg: dict, rows: dict):
     actions_of = _label_lists(_require(cfg, "actions", "config"), "config.actions")
     check_agent_count(actions_of, types_of)
 
-    def outcome_row(entry) -> tuple:
-        payload = entry.get("payload", [])
+    def outcome_rows(c: dict) -> dict:
+        if "payload" not in c:  # a payload is optional, so `valid` refuses a row with one
+            return dict.fromkeys(c["label"], ())
+        (label,), (payload,) = c.values()
         if not isinstance(payload, list):
             raise _RowError(".payload: expected a list")
-        return entry["label"], tuple(rational(v, f".payload[{j}]") for j, v in enumerate(payload))
+        return {label: tuple(rationals([v], f".payload[{j}]")[0] for j, v in enumerate(payload))}
 
-    payloads = _read_rows(cfg, OUTCOMES, rows, outcome_row)
-    outcomes = {label: Outcome(label, payload) for label, payload in payloads.items()}
+    outcomes = {x: Outcome(x, p) for x, p in _read_rows(cfg, OUTCOMES, rows, outcome_rows).items()}
 
-    def outcome(entry) -> Outcome:
-        label = entry["outcome"]
-        if label not in outcomes:
-            raise _RowError(f": unknown outcome {label!r}")
-        return outcomes[label]
-
-    def profile_rows(table: _Table) -> dict:
+    def profile_rows(c: dict) -> dict:
         """Rows keyed by a profile, the list in their first field, each with
         its outcome from `outcomes`."""
-        field = table.fields[0]
-        return _ConfigRows(_read_rows(cfg, table, rows, lambda e: (tuple(e[field]), outcome(e))))
+        profiles, labels = c.values()
+        if not outcomes.keys() >= set(labels):
+            raise _RowError(f": unknown outcome {labels[0]!r}")
+        return dict(zip(map(tuple, profiles), map(outcomes.__getitem__, labels)))
 
-    mechanism = Mechanism(actions_of, profile_rows(OUTCOME_FUNCTION))
-    scf = SocialChoiceFunction(types_of, profile_rows(RULE))
+    declared = {(i, t) for i, types in enumerate(types_of) for t in types}
 
-    type_sets = [frozenset(types) for types in types_of]
+    def utility_rows(c: dict) -> dict:
+        agents, labels, types, values = c.values()
+        values = rationals(values, ".value")
+        if not (declared >= set(zip(agents, types)) and outcomes.keys() >= set(labels)):
+            raise _RowError(f": {agents[0], labels[0], types[0]} is not a declared {UTILITIES.noun}")
+        return dict(zip(zip(agents, labels, types), values))
 
-    def utility_row(entry) -> tuple:
-        value = rational(entry["value"], ".value")
-        key = agent, x, t = entry["agent"], entry["outcome"], entry["type"]
-        if not (0 <= agent < len(type_sets) and x in outcomes and t in type_sets[agent]):
-            raise _RowError(f": {key} is not a declared {UTILITIES.noun}")
-        return key, value
-
-    utility = _read_rows(cfg, UTILITIES, rows, utility_row)
-
-    def cost_rows(table: _Table) -> dict:
+    def cost_rows(c: dict) -> dict:
         """Rows keyed by their first three fields, each with a cost."""
-        key_of = operator.itemgetter(*table.fields[:3])
-        return _ConfigRows(_read_rows(
-            cfg, table, rows, lambda e: (key_of(e), rational(e["cost"], ".cost")), default=[]
-        ))
+        *key_columns, costs = c.values()
+        return dict(zip(zip(*key_columns), rationals(costs, ".cost")))
 
-    costs = CostModel(cost_rows(STRATEGIC_COSTS), cost_rows(MISREPORT_COSTS))
-    game = BayesianGame(mechanism, type_space, UtilityTable(_ConfigRows(utility)), costs)
+    mechanism = Mechanism(actions_of, _read_rows(cfg, OUTCOME_FUNCTION, rows, profile_rows))
+    scf = SocialChoiceFunction(types_of, _read_rows(cfg, RULE, rows, profile_rows))
+    utility = _read_rows(cfg, UTILITIES, rows, utility_rows)
+    costs = CostModel(*(_read_rows(cfg, t, rows, cost_rows, []) for t in COST_TABLES))
+    game = BayesianGame(mechanism, type_space, UtilityTable(utility), costs)
     return game, direct_game(game, scf)
 
 

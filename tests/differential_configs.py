@@ -36,10 +36,14 @@ SWEEP = {
     "c_mis_values": ["0", "1/2", 1],
     "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1, "prior_high": "1/3"},
 }
-# Values a mutation may write: every JSON type, bad and edge-case literals.
+# Values a mutation may write: every JSON type, bad and edge-case literals,
+# among them the edges of the plain "p/q" reading: a sign, leading zeros, a
+# sign in the denominator, non-ASCII digits, a float equal to an int, and
+# digit strings at and past the length limit.
 JUNK = [
     True, False, None, 0, 1, -1, 2, "0", "1", "-1", "1/2", "3/2", "-1/3", "1/0", "", "x",
     "1e5", "1e999", "1_0", " 1 ", "١", "0.5", [], {}, ["x"], [1], {"x": 1}, 0.5, 10**101,
+    "+1/2", "01/02", "-0", "1/-2", "٣/٤", 1.0, "1" * 100, "1" * 101,
 ]
 FIELDS = ["kind", "agent", "outcome", "type", "action", "value", "cost", "label", "extra", "w"]
 

@@ -9,7 +9,8 @@ and dominant actions of normal-form games are found the same way, by brute
 force, and so is the rule a profile plays out. Profiles and opponent type
 profiles are enumerated here, from `itertools.product`, so the oracle
 shares no enumeration code with the library. It is slow and is used only
-by the tests, together with a generator of random costly games.
+by the tests, together with a generator of random costly games and a
+writer of a game as a generic config.
 """
 
 import itertools
@@ -219,3 +220,71 @@ def random_costly_game(rng, types, actions, outcomes=None):
         UtilityTable(utility),
         CostModel(strategic=strategic),
     )
+
+
+def random_priced_game(rng, agents, max_profiles=729):
+    """A random costly game of a random shape, priced with a random
+    misreport schedule (every misreport priced), and a random rule over its
+    outcomes: the game and the rule."""
+    game = random_costly_game(rng, *random_shape(rng, agents, max_profiles))
+    ts = game.type_space
+    misreport = {
+        (i, t, r): Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 5)))
+        for i, types in enumerate(ts.types_of) for t in types for r in types if r != t
+    }
+    priced = BayesianGame(
+        game.mechanism, ts, game.utilities, CostModel(game.costs.strategic, misreport)
+    )
+    outcomes = [Outcome(x) for x in sorted({x for _, x, _ in game.utilities.table})]
+    table = {theta: rng.choice(outcomes) for theta in ts.profiles()}
+    return priced, SocialChoiceFunction(ts.types_of, table)
+
+
+# The tables of a generic config that hold one object per row.
+ROW_TABLES = (
+    "outcomes", "outcome_function", "rule", "utilities", "strategic_costs", "misreport_costs"
+)
+
+
+def _literal(value: Fraction):
+    """A rational as a config writes it: an int as a JSON number, else "p/q"."""
+    return value.numerator if value.denominator == 1 else str(value)
+
+
+def generic_config(game, rule, plan=None, rng=None) -> dict:
+    """The generic config of a game and a rule over its types, declaring the
+    profile of `plan` (action positions per agent, in type order) when one
+    is given. With `rng`, each table's rows are shuffled."""
+    ts, mech, costs = game.type_space, game.mechanism, game.costs
+    outcomes = sorted({x for _, x, _ in game.utilities.table})
+    cfg = {
+        "kind": "generic",
+        "types": [list(types) for types in ts.types_of],
+        "priors": [{t: str(p) for t, p in prior.items()} for prior in ts.prior_of],
+        "actions": [list(actions) for actions in mech.actions_of],
+        "outcomes": [{"label": x} for x in outcomes],
+        "outcome_function": [
+            {"actions": list(p), "outcome": x.label} for p, x in mech.outcome_of.items()
+        ],
+        "rule": [{"types": list(p), "outcome": x.label} for p, x in rule.outcome_of.items()],
+        "utilities": [
+            {"agent": i, "outcome": x, "type": t, "value": _literal(v)}
+            for (i, x, t), v in game.utilities.table.items()
+        ],
+        "strategic_costs": [
+            {"agent": i, "action": a, "type": t, "cost": _literal(v)}
+            for (i, a, t), v in costs.strategic.items()
+        ],
+        "misreport_costs": [
+            {"agent": i, "true_type": t, "reported_type": r, "cost": _literal(v)}
+            for (i, t, r), v in costs.misreport.items()
+        ],
+    }
+    if plan is not None:
+        cfg["profile"] = [
+            {t: actions[k] for t, k in zip(types, own)}
+            for types, actions, own in zip(ts.types_of, mech.actions_of, plan)
+        ]
+    for table in ROW_TABLES if rng else ():
+        rng.shuffle(cfg[table])
+    return cfg

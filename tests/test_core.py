@@ -1,10 +1,14 @@
 """Model-layer checks: exact rationals, priors, tables, and their invariants."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from payoff_probe import expost_game
+from test_properties import SETTINGS
 
 from revaudit.auditor import random_zero_cost_game
 from revaudit.core import (
@@ -52,6 +56,60 @@ def test_as_rational_bounds_the_literal_before_parsing():
     for bad in ("1e101", "1e-999999", "7" * 101, "1/" + "3" * 99):
         with pytest.raises(ConstructionError, match="exceeds the limit"):
             as_rational(bad)
+
+
+def literal_oracle(value: str):
+    """The rational a text literal reads as, or the problem that refuses it,
+    by the documented rules alone: strip the ends; at most 100 characters;
+    an exponent (an "e" or "E" followed by an optional sign and digits) of
+    at most 100; ASCII only, with no underscore and no whitespace left;
+    then whatever Fraction() reads."""
+    text = value.strip()
+    if len(text) > 100:
+        return f"literal of {len(text)} characters exceeds the limit of 100"
+    for k in (k for k, ch in enumerate(text) if ch in "eE"):
+        rest = text[k + 1:]
+        rest = rest[1:] if rest[:1] in ("+", "-") else rest
+        digits = "".join(itertools.takewhile(str.isdecimal, rest))
+        if digits:  # the first exponent
+            if int(digits) > 100:
+                return f"exponent of {text!r} exceeds the limit of 100"
+            break
+    if text.isascii() and "_" not in text and not any(c.isspace() for c in text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return f"cannot parse {value!r} as a rational"
+
+
+def read_literal(value: str):
+    try:
+        return as_rational(value)
+    except ConstructionError as exc:
+        return exc.problem
+
+
+# Each digit is drawn as often as all the other characters together.
+LITERAL_CHARACTERS = [*"0123456789" * 9, *"/-+.e_ \u0661\uff15" * 10]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.lists(st.sampled_from(LITERAL_CHARACTERS), min_size=1, max_size=102).map("".join))
+@example("1/0")
+@example("+1/2")
+@example(" 1/2 ")
+@example("01/02")
+@example("-0")
+@example("1/-2")
+@example("7" * 100)
+@example("7" * 101)
+@example("-" + "7" * 99)
+@example("1/" + "0" * 98)
+def test_a_text_literal_reads_as_its_documented_rules_say(text):
+    # as_rational reads a plain "p/q" of ASCII digits without Fraction()'s
+    # parser; it must read every text exactly as the general rules do.
+    assert read_literal(text) == literal_oracle(text)
 
 
 def test_literal_check_reads_the_exponent_only_when_there_is_one():

@@ -341,19 +341,8 @@ def test_expost_payoffs_are_utility_minus_strategic_cost(agents, seed):
     # game of a random rule over its outcomes, which charges those costs as
     # report prices. The engine reads each payoff from the compiled tables;
     # the oracle looks it up by label.
-    rng = random.Random(seed)
-    game = ref.random_costly_game(rng, *ref.random_shape(rng, agents, max_profiles=729))
-    ts = game.type_space
-    misreport = {
-        (i, t, r): Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 5)))
-        for i, types in enumerate(ts.types_of) for t in types for r in types if r != t
-    }
-    priced = BayesianGame(
-        game.mechanism, ts, game.utilities, CostModel(game.costs.strategic, misreport)
-    )
-    outcomes = [Outcome(x) for x in sorted({x for _, x, _ in game.utilities.table})]
-    table = {theta: rng.choice(outcomes) for theta in ts.profiles()}
-    rule = SocialChoiceFunction(ts.types_of, table)
+    priced, rule = ref.random_priced_game(random.Random(seed), agents)
+    ts = priced.type_space
     for played in (priced, direct_game(priced, rule)):
         for theta in ts.profiles():
             assert expost_game(played, theta).payoffs == ref.expost_payoffs(played, theta)
@@ -388,19 +377,8 @@ def test_an_expost_game_is_the_game_its_payoffs_declare(agents, seed):
     # The same games as in test_expost_payoffs_are_utility_minus_strategic_cost.
     # The scans read the slices, ints on each agent's own scale; brute force
     # on the ex-post game's exact payoffs finds the same profiles and actions.
-    rng = random.Random(seed)
-    game = ref.random_costly_game(rng, *ref.random_shape(rng, agents, max_profiles=729))
-    ts = game.type_space
-    misreport = {
-        (i, t, r): Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 5)))
-        for i, types in enumerate(ts.types_of) for t in types for r in types if r != t
-    }
-    priced = BayesianGame(
-        game.mechanism, ts, game.utilities, CostModel(game.costs.strategic, misreport)
-    )
-    outcomes = [Outcome(x) for x in sorted({x for _, x, _ in game.utilities.table})]
-    table = {theta: rng.choice(outcomes) for theta in ts.profiles()}
-    rule = SocialChoiceFunction(ts.types_of, table)
+    priced, rule = ref.random_priced_game(random.Random(seed), agents)
+    ts = priced.type_space
     for played in (priced, direct_game(priced, rule)):
         actions_of = played.mechanism.actions_of
         for theta in ts.profiles():

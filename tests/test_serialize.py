@@ -3,10 +3,12 @@ deterministic JSON/CSV/markdown, and full audit-report round trips through
 the readers of `test_properties.py`."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
+import reference_engine as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_properties import (
@@ -312,7 +314,8 @@ def table_rows(draw, table):
 def test_a_table_is_valid_exactly_when_every_row_passes_its_check(table_and_rows):
     # `valid` lets a table's rows skip `check`, so it must never pass a row
     # that `check` refuses, and it passes every table of plain rows that
-    # have exactly the required fields and pass.
+    # have exactly the required fields and pass. What it passes on is the
+    # table's columns: each required field's values, in row order.
     table, rows = table_and_rows
 
     def passes(row) -> bool:
@@ -322,7 +325,33 @@ def test_a_table_is_valid_exactly_when_every_row_passes_its_check(table_and_rows
             return False
         return row.keys() == set(table.fields)
 
-    assert table.valid(rows) == (bool(rows) and all(map(passes, rows)))
+    columns = table.valid(rows)
+    assert (columns is not None) == (bool(rows) and all(map(passes, rows)))
+    if columns is not None:
+        assert columns == {f: [row[f] for row in rows] for f in table.fields}
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_a_written_config_reads_back_as_its_game(agents, seed):
+    # A random priced game and rule, written as a generic config with its
+    # rows shuffled, read back as equal parts: with a declared profile, and
+    # without one.
+    rng = random.Random(seed)
+    game, rule = ref.random_priced_game(rng, agents)
+    plan = [
+        [rng.randrange(len(actions)) for _ in types]
+        for types, actions in zip(game.type_space.types_of, game.mechanism.actions_of)
+    ]
+    for declared in (plan, None):
+        cfg = json.loads(json.dumps(ref.generic_config(game, rule, declared, rng)))
+        sc = parse_generic_scenario(cfg)
+        assert sc.game.type_space == game.type_space
+        assert sc.game.mechanism == game.mechanism
+        assert sc.game.utilities == game.utilities
+        assert sc.game.costs == game.costs
+        assert sc.direct.mechanism == rule
+        assert sc.plan == declared
 
 
 # -- number literals ---------------------------------------------------------------
