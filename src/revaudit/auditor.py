@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    ConstructionError,
     CostModel,
     DomainError,
     Mechanism,
@@ -35,7 +36,6 @@ from .equilibrium import (
     EquilibriumVerdict,
     StrategyProfile,
     _at_best_response,
-    _check_reports,
     _equilibrium_plans,
     _exact,
     _implements,
@@ -56,18 +56,19 @@ def direct_game(game: BayesianGame, scf: SocialChoiceFunction) -> BayesianGame:
     misreport[(agent, true type, report)], with honest reports free. Another
     schedule is judged against `misreport_gains`, without a game of its own.
 
-    The game has checked its type space, utilities and misreport schedule,
-    and a report is a type, so the prices need no check of their own: only
-    that the utilities cover every outcome the rule reaches is checked."""
-    _check_reports(game, scf)
-    game.utilities.check_covers(scf.walk.labels, game.type_space.types_of)
-    prices = _checked(CostModel, _report_prices(game), {})
-    return _checked(BayesianGame, scf, game.type_space, game.utilities, prices)
-
-
-def _report_prices(game: BayesianGame) -> dict[tuple[int, str, str], Fraction]:
-    """The game's misreport schedule as its direct game's report prices."""
-    return {(i, reported, true): v for (i, true, reported), v in game.costs.misreport.items()}
+    This is the one place a rule is fitted to a game. A rule over other
+    reports than the game's types, in order, is refused. The game has
+    checked its type space, its misreport schedule and its utilities for
+    every outcome its mechanism reaches, and a report is a type, so only
+    the outcomes the rule reaches besides those are checked for utilities."""
+    ts = game.type_space
+    if scf.actions_of != ts.types_of:
+        problem = f"reports {scf.actions_of} are not the game's types {ts.types_of}"
+        raise ConstructionError(problem, ("rule",))
+    reached = set(game.mechanism.walk.labels)
+    game.utilities.check_covers([x for x in scf.walk.labels if x not in reached], ts.types_of)
+    prices = {(i, reported, true): v for (i, true, reported), v in game.costs.misreport.items()}
+    return _checked(BayesianGame, scf, ts, game.utilities, _checked(CostModel, prices, {}))
 
 
 def is_truthfully_implementable(direct: BayesianGame) -> EquilibriumVerdict:
@@ -165,31 +166,44 @@ def audit_revelation_principle(
 ) -> AuditReport:
     """Audit one implementation claim end to end, in one walk.
 
-    `direct` is `direct_game(game, scf)`, built once by the caller (any other
-    is refused, as another game's would report that game's gains); its
-    mechanism is the rule and truth-telling is its identity plan. For each
-    agent the walk reads two sets of interim profits, the game's under the
-    profile and the direct game's under truth-telling (kept with the direct
-    game), and reads every verdict from them: the chain's equilibrium and
-    mimicry families; truth-telling in the direct game; the cost-free family,
-    whose payoffs are the direct game's profits plus its report prices; and
-    the break point, the largest cost-free gain of a report where mimicry
-    holds. The truthful witness and the break point follow one deviation rule,
-    `equilibrium._largest_gain`. The chain is vacuous when the profile is not
-    an equilibrium; its other families are still reported.
+    `direct` is `direct_game(game, scf)`, built once by the caller. Any
+    other is refused, as another game's would report that game's gains:
+    after the profile is checked, `direct_game(game, direct.mechanism)`
+    refuses a rule over other reports or one reaching an outcome the game
+    has no utility for, and then the two direct games must agree in their
+    type space, utilities and report prices. The direct game's mechanism is
+    the rule and truth-telling is its identity plan. For each agent the walk
+    reads two sets of interim profits, the game's under the profile (its
+    judgement, `_judge`) and the direct game's under truth-telling (kept
+    with the direct game), and reads every verdict from them: the chain's
+    equilibrium and mimicry families; truth-telling in the direct game; the
+    cost-free family, whose payoffs are the direct game's profits plus its
+    report prices; and the break point, the largest cost-free gain of a
+    report where mimicry holds. The truthful witness and the break point
+    follow one deviation rule, `equilibrium._largest_gain`. The chain is
+    vacuous when the profile is not an equilibrium; its other families are
+    still reported.
     """
-    return _audit(game, _plan(game, profile), profile, direct)
+    plan = _plan(game, profile)
+    own = direct_game(game, direct.mechanism)
+    got = (direct.type_space, direct.utilities, direct.costs.strategic)
+    want = (own.type_space, own.utilities, own.costs.strategic)
+    for part, a, b in zip(("type space", "utilities", "report prices"), got, want):
+        if a != b:
+            raise DomainError(f"the direct game does not match the game in its {part}")
+    return _audit(direct, _judge(game, plan, direct.mechanism), profile)
 
 
 @dataclass(frozen=True)
 class Judgement:
-    """A plan judged in a game, the first step of its audit: the game's
-    interim rows under the plan (one set per agent, as `_interim_rows` gives
-    them), whether the plan is an equilibrium, and whether it is one that
-    plays the rule."""
+    """A plan judged in a game, the first step of its audit: the plan, the
+    game's interim rows under it (one set per agent, as `_interim_rows`
+    gives them), whether the plan is an equilibrium, and whether it is one
+    that plays the rule."""
 
     __hash__ = None  # its rows are lists
 
+    plan: list[list[int]]
     rows_of: list[list[list[int]]]
     equilibrium: bool
     implemented: bool
@@ -203,25 +217,16 @@ def _judge(game: BayesianGame, plan, rule: SocialChoiceFunction,
     equilibrium = all(map(_at_best_response, rows_of, plan))
     if equilibrium and plays_rule is None:
         plays_rule = _implements(game, plan, rule)
-    return Judgement(rows_of, equilibrium, equilibrium and plays_rule)
+    return Judgement(plan, rows_of, equilibrium, equilibrium and plays_rule)
 
 
-def _audit(game: BayesianGame, plan, profile: StrategyProfile | None, direct: BayesianGame,
-           judged: Judgement | None = None) -> AuditReport:
-    """`audit_revelation_principle` of a plan, labelled by `profile` (None: labelled here),
-    read from `judged`, the plan's judgement against the direct game's rule (None: judged
-    here)."""
-    _check_reports(game, direct.mechanism)
-    got = (direct.type_space, direct.utilities, direct.costs.strategic)
-    want = (game.type_space, game.utilities, _report_prices(game))
-    for part, a, b in zip(("type space", "utilities", "report prices"), got, want):
-        if a != b:
-            raise DomainError(f"the direct game does not match the game in its {part}")
-    judged = judged or _judge(game, plan, direct.mechanism)
+def _audit(direct: BayesianGame, judged: Judgement, profile: StrategyProfile) -> AuditReport:
+    """`audit_revelation_principle` of a judged plan, labelled `profile`, in
+    the direct game of the rule it was judged against."""
     truth = direct._truth
     mimicry_ok = costfree_ok = True
     mimicry_rows = []
-    for agent, (own, rows) in enumerate(zip(plan, judged.rows_of)):
+    for agent, (own, rows) in enumerate(zip(judged.plan, judged.rows_of)):
         free_rows = _costfree(direct, direct._truthful_rows[agent], agent)
         costfree_ok = costfree_ok and _at_best_response(free_rows, truth[agent])
         # mimics[k][m]: type k profits no more from type m's action than from its own.
@@ -241,7 +246,7 @@ def _audit(game: BayesianGame, plan, profile: StrategyProfile | None, direct: Ba
         break_point=gap and BreakPoint(gap.agent, gap.type_label, gap.action, gap.gain),
     )
     return AuditReport(
-        indirect_equilibrium=profile or _profile(game, plan),
+        indirect_equilibrium=profile,
         implemented=judged.implemented,
         truthful_witness=direct._truthful_witness,
         chain=chain,

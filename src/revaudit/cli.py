@@ -16,11 +16,7 @@ from fractions import Fraction
 
 from .auditor import BreakPoint, _audit, _judge, zero_cost_regression
 from .core import _UNDERSCORE_OR_SPACE, GameModelError, _checked, rational_str
-from .equilibrium import (
-    DEFAULT_PROFILE_CAP,
-    _equilibrium_plans,
-    _implements,
-)
+from .equilibrium import DEFAULT_PROFILE_CAP, _equilibrium_plans, _implements, _profile
 from .labor import (
     LaborParams,
     LaborScenario,
@@ -147,7 +143,7 @@ def cmd_analyze(args) -> int:
         game, direct = scenario.game, scenario.direct
         plan, plays_rule, source = _select_profile(scenario, args.max_profiles)
         judged = _judge(game, plan, direct.mechanism, plays_rule)
-        audit = _audit(game, plan, scenario.candidate, direct, judged)
+        audit = _audit(direct, judged, scenario.candidate or _profile(game, plan))
         payload = {"kind": "generic", "profile_source": source}
     else:
         problem = f"unknown config kind {kind!r}; expected 'labor' or 'generic'"

@@ -387,13 +387,6 @@ def find_all_pure_bne(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> lis
     return [_profile(game, plan) for plan in _equilibrium_plans(game, cap)]
 
 
-def _check_reports(game: BayesianGame, scf: SocialChoiceFunction) -> None:
-    """Refuse a rule whose reports are not the game's types, in order."""
-    if scf.actions_of != game.type_space.types_of:
-        problem = f"reports {scf.actions_of} are not the game's types {game.type_space.types_of}"
-        raise ConstructionError(problem, ("rule",))
-
-
 def _rule(game: BayesianGame, plan) -> tuple[int, ...]:
     """The rule a plan plays out, as the outcome position (in the mechanism's
     walk) it realizes at each type profile, in `type_space.profiles()` order."""
@@ -404,10 +397,9 @@ def _rule(game: BayesianGame, plan) -> tuple[int, ...]:
 
 def _implements(game: BayesianGame, plan, scf: SocialChoiceFunction) -> bool:
     """Does playing a plan (action positions per agent, in type order) reproduce
-    the rule at every type profile of the game? A rule over other reports is
-    refused (`_check_reports`); otherwise the outcome labels `_rule` reaches are
-    compared with the rule's walk."""
-    _check_reports(game, scf)
+    the rule at every type profile of the game? The rule reports the game's
+    types, as `auditor.direct_game` checked when it was fitted to the game,
+    so the outcome labels `_rule` reaches are compared with the rule's walk."""
     played, wanted = game.mechanism.walk.labels, scf.walk
     rule = [wanted.labels[x] for x in wanted.outcome]
     return [played[x] for x in _rule(game, plan)] == rule

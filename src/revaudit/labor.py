@@ -173,7 +173,7 @@ class LaborScenario:
         its judgement and kept with the scenario. Labor `analyze` and the
         proof-chain criterion of `reproduce-paper` read it; the separating
         report and a sweep read the judgement alone."""
-        return _audit(self.game, SEPARATING_PLAN, SEPARATING_PROFILE, self.direct, self.judgement)
+        return _audit(self.direct, self.judgement, SEPARATING_PROFILE)
 
     @cached_property
     def break_even(self) -> Fraction | None:
@@ -310,10 +310,10 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     slices = [_expost_slice(game, 0, k) for k in range(len(TYPES))]
     # Cases 1-4: (own, opponent) types (L, L), (L, H), (H, L), (H, H). The
     # bid profile (own bid, opponent's bid) sits at flat position
-    # len(BIDS) * own bid + opponent's bid.
-    for case, (own, opp) in enumerate(itertools.product(TYPES, TYPES), start=1):
-        opp_bid = BIDS.index(SEPARATING_PROFILE.strategies[1].action(opp))
-        profits = slices[TYPES.index(own)]
+    # len(BIDS) * own bid + opponent's bid, the bid of its separating plan.
+    pairs = itertools.product(enumerate(TYPES), repeat=2)
+    for case, ((k, own), (m, opp)) in enumerate(pairs, start=1):
+        opp_bid, profits = SEPARATING_PLAN[1][m], slices[k]
         high, zero = (profits[len(BIDS) * BIDS.index(b) + opp_bid] for b in (BID_HIGH, BID_ZERO))
         if high == zero:
             optimal = None
@@ -327,9 +327,9 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     return SeparatingReport(
         window_low=lo,
         window_high=hi,
-        in_window=lo < params.w < hi,
+        in_window=in_wage_window(params),
         separating_is_bne=judged.equilibrium,
-        bne_witness=_largest_gain(game, SEPARATING_PLAN, judged.rows_of),
+        bne_witness=_largest_gain(game, judged.plan, judged.rows_of),
         implements_rule=SEPARATING_PLAYS_RULE,
         ir_margin=ir_margin,
         ir_satisfied=ir_margin > 0,

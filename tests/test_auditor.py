@@ -26,6 +26,7 @@ from revaudit.core import (
     CostModel,
     DomainError,
     Mechanism,
+    Outcome,
     SocialChoiceFunction,
     TypeSpace,
     UtilityTable,
@@ -83,8 +84,12 @@ def test_direct_game_plays_the_rule_as_it_is():
 
 @pytest.mark.parametrize(
     "types_of",
-    [((TYPE_HIGH, TYPE_LOW), (TYPE_LOW, TYPE_HIGH)), ((TYPE_LOW, TYPE_HIGH, "theta_M"),) * 2],
-    ids=["reordered", "extra-type"],
+    [
+        ((TYPE_HIGH, TYPE_LOW), (TYPE_LOW, TYPE_HIGH)),
+        ((TYPE_LOW, TYPE_HIGH, "theta_M"),) * 2,
+        (("lo", "hi"),) * 2,
+    ],
+    ids=["reordered", "extra-type", "other-labels"],
 )
 def test_a_rule_must_report_the_game_types(types_of):
     sc = scenario()
@@ -325,6 +330,21 @@ def test_an_audit_takes_an_equal_direct_game_built_apart():
     sc, twin = scenario(), scenario()
     report = audit_revelation_principle(sc.game, SEPARATING_PROFILE, twin.direct)
     assert report == sc.audit
+
+
+def test_an_audit_refuses_a_direct_game_whose_rule_the_game_cannot_value():
+    # A foreign direct game that values an outcome the bid game never
+    # reaches: fitting its rule to the bid game finds the missing utility
+    # before the two games' utilities are compared.
+    sc = scenario()
+    ts = sc.game.type_space
+    rule = SocialChoiceFunction(ts.types_of, dict.fromkeys(ts.profiles(), Outcome("bonus")))
+    bonus = {(i, "bonus", t): Fraction(1) for i in (0, 1) for t in (TYPE_LOW, TYPE_HIGH)}
+    utilities = UtilityTable({**sc.game.utilities.table, **bonus})
+    foreign = BayesianGame(rule, ts, utilities, sc.direct.costs)
+    with pytest.raises(DomainError) as err:
+        audit_revelation_principle(sc.game, SEPARATING_PROFILE, foreign)
+    assert str(err.value) == "utilities: no row for (agent, outcome, type) (0, 'bonus', 'theta_L')"
 
 
 def test_scaling_leaves_the_audit_unchanged():

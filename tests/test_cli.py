@@ -527,6 +527,30 @@ def test_a_missing_utility_for_an_outcome_only_the_rule_reaches(tmp_path, capsys
     )
 
 
+def test_the_direct_game_checks_utilities_only_where_the_game_did_not(
+    tmp_path, monkeypatch, capsys
+):
+    covered = []
+    check_covers = core.UtilityTable.check_covers
+
+    def recording(self, outcomes, types_of):
+        covered.append(list(outcomes))
+        return check_covers(self, outcomes, types_of)
+    monkeypatch.setattr(core.UtilityTable, "check_covers", recording)
+    # The game checks the outcomes its outcome function reaches, and the
+    # direct game only the rule's others: here the rule reaches none.
+    assert main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())]) == 0
+    assert covered == [["o1", "o2"], []]
+    # The outcome function reaches o1 alone, so the direct game checks o2,
+    # which agent 0 has no utility for at type a.
+    covered.clear()
+    assert main(["analyze", write_json(tmp_path, "generic.json", rule_only_outcome_cfg())]) == 1
+    assert covered == [["o1"], ["o2"]]
+    assert capsys.readouterr().err == (
+        "error: config.utilities: no row for (agent, outcome, type) (0, 'o2', 'a')\n"
+    )
+
+
 @pytest.mark.parametrize(
     "cfg_text, message",
     [

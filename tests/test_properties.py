@@ -16,7 +16,9 @@ outcome minus the strategic cost of the action played, and the pure Nash
 and dominance scans agree with brute force: on random int tables, on an
 ex-post game's slices against its exact payoffs, and in the labor
 matrices, which share each worker's scans by type. An audit
-report reads back from its JSON exactly, through the readers below.
+report reads back from its JSON exactly, through the readers below, and
+generic `analyze` on a random game written as a config prints what the
+reference engine finds.
 The games are drawn with large, pairwise coprime denominators so that the
 engine's integer tables are built over large LCMs. Every verdict and bid
 payoff of the labor scenario follows the paper's closed forms at random
@@ -47,6 +49,7 @@ from payoff_probe import (
     expost_game,
     expost_slices,
 )
+from test_auditor import reference_chain
 from test_equilibrium import scans
 from test_goldens import oracle_row
 
@@ -582,6 +585,17 @@ def sweep_grids(draw):
     return fixed, w_values, c_mis_values
 
 
+def main_json(command, cfg, *options):
+    """The exit code and printed JSON of a command on a config."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = f"{tmp}/config.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        code = main([command, path, *options])
+    return code, json.loads(out.getvalue())
+
+
 def sweep_json(fixed, w_values, c_mis_values):
     """The rows `sweep --format json` prints for a grid."""
     grid = {
@@ -590,13 +604,9 @@ def sweep_json(fixed, w_values, c_mis_values):
         "c_mis_values": [rational_str(c) for c in c_mis_values],
         "fixed": {key: rational_str(v) for key, v in fixed.items()},
     }
-    out = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
-        path = f"{tmp}/grid.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(grid, fh)
-        assert main(["sweep", path, "--format", "json"]) == 0
-    return json.loads(out.getvalue())
+    code, rows = main_json("sweep", grid, "--format", "json")
+    assert code == 0
+    return rows
 
 
 @settings(SETTINGS, max_examples=60)
@@ -656,6 +666,68 @@ def test_an_audit_report_reads_back_from_its_json(game, data):
     assert audit_report_from_jsonable(rendered) == report
     assert rendered["truthful_is_bne"] == report.truthful_is_bne
     assert rendered["violation"] == report.violation
+
+
+# Random games for `analyze` end to end have at most this many profiles, so
+# the reference engine's search over all of them stays quick.
+ANALYZE_MAX_PROFILES = 64
+
+
+def reference_selection(game, rule, equilibria):
+    """The profile `analyze` audits without a declared one, and its source:
+    the first equilibrium that plays the rule out, else the first
+    equilibrium, else the first profile."""
+    for profile in equilibria:
+        if ref.induced_scf(game, profile) == rule:
+            return profile, "first equilibrium implementing the rule"
+    if equilibria:
+        return equilibria[0], "first equilibrium"
+    return ref.profiles(game)[0], "first enumerated profile"
+
+
+def check_generic_analyze(rng: random.Random) -> None:
+    """`analyze` a random priced game and rule from `rng`, written as a
+    generic config with its rows shuffled, once with a random declared
+    profile and once without. Its exit code and JSON must be the reference
+    engine's: the audited profile and its source, `implemented`, the
+    truthful witness in a direct game built here from the rule and the
+    transposed misreport schedule, the proof chain (`reference_chain`), the
+    violation, and exit code 2 exactly when there is one."""
+    game, rule = ref.random_priced_game(rng, rng.randint(1, 3), ANALYZE_MAX_PROFILES)
+    ts, mech = game.type_space, game.mechanism
+    prices = {(i, r, t): v for (i, t, r), v in game.costs.misreport.items()}
+    direct = BayesianGame(Mechanism(ts.types_of, rule.outcome_of), ts, game.utilities,
+                          CostModel(prices))
+    truth = StrategyProfile.from_maps({t: t for t in types} for types in ts.types_of)
+    witness = ref.is_bayesian_nash(direct, truth).witness
+    plan = [[rng.randrange(len(actions)) for _ in types]
+            for types, actions in zip(ts.types_of, mech.actions_of)]
+    for declared in (plan, None):
+        cfg = ref.generic_config(game, rule, declared, rng)
+        if declared is None:
+            profile, source = reference_selection(game, rule, ref.find_all_pure_bne(game))
+        else:
+            profile, source = StrategyProfile.from_maps(cfg["profile"]), "declared"
+        implemented = (ref.is_bayesian_nash(game, profile).is_equilibrium
+                       and ref.induced_scf(game, profile) == rule)
+        chain = reference_chain(game, profile, rule)
+        expected = AuditReport(profile, implemented, witness, chain)
+        code, data = main_json("analyze", cfg)
+        assert data.keys() == {"kind", "profile_source", "audit"}
+        assert (data["kind"], data["profile_source"]) == ("generic", source)
+        assert audit_report_from_jsonable(data["audit"]) == expected
+        audit = data["audit"]
+        assert (audit["truthful_is_bne"], audit["violation"]) == (witness is None, expected.violation)
+        assert code == (2 if expected.violation else 0)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1))
+def test_generic_analyze_reports_what_the_reference_engine_finds(seed):
+    # 40 random configs (SETTINGS), each analyzed with and without a
+    # declared profile; CI runs the same check on 500 configs at each of
+    # seeds 1 and 2.
+    check_generic_analyze(random.Random(seed))
 
 
 class Renaming:
