@@ -7,6 +7,7 @@ engine, read it from the engine's own rows, slices and play-outs: the
 kernels the commands call.
 """
 
+from revaudit.auditor import direct_game
 from revaudit.equilibrium import (
     EquilibriumVerdict,
     _exact,
@@ -51,5 +52,9 @@ def compiled_verdict(game, profile):
 
 
 def compiled_implements(game, profile, scf):
-    """Does playing `profile` reproduce the rule `scf` at every type profile?"""
-    return _implements(game, _plan(game, profile), scf)
+    """Does playing `profile` reproduce the rule `scf` at every type profile?
+    The rule is fitted to the game first, by `direct_game`, as every caller
+    of `_implements` in the library does, so a rule over other reports is
+    refused before any profile is played."""
+    rule = direct_game(game, scf).mechanism
+    return _implements(game, _plan(game, profile), rule)

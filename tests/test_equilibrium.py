@@ -22,6 +22,7 @@ from revaudit.core import (
     Mechanism,
     Outcome,
     SearchSpaceError,
+    SocialChoiceFunction,
     TypeSpace,
     UtilityTable,
 )
@@ -200,6 +201,25 @@ def test_implements_scf():
         [{TYPE_LOW: BID_ZERO, TYPE_HIGH: BID_ZERO}] * 2
     )
     assert not compiled_implements(scenario.game, both_zero, scenario.direct.mechanism)
+
+
+@pytest.mark.parametrize(
+    "types", [(TYPE_HIGH, TYPE_LOW), ("lo", "hi")], ids=["reordered", "other-labels"]
+)
+def test_implements_scf_refuses_a_rule_over_other_types(monkeypatch, types):
+    scenario = build_scenario(LaborParams(theta_L=1, theta_H=2, e_H=1, w="3/2"))
+    rule = SocialChoiceFunction(
+        (types, types), dict.fromkeys(itertools.product(types, types), Outcome("split"))
+    )
+    counts = counted(monkeypatch, [equilibrium._rule])
+    with pytest.raises(ConstructionError) as err:
+        compiled_implements(scenario.game, SEPARATING_PROFILE, rule)
+    # The refusal of `direct_game`, at the rule, for any rule over other reports.
+    assert err.value.at == ("rule",)
+    assert str(err.value) == (
+        f"rule: reports {(types, types)} are not the game's types {((TYPE_LOW, TYPE_HIGH),) * 2}"
+    )
+    assert counts["_rule"] == 0  # refused before any profile is played
 
 
 # -- random-instance properties ---------------------------------------------------
