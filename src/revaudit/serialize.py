@@ -2,6 +2,10 @@
 
 Configs are JSON. Rationals travel as "p/q" strings or integers; JSON decimal
 literals are parsed digit-exact into Fractions (never through a float). A
+config's text is read once and decoded once on the decoder's fast path, with
+no hook per object; it repeats no key when its count of `:` equals the
+entries of its objects. Any other text is decoded again with each object's
+keys checked, which names its fault, or reads a `:` in a label. A
 generic config's tables are read by columns: each table's fields are
 type-checked as whole columns, each distinct literal is parsed once, and
 each rule on its rows is checked over whole columns. Only a table that fails
@@ -72,21 +76,46 @@ def _json_int(text: str) -> int:
 
 def _json_object(pairs: list) -> dict:
     # json would keep the last of two equal keys and drop the first without
-    # a word; a config must not say two things about one field.
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen = set()
-        key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ValueError(f"duplicate key {key!r} in an object")
-    return obj
+    # a word; a config must not say two things about one field. Only the
+    # checking decode calls this, so it need not be fast.
+    seen = set()
+    repeated = [k for k, _ in pairs if k in seen or seen.add(k)]
+    if repeated:
+        raise ValueError(f"duplicate key {repeated[0]!r} in an object")
+    return dict(pairs)
+
+
+# The number hooks of both decodes; the checking decode adds `_json_object`.
+_NUMBERS = {"parse_float": _json_decimal, "parse_int": _json_int}
+
+
+def _entries(data: dict) -> int:
+    """The entries of a top object, of its object values and of the objects
+    in its lists of objects, each object counted once and summed in C. No
+    dict holds more entries than its JSON object had pairs, and each pair
+    has one `:` outside a string, so this is at most the text's count of
+    `:`, and equal to it only when every pair is in a counted object and no
+    object repeats a key."""
+    lists = [v for v in data.values() if type(v) is list and set(map(type, v)) == {dict}]
+    objects = [v for v in data.values() if type(v) is dict] + [*itertools.chain(*lists)]
+    return len(data) + sum(map(len, objects))
 
 
 def load_config(path: str) -> dict:
+    """A config file's top object. Its text is read once and decoded once
+    without a pairs hook; a config whose entries (`_entries`) match its
+    count of `:` repeats no key. Any other text (a fault, a `:` in a label,
+    an object deeper than a config's) is decoded again, checking each
+    object's keys, so a fault is named as the checking decode meets it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(
-                fh, parse_float=_json_decimal, parse_int=_json_int, object_pairs_hook=_json_object
-            )
+            text = fh.read()
+        try:
+            data = json.loads(text, **_NUMBERS)
+        except (ValueError, RecursionError):  # the checking decode names it
+            data = None
+        if type(data) is not dict or _entries(data) != text.count(":"):
+            data = json.loads(text, object_pairs_hook=_json_object, **_NUMBERS)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

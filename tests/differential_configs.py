@@ -6,7 +6,10 @@ difference in exit code, stdout or stderr.
 OLD_SRC and NEW_SRC are directories that hold a `revaudit` package (a
 checkout's `src`). The replay writes N configs, a quarter labor, a quarter
 sweep grids and half generic games, each mutated at up to three places (a
-value replaced, a field or row dropped or duplicated, a field added). Each
+value replaced, a field or row dropped or duplicated, a field added), and
+half of them written with one change to the text that `json.dumps` never
+makes (a key repeated in one object at any depth, a `:` in a string, plain
+or escaped, or spaced colons). Each
 tree then runs every config in one process through `revaudit.cli.main`:
 `analyze` and `matrices --format json` on a labor config, `sweep` in both
 formats on a grid, and `analyze` on a generic game. The exit status is 1 when
@@ -129,6 +132,44 @@ def mutate(cfg: dict, rng: random.Random) -> dict:
     return cfg
 
 
+def _dumps(node, repeat=None, pair="", at=0) -> str:
+    """node as `json.dumps` writes it, but the object `repeat` (found by
+    identity) also holds the text `pair` as its pair number `at`."""
+    if isinstance(node, list):
+        return "[" + ", ".join(_dumps(v, repeat, pair, at) for v in node) + "]"
+    if not isinstance(node, dict):
+        return json.dumps(node)
+    pairs = [f"{json.dumps(k)}: {_dumps(v, repeat, pair, at)}" for k, v in node.items()]
+    if node is repeat:
+        pairs.insert(at, pair)
+    return "{" + ", ".join(pairs) + "}"
+
+
+def text_of(cfg: dict, rng: random.Random) -> str:
+    """cfg as JSON text, changed half the time in a way `json.dumps` never
+    writes: one object, at any depth, repeating one of its keys; one string
+    renamed everywhere to hold a `:`, written plainly or escaped as
+    `\\u003a`; or spaces around every `:`."""
+    op = rng.choice(["plain", "plain", "plain", "plain", "repeat", "colon", "escaped", "spaced"])
+    strings = sorted(s for s in set(_strings(cfg)) if s)
+    if op == "repeat":
+        objects = [cfg] + [c[k] for c, k in _slots(cfg) if isinstance(c[k], dict) and c[k]]
+        target = rng.choice(objects)
+        key = rng.choice(list(target))
+        value = rng.choice([target[key], rng.choice(JUNK)])
+        pair = f"{json.dumps(key)}: {_dumps(value)}"
+        return _dumps(cfg, target, pair, rng.randint(0, len(target)))
+    if op in ("colon", "escaped") and strings:
+        s = rng.choice(strings)
+        renamed = json.dumps(s[:1] + "\0" + s[1:])
+        renamed = renamed.replace("\\u0000", ":" if op == "colon" else "\\u003a")
+        return json.dumps(cfg).replace(json.dumps(s), renamed)
+    if op == "spaced":
+        colon = rng.choice([" : ", "\t:\n "])
+        return json.dumps(cfg, indent=rng.choice([None, 1]), separators=(",", colon))
+    return json.dumps(cfg)
+
+
 def jobs(count: int, seed: int, workdir: str) -> list[list[str]]:
     """Write `count` mutated configs into workdir; return the argv of each run."""
     runs = []
@@ -138,7 +179,7 @@ def jobs(count: int, seed: int, workdir: str) -> list[list[str]]:
         base = {"labor": LABOR, "sweep": SWEEP}.get(kind) or generic_config(rng)
         path = os.path.join(workdir, f"{k:05d}-{kind}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(mutate(base, rng), fh)
+            fh.write(text_of(mutate(base, rng), rng))
         if kind == "labor":
             runs += [["analyze", path], ["matrices", path, "--format", "json"]]
         elif kind == "sweep":

@@ -6,9 +6,11 @@ reference check, 2 violation found."""
 import csv
 import io
 import json
+import re
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import reference_engine as ref
@@ -560,8 +562,19 @@ def test_the_direct_game_checks_utilities_only_where_the_game_did_not(
          "JSON number: literal of 5000 characters exceeds"),
         ('{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "1e999999"}',
          "config.w: exponent of '1e999999' exceeds"),
+        ('{"utilities": [{"agent": 0, "value": %s}]}' % ("1" * 101),
+         ": JSON number: literal of 101 characters exceeds the limit of 100\n"),
+        ('{"utilities": [{"value": 0.%s}]}' % ("1" * 101),
+         ": JSON number: literal of 103 characters exceeds the limit of 100\n"),
+        # A number is read before the object holding it closes, and so
+        # before the object's keys are checked.
+        ('{"w": 1, "w": 2, "x": %s}' % ("1" * 101),
+         ": JSON number: literal of 101 characters exceeds the limit of 100\n"),
     ],
-    ids=["json-exponent", "json-integer-digits", "string-exponent"],
+    ids=[
+        "json-exponent", "json-integer-digits", "string-exponent", "json-integer-in-a-row",
+        "json-decimal-in-a-row", "json-integer-beside-a-repeated-key",
+    ],
 )
 def test_analyze_rejects_oversized_rationals(tmp_path, capsys, cfg_text, message):
     path = tmp_path / "big.json"
@@ -592,11 +605,26 @@ def test_analyze_reads_a_literal_alike_on_every_python(tmp_path, capsys, literal
     [
         ('{"kind": "labor", "theta_L": 1, "theta_H": 2, "e_H": 1, "w": "3/2", "w": "5/2"}', "w"),
         (json.dumps(two_agent_cfg()).replace('"value": 0}', '"value": 0, "value": 1}', 1), "value"),
+        ('{"kind": "generic", "priors": [{"t": "1/2", "t": "1/2"}]}', "t"),
+        ('{"kind": "sweep", "fixed": {"e_H": 1, "e_H": 1}}', "e_H"),
+        ('{"outcomes": [{"label": "x", "payload": [{"a": 1, "a": 2}]}]}', "a"),
+        ('{"utilities": [{"agent": 0, "value": {"v": 1, "v": 2}}]}', "v"),
+        ('{"a:": 1, "w": 1, "w": 2}', "w"),
+        ('{"a\\u003a": 1, "a:": 2}', "a:"),
+        ('{"kind" : "labor",\n "w"  :1, "w":\t2}', "w"),
+        ('{"kind": "generic", "priors": [{"t": 1, "t": 1}], "types": [1,}', "t"),
+        ('[{"a": 1, "a": 2}]', "a"),
     ],
-    ids=["labor-top-level", "generic-utilities-row"],
+    ids=[
+        "labor-top-level", "generic-utilities-row", "in-a-prior", "in-an-object-value",
+        "in-a-payload", "in-a-row-value", "beside-a-colon-in-a-key", "beside-an-escaped-colon",
+        "spaced-colons", "before-a-later-syntax-error", "in-a-top-level-list",
+    ],
 )
 def test_analyze_rejects_a_repeated_json_key(tmp_path, capsys, cfg_text, key):
     # json.loads would keep the last value and drop the first without a word.
+    # An object's keys are checked as it closes, so a repeat in a closed
+    # inner object is named before a later fault of the text.
     path = tmp_path / "repeated.json"
     path.write_text(cfg_text)
     code = main(["analyze", str(path)])
@@ -1099,6 +1127,83 @@ def counted(monkeypatch, functions):
             if mod.__name__.startswith("revaudit") and getattr(mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, wrapper)
     return counts
+
+
+def priced_two_agent_cfg():
+    """two_agent_cfg with priors and a payload."""
+    outcomes = [{"label": "o1", "payload": ["1/2", 0]}, {"label": "o2"}]
+    return {**two_agent_cfg(), "priors": [{"a": "1/3", "b": "2/3"}, {"c": 1}], "outcomes": outcomes}
+
+
+def decodes(monkeypatch) -> Counter:
+    """Count the JSON decodes of a config ("loads") and the objects that the
+    checking decode reads ("_json_object")."""
+    counts = counted(monkeypatch, [serialize._json_object])
+    loads = json.loads
+
+    def counting(*args, **kwargs):
+        counts["loads"] += 1
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv, write",
+    [
+        (["analyze"], labor_cfg),
+        (["sweep"], sweep_cfg),
+        (["analyze"], lambda tmp_path: write_json(tmp_path, "g.json", two_agent_cfg())),
+        (["analyze"], lambda tmp_path: write_json(tmp_path, "g.json", priced_two_agent_cfg())),
+    ],
+    ids=["labor", "sweep", "generic", "generic-with-priors-and-payload"],
+)
+def test_a_valid_config_is_decoded_once_without_its_keys_checked(
+    tmp_path, monkeypatch, capsys, argv, write
+):
+    counts = decodes(monkeypatch)
+    assert main([*argv, write(tmp_path)]) in (0, 2)
+    assert capsys.readouterr().err == ""
+    assert counts == {"loads": 1}
+
+
+@pytest.mark.parametrize(
+    "separators, indent", [((", ", " : "), None), ((",", "\t:  "), 1), ((",", ":"), None)]
+)
+def test_any_spacing_of_a_config_reads_alike_and_once(
+    tmp_path, monkeypatch, capsys, separators, indent
+):
+    path = tmp_path / "spaced.json"
+    path.write_text(json.dumps(two_agent_cfg(), separators=separators, indent=indent))
+    counts = decodes(monkeypatch)
+    assert main(["analyze", str(path)]) == 0
+    golden = Path(__file__).parent / "goldens" / "analyze_generic_two_agent.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert counts == {"loads": 1}
+
+
+def test_a_colon_in_a_label_is_read_alike_by_the_checking_decode(tmp_path, monkeypatch, capsys):
+    # A `:` in a string makes the colon count exceed the objects' entries,
+    # so the config is decoded again with each object's keys checked: only
+    # slower. Prefixing every label with "q:" or "q_" keeps their order.
+    labels = re.compile(r'"(a|b|c|0|1|z|o1|o2)"')
+    text = json.dumps(two_agent_cfg())
+    counts = decodes(monkeypatch)
+    runs = {}
+    for sep in (":", "_"):
+        path = tmp_path / "labels.json"
+        path.write_text(labels.sub(rf'"q{sep}\1"', text))
+        counts.clear()
+        code = main(["analyze", str(path)])
+        runs[sep] = (code, capsys.readouterr(), dict(counts))
+    (code, captured, colon_counts), (underscore_code, underscored, underscore_counts) = runs.values()
+    assert captured.out.count('"q:') > 0 and captured.err == underscored.err == ""
+    assert (code, captured.out.replace('"q:', '"q_')) == (underscore_code, underscored.out)
+    # The top object, 2 outcomes, 2 outcome_function and 2 rule rows, 6
+    # utilities and 2 profile maps.
+    assert colon_counts == {"loads": 2, "_json_object": 15}
+    assert underscore_counts == {"loads": 1}
 
 
 def test_labor_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 deterministic JSON/CSV/markdown, and full audit-report round trips through
 the readers of `test_properties.py`."""
 
+import functools
 import json
 import random
 import re
@@ -89,6 +90,75 @@ def test_load_config_requires_object_top_level(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config("/nonexistent/nowhere.json")
+
+
+# Scalars and keys of a config's shape. Some hold a `:`, which the checking
+# decode reads. Whitespace JSON allows around a `:` or a `,`.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**6), 10**6), st.text("a\"é", max_size=3),
+    st.just("1:2"),
+)
+KEYS = st.text("ab\" ", max_size=3) | st.sampled_from([":", "a:"])
+WHITESPACE = ("", " ", "  ", "\n", "\t ", "\r\n ")
+
+
+def config_shapes():
+    """A dict shaped like a config: scalars, lists of scalars, objects as
+    values, and lists of row objects whose values may be objects too."""
+    objects = st.dictionaries(KEYS, st.one_of(SCALARS, st.lists(SCALARS, max_size=3)), max_size=3)
+    rows = st.dictionaries(
+        KEYS, st.one_of(SCALARS, objects, st.lists(st.one_of(SCALARS, objects), max_size=3)),
+        max_size=4,
+    )
+    values = st.one_of(SCALARS, objects, st.lists(rows, max_size=4), st.lists(SCALARS, max_size=3))
+    return st.dictionaries(KEYS, values, max_size=6)
+
+
+def objects_in(node):
+    """Every object in the tree under node, node included."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for value in node:
+            yield from objects_in(value)
+
+
+def spaced_json(node, rng, repeat=None) -> str:
+    """node as JSON text with random whitespace around each `:` and `,`. The
+    object `repeat` (found by identity) writes its first key a second time,
+    somewhere after the first."""
+    gap = functools.partial(rng.choice, WHITESPACE)
+
+    def write(node) -> str:
+        if isinstance(node, list):
+            return "[" + f"{gap()},{gap()}".join(map(write, node)) + "]"
+        if not isinstance(node, dict):
+            return json.dumps(node)
+        pairs = [f"{json.dumps(k)}{gap()}:{gap()}{write(v)}" for k, v in node.items()]
+        if node is repeat:
+            key = next(iter(node))
+            pairs.insert(rng.randint(1, len(pairs)), f"{json.dumps(key)}:{write(node[key])}")
+        return "{" + gap() + f"{gap()},{gap()}".join(pairs) + gap() + "}"
+
+    return write(node)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(config_shapes(), st.randoms(use_true_random=False))
+def test_load_config_reads_any_spacing_and_names_any_repeated_key(tmp_path_factory, cfg, rng):
+    path = tmp_path_factory.mktemp("shape") / "cfg.json"
+    text = spaced_json(cfg, rng)
+    path.write_text(text, encoding="utf-8")
+    # Equal as JSON text: in value and in the order of every object's keys.
+    assert json.dumps(load_config(str(path))) == json.dumps(json.loads(text)) == json.dumps(cfg)
+    objects = [obj for obj in objects_in(cfg) if obj]
+    if objects:
+        repeat = rng.choice(objects)
+        path.write_text(spaced_json(cfg, rng, repeat), encoding="utf-8")
+        key = next(iter(repeat))
+        with pytest.raises(ConfigError, match=re.escape(f": duplicate key {key!r} in an object")):
+            load_config(str(path))
 
 
 # -- labor config ------------------------------------------------------------------
