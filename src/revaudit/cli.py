@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -193,12 +194,14 @@ def _sweep_rows(w_values, c_mis_values, fixed):
 
 def cmd_sweep(args) -> int:
     """One row per (w, c_mis) cell, written as its cell finishes in either
-    format, so no row is kept. A grid fault exits before any row."""
+    format, so no row is kept. A grid fault exits before any row. Each row
+    is built with its keys in `SWEEP_COLUMNS` order, so a CSV row is its
+    values as they stand, under a header of those columns."""
     rows = _sweep_rows(*parse_sweep_grid(load_config(args.config)))
     if args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows(map(dict.values, rows))
     else:
         json_dump(rows, sys.stdout)
     return EXIT_OK
@@ -433,12 +436,10 @@ def cmd_reproduce(args) -> int:
         "all_passed": all_passed,
     }
     sys.stdout.write(json_dumps(payload))
-    if not all_passed:
-        for c in criteria:
-            if not c["passed"]:
-                print(f"failed: {c['id']}", file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_OK
+    for c in criteria:
+        if not c["passed"]:
+            print(f"failed: {c['id']}", file=sys.stderr)
+    return EXIT_OK if all_passed else EXIT_ERROR
 
 
 def main(argv=None) -> int:
@@ -451,6 +452,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except GameModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # The reader closed stdout (say `revaudit sweep grid.json | head`).
+        # Pointing stdout at devnull keeps the flush at exit from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

@@ -13,9 +13,8 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 
 class GameModelError(ValueError):
@@ -192,6 +191,18 @@ def check_agent_count(actions_of, types_of) -> None:
     if len(actions_of) != len(types_of):
         problem = f"expected {len(types_of)} action sets, one per agent, got {len(actions_of)}"
         raise ConstructionError(problem, ("actions",))
+
+
+class cached_property(functools.cached_property):
+    """`functools.cached_property` without its lock. On Python 3.10 and 3.11
+    the stdlib takes a lock per property on the first read of each value,
+    which makes that read two to three times slower; Python 3.12 dropped the
+    lock. revaudit runs on one thread, so the value is computed once and
+    stored in the instance's `__dict__`, where every later read finds it
+    first, and a getter that raises stores nothing."""
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
 
 
 @dataclass(frozen=True)
@@ -436,18 +447,13 @@ def _keyed_rationals(table: str, entries, field: str) -> dict[tuple[int, str, st
     return result
 
 
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    # Keyed by class, so it holds one entry per dataclass that `_checked` builds.
-    return tuple(f.name for f in fields(cls))
-
-
 def _checked(cls, *values):
     """`cls(*values)` for a frozen dataclass `cls`, built without its
     `__post_init__`: for parts whose checks have already run. Every field
-    is given, defaults included."""
+    is given, defaults included, in the order of the class's own
+    `__match_args__`, which names each of its fields."""
     obj = object.__new__(cls)
-    vars(obj).update(zip(_field_names(cls), values))
+    vars(obj).update(zip(cls.__match_args__, values))
     return obj
 
 

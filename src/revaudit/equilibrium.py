@@ -36,7 +36,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .core import (
     ConstructionError,
@@ -50,6 +49,7 @@ from .core import (
     _check_label,
     _is_label,
     _scaled,
+    cached_property,
     check_agent_count,
 )
 

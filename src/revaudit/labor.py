@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
 
 from .auditor import (
     AuditReport,
@@ -35,6 +34,7 @@ from .core import (
     UtilityTable,
     _checked,
     as_rational,
+    cached_property,
     check_denominators,
 )
 from .equilibrium import (

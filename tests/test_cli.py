@@ -6,7 +6,9 @@ reference check, 2 violation found."""
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 import reference_engine as ref
 
-from revaudit import auditor, core, equilibrium, labor, serialize
+from revaudit import auditor, cli, core, equilibrium, labor, serialize
 from revaudit.cli import build_parser, main
 from revaudit.equilibrium import find_all_pure_bne
 from revaudit.serialize import parse_generic_scenario, profile_to_jsonable
@@ -847,6 +849,20 @@ def test_sweep_csv_and_json_rows_agree(tmp_path, capsys):
     assert len(csv_rows) == 15
 
 
+def test_every_sweep_row_holds_the_columns_in_order(tmp_path):
+    # The CSV writer prints a row's values as they stand, under a header of
+    # SWEEP_COLUMNS, so each row must be keyed by exactly those, in order:
+    # on a valid cell, a bad wage and a negative cost alike.
+    grid = json.loads(Path(sweep_cfg(tmp_path)).read_text())
+    grid["c_mis_values"].append("-1/2")
+    rows = list(cli._sweep_rows(*serialize.parse_sweep_grid(grid)))
+    assert len(rows) == 20
+    assert {tuple(row) for row in rows} == {serialize.SWEEP_COLUMNS}
+    errors = {row["error"] for row in rows}
+    assert errors == {"", "wage must be positive, got 0",
+                      "misreporting cost must be non-negative, got -1/2"}
+
+
 def test_sweep_rejects_bad_grid(tmp_path, capsys):
     path = write_json(
         tmp_path,
@@ -986,6 +1002,25 @@ def test_a_sweep_keeps_no_rows(tmp_path, monkeypatch, fmt):
         tracemalloc.stop()
     assert code == 0
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_sweep_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path, fmt):
+    # 300 x 300 cells write far more than a pipe holds, so the writes fail
+    # once the reader has gone, as under `revaudit sweep grid.json | head -1`.
+    grid = {"kind": "sweep", "w_values": [f"{k}/100" for k in range(1, 301)],
+            "c_mis_values": [f"{k}/100" for k in range(300)], "fixed": FIXED}
+    path = write_json(tmp_path, "grid.json", grid)
+    src = str(Path(serialize.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "revaudit", "sweep", path, "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
 
 
 # -- matrices --------------------------------------------------------------------

@@ -1,7 +1,13 @@
 """Model-layer checks: exact rationals, priors, tables, and their invariants."""
 
+import dataclasses
+import functools
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -10,6 +16,8 @@ from hypothesis import strategies as st
 from payoff_probe import expost_game
 from test_properties import SETTINGS
 
+import revaudit
+from revaudit import core
 from revaudit.auditor import random_zero_cost_game
 from revaudit.core import (
     ConstructionError,
@@ -451,3 +459,70 @@ def test_a_fault_outside_any_config_names_its_agent_and_key():
     assert str(info.value) == (
         "misreport_costs[(1, 'theta_L', 'theta_H')].cost: must be non-negative, got -1"
     )
+
+
+# -- the lock-free cached_property and the field order `_checked` reads -----------
+
+
+def revaudit_classes():
+    """Every class defined in a revaudit module."""
+    names = sorted(m.name for m in pkgutil.iter_modules(revaudit.__path__))
+    modules = [importlib.import_module(f"revaudit.{name}") for name in names]
+    return [
+        cls for m in modules for cls in vars(m).values()
+        if inspect.isclass(cls) and cls.__module__ == m.__name__
+    ]
+
+
+@dataclass(frozen=True)
+class _Lazy:
+    x: int
+    calls: list = field(default_factory=list, compare=False)
+
+    @core.cached_property
+    def doubled(self):
+        self.calls.append(self.x)
+        if self.x < 0:
+            raise ValueError("negative")
+        return 2 * self.x
+
+
+def test_a_cached_property_computes_once_and_keeps_its_value_on_the_instance():
+    a, b = _Lazy(3), _Lazy(4)
+    assert (a.doubled, a.doubled, b.doubled) == (6, 6, 8)
+    assert (a.calls, b.calls) == ([3], [4])  # once per instance, on a frozen dataclass
+    assert vars(a)["doubled"] == 6
+    assert type(vars(_Lazy)["doubled"]) is core.cached_property
+    assert _Lazy.doubled is vars(_Lazy)["doubled"]  # read on the class: the descriptor
+
+
+def test_a_cached_property_whose_getter_raises_caches_nothing():
+    bad = _Lazy(-1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative"):
+            bad.doubled
+    assert bad.calls == [-1, -1]
+    assert "doubled" not in vars(bad)
+
+
+def test_every_cached_value_takes_the_lock_free_path():
+    # A plain functools.cached_property would still work, but lock each first read.
+    cached = {
+        f"{cls.__name__}.{name}": type(attr)
+        for cls in revaudit_classes() for name, attr in vars(cls).items()
+        if isinstance(attr, functools.cached_property)
+    }
+    assert cached == dict.fromkeys([
+        "TypeSpace.weights", "Mechanism.walk", "UtilityTable.scaled",
+        "BayesianGame._tables", "BayesianGame._truthful_rows",
+        "BayesianGame._truthful_witness", "LaborScenario.judgement", "LaborScenario.audit",
+        "LaborScenario.break_even",
+    ], core.cached_property)
+
+
+def test_every_dataclass_matches_its_fields_in_order():
+    # `_checked` assigns its values to the names in `__match_args__`.
+    classes = [cls for cls in revaudit_classes() if dataclasses.is_dataclass(cls)]
+    assert {core.TypeSpace, core.SocialChoiceFunction, LaborParams} <= set(classes)
+    for cls in classes:
+        assert cls.__match_args__ == tuple(f.name for f in dataclasses.fields(cls)), cls
