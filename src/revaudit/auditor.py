@@ -262,43 +262,49 @@ def _audit(direct: BayesianGame, judged: Judgement, profile: StrategyProfile) ->
 DEFAULT_REGRESSION_SEED = 20240811
 
 
+# The parts every random zero-cost game is drawn from, built once. Each draw
+# picks one part with `rng.choice`, which takes one `_randbelow(n)` from the
+# stream, as `randint` over the same n values does.
+_TYPE_SETS = (("t0",), ("t0", "t1"))
+_UNIFORM = ({"t0": Fraction(1)}, {"t0": Fraction(1, 2), "t1": Fraction(1, 2)})
+_WEIGHTS = tuple(range(1, 7))
+_ACTION_SETS = (("a0",), ("a0", "a1"), ("a0", "a1", "a2"))
+_OUTCOMES = tuple(_checked(Outcome, f"x{k}", ()) for k in range(4))
+_OUTCOME_SETS = tuple(_OUTCOMES[:n] for n in range(1, 5))
+_TWELFTHS = tuple(Fraction(k, 12) for k in range(13))
+_NO_COSTS = _checked(CostModel, {}, {})
+
+
 def random_zero_cost_game(rng: random.Random) -> BayesianGame:
-    """A random two-agent game: 1..2 types, 1..3 actions, utilities in [0, 1]
-    with denominator 12, prior uniform or random full-support weights.
+    """A random two-agent game: 1..2 types, 1..3 actions, 1..4 outcomes,
+    utilities in [0, 1] with denominator 12, prior uniform or random
+    full-support weights.
 
     Each part is built with `_checked`, without its constructor's checks,
     since every rule they check holds by construction: the labels are
     distinct, each prior is positive and sums to 1, the outcome table is
     total, every (agent, outcome, type) has a utility, and there are no
-    costs."""
-    types_of = tuple(
-        tuple(f"t{k}" for k in range(rng.randint(1, 2))) for _ in range(2)
-    )
+    costs. The label sets, outcomes, twelfths, uniform priors and empty
+    costs are shared by every game, and none is ever changed."""
+    types_of = (rng.choice(_TYPE_SETS), rng.choice(_TYPE_SETS))
     priors = []
     for ts in types_of:
         if rng.random() < 1 / 2 or len(ts) == 1:
-            priors.append({t: Fraction(1, len(ts)) for t in ts})
+            priors.append(_UNIFORM[len(ts) - 1])
         else:
-            weights = [rng.randint(1, 6) for _ in ts]
+            weights = [rng.choice(_WEIGHTS) for _ in ts]
             priors.append({t: Fraction(w, sum(weights)) for t, w in zip(ts, weights)})
     type_space = _checked(TypeSpace, types_of, tuple(priors))
 
-    actions_of = tuple(
-        tuple(f"a{k}" for k in range(rng.randint(1, 3))) for _ in range(2)
-    )
-    outcomes = [_checked(Outcome, f"x{k}", ()) for k in range(rng.randint(1, 4))]
-    outcome_of = {
-        profile: rng.choice(outcomes) for profile in itertools.product(*actions_of)
-    }
+    actions_of = (rng.choice(_ACTION_SETS), rng.choice(_ACTION_SETS))
+    outcomes = rng.choice(_OUTCOME_SETS)
+    outcome_of = {profile: rng.choice(outcomes) for profile in itertools.product(*actions_of)}
     mechanism = _checked(Mechanism, actions_of, outcome_of)
-
-    utility = {}
-    for agent in range(2):
-        for x in outcomes:
-            for t in types_of[agent]:
-                utility[(agent, x.label, t)] = Fraction(rng.randint(0, 12), 12)
-    costs = _checked(CostModel, {}, {})
-    return _checked(BayesianGame, mechanism, type_space, _checked(UtilityTable, utility), costs)
+    utility = {
+        (agent, x.label, t): rng.choice(_TWELFTHS)
+        for agent in range(2) for x in outcomes for t in types_of[agent]
+    }
+    return _checked(BayesianGame, mechanism, type_space, _checked(UtilityTable, utility), _NO_COSTS)
 
 
 def _rule_scf(game: BayesianGame, rule: tuple[int, ...]) -> SocialChoiceFunction:

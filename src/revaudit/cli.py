@@ -449,7 +449,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so a reader that left is caught below
+        return code
     except GameModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -18,8 +18,8 @@ action actually played, read from these tables alone, by the interim rows
 and by the ex-post slices alike. A slice (`_expost_slice`) is one agent's
 profit at one own type at every action profile, as ints on its scale. The
 Nash and dominance scans (`_best_replies`, `_nash`, `_dominant`) compare
-such ints, and an ex-post game (`_expost_game`) is a `NormalFormGame`
-record of the same slices as Fractions. The classical
+such ints, and an ex-post game is a `NormalFormGame` record of the same
+slices as Fractions, built by `labor.case_matrices`. The classical
 utility view is the profit of the same game built with `CostModel()`. With
 independent priors, per-type single-action deviations are sufficient. The
 equilibrium search works on plans, tuples of action positions: it
@@ -351,13 +351,6 @@ def _equilibrium_plans(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> li
     found = []
     plan: list = [None] * game.agent_count
     kept_rows: dict[tuple, list[list[int]]] = {}
-
-    def at_best_response(i: int) -> bool:
-        key = (i, *plan[:i], *plan[i + 1 :])
-        if key not in kept_rows:
-            kept_rows[key] = _interim_rows(game, plan, i)
-        return _at_best_response(kept_rows[key], plan[i])
-
     for choice in itertools.product(*plans):
         for i, own in zip(others, choice):
             plan[i] = own
@@ -366,7 +359,13 @@ def _equilibrium_plans(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> li
         best = [[a for a, v in enumerate(row) if v == top] for row, top in tops]
         for reply in itertools.product(*best):
             plan[pivot] = reply
-            if all(map(at_best_response, others)):
+            for i in others:
+                key = (i, *plan[:i], *plan[i + 1 :])
+                if key not in kept_rows:
+                    kept_rows[key] = _interim_rows(game, plan, i)
+                if not _at_best_response(kept_rows[key], plan[i]):
+                    break
+            else:
                 found.append(tuple(plan))
     found.sort()
     return found
@@ -444,14 +443,6 @@ def _expost_slice(game: BayesianGame, agent: int, k: int) -> list[int]:
     cost = tables.cost[agent][k]
     stride, n = walk.strides[agent], len(cost)
     return [utility[x] - cost[flat // stride % n] for flat, x in enumerate(walk.outcome)]
-
-
-def _expost_game(game: BayesianGame, slices: list[list[int]]) -> NormalFormGame:
-    """The ex-post game in which agent i's payoffs are `slices[i]`, from
-    `_expost_slice`, as Fractions over the agent's scale."""
-    actions_of, scale = game.mechanism.actions_of, game._tables.scale
-    columns = [[Fraction(v, s) for v in values] for values, s in zip(slices, scale)]
-    return NormalFormGame(actions_of, dict(zip(itertools.product(*actions_of), zip(*columns))))
 
 
 def _lines(actions_of, agent: int) -> list[range]:

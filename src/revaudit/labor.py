@@ -46,7 +46,6 @@ from .equilibrium import (
     _best_replies,
     _dominant,
     _exact,
-    _expost_game,
     _expost_slice,
     _implements,
     _largest_gain,
@@ -327,7 +326,7 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     return SeparatingReport(
         window_low=lo,
         window_high=hi,
-        in_window=in_wage_window(params),
+        in_window=lo < params.w < hi,
         separating_is_bne=judged.equilibrium,
         bne_witness=_largest_gain(game, judged.plan, judged.rows_of),
         implements_rule=SEPARATING_PLAYS_RULE,
@@ -356,9 +355,10 @@ def case_matrices(scenario: LaborScenario) -> tuple[CaseMatrix, ...]:
     """The four ex-post report matrices of the direct game, one per realized
     type pair, with dominance and pure Nash analysis. A worker's payoffs
     depend on its own true type only, so its slice of the direct game's
-    tables at each type, its best replies there and its dominant report are
-    found once for the two cases where it holds that type: 4 slices and 4
-    best-reply scans serve the four matrices."""
+    tables at each type, that slice's payoffs as Fractions, its best replies
+    there and its dominant report are found once for the two cases where it
+    holds that type: 4 slices, 16 Fractions and 4 best-reply scans serve the
+    four matrices, whose games share one tuple of report profiles."""
     pairs = [
         (1, (TYPE_HIGH, TYPE_HIGH)),
         (2, (TYPE_LOW, TYPE_HIGH)),
@@ -368,6 +368,8 @@ def case_matrices(scenario: LaborScenario) -> tuple[CaseMatrix, ...]:
     direct, reports = scenario.direct, scenario.direct.mechanism.actions_of
     # The direct game prices each report at its misreporting cost.
     slices = {(i, t): _expost_slice(direct, i, k) for i in (0, 1) for k, t in enumerate(TYPES)}
+    scale, profiles = direct._tables.scale, tuple(itertools.product(*reports))
+    columns = {key: [Fraction(v, scale[key[0]]) for v in values] for key, values in slices.items()}
     best = {key: _best_replies(reports, key[0], values) for key, values in slices.items()}
     dominant = {key: _dominant(reports, key[0], flags) for key, flags in best.items()}
     matrices = []
@@ -377,7 +379,7 @@ def case_matrices(scenario: LaborScenario) -> tuple[CaseMatrix, ...]:
             CaseMatrix(
                 case=case,
                 true_types=true_types,
-                game=_expost_game(direct, [slices[key] for key in keys]),
+                game=NormalFormGame(reports, dict(zip(profiles, zip(*map(columns.get, keys))))),
                 dominant=tuple(dominant[key] for key in keys),
                 pure_nash=tuple(_nash(reports, [best[key] for key in keys])),
             )

@@ -103,10 +103,11 @@ def _entries(data: dict) -> int:
 
 def load_config(path: str) -> dict:
     """A config file's top object. Its text is read once and decoded once
-    without a pairs hook; a config whose entries (`_entries`) match its
-    count of `:` repeats no key. Any other text (a fault, a `:` in a label,
-    an object deeper than a config's) is decoded again, checking each
-    object's keys, so a fault is named as the checking decode meets it."""
+    without a pairs hook; a config whose top entries, or else whose entries
+    (`_entries`), match its count of `:` repeats no key. Any other text (a
+    fault, a `:` in a label, an object deeper than a config's) is decoded
+    again, checking each object's keys, so a fault is named as the checking
+    decode meets it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -114,7 +115,9 @@ def load_config(path: str) -> dict:
             data = json.loads(text, **_NUMBERS)
         except (ValueError, RecursionError):  # the checking decode names it
             data = None
-        if type(data) is not dict or _entries(data) != text.count(":"):
+        # len(data) <= _entries(data) <= the count of `:`, so a count equal to
+        # len(data) accepts at once, before `_entries` builds its lists.
+        if type(data) is not dict or len(data) != (colons := text.count(":")) != _entries(data):
             data = json.loads(text, object_pairs_hook=_json_object, **_NUMBERS)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

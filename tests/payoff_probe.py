@@ -7,11 +7,14 @@ engine, read it from the engine's own rows, slices and play-outs: the
 kernels the commands call.
 """
 
+import itertools
+from fractions import Fraction
+
 from revaudit.auditor import direct_game
 from revaudit.equilibrium import (
     EquilibriumVerdict,
+    NormalFormGame,
     _exact,
-    _expost_game,
     _expost_slice,
     _implements,
     _interim_rows,
@@ -37,10 +40,18 @@ def expost_slices(game, true_types):
     return [_expost_slice(game, i, types_of[i].index(t)) for i, t in enumerate(true_types)]
 
 
+def slices_game(game, slices):
+    """The normal-form game in which agent i's payoffs are `slices[i]`, as
+    Fractions over the agent's scale, as `case_matrices` builds it."""
+    actions_of, scale = game.mechanism.actions_of, game._tables.scale
+    columns = [[Fraction(v, s) for v in values] for values, s in zip(slices, scale)]
+    return NormalFormGame(actions_of, dict(zip(itertools.product(*actions_of), zip(*columns))))
+
+
 def expost_game(game, true_types):
-    """The complete-information profit game at a realized type profile, as
-    `case_matrices` builds it from the slices."""
-    return _expost_game(game, expost_slices(game, true_types))
+    """The complete-information profit game at a realized type profile, built
+    from the slices as `case_matrices` builds it."""
+    return slices_game(game, expost_slices(game, true_types))
 
 
 def compiled_verdict(game, profile):

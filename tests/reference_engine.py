@@ -222,6 +222,34 @@ def random_costly_game(rng, types, actions, outcomes=None):
     )
 
 
+def random_zero_cost_game(rng):
+    """The random zero-cost game of `auditor.random_zero_cost_game`, drawn
+    part by part with `randint` and built with the checking constructors:
+    two agents with 1..2 types and 1..3 actions, 1..4 outcomes, utilities in
+    twelfths, a uniform or random full-support prior, and no costs."""
+    types_of = tuple(tuple(f"t{k}" for k in range(rng.randint(1, 2))) for _ in range(2))
+    priors = []
+    for ts in types_of:
+        if rng.random() < 1 / 2 or len(ts) == 1:
+            priors.append({t: Fraction(1, len(ts)) for t in ts})
+        else:
+            weights = [rng.randint(1, 6) for _ in ts]
+            priors.append({t: Fraction(w, sum(weights)) for t, w in zip(ts, weights)})
+    actions_of = tuple(tuple(f"a{k}" for k in range(rng.randint(1, 3))) for _ in range(2))
+    outcomes = [Outcome(f"x{k}") for k in range(rng.randint(1, 4))]
+    outcome_of = {p: rng.choice(outcomes) for p in itertools.product(*actions_of)}
+    utility = {
+        (i, x.label, t): Fraction(rng.randint(0, 12), 12)
+        for i in range(2) for x in outcomes for t in types_of[i]
+    }
+    return BayesianGame(
+        Mechanism(actions_of, outcome_of),
+        TypeSpace(types_of, tuple(priors)),
+        UtilityTable(utility),
+        CostModel(),
+    )
+
+
 def random_priced_game(rng, agents, max_profiles=729):
     """A random costly game of a random shape, priced with a random
     misreport schedule (every misreport priced), and a random rule over its

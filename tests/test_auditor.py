@@ -383,6 +383,26 @@ def test_zero_cost_regression_passes():
     assert summary.failures == ()
 
 
+def game_parts(game):
+    """What a game is made of: types, priors, actions, the outcome table
+    (labels and payloads), utilities and costs."""
+    ts, mech, costs = game.type_space, game.mechanism, game.costs
+    parts = (ts.types_of, ts.prior_of, mech.actions_of, mech.outcome_of, game.utilities.table)
+    return (*parts, costs.strategic, costs.misreport)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_REGRESSION_SEED, 1, 2])
+def test_random_zero_cost_games_are_the_reference_generators_games(seed):
+    # The generator picks shared parts with `rng.choice`, the reference
+    # draws with `randint`: both take one `_randbelow(n)` per draw, so the
+    # games agree, and so does the stream after them.
+    rng, reference = random.Random(seed), random.Random(seed)
+    for _ in range(300):
+        game = random_zero_cost_game(rng)
+        assert game_parts(game) == game_parts(ref.random_zero_cost_game(reference))
+    assert rng.random() == reference.random()
+
+
 def test_zero_cost_regression_is_deterministic():
     a = zero_cost_regression(instances=10, seed=99)
     b = zero_cost_regression(instances=10, seed=99)

@@ -983,6 +983,9 @@ class _Sink:
     def write(self, text):
         return len(text)
 
+    def flush(self):
+        pass
+
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_sweep_keeps_no_rows(tmp_path, monkeypatch, fmt):
@@ -1021,6 +1024,28 @@ def test_a_sweep_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path, fmt):
     assert proc.stderr.read() == b""
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "reproduce-paper"])
+def test_output_that_fits_the_buffer_into_a_closed_pipe_exits_1_without_a_traceback(
+    tmp_path, command
+):
+    # The whole output fits in stdout's buffer, so no write fails before the
+    # command returns: `main` flushes it inside its handler, not at exit.
+    grid = {"kind": "sweep", "w_values": ["3/2"], "c_mis_values": ["1/2"], "fixed": FIXED}
+    argv = [command, write_json(tmp_path, "grid.json", grid)] if command == "sweep" else [command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(serialize.__file__).parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "revaudit", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 # -- matrices --------------------------------------------------------------------
@@ -1185,22 +1210,23 @@ def decodes(monkeypatch) -> Counter:
 
 
 @pytest.mark.parametrize(
-    "argv, write",
+    "argv, write, entries",
     [
-        (["analyze"], labor_cfg),
-        (["sweep"], sweep_cfg),
-        (["analyze"], lambda tmp_path: write_json(tmp_path, "g.json", two_agent_cfg())),
-        (["analyze"], lambda tmp_path: write_json(tmp_path, "g.json", priced_two_agent_cfg())),
+        (["analyze"], labor_cfg, 0),
+        (["sweep"], sweep_cfg, 1),
+        (["analyze"], lambda tmp_path: write_json(tmp_path, "g.json", two_agent_cfg()), 1),
+        (["analyze"], lambda tmp_path: write_json(tmp_path, "g.json", priced_two_agent_cfg()), 1),
     ],
     ids=["labor", "sweep", "generic", "generic-with-priors-and-payload"],
 )
 def test_a_valid_config_is_decoded_once_without_its_keys_checked(
-    tmp_path, monkeypatch, capsys, argv, write
+    tmp_path, monkeypatch, capsys, argv, write, entries
 ):
-    counts = decodes(monkeypatch)
+    # A flat config's colons are its top entries, so `_entries` is not built for it.
+    counts, built = decodes(monkeypatch), counted(monkeypatch, [serialize._entries])
     assert main([*argv, write(tmp_path)]) in (0, 2)
     assert capsys.readouterr().err == ""
-    assert counts == {"loads": 1}
+    assert (counts, built["_entries"]) == ({"loads": 1}, entries)
 
 
 @pytest.mark.parametrize(

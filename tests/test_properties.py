@@ -48,6 +48,7 @@ from payoff_probe import (
     compiled_verdict,
     expost_game,
     expost_slices,
+    slices_game,
 )
 from test_auditor import reference_chain
 from test_equilibrium import scans
@@ -81,7 +82,6 @@ from revaudit.equilibrium import (
     PureStrategy,
     StrategyProfile,
     _equilibrium_plans,
-    _expost_game,
     _profile,
     _rule,
     find_all_pure_bne,
@@ -386,7 +386,7 @@ def test_an_expost_game_is_the_game_its_payoffs_declare(agents, seed):
         actions_of = played.mechanism.actions_of
         for theta in ts.profiles():
             slices = expost_slices(played, theta)
-            nf = _expost_game(played, slices)
+            nf = slices_game(played, slices)
             payoffs = dict(zip(itertools.product(*actions_of), zip(*slices)))
             nash, dominant = scans(actions_of, payoffs)
             assert nash == ref.pure_nash(nf)
