@@ -29,6 +29,7 @@ from .core import (
     TypeSpace,
     UtilityTable,
     _checked,
+    cached_property,
 )
 from .equilibrium import (
     BayesianGame,
@@ -173,8 +174,8 @@ def audit_revelation_principle(
     has no utility for, and then the two direct games must agree in their
     type space, utilities and report prices. The direct game's mechanism is
     the rule and truth-telling is its identity plan. For each agent the walk
-    reads two sets of interim profits, the game's under the profile (its
-    judgement, `_judge`) and the direct game's under truth-telling (kept
+    reads two sets of interim profits, the game's under the profile (the
+    `Scenario`'s `rows_of`) and the direct game's under truth-telling (kept
     with the direct game), and reads every verdict from them: the chain's
     equilibrium and mimicry families; truth-telling in the direct game; the
     cost-free family, whose payoffs are the direct game's profits plus its
@@ -191,42 +192,58 @@ def audit_revelation_principle(
     for part, a, b in zip(("type space", "utilities", "report prices"), got, want):
         if a != b:
             raise DomainError(f"the direct game does not match the game in its {part}")
-    return _audit(direct, _judge(game, plan, direct.mechanism), profile)
+    return Scenario(game, direct, plan, profile, None).audit
 
 
 @dataclass(frozen=True)
-class Judgement:
-    """A plan judged in a game, the first step of its audit: the plan, the
-    game's interim rows under it (one set per agent, as `_interim_rows`
-    gives them), whether the plan is an equilibrium, and whether it is one
-    that plays the rule."""
+class Scenario:
+    """One revelation question: a game, the direct game of its rule
+    (`direct_game`, whose mechanism is the rule), the plan to audit, the
+    plan's label (None: labelled from the plan by `_profile`) and whether
+    the plan plays the rule (None: an equilibrium is played out against it).
+    Its cached `rows_of`, `equilibrium`, `implemented` and `audit` are the
+    one judgement and audit of a plan; `plan` is None only until a plan is
+    chosen."""
 
-    __hash__ = None  # its rows are lists
+    __hash__ = None  # its plan is a list
 
-    plan: list[list[int]]
-    rows_of: list[list[list[int]]]
-    equilibrium: bool
-    implemented: bool
+    game: BayesianGame
+    direct: BayesianGame
+    plan: list[list[int]] | None
+    profile: StrategyProfile | None
+    plays_rule: bool | None
+
+    @cached_property
+    def rows_of(self) -> list[list[list[int]]]:
+        """The game's interim rows under the plan, one set per agent, as
+        `_interim_rows` gives them."""
+        return [_interim_rows(self.game, self.plan, agent) for agent in range(self.game.agent_count)]
+
+    @cached_property
+    def equilibrium(self) -> bool:
+        return all(map(_at_best_response, self.rows_of, self.plan))
+
+    @cached_property
+    def implemented(self) -> bool:
+        """Is the plan an equilibrium that plays the rule?"""
+        if self.equilibrium and self.plays_rule is None:
+            return _implements(self.game, self.plan, self.direct.mechanism)
+        return self.equilibrium and self.plays_rule
+
+    @cached_property
+    def audit(self) -> AuditReport:
+        """`audit_revelation_principle` of the plan, kept with the scenario."""
+        return _audit(self, self.profile or _profile(self.game, self.plan))
 
 
-def _judge(game: BayesianGame, plan, rule: SocialChoiceFunction,
-           plays_rule: bool | None = None) -> Judgement:
-    """The judgement of a plan against a rule. `plays_rule` says if the plan
-    plays the rule; when None, an equilibrium is played out against it."""
-    rows_of = [_interim_rows(game, plan, agent) for agent in range(game.agent_count)]
-    equilibrium = all(map(_at_best_response, rows_of, plan))
-    if equilibrium and plays_rule is None:
-        plays_rule = _implements(game, plan, rule)
-    return Judgement(plan, rows_of, equilibrium, equilibrium and plays_rule)
-
-
-def _audit(direct: BayesianGame, judged: Judgement, profile: StrategyProfile) -> AuditReport:
-    """`audit_revelation_principle` of a judged plan, labelled `profile`, in
-    the direct game of the rule it was judged against."""
+def _audit(scenario: Scenario, profile: StrategyProfile) -> AuditReport:
+    """The audit of a scenario's plan, labelled `profile`, read from its
+    judgement and its direct game."""
+    direct = scenario.direct
     truth = direct._truth
     mimicry_ok = costfree_ok = True
     mimicry_rows = []
-    for agent, (own, rows) in enumerate(zip(judged.plan, judged.rows_of)):
+    for agent, (own, rows) in enumerate(zip(scenario.plan, scenario.rows_of)):
         free_rows = _costfree(direct, direct._truthful_rows[agent], agent)
         costfree_ok = costfree_ok and _at_best_response(free_rows, truth[agent])
         # mimics[k][m]: type k profits no more from type m's action than from its own.
@@ -239,15 +256,15 @@ def _audit(direct: BayesianGame, judged: Judgement, profile: StrategyProfile) ->
         ])
     gap = _largest_gain(direct, truth, mimicry_rows)
     chain = ProofChainRecord(
-        vacuous=not judged.equilibrium,
-        equilibrium_inequalities_hold=judged.equilibrium,
+        vacuous=not scenario.equilibrium,
+        equilibrium_inequalities_hold=scenario.equilibrium,
         mimicry_inequalities_hold=mimicry_ok,
         costfree_truthful_inequalities_hold=costfree_ok,
         break_point=gap and BreakPoint(gap.agent, gap.type_label, gap.action, gap.gain),
     )
     return AuditReport(
         indirect_equilibrium=profile,
-        implemented=judged.implemented,
+        implemented=scenario.implemented,
         truthful_witness=direct._truthful_witness,
         chain=chain,
     )

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import os
 import sys
 from fractions import Fraction
 
-from .auditor import BreakPoint, _audit, _judge, zero_cost_regression
+from .auditor import BreakPoint, Scenario, zero_cost_regression
 from .core import _UNDERSCORE_OR_SPACE, GameModelError, _checked, rational_str
-from .equilibrium import DEFAULT_PROFILE_CAP, _equilibrium_plans, _implements, _profile
+from .equilibrium import DEFAULT_PROFILE_CAP, _equilibrium_plans, _implements
 from .labor import (
     LaborParams,
     LaborScenario,
@@ -32,7 +33,6 @@ from .serialize import (
     SWEEP_COLUMNS,
     SWEEP_FIXED,
     ConfigError,
-    GenericScenario,
     audit_report_to_jsonable,
     chain_to_jsonable,
     json_dump,
@@ -109,19 +109,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _select_profile(scenario: GenericScenario, cap: int):
-    """The plan to audit, whether it plays the rule (None: unknown), and its source."""
+def _select_profile(scenario: Scenario, cap: int) -> tuple[Scenario, str]:
+    """The scenario with its plan to audit (and whether that plan plays the
+    rule, when the search has found out), and the plan's source."""
     game, rule = scenario.game, scenario.direct.mechanism
     if scenario.plan is not None:
-        return scenario.plan, None, "declared"
+        return scenario, "declared"
     plans = _equilibrium_plans(game, cap)
     for plan in plans:
         if _implements(game, plan, rule):
-            return plan, True, "first equilibrium implementing the rule"
+            source = "first equilibrium implementing the rule"
+            return dataclasses.replace(scenario, plan=plan, plays_rule=True), source
     if plans:
-        return plans[0], False, "first equilibrium"
+        return dataclasses.replace(scenario, plan=plans[0], plays_rule=False), "first equilibrium"
     first = [[0] * len(types) for types in game.type_space.types_of]
-    return first, None, "first enumerated profile"
+    return dataclasses.replace(scenario, plan=first), "first enumerated profile"
 
 
 def cmd_analyze(args) -> int:
@@ -130,7 +132,6 @@ def cmd_analyze(args) -> int:
     if kind == "labor":
         params = parse_labor_params(cfg)
         scenario = build_scenario(params)
-        audit = scenario.audit
         payload = {
             "kind": "labor",
             "params": params_to_jsonable(params),
@@ -140,15 +141,12 @@ def cmd_analyze(args) -> int:
             ),
         }
     elif kind == "generic":
-        scenario = parse_generic_scenario(cfg)
-        game, direct = scenario.game, scenario.direct
-        plan, plays_rule, source = _select_profile(scenario, args.max_profiles)
-        judged = _judge(game, plan, direct.mechanism, plays_rule)
-        audit = _audit(direct, judged, scenario.candidate or _profile(game, plan))
+        scenario, source = _select_profile(parse_generic_scenario(cfg), args.max_profiles)
         payload = {"kind": "generic", "profile_source": source}
     else:
         problem = f"unknown config kind {kind!r}; expected 'labor' or 'generic'"
         raise ConfigError(f"config.kind: {problem}")
+    audit = scenario.audit
     payload["audit"] = audit_report_to_jsonable(audit)
     sys.stdout.write(json_dumps(payload))
     return EXIT_VIOLATION if audit.violation else EXIT_OK
@@ -163,9 +161,10 @@ def _sweep_rows(w_values, c_mis_values, fixed):
     wage and cost (`check_cell`); the grid's `fixed` parameters were checked
     once, by `parse_sweep_grid`. So a wage builds its `LaborParams` from
     checked parts, builds its scenario and judges the separating profile
-    once, at its first valid cost, and each cost is priced by
-    `LaborScenario.truthful_at`. No row prints the audit's other families,
-    so none is audited. Each wage and each cost is written as text once."""
+    once, at its first valid cost; from then on each cost is checked and
+    priced by `LaborScenario.truthful_at`. No row prints the audit's other
+    families, so none is audited. Each wage and each cost is written as
+    text once."""
     theta_L, theta_H, e_H, prior_high = (fixed.get(f.name, f.default) for f in SWEEP_FIXED)
     costs = [(c_mis, rational_str(c_mis)) for c_mis in c_mis_values]
     for w in w_values:
@@ -175,17 +174,17 @@ def _sweep_rows(w_values, c_mis_values, fixed):
             row.update(w=w_text, c_mis=c_text)
             # A bad cell (say w <= 0) records its error and the scan moves on.
             try:
-                check_cell(w, c_mis)
                 if scenario is None:
+                    check_cell(w, c_mis)
                     params = _checked(LaborParams, theta_L, theta_H, e_H, w, c_mis, prior_high)
                     scenario = build_scenario(params)
-                    judged, in_window = scenario.judgement, _bool_cell(in_wage_window(params))
+                    in_window = _bool_cell(in_wage_window(params))
                 truthful = scenario.truthful_at(c_mis)
                 row.update(
                     in_window=in_window,
-                    separating_is_bne=_bool_cell(judged.equilibrium),
+                    separating_is_bne=_bool_cell(scenario.equilibrium),
                     truthful_is_bne=_bool_cell(truthful),
-                    violation=_bool_cell(judged.implemented and not truthful),
+                    violation=_bool_cell(scenario.implemented and not truthful),
                 )
             except GameModelError as exc:
                 row["error"] = exc.problem

@@ -15,15 +15,7 @@ import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .auditor import (
-    AuditReport,
-    Judgement,
-    _audit,
-    _costfree_gains,
-    _judge,
-    direct_game,
-    is_truthfully_implementable,
-)
+from .auditor import Scenario, _costfree_gains, direct_game, is_truthfully_implementable
 from .core import (
     ConstructionError,
     CostModel,
@@ -148,31 +140,17 @@ LABOR_FIELDS = fields(LaborParams)
 
 
 @dataclass(frozen=True)
-class LaborScenario:
-    """The bid game and the direct game of the hiring rule, each built once
-    by `build_scenario` and read by every check of the scenario. The direct
-    game's mechanism is the rule, `HIRING_RULE`; the separating profile is
-    the bid game's `SEPARATING_PLAN`."""
+class LaborScenario(Scenario):
+    """A labor market's `Scenario`: the bid game and the direct game of the
+    hiring rule, each built once by `build_scenario` and read by every check
+    of the scenario, with the separating profile's plan, `SEPARATING_PLAN`,
+    to audit. The direct game's mechanism is the rule, `HIRING_RULE`, and
+    whether the plan plays it is `SEPARATING_PLAYS_RULE`: one answer for
+    every market, so no scenario plays it out. Labor `analyze` and the
+    proof-chain criterion of `reproduce-paper` read the audit; the
+    separating report and a sweep read only its rows and verdicts."""
 
     params: LaborParams
-    game: BayesianGame
-    direct: BayesianGame
-
-    @cached_property
-    def judgement(self) -> Judgement:
-        """The one judgement of the separating profile against the hiring
-        rule: the bid game's interim rows under it, whether it is an
-        equilibrium, and whether it then implements the rule. The audit,
-        `check_separating_equilibrium` and a sweep read it."""
-        return _judge(self.game, SEPARATING_PLAN, self.direct.mechanism, SEPARATING_PLAYS_RULE)
-
-    @cached_property
-    def audit(self) -> AuditReport:
-        """The bid game's revelation audit at the separating profile, read from
-        its judgement and kept with the scenario. Labor `analyze` and the
-        proof-chain criterion of `reproduce-paper` read it; the separating
-        report and a sweep read the judgement alone."""
-        return _audit(self.direct, self.judgement, SEPARATING_PROFILE)
 
     @cached_property
     def break_even(self) -> Fraction | None:
@@ -191,8 +169,11 @@ class LaborScenario:
         return _exact(direct, key[0], gains[key])
 
     def truthful_at(self, c_mis: Fraction) -> bool:
-        """Is truth-telling an equilibrium of the direct game at misreporting cost c_mis?"""
+        """Is truth-telling an equilibrium of the direct game at misreporting
+        cost c_mis? A cost `LaborParams` refuses (a negative one) is refused
+        with the same message and location, by `check_cell`."""
         c_mis = as_rational(c_mis, "c_mis")
+        check_cell(self.params.w, c_mis)
         return self.break_even is not None and c_mis >= self.break_even
 
 
@@ -207,21 +188,19 @@ def misreport_costs(c_mis: Fraction) -> dict[tuple[int, str, str], Fraction]:
     return {key: c_mis if key in PRICED_MISREPORTS else Fraction(0) for key in MISREPORTS}
 
 
-def build_scenario(params: LaborParams) -> LaborScenario:
-    """Wire the labor market into the generic game model, and build the
-    direct game of its hiring rule (both mechanisms are module constants).
-    A worker's utility of an outcome is its share of the wage at either
-    type; the high bid costs e_H / theta. Each distinct value is computed
-    once: the wage times each share, and each type's bid cost.
+def _bid_game(params: LaborParams) -> BayesianGame:
+    """Wire the labor market into the generic game model (its mechanism is
+    a module constant). A worker's utility of an outcome is its share of the
+    wage at either type; the high bid costs e_H / theta. Each distinct value
+    is computed once: the wage times each share, and each type's bid cost.
 
-    The type space, utilities, costs and bid game are built from checked
-    parts (`_checked`): a checked `LaborParams` makes every rule their
+    The type space, utilities, costs and game are built from checked parts
+    (`_checked`): a checked `LaborParams` makes every rule their
     constructors check hold. The labels are `TYPES` and `BIDS`, the prior is
     checked, every (worker, outcome, type) has a utility, and the costs are
     non-negative, on declared keys, and none on an honest report. Only each
     table's denominators are still bounded, read from its distinct values
-    and located as the constructors locate them; the direct game checks the
-    rule as it checks any."""
+    and located as the constructors locate them."""
     prior = {TYPE_LOW: 1 - params.prior_high, TYPE_HIGH: params.prior_high}
     type_space = _checked(TypeSpace, (TYPES, TYPES), (prior, prior))
     wage = [share * params.w for share in WAGE_SHARES]
@@ -233,16 +212,24 @@ def build_scenario(params: LaborParams) -> LaborScenario:
     utilities = {(i, x, t): wage[k] for i, x, k in PAID for t in TYPES}
     strategic = {(i, BID_HIGH, t): bid_cost[t] for i in (0, 1) for t in TYPES}
     costs = _checked(CostModel, strategic, misreport)
-    game = _checked(BayesianGame, MECHANISM, type_space, _checked(UtilityTable, utilities), costs)
-    return LaborScenario(params, game, direct_game(game, HIRING_RULE))
+    return _checked(BayesianGame, MECHANISM, type_space, _checked(UtilityTable, utilities), costs)
 
 
 # Every scenario's bid game plays MECHANISM over TYPES, so the separating
 # profile is one plan in all of them, checked once, in one of them; and
 # whether that plan plays HIRING_RULE out is one answer for all of them.
-_BID_GAME = build_scenario(LaborParams(1, 2, 1, 1)).game
+_BID_GAME = _bid_game(LaborParams(1, 2, 1, 1))
 SEPARATING_PLAN = _plan(_BID_GAME, SEPARATING_PROFILE)
 SEPARATING_PLAYS_RULE = _implements(_BID_GAME, SEPARATING_PLAN, HIRING_RULE)
+
+
+def build_scenario(params: LaborParams) -> LaborScenario:
+    """The market's bid game (`_bid_game`) and the direct game of its hiring
+    rule, which checks the rule as it checks any, with the separating plan
+    to audit."""
+    game = _bid_game(params)
+    return LaborScenario(game, direct_game(game, HIRING_RULE), SEPARATING_PLAN,
+                         SEPARATING_PROFILE, SEPARATING_PLAYS_RULE, params)
 
 
 def wage_window(params: LaborParams) -> tuple[Fraction, Fraction]:
@@ -289,16 +276,15 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     """Verify the separating side of the reference scenario.
 
     Reads the scenario's judgement of the separating bid profile, whether it
-    is an equilibrium, and `SEPARATING_PLAYS_RULE`, whether it reproduces
-    the hiring rule at every type profile: one answer for every scenario.
-    The witness is the largest gain over the judgement's interim rows. No
-    audit runs. The high type must
-    clear participation strictly (worst case: both high, split job). The
-    four bid cases read worker 0's ex-post profits from one slice of the bid
+    is an equilibrium, and its `plays_rule`, whether it reproduces the
+    hiring rule at every type profile: one answer for every scenario. The
+    witness is the largest gain over the scenario's interim rows. No audit
+    runs. The high type must clear participation strictly (worst case: both
+    high, split job). The four bid cases read worker 0's ex-post profits from one slice of the bid
     game's tables per own type, compare them as ints, and make a Fraction
     only of each printed payoff.
     """
-    params, game, judged = scenario.params, scenario.game, scenario.judgement
+    params, game, plan = scenario.params, scenario.game, scenario.plan
     lo, hi = wage_window(params)
 
     cases = []
@@ -312,7 +298,7 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     # len(BIDS) * own bid + opponent's bid, the bid of its separating plan.
     pairs = itertools.product(enumerate(TYPES), repeat=2)
     for case, ((k, own), (m, opp)) in enumerate(pairs, start=1):
-        opp_bid, profits = SEPARATING_PLAN[1][m], slices[k]
+        opp_bid, profits = plan[1][m], slices[k]
         high, zero = (profits[len(BIDS) * BIDS.index(b) + opp_bid] for b in (BID_HIGH, BID_ZERO))
         if high == zero:
             optimal = None
@@ -327,9 +313,9 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         window_low=lo,
         window_high=hi,
         in_window=lo < params.w < hi,
-        separating_is_bne=judged.equilibrium,
-        bne_witness=_largest_gain(game, judged.plan, judged.rows_of),
-        implements_rule=SEPARATING_PLAYS_RULE,
+        separating_is_bne=scenario.equilibrium,
+        bne_witness=_largest_gain(game, plan, scenario.rows_of),
+        implements_rule=scenario.plays_rule,
         ir_margin=ir_margin,
         ir_satisfied=ir_margin > 0,
         best_response_cases=tuple(cases),

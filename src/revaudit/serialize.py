@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from types import GeneratorType
 
-from .auditor import AuditReport, ProofChainRecord, direct_game
+from .auditor import AuditReport, ProofChainRecord, Scenario, direct_game
 from .core import (
     MAX_LITERAL,
     CostModel,
@@ -39,13 +39,7 @@ from .core import (
     check_literal_size,
     rational_str,
 )
-from .equilibrium import (
-    BayesianGame,
-    Deviation,
-    NormalFormGame,
-    StrategyProfile,
-    _plan,
-)
+from .equilibrium import BayesianGame, Deviation, NormalFormGame, StrategyProfile, _plan
 from .labor import (
     LABOR_FIELDS,
     UNIQUENESS_NOTE,
@@ -172,18 +166,6 @@ def _located(where: str, build, *args, keyed=None, **kwargs):
 
 def parse_labor_params(cfg: dict) -> LaborParams:
     return _located("config", LaborParams, **_read_params(cfg, LABOR_FIELDS, "config", ("kind",)))
-
-
-@dataclass(frozen=True)
-class GenericScenario:
-    """A fully explicit game from a config and the direct game of its rule
-    (whose mechanism is the rule), built once by `parse_generic_scenario`,
-    plus an optional declared profile and its plan, checked to fit the game."""
-
-    game: BayesianGame
-    direct: BayesianGame
-    candidate: StrategyProfile | None
-    plan: list[list[int]] | None
 
 
 def _label_lists(value, where: str) -> list:
@@ -326,8 +308,10 @@ def _read_rows(cfg: dict, table: _Table, rows: dict, read, default=None) -> _Con
     return values
 
 
-def parse_generic_scenario(cfg: dict) -> GenericScenario:
-    """Build the game a generic config declares.
+def parse_generic_scenario(cfg: dict) -> Scenario:
+    """Build the game a generic config declares, as a `Scenario`: the game,
+    the direct game of its rule, and the declared profile with its plan,
+    checked to fit the game, or no plan when none is declared.
 
     The parser checks the JSON shape and the rules only a config can break:
     one row per key, outcome labels declared once before use, and utility
@@ -341,17 +325,17 @@ def parse_generic_scenario(cfg: dict) -> GenericScenario:
     rows: dict[str, dict] = {}  # the rows of each keyed table, in config order
     game, direct = _located("config", _generic_game, cfg, rows, keyed=rows)
 
-    candidate = plan = None
+    profile = plan = None
     if "profile" in cfg:
         maps = cfg["profile"]
         if not isinstance(maps, list) or not all(isinstance(m, dict) for m in maps):
             raise ConfigError("config.profile: expected one {type: action} object per agent")
         try:
-            candidate = StrategyProfile.from_maps(maps)
-            plan = _plan(game, candidate)
+            profile = StrategyProfile.from_maps(maps)
+            plan = _plan(game, profile)
         except GameModelError as exc:
             raise ConfigError(f"config.profile: {exc}") from exc
-    return GenericScenario(game, direct, candidate, plan)
+    return Scenario(game, direct, plan, profile, None)
 
 
 def _generic_game(cfg: dict, rows: dict):

@@ -154,10 +154,9 @@ def test_analyze_generic_searches_for_a_profile(tmp_path, capsys):
     assert payload["profile_source"] == "first equilibrium implementing the rule"
 
 
-def test_analyze_generic_falls_back_to_first_profile(tmp_path, capsys):
-    """Matching pennies against a two-type opponent has no pure equilibrium,
-    so the audit runs on the first enumerated profile."""
-    cfg = {
+def pennies_cfg():
+    """Matching pennies against a two-type opponent: no pure equilibrium."""
+    return {
         "kind": "generic",
         "types": [["a", "a2"], ["b"]],
         "actions": [["h", "t"], ["h", "t"]],
@@ -177,6 +176,12 @@ def test_analyze_generic_falls_back_to_first_profile(tmp_path, capsys):
             for t in types
         ],
     }
+
+
+def test_analyze_generic_falls_back_to_first_profile(tmp_path, capsys):
+    """Matching pennies has no pure equilibrium, so the audit runs on the
+    first enumerated profile."""
+    cfg = pennies_cfg()
     code = main(["analyze", write_json(tmp_path, "pennies.json", cfg)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -1396,13 +1401,32 @@ def test_a_scenario_checks_its_cost_schedule_once(monkeypatch, build, checks):
 
 
 def test_a_generic_audit_computes_each_agents_payoffs_once(tmp_path, monkeypatch, capsys):
-    counts = counted(monkeypatch, [equilibrium._interim_rows, equilibrium._plan])
+    counts = counted(
+        monkeypatch,
+        [equilibrium._interim_rows, equilibrium._plan, equilibrium._implements, auditor._audit,
+         equilibrium._profile],
+    )
     assert main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())]) == 0
     # Per agent, the game's profits under the declared profile and the
     # direct game's cost-free utilities under truth-telling: 2n row sets for
     # n = 2 agents. The declared profile is checked once, when it is parsed,
-    # into the plan the audit reads; the audit decides `implemented` on it.
-    assert counts == {"_interim_rows": 4, "_plan": 1}
+    # into the plan the audit reads, and labels the report itself; the
+    # scenario plays that equilibrium out once, to decide `implemented`, and
+    # audits it once.
+    assert counts == {"_interim_rows": 4, "_plan": 1, "_implements": 1, "_audit": 1}
+
+
+def test_both_config_kinds_build_one_scenario_record():
+    # The one record judges and audits a plan, for labor and generic configs
+    # alike; no other module holds an audit of its own.
+    labor_scenario = labor.build_scenario(labor.LaborParams(1, 2, 1, "3/2", "1/2"))
+    assert isinstance(labor_scenario, auditor.Scenario)
+    assert isinstance(parse_generic_scenario(two_agent_cfg()), auditor.Scenario)
+    binders = [
+        mod.__name__ for mod in list(sys.modules.values())
+        if mod.__name__.startswith("revaudit") and "_audit" in vars(mod)
+    ]
+    assert binders == ["revaudit.auditor"]
 
 
 @pytest.mark.parametrize(
@@ -1420,15 +1444,15 @@ def test_a_generic_search_plays_each_equilibrium_out_once(
     counts = counted(
         monkeypatch,
         [equilibrium._implements, equilibrium._plan, equilibrium.find_all_pure_bne,
-         equilibrium._profile],
+         equilibrium._profile, auditor._audit],
     )
     main(["analyze", write_json(tmp_path, "search.json", cfg)])
     assert json.loads(capsys.readouterr().out)["profile_source"] == source
     # The selection plays out the equilibria in enumeration order, up to the
     # first that plays the rule, and the audit reads its verdict. The search
     # stays on plans: none is converted back from labels, and only the
-    # chosen one is labelled, for the report.
-    assert counts == {"_implements": examined, "_profile": 1}
+    # chosen one is labelled, for the report of its one audit.
+    assert counts == {"_implements": examined, "_profile": 1, "_audit": 1}
 
 
 def test_labor_analyze_decides_truth_telling_once(tmp_path, monkeypatch, capsys):
@@ -1445,10 +1469,11 @@ def test_labor_analyze_decides_truth_telling_once(tmp_path, monkeypatch, capsys)
     # report reads too, and the direct game's 2 under truth-telling), and 5
     # for the search over the direct game's 16 report profiles, not 8: the
     # pivot's rows for each of the other agent's 4 plans, and that agent's
-    # rows once for the one reply the pivot gives them all. The direct game decides truth-telling once and keeps the
-    # witness: the audit reads it, and so does the truthfulness report
-    # through is_truthfully_implementable. Largest gains: the separating
-    # witness, the truthful witness and the audit's break point.
+    # rows once for the one reply the pivot gives them all. The direct game
+    # decides truth-telling once and keeps the witness: the audit reads it,
+    # and so does the truthfulness report through is_truthfully_implementable.
+    # Largest gains: the separating witness, the truthful witness and the
+    # audit's break point.
     assert counts == Counter(
         _interim_rows=9, _audit=1, is_truthfully_implementable=1,
         _largest_gain=3, _plan=0, _implements=0,

@@ -5,11 +5,13 @@ canonical labor config at c_mis 1/2 and 1, of `matrices` in both formats, of
 `reproduce-paper`, of `sweep --format json` on a grid around the wage
 window, and of `analyze` on generic configs: the one-agent signal game with
 its declared profile and without one (so the equilibrium search picks it),
-and the two-agent config. The sweep oracle recomputes every cell's violation
-the long way, from the reference engine's verdicts on that cell's own bid
-and direct games and from the window's closed form, where the sweep shares
-one scenario and judgement across a wage's costs, and compares it with the row
-the sweep prints."""
+the two-agent config, the same game with its rule swapped (the first
+equilibrium, which plays no rule) and matching pennies (no equilibrium, so
+the first enumerated profile): one golden for each source of the profile.
+The sweep oracle recomputes every cell's violation the long way, from the
+reference engine's verdicts on that cell's own bid and direct games and from
+the window's closed form, where the sweep shares one scenario and judgement
+across a wage's costs, and compares it with the row the sweep prints."""
 
 import json
 import os
@@ -26,7 +28,7 @@ from revaudit.cli import main
 from revaudit.core import GameModelError, rational_str
 from revaudit.equilibrium import StrategyProfile
 from revaudit.labor import HIRING_RULE, SEPARATING_PROFILE, TYPES, LaborParams, build_scenario
-from test_cli import signal_config, two_agent_cfg
+from test_cli import pennies_cfg, signal_config, swapped_rule_cfg, two_agent_cfg
 
 GOLDENS = Path(__file__).parent / "goldens"
 FRESH_PROCESSES = 4
@@ -61,6 +63,8 @@ GOLDEN_RUNS = [
     (["analyze"], two_agent_cfg(), "analyze_generic_two_agent.json", 0),
     (["matrices", "--format", "json"], {**CANONICAL, "c_mis": "1/2"}, "matrices_labor.json", 0),
     (["sweep", "--format", "json"], SWEEP_GRID, "sweep_labor.json", 0),
+    (["analyze"], swapped_rule_cfg(), "analyze_generic_swapped_rule.json", 0),
+    (["analyze"], pennies_cfg(), "analyze_generic_pennies.json", 0),
 ]
 
 

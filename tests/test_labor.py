@@ -346,6 +346,17 @@ def test_truthful_at_takes_exact_costs_only():
     assert err.value.at == ("c_mis",)
 
 
+def test_truthful_at_refuses_a_cost_labor_params_refuses():
+    scenario = build_scenario(LaborParams(1, 2, 1, "3/2", "1/2"))
+    with pytest.raises(ConstructionError) as got:
+        scenario.truthful_at(Fraction(-1))
+    with pytest.raises(ConstructionError) as want:
+        LaborParams(1, 2, 1, "3/2", -1)
+    assert (str(got.value), got.value.at) == (str(want.value), want.value.at) == (
+        "c_mis: misreporting cost must be non-negative, got -1", ("c_mis",)
+    )
+
+
 def test_case_matrix_entries_and_dominance():
     matrices = case_matrices(build_scenario(params(w="3/2", c_mis="1/2")))
     assert [m.true_types for m in matrices] == [

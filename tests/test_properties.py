@@ -18,7 +18,7 @@ ex-post game's slices against its exact payoffs, and in the labor
 matrices, which share each worker's scans by type. An audit
 report reads back from its JSON exactly, through the readers below, and
 generic `analyze` on a random game written as a config prints what the
-reference engine finds.
+reference engine finds, as `audit_revelation_principle` does.
 The games are drawn with large, pairwise coprime denominators so that the
 engine's integer tables are built over large LCMs. Every verdict and bid
 payoff of the labor scenario follows the paper's closed forms at random
@@ -692,7 +692,8 @@ def check_generic_analyze(rng: random.Random) -> None:
     engine's: the audited profile and its source, `implemented`, the
     truthful witness in a direct game built here from the rule and the
     transposed misreport schedule, the proof chain (`reference_chain`), the
-    violation, and exit code 2 exactly when there is one."""
+    violation, and exit code 2 exactly when there is one. The public
+    `audit_revelation_principle` of the same profile must report the same."""
     game, rule = ref.random_priced_game(rng, rng.randint(1, 3), ANALYZE_MAX_PROFILES)
     ts, mech = game.type_space, game.mechanism
     prices = {(i, r, t): v for (i, t, r), v in game.costs.misreport.items()}
@@ -712,6 +713,7 @@ def check_generic_analyze(rng: random.Random) -> None:
                        and ref.induced_scf(game, profile) == rule)
         chain = reference_chain(game, profile, rule)
         expected = AuditReport(profile, implemented, witness, chain)
+        assert audit_revelation_principle(game, profile, direct_game(game, rule)) == expected
         code, data = main_json("analyze", cfg)
         assert data.keys() == {"kind", "profile_source", "audit"}
         assert (data["kind"], data["profile_source"]) == ("generic", source)
@@ -724,9 +726,9 @@ def check_generic_analyze(rng: random.Random) -> None:
 @SETTINGS
 @given(st.integers(0, 2**32 - 1))
 def test_generic_analyze_reports_what_the_reference_engine_finds(seed):
-    # 40 random configs (SETTINGS), each analyzed with and without a
-    # declared profile; CI runs the same check on 500 configs at each of
-    # seeds 1 and 2.
+    # 40 random configs (SETTINGS), each analyzed, and audited through
+    # audit_revelation_principle, with and without a declared profile; CI
+    # runs the same check on 500 configs at each of seeds 1 and 2.
     check_generic_analyze(random.Random(seed))
 
 

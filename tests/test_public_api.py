@@ -69,8 +69,9 @@ def test_the_package_version_is_the_project_version():
     # Read with a regex: Python 3.10 has no tomllib.
     project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     version = re.search(r'^\[project\]$.*?^version = "([^"]+)"$', project, re.DOTALL | re.MULTILINE)
-    # 0.3.0 dropped is_bayesian_nash and implements_scf from the exports above.
-    assert revaudit.__version__ == version.group(1) == "0.3.0"
+    # 0.3.0 dropped is_bayesian_nash and implements_scf from the exports above;
+    # 0.4.0 dropped LaborScenario.judgement, now the scenario record's verdicts.
+    assert revaudit.__version__ == version.group(1) == "0.4.0"
 
 
 def readme_block(heading, language):

@@ -235,8 +235,8 @@ def test_parse_generic_scenario():
     assert sc.game.utilities.table[0, "y", "hi"] == 1
     assert sc.game.costs.strategic[0, "H", "lo"] == Fraction(1, 4)
     assert sc.game.costs.misreport[(0, "lo", "hi")] == Fraction(1, 2)
-    assert sc.candidate is not None
-    assert [s.action(t) for s, t in zip(sc.candidate.strategies, ("hi", "m"))] == ["H", "z"]
+    assert sc.profile is not None
+    assert [s.action(t) for s, t in zip(sc.profile.strategies, ("hi", "m"))] == ["H", "z"]
 
 
 def test_parse_generic_defaults_to_uniform_prior():
@@ -245,7 +245,7 @@ def test_parse_generic_defaults_to_uniform_prior():
     del cfg["profile"]
     sc = parse_generic_scenario(cfg)
     assert sc.game.type_space.prior_of[0]["lo"] == Fraction(1, 2)
-    assert sc.candidate is None
+    assert sc.profile is None
 
 
 def _row_fault(table, fields, message, label):
