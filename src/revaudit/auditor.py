@@ -192,26 +192,23 @@ def audit_revelation_principle(
     for part, a, b in zip(("type space", "utilities", "report prices"), got, want):
         if a != b:
             raise DomainError(f"the direct game does not match the game in its {part}")
-    return Scenario(game, direct, plan, profile, None).audit
+    return Scenario(game, direct, plan).audit
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One revelation question: a game, the direct game of its rule
-    (`direct_game`, whose mechanism is the rule), the plan to audit, the
-    plan's label (None: labelled from the plan by `_profile`) and whether
-    the plan plays the rule (None: an equilibrium is played out against it).
-    Its cached `rows_of`, `equilibrium`, `implemented` and `audit` are the
-    one judgement and audit of a plan; `plan` is None only until a plan is
-    chosen."""
+    (`direct_game`, whose mechanism is the rule) and the plan to audit.
+    Everything else is worked out from these three: its cached `rows_of`,
+    `equilibrium`, `plays_rule`, `implemented` and `audit` are the one
+    judgement and audit of a plan, and the audit labels the plan itself
+    (`_profile`). `plan` is None only until a plan is chosen."""
 
     __hash__ = None  # its plan is a list
 
     game: BayesianGame
     direct: BayesianGame
     plan: list[list[int]] | None
-    profile: StrategyProfile | None
-    plays_rule: bool | None
 
     @cached_property
     def rows_of(self) -> list[list[list[int]]]:
@@ -224,20 +221,23 @@ class Scenario:
         return all(map(_at_best_response, self.rows_of, self.plan))
 
     @cached_property
+    def plays_rule(self) -> bool:
+        """Does playing the plan reproduce the rule at every type profile?"""
+        return _implements(self.game, self.plan, self.direct.mechanism)
+
+    @cached_property
     def implemented(self) -> bool:
         """Is the plan an equilibrium that plays the rule?"""
-        if self.equilibrium and self.plays_rule is None:
-            return _implements(self.game, self.plan, self.direct.mechanism)
         return self.equilibrium and self.plays_rule
 
     @cached_property
     def audit(self) -> AuditReport:
         """`audit_revelation_principle` of the plan, kept with the scenario."""
-        return _audit(self, self.profile or _profile(self.game, self.plan))
+        return _audit(self)
 
 
-def _audit(scenario: Scenario, profile: StrategyProfile) -> AuditReport:
-    """The audit of a scenario's plan, labelled `profile`, read from its
+def _audit(scenario: Scenario) -> AuditReport:
+    """The audit of a scenario's plan, labelled by `_profile`, read from its
     judgement and its direct game."""
     direct = scenario.direct
     truth = direct._truth
@@ -263,7 +263,7 @@ def _audit(scenario: Scenario, profile: StrategyProfile) -> AuditReport:
         break_point=gap and BreakPoint(gap.agent, gap.type_label, gap.action, gap.gain),
     )
     return AuditReport(
-        indirect_equilibrium=profile,
+        indirect_equilibrium=_profile(scenario.game, scenario.plan),
         implemented=scenario.implemented,
         truthful_witness=direct._truthful_witness,
         chain=chain,

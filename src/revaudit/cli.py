@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .auditor import BreakPoint, Scenario, zero_cost_regression
 from .core import _UNDERSCORE_OR_SPACE, GameModelError, _checked, rational_str
-from .equilibrium import DEFAULT_PROFILE_CAP, _equilibrium_plans, _implements
+from .equilibrium import DEFAULT_PROFILE_CAP, _equilibrium_plans
 from .labor import (
     LaborParams,
     LaborScenario,
@@ -110,18 +110,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _select_profile(scenario: Scenario, cap: int) -> tuple[Scenario, str]:
-    """The scenario with its plan to audit (and whether that plan plays the
-    rule, when the search has found out), and the plan's source."""
-    game, rule = scenario.game, scenario.direct.mechanism
+    """The scenario with its plan to audit, and the plan's source: the
+    declared plan, else one record per equilibrium in enumeration order, the
+    first that plays the rule or else the first, else the first profile."""
     if scenario.plan is not None:
         return scenario, "declared"
-    plans = _equilibrium_plans(game, cap)
-    for plan in plans:
-        if _implements(game, plan, rule):
-            source = "first equilibrium implementing the rule"
-            return dataclasses.replace(scenario, plan=plan, plays_rule=True), source
-    if plans:
-        return dataclasses.replace(scenario, plan=plans[0], plays_rule=False), "first equilibrium"
+    game = scenario.game
+    records = [dataclasses.replace(scenario, plan=plan) for plan in _equilibrium_plans(game, cap)]
+    for record in records:
+        if record.plays_rule:
+            return record, "first equilibrium implementing the rule"
+    if records:
+        return records[0], "first equilibrium"
     first = [[0] * len(types) for types in game.type_space.types_of]
     return dataclasses.replace(scenario, plan=first), "first enumerated profile"
 

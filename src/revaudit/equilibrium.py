@@ -47,6 +47,7 @@ from .core import (
     TypeSpace,
     UtilityTable,
     _check_label,
+    _checked,
     _is_label,
     _scaled,
     cached_property,
@@ -372,11 +373,15 @@ def _equilibrium_plans(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> li
 
 
 def _profile(game: BayesianGame, plan) -> StrategyProfile:
-    """The strategy profile of a plan (action positions per agent, in type order)."""
-    moves = zip(game.type_space.types_of, game.mechanism.actions_of, plan)
-    return StrategyProfile.from_maps(
-        {t: actions[a] for t, a in zip(types, own)} for types, actions, own in moves
-    )
+    """The strategy profile of a plan (action positions per agent, in type
+    order), built from checked parts (`_checked`): its labels are the game's
+    own checked labels, one action per type, and each strategy's pairs are
+    sorted by type, as `PureStrategy` stores them."""
+    moves = enumerate(zip(game.type_space.types_of, game.mechanism.actions_of, plan))
+    return _checked(StrategyProfile, tuple(
+        _checked(PureStrategy, i, tuple(sorted(zip(types, [actions[a] for a in own]))))
+        for i, (types, actions, own) in moves
+    ))
 
 
 def find_all_pure_bne(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> list[StrategyProfile]:

@@ -139,44 +139,6 @@ class LaborParams:
 LABOR_FIELDS = fields(LaborParams)
 
 
-@dataclass(frozen=True)
-class LaborScenario(Scenario):
-    """A labor market's `Scenario`: the bid game and the direct game of the
-    hiring rule, each built once by `build_scenario` and read by every check
-    of the scenario, with the separating profile's plan, `SEPARATING_PLAN`,
-    to audit. The direct game's mechanism is the rule, `HIRING_RULE`, and
-    whether the plan plays it is `SEPARATING_PLAYS_RULE`: one answer for
-    every market, so no scenario plays it out. Labor `analyze` and the
-    proof-chain criterion of `reproduce-paper` read the audit; the
-    separating report and a sweep read only its rows and verdicts."""
-
-    params: LaborParams
-
-    @cached_property
-    def break_even(self) -> Fraction | None:
-        """The least misreporting cost at which truth-telling is an equilibrium
-        of the direct game: the largest cost-free gain of a priced misreport,
-        or None when a free misreport gains. It depends on w, not on c_mis.
-        The gains compare as ints on each worker's scale, and only the
-        threshold becomes a Fraction."""
-        direct = self.direct
-        gains = _costfree_gains(direct)
-        if any(gains[key] > 0 for key in FREE_MISREPORTS):
-            return None
-        # A gain g of worker i is g / scale[i]: it ranks as g times the other worker's scale.
-        scale = direct._tables.scale
-        key = max(PRICED_MISREPORTS, key=lambda k: gains[k] * scale[1 - k[0]])
-        return _exact(direct, key[0], gains[key])
-
-    def truthful_at(self, c_mis: Fraction) -> bool:
-        """Is truth-telling an equilibrium of the direct game at misreporting
-        cost c_mis? A cost `LaborParams` refuses (a negative one) is refused
-        with the same message and location, by `check_cell`."""
-        c_mis = as_rational(c_mis, "c_mis")
-        check_cell(self.params.w, c_mis)
-        return self.break_even is not None and c_mis >= self.break_even
-
-
 # The misreports that cost c_mis: a low type reporting high. The reverse is free.
 PRICED_MISREPORTS = tuple((i, TYPE_LOW, TYPE_HIGH) for i in (0, 1))
 FREE_MISREPORTS = tuple((i, TYPE_HIGH, TYPE_LOW) for i in (0, 1))
@@ -220,7 +182,46 @@ def _bid_game(params: LaborParams) -> BayesianGame:
 # whether that plan plays HIRING_RULE out is one answer for all of them.
 _BID_GAME = _bid_game(LaborParams(1, 2, 1, 1))
 SEPARATING_PLAN = _plan(_BID_GAME, SEPARATING_PROFILE)
-SEPARATING_PLAYS_RULE = _implements(_BID_GAME, SEPARATING_PLAN, HIRING_RULE)
+
+
+@dataclass(frozen=True)
+class LaborScenario(Scenario):
+    """A labor market's `Scenario`: the bid game and the direct game of the
+    hiring rule, each built once by `build_scenario` and read by every check
+    of the scenario, with the separating plan, `SEPARATING_PLAN`, to audit.
+    The direct game's mechanism is the rule, `HIRING_RULE`, and whether the
+    plan plays it is one answer for every market: `plays_rule` is a class
+    constant, played out once, when the module loads, in `_BID_GAME`, so no
+    scenario plays it out. Labor `analyze` and the proof-chain criterion of
+    `reproduce-paper` read the audit; the separating report and a sweep read
+    only its rows and verdicts."""
+
+    params: LaborParams
+    plays_rule = _implements(_BID_GAME, SEPARATING_PLAN, HIRING_RULE)
+
+    @cached_property
+    def break_even(self) -> Fraction | None:
+        """The least misreporting cost at which truth-telling is an equilibrium
+        of the direct game: the largest cost-free gain of a priced misreport,
+        or None when a free misreport gains. It depends on w, not on c_mis.
+        The gains compare as ints on each worker's scale, and only the
+        threshold becomes a Fraction."""
+        direct = self.direct
+        gains = _costfree_gains(direct)
+        if any(gains[key] > 0 for key in FREE_MISREPORTS):
+            return None
+        # A gain g of worker i is g / scale[i]: it ranks as g times the other worker's scale.
+        scale = direct._tables.scale
+        key = max(PRICED_MISREPORTS, key=lambda k: gains[k] * scale[1 - k[0]])
+        return _exact(direct, key[0], gains[key])
+
+    def truthful_at(self, c_mis: Fraction) -> bool:
+        """Is truth-telling an equilibrium of the direct game at misreporting
+        cost c_mis? A cost `LaborParams` refuses (a negative one) is refused
+        with the same message and location, by `check_cell`."""
+        c_mis = as_rational(c_mis, "c_mis")
+        check_cell(self.params.w, c_mis)
+        return self.break_even is not None and c_mis >= self.break_even
 
 
 def build_scenario(params: LaborParams) -> LaborScenario:
@@ -228,8 +229,7 @@ def build_scenario(params: LaborParams) -> LaborScenario:
     rule, which checks the rule as it checks any, with the separating plan
     to audit."""
     game = _bid_game(params)
-    return LaborScenario(game, direct_game(game, HIRING_RULE), SEPARATING_PLAN,
-                         SEPARATING_PROFILE, SEPARATING_PLAYS_RULE, params)
+    return LaborScenario(game, direct_game(game, HIRING_RULE), SEPARATING_PLAN, params)
 
 
 def wage_window(params: LaborParams) -> tuple[Fraction, Fraction]:
@@ -276,13 +276,14 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
     """Verify the separating side of the reference scenario.
 
     Reads the scenario's judgement of the separating bid profile, whether it
-    is an equilibrium, and its `plays_rule`, whether it reproduces the
-    hiring rule at every type profile: one answer for every scenario. The
-    witness is the largest gain over the scenario's interim rows. No audit
-    runs. The high type must clear participation strictly (worst case: both
-    high, split job). The four bid cases read worker 0's ex-post profits from one slice of the bid
-    game's tables per own type, compare them as ints, and make a Fraction
-    only of each printed payoff.
+    is an equilibrium, and `LaborScenario.plays_rule`, whether it reproduces
+    the hiring rule at every type profile: one answer for every market,
+    found when the module loads. The witness is the largest gain over the
+    scenario's interim rows. No audit runs. The high type must clear
+    participation strictly (worst case: both high, split job). The four bid
+    cases read worker 0's ex-post profits from one slice of the bid game's
+    tables per own type, compare them as ints, and make a Fraction only of
+    each printed payoff.
     """
     params, game, plan = scenario.params, scenario.game, scenario.plan
     lo, hi = wage_window(params)

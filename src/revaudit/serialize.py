@@ -310,8 +310,8 @@ def _read_rows(cfg: dict, table: _Table, rows: dict, read, default=None) -> _Con
 
 def parse_generic_scenario(cfg: dict) -> Scenario:
     """Build the game a generic config declares, as a `Scenario`: the game,
-    the direct game of its rule, and the declared profile with its plan,
-    checked to fit the game, or no plan when none is declared.
+    the direct game of its rule, and the declared profile's plan, checked
+    to fit the game, or no plan when none is declared.
 
     The parser checks the JSON shape and the rules only a config can break:
     one row per key, outcome labels declared once before use, and utility
@@ -325,17 +325,16 @@ def parse_generic_scenario(cfg: dict) -> Scenario:
     rows: dict[str, dict] = {}  # the rows of each keyed table, in config order
     game, direct = _located("config", _generic_game, cfg, rows, keyed=rows)
 
-    profile = plan = None
+    plan = None
     if "profile" in cfg:
         maps = cfg["profile"]
         if not isinstance(maps, list) or not all(isinstance(m, dict) for m in maps):
             raise ConfigError("config.profile: expected one {type: action} object per agent")
         try:
-            profile = StrategyProfile.from_maps(maps)
-            plan = _plan(game, profile)
+            plan = _plan(game, StrategyProfile.from_maps(maps))
         except GameModelError as exc:
             raise ConfigError(f"config.profile: {exc}") from exc
-    return Scenario(game, direct, plan, profile, None)
+    return Scenario(game, direct, plan)
 
 
 def _generic_game(cfg: dict, rows: dict):

@@ -1410,10 +1410,12 @@ def test_a_generic_audit_computes_each_agents_payoffs_once(tmp_path, monkeypatch
     # Per agent, the game's profits under the declared profile and the
     # direct game's cost-free utilities under truth-telling: 2n row sets for
     # n = 2 agents. The declared profile is checked once, when it is parsed,
-    # into the plan the audit reads, and labels the report itself; the
-    # scenario plays that equilibrium out once, to decide `implemented`, and
-    # audits it once.
-    assert counts == {"_interim_rows": 4, "_plan": 1, "_implements": 1, "_audit": 1}
+    # into the plan the audit reads, and the audit labels that plan once for
+    # its report; the scenario plays that equilibrium out once, to decide
+    # `implemented`, and audits it once.
+    assert counts == {
+        "_interim_rows": 4, "_plan": 1, "_implements": 1, "_audit": 1, "_profile": 1,
+    }
 
 
 def test_both_config_kinds_build_one_scenario_record():

@@ -516,7 +516,8 @@ def test_every_cached_value_takes_the_lock_free_path():
         "TypeSpace.weights", "Mechanism.walk", "UtilityTable.scaled",
         "BayesianGame._tables", "BayesianGame._truthful_rows",
         "BayesianGame._truthful_witness", "Scenario.rows_of", "Scenario.equilibrium",
-        "Scenario.implemented", "Scenario.audit", "LaborScenario.break_even",
+        "Scenario.plays_rule", "Scenario.implemented", "Scenario.audit",
+        "LaborScenario.break_even",
     ], core.cached_property)
 
 

@@ -65,13 +65,16 @@ GOLDEN_RUNS = [
     (["sweep", "--format", "json"], SWEEP_GRID, "sweep_labor.json", 0),
     (["analyze"], swapped_rule_cfg(), "analyze_generic_swapped_rule.json", 0),
     (["analyze"], pennies_cfg(), "analyze_generic_pennies.json", 0),
+    # The report labels the declared plan itself, whatever order the config's map is in.
+    (["analyze"], {**signal_config(), "profile": [{"hi": "e", "lo": "0"}]},
+     "analyze_generic_signal_declared.json", 2),
 ]
 
 
-def golden_argv(tmp_path, argv, config, golden):
+def golden_argv(tmp_path, argv, config, name):
     if config is None:
         return argv
-    return [argv[0], write_json(tmp_path, config, f"{golden}.cfg.json"), *argv[1:]]
+    return [argv[0], write_json(tmp_path, config, f"{name}.cfg.json"), *argv[1:]]
 
 
 @pytest.mark.parametrize("argv, config, golden, code", GOLDEN_RUNS)
@@ -93,7 +96,9 @@ def test_one_process_answers_like_fresh_processes(tmp_path, capsys, monkeypatch)
         ["analyze", "--max-profiles", "0"],
         ["analyze", search, "--max-profiles", "1"],
         ["analyze", labor],
-        *(golden_argv(tmp_path, *run[:3]) for run in GOLDEN_RUNS),
+        # Two runs share a golden, so each config file is named by its run.
+        *(golden_argv(tmp_path, argv, config, f"{k}-{golden}")
+          for k, (argv, config, golden, _) in enumerate(GOLDEN_RUNS)),
     ]
     in_process = []
     for argv in runs:

@@ -15,7 +15,7 @@ from test_auditor import same_parts
 
 from revaudit.auditor import direct_game
 from revaudit.core import ConstructionError, CostModel, Mechanism, TypeSpace, UtilityTable, as_rational
-from revaudit.equilibrium import BayesianGame, Deviation, StrategyProfile
+from revaudit.equilibrium import BayesianGame, Deviation, StrategyProfile, _implements
 from revaudit.labor import (
     ALL_REPORT_HIGH_PROFILE,
     BID_HIGH,
@@ -134,7 +134,9 @@ def random_params(rng):
 def check_built_parts(p):
     """build_scenario builds its parts without their constructors' checks;
     the checking constructors must accept the same fields and build equal
-    games, and an equal direct game of the hiring rule."""
+    games, and an equal direct game of the hiring rule. Whether the
+    separating plan plays that rule is a class constant, found once, when
+    the module loads; the market's own play-out must agree with it."""
     scenario = build_scenario(p)
     game = scenario.game
     ts, mech, costs = game.type_space, game.mechanism, game.costs
@@ -146,6 +148,7 @@ def check_built_parts(p):
     )
     assert same_parts(game, checked), p
     assert same_parts(scenario.direct, direct_game(checked, HIRING_RULE)), p
+    assert _implements(game, scenario.plan, scenario.direct.mechanism) is scenario.plays_rule, p
 
 
 # The canonical market, skewed priors, both edges of the wage window (1, 2).

@@ -20,7 +20,7 @@ from test_properties import (
     profile_from_jsonable,
 )
 
-from revaudit.equilibrium import Deviation
+from revaudit.equilibrium import Deviation, StrategyProfile, _profile
 from revaudit.labor import (
     SEPARATING_PROFILE,
     TYPE_HIGH,
@@ -235,8 +235,10 @@ def test_parse_generic_scenario():
     assert sc.game.utilities.table[0, "y", "hi"] == 1
     assert sc.game.costs.strategic[0, "H", "lo"] == Fraction(1, 4)
     assert sc.game.costs.misreport[(0, "lo", "hi")] == Fraction(1, 2)
-    assert sc.profile is not None
-    assert [s.action(t) for s, t in zip(sc.profile.strategies, ("hi", "m"))] == ["H", "z"]
+    assert sc.plan == [[0, 1], [0]]
+    profile = _profile(sc.game, sc.plan)
+    assert profile == StrategyProfile.from_maps(generic_cfg()["profile"])
+    assert [s.action(t) for s, t in zip(profile.strategies, ("hi", "m"))] == ["H", "z"]
 
 
 def test_parse_generic_defaults_to_uniform_prior():
@@ -245,7 +247,7 @@ def test_parse_generic_defaults_to_uniform_prior():
     del cfg["profile"]
     sc = parse_generic_scenario(cfg)
     assert sc.game.type_space.prior_of[0]["lo"] == Fraction(1, 2)
-    assert sc.profile is None
+    assert sc.plan is None
 
 
 def _row_fault(table, fields, message, label):
