@@ -29,6 +29,7 @@ from .core import (
     TypeSpace,
     UtilityTable,
     _checked,
+    _walk_of,
     cached_property,
 )
 from .equilibrium import (
@@ -300,9 +301,11 @@ def random_zero_cost_game(rng: random.Random) -> BayesianGame:
     Each part is built with `_checked`, without its constructor's checks,
     since every rule they check holds by construction: the labels are
     distinct, each prior is positive and sums to 1, the outcome table is
-    total, every (agent, outcome, type) has a utility, and there are no
-    costs. The label sets, outcomes, twelfths, uniform priors and empty
-    costs are shared by every game, and none is ever changed."""
+    total (each action profile's outcome is drawn, in product order,
+    straight into its position), every (agent, outcome, type) has a
+    utility, and there are no costs. The label sets, outcomes, twelfths,
+    uniform priors and empty costs are shared by every game, and none is
+    ever changed."""
     types_of = (rng.choice(_TYPE_SETS), rng.choice(_TYPE_SETS))
     priors = []
     for ts in types_of:
@@ -315,8 +318,9 @@ def random_zero_cost_game(rng: random.Random) -> BayesianGame:
 
     actions_of = (rng.choice(_ACTION_SETS), rng.choice(_ACTION_SETS))
     outcomes = rng.choice(_OUTCOME_SETS)
-    outcome_of = {profile: rng.choice(outcomes) for profile in itertools.product(*actions_of)}
-    mechanism = _checked(Mechanism, actions_of, outcome_of)
+    sizes, positions = [len(actions) for actions in actions_of], range(len(outcomes))
+    drawn = [rng.choice(positions) for _ in range(sizes[0] * sizes[1])]
+    mechanism = _checked(Mechanism, actions_of, _walk_of(outcomes, drawn, sizes))
     utility = {
         (agent, x.label, t): rng.choice(_TWELFTHS)
         for agent in range(2) for x in outcomes for t in types_of[agent]
@@ -328,10 +332,9 @@ def _rule_scf(game: BayesianGame, rule: tuple[int, ...]) -> SocialChoiceFunction
     """A rule of outcome positions (as `_rule` gives it) as a SocialChoiceFunction
     of the game's outcomes over its type profiles, built with `_checked`: the
     rule is total by construction."""
-    mech, ts = game.mechanism, game.type_space
-    named = {x.label: x for x in mech.outcome_of.values()}
-    table = [named[mech.walk.labels[x]] for x in rule]
-    return _checked(SocialChoiceFunction, ts.types_of, dict(zip(ts.profiles(), table)))
+    types_of = game.type_space.types_of
+    walk = _walk_of(game.mechanism.walk.outcomes, rule, [len(types) for types in types_of])
+    return _checked(SocialChoiceFunction, types_of, walk)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 Everything here is a plain table: type spaces with independent full-support
 priors, outcomes, mechanisms, social choice functions (each its own direct
-mechanism, over type reports), cost schedules, and utility tables. All
-numeric fields are `fractions.Fraction`; floats are rejected at the door so
-no binary rounding can leak into a verdict.
+mechanism, over type reports), cost schedules, and utility tables. A
+mechanism's outcome table is read once, when the mechanism is built, into
+positions (`Mechanism.walk`), by one reader (`_read_table`) for a table
+built in code and for a config's columns alike. All numeric fields are
+`fractions.Fraction`; floats are rejected at the door so no binary rounding
+can leak into a verdict.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -330,103 +334,122 @@ class Outcome:
 
 class _ConfigRows(dict):
     """A table read by the config parser, whose row check has checked the
-    type of each field of each key: of Fractions keyed by (agent, label,
-    label), or of the parser's outcomes (one per label) keyed by a profile."""
+    type of each field of each key; `_keyed_rationals` reads the keys of
+    its utility and cost tables as they are. An outcome table is read into
+    positions from its columns, and passes as a `_ConfigRows` only to name
+    a fault."""
 
 
-def _total_table(table: str, entries, label_lists, noun: str) -> dict[tuple[str, ...], Outcome]:
-    """A map from each profile of labels (one per agent) to an Outcome, where
-    outcomes that share a label are equal. Each key is checked label by
-    label; keys are distinct, so the count alone shows that no profile is
-    missing, and profiles are enumerated only to name a missing one. The
-    values of a `_ConfigRows` table are the parser's outcomes, one per
-    label, so only its keys are checked: with one set inclusion per agent
-    position, and label by label only to name a fault."""
-    known = [frozenset(labels) for labels in label_lists]
-    checked = type(entries) is _ConfigRows
-    fits = checked and set(map(len, entries)) <= {len(known)}
-    if fits and all(map(frozenset.issuperset, known, zip(*entries))):
-        result = dict(entries)
-    else:
-        result, seen = {}, {}
-        for key, x in dict(entries).items():
-            key = tuple(key)
-            if len(key) != len(known) or not all(map(frozenset.__contains__, known, key)):
-                raise ConstructionError(f"{key} is not a declared {noun} profile", (table, key))
-            if not checked:
-                if not isinstance(x, Outcome):
-                    problem = f"expected an Outcome, got {type(x).__name__}"
-                    raise ConstructionError(problem, (table, key, "outcome"))
-                first = seen.setdefault(x.label, x)
-                if first is not x and first != x:
-                    problem = f"two different outcomes share label {x.label!r}"
-                    raise ConstructionError(problem, (table, key, "outcome"))
-            result[key] = x
-    if len(result) != math.prod(map(len, label_lists)):
-        missing = next(p for p in itertools.product(*label_lists) if p not in result)
-        raise ConstructionError(f"no row for {noun} profile {missing}", (table,))
-    return result
+@dataclass(frozen=True)
+class OutcomeWalk:
+    """A mechanism's outcome table, the only form a mechanism stores, read
+    once when the mechanism is built: over action positions, in
+    itertools.product order (agent 0 outermost). The flat index of an action
+    profile is sum(strides[j] * action position of j), and `outcome[flat]`
+    is the position of its outcome in `outcomes`, the distinct outcomes,
+    payloads included, in first-appearance order."""
+
+    outcomes: tuple[Outcome, ...]
+    outcome: list[int]
+    strides: list[int]
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(x.label for x in self.outcomes)
+
+
+def _walk_of(outcomes, drawn: list, sizes: list[int]) -> OutcomeWalk:
+    """The walk of a table over label lists of `sizes` that gives the k-th
+    profile, in product order, the outcome `outcomes[drawn[k]]`."""
+    first = dict(zip(dict.fromkeys(drawn), itertools.count()))
+    strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
+    return OutcomeWalk(tuple(map(outcomes.__getitem__, first)), [*map(first.__getitem__, drawn)], strides)
+
+
+def _read_table(cls, label_lists, profiles: list, labels: list, named):
+    """The mechanism `cls` (a Mechanism or a rule) over `label_lists`, its
+    label lists checked, whose table gives `profiles[k]` the outcome
+    `named[labels[k]]`: or None unless the rows hold each profile exactly
+    once and `named` holds each label, for the caller to name the fault.
+    One dict per agent maps a label to its position times the agent's
+    stride, so each row's flat index is a sum, taken column by column in C.
+    The rows are total when there are as many as profiles and each flat
+    index is found: one that repeats leaves another missing."""
+    sizes = list(map(len, label_lists))
+    count, flat = math.prod(sizes), itertools.repeat(0)
+    try:
+        if len(profiles) == count and set(map(len, profiles)) == {len(sizes)}:
+            for j, own in enumerate(label_lists):
+                place = dict(zip(own, itertools.count(0, math.prod(sizes[j + 1 :]))))
+                flat = map(operator.add, flat, map(place.__getitem__, map(operator.itemgetter(j), profiles)))
+            by_flat = dict(zip(flat, labels))
+            walk = _walk_of(named, [*map(by_flat.__getitem__, range(count))], sizes)
+            return _checked(cls, _label_lists(label_lists, cls._tables[0]), walk)
+    except (KeyError, TypeError):  # a missing profile, an undeclared label or outcome, an unhashable label
+        pass
+    return None
 
 
 @dataclass(frozen=True)
 class Mechanism:
-    """Action sets per agent and a total outcome function on action profiles."""
+    """Action sets per agent and a total outcome function on action
+    profiles, held only as its walk. Mechanism(actions_of, table) reads a
+    table keyed by action profiles of labels into the walk once, at
+    construction, by `_read_table`; `outcome_of` gives that table back when
+    read."""
 
     actions_of: tuple[tuple[str, ...], ...]
-    outcome_of: dict[tuple[str, ...], Outcome]
+    walk: OutcomeWalk
 
     # Fault locations: the label lists' table, the outcome table, a key's noun.
     _tables = ("actions", "outcome_function", "action")
 
     def __post_init__(self) -> None:
+        """Each row is checked in turn, its key label by label and then its
+        outcome, before the rows are read; a table whose rows all pass but
+        that `_read_table` refuses misses a profile, and the first missing
+        in product order is named."""
         labels, table, noun = self._tables
         actions_of = _label_lists(self.actions_of, labels)
-        outcome_of = _total_table(table, self.outcome_of, actions_of, noun)
+        known, rows, named = [frozenset(actions) for actions in actions_of], {}, {}
+        for key, x in dict(self.walk).items():
+            key = tuple(key)
+            if len(key) != len(known) or not all(map(frozenset.__contains__, known, key)):
+                raise ConstructionError(f"{key} is not a declared {noun} profile", (table, key))
+            if not isinstance(x, Outcome):
+                problem = f"expected an Outcome, got {type(x).__name__}"
+                raise ConstructionError(problem, (table, key, "outcome"))
+            if named.setdefault(x.label, x) != x:
+                problem = f"two different outcomes share label {x.label!r}"
+                raise ConstructionError(problem, (table, key, "outcome"))
+            rows[key] = x.label
+        read = _read_table(type(self), actions_of, list(rows), list(rows.values()), named)
+        if not read:
+            missing = next(p for p in itertools.product(*actions_of) if p not in rows)
+            raise ConstructionError(f"no row for {noun} profile {missing}", (table,))
         object.__setattr__(self, "actions_of", actions_of)
-        object.__setattr__(self, "outcome_of", outcome_of)
+        object.__setattr__(self, "walk", read.walk)
 
     @property
     def agent_count(self) -> int:
         return len(self.actions_of)
 
     @cached_property
-    def walk(self) -> "OutcomeWalk":
-        """The outcome table walked once, on first use, and kept with the
-        mechanism."""
-        return _walk_outcomes(self)
+    def outcome_of(self) -> dict[tuple[str, ...], Outcome]:
+        """The table keyed by action profiles of labels, in product order,
+        built on first read and kept with the mechanism."""
+        outcomes = map(self.walk.outcomes.__getitem__, self.walk.outcome)
+        return dict(zip(itertools.product(*self.actions_of), outcomes))
 
 
 @dataclass(frozen=True)
 class SocialChoiceFunction(Mechanism):
     """A rule, SocialChoiceFunction(types_of, table): a total map from type
-    profiles to outcomes, and its own direct mechanism (Myerson 1979), whose
-    actions are the type labels agents report. Faults name types and rule."""
+    profiles to outcomes, read once into its walk, and its own direct
+    mechanism (Myerson 1979), whose actions are the type labels agents
+    report. Faults name types and rule."""
 
     _tables = ("types", "rule", "type")
-
-
-@dataclass(frozen=True)
-class OutcomeWalk:
-    """A mechanism's outcome table over action positions, in
-    itertools.product order (agent 0 outermost). The flat index of an action
-    profile is sum(strides[j] * action position of j), and `outcome[flat]`
-    is the position of its outcome in `labels`, the distinct outcome labels
-    in first-appearance order."""
-
-    labels: tuple[str, ...]
-    outcome: list[int]
-    strides: list[int]
-
-
-def _walk_outcomes(mech: Mechanism) -> OutcomeWalk:
-    position: dict[str, int] = {}
-    outcome = [
-        position.setdefault(mech.outcome_of[p].label, len(position))
-        for p in itertools.product(*mech.actions_of)
-    ]
-    sizes = [len(actions) for actions in mech.actions_of]
-    strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
-    return OutcomeWalk(tuple(position), outcome, strides)
 
 
 def _keyed_rationals(table: str, entries, field: str) -> dict[tuple[int, str, str], Fraction]:

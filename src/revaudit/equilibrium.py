@@ -1,14 +1,15 @@
 """Exact equilibrium engine for finite Bayesian games.
 
 Each part of a game is compiled once, on first use, on the object that owns
-it, into integer tables over type and action positions. A mechanism walks
-its outcome table once (`Mechanism.walk`): the outcome of every action
-profile. A type space scales its prior once (`TypeSpace.weights`): each
-agent's prior times the LCM of its denominators, shared by a game and its
-direct game. A utility table scales its entries once (`UtilityTable.scaled`),
-to ints on the LCM of its denominators, also shared by a game and its direct
-game. A game brings those ints and its strategic costs to one LCM (`_Tables`)
-with one int factor per utility. An interim row sums, for each own action,
+it, into integer tables over type and action positions. A mechanism's
+outcome table was read once, when it was built, into positions
+(`Mechanism.walk`): the outcome of every action profile. A type space
+scales its prior once (`TypeSpace.weights`): each agent's prior times the
+LCM of its denominators, shared by a game and its direct game. A utility
+table scales its entries once (`UtilityTable.scaled`), to ints on the LCM
+of its denominators, also shared by a game and its direct game. A game
+brings those ints and its strategic costs to one LCM (`_Tables`) with one
+int factor per utility. An interim row sums, for each own action,
 the opponents' prior weight on each outcome that action reaches, then takes
 one sum over those outcomes per own type. Equilibrium conditions are weak
 inequalities between Python ints, and a reported payoff or gain is the exact
@@ -183,14 +184,14 @@ class BayesianGame:
 class _Tables:
     """A game's payoffs as exact integer tables over type and action
     positions; the parts a game shares are compiled on their owners. The
-    mechanism walks its outcome table once (`Mechanism.walk`), and the type
-    space scales its prior once (`TypeSpace.weights`), and the utility table
-    its entries (`UtilityTable.scaled`), so a game and its direct game share
-    both. Here the utilities and strategic costs are brought to one unit, the
-    LCM of the table's unit and the costs' denominators: each scaled utility
-    is multiplied by one int. An interim payoff of agent i is then an int
-    over `scale[i]`, and payoffs of one agent compare as ints with the same
-    weak inequalities.
+    mechanism holds its outcome table as positions (`Mechanism.walk`), the
+    type space scales its prior once (`TypeSpace.weights`) and the utility
+    table its entries (`UtilityTable.scaled`), so a game and its direct game
+    share both. Here the utilities and strategic costs are brought to one
+    unit, the LCM of the table's unit and the costs' denominators: each
+    scaled utility is multiplied by one int. An interim payoff of agent i is
+    then an int over `scale[i]`, and payoffs of one agent compare as ints
+    with the same weak inequalities.
     """
 
     # utility[i][t][x]: scaled utility of agent i at type t for outcome x,

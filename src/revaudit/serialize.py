@@ -8,8 +8,9 @@ entries of its objects. Any other text is decoded again with each object's
 keys checked, which names its fault, or reads a `:` in a label. A
 generic config's tables are read by columns: each table's fields are
 type-checked as whole columns, each distinct literal is parsed once, and
-each rule on its rows is checked over whole columns. Only a table that fails
-is walked row by row, to name the first faulty row. All rendering is
+each rule on its rows is checked over whole columns; an outcome table's
+columns are read straight into its mechanism's positions. Only a table that
+fails is walked row by row, to name the first faulty row. All rendering is
 deterministic: fixed key order, fixed row order, no timestamps.
 """
 
@@ -34,6 +35,7 @@ from .core import (
     TypeSpace,
     UtilityTable,
     _ConfigRows,
+    _read_table,
     as_rational,
     check_agent_count,
     check_literal_size,
@@ -339,8 +341,9 @@ def parse_generic_scenario(cfg: dict) -> Scenario:
 
 def _generic_game(cfg: dict, rows: dict):
     """The game of a generic config and its rule's direct game; each keyed
-    table's rows are stored in `rows` as they are read, for `_located` to
-    name a faulty row by its position."""
+    table's rows are stored in `rows` as they are read by `_read_rows` (an
+    outcome table's only when it fails), for `_located` to name a faulty row
+    by its position."""
     # (type, literal) -> value, for this config only: each distinct literal
     # is parsed once, and `true` never takes the value of `1`.
     literals: dict[tuple, Fraction] = {}
@@ -405,8 +408,15 @@ def _generic_game(cfg: dict, rows: dict):
         *key_columns, costs = c.values()
         return dict(zip(zip(*key_columns), rationals(costs, ".cost")))
 
-    mechanism = Mechanism(actions_of, _read_rows(cfg, OUTCOME_FUNCTION, rows, profile_rows))
-    scf = SocialChoiceFunction(types_of, _read_rows(cfg, RULE, rows, profile_rows))
+    def outcome_table(cls, label_lists, table: _Table):
+        """A mechanism or rule read from its table's checked columns. A table
+        that fails a check is read by rows, only to name its first fault."""
+        columns = table.valid(_list(cfg, table.key))
+        read = columns and _read_table(cls, label_lists, *columns.values(), outcomes)
+        return read or cls(label_lists, _read_rows(cfg, table, rows, profile_rows))
+
+    mechanism = outcome_table(Mechanism, actions_of, OUTCOME_FUNCTION)
+    scf = outcome_table(SocialChoiceFunction, types_of, RULE)
     utility = _read_rows(cfg, UTILITIES, rows, utility_rows)
     costs = CostModel(*(_read_rows(cfg, t, rows, cost_rows, []) for t in COST_TABLES))
     game = BayesianGame(mechanism, type_space, UtilityTable(utility), costs)

@@ -2,11 +2,12 @@
 
 This is the obviously correct engine that the compiled tables of
 `revaudit.equilibrium` are checked against. It walks every opponent type
-profile with `TypeSpace.conditional_weight`, looks each utility up by label
-in `utilities.table` and each strategic cost in `costs.strategic` (0 where
-absent), and scans every pure profile. Ex-post payoffs, pure Nash profiles
-and dominant actions of normal-form games are found the same way, by brute
-force, and so is the rule a profile plays out. Profiles and opponent type
+profile with `TypeSpace.conditional_weight` (once per agent in an
+equilibrium check), looks each utility up by label in `utilities.table` and
+each strategic cost in `costs.strategic` (0 where absent), and scans every
+pure profile. Ex-post payoffs, pure Nash profiles and dominant actions of
+normal-form games are found the same way, by brute force, and so is the
+rule a profile plays out. Profiles and opponent type
 profiles are enumerated here, from `itertools.product`, so the oracle
 shares no enumeration code with the library. It is slow and is used only
 by the tests, together with a generator of random costly games and a
@@ -67,14 +68,22 @@ def validate_profile(game, profile):
                 raise DomainError(f"agent {i}: strategy plays unknown action {a!r}")
 
 
-def interim(game, profile, agent, type_label, action):
+def weighted_opponents(ts, agent):
+    """Each opponent type profile of `agent`, in `opponent_profiles` order,
+    with its conditional weight."""
+    return [(opp, ts.conditional_weight(agent, opp)) for opp in opponent_profiles(ts, agent)]
+
+
+def interim(game, profile, agent, type_label, action, weighted=None):
     """Expected profit for agent of playing `action` at `type_label`, opponents
     following `profile`: the utility weighted by the conditional prior over
-    their types, minus the strategic cost of `action`."""
-    ts = game.type_space
+    their types, minus the strategic cost of `action`. `weighted` is
+    `weighted_opponents(game.type_space, agent)`, found here when not given:
+    a caller that asks for many of the agent's payoffs finds it once."""
+    if weighted is None:
+        weighted = weighted_opponents(game.type_space, agent)
     total = Fraction(0)
-    for opp in opponent_profiles(ts, agent):
-        w = ts.conditional_weight(agent, opp)
+    for opp, w in weighted:
         acts = []
         k = 0
         for j in range(game.agent_count):
@@ -96,13 +105,15 @@ def is_bayesian_nash(game, profile):
     validate_profile(game, profile)
     best = None
     for agent in range(game.agent_count):
+        # The opponents' weights do not depend on the agent's own type or action.
+        weighted = weighted_opponents(game.type_space, agent)
         for t in game.type_space.types_of[agent]:
             played = profile.strategies[agent].action(t)
-            current = interim(game, profile, agent, t, played)
+            current = interim(game, profile, agent, t, played, weighted)
             for a in game.mechanism.actions_of[agent]:
                 if a == played:
                     continue
-                gain = interim(game, profile, agent, t, a) - current
+                gain = interim(game, profile, agent, t, a, weighted) - current
                 if gain > 0 and (best is None or gain > best.gain):
                     best = Deviation(agent, t, a, gain)
     return EquilibriumVerdict(best)

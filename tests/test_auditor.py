@@ -224,14 +224,15 @@ def reference_chain(game, profile, scf):
     mimicry_ok = costfree_ok = True
     best = None
     for agent in range(ts.agent_count):
+        weighted = ref.weighted_opponents(ts, agent)
         for t in ts.types_of[agent]:
-            own = ref.interim(game, profile, agent, t, profile.strategies[agent].action(t))
+            own = ref.interim(game, profile, agent, t, profile.strategies[agent].action(t), weighted)
             truthful_value = costfree_report_value(ts, scf, game.utilities, agent, t, t)
             for mimicked in ts.types_of[agent]:
                 if mimicked == t:
                     continue
                 action = profile.strategies[agent].action(mimicked)
-                holds_here = ref.interim(game, profile, agent, t, action) <= own
+                holds_here = ref.interim(game, profile, agent, t, action, weighted) <= own
                 mimicry_ok = mimicry_ok and holds_here
                 value = costfree_report_value(ts, scf, game.utilities, agent, t, mimicked)
                 gain = value - truthful_value

@@ -686,19 +686,56 @@ def many_outcomes_cfg():
     }
 
 
+def outcome_table_faults():
+    """two_agent_cfg with one fault in its outcome function or its rule, and
+    the message that names it. A repeated row is refused also when the
+    table has as many rows as profiles. The last case holds a repeated row
+    after a profile one label short: the repeated row is named first."""
+    cases = []
+    for key, field, noun, undeclared in (
+        ("outcome_function", "actions", "action", ["1", "q"]), ("rule", "types", "type", ["b", "q"]),
+    ):
+        first, second = two_agent_cfg()[key]
+        short = {field: first[field][:1], "outcome": "o1"}
+        long = {field: first[field] + first[field][-1:], "outcome": "o1"}
+        for case, rows, message in (
+            ("missing", [first], f": no row for {noun} profile {tuple(second[field])}"),
+            ("repeated", [first, second, first],
+             f"[2]: duplicate {noun} profile {tuple(first[field])}"),
+            ("repeated-for-missing", [first, first],
+             f"[1]: duplicate {noun} profile {tuple(first[field])}"),
+            ("undeclared", [first, {field: undeclared, "outcome": "o2"}],
+             f"[1]: {tuple(undeclared)} is not a declared {noun} profile"),
+            ("arity", [long, second], f"[0]: {tuple(long[field])} is not a declared {noun} profile"),
+            ("unknown-outcome", [first, {**second, "outcome": "o9"}], "[1]: unknown outcome 'o9'"),
+            ("repeated-after-arity", [short, second, second],
+             f"[2]: duplicate {noun} profile {tuple(second[field])}"),
+        ):
+            cfg = {**two_agent_cfg(), key: rows}
+            cases.append(pytest.param(cfg, f"config.{key}{message}", id=f"{key}-{case}"))
+    return cases
+
+
 @pytest.mark.parametrize(
     "cfg, message",
     [
-        (wide_mechanism_cfg(),
-         "config.outcome_function: no row for action profile ('a0', 'a0', 'a1')"),
-        (many_outcomes_cfg(),
-         "config.utilities: no row for (agent, outcome, type) (0, 'x0', 't0')"),
+        pytest.param(
+            wide_mechanism_cfg(),
+            "config.outcome_function: no row for action profile ('a0', 'a0', 'a1')",
+            id="3x80-actions-one-row",
+        ),
+        pytest.param(
+            many_outcomes_cfg(),
+            "config.utilities: no row for (agent, outcome, type) (0, 'x0', 't0')",
+            id="1000-types-and-outcomes-no-utilities",
+        ),
+        *outcome_table_faults(),
     ],
-    ids=["3x80-actions-one-row", "1000-types-and-outcomes-no-utilities"],
 )
 def test_parse_work_is_bounded_by_config_size(tmp_path, capsys, cfg, message):
-    # Row keys are checked label by label and a table is known complete by
-    # its row count, so no profile or (agent, outcome, type) set is built.
+    # A table is read by its rows' positions and known complete by its row
+    # count, so no profile or (agent, outcome, type) set is built; a fault is
+    # named row by row, the first missing profile last.
     path = write_json(tmp_path, "wide.json", cfg)
     main(["analyze", path])  # builds the cached argument parser
     capsys.readouterr()
@@ -1273,35 +1310,32 @@ def test_a_colon_in_a_label_is_read_alike_by_the_checking_decode(tmp_path, monke
 
 
 def test_labor_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
-    # The bid mechanism and the hiring rule are module constants, which keep
-    # their walks; an earlier test may have made them, so drop them first.
-    for mechanism in (labor.MECHANISM, labor.HIRING_RULE):
-        monkeypatch.delitem(vars(mechanism), "walk", raising=False)
     counts = counted(
         monkeypatch,
-        [auditor.direct_game, core._total_table, equilibrium._compile,
+        [auditor.direct_game, core._read_table, equilibrium._compile,
          equilibrium._expost_slice, equilibrium._best_replies, equilibrium._dominant,
-         core._walk_outcomes, core._prior_weights, core._scale_table],
+         core._walk_of, core._prior_weights, core._scale_table],
     )
     assert main(["analyze", labor_cfg(tmp_path)]) == 2
     # The bid game and the direct game, each checked and compiled once. Six
     # ex-post slices: the bid cases read worker 0's 2 in the bid game, and
     # the four report matrices share the direct game's 4 (one per worker and
     # true type), each scanned once for best replies and dominance, which
-    # also give the Nash profiles. Being module constants, the
-    # two mechanisms' outcome tables are not checked (_total_table is not
-    # called), but each is walked once. The two games share one type space,
-    # whose prior is scaled once, and one utility table, also scaled once.
+    # also give the Nash profiles. The bid mechanism and the hiring rule are
+    # module constants, whose outcome tables were read into their walks at
+    # import, so no table is read or walked here. The two games share one
+    # type space, whose prior is scaled once, and one utility table, also
+    # scaled once.
     assert counts == {
         "direct_game": 1, "_compile": 2, "_expost_slice": 6, "_best_replies": 4,
-        "_dominant": 4, "_walk_outcomes": 2, "_prior_weights": 1, "_scale_table": 1,
+        "_dominant": 4, "_prior_weights": 1, "_scale_table": 1,
     }
 
 
 def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
     counts = counted(
         monkeypatch,
-        [labor.build_scenario, auditor.direct_game, core._total_table, equilibrium._interim_rows,
+        [labor.build_scenario, auditor.direct_game, core._read_table, equilibrium._interim_rows,
          labor.check_market],
     )
     grid = {
@@ -1315,7 +1349,7 @@ def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
     # first cost; every cost is priced against that wage's cost-free
     # misreport gains, so no cost builds a game of its own. Every direct game
     # plays the constant hiring rule as its mechanism, so no outcome table
-    # is checked. Each wage computes 4 row sets: each agent's in the bid
+    # is read. Each wage computes 4 row sets: each agent's in the bid
     # game, for its judgement of the separating profile, and each agent's
     # truthful rows, which the direct game keeps for its cost-free gains.
     # The fixed parameters are checked once, for the grid; each wage builds
@@ -1361,16 +1395,16 @@ def test_a_sweep_builds_one_market_and_judges_each_wage_only_on_its_row(
 def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):
     counts = counted(
         monkeypatch,
-        [auditor.direct_game, core._total_table, equilibrium._compile, core._walk_outcomes,
+        [auditor.direct_game, core._read_table, equilibrium._compile, core._walk_of,
          core._prior_weights],
     )
     assert main(["analyze", write_json(tmp_path, "generic.json", two_agent_cfg())]) == 0
-    # Two outcome tables are checked and walked once each: the outcome
-    # function and the rule, which the direct game plays as it is. The game
-    # and the direct game share one type space, whose prior is scaled once.
+    # Two outcome tables are read from their columns into walks once each:
+    # the outcome function and the rule, which the direct game plays as it
+    # is. The game and the direct game share one type space, whose prior is
+    # scaled once.
     assert counts == {
-        "direct_game": 1, "_total_table": 2, "_compile": 2, "_walk_outcomes": 2,
-        "_prior_weights": 1,
+        "direct_game": 1, "_read_table": 2, "_compile": 2, "_walk_of": 2, "_prior_weights": 1,
     }
 
 

@@ -5,6 +5,7 @@ import functools
 import importlib
 import inspect
 import itertools
+import math
 import pkgutil
 import random
 from dataclasses import dataclass, field
@@ -276,6 +277,58 @@ def test_mechanism_table_checks():
         Mechanism((("l", "r"),), {("l",): Outcome("a")})
 
 
+# Outcomes with payloads, which a walk keeps.
+TABLE_OUTCOMES = tuple(Outcome(f"x{k}", (Fraction(k, 3),)) for k in range(3))
+
+
+@st.composite
+def label_tables(draw, agents=None, prefix="a"):
+    """Label lists for 1 to 4 agents (or `agents`), 1 to 3 labels each, and
+    a total table over them of up to 3 outcomes, its rows inserted in a
+    shuffled order."""
+    agents = agents or draw(st.integers(1, 4))
+    label_lists = tuple(
+        tuple(f"{prefix}{i}{k}" for k in range(draw(st.integers(1, 3)))) for i in range(agents)
+    )
+    profiles = draw(st.permutations(list(itertools.product(*label_lists))))
+    outcomes = draw(st.lists(st.sampled_from(TABLE_OUTCOMES), min_size=len(profiles),
+                             max_size=len(profiles)))
+    return label_lists, dict(zip(profiles, outcomes))
+
+
+def brute_force_walk(label_lists, table):
+    """The walk of a table found by brute force: the distinct outcomes in
+    first appearance over `itertools.product`, each profile's outcome
+    position, and each agent's stride, the product of the later agents'
+    label counts."""
+    outcomes, outcome = [], []
+    for profile in itertools.product(*label_lists):
+        if table[profile] not in outcomes:
+            outcomes.append(table[profile])
+        outcome.append(outcomes.index(table[profile]))
+    sizes = [len(labels) for labels in label_lists]
+    strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
+    return tuple(outcomes), outcome, strides
+
+
+def check_read_table(mechanism, label_lists, table):
+    """A mechanism holds the walk brute force finds, and its `outcome_of`
+    is the table, keyed in `itertools.product` order."""
+    walk = mechanism.walk
+    assert (walk.outcomes, walk.outcome, walk.strides) == brute_force_walk(label_lists, table)
+    assert walk.labels == tuple(x.label for x in walk.outcomes)
+    assert mechanism.outcome_of == table
+    assert list(mechanism.outcome_of) == list(itertools.product(*label_lists))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(label_tables())
+def test_a_label_table_reads_into_its_walk_and_back(drawn):
+    label_lists, table = drawn
+    for cls in (Mechanism, SocialChoiceFunction):
+        check_read_table(cls(label_lists, table), label_lists, table)
+
+
 # -- costs and utilities ------------------------------------------------------
 
 
@@ -513,7 +566,7 @@ def test_every_cached_value_takes_the_lock_free_path():
         if isinstance(attr, functools.cached_property)
     }
     assert cached == dict.fromkeys([
-        "TypeSpace.weights", "Mechanism.walk", "UtilityTable.scaled",
+        "TypeSpace.weights", "OutcomeWalk.labels", "Mechanism.outcome_of", "UtilityTable.scaled",
         "BayesianGame._tables", "BayesianGame._truthful_rows",
         "BayesianGame._truthful_witness", "Scenario.rows_of", "Scenario.equilibrium",
         "Scenario.plays_rule", "Scenario.implemented", "Scenario.audit",

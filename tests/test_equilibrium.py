@@ -322,11 +322,12 @@ def test_compiled_engine_matches_reference_engine(seed, shape):
         # Every (agent, type, action); on every ninth profile of the largest games.
         for profile in profiles[:: 1 if len(profiles) <= 81 else 9]:
             for agent in range(game.agent_count):
+                weighted = ref.weighted_opponents(ts, agent)
                 for t in ts.types_of[agent]:
                     for a in mech.actions_of[agent]:
                         assert compiled_payoff(
                             game, profile, agent, t, a
-                        ) == ref.interim(game, profile, agent, t, a)
+                        ) == ref.interim(game, profile, agent, t, a, weighted)
 
 
 # The shapes the declared workload runs, where opponent type profiles
@@ -347,11 +348,12 @@ def test_per_outcome_sums_match_the_reference_engine_on_wide_games(types, action
             for types, acts in zip(ts.types_of, mech.actions_of)
         )
         for agent in range(game.agent_count):
+            weighted = ref.weighted_opponents(ts, agent)
             for t in ts.types_of[agent]:
                 for a in mech.actions_of[agent]:
                     assert compiled_payoff(
                         game, profile, agent, t, a
-                    ) == ref.interim(game, profile, agent, t, a)
+                    ) == ref.interim(game, profile, agent, t, a, weighted)
 
 
 def test_the_search_pivots_on_the_agent_with_the_most_plans(monkeypatch):

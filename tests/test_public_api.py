@@ -71,8 +71,10 @@ def test_the_package_version_is_the_project_version():
     version = re.search(r'^\[project\]$.*?^version = "([^"]+)"$', project, re.DOTALL | re.MULTILINE)
     # 0.3.0 dropped is_bayesian_nash and implements_scf from the exports above;
     # 0.4.0 dropped LaborScenario.judgement, now the scenario record's verdicts;
-    # 0.5.0 dropped LaborScenario.profile, as a scenario labels its plan itself.
-    assert revaudit.__version__ == version.group(1) == "0.5.0"
+    # 0.5.0 dropped LaborScenario.profile, as a scenario labels its plan itself;
+    # 0.6.0 made Mechanism's fields (actions_of, walk), its table read once
+    # into the walk, and `outcome_of` a view built when read.
+    assert revaudit.__version__ == version.group(1) == "0.6.0"
 
 
 def readme_block(heading, language):

@@ -12,6 +12,7 @@ import pytest
 import reference_engine as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_core import TABLE_OUTCOMES, check_read_table, label_tables
 from test_properties import (
     SETTINGS,
     audit_report_from_jsonable,
@@ -239,6 +240,30 @@ def test_parse_generic_scenario():
     profile = _profile(sc.game, sc.plan)
     assert profile == StrategyProfile.from_maps(generic_cfg()["profile"])
     assert [s.action(t) for s, t in zip(profile.strategies, ("hi", "m"))] == ["H", "z"]
+
+
+@settings(SETTINGS, max_examples=50)
+@given(st.data())
+def test_a_shuffled_config_reads_each_outcome_table_into_its_walk(data):
+    actions_of, mechanism = data.draw(label_tables())
+    types_of, rule = data.draw(label_tables(len(actions_of), "t"))
+    cfg = {
+        "kind": "generic",
+        "types": [list(types) for types in types_of],
+        "actions": [list(actions) for actions in actions_of],
+        "outcomes": [
+            {"label": x.label, "payload": [str(v) for v in x.payload]} for x in TABLE_OUTCOMES
+        ],
+        "outcome_function": [{"actions": list(p), "outcome": x.label} for p, x in mechanism.items()],
+        "rule": [{"types": list(p), "outcome": x.label} for p, x in rule.items()],
+        "utilities": [
+            {"agent": i, "outcome": x.label, "type": t, "value": 0}
+            for i, types in enumerate(types_of) for x in TABLE_OUTCOMES for t in types
+        ],
+    }
+    scenario = parse_generic_scenario(cfg)
+    check_read_table(scenario.game.mechanism, actions_of, mechanism)
+    check_read_table(scenario.direct.mechanism, types_of, rule)
 
 
 def test_parse_generic_defaults_to_uniform_prior():
