@@ -27,7 +27,7 @@ from .labor import (
     check_cell,
     check_separating_equilibrium,
     check_truthful_reporting,
-    in_wage_window,
+    wage_window,
 )
 from .serialize import (
     SWEEP_COLUMNS,
@@ -157,37 +157,39 @@ def _bool_cell(value: bool) -> str:
 
 
 def _sweep_rows(w_values, c_mis_values, fixed):
-    """Each (w, c_mis) cell's row, in grid order. A cell checks only its
-    wage and cost (`check_cell`); the grid's `fixed` parameters were checked
-    once, by `parse_sweep_grid`. So a wage builds its `LaborParams` from
-    checked parts, builds its scenario and judges the separating profile
-    once, at its first valid cost; from then on each cost is checked and
-    priced by `LaborScenario.truthful_at`. No row prints the audit's other
-    families, so none is audited. Each wage and each cost is written as
-    text once."""
+    """Each (w, c_mis) cell's row, in grid order, built once with its values
+    in `SWEEP_COLUMNS` order. A cell checks only its wage and cost
+    (`check_cell`, two int tests); the grid's `fixed` parameters were
+    checked once, by `parse_sweep_grid`. The wage window depends on those
+    alone, so it is taken once per grid, at the first wage that builds a
+    scenario. A wage builds its `LaborParams` from checked parts, builds its
+    scenario, and writes its `in_window` and `separating_is_bne` texts once,
+    at its first valid cost; from then on each cost is checked and priced by
+    `LaborScenario.truthful_at`, one int comparison. No row prints the
+    audit's other families, so none is audited. Each wage and each cost is
+    written as text once."""
     theta_L, theta_H, e_H, prior_high = (fixed.get(f.name, f.default) for f in SWEEP_FIXED)
     costs = [(c_mis, rational_str(c_mis)) for c_mis in c_mis_values]
+    window = None
     for w in w_values:
-        w_text, scenario = rational_str(w), None
+        blank, scenario = dict.fromkeys(SWEEP_COLUMNS, ""), None
+        blank["w"] = rational_str(w)
         for c_mis, c_text in costs:
-            row = dict.fromkeys(SWEEP_COLUMNS, "")
-            row.update(w=w_text, c_mis=c_text)
             # A bad cell (say w <= 0) records its error and the scan moves on.
             try:
                 if scenario is None:
                     check_cell(w, c_mis)
                     params = _checked(LaborParams, theta_L, theta_H, e_H, w, c_mis, prior_high)
                     scenario = build_scenario(params)
-                    in_window = _bool_cell(in_wage_window(params))
+                    lo, hi = window = window or wage_window(params)
+                    judged = dict(blank, in_window=_bool_cell(lo < w < hi))
+                    judged["separating_is_bne"] = _bool_cell(scenario.equilibrium)
                 truthful = scenario.truthful_at(c_mis)
-                row.update(
-                    in_window=in_window,
-                    separating_is_bne=_bool_cell(scenario.equilibrium),
-                    truthful_is_bne=_bool_cell(truthful),
-                    violation=_bool_cell(scenario.implemented and not truthful),
-                )
+                violation = scenario.implemented and not truthful
+                row = dict(judged, c_mis=c_text, truthful_is_bne=_bool_cell(truthful),
+                           violation=_bool_cell(violation))
             except GameModelError as exc:
-                row["error"] = exc.problem
+                row = dict(blank, c_mis=c_text, error=exc.problem)
             yield row
 
 

@@ -237,11 +237,18 @@ class TypeSpace:
         check_denominators([p for pr in priors for p in pr.values()], ("priors",))
         for i, pr in enumerate(priors):
             unit = math.lcm(*[p.denominator for p in pr.values()])
-            if sum(_scaled(p, unit) for p in pr.values()) != unit:
+            if sum(p.numerator * (unit // p.denominator) for p in pr.values()) != unit:
                 problem = f"probabilities must sum to 1, got {sum(pr.values())}"
                 raise ConstructionError(problem, ("priors", i))
         object.__setattr__(self, "types_of", types_of)
         object.__setattr__(self, "prior_of", priors)
+
+    @cached_property
+    def positions(self) -> list[dict[str, int]]:
+        """Each agent's map from a type label to its position, built on
+        first read and kept with the type space, so a game and its direct
+        game share one copy."""
+        return [{t: k for k, t in enumerate(types)} for types in self.types_of]
 
     @cached_property
     def weights(self) -> "PriorWeights":
@@ -303,19 +310,18 @@ class PriorWeights:
     total: tuple[int, ...]
 
 
-def _scaled(value: Fraction, unit: int) -> int:
-    """`value * unit` as an int, for a unit that `value`'s denominator divides."""
-    return value.numerator * (unit // value.denominator)
-
-
 def _prior_weights(ts: TypeSpace) -> PriorWeights:
-    units = [math.lcm(*[p.denominator for p in prior.values()]) for prior in ts.prior_of]
-    of = tuple(
-        tuple(_scaled(prior[t], unit) for t in types)
-        for types, prior, unit in zip(ts.types_of, ts.prior_of, units)
-    )
+    """The checked prior of `ts` as ints, built from checked parts
+    (`_checked`). A prior `p` times a unit its denominator divides is the
+    int `p.numerator * (unit // p.denominator)`, computed inline."""
+    of, units = [], []
+    for types, prior in zip(ts.types_of, ts.prior_of):
+        ps = [prior[t] for t in types]
+        unit = math.lcm(*[p.denominator for p in ps])
+        of.append(tuple([p.numerator * (unit // p.denominator) for p in ps]))
+        units.append(unit)
     everyone = math.prod(units)
-    return PriorWeights(of, tuple(everyone // unit for unit in units))
+    return _checked(PriorWeights, tuple(of), tuple([everyone // unit for unit in units]))
 
 
 @dataclass(frozen=True)
@@ -433,6 +439,12 @@ class Mechanism:
     @property
     def agent_count(self) -> int:
         return len(self.actions_of)
+
+    @cached_property
+    def positions(self) -> list[dict[str, int]]:
+        """Each agent's map from an action label to its position, built on
+        first read and kept with the mechanism."""
+        return [{a: k for k, a in enumerate(actions)} for actions in self.actions_of]
 
     @cached_property
     def outcome_of(self) -> dict[tuple[str, ...], Outcome]:
@@ -561,5 +573,8 @@ class ScaledTable:
 
 
 def _scale_table(table: dict[tuple[int, str, str], Fraction]) -> ScaledTable:
+    """A checked table on the LCM of its denominators, each entry scaled
+    inline as in `_prior_weights`, built from checked parts (`_checked`)."""
     unit = math.lcm(*[v.denominator for v in table.values()])
-    return ScaledTable(unit, {key: _scaled(v, unit) for key, v in table.items()})
+    of = {key: v.numerator * (unit // v.denominator) for key, v in table.items()}
+    return _checked(ScaledTable, unit, of)

@@ -9,7 +9,9 @@ LCM of its denominators, shared by a game and its direct game. A utility
 table scales its entries once (`UtilityTable.scaled`), to ints on the LCM
 of its denominators, also shared by a game and its direct game. A game
 brings those ints and its strategic costs to one LCM (`_Tables`) with one
-int factor per utility. An interim row sums, for each own action,
+int factor per utility, placing each cost by the label positions its type
+space and mechanism keep (`positions`), which only a game with strategic
+costs reads. An interim row sums, for each own action,
 the opponents' prior weight on each outcome that action reaches, then takes
 one sum over those outcomes per own type. Equilibrium conditions are weak
 inequalities between Python ints, and a reported payoff or gain is the exact
@@ -50,7 +52,6 @@ from .core import (
     _check_label,
     _checked,
     _is_label,
-    _scaled,
     cached_property,
     check_agent_count,
 )
@@ -203,26 +204,30 @@ class _Tables:
 
 
 def _compile(game: BayesianGame) -> _Tables:
+    """The game's `_Tables`, built from checked parts (`_checked`): the
+    game's parts were checked when it was built. Each cost is scaled inline
+    to its agent's scale, which its denominator divides:
+    `v.numerator * (scale[i] // v.denominator)`. Costs are sparse with
+    default 0, so only the entries present are filled, each at the positions
+    of its type and action: `TypeSpace.positions` and `Mechanism.positions`,
+    dicts built on first read and kept with their owners, so a game without
+    strategic costs builds neither, a game and its direct game share the
+    type positions, and a mechanism shared by many games builds its action
+    positions once. The dicts keep a game at the action cap linear, where a
+    scan with `.index` per entry would not be."""
     mech, ts = game.mechanism, game.type_space
     labels, total = mech.walk.labels, ts.weights.total
     scaled, strategic = game.utilities.scaled, game.costs.strategic
     unit = math.lcm(scaled.unit, *[v.denominator for v in strategic.values()])
     # Each utility is on the table's unit, which divides the game's.
-    factor, table = unit // scaled.unit, scaled.of
-    utility = [
-        [[table[i, x, t] * factor for x in labels] for t in types]
-        for i, types in enumerate(ts.types_of)
-    ]
-    # Costs are sparse with default 0: only the entries present are filled.
-    cost = [
-        [[0] * len(actions) for _ in types] for types, actions in zip(ts.types_of, mech.actions_of)
-    ]
-    types_at = [{t: k for k, t in enumerate(types)} for types in ts.types_of]
-    actions_at = [{a: k for k, a in enumerate(actions)} for actions in mech.actions_of]
+    factor, table, scale = unit // scaled.unit, scaled.of, [unit * n for n in total]
+    utility, cost = [], []
+    for i, (types, actions) in enumerate(zip(ts.types_of, mech.actions_of)):
+        utility.append([[table[i, x, t] * factor for x in labels] for t in types])
+        cost.append([[0] * len(actions) for _ in types])
     for (i, a, t), v in strategic.items():
-        if v:
-            cost[i][types_at[i][t]][actions_at[i][a]] = _scaled(v, unit) * total[i]
-    return _Tables(utility=utility, cost=cost, scale=[unit * n for n in total])
+        cost[i][ts.positions[i][t]][mech.positions[i][a]] = v.numerator * (scale[i] // v.denominator)
+    return _checked(_Tables, utility, cost, scale)
 
 
 def _plan(game: BayesianGame, profile: StrategyProfile) -> list[list[int]]:

@@ -104,10 +104,11 @@ def check_market(
 def check_cell(w: Fraction, c_mis: Fraction) -> None:
     """The LaborParams rules on the wage and the misreporting cost: the
     parameters a sweep sets per cell. A fault's location is the parameter it
-    names, the wage first."""
-    if w <= 0:
+    names, the wage first. Both are Fractions, whose denominators are
+    positive, so each sign is read as an int test on the numerator."""
+    if w.numerator <= 0:
         raise ConstructionError(f"wage must be positive, got {w}", ("w",))
-    if c_mis < 0:
+    if c_mis.numerator < 0:
         raise ConstructionError(f"misreporting cost must be non-negative, got {c_mis}", ("c_mis",))
 
 
@@ -217,11 +218,14 @@ class LaborScenario(Scenario):
 
     def truthful_at(self, c_mis: Fraction) -> bool:
         """Is truth-telling an equilibrium of the direct game at misreporting
-        cost c_mis? A cost `LaborParams` refuses (a negative one) is refused
-        with the same message and location, by `check_cell`."""
+        cost c_mis, that is, is c_mis at least `break_even`? A cost
+        `LaborParams` refuses (a negative one) is refused with the same
+        message and location, by `check_cell`. Both denominators are
+        positive, so the two Fractions compare as one int cross-product."""
         c_mis = as_rational(c_mis, "c_mis")
         check_cell(self.params.w, c_mis)
-        return self.break_even is not None and c_mis >= self.break_even
+        b = self.break_even
+        return b is not None and c_mis.numerator * b.denominator >= b.numerator * c_mis.denominator
 
 
 def build_scenario(params: LaborParams) -> LaborScenario:

@@ -442,6 +442,8 @@ def test_regression_parts_equal_the_checking_constructors_parts(seed):
             scf = auditor._rule_scf(game, _rule(game, plan))
             assert same_parts(ref.induced_scf(game, _profile(game, plan)), scf)
             equilibria += 1
+        # The search compiled the game; a game without costs reads no positions.
+        assert "positions" not in vars(ts) and "positions" not in vars(mech)
     assert equilibria == zero_cost_regression(200, seed).equilibria_checked
 
 

@@ -1368,11 +1368,12 @@ def test_a_sweep_builds_one_market_and_judges_each_wage_only_on_its_row(
     counts = counted(
         monkeypatch,
         [core._prior_weights, labor.check_market, equilibrium._interim_rows,
-         equilibrium._implements, auditor._audit, equilibrium._largest_gain],
+         equilibrium._implements, auditor._audit, equilibrium._largest_gain, labor.wage_window],
     )
     path = write_json(tmp_path, "grid.json", SWEEP_GRID)
     # 9 wages x 6 costs, 7 of the wages valid. The grid checks its fixed
-    # parameters once; each valid wage builds its LaborParams and its type
+    # parameters once, and takes its wage window, which depends on them
+    # alone, once; each valid wage builds its LaborParams and its type
     # space from checked parts, and scales that type space's prior once for
     # its two games. Each valid wage reads 4 row sets: its bid game's 2
     # under the separating profile, and its direct game's 2 under
@@ -1383,7 +1384,7 @@ def test_a_sweep_builds_one_market_and_judges_each_wage_only_on_its_row(
     # sought.
     expected = Counter(
         _prior_weights=7, check_market=1, _interim_rows=28, _implements=0, _audit=0,
-        _largest_gain=0,
+        _largest_gain=0, wage_window=1,
     )
     for _ in range(2):
         counts.clear()

@@ -566,7 +566,8 @@ def test_every_cached_value_takes_the_lock_free_path():
         if isinstance(attr, functools.cached_property)
     }
     assert cached == dict.fromkeys([
-        "TypeSpace.weights", "OutcomeWalk.labels", "Mechanism.outcome_of", "UtilityTable.scaled",
+        "TypeSpace.weights", "TypeSpace.positions", "OutcomeWalk.labels", "Mechanism.outcome_of",
+        "Mechanism.positions", "UtilityTable.scaled",
         "BayesianGame._tables", "BayesianGame._truthful_rows",
         "BayesianGame._truthful_witness", "Scenario.rows_of", "Scenario.equilibrium",
         "Scenario.plays_rule", "Scenario.implemented", "Scenario.audit",

@@ -11,7 +11,10 @@ the first enumerated profile): one golden for each source of the profile.
 The sweep oracle recomputes every cell's violation the long way, from the
 reference engine's verdicts on that cell's own bid and direct games and from
 the window's closed form, where the sweep shares one scenario and judgement
-across a wage's costs, and compares it with the row the sweep prints."""
+across a wage's costs, and compares it with the row the sweep prints. A
+second oracle reads each cell's own scenario with Fraction comparisons only
+(`in_wage_window` and `c_mis >= break_even`), where the sweep compares ints
+and takes the window once per grid."""
 
 import json
 import os
@@ -27,7 +30,14 @@ import reference_engine as ref
 from revaudit.cli import main
 from revaudit.core import GameModelError, rational_str
 from revaudit.equilibrium import StrategyProfile
-from revaudit.labor import HIRING_RULE, SEPARATING_PROFILE, TYPES, LaborParams, build_scenario
+from revaudit.labor import (
+    HIRING_RULE,
+    SEPARATING_PROFILE,
+    TYPES,
+    LaborParams,
+    build_scenario,
+    in_wage_window,
+)
 from test_cli import pennies_cfg, signal_config, swapped_rule_cfg, two_agent_cfg
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -122,8 +132,37 @@ def test_one_process_answers_like_fresh_processes(tmp_path, capsys, monkeypatch)
 TRUTHFUL_PROFILE = StrategyProfile.from_maps([{t: t for t in TYPES}] * 2)
 
 
-def oracle_row(w, c_mis, fixed):
-    """The sweep row derived by the reference engine, violation inline."""
+def reference_verdicts(params, scenario):
+    """The cell's verdicts from the reference engine, violation inline, and
+    its window from the closed form."""
+    game = scenario.game
+    separating = ref.is_bayesian_nash(game, SEPARATING_PROFILE).is_equilibrium
+    implements = ref.induced_scf(game, SEPARATING_PROFILE) == HIRING_RULE
+    truthful = ref.is_bayesian_nash(scenario.direct, TRUTHFUL_PROFILE).is_equilibrium
+    lo, hi = 2 * params.e_H / params.theta_H, 2 * params.e_H / params.theta_L
+    return {
+        "in_window": lo < params.w < hi,
+        "separating_is_bne": separating,
+        "truthful_is_bne": truthful,
+        "violation": separating and implements and not truthful,
+    }
+
+
+def fraction_verdicts(params, scenario):
+    """The cell's verdicts read from its own scenario with Fraction
+    comparisons: its own window test and its own break-even cost."""
+    truthful = scenario.break_even is not None and params.c_mis >= scenario.break_even
+    return {
+        "in_window": in_wage_window(params),
+        "separating_is_bne": scenario.equilibrium,
+        "truthful_is_bne": truthful,
+        "violation": scenario.implemented and not truthful,
+    }
+
+
+def oracle_row(w, c_mis, fixed, verdicts=reference_verdicts):
+    """The sweep row of a cell built on its own, with the `verdicts` of its
+    own scenario."""
     row = {"w": rational_str(w), "c_mis": rational_str(c_mis), "in_window": "",
            "separating_is_bne": "", "truthful_is_bne": "", "violation": "", "error": ""}
     try:
@@ -131,28 +170,31 @@ def oracle_row(w, c_mis, fixed):
     except GameModelError as exc:
         row["error"] = exc.problem  # the row names the cell's w and c_mis itself
         return row
-    scenario = build_scenario(params)
-    game = scenario.game
-    separating = ref.is_bayesian_nash(game, SEPARATING_PROFILE).is_equilibrium
-    implements = ref.induced_scf(game, SEPARATING_PROFILE) == HIRING_RULE
-    truthful = ref.is_bayesian_nash(scenario.direct, TRUTHFUL_PROFILE).is_equilibrium
-    lo, hi = 2 * params.e_H / params.theta_H, 2 * params.e_H / params.theta_L
-    cells = {
-        "in_window": lo < params.w < hi,
-        "separating_is_bne": separating,
-        "truthful_is_bne": truthful,
-        "violation": separating and implements and not truthful,
-    }
+    cells = verdicts(params, build_scenario(params))
     row.update({k: "true" if v else "false" for k, v in cells.items()})
     return row
 
 
-@pytest.mark.parametrize("prior_high", [None, "1/10", "9/10"])
-def test_sweep_matches_inline_violation_oracle(tmp_path, capsys, prior_high):
+# The golden grid, widened, at three priors; and a grid whose first wage (0)
+# and first cost (negative) are invalid, at a skewed prior, so the first cell
+# that builds a scenario is the second wage's second cost, and a window or a
+# wage's texts taken from any other cell shows in a row.
+ORACLE_W, ORACLE_C = SWEEP_W + ["3"], SWEEP_C + ["3/2"]
+LATE_W = ["0", "3/2", "-1", "1", "5/2", "19/10", "101/100", "2"]
+LATE_C = ["-1/2", "3/4", "0", "1/2", "1", "-1", "5/4"]
+
+
+@pytest.mark.parametrize(
+    "w_values, c_mis_values, prior_high",
+    [(ORACLE_W, ORACLE_C, None), (ORACLE_W, ORACLE_C, "1/10"), (ORACLE_W, ORACLE_C, "9/10"),
+     (LATE_W, LATE_C, "1/3")],
+    ids=["None", "1/10", "9/10", "first-cell-builds-late"],
+)
+def test_sweep_matches_inline_violation_oracle(tmp_path, capsys, w_values, c_mis_values, prior_high):
     grid = {
         "kind": "sweep",
-        "w_values": SWEEP_W + ["3"],
-        "c_mis_values": SWEEP_C + ["3/2"],
+        "w_values": w_values,
+        "c_mis_values": c_mis_values,
         "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1},
     }
     fixed = {"theta_L": Fraction(1), "theta_H": Fraction(2), "e_H": Fraction(1)}
@@ -161,12 +203,9 @@ def test_sweep_matches_inline_violation_oracle(tmp_path, capsys, prior_high):
         fixed["prior_high"] = Fraction(prior_high)
     assert main(["sweep", write_json(tmp_path, grid), "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
-    expected = [
-        oracle_row(Fraction(w), Fraction(c), fixed)
-        for w in grid["w_values"]
-        for c in grid["c_mis_values"]
-    ]
-    assert rows == expected
+    cells = [(Fraction(w), Fraction(c)) for w in grid["w_values"] for c in grid["c_mis_values"]]
+    assert rows == [oracle_row(w, c, fixed) for w, c in cells]
+    assert rows == [oracle_row(w, c, fixed, fraction_verdicts) for w, c in cells]
     # The grid reaches every verdict the columns can take.
     assert {r["violation"] for r in rows} == {"true", "false", ""}
     assert {r["in_window"] for r in rows} == {"true", "false", ""}

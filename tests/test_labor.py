@@ -136,7 +136,9 @@ def check_built_parts(p):
     the checking constructors must accept the same fields and build equal
     games, and an equal direct game of the hiring rule. Whether the
     separating plan plays that rule is a class constant, found once, when
-    the module loads; the market's own play-out must agree with it."""
+    the module loads; the market's own play-out must agree with it.
+    `truthful_at` compares ints; the Fraction comparison with `break_even`
+    is its oracle, at that cost, just below it and at 0."""
     scenario = build_scenario(p)
     game = scenario.game
     ts, mech, costs = game.type_space, game.mechanism, game.costs
@@ -149,6 +151,9 @@ def check_built_parts(p):
     assert same_parts(game, checked), p
     assert same_parts(scenario.direct, direct_game(checked, HIRING_RULE)), p
     assert _implements(game, scenario.plan, scenario.direct.mechanism) is scenario.plays_rule, p
+    least = scenario.break_even  # no free misreport gains in a labor market
+    for c_mis in (least, least * Fraction(999_999, 1_000_000), Fraction(0)):
+        assert scenario.truthful_at(c_mis) is (c_mis >= least), (p, c_mis)
 
 
 # The canonical market, skewed priors, both edges of the wage window (1, 2).
