@@ -160,17 +160,21 @@ def _sweep_rows(w_values, c_mis_values, fixed):
     """Each (w, c_mis) cell's row, in grid order, built once with its values
     in `SWEEP_COLUMNS` order. A cell checks only its wage and cost
     (`check_cell`, two int tests); the grid's `fixed` parameters were
-    checked once, by `parse_sweep_grid`. The wage window depends on those
-    alone, so it is taken once per grid, at the first wage that builds a
-    scenario. A wage builds its `LaborParams` from checked parts, builds its
-    scenario, and writes its `in_window` and `separating_is_bne` texts once,
-    at its first valid cost; from then on each cost is checked and priced by
-    `LaborScenario.truthful_at`, one int comparison. No row prints the
-    audit's other families, so none is audited. Each wage and each cost is
-    written as text once."""
+    checked once, by `parse_sweep_grid`. Every wage builds its scenario at
+    its first valid cost, and `check_cell` refuses a bad wage before its
+    cost, so every valid wage builds at the same cost. The first valid wage
+    builds the grid's market, `build_scenario` of its `LaborParams`, made
+    from checked parts, and takes the wage window, which depends on the
+    fixed parameters alone. Every later wage is built from that market
+    (`LaborScenario.at_wage`), sharing its type space, costs and report
+    prices. A wage writes its `in_window` and `separating_is_bne` texts
+    once, at its first valid cost; from then on each cost is checked and
+    priced by `LaborScenario.truthful_at`, one int comparison. No row prints
+    the audit's other families, so none is audited. Each wage and each cost
+    is written as text once."""
     theta_L, theta_H, e_H, prior_high = (fixed.get(f.name, f.default) for f in SWEEP_FIXED)
     costs = [(c_mis, rational_str(c_mis)) for c_mis in c_mis_values]
-    window = None
+    market = None
     for w in w_values:
         blank, scenario = dict.fromkeys(SWEEP_COLUMNS, ""), None
         blank["w"] = rational_str(w)
@@ -179,9 +183,10 @@ def _sweep_rows(w_values, c_mis_values, fixed):
             try:
                 if scenario is None:
                     check_cell(w, c_mis)
-                    params = _checked(LaborParams, theta_L, theta_H, e_H, w, c_mis, prior_high)
-                    scenario = build_scenario(params)
-                    lo, hi = window = window or wage_window(params)
+                    if market is None:
+                        params = _checked(LaborParams, theta_L, theta_H, e_H, w, c_mis, prior_high)
+                        lo, hi = wage_window(params)
+                    scenario = market.at_wage(w) if market else (market := build_scenario(params))
                     judged = dict(blank, in_window=_bool_cell(lo < w < hi))
                     judged["separating_is_bne"] = _bool_cell(scenario.equilibrium)
                 truthful = scenario.truthful_at(c_mis)

@@ -151,51 +151,64 @@ def misreport_costs(c_mis: Fraction) -> dict[tuple[int, str, str], Fraction]:
     return {key: c_mis if key in PRICED_MISREPORTS else Fraction(0) for key in MISREPORTS}
 
 
-def _bid_game(params: LaborParams) -> BayesianGame:
-    """Wire the labor market into the generic game model (its mechanism is
-    a module constant). A worker's utility of an outcome is its share of the
-    wage at either type; the high bid costs e_H / theta. Each distinct value
-    is computed once: the wage times each share, and each type's bid cost.
+def _games(params: LaborParams, market: LaborScenario | None = None) -> list[BayesianGame]:
+    """The market's bid game, wired into the generic game model (its
+    mechanism is a module constant), and the direct game of its hiring rule.
+    A worker's utility of an outcome is its share of the wage at either
+    type; the high bid costs e_H / theta. Each distinct value is computed
+    once: the wage times each share, and each type's bid cost.
 
-    The type space, utilities, costs and game are built from checked parts
+    Only the utilities depend on the wage. Given the `market` scenario of
+    the same fixed parameters and misreporting cost at another wage, each of
+    its two games is built again with these utilities, keeping its
+    mechanism, type space and costs as they are: the direct game keeps its
+    fit to the rule, which no wage changes. Otherwise the rule is fitted by
+    `direct_game`, which checks it as it checks any.
+
+    The type space, utilities, costs and games are built from checked parts
     (`_checked`): a checked `LaborParams` makes every rule their
     constructors check hold. The labels are `TYPES` and `BIDS`, the prior is
     checked, every (worker, outcome, type) has a utility, and the costs are
     non-negative, on declared keys, and none on an honest report. Only each
     table's denominators are still bounded, read from its distinct values
     and located as the constructors locate them."""
+    wage = [share * params.w for share in WAGE_SHARES]
+    check_denominators(wage, ("utilities",))
+    utilities = _checked(UtilityTable, {(i, x, t): wage[k] for i, x, k in PAID for t in TYPES})
+    if market is not None:
+        return [_checked(BayesianGame, g.mechanism, g.type_space, utilities, g.costs)
+                for g in (market.game, market.direct)]
     prior = {TYPE_LOW: 1 - params.prior_high, TYPE_HIGH: params.prior_high}
     type_space = _checked(TypeSpace, (TYPES, TYPES), (prior, prior))
-    wage = [share * params.w for share in WAGE_SHARES]
     bid_cost = {t: params.e_H / theta for t, theta in zip(TYPES, (params.theta_L, params.theta_H))}
     misreport = misreport_costs(params.c_mis)
-    check_denominators(wage, ("utilities",))
     check_denominators(bid_cost.values(), ("strategic_costs",))
     check_denominators(misreport.values(), ("misreport_costs",))
-    utilities = {(i, x, t): wage[k] for i, x, k in PAID for t in TYPES}
     strategic = {(i, BID_HIGH, t): bid_cost[t] for i in (0, 1) for t in TYPES}
     costs = _checked(CostModel, strategic, misreport)
-    return _checked(BayesianGame, MECHANISM, type_space, _checked(UtilityTable, utilities), costs)
+    game = _checked(BayesianGame, MECHANISM, type_space, utilities, costs)
+    return [game, direct_game(game, HIRING_RULE)]
 
 
 # Every scenario's bid game plays MECHANISM over TYPES, so the separating
 # profile is one plan in all of them, checked once, in one of them; and
 # whether that plan plays HIRING_RULE out is one answer for all of them.
-_BID_GAME = _bid_game(LaborParams(1, 2, 1, 1))
+_BID_GAME = _games(LaborParams(1, 2, 1, 1))[0]
 SEPARATING_PLAN = _plan(_BID_GAME, SEPARATING_PROFILE)
 
 
 @dataclass(frozen=True)
 class LaborScenario(Scenario):
     """A labor market's `Scenario`: the bid game and the direct game of the
-    hiring rule, each built once by `build_scenario` and read by every check
-    of the scenario, with the separating plan, `SEPARATING_PLAN`, to audit.
-    The direct game's mechanism is the rule, `HIRING_RULE`, and whether the
-    plan plays it is one answer for every market: `plays_rule` is a class
-    constant, played out once, when the module loads, in `_BID_GAME`, so no
-    scenario plays it out. Labor `analyze` and the proof-chain criterion of
-    `reproduce-paper` read the audit; the separating report and a sweep read
-    only its rows and verdicts."""
+    hiring rule, each built once, by `build_scenario` or `at_wage`, and read
+    by every check of the scenario, with the separating plan,
+    `SEPARATING_PLAN`, to audit. The direct game's mechanism is the rule,
+    `HIRING_RULE`, and whether the plan plays it is one answer for every
+    market: `plays_rule` is a class constant, played out once, when the
+    module loads, in `_BID_GAME`, so no scenario plays it out. Labor
+    `analyze` and the proof-chain criterion of `reproduce-paper` read the
+    audit; the separating report and a sweep read only its rows and
+    verdicts."""
 
     params: LaborParams
     plays_rule = _implements(_BID_GAME, SEPARATING_PLAN, HIRING_RULE)
@@ -227,13 +240,23 @@ class LaborScenario(Scenario):
         b = self.break_even
         return b is not None and c_mis.numerator * b.denominator >= b.numerator * c_mis.denominator
 
+    def at_wage(self, w: Fraction) -> LaborScenario:
+        """The scenario of these parameters at wage w, equal to
+        `build_scenario` of them: only its `LaborParams`, built from checked
+        parts once `check_cell` passes, its utilities and its two games are
+        new. The type space, with its prior weights and positions, the cost
+        schedule and the report prices are this scenario's own (`_games`).
+        A sweep builds every wage of its grid after the first this way."""
+        p, w = self.params, as_rational(w, "w")
+        check_cell(w, p.c_mis)
+        params = _checked(LaborParams, p.theta_L, p.theta_H, p.e_H, w, p.c_mis, p.prior_high)
+        return LaborScenario(*_games(params, self), SEPARATING_PLAN, params)
+
 
 def build_scenario(params: LaborParams) -> LaborScenario:
-    """The market's bid game (`_bid_game`) and the direct game of its hiring
-    rule, which checks the rule as it checks any, with the separating plan
-    to audit."""
-    game = _bid_game(params)
-    return LaborScenario(game, direct_game(game, HIRING_RULE), SEPARATING_PLAN, params)
+    """The market's bid game and the direct game of its hiring rule
+    (`_games`), with the separating plan to audit."""
+    return LaborScenario(*_games(params), SEPARATING_PLAN, params)
 
 
 def wage_window(params: LaborParams) -> tuple[Fraction, Fraction]:

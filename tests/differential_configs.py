@@ -5,8 +5,9 @@ difference in exit code, stdout or stderr.
 
 OLD_SRC and NEW_SRC are directories that hold a `revaudit` package (a
 checkout's `src`). The replay writes N configs, a quarter labor, a quarter
-sweep grids and half generic games, each mutated at up to three places (a
-value replaced, a field or row dropped or duplicated, a field added), and
+sweep grids (from two base grids in turn) and half generic games, each
+mutated at up to three places (a value replaced, a field or row dropped or
+duplicated, a field added), and
 half of them written with one change to the text that `json.dumps` never
 makes (a key repeated in one object at any depth, a `:` in a string, plain
 or escaped, or spaced colons). Each
@@ -38,6 +39,15 @@ SWEEP = {
     "w_values": ["1", "3/2", "19/10"],
     "c_mis_values": ["0", "1/2", 1],
     "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1, "prior_high": "1/3"},
+}
+# A second grid, used on alternate sweep configs: its first wage and its
+# first cost are refused, so the wage that builds the grid's market comes
+# late, and every later wage is built from that market.
+SWEEP_LATE = {
+    "kind": "sweep",
+    "w_values": ["0", "3/2", "5/2", "1", "9/2", "19/10"],
+    "c_mis_values": ["-1/2", "0", "1/2", "3/4", "2"],
+    "fixed": {"theta_L": "1/2", "theta_H": 2, "e_H": 1, "prior_high": "9/10"},
 }
 # Values a mutation may write: every JSON type, bad and edge-case literals,
 # among them the edges of the plain "p/q" reading: a sign, leading zeros, a
@@ -176,7 +186,8 @@ def jobs(count: int, seed: int, workdir: str) -> list[list[str]]:
     for k in range(count):
         rng = random.Random(f"{seed}-{k}")
         kind = ("labor", "sweep", "generic", "generic")[k % 4]
-        base = {"labor": LABOR, "sweep": SWEEP}.get(kind) or generic_config(rng)
+        sweep = (SWEEP, SWEEP_LATE)[k // 4 % 2]
+        base = {"labor": LABOR, "sweep": sweep}.get(kind) or generic_config(rng)
         path = os.path.join(workdir, f"{k:05d}-{kind}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text_of(mutate(base, rng), rng))

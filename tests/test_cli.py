@@ -1345,18 +1345,20 @@ def test_sweep_checks_no_outcome_table_per_cell(tmp_path, monkeypatch, capsys):
         "fixed": {"theta_L": 1, "theta_H": 2, "e_H": 1},
     }
     assert main(["sweep", write_json(tmp_path, "grid.json", grid)]) == 0
-    # Each wage builds its scenario, and so its one direct game, once, at its
-    # first cost; every cost is priced against that wage's cost-free
-    # misreport gains, so no cost builds a game of its own. Every direct game
-    # plays the constant hiring rule as its mechanism, so no outcome table
-    # is read. Each wage computes 4 row sets: each agent's in the bid
-    # game, for its judgement of the separating profile, and each agent's
-    # truthful rows, which the direct game keeps for its cost-free gains.
-    # The fixed parameters are checked once, for the grid; each wage builds
-    # its LaborParams from checked parts, and a cell checks only its wage and
-    # cost.
+    # The first wage builds the grid's market, and so the one direct game
+    # that fits the rule, once, at its first cost. Each later wage builds
+    # its two games from that market's, with its own utilities, keeping the
+    # direct game's fit to the rule, which no wage changes. Every cost is
+    # priced against its wage's cost-free misreport gains, so no cost builds
+    # a game of its own. Every direct game plays the constant hiring rule as
+    # its mechanism, so no outcome table is read. Each wage computes 4 row
+    # sets: each agent's in the bid game, for its judgement of the separating
+    # profile, and each agent's truthful rows, which the direct game keeps
+    # for its cost-free gains. The fixed parameters are checked once, for the
+    # grid; each wage builds its LaborParams from checked parts, and a cell
+    # checks only its wage and cost.
     assert counts == {
-        "build_scenario": 3, "direct_game": 3, "_interim_rows": 12, "check_market": 1,
+        "build_scenario": 1, "direct_game": 1, "_interim_rows": 12, "check_market": 1,
     }
 
 
@@ -1368,29 +1370,63 @@ def test_a_sweep_builds_one_market_and_judges_each_wage_only_on_its_row(
     counts = counted(
         monkeypatch,
         [core._prior_weights, labor.check_market, equilibrium._interim_rows,
-         equilibrium._implements, auditor._audit, equilibrium._largest_gain, labor.wage_window],
+         equilibrium._implements, auditor._audit, equilibrium._largest_gain, labor.wage_window,
+         labor.build_scenario],
     )
     path = write_json(tmp_path, "grid.json", SWEEP_GRID)
     # 9 wages x 6 costs, 7 of the wages valid. The grid checks its fixed
     # parameters once, and takes its wage window, which depends on them
-    # alone, once; each valid wage builds its LaborParams and its type
-    # space from checked parts, and scales that type space's prior once for
-    # its two games. Each valid wage reads 4 row sets: its bid game's 2
-    # under the separating profile, and its direct game's 2 under
-    # truth-telling, for the break-even cost. Whether the separating profile
-    # plays the rule out is one answer for every wage, found when the module
-    # loads, so no wage plays it out. No row prints the audit's other
-    # families or a witness, so nothing is audited and no largest gain is
-    # sought.
+    # alone, once. Its first valid wage builds the grid's market, whose type
+    # space every later valid wage shares, so the prior is scaled once for
+    # all 14 games; each valid wage builds its LaborParams from checked
+    # parts. Each valid wage reads 4 row sets: its bid game's 2 under the
+    # separating profile, and its direct game's 2 under truth-telling, for
+    # the break-even cost. Whether the separating profile plays the rule out
+    # is one answer for every wage, found when the module loads, so no wage
+    # plays it out. No row prints the audit's other families or a witness,
+    # so nothing is audited and no largest gain is sought.
     expected = Counter(
-        _prior_weights=7, check_market=1, _interim_rows=28, _implements=0, _audit=0,
-        _largest_gain=0, wage_window=1,
+        _prior_weights=1, check_market=1, _interim_rows=28, _implements=0, _audit=0,
+        _largest_gain=0, wage_window=1, build_scenario=1,
     )
     for _ in range(2):
         counts.clear()
         assert main(["sweep", path]) == 0
         assert counts == expected
     capsys.readouterr()
+
+
+def test_every_scenario_a_sweep_builds_is_its_cells_own_build(tmp_path, monkeypatch, capsys):
+    from test_auditor import same_parts
+    from test_goldens import LATE_C, LATE_W
+
+    built = []
+
+    def recording(build):
+        def wrapper(*args):
+            built.append(build(*args))
+            return built[-1]
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_scenario", recording(labor.build_scenario))
+    monkeypatch.setattr(labor.LaborScenario, "at_wage", recording(labor.LaborScenario.at_wage))
+    fixed = {"theta_L": 1, "theta_H": 2, "e_H": 1, "prior_high": "1/3"}
+    grid = {"kind": "sweep", "w_values": LATE_W, "c_mis_values": LATE_C, "fixed": fixed}
+    assert main(["sweep", write_json(tmp_path, "grid.json", grid)]) == 0
+    capsys.readouterr()
+    # The grid's first wage and first cost are refused, so its market is
+    # built at its second wage and second cost, 3/4, the first valid cost of
+    # every valid wage. Each valid wage's scenario must equal the one that
+    # build_scenario builds from that cell's checked parameters, and hold
+    # the market's type space and cost models as they are.
+    assert [str(s.params.w) for s in built] == [w for w in LATE_W if w[0] not in "0-"]
+    market = built[0]
+    for scenario in built:
+        own = labor.build_scenario(labor.LaborParams(**fixed, w=scenario.params.w, c_mis="3/4"))
+        assert scenario.params == own.params
+        assert same_parts(scenario.game, own.game) and same_parts(scenario.direct, own.direct)
+        assert scenario.game.type_space is scenario.direct.type_space is market.game.type_space
+        assert scenario.game.costs is market.game.costs and scenario.direct.costs is market.direct.costs
 
 
 def test_generic_analyze_builds_each_game_once(tmp_path, monkeypatch, capsys):

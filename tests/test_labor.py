@@ -138,8 +138,13 @@ def check_built_parts(p):
     separating plan plays that rule is a class constant, found once, when
     the module loads; the market's own play-out must agree with it.
     `truthful_at` compares ints; the Fraction comparison with `break_even`
-    is its oracle, at that cost, just below it and at 0."""
+    is its oracle, at that cost, just below it and at 0. The market's
+    scenario at a second wage, drawn from its parameters, is built from its
+    type space and cost models (`at_wage`), which it holds as the same
+    objects, and must equal build_scenario at that wage."""
     scenario = build_scenario(p)
+    rng = random.Random(repr(p))
+    check_shared_wage(scenario, Fraction(rng.randint(1, 36), rng.randint(1, 12)))
     game = scenario.game
     ts, mech, costs = game.type_space, game.mechanism, game.costs
     checked = BayesianGame(
@@ -154,6 +159,37 @@ def check_built_parts(p):
     least = scenario.break_even  # no free misreport gains in a labor market
     for c_mis in (least, least * Fraction(999_999, 1_000_000), Fraction(0)):
         assert scenario.truthful_at(c_mis) is (c_mis >= least), (p, c_mis)
+
+
+def check_shared_wage(scenario, w):
+    """The scenario at wage w built from `scenario`'s shared parts equals the
+    one build_scenario builds at that wage, in its games, its judgement of
+    the separating plan and its break-even cost, and holds the first
+    scenario's type space and both cost models as they are."""
+    shared = scenario.at_wage(w)
+    built = build_scenario(dataclasses.replace(scenario.params, w=w))
+    assert shared.params == built.params, w
+    assert same_parts(shared.game, built.game), w
+    assert same_parts(shared.direct, built.direct), w
+    for game in (shared.game, shared.direct):
+        assert game.type_space is scenario.game.type_space, w
+    assert shared.game.costs is scenario.game.costs, w
+    assert shared.direct.costs is scenario.direct.costs, w
+    assert shared.rows_of == built.rows_of, w
+    assert shared.equilibrium is built.equilibrium, w
+    least = built.break_even
+    assert shared.break_even == least, w
+    for c_mis in (least, least * Fraction(999_999, 1_000_000), Fraction(0), scenario.params.c_mis):
+        assert shared.truthful_at(c_mis) is built.truthful_at(c_mis), (w, c_mis)
+
+
+@pytest.mark.parametrize("w", [0, "-1/2", "x", 1.5])
+def test_a_wage_labor_params_refuses_is_refused_from_shared_parts_alike(w):
+    with pytest.raises(ConstructionError) as shared:
+        build_scenario(params()).at_wage(w)
+    with pytest.raises(ConstructionError) as built:
+        params(w=w)
+    assert (shared.value.problem, shared.value.at) == (built.value.problem, built.value.at)
 
 
 # The canonical market, skewed priors, both edges of the wage window (1, 2).
