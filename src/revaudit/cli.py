@@ -33,17 +33,13 @@ from .serialize import (
     SWEEP_COLUMNS,
     SWEEP_FIXED,
     ConfigError,
-    audit_report_to_jsonable,
-    chain_to_jsonable,
     json_dump,
     json_dumps,
     load_config,
-    params_to_jsonable,
     parse_generic_scenario,
     parse_labor_params,
     parse_sweep_grid,
     render_matrices_markdown,
-    separating_report_to_jsonable,
     truthfulness_report_to_jsonable,
 )
 
@@ -134,8 +130,8 @@ def cmd_analyze(args) -> int:
         scenario = build_scenario(params)
         payload = {
             "kind": "labor",
-            "params": params_to_jsonable(params),
-            "separating": separating_report_to_jsonable(check_separating_equilibrium(scenario)),
+            "params": params,
+            "separating": check_separating_equilibrium(scenario),
             "truthful": truthfulness_report_to_jsonable(
                 check_truthful_reporting(scenario), case_matrices(scenario)
             ),
@@ -147,7 +143,7 @@ def cmd_analyze(args) -> int:
         problem = f"unknown config kind {kind!r}; expected 'labor' or 'generic'"
         raise ConfigError(f"config.kind: {problem}")
     audit = scenario.audit
-    payload["audit"] = audit_report_to_jsonable(audit)
+    payload["audit"] = audit
     sys.stdout.write(json_dumps(payload))
     return EXIT_VIOLATION if audit.violation else EXIT_OK
 
@@ -346,7 +342,7 @@ def _crit_chain():
         and not chain.costfree_truthful_inequalities_hold
         and chain.break_point == BreakPoint(0, "theta_L", "theta_H", Fraction(3, 4))
     )
-    details = chain_to_jsonable(chain)
+    details = dict(vars(chain))
     del details["vacuous"]
     return ok, details
 

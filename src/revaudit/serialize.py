@@ -10,7 +10,11 @@ generic config's tables are read by columns: each table's fields are
 type-checked as whole columns, each distinct literal is parsed once, and
 each rule on its rows is checked over whole columns; an outcome table's
 columns are read straight into its mechanism's positions. Only a table that
-fails is walked row by row, to name the first faulty row. All rendering is
+fails is walked row by row, to name the first faulty row.
+
+Every JSON report is written by one writer, which writes a report record
+straight from its fields by its row of the key table `RECORD_KEYS`: the
+record's JSON keys, sorted, and what each key reads. All rendering is
 deterministic: fixed key order, fixed row order, no timestamps.
 """
 
@@ -24,7 +28,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from types import GeneratorType
 
-from .auditor import AuditReport, ProofChainRecord, Scenario, direct_game
+from .auditor import AuditReport, BreakPoint, ProofChainRecord, Scenario, direct_game
 from .core import (
     MAX_LITERAL,
     CostModel,
@@ -41,10 +45,19 @@ from .core import (
     check_literal_size,
     rational_str,
 )
-from .equilibrium import BayesianGame, Deviation, NormalFormGame, StrategyProfile, _plan
+from .equilibrium import (
+    BayesianGame,
+    Deviation,
+    DominantAction,
+    NormalFormGame,
+    PureStrategy,
+    StrategyProfile,
+    _plan,
+)
 from .labor import (
     LABOR_FIELDS,
     UNIQUENESS_NOTE,
+    BestResponseCase,
     CaseMatrix,
     LaborParams,
     SeparatingReport,
@@ -467,8 +480,8 @@ def parse_sweep_grid(cfg: dict) -> tuple[tuple, tuple, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Report rendering. to_jsonable functions emit plain dicts with rationals as
-# strings.
+# Report rendering. One writer, `_write`, prints every JSON report; it writes
+# a report record from its row of the key table `RECORD_KEYS`.
 # ---------------------------------------------------------------------------
 
 
@@ -478,8 +491,10 @@ def json_dumps(payload) -> str:
     when it indents.
 
     A value is a dict with str keys, a list, tuple or generator, a str, an
-    int, a bool or None. Anything else, a float or a Fraction among them,
-    raises TypeError: reports carry exact rationals as strings.
+    int, a bool or None; or a Fraction, written as its "p/q" string; or a
+    report record of `RECORD_KEYS`, written as the object of its keys (a
+    `StrategyProfile` as the list of its strategies). Anything else, a float
+    among them, raises TypeError: reports carry exact rationals.
     """
     out: list[str] = []
     _write(payload, "\n", out.append)
@@ -507,6 +522,15 @@ def _write(value, newline: str, write) -> None:
         write("false")
     elif isinstance(value, int):
         write(int.__repr__(value))
+    elif type(value) is Fraction:
+        write('"' + rational_str(value) + '"')
+    elif (keys := RECORD_KEYS.get(type(value))) is not None:
+        inner, sep = newline + "  ", "{"
+        for _, text, get in keys:
+            write(sep + inner + text)
+            _write(get(value), inner, write)
+            sep = ","
+        write(newline + "}")
     elif isinstance(value, dict):
         inner, sep = newline + "  ", "{"
         for key, item in sorted(value.items()):
@@ -523,126 +547,57 @@ def _write(value, newline: str, write) -> None:
             _write(item, inner, write)
             sep = ","
         write("[]" if sep == "[" else newline + "]")
+    elif type(value) is StrategyProfile:
+        _write(value.strategies, newline, write)
     else:
         raise TypeError(f"a {type(value).__name__} has no JSON form in a report")
 
 
-def params_to_jsonable(params: LaborParams) -> dict:
-    return {f.name: rational_str(getattr(params, f.name)) for f in LABOR_FIELDS}
+# The JSON key of each report field not written under its own name.
+_RENAMED = {"type_label": "type", "game": "matrix", "actions_of": "actions"}
 
 
-def profile_to_jsonable(profile: StrategyProfile) -> list:
-    return [
-        {"agent": s.agent, "choice": [[t, a] for t, a in s.choice]}
-        for s in profile.strategies
-    ]
+def _record_keys(cls, added=(), replaced=(), **shaped) -> tuple:
+    """A report class's row of `RECORD_KEYS`: each JSON key in sorted order,
+    with its JSON text and `: `, and the reader of its value. A key reads
+    the field it names (`_RENAMED` aside), a property in `added`, or, for a
+    key in `shaped`, a value built from the record, in place of the fields
+    in `replaced`."""
+    names = [f for f in (*cls.__match_args__, *added) if f not in replaced]
+    keys = {_RENAMED.get(f, f): operator.attrgetter(f) for f in names} | shaped
+    return tuple((key, _encode_str(key) + ": ", keys[key]) for key in sorted(keys))
 
 
-def deviation_to_jsonable(dev: Deviation | None):
-    if dev is None:
-        return None
-    return {
-        "agent": dev.agent,
-        "type": dev.type_label,
-        "action": dev.action,
-        "gain": rational_str(dev.gain),
-    }
+def _payoff_rows(game: NormalFormGame):
+    profiles = itertools.product(*game.actions_of)
+    return ({"actions": profile, "values": game.payoff(profile)} for profile in profiles)
 
 
-def chain_to_jsonable(chain: ProofChainRecord) -> dict:
-    bp = chain.break_point
-    return {
-        "vacuous": chain.vacuous,
-        "equilibrium_inequalities_hold": chain.equilibrium_inequalities_hold,
-        "mimicry_inequalities_hold": chain.mimicry_inequalities_hold,
-        "costfree_truthful_inequalities_hold": chain.costfree_truthful_inequalities_hold,
-        "break_point": None
-        if bp is None
-        else {
-            "agent": bp.agent,
-            "type": bp.type_label,
-            "mimicked_type": bp.mimicked_type,
-            "costfree_gain": rational_str(bp.costfree_gain),
-        },
-    }
-
-
-def audit_report_to_jsonable(report: AuditReport) -> dict:
-    return {
-        "indirect_equilibrium": profile_to_jsonable(report.indirect_equilibrium),
-        "implemented": report.implemented,
-        "truthful_is_bne": report.truthful_is_bne,
-        "violation": report.violation,
-        "truthful_witness": deviation_to_jsonable(report.truthful_witness),
-        "chain": chain_to_jsonable(report.chain),
-    }
-
-
-def normal_form_to_jsonable(nf: NormalFormGame) -> dict:
-    return {
-        "actions": [list(acts) for acts in nf.actions_of],
-        "payoffs": [
-            {
-                "actions": list(profile),
-                "values": [rational_str(v) for v in nf.payoff(profile)],
-            }
-            for profile in itertools.product(*nf.actions_of)
-        ],
-    }
-
-
-def separating_report_to_jsonable(report: SeparatingReport) -> dict:
-    return {
-        "window": {
-            "low": rational_str(report.window_low),
-            "high": rational_str(report.window_high),
-        },
-        "in_window": report.in_window,
-        "separating_is_bne": report.separating_is_bne,
-        "bne_witness": deviation_to_jsonable(report.bne_witness),
-        "implements_rule": report.implements_rule,
-        "ir_margin": rational_str(report.ir_margin),
-        "ir_satisfied": report.ir_satisfied,
-        "best_response_cases": [
-            {
-                "case": c.case,
-                "own_type": c.own_type,
-                "opponent_type": c.opponent_type,
-                "payoff_bid_high": rational_str(c.payoff_bid_high),
-                "payoff_bid_zero": rational_str(c.payoff_bid_zero),
-                "optimal_bid": c.optimal_bid,
-            }
-            for c in report.best_response_cases
-        ],
-        "notes": list(report.notes),
-    }
+# Each report record the writer knows, by its exact class: its keys in
+# sorted order and how each reads its value. Built once, at import.
+RECORD_KEYS = {
+    cls: _record_keys(cls)
+    for cls in (LaborParams, PureStrategy, Deviation, BreakPoint, ProofChainRecord,
+                BestResponseCase, DominantAction, CaseMatrix)
+} | {
+    AuditReport: _record_keys(AuditReport, added=("truthful_is_bne", "violation")),
+    TruthfulnessReport: _record_keys(TruthfulnessReport, added=("truthful_is_bne",)),
+    SeparatingReport: _record_keys(
+        SeparatingReport,
+        replaced=("window_low", "window_high"),
+        window=lambda r: {"low": r.window_low, "high": r.window_high},
+    ),
+    NormalFormGame: _record_keys(NormalFormGame, replaced=("payoffs",), payoffs=_payoff_rows),
+}
 
 
 def truthfulness_report_to_jsonable(
     report: TruthfulnessReport, matrices: tuple[CaseMatrix, ...]
 ) -> dict:
-    return {
-        "cmis_below_half_w": report.cmis_below_half_w,
-        "truthful_is_bne": report.truthful_is_bne,
-        "truthful_witness": deviation_to_jsonable(report.truthful_witness),
-        "all_report_high_is_bne": report.all_report_high_is_bne,
-        "unique_bne_all_report_high": report.unique_bne_all_report_high,
-        "equilibria": [profile_to_jsonable(p) for p in report.equilibria],
-        "case_matrices": [
-            {
-                "case": m.case,
-                "true_types": list(m.true_types),
-                "matrix": normal_form_to_jsonable(m.game),
-                "dominant": [
-                    None if d is None else {"action": d.action, "kind": d.kind}
-                    for d in m.dominant
-                ],
-                "pure_nash": [list(p) for p in m.pure_nash],
-            }
-            for m in matrices
-        ],
-        "notes": [UNIQUENESS_NOTE],
-    }
+    """The direct game's report with its four case matrices and the caveat
+    on uniqueness, as `matrices --format json` and `analyze` print it."""
+    fields = {key: get(report) for key, _, get in RECORD_KEYS[TruthfulnessReport]}
+    return fields | {"case_matrices": matrices, "notes": [UNIQUENESS_NOTE]}
 
 
 def render_matrices_markdown(params: LaborParams, matrices: tuple[CaseMatrix, ...]) -> str:
@@ -654,11 +609,7 @@ def render_matrices_markdown(params: LaborParams, matrices: tuple[CaseMatrix, ..
     lines = [
         "# Ex-post report matrices",
         "",
-        ", ".join(
-            f"{name} = {value}"
-            for name, value in params_to_jsonable(params).items()
-            if name != "prior_high"
-        ),
+        ", ".join(f"{k} = {rational_str(v)}" for k, v in vars(params).items() if k != "prior_high"),
         "",
         f"Note: {UNIQUENESS_NOTE}.",
         "",

@@ -20,7 +20,7 @@ import reference_engine as ref
 from revaudit import auditor, cli, core, equilibrium, labor, serialize
 from revaudit.cli import build_parser, main
 from revaudit.equilibrium import find_all_pure_bne
-from revaudit.serialize import parse_generic_scenario, profile_to_jsonable
+from revaudit.serialize import json_dumps, parse_generic_scenario
 
 
 def write_json(tmp_path, name, payload):
@@ -188,7 +188,7 @@ def test_analyze_generic_falls_back_to_first_profile(tmp_path, capsys):
     assert payload["profile_source"] == "first enumerated profile"
     game = parse_generic_scenario(cfg).game
     first = ref.profiles(game)[0]
-    assert payload["audit"]["indirect_equilibrium"] == profile_to_jsonable(first)
+    assert payload["audit"]["indirect_equilibrium"] == json.loads(json_dumps(first))
     assert payload["audit"]["chain"]["vacuous"] is True
 
 
@@ -317,7 +317,7 @@ def test_analyze_generic_falls_back_to_the_first_equilibrium(tmp_path, capsys):
     assert audit["truthful_is_bne"] is False
     assert audit["chain"]["equilibrium_inequalities_hold"] is True
     first = find_all_pure_bne(parse_generic_scenario(cfg).game)[0]
-    assert audit["indirect_equilibrium"] == profile_to_jsonable(first)
+    assert audit["indirect_equilibrium"] == json.loads(json_dumps(first))
 
 
 def coordination_cfg():

@@ -77,6 +77,7 @@ from revaudit.core import (
 from revaudit.equilibrium import (
     BayesianGame,
     Deviation,
+    DominantAction,
     EquilibriumVerdict,
     NormalFormGame,
     PureStrategy,
@@ -94,18 +95,17 @@ from revaudit.labor import (
     SEPARATING_PROFILE,
     TYPE_HIGH,
     TYPE_LOW,
+    BestResponseCase,
+    CaseMatrix,
     LaborParams,
+    SeparatingReport,
+    TruthfulnessReport,
     build_scenario,
     case_matrices,
     check_separating_equilibrium,
     check_truthful_reporting,
 )
-from revaudit.serialize import (
-    audit_report_to_jsonable,
-    json_dumps,
-    separating_report_to_jsonable,
-    truthfulness_report_to_jsonable,
-)
+from revaudit.serialize import json_dumps, truthfulness_report_to_jsonable
 
 PRIMES = (7919, 104723, 999983, 1000003, 2147483647)
 # No shrinking: with these wide rationals a failing example took minutes and
@@ -538,11 +538,11 @@ def labor_json(params):
     """Every labor report `analyze` prints but the parameters, as JSON."""
     scenario = build_scenario(params)
     return json_dumps({
-        "separating": separating_report_to_jsonable(check_separating_equilibrium(scenario)),
+        "separating": check_separating_equilibrium(scenario),
         "truthful": truthfulness_report_to_jsonable(
             check_truthful_reporting(scenario), case_matrices(scenario)
         ),
-        "audit": audit_report_to_jsonable(scenario.audit),
+        "audit": scenario.audit,
     })
 
 
@@ -656,13 +656,68 @@ def audit_report_from_jsonable(data) -> AuditReport:
     )
 
 
+def separating_report_from_jsonable(data) -> SeparatingReport:
+    window = data["window"]
+    return SeparatingReport(
+        window_low=Fraction(window["low"]),
+        window_high=Fraction(window["high"]),
+        in_window=data["in_window"],
+        separating_is_bne=data["separating_is_bne"],
+        bne_witness=deviation_from_jsonable(data["bne_witness"]),
+        implements_rule=data["implements_rule"],
+        ir_margin=Fraction(data["ir_margin"]),
+        ir_satisfied=data["ir_satisfied"],
+        best_response_cases=tuple(
+            BestResponseCase(
+                c["case"], c["own_type"], c["opponent_type"], Fraction(c["payoff_bid_high"]),
+                Fraction(c["payoff_bid_zero"]), c["optimal_bid"],
+            )
+            for c in data["best_response_cases"]
+        ),
+        notes=tuple(data["notes"]),
+    )
+
+
+def truthfulness_report_from_jsonable(data) -> TruthfulnessReport:
+    """The report a rendered truthfulness report holds. Its `truthful_is_bne`
+    is derived from the rest, and the case matrices and notes printed with it
+    are not part of it, so none of them is read."""
+    return TruthfulnessReport(
+        cmis_below_half_w=data["cmis_below_half_w"],
+        truthful_witness=deviation_from_jsonable(data["truthful_witness"]),
+        all_report_high_is_bne=data["all_report_high_is_bne"],
+        unique_bne_all_report_high=data["unique_bne_all_report_high"],
+        equilibria=tuple(map(profile_from_jsonable, data["equilibria"])),
+    )
+
+
+def normal_form_from_jsonable(data) -> NormalFormGame:
+    """The game a rendered payoff table holds; its rows must come in the
+    order of the product of its action lists."""
+    actions = tuple(map(tuple, data["actions"]))
+    rows = [(tuple(row["actions"]), tuple(map(Fraction, row["values"]))) for row in data["payoffs"]]
+    assert [profile for profile, _ in rows] == list(itertools.product(*actions))
+    return NormalFormGame(actions, dict(rows))
+
+
+def case_matrix_from_jsonable(data) -> CaseMatrix:
+    return CaseMatrix(
+        case=data["case"],
+        true_types=tuple(data["true_types"]),
+        game=normal_form_from_jsonable(data["matrix"]),
+        dominant=tuple(None if d is None else DominantAction(d["action"], d["kind"])
+                       for d in data["dominant"]),
+        pure_nash=tuple(map(tuple, data["pure_nash"])),
+    )
+
+
 @SETTINGS
 @given(games(), st.data())
 def test_an_audit_report_reads_back_from_its_json(game, data):
     profile = data.draw(st.sampled_from(ref.profiles(game)))
     direct = direct_game(game, ref.induced_scf(game, profile))
     report = audit_revelation_principle(game, profile, direct)
-    rendered = json.loads(json_dumps(audit_report_to_jsonable(report)))
+    rendered = json.loads(json_dumps(report))
     assert audit_report_from_jsonable(rendered) == report
     assert rendered["truthful_is_bne"] == report.truthful_is_bne
     assert rendered["violation"] == report.violation
@@ -693,7 +748,8 @@ def check_generic_analyze(rng: random.Random) -> None:
     truthful witness in a direct game built here from the rule and the
     transposed misreport schedule, the proof chain (`reference_chain`), the
     violation, and exit code 2 exactly when there is one. The public
-    `audit_revelation_principle` of the same profile must report the same."""
+    `audit_revelation_principle` of the same profile must report the same,
+    and its report, written by `json_dumps`, must read as `analyze`'s audit."""
     game, rule = ref.random_priced_game(rng, rng.randint(1, 3), ANALYZE_MAX_PROFILES)
     ts, mech = game.type_space, game.mechanism
     prices = {(i, r, t): v for (i, t, r), v in game.costs.misreport.items()}
@@ -713,11 +769,13 @@ def check_generic_analyze(rng: random.Random) -> None:
                        and ref.induced_scf(game, profile) == rule)
         chain = reference_chain(game, profile, rule)
         expected = AuditReport(profile, implemented, witness, chain)
-        assert audit_revelation_principle(game, profile, direct_game(game, rule)) == expected
+        report = audit_revelation_principle(game, profile, direct_game(game, rule))
+        assert report == expected
         code, data = main_json("analyze", cfg)
         assert data.keys() == {"kind", "profile_source", "audit"}
         assert (data["kind"], data["profile_source"]) == ("generic", source)
         assert audit_report_from_jsonable(data["audit"]) == expected
+        assert json.loads(json_dumps(report)) == data["audit"]
         audit = data["audit"]
         assert (audit["truthful_is_bne"], audit["violation"]) == (witness is None, expected.violation)
         assert code == (2 if expected.violation else 0)

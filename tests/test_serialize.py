@@ -13,20 +13,38 @@ import reference_engine as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_core import TABLE_OUTCOMES, check_read_table, label_tables
+from test_labor import LABOR_PARAMS_CASES
 from test_properties import (
     SETTINGS,
     audit_report_from_jsonable,
+    case_matrix_from_jsonable,
     chain_from_jsonable,
     deviation_from_jsonable,
     profile_from_jsonable,
+    separating_report_from_jsonable,
+    truthfulness_report_from_jsonable,
 )
 
-from revaudit.equilibrium import Deviation, StrategyProfile, _profile
+from revaudit.auditor import AuditReport, BreakPoint, ProofChainRecord, RegressionSummary
+from revaudit.equilibrium import (
+    Deviation,
+    DominantAction,
+    EquilibriumVerdict,
+    NormalFormGame,
+    PureStrategy,
+    StrategyProfile,
+    _profile,
+)
 from revaudit.labor import (
     SEPARATING_PROFILE,
     TYPE_HIGH,
     TYPE_LOW,
+    UNIQUENESS_NOTE,
+    BestResponseCase,
+    CaseMatrix,
     LaborParams,
+    SeparatingReport,
+    TruthfulnessReport,
     build_scenario,
     case_matrices,
     check_separating_equilibrium,
@@ -41,19 +59,12 @@ from revaudit.serialize import (
     UTILITIES,
     ConfigError,
     _RowError,
-    audit_report_to_jsonable,
-    chain_to_jsonable,
-    deviation_to_jsonable,
     json_dumps,
     load_config,
-    normal_form_to_jsonable,
-    params_to_jsonable,
     parse_generic_scenario,
     parse_labor_params,
     parse_sweep_grid,
-    profile_to_jsonable,
     render_matrices_markdown,
-    separating_report_to_jsonable,
     truthfulness_report_to_jsonable,
 )
 
@@ -576,16 +587,70 @@ def test_json_dumps_writes_the_bytes_of_json_dumps(value):
 
 
 @pytest.mark.parametrize(
-    "value", [0.5, Fraction(1, 2), {"a"}, {1: "a"}, {"a": [1, 2.5]}], ids=repr
+    "value",
+    [0.5, {"a"}, {1: "a"}, {"a": [1, 2.5]}, EquilibriumVerdict(None), RegressionSummary(1, 1, ())],
+    ids=repr,
 )
 def test_json_dumps_refuses_what_a_report_never_holds(value):
-    # Reports carry exact rationals as strings, so a float is a bug.
+    # Reports carry exact rationals, so a float is a bug; a dataclass outside
+    # the writer's key table is no report record.
     with pytest.raises(TypeError):
         json_dumps(value)
 
 
-def test_params_to_jsonable():
-    assert params_to_jsonable(canonical_params()) == {
+def test_json_dumps_writes_a_fraction_as_its_text():
+    assert json_dumps(Fraction(-3, 2)) == '"-3/2"\n'
+    assert json_dumps(Fraction(3)) == '"3"\n'
+    assert json_dumps({"x": [Fraction(1, 4)]}) == json_dumps({"x": ["1/4"]})
+
+
+# The JSON keys of every report record the writer knows, as `analyze` and
+# `matrices --format json` print them. A field added to a report class
+# changes its keys, so it cannot enter a report unnoticed.
+RECORD_JSON_KEYS = {
+    AuditReport: {"chain", "implemented", "indirect_equilibrium", "truthful_is_bne",
+                  "truthful_witness", "violation"},
+    BestResponseCase: {"case", "optimal_bid", "opponent_type", "own_type", "payoff_bid_high",
+                       "payoff_bid_zero"},
+    BreakPoint: {"agent", "costfree_gain", "mimicked_type", "type"},
+    CaseMatrix: {"case", "dominant", "matrix", "pure_nash", "true_types"},
+    Deviation: {"agent", "type", "action", "gain"},
+    DominantAction: {"action", "kind"},
+    LaborParams: {"c_mis", "e_H", "prior_high", "theta_H", "theta_L", "w"},
+    NormalFormGame: {"actions", "payoffs"},
+    ProofChainRecord: {"break_point", "costfree_truthful_inequalities_hold",
+                       "equilibrium_inequalities_hold", "mimicry_inequalities_hold", "vacuous"},
+    PureStrategy: {"agent", "choice"},
+    SeparatingReport: {"best_response_cases", "bne_witness", "implements_rule", "in_window",
+                       "ir_margin", "ir_satisfied", "notes", "separating_is_bne", "window"},
+    TruthfulnessReport: {"all_report_high_is_bne", "cmis_below_half_w", "equilibria",
+                         "truthful_is_bne", "truthful_witness", "unique_bne_all_report_high"},
+}
+
+
+def canonical_records():
+    """One record of each kind the writer knows, from the canonical market."""
+    params = canonical_params()
+    scenario = build_scenario(params)
+    sep, audit = check_separating_equilibrium(scenario), scenario.audit
+    matrix = case_matrices(scenario)[0]
+    return [
+        audit, sep.best_response_cases[0], audit.chain.break_point, matrix,
+        audit.truthful_witness, matrix.dominant[0], params, matrix.game, audit.chain,
+        audit.indirect_equilibrium.strategies[0], sep, check_truthful_reporting(scenario),
+    ]
+
+
+def test_the_writer_prints_each_report_record_with_its_keys_in_order():
+    records = canonical_records()
+    assert {type(r) for r in records} == RECORD_JSON_KEYS.keys()
+    for record in records:
+        keys = list(json.loads(json_dumps(record)))
+        assert keys == sorted(RECORD_JSON_KEYS[type(record)]), type(record).__name__
+
+
+def test_params_write_as_rationals():
+    assert json.loads(json_dumps(canonical_params())) == {
         "theta_L": "1",
         "theta_H": "2",
         "e_H": "1",
@@ -597,29 +662,29 @@ def test_params_to_jsonable():
 
 def test_profile_round_trip():
     sep = SEPARATING_PROFILE
-    assert profile_from_jsonable(profile_to_jsonable(sep)) == sep
+    assert profile_from_jsonable(json.loads(json_dumps(sep))) == sep
 
 
 def test_deviation_round_trip():
     dev = Deviation(1, TYPE_LOW, TYPE_HIGH, Fraction(1, 4))
-    data = deviation_to_jsonable(dev)
+    data = json.loads(json_dumps(dev))
     assert data == {"agent": 1, "type": TYPE_LOW, "action": TYPE_HIGH, "gain": "1/4"}
     assert deviation_from_jsonable(data) == dev
-    assert deviation_to_jsonable(None) is None
+    assert json.loads(json_dumps(None)) is None
     assert deviation_from_jsonable(None) is None
 
 
 def test_audit_report_round_trips_through_json_text():
     report = build_scenario(canonical_params()).audit
-    text = json_dumps(audit_report_to_jsonable(report))
+    text = json_dumps(report)
     back = audit_report_from_jsonable(json.loads(text))
     assert back == report
     assert back.chain == report.chain
-    assert chain_from_jsonable(chain_to_jsonable(report.chain)) == report.chain
+    assert chain_from_jsonable(json.loads(json_dumps(report.chain))) == report.chain
 
 
 def test_normal_form_jsonable_rows_follow_action_order():
-    data = normal_form_to_jsonable(case_matrices(build_scenario(canonical_params()))[0].game)
+    data = json.loads(json_dumps(case_matrices(build_scenario(canonical_params()))[0].game))
     assert data["actions"] == [[TYPE_LOW, TYPE_HIGH], [TYPE_LOW, TYPE_HIGH]]
     got_profiles = [tuple(row["actions"]) for row in data["payoffs"]]
     assert got_profiles == [
@@ -633,7 +698,7 @@ def test_normal_form_jsonable_rows_follow_action_order():
 
 def test_report_jsonables_are_json_serializable():
     scenario = build_scenario(canonical_params())
-    sep = separating_report_to_jsonable(check_separating_equilibrium(scenario))
+    sep = check_separating_equilibrium(scenario)
     truth = truthfulness_report_to_jsonable(
         check_truthful_reporting(scenario), case_matrices(scenario)
     )
@@ -642,6 +707,21 @@ def test_report_jsonables_are_json_serializable():
     assert loaded["unique_bne_all_report_high"] is True
     assert loaded["truthful_witness"]["gain"] == "1/4"
     assert len(loaded["case_matrices"]) == 4
+
+
+@pytest.mark.parametrize("p", LABOR_PARAMS_CASES)
+def test_each_labor_report_reads_back_from_its_json(p):
+    # The reports `analyze` and `matrices` print beside the audit, at the
+    # labor markets tests/test_labor.py checks its scenarios at.
+    scenario = build_scenario(p)
+    sep = check_separating_equilibrium(scenario)
+    truth, matrices = check_truthful_reporting(scenario), case_matrices(scenario)
+    assert separating_report_from_jsonable(json.loads(json_dumps(sep))) == sep
+    data = json.loads(json_dumps(truthfulness_report_to_jsonable(truth, matrices)))
+    assert truthfulness_report_from_jsonable(data) == truth
+    assert data["truthful_is_bne"] is truth.truthful_is_bne
+    assert tuple(map(case_matrix_from_jsonable, data["case_matrices"])) == matrices
+    assert data["notes"] == [UNIQUENESS_NOTE]
 
 
 # -- markdown and CSV ---------------------------------------------------------------
