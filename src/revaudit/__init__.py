@@ -65,4 +65,4 @@ from types import ModuleType as _Module
 # Importing a submodule binds it here too; submodules are not API names.
 __all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _Module)]
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

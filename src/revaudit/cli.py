@@ -273,7 +273,7 @@ def _crit_separating(prior_high: Fraction):
     for w in WINDOW_WAGES:
         report = check_separating_equilibrium(_scenario(w, Fraction(0), prior_high))
         details.append({
-            "w": rational_str(w),
+            "w": w,
             "in_window": report.in_window,
             "separating_is_bne": report.separating_is_bne,
             "implements_rule": report.implements_rule,
@@ -288,7 +288,7 @@ def _crit_unique_high(prior_high: Fraction, costs=FAILING_COSTS):
     for c_mis in costs:
         report = check_truthful_reporting(_scenario(CANONICAL_WAGE, c_mis, prior_high))
         details.append({
-            "c_mis": rational_str(c_mis),
+            "c_mis": c_mis,
             "cmis_below_half_w": report.cmis_below_half_w,
             "truthful_is_bne": report.truthful_is_bne,
             "unique_bne_all_report_high": report.unique_bne_all_report_high,
@@ -310,7 +310,7 @@ def _crit_threshold(prior_high: Fraction):
     for c_mis in RESTORING_COSTS:
         report = check_truthful_reporting(_scenario(CANONICAL_WAGE, c_mis, prior_high))
         details.append({
-            "c_mis": rational_str(c_mis),
+            "c_mis": c_mis,
             "truthful_is_bne": report.truthful_is_bne,
             "all_report_high_is_bne": report.all_report_high_is_bne,
         })
@@ -328,8 +328,8 @@ def _crit_matrices():
                 mismatches.append({
                     "case": matrix.case,
                     "reports": list(profile),
-                    "expected": [rational_str(v) for v in values],
-                    "got": [rational_str(v) for v in got],
+                    "expected": values,
+                    "got": got,
                 })
     return not mismatches, {"entries_checked": 16, "mismatches": mismatches}
 
@@ -431,9 +431,8 @@ def reference_criteria() -> list[dict]:
 def cmd_reproduce(args) -> int:
     criteria = reference_criteria()
     all_passed = all(c["passed"] for c in criteria)
-    canonical = {**CANONICAL_FIXED, "w": CANONICAL_WAGE}
     payload = {
-        "parameters": {name: rational_str(value) for name, value in canonical.items()},
+        "parameters": {**CANONICAL_FIXED, "w": CANONICAL_WAGE},
         "criteria": criteria,
         "all_passed": all_passed,
     }

@@ -271,11 +271,7 @@ class TypeSpace:
         if type(agent) is not int or not 0 <= agent < self.agent_count:  # a bool is no index
             raise DomainError(f"unknown agent index {agent!r}")
 
-    def profiles(self) -> tuple[tuple[str, ...], ...]:
-        """All type profiles, lexicographic in the declared orders."""
-        return tuple(itertools.product(*self.types_of))
-
-    # No command calls it; the benchmark tracer patches it by name, the reference engine uses it.
+    # No command calls it: its only reader is the benchmark tracer, which patches it by name.
     def conditional_weight(self, agent: int, opponent_profile) -> Fraction:
         """Weight of an opponent type profile given agent's own type.
 

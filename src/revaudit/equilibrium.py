@@ -85,12 +85,6 @@ class PureStrategy:
             raise ConstructionError(f"duplicate type labels in strategy choice {choice}")
         object.__setattr__(self, "choice", choice)
 
-    def action(self, type_label: str) -> str:
-        for t, a in self.choice:
-            if t == type_label:
-                return a
-        raise DomainError(f"strategy for agent {self.agent} covers no type {type_label!r}")
-
 
 @dataclass(frozen=True)
 class StrategyProfile:
@@ -399,7 +393,8 @@ def find_all_pure_bne(game: BayesianGame, cap: int = DEFAULT_PROFILE_CAP) -> lis
 
 def _rule(game: BayesianGame, plan) -> tuple[int, ...]:
     """The rule a plan plays out, as the outcome position (in the mechanism's
-    walk) it realizes at each type profile, in `type_space.profiles()` order."""
+    walk) it realizes at each type profile, in the `itertools.product` order
+    of the types (agent 0 outermost)."""
     walk = game.mechanism.walk
     moves = [[step * a for a in own] for step, own in zip(walk.strides, plan)]
     return tuple(walk.outcome[sum(flat)] for flat in itertools.product(*moves))

@@ -4,14 +4,17 @@ The library reports verdicts and witnesses of the questions its commands
 ask, not single payoffs, nor a verdict on any profile. Tests that pin a
 payoff or a verdict, or compare the compiled tables with the reference
 engine, read it from the engine's own rows, slices and play-outs: the
-kernels the commands call.
+kernels the commands call. `cost_free` gives a game's classical utility
+view: the same game built with `CostModel()`.
 """
 
 import itertools
 from fractions import Fraction
 
 from revaudit.auditor import direct_game
+from revaudit.core import CostModel
 from revaudit.equilibrium import (
+    BayesianGame,
     EquilibriumVerdict,
     NormalFormGame,
     _exact,
@@ -21,6 +24,12 @@ from revaudit.equilibrium import (
     _largest_gain,
     _plan,
 )
+
+
+def cost_free(game):
+    """The same game with every cost erased: its profits are its utilities,
+    the classical (utility-based) view of the game."""
+    return BayesianGame(game.mechanism, game.type_space, game.utilities, CostModel())
 
 
 def compiled_payoff(game, profile, agent, type_label, action=None):

@@ -2,6 +2,7 @@
 implementability, the inequality-family decomposition, and the zero-cost
 regression harness."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -73,7 +74,7 @@ def test_direct_mechanism_reports_are_type_labels():
     direct = direct_of(sc)
     assert direct.type_space == sc.game.type_space
     assert direct.mechanism.actions_of == sc.game.type_space.types_of
-    for profile in sc.game.type_space.profiles():
+    for profile in itertools.product(*sc.game.type_space.types_of):
         assert direct.mechanism.outcome_of[profile] == HIRING_RULE.outcome_of[profile]
 
 
@@ -192,10 +193,11 @@ def test_chain_intact_on_zero_cost_instances():
     rng = random.Random(3)
     seen = 0
     for _ in range(20):
-        game = random_zero_cost_game(rng)
+        g = ref.random_zero_cost_game(rng)
+        game = g.game
         for profile in find_all_pure_bne(game):
             seen += 1
-            direct = direct_game(game, ref.induced_scf(game, profile))
+            direct = direct_game(game, ref.induced_scf(g, profile))
             chain = audit_revelation_principle(game, profile, direct).chain
             assert not chain.vacuous
             assert chain.equilibrium_inequalities_hold
@@ -205,37 +207,27 @@ def test_chain_intact_on_zero_cost_instances():
     assert seen > 0
 
 
-def costfree_report_value(ts, scf, utilities, agent, type_label, report):
-    """Reference: expected rule utility for an agent of `type_label` reporting
-    `report`, everyone else truthful, no costs of any kind."""
-    total = Fraction(0)
-    for opp in ref.opponent_profiles(ts, agent):
-        theta = opp[:agent] + (report,) + opp[agent:]
-        w = ts.conditional_weight(agent, opp)
-        total += w * utilities.table[agent, scf.outcome_of[theta].label, type_label]
-    return total
-
-
-def reference_chain(game, profile, scf):
-    """The proof chain recomputed with the reference engine and the cost-free
-    reference, one inequality at a time."""
-    ts = game.type_space
-    holds = ref.is_bayesian_nash(game, profile).is_equilibrium
+def reference_chain(g, profile, rule):
+    """The proof chain recomputed with the reference engine from the tables
+    `g` and the rule (an outcome label per type profile), one inequality at
+    a time. A report's cost-free value is its interim utility in the rule's
+    direct game with every cost erased, everyone else truthful."""
+    holds = ref.is_bayesian_nash(g, profile).is_equilibrium
+    free = ref.direct(ref.cost_free(g), rule)
+    truthful = StrategyProfile.from_maps({t: t for t in types} for types in g.types_of)
     mimicry_ok = costfree_ok = True
     best = None
-    for agent in range(ts.agent_count):
-        weighted = ref.weighted_opponents(ts, agent)
-        for t in ts.types_of[agent]:
-            own = ref.interim(game, profile, agent, t, profile.strategies[agent].action(t), weighted)
-            truthful_value = costfree_report_value(ts, scf, game.utilities, agent, t, t)
-            for mimicked in ts.types_of[agent]:
+    for agent, types in enumerate(g.types_of):
+        plays = dict(profile.strategies[agent].choice)
+        for t in types:
+            own = ref.interim(g, profile, agent, t, plays[t])
+            truthful_value = ref.interim(free, truthful, agent, t, t)
+            for mimicked in types:
                 if mimicked == t:
                     continue
-                action = profile.strategies[agent].action(mimicked)
-                holds_here = ref.interim(game, profile, agent, t, action, weighted) <= own
+                holds_here = ref.interim(g, profile, agent, t, plays[mimicked]) <= own
                 mimicry_ok = mimicry_ok and holds_here
-                value = costfree_report_value(ts, scf, game.utilities, agent, t, mimicked)
-                gain = value - truthful_value
+                gain = ref.interim(free, truthful, agent, t, mimicked) - truthful_value
                 if gain > 0:
                     costfree_ok = False
                     if holds_here and (best is None or gain > best.costfree_gain):
@@ -243,29 +235,31 @@ def reference_chain(game, profile, scf):
     return ProofChainRecord(not holds, holds, mimicry_ok, costfree_ok, best)
 
 
-def with_random_costs(game, rng):
-    """The same game with random non-negative strategic and misreport costs."""
-    ts, mech = game.type_space, game.mechanism
+def with_random_costs(g, rng):
+    """The same tables with random non-negative strategic and misreport costs."""
+    types_of, actions_of = g.types_of, g.actions_of
     strategic = {
         (i, a, t): Fraction(rng.randint(0, 6), 12)
-        for i in range(ts.agent_count) for a in mech.actions_of[i] for t in ts.types_of[i]
+        for i in range(g.agent_count) for a in actions_of[i] for t in types_of[i]
     }
     misreport = {
         (i, t, r): Fraction(rng.randint(0, 6), 12)
-        for i in range(ts.agent_count) for t in ts.types_of[i] for r in ts.types_of[i] if r != t
+        for i in range(g.agent_count) for t in types_of[i] for r in types_of[i] if r != t
     }
-    return BayesianGame(mech, ts, game.utilities, CostModel(strategic, misreport))
+    return dataclasses.replace(g, strategic=strategic, misreport=misreport)
 
 
 def test_chain_matches_reference_on_every_profile_of_costly_games():
     rng = random.Random(11)
     records = []
     for _ in range(30):
-        game = with_random_costs(random_zero_cost_game(rng), rng)
-        for profile in ref.profiles(game):
-            scf = ref.induced_scf(game, profile)
-            chain = audit_revelation_principle(game, profile, direct_game(game, scf)).chain
-            assert chain == reference_chain(game, profile, scf)
+        g = with_random_costs(ref.random_zero_cost_game(rng), rng)
+        game = g.game
+        for profile in ref.profiles(g):
+            rule = ref.induced(g, profile)
+            direct = direct_game(game, ref.rule_scf(g, rule))
+            chain = audit_revelation_principle(game, profile, direct).chain
+            assert chain == reference_chain(g, profile, rule)
             records.append(chain)
     # Every branch of the chain was exercised.
     assert {r.vacuous for r in records} == {True, False}
@@ -339,7 +333,9 @@ def test_an_audit_refuses_a_direct_game_whose_rule_the_game_cannot_value():
     # before the two games' utilities are compared.
     sc = scenario()
     ts = sc.game.type_space
-    rule = SocialChoiceFunction(ts.types_of, dict.fromkeys(ts.profiles(), Outcome("bonus")))
+    rule = SocialChoiceFunction(
+        ts.types_of, dict.fromkeys(itertools.product(*ts.types_of), Outcome("bonus"))
+    )
     bonus = {(i, "bonus", t): Fraction(1) for i in (0, 1) for t in (TYPE_LOW, TYPE_HIGH)}
     utilities = UtilityTable({**sc.game.utilities.table, **bonus})
     foreign = BayesianGame(rule, ts, utilities, sc.direct.costs)
@@ -369,10 +365,11 @@ def test_scaling_leaves_the_audit_unchanged():
 
 
 def test_induced_scf_of_separating_profile_is_the_rule():
-    # The oracle reads the rule label by label; the engine, as the
-    # regression does, from outcome positions.
-    game = scenario().game
-    assert ref.induced_scf(game, SEPARATING_PROFILE) == HIRING_RULE
+    # The oracle reads the rule label by label, in the bid table written
+    # from the paper; the engine, as the regression does, from outcome positions.
+    sc = scenario()
+    game = sc.game
+    assert ref.induced_scf(ref.labor_game(sc.params), SEPARATING_PROFILE) == HIRING_RULE
     assert auditor._rule_scf(game, _rule(game, _plan(game, SEPARATING_PROFILE))) == HIRING_RULE
 
 
@@ -400,7 +397,7 @@ def test_random_zero_cost_games_are_the_reference_generators_games(seed):
     rng, reference = random.Random(seed), random.Random(seed)
     for _ in range(300):
         game = random_zero_cost_game(rng)
-        assert game_parts(game) == game_parts(ref.random_zero_cost_game(reference))
+        assert game_parts(game) == game_parts(ref.random_zero_cost_game(reference).game)
     assert rng.random() == reference.random()
 
 
@@ -411,11 +408,13 @@ def test_zero_cost_regression_is_deterministic():
 
 
 def regression_games(instances, seed):
-    """Each game zero_cost_regression draws, with its index and equilibria."""
-    rng = random.Random(seed)
+    """Each game zero_cost_regression draws, with its index, the reference
+    engine's tables of it (drawn from a second stream of the same seed) and
+    its equilibria."""
+    rng, reference = random.Random(seed), random.Random(seed)
     for k in range(instances):
         game = random_zero_cost_game(rng)
-        yield k, game, find_all_pure_bne(game)
+        yield k, game, ref.random_zero_cost_game(reference), find_all_pure_bne(game)
 
 
 def same_parts(built, checked):
@@ -427,9 +426,9 @@ def same_parts(built, checked):
 def test_regression_parts_equal_the_checking_constructors_parts(seed):
     # The regression builds its games and rules without their checks; every
     # checking constructor must accept the same parts and build equal ones.
-    rng, equilibria = random.Random(seed), 0
+    rng, reference, equilibria = random.Random(seed), random.Random(seed), 0
     for _ in range(200):
-        game = random_zero_cost_game(rng)
+        game, g = random_zero_cost_game(rng), ref.random_zero_cost_game(reference)
         ts, mech = game.type_space, game.mechanism
         rebuilt = BayesianGame(
             Mechanism(mech.actions_of, mech.outcome_of),
@@ -440,7 +439,7 @@ def test_regression_parts_equal_the_checking_constructors_parts(seed):
         assert same_parts(rebuilt, game)
         for plan in _equilibrium_plans(game):
             scf = auditor._rule_scf(game, _rule(game, plan))
-            assert same_parts(ref.induced_scf(game, _profile(game, plan)), scf)
+            assert same_parts(ref.induced_scf(g, _profile(game, plan)), scf)
             equilibria += 1
         # The search compiled the game; a game without costs reads no positions.
         assert "positions" not in vars(ts) and "positions" not in vars(mech)
@@ -454,10 +453,10 @@ def failure_line(k, profile):
 def regression_one_game_per_equilibrium(instances, seed):
     """The regression without shared verdicts: one direct game per equilibrium."""
     checked, failures = 0, []
-    for k, game, equilibria in regression_games(instances, seed):
+    for k, game, g, equilibria in regression_games(instances, seed):
         for profile in equilibria:
             checked += 1
-            direct = direct_game(game, ref.induced_scf(game, profile))
+            direct = direct_game(game, ref.induced_scf(g, profile))
             if not auditor.is_truthfully_implementable(direct).is_equilibrium:
                 failures.append(failure_line(k, profile))
     return RegressionSummary(instances, checked, tuple(failures))
@@ -475,7 +474,7 @@ def failing_where(fails):
 def first_outcome_pleases_agent_0(direct):
     # Depends on the game's utilities as well as on the rule, so rules with
     # one outcome table can get different verdicts in different games.
-    theta = direct.type_space.profiles()[0]
+    theta = next(itertools.product(*direct.type_space.types_of))
     x = direct.mechanism.outcome_of[theta]
     return direct.utilities.table[(0, x.label, theta[0])] > Fraction(1, 2)
 
@@ -498,8 +497,8 @@ def test_each_distinct_rule_of_a_game_is_checked_once(monkeypatch):
     )
     summary = zero_cost_regression()
     rules = sum(
-        len({tuple(ref.induced_scf(game, p).outcome_of.items()) for p in equilibria})
-        for _, game, equilibria in regression_games(200, DEFAULT_REGRESSION_SEED)
+        len({tuple(ref.induced(g, p).values()) for p in equilibria})
+        for _, _, g, equilibria in regression_games(200, DEFAULT_REGRESSION_SEED)
     )
     assert len(calls) == rules == 239
     assert summary.equilibria_checked == 1132
@@ -508,22 +507,23 @@ def test_each_distinct_rule_of_a_game_is_checked_once(monkeypatch):
 
 def test_a_failing_rule_fails_each_equilibrium_that_plays_it(monkeypatch):
     games = list(regression_games(40, DEFAULT_REGRESSION_SEED))
-    _, chosen_game, equilibria = games[26]
-    rule = ref.induced_scf(chosen_game, equilibria[0])
-    plays = [k for k, game, eqs in games for p in eqs if ref.induced_scf(game, p) == rule]
+    _, chosen_game, chosen, equilibria = games[26]
+    rule = ref.induced(chosen, equilibria[0])
+    plays = [k for k, _, g, eqs in games for p in eqs if ref.induced(g, p) == rule]
     # Its 5 equilibria interleave with another rule's, and game 31 plays the
     # same outcome table, which must keep its own verdict.
     assert plays == [26] * 5 + [31]
-    assert [ref.induced_scf(chosen_game, p) == rule for p in equilibria] == [
+    assert [ref.induced(chosen, p) == rule for p in equilibria] == [
         True, True, False, True, True, False, True,
     ]
+    scf = ref.rule_scf(chosen, rule)
 
     def fails(direct):
-        return direct.mechanism == rule and direct.utilities == chosen_game.utilities
+        return direct.mechanism == scf and direct.utilities == chosen_game.utilities
 
     monkeypatch.setattr(auditor, "is_truthfully_implementable", failing_where(fails))
     summary = zero_cost_regression(40, DEFAULT_REGRESSION_SEED)
     assert summary.failures == tuple(
-        failure_line(26, p) for p in equilibria if ref.induced_scf(chosen_game, p) == rule
+        failure_line(26, p) for p in equilibria if ref.induced(chosen, p) == rule
     )
-    assert summary.equilibria_checked == sum(len(eqs) for _, _, eqs in games)
+    assert summary.equilibria_checked == sum(len(eqs) for *_, eqs in games)

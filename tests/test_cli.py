@@ -186,8 +186,7 @@ def test_analyze_generic_falls_back_to_first_profile(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["profile_source"] == "first enumerated profile"
-    game = parse_generic_scenario(cfg).game
-    first = ref.profiles(game)[0]
+    first = ref.profiles(ref.from_config(cfg)[0])[0]
     assert payload["audit"]["indirect_equilibrium"] == json.loads(json_dumps(first))
     assert payload["audit"]["chain"]["vacuous"] is True
 

@@ -162,16 +162,6 @@ def test_duplicate_type_labels_rejected():
         TypeSpace.uniform([("a", "a")])
 
 
-def test_profiles_are_lexicographic():
-    ts = two_by_two()
-    assert ts.profiles() == (
-        ("lo", "lo"),
-        ("lo", "hi"),
-        ("hi", "lo"),
-        ("hi", "hi"),
-    )
-
-
 def test_conditional_weight_divides_out_own_marginal():
     ts = TypeSpace(
         (("a", "b"), ("c", "d")),
@@ -180,7 +170,7 @@ def test_conditional_weight_divides_out_own_marginal():
             {"c": Fraction(2, 3), "d": Fraction(1, 3)},
         ),
     )
-    for own, opp in ts.profiles():
+    for own, opp in itertools.product(*ts.types_of):
         joint = ts.prior_of[0][own] * ts.prior_of[1][opp]
         assert ts.conditional_weight(0, (opp,)) == joint / ts.prior_of[0][own]
     assert sum(ts.conditional_weight(0, (opp,)) for opp in ("c", "d")) == 1
@@ -222,7 +212,7 @@ def rule_for(ts):
     win = Outcome("win", (Fraction(1),))
     tie = Outcome("tie", (Fraction(1, 2),))
     table = {}
-    for t1, t2 in ts.profiles():
+    for t1, t2 in itertools.product(*ts.types_of):
         table[(t1, t2)] = tie if t1 == t2 else win
     return SocialChoiceFunction(ts.types_of, table)
 
@@ -244,7 +234,7 @@ def test_scf_totality_enforced():
 
 def test_outcome_labels_unique_within_rule():
     ts = two_by_two()
-    table = {p: Outcome("x", (Fraction(1),)) for p in ts.profiles()}
+    table = {p: Outcome("x", (Fraction(1),)) for p in itertools.product(*ts.types_of)}
     table[("lo", "lo")] = Outcome("x", (Fraction(2),))
     with pytest.raises(ConstructionError):
         SocialChoiceFunction(ts.types_of, table)

@@ -3,22 +3,29 @@ ex-post games, and dominance. Random-instance suites compare the engine
 against independently written oracles, among them the reference engine of
 `reference_engine.py`."""
 
+import ast
+import dataclasses
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import reference_engine as ref
-from payoff_probe import compiled_implements, compiled_payoff, compiled_verdict, expost_game
+from payoff_probe import (
+    compiled_implements,
+    compiled_payoff,
+    compiled_verdict,
+    cost_free,
+    expost_game,
+)
 from test_cli import counted
 
 from revaudit import equilibrium
-from revaudit.auditor import random_zero_cost_game
 from revaudit.core import (
     ConstructionError,
     CostModel,
-    DomainError,
     Mechanism,
     Outcome,
     SearchSpaceError,
@@ -60,9 +67,7 @@ def test_pure_strategy_is_canonical_and_total():
     s = PureStrategy(0, (("hi", "x"), ("lo", "y")))
     assert s.choice == (("hi", "x"), ("lo", "y"))
     assert PureStrategy(0, (("lo", "y"), ("hi", "x"))) == s
-    assert s.action("lo") == "y"
-    with pytest.raises(DomainError):
-        s.action("mid")
+    assert dict(s.choice) == {"hi": "x", "lo": "y"}
     with pytest.raises(ConstructionError):
         PureStrategy(0, (("a", "x"), ("a", "y")))
     with pytest.raises(ConstructionError):
@@ -72,7 +77,7 @@ def test_pure_strategy_is_canonical_and_total():
 def test_profile_agent_order_enforced():
     a = PureStrategy(0, (("t", "x"),))
     b = PureStrategy(1, (("t", "y"),))
-    assert [s.action("t") for s in StrategyProfile((a, b)).strategies] == ["x", "y"]
+    assert [dict(s.choice)["t"] for s in StrategyProfile((a, b)).strategies] == ["x", "y"]
     with pytest.raises(ConstructionError):
         StrategyProfile((b, a))
 
@@ -80,7 +85,7 @@ def test_profile_agent_order_enforced():
 def test_from_maps_builds_indexed_strategies():
     p = StrategyProfile.from_maps([{"t": "x"}, {"t": "y"}])
     assert p.strategies[1].agent == 1
-    assert [s.action("t") for s in p.strategies] == ["x", "y"]
+    assert [dict(s.choice)["t"] for s in p.strategies] == ["x", "y"]
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -105,7 +110,7 @@ def test_interim_values_at_canonical_wage():
     # Low type forced up to the high bid: 1/2*(3/2) + 1/2*(3/4) - 1 = 1/8.
     assert compiled_payoff(game, sep, 0, TYPE_LOW, BID_HIGH) == Fraction(1, 8)
     # The cost-free game ignores the bid cost.
-    assert compiled_payoff(ref.cost_free(game), sep, 0, TYPE_LOW, BID_HIGH) == Fraction(9, 8)
+    assert compiled_payoff(cost_free(game), sep, 0, TYPE_LOW, BID_HIGH) == Fraction(9, 8)
 
 
 def test_interim_with_single_type_opponent_is_expost():
@@ -138,7 +143,7 @@ def test_separating_profile_is_profit_equilibrium_only():
     sep = SEPARATING_PROFILE
     assert compiled_verdict(game, sep).is_equilibrium
     # Without costs the low type would imitate: bids are free to inflate.
-    verdict = compiled_verdict(ref.cost_free(game), sep)
+    verdict = compiled_verdict(cost_free(game), sep)
     assert not verdict.is_equilibrium
     assert verdict.witness == Deviation(0, TYPE_LOW, BID_HIGH, Fraction(3, 4))
 
@@ -222,44 +227,78 @@ def test_implements_scf_refuses_a_rule_over_other_types(monkeypatch, types):
     assert counts["_rule"] == 0  # refused before any profile is played
 
 
+# -- the reference engine stands apart ----------------------------------------------
+
+# What the engine derives from a game and the reference engine must not read:
+# the mechanism's walk and its `outcome_of` view, the compiled tables, the
+# prior's int weights, the conditional weight, the type profiles and a
+# strategy's action lookup.
+ENGINE_READS = {
+    "outcome_of", "walk", "_tables", "weights", "conditional_weight", "profiles", "action"
+}
+# All the reference engine imports from revaudit: the parts of a game, which
+# it builds for the engine, and the records whose values it compares.
+REFERENCE_IMPORTS = {
+    *(("revaudit.core", name) for name in (
+        "CostModel", "Mechanism", "Outcome", "SocialChoiceFunction", "TypeSpace", "UtilityTable"
+    )),
+    *(("revaudit.equilibrium", name) for name in (
+        "BayesianGame", "Deviation", "DominantAction", "EquilibriumVerdict", "StrategyProfile"
+    )),
+}
+
+
+def test_the_reference_engine_reads_nothing_the_engine_derives():
+    # A fault in the engine's reading of a table must not reach the oracle
+    # that checks it, so the oracle computes from label tables of its own.
+    tree = ast.parse(Path(ref.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & ENGINE_READS
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+    assert {(m, name) for m, name in imported if m.split(".")[0] == "revaudit"} == REFERENCE_IMPORTS
+
+
 # -- random-instance properties ---------------------------------------------------
 
 
-def attach_random_costs(game, rng):
+def attach_random_costs(g, rng):
+    """The tables with a random strategic cost at every (agent, action, type)."""
     strategic = {}
-    for agent in range(game.agent_count):
-        for action in game.mechanism.actions_of[agent]:
-            for t in game.type_space.types_of[agent]:
+    for agent, (types, actions) in enumerate(zip(g.types_of, g.actions_of)):
+        for action in actions:
+            for t in types:
                 strategic[(agent, action, t)] = Fraction(rng.randint(0, 6), 6)
-    return BayesianGame(
-        game.mechanism, game.type_space, game.utilities, CostModel(strategic=strategic)
-    )
+    return dataclasses.replace(g, strategic=strategic)
 
 
-def exante_full_strategy_equilibrium(game, profile):
-    """Independent oracle: no full-strategy deviation raises the ex-ante payoff."""
-    ts, mech = game.type_space, game.mechanism
+def exante_full_strategy_equilibrium(g, profile):
+    """Independent oracle: no full-strategy deviation raises the ex-ante
+    payoff, computed from the tables by label over the joint prior."""
+    maps = [dict(s.choice) for s in profile.strategies]
 
     def exante(agent, strategy_map):
         total = Fraction(0)
-        for theta in ts.profiles():
+        for theta in itertools.product(*g.types_of):
             acts = tuple(
-                strategy_map[theta[j]] if j == agent else profile.strategies[j].action(theta[j])
-                for j in range(ts.agent_count)
+                strategy_map[theta[j]] if j == agent else maps[j][theta[j]]
+                for j in range(g.agent_count)
             )
-            x = mech.outcome_of[acts]
-            joint = math.prod(prior[t] for prior, t in zip(ts.prior_of, theta))
+            joint = math.prod(prior[t] for prior, t in zip(g.prior_of, theta))
             total += joint * (
-                game.utilities.table[agent, x.label, theta[agent]]
-                - game.costs.strategic.get((agent, acts[agent], theta[agent]), 0)
+                g.utility[agent, g.outcome[acts], theta[agent]]
+                - g.strategic.get((agent, acts[agent], theta[agent]), 0)
             )
         return total
 
-    for agent in range(ts.agent_count):
-        played = {t: profile.strategies[agent].action(t) for t in ts.types_of[agent]}
-        base = exante(agent, played)
-        for combo in itertools.product(mech.actions_of[agent], repeat=len(ts.types_of[agent])):
-            if exante(agent, dict(zip(ts.types_of[agent], combo))) > base:
+    for agent, types in enumerate(g.types_of):
+        base = exante(agent, maps[agent])
+        for combo in itertools.product(g.actions_of[agent], repeat=len(types)):
+            if exante(agent, dict(zip(types, combo))) > base:
                 return False
     return True
 
@@ -277,14 +316,15 @@ EDGE_SHAPES = [
 
 
 def test_one_shot_deviations_match_full_strategy_oracle():
+    # The reference generator draws the games of `auditor.random_zero_cost_game`.
     rng = random.Random(7)
-    games = [attach_random_costs(random_zero_cost_game(rng), rng) for _ in range(12)]
+    games = [attach_random_costs(ref.random_zero_cost_game(rng), rng) for _ in range(12)]
     games += [ref.random_costly_game(rng, *shape) for shape in EDGE_SHAPES]
-    for game in games:
-        for profile in ref.profiles(game):
+    for g in games:
+        for profile in ref.profiles(g):
             assert (
-                compiled_verdict(game, profile).is_equilibrium
-                == exante_full_strategy_equilibrium(game, profile)
+                compiled_verdict(g.game, profile).is_equilibrium
+                == exante_full_strategy_equilibrium(g, profile)
             )
 
 
@@ -310,24 +350,23 @@ def differential_shapes():
 def test_compiled_engine_matches_reference_engine(seed, shape):
     costly = ref.random_costly_game(random.Random(seed), *shape)
     profiles = ref.profiles(costly)
-    ts, mech = costly.type_space, costly.mechanism
-    for game in (costly, ref.cost_free(costly)):
+    for g in (costly, ref.cost_free(costly)):
+        game = g.game
         # The reference engine judges each profile once; its search is the
         # profiles it judges equilibria, in order (`ref.find_all_pure_bne`).
-        verdicts = [ref.is_bayesian_nash(game, profile) for profile in profiles]
+        verdicts = [ref.is_bayesian_nash(g, profile) for profile in profiles]
         equilibria = [profile for profile, v in zip(profiles, verdicts) if v.is_equilibrium]
         assert find_all_pure_bne(game) == equilibria
         for profile, verdict in zip(profiles, verdicts):
             assert compiled_verdict(game, profile) == verdict
         # Every (agent, type, action); on every ninth profile of the largest games.
         for profile in profiles[:: 1 if len(profiles) <= 81 else 9]:
-            for agent in range(game.agent_count):
-                weighted = ref.weighted_opponents(ts, agent)
-                for t in ts.types_of[agent]:
-                    for a in mech.actions_of[agent]:
+            for agent, (types, actions) in enumerate(zip(g.types_of, g.actions_of)):
+                for t in types:
+                    for a in actions:
                         assert compiled_payoff(
                             game, profile, agent, t, a
-                        ) == ref.interim(game, profile, agent, t, a, weighted)
+                        ) == ref.interim(g, profile, agent, t, a)
 
 
 # The shapes the declared workload runs, where opponent type profiles
@@ -340,64 +379,63 @@ WIDE_SHAPES = [((6, 6, 6), (4, 4, 4), 6), ((8, 8), (8, 8), 6), ((3, 2), (2, 3), 
 )
 def test_per_outcome_sums_match_the_reference_engine_on_wide_games(types, actions, outcomes):
     rng = random.Random(sum(types))
-    game = ref.random_costly_game(rng, types, actions, outcomes)
-    ts, mech = game.type_space, game.mechanism
+    g = ref.random_costly_game(rng, types, actions, outcomes)
     for _ in range(3):
         profile = StrategyProfile.from_maps(
-            {t: rng.choice(acts) for t in types}
-            for types, acts in zip(ts.types_of, mech.actions_of)
+            {t: rng.choice(acts) for t in types} for types, acts in zip(g.types_of, g.actions_of)
         )
-        for agent in range(game.agent_count):
-            weighted = ref.weighted_opponents(ts, agent)
-            for t in ts.types_of[agent]:
-                for a in mech.actions_of[agent]:
+        for agent, (types, acts) in enumerate(zip(g.types_of, g.actions_of)):
+            for t in types:
+                for a in acts:
                     assert compiled_payoff(
-                        game, profile, agent, t, a
-                    ) == ref.interim(game, profile, agent, t, a, weighted)
+                        g.game, profile, agent, t, a
+                    ) == ref.interim(g, profile, agent, t, a)
 
 
 def test_the_search_pivots_on_the_agent_with_the_most_plans(monkeypatch):
     # Agent 0 has 10**5 plans and agent 1 one, so the search pivots on
     # agent 0: its rows once, then agent 1's rows once per best-reply
     # combination (two here), instead of two row sets per plan of agent 0.
-    game = ref.random_costly_game(random.Random(21), (5, 1), (10, 1))
+    g = ref.random_costly_game(random.Random(21), (5, 1), (10, 1))
+    game = g.game
     counts = counted(monkeypatch, [equilibrium._interim_rows])
     found = find_all_pure_bne(game)
     assert counts == {"_interim_rows": 3}
     # Agent 1 has one action, so the equilibria are agent 0's per-type best
     # replies, which do not depend on agent 0's own plan.
-    (types, (lone,)), (actions, (only,)) = game.type_space.types_of, game.mechanism.actions_of
+    (types, (lone,)), (actions, (only,)) = g.types_of, g.actions_of
     probe = StrategyProfile.from_maps([dict.fromkeys(types, actions[0]), {lone: only}])
     best = []
     for t in types:
-        values = [ref.interim(game, probe, 0, t, a) for a in actions]
+        values = [ref.interim(g, probe, 0, t, a) for a in actions]
         best.append([a for a, v in zip(actions, values) if v == max(values)])
     expected = [
         StrategyProfile.from_maps([dict(zip(types, combo)), {lone: only}])
         for combo in itertools.product(*best)
     ]
     assert found == expected and len(found) == 2
-    assert all(ref.is_bayesian_nash(game, p).is_equilibrium for p in found)
+    assert all(ref.is_bayesian_nash(g, p).is_equilibrium for p in found)
 
 
 def test_the_search_computes_each_row_set_once(monkeypatch):
     # Agent 1, the pivot, has 9 plans and agent 0 has 4. The search takes
     # the pivot's rows once per plan of agent 0, and agent 0's rows once per
     # distinct reply of the pivot, however many of agent 0's plans it answers.
-    game = ref.random_costly_game(random.Random(2), (2, 2), (2, 3))
-    (types0, types1), (actions0, actions1) = game.type_space.types_of, game.mechanism.actions_of
+    g = ref.random_costly_game(random.Random(2), (2, 2), (2, 3))
+    (types0, types1), (actions0, actions1) = g.types_of, g.actions_of
     plans0 = [dict(zip(types0, combo)) for combo in itertools.product(actions0, repeat=2)]
     replies = []
     for own in plans0:
         probe = StrategyProfile.from_maps([own, dict.fromkeys(types1, actions1[0])])
         best = []
         for t in types1:
-            values = [ref.interim(game, probe, 1, t, a) for a in actions1]
+            values = [ref.interim(g, probe, 1, t, a) for a in actions1]
             best.append([a for a, v in zip(actions1, values) if v == max(values)])
         replies += itertools.product(*best)
     # With ties the pivot gives 17 replies to agent 0's 4 plans, 7 of them
     # distinct: 11 row sets, where one per reply would take 21.
     assert (len(replies), len(set(replies))) == (17, 7)
+    game = g.game
     counts = counted(monkeypatch, [equilibrium._interim_rows])
     find_all_pure_bne(game)
     assert counts == {"_interim_rows": len(plans0) + len(set(replies))}

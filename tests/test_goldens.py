@@ -9,9 +9,10 @@ the two-agent config, the same game with its rule swapped (the first
 equilibrium, which plays no rule) and matching pennies (no equilibrium, so
 the first enumerated profile): one golden for each source of the profile.
 The sweep oracle recomputes every cell's violation the long way, from the
-reference engine's verdicts on that cell's own bid and direct games and from
-the window's closed form, where the sweep shares one scenario and judgement
-across a wage's costs, and compares it with the row the sweep prints. A
+reference engine's verdicts on that cell's own bid and direct games, whose
+tables it writes from the paper, and from the window's closed form, where
+the sweep shares one scenario and judgement across a wage's costs, and
+compares it with the row the sweep prints. A
 second oracle reads each cell's own scenario with Fraction comparisons only
 (`in_wage_window` and `c_mis >= break_even`), where the sweep compares ints
 and takes the window once per grid."""
@@ -133,12 +134,14 @@ TRUTHFUL_PROFILE = StrategyProfile.from_maps([{t: t for t in TYPES}] * 2)
 
 
 def reference_verdicts(params, scenario):
-    """The cell's verdicts from the reference engine, violation inline, and
-    its window from the closed form."""
-    game = scenario.game
-    separating = ref.is_bayesian_nash(game, SEPARATING_PROFILE).is_equilibrium
-    implements = ref.induced_scf(game, SEPARATING_PROFILE) == HIRING_RULE
-    truthful = ref.is_bayesian_nash(scenario.direct, TRUTHFUL_PROFILE).is_equilibrium
+    """The cell's verdicts from the reference engine, on the tables of its
+    bid and direct games written from the paper at its parameters (the
+    scenario is not read), violation inline, and its window from the
+    closed form."""
+    g = ref.labor_game(params)
+    separating = ref.is_bayesian_nash(g, SEPARATING_PROFILE).is_equilibrium
+    implements = ref.induced_scf(g, SEPARATING_PROFILE) == HIRING_RULE
+    truthful = ref.is_bayesian_nash(ref.direct(g, ref.HIRING), TRUTHFUL_PROFILE).is_equilibrium
     lo, hi = 2 * params.e_H / params.theta_H, 2 * params.e_H / params.theta_L
     return {
         "in_window": lo < params.w < hi,

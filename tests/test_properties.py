@@ -46,6 +46,7 @@ from payoff_probe import (
     compiled_implements,
     compiled_payoff,
     compiled_verdict,
+    cost_free,
     expost_game,
     expost_slices,
     slices_game,
@@ -125,8 +126,9 @@ def rationals(low=-(10**6)):
 
 @st.composite
 def games(draw, misreportable=False):
-    """A random game; with `misreportable`, some agent has two types and
-    there are two outcomes or more, so some misreport can move the outcome."""
+    """The reference engine's tables of a random game; with `misreportable`,
+    some agent has two types and there are two outcomes or more, so some
+    misreport can move the outcome."""
     agents = draw(st.integers(1, 3))
     sizes = [draw(st.integers(1, 2)) for _ in range(agents)]
     if misreportable and max(sizes) == 1:
@@ -140,25 +142,20 @@ def games(draw, misreportable=False):
     for ts in types_of:
         weights = [draw(st.integers(1, 10**4)) for _ in ts]
         priors.append({t: Fraction(w, sum(weights)) for t, w in zip(ts, weights)})
-    outcomes = [Outcome(f"x{k}") for k in range(draw(st.integers(1 + misreportable, 3)))]
-    outcome_of = {
+    outcomes = [f"x{k}" for k in range(draw(st.integers(1 + misreportable, 3)))]
+    outcome = {
         p: outcomes[draw(st.integers(0, len(outcomes) - 1))]
         for p in itertools.product(*actions_of)
     }
     utility = {
-        (i, x.label, t): draw(rationals())
+        (i, x, t): draw(rationals())
         for i in range(agents) for x in outcomes for t in types_of[i]
     }
     strategic = {
         (i, a, t): draw(rationals(low=0))
         for i in range(agents) for a in actions_of[i] for t in types_of[i]
     }
-    return BayesianGame(
-        Mechanism(actions_of, outcome_of),
-        TypeSpace(types_of, tuple(priors)),
-        UtilityTable(utility),
-        CostModel(strategic=strategic),
-    )
+    return ref.Tables(types_of, tuple(priors), actions_of, outcome, utility, strategic)
 
 
 def rescaled(game, k):
@@ -178,7 +175,7 @@ def shifted(game, shift):
 def and_cost_free(game, other):
     """The two games, then their cost-free copies: a property of profits
     holds for utilities too, which are the profits of the cost-free game."""
-    return (game, other), (ref.cost_free(game), ref.cost_free(other))
+    return (game, other), (cost_free(game), cost_free(other))
 
 
 def scaled_verdict(verdict, k):
@@ -190,8 +187,8 @@ def scaled_verdict(verdict, k):
 
 @SETTINGS
 @given(games(), rationals(low=1))
-def test_scaling_utilities_and_costs_scales_only_the_gains(game, k):
-    profiles = ref.profiles(game)
+def test_scaling_utilities_and_costs_scales_only_the_gains(g, k):
+    profiles, game = ref.profiles(g), g.game
     for game, other in and_cost_free(game, rescaled(game, k)):
         assert find_all_pure_bne(other) == find_all_pure_bne(game)
         for profile in profiles:
@@ -206,12 +203,9 @@ def test_scaling_utilities_and_costs_scales_only_the_gains(game, k):
 
 @SETTINGS
 @given(games(), st.data())
-def test_a_constant_per_agent_and_type_changes_no_verdict(game, data):
-    shift = {
-        (i, t): data.draw(rationals())
-        for i, types in enumerate(game.type_space.types_of) for t in types
-    }
-    profiles = ref.profiles(game)
+def test_a_constant_per_agent_and_type_changes_no_verdict(g, data):
+    shift = {(i, t): data.draw(rationals()) for i, types in enumerate(g.types_of) for t in types}
+    profiles, game = ref.profiles(g), g.game
     for game, other in and_cost_free(game, shifted(game, shift)):
         assert find_all_pure_bne(other) == find_all_pure_bne(game)
         for profile in profiles:
@@ -225,107 +219,104 @@ def test_a_constant_per_agent_and_type_changes_no_verdict(game, data):
 
 @SETTINGS
 @given(games())
-def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(game):
+def test_with_every_cost_zero_each_equilibrium_rule_is_truthful(g):
     # Myerson (1979): a type reporting another gets what that type's
     # equilibrium action gets, which the equilibrium says is no better.
-    free = ref.cost_free(game)
+    free = cost_free(g.game)
     for profile in find_all_pure_bne(free):
-        direct = direct_game(free, ref.induced_scf(free, profile))
+        direct = direct_game(free, ref.induced_scf(g, profile))
         assert is_truthfully_implementable(direct).is_equilibrium
 
 
-def played_labels(game, profile):
+def played_labels(g, profile):
     """The outcome label a profile realizes at each type profile, by brute force."""
-    rule = ref.induced_scf(game, profile)
-    return [rule.outcome_of[theta].label for theta in game.type_space.profiles()]
+    return list(ref.induced(g, profile).values())
 
 
 @SETTINGS
 @given(games())
-def test_the_rule_of_each_equilibrium_plan_is_the_rule_its_labels_play(game):
+def test_the_rule_of_each_equilibrium_plan_is_the_rule_its_labels_play(g):
     # The engine plays a plan out on outcome positions (`_rule`); the oracle
     # reads labels. Its play-out against a rule (`_implements`) is compared
     # over every profile, those that play the rule and those that do not.
-    profiles = ref.profiles(game)
-    played = [played_labels(game, p) for p in profiles]
-    for game in (game, ref.cost_free(game)):
+    profiles = ref.profiles(g)
+    played = [played_labels(g, p) for p in profiles]
+    for game in (g.game, cost_free(g.game)):
         plans = _equilibrium_plans(game)
         assert [_profile(game, plan) for plan in plans] == find_all_pure_bne(game)
         for plan in plans:
-            induced = ref.induced_scf(game, _profile(game, plan))
+            induced = ref.induced_scf(g, _profile(game, plan))
             assert _rule_scf(game, _rule(game, plan)) == induced
             verdicts = [compiled_implements(game, p, induced) for p in profiles]
-            expected = played_labels(game, _profile(game, plan))
+            expected = played_labels(g, _profile(game, plan))
             assert verdicts == [rule == expected for rule in played]
 
 
-def with_misreport_costs(game, data):
-    """The game with random non-negative misreport costs drawn from `data`."""
-    ts = game.type_space
+def with_misreport_costs(g, data):
+    """The tables with random non-negative misreport costs drawn from `data`."""
     misreport = {
         (i, t, r): data.draw(rationals(low=0))
-        for i, types in enumerate(ts.types_of) for t in types for r in types if r != t
+        for i, types in enumerate(g.types_of) for t in types for r in types if r != t
     }
-    return BayesianGame(
-        game.mechanism, ts, game.utilities, CostModel(game.costs.strategic, misreport)
-    )
+    return replace(g, misreport=misreport)
 
 
 @st.composite
-def rules_a_report_moves(draw, game):
-    """A random rule over the game's outcomes in which the report of some
-    two-type agent moves the outcome at some type profile, so that some
-    misreport changes what the agent gets. The game must have a two-type
-    agent and two outcomes or more, as `games(misreportable=True)` draws."""
-    ts = game.type_space
-    outcomes = [Outcome(x) for x in sorted({x for _, x, _ in game.utilities.table})]
-    table = {theta: draw(st.sampled_from(outcomes)) for theta in ts.profiles()}
-    agent = draw(st.sampled_from([i for i, types in enumerate(ts.types_of) if len(types) == 2]))
-    theta = draw(st.sampled_from(ts.profiles()))
+def rules_a_report_moves(draw, g):
+    """A random rule, an outcome label per type profile, over the tables'
+    outcomes, in which the report of some two-type agent moves the outcome
+    at some type profile, so that some misreport changes what the agent
+    gets. The tables must have a two-type agent and two outcomes or more,
+    as `games(misreportable=True)` draws."""
+    outcomes = sorted({x for _, x, _ in g.utility})
+    thetas = list(itertools.product(*g.types_of))
+    table = {theta: draw(st.sampled_from(outcomes)) for theta in thetas}
+    agent = draw(st.sampled_from([i for i, types in enumerate(g.types_of) if len(types) == 2]))
+    theta = draw(st.sampled_from(thetas))
     mimic = list(theta)
-    mimic[agent] = next(t for t in ts.types_of[agent] if t != theta[agent])
+    mimic[agent] = next(t for t in g.types_of[agent] if t != theta[agent])
     table[tuple(mimic)] = draw(st.sampled_from([x for x in outcomes if x != table[theta]]))
-    return SocialChoiceFunction(ts.types_of, table)
+    return table
 
 
 @SETTINGS
 @given(games(misreportable=True), st.data())
-def test_the_audit_judges_truth_telling_as_the_engines_do(game, data):
+def test_the_audit_judges_truth_telling_as_the_engines_do(g, data):
     # The audit and `is_truthfully_implementable` read truth-telling from the
     # compiled direct game; the reference engine computes its profits by
     # label. The drawn rule lets some misreport move the outcome. Even so,
     # truth-telling seldom fails at the drawn prices, so the check runs
     # again with every price divided by a large prime, where it often fails
     # and the prices size the witness.
-    game = with_misreport_costs(game, data)
-    ts = game.type_space
-    rule = data.draw(rules_a_report_moves(game))
-    profile = data.draw(st.sampled_from(ref.profiles(game)))
+    g = with_misreport_costs(g, data)
+    rule = data.draw(rules_a_report_moves(g))
+    profile = data.draw(st.sampled_from(ref.profiles(g)))
     cut = data.draw(st.sampled_from(PRIMES))
-    cheap = {key: v / cut for key, v in game.costs.misreport.items()}
-    cheap = BayesianGame(game.mechanism, ts, game.utilities, CostModel(game.costs.strategic, cheap))
-    truthful = StrategyProfile.from_maps({t: t for t in types} for types in ts.types_of)
-    for priced in (game, cheap):
-        direct = direct_game(priced, rule)
-        report = audit_revelation_principle(priced, profile, direct)
-        expected = ref.is_bayesian_nash(direct, truthful)
+    cheap = replace(g, misreport={key: v / cut for key, v in g.misreport.items()})
+    truthful = StrategyProfile.from_maps({t: t for t in types} for types in g.types_of)
+    scf = ref.rule_scf(g, rule)
+    for priced in (g, cheap):
+        direct = direct_game(priced.game, scf)
+        report = audit_revelation_principle(priced.game, profile, direct)
+        expected = ref.is_bayesian_nash(ref.direct(priced, rule), truthful)
         assert is_truthfully_implementable(direct) == expected
         assert EquilibriumVerdict(report.truthful_witness) == expected
 
 
 @SETTINGS
 @given(games(misreportable=True), st.data())
-def test_the_cost_free_gains_judge_any_schedule_as_the_engine_does(game, data):
+def test_the_cost_free_gains_judge_any_schedule_as_the_engine_does(g, data):
     # The gains are read once, from the direct game at the drawn schedule;
     # truth-telling holds under another schedule when no gain exceeds its
     # price there. The engine judges each schedule's own direct game: with
     # every price at its gain (where truth holds, weakly), with one positive
     # gain priced below it, and at a fresh random schedule.
-    game = with_misreport_costs(game, data)
-    rule = data.draw(rules_a_report_moves(game))
+    g = with_misreport_costs(g, data)
+    rule = ref.rule_scf(g, data.draw(rules_a_report_moves(g)))
+    game = g.game
     gains = misreport_gains(direct_game(game, rule))
     at_gain = {key: max(gain, Fraction(0)) for key, gain in gains.items()}
-    schedules = [at_gain, with_misreport_costs(game, data).costs.misreport]
+    schedules = [at_gain, with_misreport_costs(g, data).misreport]
     positive = [key for key, gain in gains.items() if gain > 0]
     if positive:
         key = data.draw(st.sampled_from(positive))
@@ -343,12 +334,13 @@ def test_expost_payoffs_are_utility_minus_strategic_cost(agents, seed):
     # A reference game, priced with random misreport costs, and the direct
     # game of a random rule over its outcomes, which charges those costs as
     # report prices. The engine reads each payoff from the compiled tables;
-    # the oracle looks it up by label.
+    # the oracle looks it up by label in its own tables of each game.
     priced, rule = ref.random_priced_game(random.Random(seed), agents)
-    ts = priced.type_space
-    for played in (priced, direct_game(priced, rule)):
-        for theta in ts.profiles():
-            assert expost_game(played, theta).payoffs == ref.expost_payoffs(played, theta)
+    game = priced.game
+    direct = direct_game(game, ref.rule_scf(priced, rule))
+    for played, tables in ((game, priced), (direct, ref.direct(priced, rule))):
+        for theta in itertools.product(*priced.types_of):
+            assert expost_game(played, theta).payoffs == ref.expost_payoffs(tables, theta)
 
 
 @st.composite
@@ -381,10 +373,10 @@ def test_an_expost_game_is_the_game_its_payoffs_declare(agents, seed):
     # The scans read the slices, ints on each agent's own scale; brute force
     # on the ex-post game's exact payoffs finds the same profiles and actions.
     priced, rule = ref.random_priced_game(random.Random(seed), agents)
-    ts = priced.type_space
-    for played in (priced, direct_game(priced, rule)):
+    game = priced.game
+    for played in (game, direct_game(game, ref.rule_scf(priced, rule))):
         actions_of = played.mechanism.actions_of
-        for theta in ts.profiles():
+        for theta in itertools.product(*priced.types_of):
             slices = expost_slices(played, theta)
             nf = slices_game(played, slices)
             payoffs = dict(zip(itertools.product(*actions_of), zip(*slices)))
@@ -434,11 +426,12 @@ def test_the_case_matrices_share_what_each_game_scans_alone(params):
     # case_matrices finds each worker's best replies and dominant report once
     # per true type and shares them by the two cases that hold it; brute
     # force on each case's payoffs, looked up by label, gives the same game
-    # and the same answers.
+    # and the same answers, from the reference engine's tables of the direct game.
     scenario = build_scenario(params)
     reports = scenario.direct.mechanism.actions_of
+    direct = ref.direct(ref.labor_game(params), ref.HIRING)
     for m in case_matrices(scenario):
-        nf = NormalFormGame(reports, ref.expost_payoffs(scenario.direct, m.true_types))
+        nf = NormalFormGame(reports, ref.expost_payoffs(direct, m.true_types))
         assert m.game == nf
         assert m.dominant == tuple(ref.dominant_action(nf, i) for i in (0, 1))
         assert m.pure_nash == tuple(ref.pure_nash(nf))
@@ -491,13 +484,13 @@ def test_the_labor_verdicts_follow_the_closed_forms(params):
 def test_the_separating_report_judges_as_the_reference_engine(params):
     # The report reads the scenario's audit and the bid game's rows the audit
     # kept, and plays a non-equilibrium out on its own; the reference engine
-    # judges the bid game by label.
+    # judges the bid game by label, from tables written from the paper.
     scenario = build_scenario(params)
     report = check_separating_equilibrium(scenario)
-    game = scenario.game
-    expected = ref.is_bayesian_nash(game, SEPARATING_PROFILE)
+    g = ref.labor_game(params)
+    expected = ref.is_bayesian_nash(g, SEPARATING_PROFILE)
     assert report.bne_witness == expected.witness
-    assert report.implements_rule == (ref.induced_scf(game, SEPARATING_PROFILE) == HIRING_RULE)
+    assert report.implements_rule == (ref.induced_scf(g, SEPARATING_PROFILE) == HIRING_RULE)
     assert report.separating_is_bne == scenario.audit.chain.equilibrium_inequalities_hold
     assert report.separating_is_bne == expected.is_equilibrium
 
@@ -713,9 +706,9 @@ def case_matrix_from_jsonable(data) -> CaseMatrix:
 
 @SETTINGS
 @given(games(), st.data())
-def test_an_audit_report_reads_back_from_its_json(game, data):
-    profile = data.draw(st.sampled_from(ref.profiles(game)))
-    direct = direct_game(game, ref.induced_scf(game, profile))
+def test_an_audit_report_reads_back_from_its_json(g, data):
+    profile, game = data.draw(st.sampled_from(ref.profiles(g))), g.game
+    direct = direct_game(game, ref.induced_scf(g, profile))
     report = audit_revelation_principle(game, profile, direct)
     rendered = json.loads(json_dumps(report))
     assert audit_report_from_jsonable(rendered) == report
@@ -728,16 +721,16 @@ def test_an_audit_report_reads_back_from_its_json(game, data):
 ANALYZE_MAX_PROFILES = 64
 
 
-def reference_selection(game, rule, equilibria):
+def reference_selection(g, rule, equilibria):
     """The profile `analyze` audits without a declared one, and its source:
     the first equilibrium that plays the rule out, else the first
     equilibrium, else the first profile."""
     for profile in equilibria:
-        if ref.induced_scf(game, profile) == rule:
+        if ref.induced(g, profile) == rule:
             return profile, "first equilibrium implementing the rule"
     if equilibria:
         return equilibria[0], "first equilibrium"
-    return ref.profiles(game)[0], "first enumerated profile"
+    return ref.profiles(g)[0], "first enumerated profile"
 
 
 def check_generic_analyze(rng: random.Random) -> None:
@@ -745,31 +738,29 @@ def check_generic_analyze(rng: random.Random) -> None:
     generic config with its rows shuffled, once with a random declared
     profile and once without. Its exit code and JSON must be the reference
     engine's: the audited profile and its source, `implemented`, the
-    truthful witness in a direct game built here from the rule and the
-    transposed misreport schedule, the proof chain (`reference_chain`), the
+    truthful witness in the reference engine's direct game of the rule,
+    which prices reports by the transposed misreport schedule, the proof
+    chain (`reference_chain`), the
     violation, and exit code 2 exactly when there is one. The public
     `audit_revelation_principle` of the same profile must report the same,
     and its report, written by `json_dumps`, must read as `analyze`'s audit."""
-    game, rule = ref.random_priced_game(rng, rng.randint(1, 3), ANALYZE_MAX_PROFILES)
-    ts, mech = game.type_space, game.mechanism
-    prices = {(i, r, t): v for (i, t, r), v in game.costs.misreport.items()}
-    direct = BayesianGame(Mechanism(ts.types_of, rule.outcome_of), ts, game.utilities,
-                          CostModel(prices))
-    truth = StrategyProfile.from_maps({t: t for t in types} for types in ts.types_of)
-    witness = ref.is_bayesian_nash(direct, truth).witness
+    g, rule = ref.random_priced_game(rng, rng.randint(1, 3), ANALYZE_MAX_PROFILES)
+    truth = StrategyProfile.from_maps({t: t for t in types} for types in g.types_of)
+    witness = ref.is_bayesian_nash(ref.direct(g, rule), truth).witness
     plan = [[rng.randrange(len(actions)) for _ in types]
-            for types, actions in zip(ts.types_of, mech.actions_of)]
+            for types, actions in zip(g.types_of, g.actions_of)]
+    game, scf = g.game, ref.rule_scf(g, rule)
     for declared in (plan, None):
-        cfg = ref.generic_config(game, rule, declared, rng)
+        cfg = ref.generic_config(g, rule, declared, rng)
         if declared is None:
-            profile, source = reference_selection(game, rule, ref.find_all_pure_bne(game))
+            profile, source = reference_selection(g, rule, ref.find_all_pure_bne(g))
         else:
             profile, source = StrategyProfile.from_maps(cfg["profile"]), "declared"
-        implemented = (ref.is_bayesian_nash(game, profile).is_equilibrium
-                       and ref.induced_scf(game, profile) == rule)
-        chain = reference_chain(game, profile, rule)
+        implemented = (ref.is_bayesian_nash(g, profile).is_equilibrium
+                       and ref.induced(g, profile) == rule)
+        chain = reference_chain(g, profile, rule)
         expected = AuditReport(profile, implemented, witness, chain)
-        report = audit_revelation_principle(game, profile, direct_game(game, rule))
+        report = audit_revelation_principle(game, profile, direct_game(game, scf))
         assert report == expected
         code, data = main_json("analyze", cfg)
         assert data.keys() == {"kind", "profile_source", "audit"}
@@ -877,8 +868,8 @@ def permuted_profile(profile, order):
 
 @SETTINGS
 @given(games(), st.data())
-def test_permuting_agents_permutes_the_equilibria(game, data):
-    order = data.draw(st.permutations(range(game.agent_count)))
+def test_permuting_agents_permutes_the_equilibria(g, data):
+    order, game = data.draw(st.permutations(range(g.agent_count))), g.game
     for game, other in and_cost_free(game, permuted(game, order)):
         found = find_all_pure_bne(game)
         others = find_all_pure_bne(other)
@@ -893,19 +884,19 @@ def renaming(data, labels, pool):
 
 @SETTINGS
 @given(games(), st.data())
-def test_renaming_labels_renames_every_verdict(game, data):
-    game = with_misreport_costs(game, data)
-    ts = game.type_space
+def test_renaming_labels_renames_every_verdict(g, data):
+    g = with_misreport_costs(g, data)
     rename = Renaming(
-        renaming(data, {t for types in ts.types_of for t in types}, ["w", "v", "u"]),
-        renaming(data, {a for acts in game.mechanism.actions_of for a in acts}, ["s", "r", "q"]),
-        renaming(data, {x for _, x, _ in game.utilities.table}, ["p", "o", "n"]),
+        renaming(data, {t for types in g.types_of for t in types}, ["w", "v", "u"]),
+        renaming(data, {a for acts in g.actions_of for a in acts}, ["s", "r", "q"]),
+        renaming(data, {x for _, x, _ in g.utility}, ["p", "o", "n"]),
     )
+    game = g.game
     other = rename.game(game)
     for one, renamed in and_cost_free(game, other):
         assert find_all_pure_bne(renamed) == [rename.profile(p) for p in find_all_pure_bne(one)]
-    profiles = ref.profiles(game)
-    scf = ref.induced_scf(game, data.draw(st.sampled_from(profiles)))
+    profiles = ref.profiles(g)
+    scf = ref.induced_scf(g, data.draw(st.sampled_from(profiles)))
     direct, other_direct = direct_game(game, scf), direct_game(other, rename.rule(scf))
     for profile in profiles:
         report = audit_revelation_principle(game, profile, direct)

@@ -73,8 +73,9 @@ def test_the_package_version_is_the_project_version():
     # 0.4.0 dropped LaborScenario.judgement, now the scenario record's verdicts;
     # 0.5.0 dropped LaborScenario.profile, as a scenario labels its plan itself;
     # 0.6.0 made Mechanism's fields (actions_of, walk), its table read once
-    # into the walk, and `outcome_of` a view built when read.
-    assert revaudit.__version__ == version.group(1) == "0.6.0"
+    # into the walk, and `outcome_of` a view built when read;
+    # 0.7.0 dropped TypeSpace.profiles and PureStrategy.action.
+    assert revaudit.__version__ == version.group(1) == "0.7.0"
 
 
 def readme_block(heading, language):

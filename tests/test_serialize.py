@@ -250,7 +250,7 @@ def test_parse_generic_scenario():
     assert sc.plan == [[0, 1], [0]]
     profile = _profile(sc.game, sc.plan)
     assert profile == StrategyProfile.from_maps(generic_cfg()["profile"])
-    assert [s.action(t) for s, t in zip(profile.strategies, ("hi", "m"))] == ["H", "z"]
+    assert [dict(s.choice)[t] for s, t in zip(profile.strategies, ("hi", "m"))] == ["H", "z"]
 
 
 @settings(SETTINGS, max_examples=50)
@@ -444,22 +444,24 @@ def test_a_table_is_valid_exactly_when_every_row_passes_its_check(table_and_rows
 def test_a_written_config_reads_back_as_its_game(agents, seed):
     # A random priced game and rule, written as a generic config with its
     # rows shuffled, read back as equal parts: with a declared profile, and
-    # without one.
+    # without one. The reference engine reads the same tables back from it.
     rng = random.Random(seed)
-    game, rule = ref.random_priced_game(rng, agents)
+    g, rule = ref.random_priced_game(rng, agents)
+    game = g.game
     plan = [
         [rng.randrange(len(actions)) for _ in types]
-        for types, actions in zip(game.type_space.types_of, game.mechanism.actions_of)
+        for types, actions in zip(g.types_of, g.actions_of)
     ]
     for declared in (plan, None):
-        cfg = json.loads(json.dumps(ref.generic_config(game, rule, declared, rng)))
+        cfg = json.loads(json.dumps(ref.generic_config(g, rule, declared, rng)))
         sc = parse_generic_scenario(cfg)
         assert sc.game.type_space == game.type_space
         assert sc.game.mechanism == game.mechanism
         assert sc.game.utilities == game.utilities
         assert sc.game.costs == game.costs
-        assert sc.direct.mechanism == rule
+        assert sc.direct.mechanism == ref.rule_scf(g, rule)
         assert sc.plan == declared
+        assert ref.from_config(cfg) == (g, rule)
 
 
 # -- number literals ---------------------------------------------------------------
