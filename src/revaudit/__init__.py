@@ -19,7 +19,6 @@ from .core import (
     TypeSpace,
     UtilityTable,
     as_rational,
-    rational_str,
 )
 from .equilibrium import (
     DEFAULT_PROFILE_CAP,
@@ -65,4 +64,4 @@ from types import ModuleType as _Module
 # Importing a submodule binds it here too; submodules are not API names.
 __all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _Module)]
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

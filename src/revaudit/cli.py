@@ -17,9 +17,10 @@ import sys
 from fractions import Fraction
 
 from .auditor import BreakPoint, Scenario, zero_cost_regression
-from .core import _UNDERSCORE_OR_SPACE, GameModelError, _checked, rational_str
+from .core import _UNDERSCORE_OR_SPACE, GameModelError, _checked
 from .equilibrium import DEFAULT_PROFILE_CAP, _equilibrium_plans
 from .labor import (
+    DEFAULT_PRIOR_HIGH,
     LaborParams,
     LaborScenario,
     build_scenario,
@@ -169,11 +170,11 @@ def _sweep_rows(w_values, c_mis_values, fixed):
     the audit's other families, so none is audited. Each wage and each cost
     is written as text once."""
     theta_L, theta_H, e_H, prior_high = (fixed.get(f.name, f.default) for f in SWEEP_FIXED)
-    costs = [(c_mis, rational_str(c_mis)) for c_mis in c_mis_values]
+    costs = [(c_mis, str(c_mis)) for c_mis in c_mis_values]
     market = None
     for w in w_values:
         blank, scenario = dict.fromkeys(SWEEP_COLUMNS, ""), None
-        blank["w"] = rational_str(w)
+        blank["w"] = str(w)
         for c_mis, c_text in costs:
             # A bad cell (say w <= 0) records its error and the scan moves on.
             try:
@@ -264,63 +265,54 @@ EXPECTED_MATRICES = {
 }
 
 
-def _scenario(w: Fraction, c_mis: Fraction, prior_high: Fraction) -> LaborScenario:
-    return build_scenario(LaborParams(w=w, c_mis=c_mis, prior_high=prior_high, **CANONICAL_FIXED))
-
-
-def _crit_separating(prior_high: Fraction):
-    details = []
+def _labor_checks(scenario, prior_high: Fraction) -> list[tuple[bool, dict]]:
+    """The four labor checks at one prior, each as (passed, details): the
+    separating window, the unique all-report-high equilibrium below half the
+    wage, its zero-cost cell, and the restoring threshold. `scenario(w,
+    c_mis, prior_high)` gives each canonical market. The zero-cost check
+    reads the uniqueness check's first cell, since `FAILING_COSTS` starts at
+    0, and solves nothing again."""
+    wages = []
     for w in WINDOW_WAGES:
-        report = check_separating_equilibrium(_scenario(w, Fraction(0), prior_high))
-        details.append({
+        report = check_separating_equilibrium(scenario(w, Fraction(0), prior_high))
+        wages.append({
             "w": w,
             "in_window": report.in_window,
             "separating_is_bne": report.separating_is_bne,
             "implements_rule": report.implements_rule,
             "ir_satisfied": report.ir_satisfied,
         })
-    ok = all(v for entry in details for k, v in entry.items() if k != "w")
-    return ok, {"wages": details}
-
-
-def _crit_unique_high(prior_high: Fraction, costs=FAILING_COSTS):
-    details = []
-    for c_mis in costs:
-        report = check_truthful_reporting(_scenario(CANONICAL_WAGE, c_mis, prior_high))
-        details.append({
+    failing = []
+    for c_mis in FAILING_COSTS:
+        report = check_truthful_reporting(scenario(CANONICAL_WAGE, c_mis, prior_high))
+        failing.append({
             "c_mis": c_mis,
             "cmis_below_half_w": report.cmis_below_half_w,
             "truthful_is_bne": report.truthful_is_bne,
             "unique_bne_all_report_high": report.unique_bne_all_report_high,
             "equilibria_found": len(report.equilibria),
         })
-    ok = all(
-        e["cmis_below_half_w"] and not e["truthful_is_bne"] and e["unique_bne_all_report_high"]
-        for e in details
-    )
-    return ok, {"cells": details}
-
-
-def _crit_zero_cost_failure(prior_high: Fraction):
-    return _crit_unique_high(prior_high, costs=(Fraction(0),))
-
-
-def _crit_threshold(prior_high: Fraction):
-    details = []
+    restoring = []
     for c_mis in RESTORING_COSTS:
-        report = check_truthful_reporting(_scenario(CANONICAL_WAGE, c_mis, prior_high))
-        details.append({
+        report = check_truthful_reporting(scenario(CANONICAL_WAGE, c_mis, prior_high))
+        restoring.append({
             "c_mis": c_mis,
             "truthful_is_bne": report.truthful_is_bne,
             "all_report_high_is_bne": report.all_report_high_is_bne,
         })
-    return all(e["truthful_is_bne"] for e in details), {"cells": details}
+    unique = [e["cmis_below_half_w"] and not e["truthful_is_bne"] and e["unique_bne_all_report_high"]
+              for e in failing]
+    return [
+        (all(v for entry in wages for k, v in entry.items() if k != "w"), {"wages": wages}),
+        (all(unique), {"cells": failing}),
+        (unique[0], {"cells": failing[:1]}),
+        (all(e["truthful_is_bne"] for e in restoring), {"cells": restoring}),
+    ]
 
 
-def _crit_matrices():
-    matrices = case_matrices(_scenario(CANONICAL_WAGE, Fraction(1, 2), Fraction(1, 2)))
+def _crit_matrices(scenario: LaborScenario):
     mismatches = []
-    for matrix in matrices:
+    for matrix in case_matrices(scenario):
         expected = EXPECTED_MATRICES[matrix.case]
         for profile, values in expected.items():
             got = matrix.game.payoff(profile)
@@ -334,8 +326,8 @@ def _crit_matrices():
     return not mismatches, {"entries_checked": 16, "mismatches": mismatches}
 
 
-def _crit_chain():
-    chain = _scenario(CANONICAL_WAGE, Fraction(0), Fraction(1, 2)).audit.chain
+def _crit_chain(scenario: LaborScenario):
+    chain = scenario.audit.chain
     ok = (
         chain.equilibrium_inequalities_hold
         and chain.mimicry_inequalities_hold
@@ -357,75 +349,59 @@ def _crit_regression():
     }
 
 
-def _crit_prior_independence():
-    checks = (
-        ("separating", _crit_separating),
-        ("unique_high", _crit_unique_high),
-        ("zero_cost_failure", _crit_zero_cost_failure),
-        ("threshold", _crit_threshold),
-    )
-    details = {
-        rational_str(prior_high): {name: fn(prior_high)[0] for name, fn in checks}
-        for prior_high in (Fraction(1, 10), Fraction(9, 10))
-    }
-    return all(all(block.values()) for block in details.values()), details
+# The eight reference checks, in their fixed order; the first four are the
+# labor checks, which prior independence reruns at skewed priors.
+CRITERIA = (
+    ("separating-equilibrium-window",
+     "Separating bids form a profit-based equilibrium implementing the "
+     "hiring rule with strict participation at every window wage."),
+    ("direct-game-unique-high-report",
+     "With misreporting costs below half the wage, the direct game's "
+     "unique pure equilibrium is both workers always reporting high."),
+    ("zero-misreport-cost-failure",
+     "Truth-telling fails in the direct game even when misreporting is free."),
+    ("truthfulness-threshold",
+     "Misreporting costs at or above half the wage restore truth-telling."),
+    ("case-matrices-exact",
+     "The four ex-post report matrices match the hand-substituted tables entry for entry."),
+    ("proof-chain-break-point",
+     "The revelation argument breaks exactly at the cost-free step, "
+     "witnessed by the low type reporting high."),
+    ("zero-cost-regression",
+     "Across random zero-cost games, every equilibrium's induced rule is truthfully implementable."),
+    ("prior-independence",
+     "All window and direct-game verdicts are unchanged at skewed priors."),
+)
 
 
 def reference_criteria() -> list[dict]:
-    """Run every bundled check at the canonical parameters, in a fixed order."""
-    half = Fraction(1, 2)
-    runs = [
-        (
-            "separating-equilibrium-window",
-            "Separating bids form a profit-based equilibrium implementing the "
-            "hiring rule with strict participation at every window wage.",
-            lambda: _crit_separating(half),
-        ),
-        (
-            "direct-game-unique-high-report",
-            "With misreporting costs below half the wage, the direct game's "
-            "unique pure equilibrium is both workers always reporting high.",
-            lambda: _crit_unique_high(half),
-        ),
-        (
-            "zero-misreport-cost-failure",
-            "Truth-telling fails in the direct game even when misreporting is free.",
-            lambda: _crit_zero_cost_failure(half),
-        ),
-        (
-            "truthfulness-threshold",
-            "Misreporting costs at or above half the wage restore truth-telling.",
-            lambda: _crit_threshold(half),
-        ),
-        (
-            "case-matrices-exact",
-            "The four ex-post report matrices match the hand-substituted "
-            "tables entry for entry.",
-            _crit_matrices,
-        ),
-        (
-            "proof-chain-break-point",
-            "The revelation argument breaks exactly at the cost-free step, "
-            "witnessed by the low type reporting high.",
-            _crit_chain,
-        ),
-        (
-            "zero-cost-regression",
-            "Across random zero-cost games, every equilibrium's induced rule "
-            "is truthfully implementable.",
-            _crit_regression,
-        ),
-        (
-            "prior-independence",
-            "All window and direct-game verdicts are unchanged at skewed priors.",
-            _crit_prior_independence,
-        ),
+    """Run every bundled check at the canonical parameters, in a fixed order.
+    Each distinct canonical market, keyed by (w, c_mis, prior_high), is built
+    once per call and read by every check that asks for it."""
+    built = {}
+
+    def scenario(w, c_mis, prior_high=DEFAULT_PRIOR_HIGH):
+        if (key := (w, c_mis, prior_high)) not in built:
+            params = LaborParams(w=w, c_mis=c_mis, prior_high=prior_high, **CANONICAL_FIXED)
+            built[key] = build_scenario(params)
+        return built[key]
+
+    results = [
+        *_labor_checks(scenario, DEFAULT_PRIOR_HIGH),
+        _crit_matrices(scenario(CANONICAL_WAGE, Fraction(1, 2))),
+        _crit_chain(scenario(CANONICAL_WAGE, Fraction(0))),
+        _crit_regression(),
     ]
-    out = []
-    for cid, description, fn in runs:
-        passed, details = fn()
-        out.append({"id": cid, "description": description, "passed": passed, "details": details})
-    return out
+    names = ("separating", "unique_high", "zero_cost_failure", "threshold")
+    skewed = {
+        str(prior_high): dict(zip(names, (ok for ok, _ in _labor_checks(scenario, prior_high))))
+        for prior_high in (Fraction(1, 10), Fraction(9, 10))
+    }
+    results.append((all(all(block.values()) for block in skewed.values()), skewed))
+    return [
+        {"id": cid, "description": description, "passed": passed, "details": details}
+        for (cid, description), (passed, details) in zip(CRITERIA, results)
+    ]
 
 
 def cmd_reproduce(args) -> int:

@@ -157,12 +157,6 @@ def as_rational(value, where: str | tuple = "value") -> Fraction:
     raise ConstructionError(f"cannot interpret {type(value).__name__} as a rational", at)
 
 
-def rational_str(value: Fraction) -> str:
-    """Render a Fraction as "p/q" (or "p" when the denominator is 1). The
-    value must be a Fraction; it is not converted."""
-    return str(value)
-
-
 def _is_label(label) -> bool:
     return isinstance(label, str) and label != ""
 

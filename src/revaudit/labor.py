@@ -41,6 +41,7 @@ from .equilibrium import (
     _expost_slice,
     _implements,
     _largest_gain,
+    _lines,
     _nash,
     _plan,
     find_all_pure_bne,
@@ -321,13 +322,14 @@ def check_separating_equilibrium(scenario: LaborScenario) -> SeparatingReport:
         "equilibrium statements cover pure strategy profiles only",
     ]
     slices = [_expost_slice(game, 0, k) for k in range(len(TYPES))]
-    # Cases 1-4: (own, opponent) types (L, L), (L, H), (H, L), (H, H). The
-    # bid profile (own bid, opponent's bid) sits at flat position
-    # len(BIDS) * own bid + opponent's bid, the bid of its separating plan.
+    # Cases 1-4: (own, opponent) types (L, L), (L, H), (H, L), (H, H). Worker
+    # 0's bids against the opponent's bid of its separating plan lie on one
+    # line of the flat profiles, one position per own bid (`_lines`).
+    lines = _lines(game.mechanism.actions_of, 0)
     pairs = itertools.product(enumerate(TYPES), repeat=2)
     for case, ((k, own), (m, opp)) in enumerate(pairs, start=1):
-        opp_bid, profits = plan[1][m], slices[k]
-        high, zero = (profits[len(BIDS) * BIDS.index(b) + opp_bid] for b in (BID_HIGH, BID_ZERO))
+        line, profits = lines[plan[1][m]], slices[k]
+        high, zero = (profits[line[BIDS.index(b)]] for b in (BID_HIGH, BID_ZERO))
         if high == zero:
             optimal = None
             notes.append(f"case {case}: both bids tie at w={params.w}")
@@ -382,8 +384,8 @@ def case_matrices(scenario: LaborScenario) -> tuple[CaseMatrix, ...]:
     direct, reports = scenario.direct, scenario.direct.mechanism.actions_of
     # The direct game prices each report at its misreporting cost.
     slices = {(i, t): _expost_slice(direct, i, k) for i in (0, 1) for k, t in enumerate(TYPES)}
-    scale, profiles = direct._tables.scale, tuple(itertools.product(*reports))
-    columns = {key: [Fraction(v, scale[key[0]]) for v in values] for key, values in slices.items()}
+    profiles = tuple(itertools.product(*reports))
+    columns = {key: [_exact(direct, key[0], v) for v in values] for key, values in slices.items()}
     best = {key: _best_replies(reports, key[0], values) for key, values in slices.items()}
     dominant = {key: _dominant(reports, key[0], flags) for key, flags in best.items()}
     matrices = []

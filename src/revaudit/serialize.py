@@ -43,7 +43,6 @@ from .core import (
     as_rational,
     check_agent_count,
     check_literal_size,
-    rational_str,
 )
 from .equilibrium import (
     BayesianGame,
@@ -523,7 +522,7 @@ def _write(value, newline: str, write) -> None:
     elif isinstance(value, int):
         write(int.__repr__(value))
     elif type(value) is Fraction:
-        write('"' + rational_str(value) + '"')
+        write('"' + str(value) + '"')
     elif (keys := RECORD_KEYS.get(type(value))) is not None:
         inner, sep = newline + "  ", "{"
         for _, text, get in keys:
@@ -609,7 +608,7 @@ def render_matrices_markdown(params: LaborParams, matrices: tuple[CaseMatrix, ..
     lines = [
         "# Ex-post report matrices",
         "",
-        ", ".join(f"{k} = {rational_str(v)}" for k, v in vars(params).items() if k != "prior_high"),
+        ", ".join(f"{k} = {v}" for k, v in vars(params).items() if k != "prior_high"),
         "",
         f"Note: {UNIQUENESS_NOTE}.",
         "",
@@ -624,7 +623,7 @@ def render_matrices_markdown(params: LaborParams, matrices: tuple[CaseMatrix, ..
             cells = []
             for b in col_actions:
                 v = m.game.payoff((a, b))
-                cells.append(f"({rational_str(v[0])}, {rational_str(v[1])})")
+                cells.append(f"({v[0]}, {v[1]})")
             lines.append(f"| {a} | " + " | ".join(cells) + " |")
         lines.append("")
         for agent, d in enumerate(m.dominant):

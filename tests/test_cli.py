@@ -1584,6 +1584,23 @@ def test_reproduce_builds_only_the_matrices_it_checks(monkeypatch, capsys):
     }
 
 
+def test_reproduce_builds_each_canonical_market_once(monkeypatch, capsys):
+    counts = counted(
+        monkeypatch,
+        [labor.build_scenario, labor.check_truthful_reporting, labor.check_separating_equilibrium],
+    )
+    assert main(["reproduce-paper"]) == 0
+    # At each of the 3 priors the labor checks read 8 distinct markets: the
+    # 3 window wages and 6 costs at w = 3/2, where the wage 3/2 at cost 0
+    # is one market. The matrices and the proof chain read markets of prior
+    # 1/2 already built. Each of the 6 costs is solved once per prior: the
+    # zero-cost check reads the uniqueness check's cell at cost 0.
+    assert counts == {
+        "build_scenario": 24, "check_truthful_reporting": 18,
+        "check_separating_equilibrium": 9,
+    }
+
+
 def test_reproduce_separating_checks_read_their_judgements(monkeypatch, capsys):
     counts = counted(
         monkeypatch,

@@ -32,7 +32,6 @@ from revaudit.core import (
     UtilityTable,
     as_rational,
     check_literal_size,
-    rational_str,
 )
 from revaudit.equilibrium import BayesianGame
 from revaudit.labor import LaborParams, build_scenario
@@ -127,11 +126,6 @@ def test_literal_check_reads_the_exponent_only_when_there_is_one():
     for bad in ("1e101", "1E-101", "2.5e+101", "1" * 101):
         with pytest.raises(ConstructionError, match="exceeds the limit of 100"):
             check_literal_size(bad)
-
-
-def test_rational_str_round_trips():
-    for v in (Fraction(3, 2), Fraction(-7, 3), Fraction(4), Fraction(0)):
-        assert Fraction(rational_str(v)) == v
 
 
 # -- type spaces -------------------------------------------------------------

@@ -29,7 +29,7 @@ import pytest
 import reference_engine as ref
 
 from revaudit.cli import main
-from revaudit.core import GameModelError, rational_str
+from revaudit.core import GameModelError
 from revaudit.equilibrium import StrategyProfile
 from revaudit.labor import (
     HIRING_RULE,
@@ -166,7 +166,7 @@ def fraction_verdicts(params, scenario):
 def oracle_row(w, c_mis, fixed, verdicts=reference_verdicts):
     """The sweep row of a cell built on its own, with the `verdicts` of its
     own scenario."""
-    row = {"w": rational_str(w), "c_mis": rational_str(c_mis), "in_window": "",
+    row = {"w": str(w), "c_mis": str(c_mis), "in_window": "",
            "separating_is_bne": "", "truthful_is_bne": "", "violation": "", "error": ""}
     try:
         params = LaborParams(w=w, c_mis=c_mis, **fixed)

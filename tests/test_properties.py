@@ -73,7 +73,6 @@ from revaudit.core import (
     SocialChoiceFunction,
     TypeSpace,
     UtilityTable,
-    rational_str,
 )
 from revaudit.equilibrium import (
     BayesianGame,
@@ -593,9 +592,9 @@ def sweep_json(fixed, w_values, c_mis_values):
     """The rows `sweep --format json` prints for a grid."""
     grid = {
         "kind": "sweep",
-        "w_values": [rational_str(w) for w in w_values],
-        "c_mis_values": [rational_str(c) for c in c_mis_values],
-        "fixed": {key: rational_str(v) for key, v in fixed.items()},
+        "w_values": [str(w) for w in w_values],
+        "c_mis_values": [str(c) for c in c_mis_values],
+        "fixed": {key: str(v) for key, v in fixed.items()},
     }
     code, rows = main_json("sweep", grid, "--format", "json")
     assert code == 0

@@ -55,7 +55,6 @@ EXPORTS = [
     "in_wage_window",
     "is_truthfully_implementable",
     "random_zero_cost_game",
-    "rational_str",
     "wage_window",
     "zero_cost_regression",
 ]
@@ -74,8 +73,9 @@ def test_the_package_version_is_the_project_version():
     # 0.5.0 dropped LaborScenario.profile, as a scenario labels its plan itself;
     # 0.6.0 made Mechanism's fields (actions_of, walk), its table read once
     # into the walk, and `outcome_of` a view built when read;
-    # 0.7.0 dropped TypeSpace.profiles and PureStrategy.action.
-    assert revaudit.__version__ == version.group(1) == "0.7.0"
+    # 0.7.0 dropped TypeSpace.profiles and PureStrategy.action;
+    # 0.8.0 dropped rational_str, as str(Fraction) is the one spelling.
+    assert revaudit.__version__ == version.group(1) == "0.8.0"
 
 
 def readme_block(heading, language):
